@@ -100,10 +100,6 @@ def gammaln_real(x: float) -> float:
     return _ln_gamma_right(complex(x)).real if x > 0.5 else ln_gamma(x).real
 
 
-def gamma_real(x: float) -> float:
-    return math.exp(gammaln_real(x))
-
-
 def pochhammer(a: float, m: int) -> float:
     """Rising factorial a (a+1) ... (a+m-1); equals 1 at m = 0."""
     if m < 0:
@@ -234,8 +230,48 @@ def kummer_1f1(a: float, c: float, z: float) -> EvalResult:
     return _kummer_asymptotic_neg(a, c, z)
 
 
+def kummer_algebraic_tail(a: float, c: float,
+                          w: np.ndarray) -> tuple[float, np.ndarray]:
+    """Algebraic branch of 1F1(a; c; -w) for large w > 0.
+
+    Returns the amplitude Gamma(c)/Gamma(c-a) and the 24-term correction sum
+    of the expansion 1F1(a; c; -w) ~ amplitude * w**-a * sum.
+    """
+    g = np.exp(complex(ln_gamma(complex(c)) - ln_gamma(complex(c - a))))
+    s = np.ones_like(w)
+    term = np.ones_like(w)
+    for k in range(1, 25):
+        term = term * (a + k - 1) * (a - c + k) / (k * w)
+        s = s + term
+    return g.real, s
+
+
+def _kummer_series_node(aa: float, c: float, w: float) -> float:
+    """Series of 1F1(aa; c; w) at one node, stopped by its own terms."""
+    s = 1.0
+    term = 1.0
+    small = 0
+    for m in range(SERIES_CAP * 3):
+        term = term * (aa + m) / (c + m) * w / (m + 1)
+        s = s + term
+        small = small + 1 if abs(term) < SERIES_EPS * abs(s) else 0
+        if small >= 3 or term == 0.0:
+            break
+    return s
+
+
 def kummer_1f1_arr(a: float, c: float, z: np.ndarray) -> np.ndarray:
-    """Vectorized 1F1 over a real array; same branch logic as kummer_1f1."""
+    """Vectorized 1F1 over a real array; same branch logic as kummer_1f1.
+
+    Below z = -200 the algebraic branch is evaluated over the whole array.
+    Elsewhere each node sums its own series, after Kummer's transformation
+    1F1(a; c; z) = exp(z) 1F1(c-a; c; -z) for z < 0, and stops when three
+    successive terms of its own are below SERIES_EPS of its partial sum, or
+    a term is exactly zero.  Each node's arithmetic is the same sequence of
+    double operations as a lock-step sum over the array with a per-node stop
+    mask, so the results are bit-identical to it; only the nodes that need
+    many terms pay for them.
+    """
     z = np.asarray(z, dtype=float)
     out = np.empty_like(z)
     neg_big = z <= -200.0
@@ -245,31 +281,15 @@ def kummer_1f1_arr(a: float, c: float, z: np.ndarray) -> np.ndarray:
     if np.any(rest):
         zr = z[rest]
         transform = zr < 0.0
-        w = np.where(transform, -zr, zr)
-        aa = np.where(transform, c - a, a)
-        s = np.ones_like(w)
-        term = np.ones_like(w)
-        active = np.ones_like(w, dtype=bool)
-        small = np.zeros_like(w, dtype=int)
-        for m in range(SERIES_CAP * 3):
-            term = term * (aa + m) / (c + m) * w / (m + 1)
-            s = s + np.where(active, term, 0.0)
-            tiny = np.abs(term) < SERIES_EPS * np.abs(s)
-            small = np.where(tiny, small + 1, 0)
-            active = active & (small < 3) & (term != 0.0)
-            if not np.any(active):
-                break
+        ca = c - a
+        s = np.array([_kummer_series_node(ca, c, -x) if x < 0.0
+                      else _kummer_series_node(a, c, x)
+                      for x in zr.tolist()])
         out[rest] = np.where(transform, np.exp(zr) * s, s)
     if np.any(neg_big):
         w = -z[neg_big]
-        g = np.exp(complex(ln_gamma(complex(c)) - ln_gamma(complex(c - a))))
-        lead = g.real * np.exp(-a * np.log(w))
-        s = np.ones_like(w)
-        term = np.ones_like(w)
-        for k in range(1, 25):
-            term = term * (a + k - 1) * (a - c + k) / (k * w)
-            s = s + term
-        out[neg_big] = lead * s
+        amp, s = kummer_algebraic_tail(a, c, w)
+        out[neg_big] = amp * np.exp(-a * np.log(w)) * s
     return out
 
 

@@ -15,13 +15,13 @@ refinement of the node grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernel as kernelmod
-from .corefn import beta_classical
 from .kernel import EXP_VARIANT, KernelSpec
 from .quadrature import (
     MAX_LEVEL,
@@ -73,20 +73,24 @@ def _unit_logs(level: int) -> tuple[np.ndarray, np.ndarray]:
     return cached
 
 
-_theta_cache: dict[tuple, np.ndarray] = {}
+# A conformance pass uses 6 entries; one evaluation with fresh parameters
+# uses one per (b, d) and refinement level it reaches, at most 7 in a mixed
+# stream of independent calls.
+_THETA_CACHE_SIZE = 128
 
 
+@functools.lru_cache(maxsize=_THETA_CACHE_SIZE)
 def _unit_theta(k: KernelSpec, reg: RegPair, level: int) -> np.ndarray:
-    """Confluent-kernel values on the level's new unit nodes (cached)."""
-    key = (k.a, k.c, reg.b, reg.d, level)
-    cached = _theta_cache.get(key)
-    if cached is None:
-        t, tc, _ = unit_new_nodes(level)
-        with np.errstate(over="ignore", under="ignore"):
-            arg = -(reg.b / t + reg.d / tc)
-            cached = kernelmod.theta_eval_arr(k, arg)
-        _theta_cache[key] = cached
-    return cached
+    """Confluent-kernel values on the level's new unit nodes (cached).
+
+    The cached array is shared by every caller, so it is read-only.
+    """
+    t, tc, _ = unit_new_nodes(level)
+    with np.errstate(over="ignore", under="ignore"):
+        arg = -(reg.b / t + reg.d / tc)
+        theta = kernelmod.theta_eval_arr(k, arg)
+    theta.flags.writeable = False
+    return theta
 
 
 def _min_exponent(k: KernelSpec, reg_component: float) -> float:
@@ -177,20 +181,6 @@ def ext_beta_shifted_batch(k: KernelSpec, alpha0: float, count: int,
         k, alpha0, count, beta, reg, kstep, tol)
     return [EvalResult(float(v), float(e), nodes, ok, "quadrature")
             for v, e in zip(values, errs)]
-
-
-def ext_beta_ratio_batch(k: KernelSpec, alpha0: float, count: int,
-                         beta: float, reg: RegPair, kstep: int = 1,
-                         tol: float = 1e-13):
-    """Batch of regularized-beta values divided by the classical beta.
-
-    These ratios are the per-term coefficients of every extended series.
-    Returns (ratios, err_bound, converged).
-    """
-    values, errs, _, ok = ext_beta_shifted_batch_arrays(
-        k, alpha0, count, beta, reg, kstep, tol)
-    norm = beta_classical(alpha0, beta)
-    return values / norm, float(np.max(errs)) / norm, ok
 
 
 def ext_gamma(k: KernelSpec, z: float, b: float = 0.0,

@@ -112,14 +112,7 @@ def log_theta_neg_asym(k: KernelSpec, z: np.ndarray) -> np.ndarray:
     used to combine overflowing power prefactors with the tiny kernel value.
     """
     w = -np.asarray(z, dtype=float)
-    g = np.exp(complex(corefn.ln_gamma(complex(k.c))
-                       - corefn.ln_gamma(complex(k.c - k.a))))
-    amp = g.real
+    amp, s = corefn.kummer_algebraic_tail(k.a, k.c, w)
     if amp <= 0.0:
         raise DomainError("confluent kernel is not positive in the far tail")
-    s = np.ones_like(w)
-    term = np.ones_like(w)
-    for j in range(1, 25):
-        term = term * (k.a + j - 1) * (k.a - k.c + j) / (j * w)
-        s = s + term
     return math.log(amp) - k.a * np.log(w) + np.log(np.maximum(s, 1e-300))

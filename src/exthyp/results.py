@@ -13,8 +13,12 @@ class KernelMismatchError(DomainError):
     """Operation requires a specific regularization kernel."""
 
 
-class NonFiniteSampleError(ValueError):
-    """A quadrature integrand returned NaN/Inf at an interior node."""
+class NonFiniteSampleError(DomainError):
+    """A quadrature integrand returned NaN/Inf at an interior node.
+
+    The arguments put the integrand outside floating-point range, so it is a
+    domain error: the CLI reports it with exit code 2.
+    """
 
 
 class ConvergenceError(RuntimeError):

@@ -148,6 +148,16 @@ def test_cli_eval_domain_error_exit_2():
     assert r.returncode == 2
 
 
+def test_cli_eval_non_finite_sample_is_domain_error():
+    # the integrand overflows near t = 0 for a first argument this small
+    r = _cli("eval", "--func", "extbeta", "--kernel", "kummer:2.5,1",
+             "--params", "1e-12,1", "--d", "0.5")
+    assert r.returncode == 2
+    assert r.stderr.startswith("domain error: ")
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
 def test_cli_eval_non_convergence_exit_3():
     # the series cap binds before the tolerance this close to the disk edge
     r = _cli("eval", "--func", "2f1", "--params", "1,1,2", "--z", "0.9995",

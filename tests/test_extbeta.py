@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from exthyp.corefn import beta_classical, ln_gamma
 from exthyp.extbeta import (
+    _THETA_CACHE_SIZE,
     BetaArgs,
     RegPair,
     ext_beta,
@@ -17,6 +18,7 @@ from exthyp.extbeta import (
     ext_beta_shifted_batch,
     ext_beta_shifted_batch_arrays,
     ext_gamma,
+    _unit_theta,
 )
 from exthyp.kernel import EXP_KERNEL, kummer_kernel
 from exthyp.quadrature import integrate_halfline, integrate_unit2
@@ -176,3 +178,14 @@ def test_complex_gamma_quotient_oracle():
 def test_reg_pair_validation():
     with pytest.raises(DomainError):
         RegPair(-0.1, 0.0)
+
+
+def test_theta_cache_is_bounded_and_read_only():
+    reg = RegPair(0.25, 0.5)
+    for i in range(_THETA_CACHE_SIZE + 20):
+        theta = _unit_theta(kummer_kernel(1.0 + i / 64.0, 3.0), reg, 0)
+        assert not theta.flags.writeable
+    assert _unit_theta.cache_info().currsize == _THETA_CACHE_SIZE
+    # the most recent entry is a hit, and a hit returns the cached array
+    again = _unit_theta(kummer_kernel(1.0 + i / 64.0, 3.0), reg, 0)
+    assert again is theta

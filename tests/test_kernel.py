@@ -2,18 +2,27 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from exthyp.kernel import (
     EXP_KERNEL,
     kummer_kernel,
+    log_theta_neg_asym,
     parse_kernel,
     theta_coeff,
     theta_eval,
     theta_eval_arr,
 )
-from exthyp.corefn import gammaln_real
+from exthyp.corefn import (
+    SERIES_CAP,
+    SERIES_EPS,
+    _is_nonpositive_int,
+    gammaln_real,
+    kummer_1f1_arr,
+    ln_gamma,
+)
 from exthyp.results import DomainError
 
 KUM = kummer_kernel(1.0, 2.0)
@@ -105,3 +114,99 @@ def test_vectorized_matches_scalar_across_regimes():
     vals = theta_eval_arr(KUM2, zs)
     for z, v in zip(zs, vals):
         assert abs(v - theta_eval(KUM2, float(z)).value) <= 1e-12 * (1 + abs(v))
+
+
+def _lockstep_kummer_1f1_arr(a, c, z):
+    """Reference: the former lock-step 1F1, every node stepped together."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    neg_big = z <= -200.0
+    if _is_nonpositive_int(c - a):
+        neg_big = np.zeros_like(neg_big)
+    rest = ~neg_big
+    if np.any(rest):
+        zr = z[rest]
+        transform = zr < 0.0
+        w = np.where(transform, -zr, zr)
+        aa = np.where(transform, c - a, a)
+        s = np.ones_like(w)
+        term = np.ones_like(w)
+        active = np.ones_like(w, dtype=bool)
+        small = np.zeros_like(w, dtype=int)
+        for m in range(SERIES_CAP * 3):
+            term = term * (aa + m) / (c + m) * w / (m + 1)
+            s = s + np.where(active, term, 0.0)
+            tiny = np.abs(term) < SERIES_EPS * np.abs(s)
+            small = np.where(tiny, small + 1, 0)
+            active = active & (small < 3) & (term != 0.0)
+            if not np.any(active):
+                break
+        out[rest] = np.where(transform, np.exp(zr) * s, s)
+    if np.any(neg_big):
+        w = -z[neg_big]
+        g = np.exp(complex(ln_gamma(complex(c)) - ln_gamma(complex(c - a))))
+        lead = g.real * np.exp(-a * np.log(w))
+        s = np.ones_like(w)
+        term = np.ones_like(w)
+        for k in range(1, 25):
+            term = term * (a + k - 1) * (a - c + k) / (k * w)
+            s = s + term
+        out[neg_big] = lead * s
+    return out
+
+
+_EDGE = -200.0
+_KUMMER_ZS = np.concatenate([
+    np.linspace(-250.0, 60.0, 311),
+    np.linspace(-250.0, 60.0, 97) + 0.37,
+    [np.nextafter(_EDGE, -np.inf), _EDGE, np.nextafter(_EDGE, np.inf),
+     0.0, -0.0, 1e-300, -1e-300],
+])
+
+
+@pytest.mark.parametrize("a,c", [
+    (1.0, 2.0),
+    (1.5, 2.0),
+    (2.5, 1.0),
+    (0.3, 4.7),
+    (3.0, 1.0),    # c - a = -2: no algebraic branch, every node sums
+    (2.0, 2.0),    # c - a = 0: exp(z)
+    (-3.0, 1.5),   # terminating series
+    (-1.0, 0.25),  # terminating series
+])
+def test_kummer_arr_bit_identical_to_lockstep(a, c):
+    for z in (_KUMMER_ZS, np.empty(0), np.full(3, -0.0),
+              np.array([[-1.0, 2.0]])):
+        got = kummer_1f1_arr(a, c, z)
+        want = _lockstep_kummer_1f1_arr(a, c, z)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_kummer_arr_non_finite_bit_identical_to_lockstep():
+    # NaN and +inf never meet the stopping rule, so both loops run to the cap
+    z = np.array([np.nan, np.inf, -np.inf, -3.0])
+    with np.errstate(all="ignore"):
+        got = kummer_1f1_arr(1.5, 2.0, z)
+        want = _lockstep_kummer_1f1_arr(1.5, 2.0, z)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_kummer_arr_matches_mpmath():
+    zs = np.array([-199.5, -80.0, -25.0, -3.0, -0.5, 0.0, 0.7, 12.0, 55.0])
+    for a, c in ((1.5, 2.0), (0.3, 4.7), (2.5, 1.0)):
+        got = kummer_1f1_arr(a, c, zs)
+        for z, v in zip(zs, got):
+            with mpmath.workdps(30):
+                want = float(mpmath.hyp1f1(a, c, float(z)))
+            assert abs(v - want) <= 1e-13 * abs(want), (a, c, z)
+
+
+def test_log_theta_far_tail_matches_kernel_value():
+    zs = np.array([-1e6, -3000.0, -500.0, -200.0])
+    for k in (KUM, KUM2, kummer_kernel(0.3, 4.7)):
+        got = log_theta_neg_asym(k, zs)
+        want = np.log(theta_eval_arr(k, zs))
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+    with pytest.raises(DomainError):  # Gamma(1)/Gamma(-0.5) < 0
+        log_theta_neg_asym(kummer_kernel(1.5, 1.0), zs)
