@@ -107,7 +107,6 @@ from .quadrature import (
     integrate_halfline,
     integrate_unit,
     integrate_unit_batch,
-    integrate_unit_complex_power,
 )
 from .results import (
     ConvergenceError,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corefn import gammaln_real
+from .corefn import gammaln_real, pochhammer
 from .extbeta import RegPair, safe_theta_product
 from .hyp import PfqSpec, _CoeffLadder, ext_2f1, pfq_series_vector, pfq_spec
 from .kernel import EXP_VARIANT, KernelSpec
@@ -415,13 +415,6 @@ def f2_transform(p: AppellParams, x: float, y: float, which: str,
     return lhs, rhs
 
 
-def _poch(a: float, m: int) -> float:
-    out = 1.0
-    for i in range(m):
-        out *= a + i
-    return out
-
-
 def f2_recursion(p: AppellParams, n: int, which: str, x: float, y: float,
                  tol: float = 1e-10,
                  variant: str = "proof") -> tuple[EvalResult, EvalResult]:
@@ -434,6 +427,8 @@ def f2_recursion(p: AppellParams, n: int, which: str, x: float, y: float,
     """
     if which not in ("beta2_shift", "gamma2_shift"):
         raise DomainError(f"unknown recursion {which!r}")
+    if n < 0:
+        raise DomainError("shift order must be >= 0")
     p.validate_f2()
 
     def F2(b2, g2) -> EvalResult:
@@ -443,12 +438,12 @@ def f2_recursion(p: AppellParams, n: int, which: str, x: float, y: float,
     err = 0.0
     if which == "gamma2_shift":
         lhs = F2(p.beta2, p.gamma2 + n)
-        pref = _poch(p.gamma2, n) / _poch(p.gamma2 - p.beta2, n)
+        pref = pochhammer(p.gamma2, n) / pochhammer(p.gamma2 - p.beta2, n)
         total = 0.0
         for k in range(n + 1):
             g = F2(p.beta2 + k, p.gamma2 + k)
             coef = ((-1.0) ** k * math.comb(n, k)
-                    * _poch(p.beta2, k) / _poch(p.gamma2, k))
+                    * pochhammer(p.beta2, k) / pochhammer(p.gamma2, k))
             total += coef * g.value
             err += abs(coef) * g.abs_err_est
         rhs = EvalResult(pref * total, abs(pref) * err, lhs.terms_or_nodes,
@@ -456,23 +451,23 @@ def f2_recursion(p: AppellParams, n: int, which: str, x: float, y: float,
         return lhs, rhs
     if variant == "proof":
         lhs = F2(p.beta2 + n, p.gamma2 + 2 * n)
-        pref = _poch(p.gamma2, 2 * n) / (_poch(p.gamma2 - p.beta2, n)
-                                         * _poch(p.beta2, n))
+        pref = pochhammer(p.gamma2, 2 * n) / (
+            pochhammer(p.gamma2 - p.beta2, n) * pochhammer(p.beta2, n))
         i_lo = 0
     elif variant == "printed":
         if not p.gamma2 - p.beta2 - n > 0.0:
             raise DomainError("printed shift needs gamma2 - beta2 - n > 0")
         lhs = F2(p.beta2 + n, p.gamma2)
-        pref = _poch(p.gamma2 - p.beta2, 2 * n) / (
-            _poch(p.gamma2 - p.beta2, n) * _poch(p.beta2, n))
+        pref = pochhammer(p.gamma2 - p.beta2, 2 * n) / (
+            pochhammer(p.gamma2 - p.beta2, n) * pochhammer(p.beta2, n))
         i_lo = 1
     else:
         raise DomainError(f"unknown variant {variant!r}")
     total = 0.0
     for i in range(i_lo, n + 1):
         g = F2(p.beta2 + n + i, p.gamma2 + n + i)
-        coef = (_poch(-n, i) * _poch(p.beta2, i + n)
-                / (_poch(p.gamma2, i + n) * math.factorial(i)))
+        coef = (pochhammer(-n, i) * pochhammer(p.beta2, i + n)
+                / (pochhammer(p.gamma2, i + n) * math.factorial(i)))
         total += coef * g.value
         err += abs(coef) * g.abs_err_est
     rhs = EvalResult(pref * total, abs(pref) * err, lhs.terms_or_nodes,

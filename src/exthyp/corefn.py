@@ -247,16 +247,28 @@ def kummer_algebraic_tail(a: float, c: float,
 
 
 def _kummer_series_node(aa: float, c: float, w: float) -> float:
-    """Series of 1F1(aa; c; w) at one node, stopped by its own terms."""
+    """Series of 1F1(aa; c; w) at one node, stopped by its own terms.
+
+    A NaN partial sum (s != s) ends the loop at once: NaN absorbs every later
+    term, so the result is the same.  An infinite one does not, because a
+    later 0 * inf term can still turn it into NaN.  With s NaN the
+    small-term comparison is false, so the NaN test only runs on the branch
+    where that comparison fails.
+    """
     s = 1.0
     term = 1.0
     small = 0
     for m in range(SERIES_CAP * 3):
         term = term * (aa + m) / (c + m) * w / (m + 1)
         s = s + term
-        small = small + 1 if abs(term) < SERIES_EPS * abs(s) else 0
-        if small >= 3 or term == 0.0:
-            break
+        if abs(term) < SERIES_EPS * abs(s):
+            small = small + 1
+            if small >= 3 or term == 0.0:
+                break
+        else:
+            small = 0
+            if term == 0.0 or s != s:
+                break
     return s
 
 

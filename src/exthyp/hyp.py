@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corefn import beta_signed, gammaln_real
+from .corefn import _is_nonpositive_int, beta_signed, gammaln_real, pochhammer
 from .extbeta import (
     RegPair,
     safe_theta_product,
@@ -34,10 +34,6 @@ from .results import DomainError, EvalResult, KernelMismatchError
 SERIES_CAP = 4096
 _BLOCK = 64
 _EULER_CUT = 0.85  # |z| beyond which the series gives way to the integral
-
-
-def _is_nonpositive_int(x: float, tol: float = 1e-12) -> bool:
-    return x <= tol and abs(x - round(x)) < tol
 
 
 @dataclass(frozen=True)
@@ -587,7 +583,7 @@ def recurrence_eval(which: str, kernel: KernelSpec, a1: float, a2: float,
         for kk in range(n + 1):
             g = F(a1, a2 + kk, b1 + kk)
             coef = ((-1.0) ** kk * math.comb(n, kk)
-                    * _poch(a2, kk) / _poch(b1, kk))
+                    * pochhammer(a2, kk) / pochhammer(b1, kk))
             total += coef * g.value
             err += abs(coef) * g.abs_err_est
         rhs = EvalResult(pref * total, abs(pref) * err, lhs.terms_or_nodes,
@@ -597,34 +593,29 @@ def recurrence_eval(which: str, kernel: KernelSpec, a1: float, a2: float,
     # positive power only, which lifts the left side's lower parameter by 2n.
     if variant == "proof":
         lhs = F(a1, a2 + n, b1 + 2 * n)
-        pref = _poch(b1, 2 * n) / (_poch(b1 - a2, n) * _poch(a2, n))
+        pref = pochhammer(b1, 2 * n) / (pochhammer(b1 - a2, n)
+                                        * pochhammer(a2, n))
         i_lo = 0
     elif variant == "printed":
         if not b1 - a2 - n > 0.0:
             raise DomainError("printed upper-second shift needs "
                               "b1 - a2 - n > 0")
         lhs = F(a1, a2 + n, b1)
-        pref = _poch(b1 - a2, 2 * n) / (_poch(b1 - a2, n) * _poch(a2, n))
+        pref = pochhammer(b1 - a2, 2 * n) / (pochhammer(b1 - a2, n)
+                                             * pochhammer(a2, n))
         i_lo = 1
     else:
         raise DomainError(f"unknown variant {variant!r}")
     total = 0.0
     for i in range(i_lo, n + 1):
         g = F(a1, a2 + n + i, b1 + n + i)
-        coef = (_poch(-n, i) * _poch(a2, i + n)
-                / (_poch(b1, i + n) * math.factorial(i)))
+        coef = (pochhammer(-n, i) * pochhammer(a2, i + n)
+                / (pochhammer(b1, i + n) * math.factorial(i)))
         total += coef * g.value
         err += abs(coef) * g.abs_err_est
     rhs = EvalResult(pref * total, abs(pref) * err, lhs.terms_or_nodes,
                      True, "series")
     return lhs, rhs
-
-
-def _poch(a: float, m: int) -> float:
-    out = 1.0
-    for i in range(m):
-        out *= a + i
-    return out
 
 
 def summation_thm(kernel: KernelSpec, a1: float, a2: float, b1: float,

@@ -22,6 +22,9 @@ from .results import NonFiniteSampleError
 
 MAX_LEVEL = 12
 
+# Samples per block of integrate_unit_batch (512 KiB of float64).
+_BATCH_BLOCK_FLOATS = 1 << 16
+
 # Truncation of the trapezoid in the transform variable.  Chosen so node
 # weights stay normal (no underflow-to-zero weights) at the extremes.
 _UNIT_UMAX = 6.05
@@ -184,10 +187,16 @@ def integrate_unit_batch(f0, count: int, tol: float, kstep: int = 1,
     """Integrate the power family t**(kstep*m) * f0(t, 1-t) for m=0..count-1.
 
     f0 is the m = 0 integrand, evaluated once per node and shared across the
-    whole family; the power ladder is applied by repeated multiplication
-    with t**kstep, so one grid refinement serves every member.  Returns
-    (values, errs, nodes_used, converged) with per-member error estimates
-    from the last refinement step.
+    whole family, so one grid refinement serves every member.  At each level
+    the members are formed block-wise: a row-major block holds the m = 0
+    samples in its first row and t**kstep in the others, a multiply-accumulate
+    down the rows turns row j into the samples of member j, and each row is
+    summed as one contiguous reduction.  Blocks hold at most
+    _BATCH_BLOCK_FLOATS samples; the next block starts from the last row
+    times t**kstep.  The multiplications and sums are those of repeated
+    multiplication by t**kstep with one sum per member, so the results are
+    bit-identical to it.  Returns (values, errs, nodes_used, converged) with
+    per-member error estimates from the last refinement step.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -200,12 +209,16 @@ def integrate_unit_batch(f0, count: int, tol: float, kstep: int = 1,
             s = base.sum()
             return np.full(count, s), t.size
         ratio = t ** kstep
+        rows = max(1, _BATCH_BLOCK_FLOATS // t.size)
         out = np.empty(count)
         cur = base
-        for m in range(count):
-            out[m] = cur.sum()
-            if m + 1 < count:
-                cur = cur * ratio
+        for m0 in range(0, count, rows):
+            blk = np.empty((min(rows, count - m0), t.size))
+            blk[0] = cur
+            blk[1:] = ratio
+            np.multiply.accumulate(blk, axis=0, out=blk)
+            out[m0:m0 + len(blk)] = blk.sum(axis=1)
+            cur = blk[-1] * ratio
         return out, t.size
 
     totals = None
@@ -225,24 +238,3 @@ def integrate_unit_batch(f0, count: int, tol: float, kstep: int = 1,
             break
         prev = totals.copy()
     return totals, errs, nodes, converged
-
-
-def integrate_unit_complex_power(alpha: complex, beta: float, g, tol: float,
-                                 max_level: int = MAX_LEVEL):
-    """Integrate t**(alpha-1) * (1-t)**(beta-1) * g(t) with complex alpha.
-
-    t stays on the real segment, so t**(alpha-1) = exp((alpha-1) ln t).
-    Returns (complex value, err, nodes_used, converged); the error estimate
-    is the max over real/imaginary components.
-    """
-
-    def contrib(level):
-        t, tc, w = unit_new_nodes(level)
-        gv = np.asarray(g(t), dtype=float)
-        vals = w * gv * np.exp((beta - 1.0) * np.log(tc)
-                               + (alpha - 1.0) * np.log(t))
-        _check_finite(np.abs(vals), t)
-        return vals.sum(), t.size
-
-    value, err, nodes, ok = _refine(contrib, tol, max_level)
-    return complex(value), float(err), nodes, ok

@@ -199,6 +199,13 @@ def test_f2_recursion_beta_shift_proof_wins():
     assert abs(lhs.value - rhs.value) > 1e-4
 
 
+def test_f2_recursion_rejects_negative_order():
+    p = P2(1.0, 0.5, 0.6, 1.9, 2.4)
+    for which in ("gamma2_shift", "beta2_shift"):
+        with pytest.raises(DomainError):
+            f2_recursion(p, -1, which, 0.2, 0.3)
+
+
 def test_f2_recursion_degenerate():
     p = P2(1.0, 0.5, 0.6, 1.9, 2.0)
     lhs, rhs = f2_recursion(p, 0, "gamma2_shift", 0.2, 0.3)

@@ -192,6 +192,18 @@ def test_kummer_arr_non_finite_bit_identical_to_lockstep():
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def test_kummer_arr_nan_exit_keeps_lockstep_bits():
+    # a NaN node stops at once; an infinite partial sum must not, because for
+    # a = -1 or -2 a later 0 * inf term turns it into NaN
+    z = np.array([np.inf, np.nan, -np.nan])
+    for a in (-1.0, -2.0):
+        with np.errstate(all="ignore"):
+            got = kummer_1f1_arr(a, 2.5, z)
+            want = _lockstep_kummer_1f1_arr(a, 2.5, z)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.isnan(got[0])
+
+
 def test_kummer_arr_matches_mpmath():
     zs = np.array([-199.5, -80.0, -25.0, -3.0, -0.5, 0.0, 0.7, 12.0, 55.0])
     for a, c in ((1.5, 2.0), (0.3, 4.7), (2.5, 1.0)):

@@ -5,13 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from exthyp.extbeta import RegPair, ext_beta_complex
+from exthyp.kernel import EXP_KERNEL
 from exthyp.quadrature import (
+    _BATCH_BLOCK_FLOATS,
+    MAX_LEVEL,
     integrate_halfline,
     integrate_unit,
     integrate_unit2,
     integrate_unit_batch,
-    integrate_unit_complex_power,
     unit_grid,
+    unit_new_nodes,
     halfline_grid,
 )
 from exthyp.results import NonFiniteSampleError
@@ -90,19 +94,78 @@ def test_batch_stride_two():
         assert abs(vals[m] - want) < 1e-12
 
 
-def test_complex_power_real_reduction():
-    v, err, _, ok = integrate_unit_complex_power(
-        2.0 + 0.0j, 3.0, lambda t: np.ones_like(t), 1e-12)
-    assert ok
-    assert abs(v - 1.0 / 12.0) < 1e-12
+def _loop_batch_reference(f0, count, tol, kstep):
+    """Reference: the former batch, one sum and one multiply per member."""
+    def contrib(level):
+        t, tc, w = unit_new_nodes(level)
+        base = w * np.asarray(f0(t, tc), dtype=float)
+        if kstep == 0:
+            s = base.sum()
+            return np.full(count, s), t.size
+        ratio = t ** kstep
+        out = np.empty(count)
+        cur = base
+        for m in range(count):
+            out[m] = cur.sum()
+            if m + 1 < count:
+                cur = cur * ratio
+        return out, t.size
+
+    totals = None
+    prev = None
+    errs = np.full(count, math.inf)
+    nodes = 0
+    converged = False
+    for level in range(MAX_LEVEL + 1):
+        s, n = contrib(level)
+        nodes += n
+        h = 2.0 ** -level if level else 1.0
+        totals = h * s if totals is None else 0.5 * totals + h * s
+        if level >= 1:
+            errs = np.abs(totals - prev)
+        if level >= 3 and errs.max() <= tol:
+            converged = True
+            break
+        prev = totals.copy()
+    return totals, errs, nodes, converged
 
 
-def test_complex_power_pure_imaginary():
+@pytest.mark.parametrize("kstep", [0, 1, 2, 3])
+@pytest.mark.parametrize("count", [1, 2, 64, 200])
+def test_batch_bit_identical_to_member_loop(kstep, count):
+    def f0(t, tc):
+        # the kink at t = 1/3 keeps the level-to-level change far above 1e-30
+        return t ** -0.4 * tc ** 0.7 * np.abs(t - 1.0 / 3.0)
+
+    # at MAX_LEVEL the members of counts 64 and 200 span several blocks
+    assert 64 * unit_new_nodes(MAX_LEVEL)[0].size > 2 * _BATCH_BLOCK_FLOATS
+    for tol in (1e-6, 1e-30):
+        got = integrate_unit_batch(f0, count, tol, kstep)
+        want = _loop_batch_reference(f0, count, tol, kstep)
+        assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
+        assert np.array_equal(got[1].view(np.int64), want[1].view(np.int64))
+        assert got[2:] == want[2:]
+        assert got[3] == (tol == 1e-6)
+    assert got[2] == unit_grid(MAX_LEVEL).nodes.size
+
+
+def test_batch_non_finite_sample_raises():
+    with np.errstate(divide="ignore"):
+        with pytest.raises(NonFiniteSampleError):
+            integrate_unit_batch(lambda t, tc: 1.0 / (t - 0.5), 4, TOL)
+
+
+def test_complex_beta_real_reduction():
+    r = ext_beta_complex(EXP_KERNEL, 2.0 + 0.0j, 3.0, RegPair(), 1e-12)
+    assert r.converged
+    assert abs(r.value - 1.0 / 12.0) < 1e-12
+
+
+def test_complex_beta_pure_imaginary():
     # int_0^1 t^i dt = 1/(1+i) = 0.5 - 0.5i
-    v, err, _, ok = integrate_unit_complex_power(
-        1.0 + 1.0j, 1.0, lambda t: np.ones_like(t), 1e-12)
-    assert ok
-    assert abs(v - (0.5 - 0.5j)) < 1e-11
+    r = ext_beta_complex(EXP_KERNEL, 1.0 + 1.0j, 1.0, RegPair(), 1e-12)
+    assert r.converged
+    assert abs(r.value - (0.5 - 0.5j)) < 1e-11
 
 
 def test_linearity():
