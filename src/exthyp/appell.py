@@ -222,43 +222,90 @@ def nested_poch_series(alpha: float, ladders, xs, tol: float,
     ... and carried multiplicatively through the recursion, so no factor ever
     overflows even deep in the tail.  Shared engine for the second-kind
     two-variable function and its r-variable generalization.
+
+    The sums run on Python floats.  Each ladder is read into a list a block
+    at a time, and ``ensure`` runs only when an index passes the end of what
+    is read.  The innermost sum keeps the running total, error and term
+    count in locals, and has no exp((a + m) * grow) factors: there grow is
+    0.0, so each is exactly 1.0 for a finite alpha.  numpy scalars and
+    Python floats are the same doubles, and the operations run in the same
+    order, so the output bits are those of the recursion kept in
+    ``tests/test_appell.py`` as the reference.
     """
     r = len(xs)
+    if not all(math.isfinite(v) for v in (alpha, *xs)):
+        raise DomainError("series needs a finite alpha and finite arguments")
     if sum(abs(x) for x in xs) >= 1.0:
         raise DomainError("series needs sum of |arguments| below 1")
-    state = {"total": 0.0, "err": 0.0, "count": 0, "overflow": False}
+    xs = [float(x) for x in xs]
     rest = [sum(abs(x) for x in xs[j + 1:]) for j in range(r)]
+    coeffs = [[] for _ in range(r)]
+    cerrs = [[] for _ in range(r)]
+    total = 0.0
+    err = 0.0
+    count = 0
+    overflow = False
 
-    def rec(j: int, a_shift: float, w: float) -> None:
-        grow = -math.log1p(-rest[j]) if rest[j] > 0.0 else 0.0
-        acc = w
+    def read(j: int, m: int) -> None:
+        ladders[j].ensure(m + 1)
+        coeffs[j] += ladders[j].coeffs[len(coeffs[j]):].tolist()
+        cerrs[j] += ladders[j].cerrs[len(cerrs[j]):].tolist()
+
+    def innermost(a_shift: float, acc: float) -> None:
+        nonlocal total, err, count, overflow
+        c, e, x = coeffs[r - 1], cerrs[r - 1], xs[r - 1]
+        tot, er, n = total, err, count
         small = 0
         m = 0
         while m < cap:
-            ladders[j].ensure(m + 1)
-            contrib = acc * ladders[j].coeffs[m]
-            state["err"] += abs(acc) * ladders[j].cerrs[m] * math.exp(
-                (a_shift + m) * grow)
-            if j == r - 1:
-                state["total"] += contrib
-                state["count"] += 1
+            if m >= len(c):
+                read(r - 1, m)
+            contrib = acc * c[m]
+            er += abs(acc) * e[m]
+            tot += contrib
+            n += 1
+            if abs(contrib) < 1e-17 * (1.0 + abs(tot)):
+                small += 1
+                if small >= 3:
+                    break
             else:
-                rec(j + 1, a_shift + m, contrib)
+                small = 0
+            acc = acc * (a_shift + m) * x / (m + 1)
+            m += 1
+        else:
+            overflow = True
+        total, err, count = tot, er, n
+
+    def rec(j: int, a_shift: float, acc: float) -> None:
+        nonlocal err, overflow
+        if j == r - 1:
+            innermost(a_shift, acc)
+            return
+        grow = -math.log1p(-rest[j]) if rest[j] > 0.0 else 0.0
+        c, e, x = coeffs[j], cerrs[j], xs[j]
+        small = 0
+        m = 0
+        while m < cap:
+            if m >= len(c):
+                read(j, m)
+            contrib = acc * c[m]
+            err += abs(acc) * e[m] * math.exp((a_shift + m) * grow)
+            rec(j + 1, a_shift + m, contrib)
             bound = abs(contrib) * math.exp((a_shift + m + 1) * grow)
-            if bound < 1e-17 * (1.0 + abs(state["total"])):
+            if bound < 1e-17 * (1.0 + abs(total)):
                 small += 1
                 if small >= 3:
                     return
             else:
                 small = 0
-            acc = acc * (a_shift + m) * xs[j] / (m + 1)
+            acc = acc * (a_shift + m) * x / (m + 1)
             m += 1
-        state["overflow"] = True
+        overflow = True
 
-    rec(0, alpha, 1.0)
-    tail = 1e-16 * (1.0 + abs(state["total"]))
-    return EvalResult(state["total"], state["err"] + tail,
-                      max(state["count"], 1), not state["overflow"], "series")
+    rec(0, float(alpha), 1.0)
+    tail = 1e-16 * (1.0 + abs(total))
+    return EvalResult(total, err + tail, max(count, 1), not overflow,
+                      "series")
 
 
 def f2_series(p: AppellParams, x: float, y: float,
@@ -337,6 +384,9 @@ def f2_single_integral(p: AppellParams, x: float, y: float,
     """One-dimensional reduction: outer beta weight, inner Gauss-level value.
 
     The inner argument y/(1 - x t) must stay inside (-1, 1) on the path.
+    The inner series shares one coefficient ladder across the refinement
+    levels; its coefficients do not depend on the level, so the values are
+    those of a fresh ladder per level.
     """
     p.validate_f2()
     wmax = abs(y) / (1.0 - x) if x > 0.0 else abs(y)
@@ -344,6 +394,7 @@ def f2_single_integral(p: AppellParams, x: float, y: float,
         raise DomainError("inner argument y/(1-xt) leaves (-1, 1)")
     reg, kern = p.reg, p.kernel
     inner = pfq_spec(kern, (p.alpha, p.beta2), (p.gamma2,), reg)
+    ladder = _CoeffLadder(inner, tol)
     norm = math.exp(gammaln_real(p.gamma1) - gammaln_real(p.beta1)
                     - gammaln_real(p.gamma1 - p.beta1))
 
@@ -360,7 +411,8 @@ def f2_single_integral(p: AppellParams, x: float, y: float,
             powexp = ((p.beta1 - 1.0) * np.log(t)
                       + (p.gamma1 - p.beta1 - 1.0) * np.log(tc)
                       - p.alpha * np.log1p(-x * t))
-            fv, ierr = pfq_series_vector(inner, y / (1.0 - x * t), tol)
+            fv, ierr = pfq_series_vector(inner, y / (1.0 - x * t), tol,
+                                         ladder=ladder)
             inner_err = max(inner_err, ierr)
             vals = w * safe_theta_product(kern, powexp, arg) * fv
         nodes += t.size

@@ -207,10 +207,13 @@ def kummer_1f1(a: float, c: float, z: float) -> EvalResult:
 
     Negative arguments go through the exp-weighted reflection of the series
     so alternating cancellation never occurs; very large negative arguments
-    use the algebraic asymptotic branch.
+    use the algebraic asymptotic branch.  A NaN or +inf argument is a
+    DomainError; -inf keeps the limit of the branch it reaches.
     """
     if _is_nonpositive_int(c):
         raise DomainError(f"1F1 pole: c={c} is a nonpositive integer")
+    if math.isnan(z) or z == math.inf:
+        raise DomainError(f"1F1 needs a finite argument, got z={z}")
     if _is_nonpositive_int(a):
         # terminating polynomial
         n = int(round(-a))

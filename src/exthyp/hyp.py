@@ -33,6 +33,10 @@ from .results import DomainError, EvalResult, KernelMismatchError
 
 SERIES_CAP = 4096
 _BLOCK = 64
+# Entries per block of pfq_series_vector (512 KiB of float64), and the widest
+# block whose running products and sums use a ufunc accumulate down axis 0.
+_SERIES_BLOCK_FLOATS = 1 << 16
+_ACCUMULATE_MAX_WIDTH = 512
 _EULER_CUT = 0.85  # |z| beyond which the series gives way to the integral
 
 
@@ -219,39 +223,102 @@ def pfq_series_vector(spec: PfqSpec, w: np.ndarray, tol: float = 1e-10,
     Returns (values, err_bound).  Used by the integral representations that
     need the function on a whole quadrature grid; pass a ladder to reuse the
     fetched coefficients across repeated calls.
+
+    The terms are formed a block of rows at a time: one row per term
+    index, one column per argument, at most ``_SERIES_BLOCK_FLOATS``
+    entries, and never past the coefficients the ladder holds.  A block
+    forms the step factors, the weights as a running product down the
+    rows, the terms, the partial sums as a running sum, and the per-row
+    maxima that the stopping rule reads; a Python walk over the rows then
+    finds the third small term.  Every entry goes through the
+    multiplications and additions of the term-by-term loop in the same
+    order, and the maxima equal that loop's (see ``_max_abs`` and the term
+    maxima below), so the output bits are those of the loop, which
+    ``tests/test_hyp.py`` keeps as the reference.
     """
     w = np.asarray(w, dtype=float)
     if ladder is None:
         ladder = _CoeffLadder(spec, tol)
-    s = np.zeros_like(w)
-    errsum = 0.0
-    wgt = np.ones_like(w)
+    flat = w.reshape(-1)
+    height = max(1, min(_BLOCK, _SERIES_BLOCK_FLOATS // max(flat.size, 1)))
     head = spec.poch_head()
+    lowers = spec.lower[:spec.surplus]
+    # Row 0 of the block carries in the weight of the block's first term.
+    # Rows 1 to ``rows`` take the step factors; the running product turns
+    # rows 0 to rows - 1 into the block's weights and row ``rows`` into the
+    # weight that the next block carries in.  The weights then become the
+    # terms and, by a running sum from ``s``, the partial sums, in place.
+    blk = np.empty((height + 1, flat.size))
+    blk[0] = 1.0
+    s = np.zeros_like(flat)  # partial sum before the block's first term
+    errsum = 0.0
     small = 0
     m = 0
     while m < cap:
         ladder.ensure(m + 1)
-        term = wgt * ladder.coeffs[m]
-        s += term
-        errsum += float(np.max(np.abs(wgt))) * ladder.cerrs[m]
-        mx = float(np.max(np.abs(term)))
-        f = w / (m + 1.0)
+        hi = min(m + height, ladder.coeffs.size, cap)
+        rows = hi - m
+        idx = np.arange(m, hi)[:, None]
+        steps = blk[1:rows + 1]
+        np.divide(flat, idx + 1.0, out=steps)
         if head is not None:
             a1, k1 = head
             for i in range(k1):
-                f = f * (a1 + k1 * m + i)
-        for j in range(spec.surplus):
-            f = f / (spec.lower[j] + m)
-        wgt = wgt * f
-        m += 1
-        if mx <= 1e-16 * (1.0 + float(np.max(np.abs(s)))):
-            small += 1
-            if small >= 3:
-                return s, errsum + mx
-        else:
-            small = 0
+                steps *= a1 + k1 * idx + i
+        for b in lowers:
+            steps /= b + idx
+        _running(np.multiply, blk[:rows + 1])
+        part = blk[:rows]
+        wmax = _max_abs(part)
+        coeffs = ladder.coeffs[m:hi]
+        part *= coeffs[:, None]
+        # max |w * c| is max |w| * |c|: rounding is symmetric in sign and
+        # monotonic, so the largest product comes from the largest factor.
+        tmax = wmax * np.abs(coeffs)
+        np.add(s, part[0], out=part[0])
+        _running(np.add, part)
+        done = (tmax <= 1e-16 * (1.0 + _max_abs(part))).tolist()
+        tmax, wmax = tmax.tolist(), wmax.tolist()
+        cerrs = ladder.cerrs[m:hi].tolist()
+        for i in range(rows):
+            errsum += wmax[i] * cerrs[i]
+            if done[i]:
+                small += 1
+                if small >= 3:
+                    return part[i].reshape(w.shape).copy(), errsum + tmax[i]
+            else:
+                small = 0
+        s = part[-1].copy()
+        blk[0] = blk[rows]
+        m = hi
     raise DomainError(f"series did not converge within {cap} terms "
                       f"(max |argument| = {np.max(np.abs(w)):.3g})")
+
+
+def _max_abs(blk: np.ndarray) -> np.ndarray:
+    """Row maxima of |blk|, read without forming |blk|.
+
+    A row holding a NaN gives NaN, as np.abs would.  Only the sign of a
+    zero or of a NaN can differ from np.abs; a zero maximum adds nothing to
+    a sum that starts at +0.0, and a NaN row never ends the series.
+    """
+    return np.maximum(blk.max(axis=1), -blk.min(axis=1))
+
+
+def _running(op, blk: np.ndarray) -> None:
+    """Turn row i of ``blk`` into op(row i - 1, row i), down the rows, in
+    place.
+
+    The result is the same either way; only the speed differs.  A ufunc
+    accumulate down axis 0 of a C-ordered block walks each column with a
+    row stride, so past ``_ACCUMULATE_MAX_WIDTH`` columns one contiguous
+    ufunc call per row is faster.
+    """
+    if blk.shape[1] <= _ACCUMULATE_MAX_WIDTH:
+        op.accumulate(blk, axis=0, out=blk)
+    else:
+        for i in range(1, blk.shape[0]):
+            op(blk[i - 1], blk[i], out=blk[i])
 
 
 def _one_f0_vector(alpha: float, k1: int, w: np.ndarray) -> np.ndarray:
@@ -275,7 +342,12 @@ def _one_f0_vector(alpha: float, k1: int, w: np.ndarray) -> np.ndarray:
 def euler_step_integral(spec: PfqSpec, z: float, tol: float = 1e-10,
                         strict: bool = True) -> EvalResult:
     """One Euler step: the function as a weighted integral of its inner
-    lower-order companion at argument z * t**k."""
+    lower-order companion at argument z * t**k.
+
+    The inner series shares one coefficient ladder across the refinement
+    levels.  A ladder's coefficients depend only on the spec and the block
+    index, so the values are those of a fresh ladder per level.
+    """
     spec.validate(strict)
     inner, a_p, k_p, b_q = spec.peel_last()
     if not (b_q > a_p > 0.0):
@@ -301,6 +373,8 @@ def euler_step_integral(spec: PfqSpec, z: float, tol: float = 1e-10,
 
     lognorm = (gammaln_real(b_q) - gammaln_real(a_p)
                - gammaln_real(b_q - a_p))
+    # every level sums the inner series on its new nodes from one ladder
+    ladder = None if inner_closed or z == 1.0 else _CoeffLadder(inner, tol)
 
     totals = None
     prev = None
@@ -330,7 +404,8 @@ def euler_step_integral(spec: PfqSpec, z: float, tol: float = 1e-10,
                     a1, k1 = inner.upper[0]
                     fv = _one_f0_vector(a1, k1, wz)
                 else:
-                    fv, ierr = pfq_series_vector(inner, wz, tol)
+                    fv, ierr = pfq_series_vector(inner, wz, tol,
+                                                 ladder=ladder)
                     inner_err = max(inner_err, ierr)
             base = safe_theta_product(k, powexp, arg)
             vals = w * base * fv
@@ -353,6 +428,8 @@ def euler_step_integral(spec: PfqSpec, z: float, tol: float = 1e-10,
 def ext_pfq(spec: PfqSpec, z: float, tol: float = 1e-10,
             method: str = "auto", strict: bool = True) -> EvalResult:
     """Evaluate the extended generalized hypergeometric function."""
+    if not math.isfinite(z):
+        raise DomainError(f"argument must be finite, got z={z}")
     spec.validate(strict)
     if method == "series":
         return pfq_series(spec, z, tol, strict)

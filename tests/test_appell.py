@@ -2,13 +2,16 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from exthyp import appell
 from exthyp.appell import (
     AppellParams,
+    _ratio_ladder,
     f1_finite_sum,
     f1_integral,
     f1_series,
@@ -18,11 +21,12 @@ from exthyp.appell import (
     f2_series,
     f2_single_integral,
     f2_transform,
+    nested_poch_series,
 )
 from exthyp.extbeta import RegPair
-from exthyp.hyp import ext_2f1
+from exthyp.hyp import _CoeffLadder, ext_2f1, pfq_series_vector
 from exthyp.kernel import EXP_KERNEL
-from exthyp.results import DomainError
+from exthyp.results import DomainError, EvalResult
 
 R0 = RegPair()
 
@@ -250,3 +254,122 @@ def test_lemma1_expansion_property(s, t, u, x, y):
     assume(abs(x - y) > 0.05)
     lhs, rhs = lemma1_expand(s, t, u, x, y)
     assert abs(lhs - rhs) <= 1e-9 * (1 + abs(lhs))
+
+
+def _nested_recursive(alpha, ladders, xs, tol, cap=2048):
+    """Reference: the former nested_poch_series, on numpy scalars."""
+    r = len(xs)
+    if sum(abs(x) for x in xs) >= 1.0:
+        raise DomainError("series needs sum of |arguments| below 1")
+    state = {"total": 0.0, "err": 0.0, "count": 0, "overflow": False}
+    rest = [sum(abs(x) for x in xs[j + 1:]) for j in range(r)]
+
+    def rec(j, a_shift, w):
+        grow = -math.log1p(-rest[j]) if rest[j] > 0.0 else 0.0
+        acc = w
+        small = 0
+        m = 0
+        while m < cap:
+            ladders[j].ensure(m + 1)
+            contrib = acc * ladders[j].coeffs[m]
+            state["err"] += abs(acc) * ladders[j].cerrs[m] * math.exp(
+                (a_shift + m) * grow)
+            if j == r - 1:
+                state["total"] += contrib
+                state["count"] += 1
+            else:
+                rec(j + 1, a_shift + m, contrib)
+            bound = abs(contrib) * math.exp((a_shift + m + 1) * grow)
+            if bound < 1e-17 * (1.0 + abs(state["total"])):
+                small += 1
+                if small >= 3:
+                    return
+            else:
+                small = 0
+            acc = acc * (a_shift + m) * xs[j] / (m + 1)
+            m += 1
+        state["overflow"] = True
+
+    rec(0, alpha, 1.0)
+    tail = 1e-16 * (1.0 + abs(state["total"]))
+    return EvalResult(state["total"], state["err"] + tail,
+                      max(state["count"], 1), not state["overflow"], "series")
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _same_result(got, want):
+    assert _bits(got.value) == _bits(want.value)
+    assert _bits(got.abs_err_est) == _bits(want.abs_err_est)
+    assert got.terms_or_nodes == want.terms_or_nodes
+    assert got.converged == want.converged
+    assert got.method == want.method
+
+
+_R13 = RegPair(0.1, 0.3)
+# (alpha, (beta_j, gamma_j) per axis, arguments, cap); the mixed-sign
+# arguments near |x| + |y| = 0.95 run inner sums past a 64-coefficient
+# ladder block, and the small caps stop sums early and set the overflow flag
+_NESTED_CASES = [
+    (0.9, [(0.6, 1.7), (0.7, 1.9)], [0.2, 0.3], 2048),
+    (0.9, [(0.6, 1.7), (0.7, 1.9)], [0.28, -0.67], 2048),
+    (1.3, [(0.6, 1.7), (0.7, 1.9)], [-0.6, 0.35], 2048),
+    (0.8, [(0.5, 1.4), (0.9, 2.1), (0.7, 1.6)], [0.3, -0.25, 0.4], 2048),
+    (1.1, [(0.5, 1.4), (0.9, 2.1), (0.7, 1.6)], [-0.4, 0.2, -0.33], 2048),
+    (0.9, [(0.6, 1.7), (0.7, 1.9)], [0.28, -0.67], 70),
+    (0.9, [(0.6, 1.7), (0.7, 1.9)], [0.28, -0.67], 4),
+    (0.9, [(0.6, 1.7)], [0.9], 2048),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_NESTED_CASES)))
+def test_nested_series_bit_identical_to_recursive(case):
+    alpha, axes, xs, cap = _NESTED_CASES[case]
+
+    def ladders():
+        return [_ratio_ladder(EXP_KERNEL, _R13, b, g) for b, g in axes]
+
+    got_ladders, want_ladders = ladders(), ladders()
+    got = nested_poch_series(alpha, got_ladders, xs, 1e-10, cap)
+    want = _nested_recursive(alpha, want_ladders, xs, 1e-10, cap)
+    _same_result(got, want)
+    assert got.converged == (cap > 70)
+    for g, w in zip(got_ladders, want_ladders):
+        assert g.coeffs.size == w.coeffs.size
+    if case in (1, 2):
+        assert max(w.coeffs.size for w in want_ladders) > 64
+
+
+def test_nested_series_rejects_non_finite():
+    lads = [_ratio_ladder(EXP_KERNEL, R0, 0.6, 1.7),
+            _ratio_ladder(EXP_KERNEL, R0, 0.7, 1.9)]
+    for alpha, xs in ((math.nan, [0.2, 0.3]), (math.inf, [0.2, 0.3]),
+                      (0.9, [math.nan, 0.3]), (0.9, [0.2, -math.inf])):
+        with pytest.raises(DomainError):
+            nested_poch_series(alpha, lads, xs, 1e-10)
+
+
+def test_f2_single_integral_builds_one_inner_ladder(monkeypatch):
+    p = P2(1.0, 0.6, 0.7, 2.0, 2.2, RegPair(0.1, 0.2))
+    built = []
+    init = _CoeffLadder.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_CoeffLadder, "__init__", counting)
+    got = f2_single_integral(p, 0.2, 0.3)
+    assert len(built) == 1
+
+    def ladder_per_call(spec, w, tol, ladder=None):
+        # the former inner-series call: a fresh ladder every time
+        return pfq_series_vector(spec, w, tol)
+
+    monkeypatch.setattr(appell, "pfq_series_vector", ladder_per_call)
+    del built[:]
+    want = f2_single_integral(p, 0.2, 0.3)
+    assert len(built) > 1
+    _same_result(got, want)

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from exthyp.conformance import (
     build_catalog,
     catalog_identity_ids,
@@ -155,6 +157,14 @@ def test_cli_eval_non_finite_sample_is_domain_error():
     assert r.returncode == 2
     assert r.stderr.startswith("domain error: ")
     assert "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize("z", ["nan", "inf", "-inf"])
+def test_cli_eval_non_finite_argument_exit_2(z):
+    r = _cli("eval", "--func", "2f1", "--params", "0.5,0.7,1.9", f"--z={z}")
+    assert r.returncode == 2
+    assert r.stderr.startswith("domain error: ")
     assert r.stdout == ""
 
 

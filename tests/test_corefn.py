@@ -109,6 +109,18 @@ def test_kummer_equal_parameters_is_exp():
     assert abs(got.value - math.exp(2.0)) < 1e-13 * math.exp(2.0)
 
 
+@pytest.mark.parametrize("z", [math.nan, -math.nan, math.inf])
+def test_kummer_non_finite_argument_is_domain_error(z):
+    for a in (1.5, -2.0):  # a series and a terminating polynomial
+        with pytest.raises(DomainError):
+            kummer_1f1(a, 2.0, z)
+
+
+def test_kummer_minus_infinity_keeps_zero_limit():
+    got = kummer_1f1(1.5, 2.0, -math.inf)
+    assert got.value == 0.0 and got.converged
+
+
 @pytest.mark.parametrize("a,c", [(0.5, 1.5), (2.0, 3.7), (1.0, 2.0)])
 def test_kummer_reflection_identity_grid(a, c):
     for z in np.linspace(-30.0, 30.0, 13):

@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 
 import oracles
+from exthyp import hyp
 from exthyp.corefn import gammaln_real
 from exthyp.extbeta import BetaArgs, RegPair, ext_beta
 from exthyp.hyp import (
+    SERIES_CAP,
+    PfqSpec,
+    _CoeffLadder,
     derivative,
     derivative_weighted,
     euler_step_integral,
@@ -21,12 +25,14 @@ from exthyp.hyp import (
     pfaff_parameter_action,
     pfaff_transform,
     pfq_series,
+    pfq_series_vector,
     pfq_spec,
     recurrence_eval,
     summation_thm,
     weighted_derivative_lhs,
 )
 from exthyp.kernel import EXP_KERNEL, kummer_kernel
+from exthyp.quadrature import unit_new_nodes
 from exthyp.results import DomainError, KernelMismatchError
 
 KUM = kummer_kernel(1.0, 2.0)
@@ -326,6 +332,14 @@ def test_series_domain_guard():
         ext_2f1(EXP_KERNEL, 1.0, 1.0, 2.0, 1.5)
 
 
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+def test_ext_pfq_non_finite_argument_is_domain_error(z):
+    for spec in (pfq_spec(EXP_KERNEL, (0.5, 0.7), (1.9,)),
+                 pfq_spec(EXP_KERNEL, (0.8, 1.1, 1.4), (2.2, 2.9))):
+        with pytest.raises(DomainError):
+            ext_pfq(spec, z)
+
+
 def test_pairing_validation():
     with pytest.raises(DomainError):
         ext_2f1(EXP_KERNEL, 1.0, 2.0, 1.5, 0.3)  # b1 < a2
@@ -359,3 +373,134 @@ def test_extended_gauss_against_external_quadrature():
                      / mpmath.factorial(n) for n in range(45)))
     got = ext_2f1(EXP_KERNEL, a1, a2, b1, z, RegPair(b, d))
     assert abs(got.value - want) <= 1e-12 * (1 + abs(want))
+
+
+def _series_vector_per_term(spec, w, tol=1e-10, cap=SERIES_CAP, ladder=None):
+    """Reference: the former pfq_series_vector, one term at a time."""
+    w = np.asarray(w, dtype=float)
+    if ladder is None:
+        ladder = _CoeffLadder(spec, tol)
+    s = np.zeros_like(w)
+    errsum = 0.0
+    wgt = np.ones_like(w)
+    head = spec.poch_head()
+    small = 0
+    m = 0
+    while m < cap:
+        ladder.ensure(m + 1)
+        term = wgt * ladder.coeffs[m]
+        s += term
+        errsum += float(np.max(np.abs(wgt))) * ladder.cerrs[m]
+        mx = float(np.max(np.abs(term)))
+        f = w / (m + 1.0)
+        if head is not None:
+            a1, k1 = head
+            for i in range(k1):
+                f = f * (a1 + k1 * m + i)
+        for j in range(spec.surplus):
+            f = f / (spec.lower[j] + m)
+        wgt = wgt * f
+        m += 1
+        if mx <= 1e-16 * (1.0 + float(np.max(np.abs(s)))):
+            small += 1
+            if small >= 3:
+                return s, errsum + mx
+        else:
+            small = 0
+    raise DomainError(f"series did not converge within {cap} terms "
+                      f"(max |argument| = {np.max(np.abs(w)):.3g})")
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+_R12 = RegPair(0.1, 0.2)
+# (spec, largest |argument|): head shifts 1, 0 and 2 (terminating), p = q
+# (no head), and p < q with a surplus lower parameter
+_VECTOR_SPECS = [
+    (PfqSpec(((0.7, 1), (1.3, 1)), (2.1,), _R12), 0.8),
+    (PfqSpec(((0.7, 0), (1.3, 1)), (2.1,), _R12), 3.0),
+    (PfqSpec(((-3.0, 2), (1.3, 1)), (2.1,), _R12), 0.9),
+    (PfqSpec(((0.9, 1),), (2.3,), _R12), 40.0),
+    (PfqSpec(((1.3, 1),), (2.5, 3.1), _R12), 30.0),
+]
+
+
+@pytest.mark.parametrize("size", [1, 31, 64, 65, 1296, 5184])
+@pytest.mark.parametrize("case", range(len(_VECTOR_SPECS)))
+def test_series_vector_bit_identical_to_per_term(size, case):
+    spec, wmax = _VECTOR_SPECS[case]
+    w = np.linspace(-wmax, wmax, size) if size > 1 else np.array([-wmax])
+    got_ladder, want_ladder = _CoeffLadder(spec, 0.0), _CoeffLadder(spec, 0.0)
+    got = pfq_series_vector(spec, w, ladder=got_ladder)
+    want = _series_vector_per_term(spec, w, ladder=want_ladder)
+    assert got[0].shape == want[0].shape
+    assert np.array_equal(_bits(got[0]), _bits(want[0]))
+    assert np.array_equal(_bits(got[1]), _bits(want[1]))
+    # the same ladder blocks were built
+    assert np.array_equal(_bits(got_ladder.coeffs), _bits(want_ladder.coeffs))
+    # a ladder already built past the end gives the same bits again
+    again = pfq_series_vector(spec, w, ladder=got_ladder)
+    assert np.array_equal(_bits(again[0]), _bits(want[0]))
+    assert np.array_equal(_bits(again[1]), _bits(want[1]))
+
+
+def test_series_vector_long_series_crosses_ladder_blocks():
+    spec = PfqSpec(((0.7, 1), (1.3, 1)), (2.1,), _R12)
+    w = np.linspace(-0.97, 0.97, 97)
+    ladder = _CoeffLadder(spec, 0.0)
+    got = pfq_series_vector(spec, w, ladder=ladder)
+    want = _series_vector_per_term(spec, w)
+    assert ladder.coeffs.size > 4 * hyp._BLOCK
+    assert np.array_equal(_bits(got[0]), _bits(want[0]))
+    assert np.array_equal(_bits(got[1]), _bits(want[1]))
+
+
+def test_series_vector_empty_and_cap_match_per_term():
+    spec = PfqSpec(((0.7, 1), (1.3, 1)), (2.1,), _R12)
+    with pytest.raises(ValueError) as got:
+        pfq_series_vector(spec, np.zeros(0))
+    with pytest.raises(ValueError) as want:
+        _series_vector_per_term(spec, np.zeros(0))
+    assert str(got.value) == str(want.value)
+    w = np.linspace(-0.8, 0.8, 65)
+    for cap in (0, 5, 70):
+        with pytest.raises(DomainError) as got:
+            pfq_series_vector(spec, w, cap=cap)
+        with pytest.raises(DomainError) as want:
+            _series_vector_per_term(spec, w, cap=cap)
+        assert str(got.value) == str(want.value)
+
+
+def _same_result(got, want):
+    assert _bits(got.value) == _bits(want.value)
+    assert _bits(got.abs_err_est) == _bits(want.abs_err_est)
+    assert got.terms_or_nodes == want.terms_or_nodes
+    assert got.converged == want.converged
+    assert got.method == want.method
+
+
+def test_euler_step_builds_one_inner_ladder(monkeypatch):
+    spec = pfq_spec(EXP_KERNEL, (0.8, 1.1, 1.4), (2.2, 2.9), _R12)
+    built = []
+    init = _CoeffLadder.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_CoeffLadder, "__init__", counting)
+    got = euler_step_integral(spec, -0.7)
+    assert len(built) == 1
+    assert got.terms_or_nodes > unit_new_nodes(0)[0].size  # several levels
+
+    def ladder_per_call(spec, w, tol, ladder=None):
+        # the former inner-series call: a fresh ladder every time
+        return pfq_series_vector(spec, w, tol)
+
+    monkeypatch.setattr(hyp, "pfq_series_vector", ladder_per_call)
+    del built[:]
+    want = euler_step_integral(spec, -0.7)
+    assert len(built) > 1
+    _same_result(got, want)
