@@ -16,7 +16,6 @@ refinement of the node grid.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +24,7 @@ from . import kernel as kernelmod
 from .kernel import EXP_VARIANT, KernelSpec
 from .quadrature import (
     MAX_LEVEL,
+    _refine,
     integrate_halfline,
     integrate_unit_batch,
     integrate_unit2,
@@ -33,6 +33,8 @@ from .quadrature import (
 from .results import DomainError, EvalResult
 
 _BIG_EXPONENT = 600.0
+# First arguments per complex sample block of ext_beta_complex_many.
+_COMPLEX_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -223,46 +225,56 @@ def ext_beta_complex_many(k: KernelSpec, alphas: np.ndarray, beta: float,
 
     All first arguments share one quadrature grid; convergence is judged on
     the worst member.  Returns (values, err, nodes_used, converged).
+
+    Each sample is exp((alpha - 1) log t + base) with the real base
+    log w + (beta - 1) log(1 - t) + log Theta, built in one complex block
+    from real arithmetic: (Re alpha - 1) log t + base in the real part and
+    Im alpha log t in the imaginary part.  Promoting log t and base to
+    complex would add only exact zeros (Im alpha * 0, (Re alpha - 1) * 0),
+    so the exponent is the same number up to the sign of a zero imaginary
+    part.  exp carries that sign only into a zero imaginary sample, which
+    cannot change a nonzero sum, so the values keep their bits.  A kernel
+    value Theta == 0 (the confluent kernel underflows at the extreme nodes
+    when b or d > 0) is a zero sample: its log is -inf and its exp is 0.
+    Only Theta < 0 is refused.
     """
     alphas = np.asarray(alphas, dtype=complex)
     for a in (alphas.real.min(), alphas.real.max()):
         check_beta_domain_complex(k, complex(a), beta, reg)
+    re_m1 = (alphas.real - 1.0)[:, None]
+    im = alphas.imag[:, None]
 
-    totals = None
-    prev = None
-    err = math.inf
-    nodes = 0
-    converged = False
-    for level in range(max_level + 1):
+    def contrib(level):
         t, tc, w = unit_new_nodes(level)
         lt, ltc = _unit_logs(level)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore",
+                         divide="ignore"):
             arg = -(reg.b / t + reg.d / tc)
             base = np.log(w) + (beta - 1.0) * ltc
             if k.variant == EXP_VARIANT:
                 base = base + arg
             else:
                 theta = _unit_theta(k, reg, level)
-                if np.any(theta <= 0.0):
+                if np.any(theta < 0.0):
                     raise DomainError(
-                        "confluent kernel not positive on the grid; "
+                        "confluent kernel negative on the grid; "
                         "complex-batch path needs c > a")
                 base = base + np.log(theta)
-            s = np.zeros(alphas.shape, dtype=complex)
-            for i0 in range(0, alphas.size, 256):
-                blk = alphas[i0:i0 + 256]
-                e = np.exp(base[None, :] + (blk[:, None] - 1.0) * lt[None, :])
-                s[i0:i0 + 256] = e.sum(axis=1)
-        nodes += t.size
-        h = 2.0 ** -level if level else 1.0
-        totals = h * s if totals is None else 0.5 * totals + h * s
-        if level >= 1:
-            err = float(np.max(np.abs(totals - prev)))
-        if level >= 3 and err <= tol:
-            converged = True
-            break
-        prev = totals.copy()
-    return totals, err, nodes, converged
+            s = np.empty(alphas.shape, dtype=complex)
+            x = np.empty((min(alphas.size, _COMPLEX_BLOCK_ROWS), t.size),
+                         dtype=complex)
+            for i0 in range(0, alphas.size, _COMPLEX_BLOCK_ROWS):
+                i1 = min(i0 + _COMPLEX_BLOCK_ROWS, alphas.size)
+                blk = x[:i1 - i0]
+                np.multiply(re_m1[i0:i1], lt, out=blk.real)
+                blk.real += base
+                np.multiply(im[i0:i1], lt, out=blk.imag)
+                np.exp(blk, out=blk)
+                blk.sum(axis=1, out=s[i0:i1])
+        return s, t.size
+
+    values, err, nodes, converged = _refine(contrib, tol, max_level)
+    return values, float(err), nodes, converged
 
 
 def ext_beta_complex(k: KernelSpec, alpha: complex, beta: float,

@@ -28,15 +28,13 @@ from .extbeta import (
     ext_beta_shifted_batch_arrays,
 )
 from .kernel import EXP_VARIANT, KernelSpec
-from .quadrature import MAX_LEVEL, unit_new_nodes
+from .quadrature import MAX_LEVEL, _running, unit_new_nodes
 from .results import DomainError, EvalResult, KernelMismatchError
 
 SERIES_CAP = 4096
 _BLOCK = 64
-# Entries per block of pfq_series_vector (512 KiB of float64), and the widest
-# block whose running products and sums use a ufunc accumulate down axis 0.
+# Entries per block of pfq_series_vector (512 KiB of float64).
 _SERIES_BLOCK_FLOATS = 1 << 16
-_ACCUMULATE_MAX_WIDTH = 512
 _EULER_CUT = 0.85  # |z| beyond which the series gives way to the integral
 
 
@@ -303,22 +301,6 @@ def _max_abs(blk: np.ndarray) -> np.ndarray:
     a sum that starts at +0.0, and a NaN row never ends the series.
     """
     return np.maximum(blk.max(axis=1), -blk.min(axis=1))
-
-
-def _running(op, blk: np.ndarray) -> None:
-    """Turn row i of ``blk`` into op(row i - 1, row i), down the rows, in
-    place.
-
-    The result is the same either way; only the speed differs.  A ufunc
-    accumulate down axis 0 of a C-ordered block walks each column with a
-    row stride, so past ``_ACCUMULATE_MAX_WIDTH`` columns one contiguous
-    ufunc call per row is faster.
-    """
-    if blk.shape[1] <= _ACCUMULATE_MAX_WIDTH:
-        op.accumulate(blk, axis=0, out=blk)
-    else:
-        for i in range(1, blk.shape[0]):
-            op(blk[i - 1], blk[i], out=blk[i])
 
 
 def _one_f0_vector(alpha: float, k1: int, w: np.ndarray) -> np.ndarray:

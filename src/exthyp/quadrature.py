@@ -24,6 +24,9 @@ MAX_LEVEL = 12
 
 # Samples per block of integrate_unit_batch (512 KiB of float64).
 _BATCH_BLOCK_FLOATS = 1 << 16
+# The widest block whose running products and sums use a ufunc accumulate
+# down axis 0 (see _running).
+_ACCUMULATE_MAX_WIDTH = 512
 
 # Truncation of the trapezoid in the transform variable.  Chosen so node
 # weights stay normal (no underflow-to-zero weights) at the extremes.
@@ -126,12 +129,29 @@ def _check_finite(contrib: np.ndarray, where: np.ndarray) -> None:
         )
 
 
+def _running(op, blk: np.ndarray) -> None:
+    """Turn row i of ``blk`` into op(row i - 1, row i), down the rows, in
+    place.
+
+    The result is the same either way; only the speed differs.  A ufunc
+    accumulate down axis 0 of a C-ordered block walks each column with a
+    row stride, so past ``_ACCUMULATE_MAX_WIDTH`` columns one contiguous
+    ufunc call per row is faster.
+    """
+    if blk.shape[1] <= _ACCUMULATE_MAX_WIDTH:
+        op.accumulate(blk, axis=0, out=blk)
+    else:
+        for i in range(1, blk.shape[0]):
+            op(blk[i - 1], blk[i], out=blk[i])
+
+
 def _refine(new_contrib, tol: float, max_level: int = MAX_LEVEL,
             min_level: int = 3):
     """Shared level-doubling loop.
 
     ``new_contrib(level)`` returns (sum over new nodes of w*f, node count).
-    Returns (value, err, nodes, converged).
+    The sum may be a scalar or an array (real or complex); an array's error
+    is its largest absolute change.  Returns (value, err, nodes, converged).
     """
     total = None
     prev = None
@@ -189,7 +209,7 @@ def integrate_unit_batch(f0, count: int, tol: float, kstep: int = 1,
     f0 is the m = 0 integrand, evaluated once per node and shared across the
     whole family, so one grid refinement serves every member.  At each level
     the members are formed block-wise: a row-major block holds the m = 0
-    samples in its first row and t**kstep in the others, a multiply-accumulate
+    samples in its first row and t**kstep in the others, a running product
     down the rows turns row j into the samples of member j, and each row is
     summed as one contiguous reduction.  Blocks hold at most
     _BATCH_BLOCK_FLOATS samples; the next block starts from the last row
@@ -216,7 +236,7 @@ def integrate_unit_batch(f0, count: int, tol: float, kstep: int = 1,
             blk = np.empty((min(rows, count - m0), t.size))
             blk[0] = cur
             blk[1:] = ratio
-            np.multiply.accumulate(blk, axis=0, out=blk)
+            _running(np.multiply, blk)
             out[m0:m0 + len(blk)] = blk.sum(axis=1)
             cur = blk[-1] * ratio
         return out, t.size

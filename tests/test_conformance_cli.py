@@ -204,6 +204,18 @@ def test_cli_mellin_method():
     assert abs(payload["value"] - 0.8109302162163288) < 1e-7
 
 
+def test_cli_mellin_confluent_kernel_with_regularization():
+    # the confluent kernel underflows to 0.0 at extreme nodes of the
+    # contour's complex beta; those are zero samples, not a domain error
+    r = _cli("eval", "--func", "2f1", "--method", "mellin", "--kernel",
+             "kummer:1.5,2.5", "--params", "0.8,1.1,2.4", "--b", "0.2",
+             "--d", "0.3", "--z", "-0.4")
+    assert r.returncode == 0
+    payload = json.loads(r.stdout)
+    assert payload["method"] == "mellin_barnes"
+    assert abs(payload["value"] - 0.38041394052729632) < 1e-12
+
+
 def test_cli_table_monotone(tmp_path):
     out = tmp_path / "table.csv"
     r = _cli("table", "--func", "2f1", "--params", "1,1,2", "--from", "0",

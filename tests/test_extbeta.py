@@ -13,15 +13,23 @@ from exthyp.extbeta import (
     _THETA_CACHE_SIZE,
     BetaArgs,
     RegPair,
+    check_beta_domain_complex,
     ext_beta,
     ext_beta_complex,
+    ext_beta_complex_many,
     ext_beta_shifted_batch,
     ext_beta_shifted_batch_arrays,
     ext_gamma,
+    _unit_logs,
     _unit_theta,
 )
-from exthyp.kernel import EXP_KERNEL, kummer_kernel
-from exthyp.quadrature import integrate_halfline, integrate_unit2
+from exthyp.kernel import EXP_KERNEL, EXP_VARIANT, kummer_kernel
+from exthyp.quadrature import (
+    MAX_LEVEL,
+    integrate_halfline,
+    integrate_unit2,
+    unit_new_nodes,
+)
 from exthyp.results import DomainError
 
 mpmath.mp.dps = 30
@@ -173,6 +181,114 @@ def test_complex_gamma_quotient_oracle():
         want = np.exp(complex(ln_gamma(alpha) + ln_gamma(0.9)
                               - ln_gamma(alpha + 0.9)))
         assert abs(got.value - want) <= 1e-10 * (1 + abs(want))
+
+
+def test_complex_confluent_kernel_zero_samples():
+    # Theta = 1F1(1.5; 2.5; -w) underflows to 0.0 at extreme nodes when
+    # b, d > 0; those nodes are zero samples, as in the real path
+    k = kummer_kernel(1.5, 2.5)
+    reg = RegPair(0.2, 0.3)
+    assert np.any(_unit_theta(k, reg, 0) == 0.0)
+    got = ext_beta_complex(k, 2.0 + 0.0j, 1.5, reg)
+    want = ext_beta(k, BetaArgs(2.0, 1.5), reg)
+    assert got.converged
+    assert abs(got.value - want.value) <= 1e-12
+
+
+def _complex_many_reference(k, alphas, beta, reg=RegPair(), tol=1e-12,
+                            max_level=MAX_LEVEL):
+    """Reference: the former complex beta, with its own level loop and the
+    exponent built in complex arithmetic from broadcast real rows."""
+    alphas = np.asarray(alphas, dtype=complex)
+    for a in (alphas.real.min(), alphas.real.max()):
+        check_beta_domain_complex(k, complex(a), beta, reg)
+
+    totals = None
+    prev = None
+    err = math.inf
+    nodes = 0
+    converged = False
+    for level in range(max_level + 1):
+        t, tc, w = unit_new_nodes(level)
+        lt, ltc = _unit_logs(level)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            arg = -(reg.b / t + reg.d / tc)
+            base = np.log(w) + (beta - 1.0) * ltc
+            if k.variant == EXP_VARIANT:
+                base = base + arg
+            else:
+                theta = _unit_theta(k, reg, level)
+                if np.any(theta <= 0.0):
+                    raise DomainError(
+                        "confluent kernel not positive on the grid; "
+                        "complex-batch path needs c > a")
+                base = base + np.log(theta)
+            s = np.zeros(alphas.shape, dtype=complex)
+            for i0 in range(0, alphas.size, 256):
+                blk = alphas[i0:i0 + 256]
+                e = np.exp(base[None, :] + (blk[:, None] - 1.0) * lt[None, :])
+                s[i0:i0 + 256] = e.sum(axis=1)
+        nodes += t.size
+        h = 2.0 ** -level if level else 1.0
+        totals = h * s if totals is None else 0.5 * totals + h * s
+        if level >= 1:
+            err = float(np.max(np.abs(totals - prev)))
+        if level >= 3 and err <= tol:
+            converged = True
+            break
+        prev = totals.copy()
+    return totals, err, nodes, converged
+
+
+_COMPLEX_CASES = [
+    (EXP_KERNEL, RegPair(0.0, 0.0)),
+    (EXP_KERNEL, RegPair(0.2, 0.3)),
+    (EXP_KERNEL, RegPair(0.0, 0.7)),
+    (EXP_KERNEL, RegPair(1.0, 0.0)),
+    (kummer_kernel(1.5, 2.5), RegPair(0.0, 0.0)),
+]
+
+
+def _assert_same_complex_many(got, want):
+    assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
+    assert (np.float64(got[1]).view(np.int64)
+            == np.float64(want[1]).view(np.int64))
+    assert got[2:] == want[2:]
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-11, 1e-14])
+@pytest.mark.parametrize("case", range(len(_COMPLEX_CASES)))
+@pytest.mark.parametrize("size", [1, 2, 255, 256, 257])
+def test_complex_many_bit_identical_to_reference(size, case, tol):
+    k, reg = _COMPLEX_CASES[case]
+    rng = np.random.default_rng(1000 * size + 10 * case + int(-math.log10(tol)))
+    # a shared real part on odd sizes, a mixed one on even sizes; one in
+    # eight first arguments is real, with both signs of a zero imaginary part
+    re = (np.full(size, rng.uniform(0.3, 2.0)) if size % 2
+          else rng.uniform(0.3, 3.0, size))
+    im = rng.uniform(-12.0, 12.0, size)
+    im[::8] = 0.0
+    im[4::8] = -0.0
+    alphas = re + 1j * im
+    beta = rng.uniform(0.5, 2.5)
+    _assert_same_complex_many(
+        ext_beta_complex_many(k, alphas, beta, reg, tol),
+        _complex_many_reference(k, alphas, beta, reg, tol))
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_complex_many_contour_sized_batch_bit_identical(mixed):
+    # a contour-sized batch: 3201 first arguments, 13 blocks of 256 rows;
+    # |Im| stays below 8 to keep the levels few, and the tolerances cycle
+    # with the kernel cases
+    tau = np.arange(-1600, 1601) * 0.005
+    re = 0.6 + (0.5 * np.cos(tau) if mixed else 0.0)
+    alphas = re - 1j * tau
+    for case, (k, reg) in enumerate(_COMPLEX_CASES):
+        tol = (1e-6, 1e-11, 1e-14)[(case + mixed) % 3]
+        _assert_same_complex_many(
+            ext_beta_complex_many(k, alphas, 1.6, reg, tol),
+            _complex_many_reference(k, alphas, 1.6, reg, tol))
 
 
 def test_reg_pair_validation():

@@ -1,14 +1,23 @@
 """Contour evaluation against series/integral routes."""
 
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 import oracles
+from exthyp.conformance import build_catalog
 from exthyp.extbeta import RegPair
-from exthyp.hyp import ext_2f1, pfq_spec
-from exthyp.kernel import EXP_KERNEL
-from exthyp.mellin import ContourSpec, default_contour, mb_eval
+from exthyp.hyp import ext_2f1, ext_pfq, pfq_spec
+from exthyp.kernel import EXP_KERNEL, kummer_kernel
+from exthyp.mellin import (
+    ContourSpec,
+    _contour_integrand,
+    _strip_values,
+    default_contour,
+    mb_eval,
+)
 from exthyp.results import DomainError
 
 R0 = RegPair()
@@ -100,3 +109,49 @@ def test_guards():
         mb_eval(spec, -0.5, ContourSpec(0.8))  # on the pole ladder at 0.8
     with pytest.raises(DomainError):
         ContourSpec(0.2, 1.0, 0.5)  # too few steps
+
+
+KUM_15_25 = kummer_kernel(1.5, 2.5)
+
+
+def _mirror_cases():
+    ident = next(i for i in build_catalog()
+                 if i.identity_id == "mellin-barnes-contour")
+    cases = [(pfq_spec(EXP_KERNEL, pt["upper"], pt["lower"],
+                       RegPair(pt["b"], pt["d"])), pt["z"])
+             for pt in ident.points]
+    assert len(cases) == 5
+    cases.append((pfq_spec(KUM_15_25, (0.8, 1.1), (2.4,), RegPair(0.2, 0.3)),
+                  -0.4))
+    cases.append((pfq_spec(KUM_15_25, (0.9,), (2.1,), RegPair(0.0, 0.7)),
+                  -0.5))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_mirrored_strip_bit_identical_to_full_strip(case):
+    spec, z = _mirror_cases()[case]
+    contour = default_contour(spec)
+    c0, h = contour.abscissa, contour.step
+    n = int(round(contour.half_height / h))
+    lognz = math.log(-z)
+    s = c0 + 1j * (np.arange(-2 * n, 2 * n + 1) * (h / 2.0))
+    full = _contour_integrand(spec, s, lognz, 1e-8)
+    mirrored = _strip_values(spec, c0, n, h, lognz, 1e-8)
+    assert np.array_equal(mirrored.view(np.int64), full.view(np.int64))
+
+
+@pytest.mark.parametrize("reg", [RegPair(0.2, 0.3), RegPair(0.0, 0.7),
+                                 RegPair(1.0, 0.0)])
+@pytest.mark.parametrize("upper,lower,z", [((0.8, 1.1), (2.4,), -0.4),
+                                           ((0.9,), (2.1,), -0.5)])
+def test_confluent_kernel_with_zero_samples(reg, upper, lower, z):
+    # Theta = 1F1(1.5; 2.5; -w) is 0.0 at extreme nodes of the complex
+    # beta's grid; those nodes are zero samples, and log(0) warns nowhere
+    spec = pfq_spec(KUM_15_25, upper, lower, reg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mb_eval(spec, z)
+    want = ext_pfq(spec, z, 1e-13)
+    assert got.converged
+    assert abs(got.value - want.value) <= 1e-12
