@@ -79,14 +79,17 @@ from .lauricella import (
 )
 from .mellin import ContourSpec, default_contour, mb_eval
 from .ineq import (
+    HilbertForm,
     HilbertParams,
     HilbertReport,
     TestFunction,
     bump,
     classical_point,
     exp_decay,
+    hilbert_bilinear,
     hilbert_check,
     hilbert_constant,
+    hilbert_equivalent,
     lemma2_identity,
     midpoint_params,
     power_cut,

@@ -17,8 +17,8 @@ import sys
 from .appell import AppellParams, f1_eval, f2_eval
 from .conformance import exit_code, fmt17, run_conformance, summary_lines, write_report_csv
 from .extbeta import BetaArgs, RegPair, ext_beta, ext_gamma
-from .hyp import ext_pfq, pfq_spec
-from .ineq import hilbert_check, HilbertParams, parse_test_function
+from .hyp import ext_pfq, pfq_spec, shared_coefficients
+from .ineq import hilbert_bilinear, HilbertParams, parse_test_function
 from .kernel import parse_kernel
 from .lauricella import LauricellaParams, fa_series, fd_eval
 from .mellin import ContourSpec, mb_eval
@@ -79,6 +79,8 @@ def _eval_func(args) -> EvalResult:
     func = args.func
     params = _floats(args.params) if args.params and func != "pfq" else []
     tol = args.tol
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tolerance must be finite and > 0, got {tol}")
     if func == "2f1":
         if len(params) != 3:
             raise DomainError("2f1 needs --params a1,a2,b1")
@@ -160,26 +162,29 @@ def cmd_table(args) -> int:
         return EXIT_USAGE
     rows = ["argument,value,err_est"]
     code = EXIT_OK
-    for i in range(args.steps + 1):
-        zi = args.frm + (args.to - args.frm) * i / args.steps
-        sub = argparse.Namespace(**vars(args))
-        if args.func in ("f1", "f2"):
-            sub.x = zi
-        elif args.func in ("fd", "fa"):
-            sub.xs = ",".join([fmt17(zi)] * args.r)
-        else:
-            sub.z = zi
-        try:
-            res = _eval_func(sub)
-        except DomainError as exc:
-            print(f"domain error at argument {fmt17(zi)}: {exc}",
-                  file=sys.stderr)
-            return EXIT_DOMAIN
-        if not res.converged:
-            code = EXIT_NO_CONVERGENCE
-        value = res.value.real if isinstance(res.value, complex) else res.value
-        rows.append(",".join([fmt17(zi), fmt17(float(value)),
-                              fmt17(float(res.abs_err_est))]))
+    # The rows share their parameters, so they share coefficient blocks.
+    with shared_coefficients():
+        for i in range(args.steps + 1):
+            zi = args.frm + (args.to - args.frm) * i / args.steps
+            sub = argparse.Namespace(**vars(args))
+            if args.func in ("f1", "f2"):
+                sub.x = zi
+            elif args.func in ("fd", "fa"):
+                sub.xs = ",".join([fmt17(zi)] * args.r)
+            else:
+                sub.z = zi
+            try:
+                res = _eval_func(sub)
+            except DomainError as exc:
+                print(f"domain error at argument {fmt17(zi)}: {exc}",
+                      file=sys.stderr)
+                return EXIT_DOMAIN
+            if not res.converged:
+                code = EXIT_NO_CONVERGENCE
+            value = (res.value.real if isinstance(res.value, complex)
+                     else res.value)
+            rows.append(",".join([fmt17(zi), fmt17(float(value)),
+                                  fmt17(float(res.abs_err_est))]))
     text = "\n".join(rows) + "\n"
     if args.report:
         with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
@@ -195,16 +200,16 @@ def cmd_hilbert(args) -> int:
                            args.a2, args.A1, args.A2, args.pt, args.qt)
         f = parse_test_function(args.f)
         g = parse_test_function(args.g)
-        rep = hilbert_check(hp, f, g)
+        form = hilbert_bilinear(hp, f, g)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     print(_json_line([
-        ("K", float(rep.constant)),
-        ("lhs", float(rep.lhs)),
-        ("rhs", float(rep.rhs)),
-        ("margin", float(rep.margin)),
-        ("holds", bool(rep.holds)),
+        ("K", float(form.constant)),
+        ("lhs", float(form.lhs)),
+        ("rhs", float(form.rhs)),
+        ("margin", float(form.margin)),
+        ("holds", bool(form.holds)),
     ]))
     return EXIT_OK
 

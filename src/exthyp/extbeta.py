@@ -33,6 +33,8 @@ from .quadrature import (
 from .results import DomainError, EvalResult
 
 _BIG_EXPONENT = 600.0
+# kernel.log_theta_neg_asym holds only at kernel arguments at or below this.
+_FAR_TAIL_ARG = -200.0
 # First arguments per complex sample block of ext_beta_complex_many.
 _COMPLEX_BLOCK_ROWS = 256
 
@@ -116,8 +118,14 @@ def check_beta_domain(k: KernelSpec, alpha: float, beta: float,
 
 def safe_theta_product(k: KernelSpec, powexp: np.ndarray, arg: np.ndarray,
                         theta: np.ndarray | None = None) -> np.ndarray:
-    """exp(powexp) * Theta(arg) without intermediate overflow."""
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+    """exp(powexp) * Theta(arg) without intermediate overflow.
+
+    Where powexp is big, the product is exp(powexp + log Theta): log Theta
+    comes from the far-tail form at arguments down to ``_FAR_TAIL_ARG`` and
+    from the kernel values themselves nearer in.
+    """
+    with np.errstate(over="ignore", under="ignore", invalid="ignore",
+                     divide="ignore"):
         if k.variant == EXP_VARIANT:
             return np.exp(powexp + arg)
         if theta is None:
@@ -125,8 +133,12 @@ def safe_theta_product(k: KernelSpec, powexp: np.ndarray, arg: np.ndarray,
         big = powexp > _BIG_EXPONENT
         out = np.exp(np.where(big, 0.0, powexp)) * theta
         if np.any(big):
-            out[big] = np.exp(powexp[big]
-                              + kernelmod.log_theta_neg_asym(k, arg[big]))
+            far = big & (arg <= _FAR_TAIL_ARG)
+            near = big & ~far
+            if np.any(far):
+                out[far] = np.exp(powexp[far]
+                                  + kernelmod.log_theta_neg_asym(k, arg[far]))
+            out[near] = np.exp(powexp[near] + np.log(theta[near]))
         return out
 
 
@@ -239,6 +251,8 @@ def ext_beta_complex_many(k: KernelSpec, alphas: np.ndarray, beta: float,
     Only Theta < 0 is refused.
     """
     alphas = np.asarray(alphas, dtype=complex)
+    if not (np.all(np.isfinite(alphas)) and np.isfinite(beta)):
+        raise DomainError("complex-beta arguments must be finite")
     for a in (alphas.real.min(), alphas.real.max()):
         check_beta_domain_complex(k, complex(a), beta, reg)
     re_m1 = (alphas.real - 1.0)[:, None]

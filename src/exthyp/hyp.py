@@ -15,6 +15,8 @@ refinement serves a whole stretch of series terms.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
 
@@ -133,6 +135,29 @@ def pfq_spec(kernel: KernelSpec, upper, lower, reg: RegPair = RegPair(),
                    tuple(float(b) for b in lower), reg, kernel)
 
 
+# Coefficient blocks of the innermost open ``shared_coefficients`` scope,
+# keyed by the arguments of the batch call that built them; None outside.
+_shared_blocks: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "exthyp_shared_blocks", default=None)
+
+
+@contextlib.contextmanager
+def shared_coefficients():
+    """Let every ladder built inside the scope share its coefficient blocks.
+
+    A block's values depend only on the arguments of the batch call that
+    builds it, because blocks always start at multiples of ``_BLOCK``, so a
+    repeated block is looked up instead of integrated again and the results
+    keep their bits.  The blocks are dropped when the scope exits; a nested
+    scope starts empty and leaves the outer one untouched.
+    """
+    token = _shared_blocks.set({})
+    try:
+        yield
+    finally:
+        _shared_blocks.reset(token)
+
+
 class _CoeffLadder:
     """Beta-ratio coefficient products, grown in blocks on demand."""
 
@@ -146,6 +171,8 @@ class _CoeffLadder:
         self.ok = True
 
     def ensure(self, hi: int) -> None:
+        shared = _shared_blocks.get()
+        kernel, reg = self.spec.kernel, self.spec.reg
         while self.coeffs.size < hi:
             lo = self.coeffs.size
             count = _BLOCK
@@ -153,9 +180,18 @@ class _CoeffLadder:
             perr = np.zeros(count)
             for (alpha, k, width), norm, ctol in zip(self.pairs, self.norms,
                                                      self.tols):
-                vals, errs, _, okj = ext_beta_shifted_batch_arrays(
-                    self.spec.kernel, alpha + k * lo, count, width,
-                    self.spec.reg, kstep=k, tol=ctol)
+                key = (kernel, reg, alpha + k * lo, count, width, k, ctol)
+                block = None if shared is None else shared.get(key)
+                if block is None:
+                    vals, errs, _, okj = ext_beta_shifted_batch_arrays(
+                        kernel, alpha + k * lo, count, width, reg, kstep=k,
+                        tol=ctol)
+                    if shared is not None:
+                        vals.flags.writeable = False
+                        errs.flags.writeable = False
+                        shared[key] = (vals, errs, okj)
+                else:
+                    vals, errs, okj = block
                 ratios = vals / norm
                 perr = perr * np.abs(ratios) + np.abs(prod) * (errs / norm)
                 prod = prod * ratios

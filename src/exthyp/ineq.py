@@ -404,18 +404,39 @@ def _kernel_log_rows(hp: HilbertParams, x: np.ndarray, lx: np.ndarray,
     return out
 
 
-def hilbert_check(hp: HilbertParams, f: TestFunction, g: TestFunction,
-                  tol: float = 1e-8, max_level: int = 8) -> HilbertReport:
-    """Evaluate both inequalities on a test pair.
+@dataclass(frozen=True)
+class HilbertForm:
+    """One form of the inequality: both sides, their margin and verdict."""
 
-    The bilinear form and the single-function equivalent form are computed
-    by iterated double-exponential quadrature over the supports (the
-    equivalent form's outer variable always runs over the whole half line);
-    right sides use the closed constant and the weighted norms.
+    constant: float
+    lhs: float
+    rhs: float
+    margin: float
+    holds: bool
+
+
+def _form(const: float, lhs: float, rhs: float) -> HilbertForm:
+    return HilbertForm(constant=const, lhs=lhs, rhs=rhs, margin=rhs - lhs,
+                       holds=lhs <= rhs * (1.0 + 1e-9))
+
+
+def _rhs_factors(hp: HilbertParams, f: TestFunction) -> tuple[float, float]:
+    """(constant, prefactor times the weighted norm of f)."""
+    qp = hp.qprime
+    const = hilbert_constant(hp)
+    wf = (hp.p / qp) * (1.0 - hp.s1 - hp.s2) + hp.p * (hp.A1 - hp.A2)
+    pref = math.exp(2.0 * (hp.ptilde + hp.qtilde)) * const
+    return const, pref * _weighted_norm(f, wf, hp.p)
+
+
+def hilbert_bilinear(hp: HilbertParams, f: TestFunction, g: TestFunction,
+                     tol: float = 1e-8, max_level: int = 8) -> HilbertForm:
+    """The bilinear form of the inequality on a test pair.
+
+    The left side is computed by iterated double-exponential quadrature over
+    the supports; the right side is the closed constant times the weighted
+    norms of f and g.
     """
-    qp, pp = hp.qprime, hp.pprime
-    vexp = (qp / pp) * (hp.s1 + hp.s2 - 1.0) + qp * (hp.A1 - hp.A2)
-
     lhs = 0.0
     if f.amplitude != 0.0 and g.amplitude != 0.0:
         prev = None
@@ -436,7 +457,24 @@ def hilbert_check(hp: HilbertParams, f: TestFunction, g: TestFunction,
             lhs = total
         lhs *= f.amplitude * g.amplitude
 
-    lhs_equiv = 0.0
+    const, rhs_f = _rhs_factors(hp, f)
+    pp = hp.pprime
+    wg = (hp.q / pp) * (1.0 - hp.s1 - hp.s2) + hp.q * (hp.A2 - hp.A1)
+    return _form(const, lhs, rhs_f * _weighted_norm(g, wg, hp.q))
+
+
+def hilbert_equivalent(hp: HilbertParams, f: TestFunction, tol: float = 1e-8,
+                       max_level: int = 8) -> HilbertForm:
+    """The single-function equivalent form of the inequality.
+
+    The left side is computed by iterated double-exponential quadrature
+    whose outer variable always runs over the whole half line; the right
+    side is the closed constant times the weighted norm of f.
+    """
+    qp, pp = hp.qprime, hp.pprime
+    vexp = (qp / pp) * (hp.s1 + hp.s2 - 1.0) + qp * (hp.A1 - hp.A2)
+
+    lhs = 0.0
     if f.amplitude != 0.0:
         prev = None
         for level in range(2, max_level + 1):
@@ -450,29 +488,30 @@ def hilbert_check(hp: HilbertParams, f: TestFunction, g: TestFunction,
                                          + qp * log_rows).sum())
             if prev is not None and level >= 4 \
                     and abs(inner_tot - prev) <= tol * (1.0 + abs(inner_tot)):
-                lhs_equiv = inner_tot
+                lhs = inner_tot
                 break
             prev = inner_tot
-            lhs_equiv = inner_tot
-        lhs_equiv = f.amplitude * lhs_equiv ** (1.0 / qp)
+            lhs = inner_tot
+        lhs = f.amplitude * lhs ** (1.0 / qp)
 
-    const = hilbert_constant(hp)
-    wf = (hp.p / qp) * (1.0 - hp.s1 - hp.s2) + hp.p * (hp.A1 - hp.A2)
-    wg = (hp.q / pp) * (1.0 - hp.s1 - hp.s2) + hp.q * (hp.A2 - hp.A1)
-    fnorm = _weighted_norm(f, wf, hp.p)
-    gnorm = _weighted_norm(g, wg, hp.q)
-    pref = math.exp(2.0 * (hp.ptilde + hp.qtilde)) * const
-    rhs = pref * fnorm * gnorm
-    rhs_equiv = pref * fnorm
-    slack = 1.0 + 1e-9
+    const, rhs = _rhs_factors(hp, f)
+    return _form(const, lhs, rhs)
+
+
+def hilbert_check(hp: HilbertParams, f: TestFunction, g: TestFunction,
+                  tol: float = 1e-8, max_level: int = 8) -> HilbertReport:
+    """Evaluate both inequalities on a test pair (see ``hilbert_bilinear``
+    and ``hilbert_equivalent``)."""
+    bil = hilbert_bilinear(hp, f, g, tol, max_level)
+    equiv = hilbert_equivalent(hp, f, tol, max_level)
     return HilbertReport(
-        constant=const,
-        lhs=lhs,
-        rhs=rhs,
-        margin=rhs - lhs,
-        holds=lhs <= rhs * slack,
-        lhs_equiv=lhs_equiv,
-        rhs_equiv=rhs_equiv,
-        margin_equiv=rhs_equiv - lhs_equiv,
-        holds_equiv=lhs_equiv <= rhs_equiv * slack,
+        constant=bil.constant,
+        lhs=bil.lhs,
+        rhs=bil.rhs,
+        margin=bil.margin,
+        holds=bil.holds,
+        lhs_equiv=equiv.lhs,
+        rhs_equiv=equiv.rhs,
+        margin_equiv=equiv.margin,
+        holds_equiv=equiv.holds,
     )

@@ -4,15 +4,22 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from exthyp import cli
 from exthyp.conformance import (
     build_catalog,
     catalog_identity_ids,
     exit_code,
+    fmt17,
     run_conformance,
     write_report_csv,
 )
+from exthyp.extbeta import RegPair
+from exthyp.hyp import ext_pfq, pfq_spec, shared_coefficients
+from exthyp.kernel import parse_kernel
+from exthyp.results import DomainError
 
 # one entry per implemented identity; the unit test cross-checks the catalog
 EXPECTED_IDENTITY_IDS = sorted([
@@ -151,9 +158,10 @@ def test_cli_eval_domain_error_exit_2():
 
 
 def test_cli_eval_non_finite_sample_is_domain_error():
-    # the integrand overflows near t = 0 for a first argument this small
+    # t**-3 * Theta(-b/t) overflows near t = 0 for b this small: the
+    # integral itself is about b**-2 = 1e400, beyond double range
     r = _cli("eval", "--func", "extbeta", "--kernel", "kummer:2.5,1",
-             "--params", "1e-12,1", "--d", "0.5")
+             "--params=-2,1", "--b", "1e-200")
     assert r.returncode == 2
     assert r.stderr.startswith("domain error: ")
     assert "Traceback" not in r.stderr
@@ -166,6 +174,75 @@ def test_cli_eval_non_finite_argument_exit_2(z):
     assert r.returncode == 2
     assert r.stderr.startswith("domain error: ")
     assert r.stdout == ""
+
+
+def test_cli_eval_confluent_kernel_with_zero_regularization():
+    # at b = d = 0 the confluent kernel is 1, so the value is the exp
+    # kernel's; past refinement level 5 the power exponent tops 600 at
+    # kernel argument 0, which the far-tail form of log Theta cannot take
+    r = _cli("eval", "--func", "2f1", "--kernel", "kummer:1.5,2.5",
+             "--params", "0.8,1.4,1.46", "--z", "0.3")
+    assert r.returncode == 0
+    assert r.stderr == ""
+    assert json.loads(r.stdout)["value"] == 1.3140038835145504
+
+
+@pytest.mark.parametrize("command", ["eval", "table"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_cli_non_positive_tolerance_exit_2(command, tol):
+    sweep = (("--z", "0.3") if command == "eval"
+             else ("--from", "0", "--to", "0.5", "--steps", "2"))
+    r = _cli(command, "--func", "2f1", "--params", "1,1,2", *sweep,
+             f"--tol={tol}")
+    assert r.returncode == 2
+    assert "domain error" in r.stderr
+    assert "tolerance" in r.stderr
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize("kernel", ["exp", "kummer:1.5,2.5"])
+def test_cli_table_equals_separate_calls(kernel, capsys):
+    # the table's rows share one coefficient scope; each expected row is a
+    # separate ext_pfq call with nothing shared
+    steps, lo, hi = 12, -0.9, 0.9
+    spec = pfq_spec(parse_kernel(kernel), (0.8, 1.1), (2.4,),
+                    RegPair(0.2, 0.3))
+    want = ["argument,value,err_est"]
+    for i in range(steps + 1):
+        zi = lo + (hi - lo) * i / steps
+        res = ext_pfq(spec, zi, 1e-10)
+        want.append(",".join(fmt17(v) for v in
+                             (zi, res.value, res.abs_err_est)))
+    code = cli.main(["table", "--func", "2f1", "--kernel", kernel,
+                     "--params", "0.8,1.1,2.4", "--b", "0.2", "--d", "0.3",
+                     "--from", str(lo), "--to", str(hi),
+                     "--steps", str(steps)])
+    assert code == 0
+    assert capsys.readouterr().out == "\n".join(want) + "\n"
+
+
+def _bits(x):
+    return np.float64(x).view(np.int64)
+
+
+def test_catalog_points_same_bits_inside_shared_scope():
+    # every full-grid point, evaluated in catalog order inside one scope
+    # (as a conformance pass does) and then each with nothing shared
+    units = [(ident, variant, pt) for ident in build_catalog()
+             for variant in ident.variants
+             for pt in ident.points + ident.extra_points]
+
+    def evaluate(ident, variant, pt):
+        try:
+            lhs, rhs = ident.evaluate(pt, variant, 1e-8)
+        except DomainError as exc:
+            return str(exc)
+        return _bits(float(lhs)), _bits(float(rhs))
+
+    with shared_coefficients():
+        shared = [evaluate(*u) for u in units]
+    for u, got in zip(units, shared):
+        assert evaluate(*u) == got, (u[0].identity_id, u[1], u[2])
 
 
 def test_cli_eval_non_convergence_exit_3():

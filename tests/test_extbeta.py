@@ -1,6 +1,7 @@
 """Regularized beta/gamma: reductions, symmetry, batching, complex path."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exthyp import extbeta
 from exthyp.corefn import beta_classical, ln_gamma
 from exthyp.extbeta import (
     _THETA_CACHE_SIZE,
@@ -20,10 +22,16 @@ from exthyp.extbeta import (
     ext_beta_shifted_batch,
     ext_beta_shifted_batch_arrays,
     ext_gamma,
+    safe_theta_product,
     _unit_logs,
     _unit_theta,
 )
-from exthyp.kernel import EXP_KERNEL, EXP_VARIANT, kummer_kernel
+from exthyp.kernel import (
+    EXP_KERNEL,
+    EXP_VARIANT,
+    kummer_kernel,
+    theta_eval_arr,
+)
 from exthyp.quadrature import (
     MAX_LEVEL,
     integrate_halfline,
@@ -305,3 +313,35 @@ def test_theta_cache_is_bounded_and_read_only():
     # the most recent entry is a hit, and a hit returns the cached array
     again = _unit_theta(kummer_kernel(1.0 + i / 64.0, 3.0), reg, 0)
     assert again is theta
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (complex(1.0, math.nan), 1.0),
+    (complex(math.inf, 1.0), 1.0),
+    (complex(2.0, math.inf), 1.0),
+    (complex(2.0, 1.0), math.inf),
+])
+def test_complex_non_finite_arguments_raise_before_quadrature(
+        monkeypatch, alpha, beta):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(extbeta, "_refine", no_quadrature)
+    with pytest.raises(DomainError):
+        ext_beta_complex(EXP_KERNEL, alpha, beta)
+    with pytest.raises(DomainError):
+        ext_beta_complex_many(EXP_KERNEL, np.array([2.0 + 1j, alpha]), beta)
+
+
+def test_theta_product_big_exponent_near_argument():
+    # exp(powexp) is finite below 709, so the product can be formed
+    # directly; the far-tail form of log Theta holds only at -200 and below
+    k = kummer_kernel(2.5, 1.0)
+    powexp = np.array([633.7, 650.0, 700.0, 650.0])
+    arg = np.array([-0.5, 0.0, -150.0, -250.0])
+    want = np.exp(powexp) * theta_eval_arr(k, arg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = safe_theta_product(k, powexp, arg)
+    assert np.all(np.isfinite(got))
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)

@@ -1,6 +1,7 @@
 """Extended Gauss/generalized hypergeometric functions and their identities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -504,3 +505,99 @@ def test_euler_step_builds_one_inner_ladder(monkeypatch):
     want = euler_step_integral(spec, -0.7)
     assert len(built) > 1
     _same_result(got, want)
+
+
+def _count_builds(monkeypatch):
+    built = []
+    batch = hyp.ext_beta_shifted_batch_arrays
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return batch(*args, **kwargs)
+
+    monkeypatch.setattr(hyp, "ext_beta_shifted_batch_arrays", counting)
+    return built
+
+
+@pytest.mark.parametrize("kern", [EXP_KERNEL, kummer_kernel(1.5, 2.5)])
+def test_shared_scope_builds_each_block_once(monkeypatch, kern):
+    spec = pfq_spec(kern, (0.8, 1.1), (2.4,), _R12)
+    built = _count_builds(monkeypatch)
+    want = [ext_pfq(spec, 0.3), ext_pfq(spec, 0.3)]
+    assert len(built) == 2
+    del built[:]
+    with hyp.shared_coefficients():
+        got = [ext_pfq(spec, 0.3), ext_pfq(spec, 0.3)]
+    assert len(built) == 1
+    for g, w in zip(got, want):
+        _same_result(g, w)
+
+
+def test_shared_scope_blocks_are_read_only_and_dropped():
+    spec = pfq_spec(EXP_KERNEL, (0.8, 1.1), (2.4,), _R12)
+    assert hyp._shared_blocks.get() is None
+    with hyp.shared_coefficients():
+        ext_pfq(spec, 0.3)
+        blocks = hyp._shared_blocks.get()
+        assert len(blocks) == 1
+        (vals, errs, ok), = blocks.values()
+        assert not vals.flags.writeable and not errs.flags.writeable
+        assert ok
+    assert hyp._shared_blocks.get() is None
+    ext_pfq(spec, 0.3)  # no scope: nothing is kept
+    assert hyp._shared_blocks.get() is None
+
+
+def test_shared_scope_restored_after_exception():
+    with pytest.raises(DomainError):
+        with hyp.shared_coefficients():
+            ext_pfq(pfq_spec(EXP_KERNEL, (0.8, 1.1), (2.4,)), 0.3)
+            ext_pfq(pfq_spec(EXP_KERNEL, (1.0, 1.0), (2.0,)), 1.5)
+    assert hyp._shared_blocks.get() is None
+
+
+def test_nested_shared_scope_starts_empty_and_does_not_leak():
+    outer_spec = pfq_spec(EXP_KERNEL, (0.8, 1.1), (2.4,))
+    inner_spec = pfq_spec(EXP_KERNEL, (0.6, 1.3), (2.1,))
+    with hyp.shared_coefficients():
+        ext_pfq(outer_spec, 0.3)
+        outer = hyp._shared_blocks.get()
+        outer_keys = set(outer)
+        with hyp.shared_coefficients():
+            assert hyp._shared_blocks.get() == {}
+            ext_pfq(inner_spec, 0.3)
+            assert len(hyp._shared_blocks.get()) == 1
+        assert hyp._shared_blocks.get() is outer
+        assert set(outer) == outer_keys
+    assert hyp._shared_blocks.get() is None
+
+
+@pytest.mark.parametrize("upper, lower, z", [
+    ((0.8, 1.4), (1.46,), 0.3),
+    ((0.829, 1.403, 0.522), (1.465, 2.586), -0.1999),
+])
+def test_confluent_kernel_zero_regularization_equals_exp_kernel(upper, lower,
+                                                                z):
+    # Theta(0) = 1 for both kernels, so at b = d = 0 the values agree; the
+    # narrow pair width drives the power exponent past 600 at kernel
+    # argument 0
+    want = ext_pfq(pfq_spec(EXP_KERNEL, upper, lower), z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ext_pfq(pfq_spec(kummer_kernel(1.5, 2.5), upper, lower), z)
+    assert got.converged
+    assert got.value == want.value
+
+
+def test_shared_scope_tells_apart_blocks_with_the_same_start():
+    # every ladder here starts its pair at alpha = 1.1 with width 1.3
+    specs = [pfq_spec(EXP_KERNEL, (0.8, 1.1), (2.4,)),
+             pfq_spec(EXP_KERNEL, (0.8, 1.1), (2.4,), ks=(1, 2)),
+             pfq_spec(EXP_KERNEL, (0.8, 1.1), (2.4,), _R12),
+             pfq_spec(kummer_kernel(1.5, 2.5), (0.8, 1.1), (2.4,), _R12)]
+    want = [ext_pfq(spec, 0.3) for spec in specs]
+    with hyp.shared_coefficients():
+        got = [ext_pfq(spec, 0.3) for spec in specs]
+        assert len(hyp._shared_blocks.get()) == len(specs)
+    for g, w in zip(got, want):
+        _same_result(g, w)

@@ -5,13 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from exthyp.conformance import _hp_from_point, build_catalog
 from exthyp.ineq import (
     HilbertParams,
     bump,
     classical_point,
     exp_decay,
+    hilbert_bilinear,
     hilbert_check,
     hilbert_constant,
+    hilbert_equivalent,
     lemma2_identity,
     midpoint_params,
     parse_test_function,
@@ -134,6 +137,32 @@ def test_inequalities_hold_across_pairs(hp):
         assert rep.holds, (hp, f, g, rep)
         assert rep.margin >= -1e-9 * abs(rep.rhs)
         assert rep.holds_equiv, (hp, f, g, rep)
+
+
+_HILBERT_POINTS = [
+    pt for ident in build_catalog()
+    if ident.identity_id.startswith("hardy-hilbert-")
+    for pt in ident.points + ident.extra_points]
+
+
+def _bits(x):
+    return np.float64(x).view(np.int64)
+
+
+@pytest.mark.parametrize("pt", _HILBERT_POINTS)
+def test_hilbert_check_is_the_two_forms(pt):
+    hp = _hp_from_point(pt)
+    f, g = parse_test_function(pt["f"]), parse_test_function(pt["g"])
+    rep = hilbert_check(hp, f, g)
+    bil = hilbert_bilinear(hp, f, g)
+    equiv = hilbert_equivalent(hp, f)
+    for got, want in [(rep.constant, bil.constant), (rep.lhs, bil.lhs),
+                      (rep.rhs, bil.rhs), (rep.margin, bil.margin),
+                      (rep.constant, equiv.constant),
+                      (rep.lhs_equiv, equiv.lhs), (rep.rhs_equiv, equiv.rhs),
+                      (rep.margin_equiv, equiv.margin)]:
+        assert _bits(got) == _bits(want)
+    assert rep.holds == bil.holds and rep.holds_equiv == equiv.holds
 
 
 def test_parse_test_function():
