@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corefn import gammaln_real, pochhammer
-from .extbeta import RegPair, safe_theta_product
+from .extbeta import RegPair, safe_theta_product, unit_grid_kernel, unit_kernel
 from .hyp import PfqSpec, _CoeffLadder, ext_2f1, pfq_series_vector, pfq_spec
 from .kernel import EXP_VARIANT, KernelSpec
 from .quadrature import MAX_LEVEL, unit_grid, unit_new_nodes
@@ -157,12 +157,12 @@ def f1_integral(p: AppellParams, x: float, y: float,
     for level in range(MAX_LEVEL + 1):
         t, tc, w = unit_new_nodes(level)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            arg = -(reg.b / t + reg.d / tc)
             powexp = ((p.alpha - 1.0) * np.log(t)
                       + (p.gamma1 - p.alpha - 1.0) * np.log(tc)
                       - p.beta1 * np.log1p(-x * t)
                       - p.beta2 * np.log1p(-y * t))
-            vals = w * safe_theta_product(kern, powexp, arg)
+            vals = w * safe_theta_product(kern, powexp,
+                                          *unit_kernel(kern, reg, level))
         nodes += t.size
         h = 2.0 ** -level if level else 1.0
         s = vals.sum()
@@ -342,13 +342,13 @@ def f2_integral(p: AppellParams, x: float, y: float, tol: float = 1e-10,
         g = unit_grid(level)
         t, tc, wt = g.nodes, g.complements, g.weights
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            arg = -(reg.b / t + reg.d / tc)
+            arg, theta = unit_grid_kernel(kern, reg, level)
             pa = ((p.beta1 - 1.0) * np.log(t)
                   + (p.gamma1 - p.beta1 - 1.0) * np.log(tc))
-            va = wt * safe_theta_product(kern, pa, arg)
+            va = wt * safe_theta_product(kern, pa, arg, theta)
             pb = ((p.beta2 - 1.0) * np.log(t)
                   + (p.gamma2 - p.beta2 - 1.0) * np.log(tc))
-            vb = wt * safe_theta_product(kern, pb, arg)
+            vb = wt * safe_theta_product(kern, pb, arg, theta)
             s = 0.0
             for i0 in range(0, t.size, 512):
                 blk = slice(i0, min(i0 + 512, t.size))
@@ -407,14 +407,14 @@ def f2_single_integral(p: AppellParams, x: float, y: float,
     for level in range(MAX_LEVEL + 1):
         t, tc, w = unit_new_nodes(level)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            arg = -(reg.b / t + reg.d / tc)
             powexp = ((p.beta1 - 1.0) * np.log(t)
                       + (p.gamma1 - p.beta1 - 1.0) * np.log(tc)
                       - p.alpha * np.log1p(-x * t))
             fv, ierr = pfq_series_vector(inner, y / (1.0 - x * t), tol,
                                          ladder=ladder)
             inner_err = max(inner_err, ierr)
-            vals = w * safe_theta_product(kern, powexp, arg) * fv
+            vals = w * safe_theta_product(kern, powexp,
+                                          *unit_kernel(kern, reg, level)) * fv
         nodes += t.size
         h = 2.0 ** -level if level else 1.0
         s = vals.sum()

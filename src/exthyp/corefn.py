@@ -7,6 +7,7 @@ genuinely different computation path.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -186,8 +187,7 @@ def _kummer_direct(a: float, c: float, z: float) -> EvalResult:
 def _kummer_asymptotic_neg(a: float, c: float, z: float) -> EvalResult:
     """Large negative argument: leading algebraic branch of 1F1."""
     w = -z
-    g = np.exp(complex(ln_gamma(complex(c)) - ln_gamma(complex(c - a))))
-    lead = g.real * math.exp(-a * math.log(w))
+    lead = _kummer_amplitude(a, c) * math.exp(-a * math.log(w))
     s = 1.0
     term = 1.0
     last = math.inf
@@ -233,20 +233,30 @@ def kummer_1f1(a: float, c: float, z: float) -> EvalResult:
     return _kummer_asymptotic_neg(a, c, z)
 
 
+@functools.lru_cache(maxsize=128)
+def _kummer_amplitude(a: float, c: float) -> float:
+    """Gamma(c)/Gamma(c-a), the amplitude of the algebraic branch of 1F1."""
+    g = np.exp(complex(ln_gamma(complex(c)) - ln_gamma(complex(c - a))))
+    return g.real
+
+
 def kummer_algebraic_tail(a: float, c: float,
                           w: np.ndarray) -> tuple[float, np.ndarray]:
     """Algebraic branch of 1F1(a; c; -w) for large w > 0.
 
     Returns the amplitude Gamma(c)/Gamma(c-a) and the 24-term correction sum
-    of the expansion 1F1(a; c; -w) ~ amplitude * w**-a * sum.
+    of the expansion 1F1(a; c; -w) ~ amplitude * w**-a * sum.  The in-place
+    steps round like term = term * (a+k-1) * (a-c+k) / (k*w); s = s + term.
     """
-    g = np.exp(complex(ln_gamma(complex(c)) - ln_gamma(complex(c - a))))
+    w = np.asarray(w, dtype=float)
     s = np.ones_like(w)
     term = np.ones_like(w)
     for k in range(1, 25):
-        term = term * (a + k - 1) * (a - c + k) / (k * w)
-        s = s + term
-    return g.real, s
+        term *= a + k - 1
+        term *= a - c + k
+        term /= k * w
+        s += term
+    return _kummer_amplitude(a, c), s
 
 
 def _kummer_series_node(aa: float, c: float, w: float) -> float:
@@ -257,7 +267,30 @@ def _kummer_series_node(aa: float, c: float, w: float) -> float:
     later 0 * inf term can still turn it into NaN.  With s NaN the
     small-term comparison is false, so the NaN test only runs on the branch
     where that comparison fails.
+
+    With aa > 0, c > 0 and finite w > 0 every term is >= 0 and s >= 1, so
+    the absolute values drop out, no term is NaN, and a zero term always
+    takes the small-term branch.  That case runs a lean loop: the same double
+    operations in the same order, with a float index m (aa + m, c + m and
+    m + 1 are exact either way).
     """
+    if aa > 0.0 and c > 0.0 and 0.0 < w < math.inf:
+        eps = SERIES_EPS
+        s = 1.0
+        term = 1.0
+        small = 0
+        m = 0.0
+        for _ in range(SERIES_CAP * 3):
+            term = term * (aa + m) / (c + m) * w / (m + 1.0)
+            s = s + term
+            m += 1.0
+            if term < eps * s:
+                small += 1
+                if small >= 3 or term == 0.0:
+                    break
+            else:
+                small = 0
+        return s
     s = 1.0
     term = 1.0
     small = 0

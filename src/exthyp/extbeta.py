@@ -15,7 +15,9 @@ refinement of the node grid.
 
 from __future__ import annotations
 
+import cmath
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +29,8 @@ from .quadrature import (
     _refine,
     integrate_halfline,
     integrate_unit_batch,
-    integrate_unit2,
+    integrate_unit_levels,
+    unit_grid_order,
     unit_new_nodes,
 )
 from .results import DomainError, EvalResult
@@ -77,10 +80,23 @@ def _unit_logs(level: int) -> tuple[np.ndarray, np.ndarray]:
     return cached
 
 
-# A conformance pass uses 6 entries; one evaluation with fresh parameters
-# uses one per (b, d) and refinement level it reaches, at most 7 in a mixed
-# stream of independent calls.
+# One entry per (kernel, (b, d), level).  The coefficient ladders and every
+# kernel-weighted unit-interval integrand share the entries, so a call with
+# fresh parameters evaluates the kernel once per node and keeps one entry per
+# level it reaches: at most 7 in a mixed stream of independent calls (a
+# product grid run to its last level, 9, would keep 10).  A conformance pass
+# uses 6.
 _THETA_CACHE_SIZE = 128
+
+
+def _unit_arg(reg: RegPair, level: int) -> np.ndarray:
+    """The kernel argument -(b/t + d/(1-t)) on the level's new unit nodes.
+
+    Next to an endpoint b/t or d/(1-t) can overflow; -inf is then the right
+    argument, so callers run it under np.errstate(over="ignore").
+    """
+    t, tc, _ = unit_new_nodes(level)
+    return -(reg.b / t + reg.d / tc)
 
 
 @functools.lru_cache(maxsize=_THETA_CACHE_SIZE)
@@ -89,12 +105,40 @@ def _unit_theta(k: KernelSpec, reg: RegPair, level: int) -> np.ndarray:
 
     The cached array is shared by every caller, so it is read-only.
     """
-    t, tc, _ = unit_new_nodes(level)
     with np.errstate(over="ignore", under="ignore"):
-        arg = -(reg.b / t + reg.d / tc)
-        theta = kernelmod.theta_eval_arr(k, arg)
+        theta = kernelmod.theta_eval_arr(k, _unit_arg(reg, level))
     theta.flags.writeable = False
     return theta
+
+
+def unit_kernel(k: KernelSpec, reg: RegPair,
+                level: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """(arg, Theta(arg)) on the level's new unit nodes, for
+    ``safe_theta_product``.
+
+    arg is the kernel argument -(b/t + d/(1-t)); Theta comes from the
+    per-level cache and is None for the exponential kernel, whose product is
+    formed from arg alone.  Call it under np.errstate(over="ignore"), as the
+    integrands already run (see ``_unit_arg``).
+    """
+    theta = None if k.variant == EXP_VARIANT else _unit_theta(k, reg, level)
+    return _unit_arg(reg, level), theta
+
+
+def unit_grid_kernel(k: KernelSpec, reg: RegPair,
+                     level: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """``unit_kernel`` on the nodes of ``unit_grid(level)``, in its order.
+
+    The per-level pieces are laid end to end and permuted like the grid, so
+    each value is the one computed at that node on its own.  Call it under
+    np.errstate(over="ignore"), like ``unit_kernel``.
+    """
+    order = unit_grid_order(level)
+    pieces = [unit_kernel(k, reg, lv) for lv in range(level + 1)]
+    arg = np.concatenate([a for a, _ in pieces])[order]
+    if k.variant == EXP_VARIANT:
+        return arg, None
+    return arg, np.concatenate([th for _, th in pieces])[order]
 
 
 def _min_exponent(k: KernelSpec, reg_component: float) -> float:
@@ -106,6 +150,9 @@ def _min_exponent(k: KernelSpec, reg_component: float) -> float:
 
 def check_beta_domain(k: KernelSpec, alpha: float, beta: float,
                       reg: RegPair) -> None:
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise DomainError(f"beta arguments must be finite, got "
+                          f"({alpha}, {beta})")
     if not alpha > _min_exponent(k, reg.b):
         raise DomainError(
             f"first argument {alpha} out of range for b={reg.b} "
@@ -148,13 +195,13 @@ def ext_beta(k: KernelSpec, args: BetaArgs, reg: RegPair = RegPair(),
     check_beta_domain(k, args.alpha, args.beta, reg)
     alpha, beta = args.alpha, args.beta
 
-    def f(t, tc):
+    def f(level):
+        lt, ltc = _unit_logs(level)
         with np.errstate(over="ignore", under="ignore"):
-            powexp = (alpha - 1.0) * np.log(t) + (beta - 1.0) * np.log(tc)
-            arg = -(reg.b / t + reg.d / tc)
-        return safe_theta_product(k, powexp, arg)
+            powexp = (alpha - 1.0) * lt + (beta - 1.0) * ltc
+            return safe_theta_product(k, powexp, *unit_kernel(k, reg, level))
 
-    q = integrate_unit2(f, tol)
+    q = integrate_unit_levels(f, tol)
     return EvalResult(q.value, q.abs_err_est, q.nodes_used, q.converged,
                       "quadrature")
 
@@ -179,10 +226,7 @@ def ext_beta_shifted_batch_arrays(k: KernelSpec, alpha0: float, count: int,
         lt, ltc = _unit_logs(level)
         with np.errstate(over="ignore", under="ignore"):
             powexp = (alpha0 - 1.0) * lt + (beta - 1.0) * ltc
-            arg = -(reg.b / t + reg.d / tc)
-        theta = (_unit_theta(k, reg, level)
-                 if k.variant != EXP_VARIANT else None)
-        return safe_theta_product(k, powexp, arg, theta)
+            return safe_theta_product(k, powexp, *unit_kernel(k, reg, level))
 
     return integrate_unit_batch(f0, count, tol, kstep=kstep)
 
@@ -223,6 +267,9 @@ def ext_gamma(k: KernelSpec, z: float, b: float = 0.0,
 
 def check_beta_domain_complex(k: KernelSpec, alpha: complex, beta: float,
                               reg: RegPair) -> None:
+    if not (cmath.isfinite(alpha) and math.isfinite(beta)):
+        raise DomainError(f"beta arguments must be finite, got "
+                          f"({alpha}, {beta})")
     if not alpha.real > _min_exponent(k, reg.b):
         raise DomainError(
             f"Re(first argument) = {alpha.real} out of range for b={reg.b}")
@@ -259,20 +306,18 @@ def ext_beta_complex_many(k: KernelSpec, alphas: np.ndarray, beta: float,
     im = alphas.imag[:, None]
 
     def contrib(level):
-        t, tc, w = unit_new_nodes(level)
+        t, _, w = unit_new_nodes(level)
         lt, ltc = _unit_logs(level)
         with np.errstate(over="ignore", under="ignore", invalid="ignore",
                          divide="ignore"):
-            arg = -(reg.b / t + reg.d / tc)
+            arg, theta = unit_kernel(k, reg, level)
             base = np.log(w) + (beta - 1.0) * ltc
-            if k.variant == EXP_VARIANT:
+            if theta is None:
                 base = base + arg
+            elif np.any(theta < 0.0):
+                raise DomainError("confluent kernel negative on the grid; "
+                                  "complex-batch path needs c > a")
             else:
-                theta = _unit_theta(k, reg, level)
-                if np.any(theta < 0.0):
-                    raise DomainError(
-                        "confluent kernel negative on the grid; "
-                        "complex-batch path needs c > a")
                 base = base + np.log(theta)
             s = np.empty(alphas.shape, dtype=complex)
             x = np.empty((min(alphas.size, _COMPLEX_BLOCK_ROWS), t.size),

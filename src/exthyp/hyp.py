@@ -28,6 +28,7 @@ from .extbeta import (
     safe_theta_product,
     check_beta_domain,
     ext_beta_shifted_batch_arrays,
+    unit_kernel,
 )
 from .kernel import EXP_VARIANT, KernelSpec
 from .quadrature import MAX_LEVEL, _running, unit_new_nodes
@@ -403,7 +404,6 @@ def euler_step_integral(spec: PfqSpec, z: float, tol: float = 1e-10,
     for level in range(MAX_LEVEL + 1):
         t, tc, w = unit_new_nodes(level)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            arg = -(reg.b / t + reg.d / tc)
             if z == 1.0:
                 a1, k1 = inner.upper[0]
                 # fold (1 - t**k) = (1-t)(1 + t + ... + t**(k-1))
@@ -425,7 +425,7 @@ def euler_step_integral(spec: PfqSpec, z: float, tol: float = 1e-10,
                     fv, ierr = pfq_series_vector(inner, wz, tol,
                                                  ladder=ladder)
                     inner_err = max(inner_err, ierr)
-            base = safe_theta_product(k, powexp, arg)
+            base = safe_theta_product(k, powexp, *unit_kernel(k, reg, level))
             vals = w * base * fv
         nodes += t.size
         h = 2.0 ** -level if level else 1.0
@@ -758,9 +758,8 @@ def frac_deriv(kernel: KernelSpec, mu: float, reg: RegPair, f, z: float,
     for level in range(MAX_LEVEL + 1):
         t, tc, w = unit_new_nodes(level)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            arg = -(r.b / t + r.d / tc)
             powexp = (lam - 1.0) * np.log(tc)
-            base = safe_theta_product(k, powexp, arg)
+            base = safe_theta_product(k, powexp, *unit_kernel(k, r, level))
             vals = w * base * np.asarray(f(z * t), dtype=float)
         nodes += t.size
         h = 2.0 ** -level if level else 1.0

@@ -24,13 +24,21 @@ import numpy as np
 
 from .appell import _axis_seq, _diagonal_sum, _ratio_ladder, nested_poch_series
 from .corefn import beta_classical, gammaln_real
-from .extbeta import BetaArgs, RegPair, check_beta_domain, ext_beta, safe_theta_product
+from .extbeta import (
+    BetaArgs,
+    RegPair,
+    check_beta_domain,
+    ext_beta,
+    safe_theta_product,
+    unit_grid_kernel,
+    unit_kernel,
+)
 from .hyp import _CoeffLadder, ext_2f1, pfq_series_vector, pfq_spec
 from .kernel import EXP_VARIANT, KernelSpec
 from .quadrature import (
     MAX_LEVEL,
     halfline_grid,
-    integrate_unit2,
+    integrate_unit_levels,
     unit_grid,
     unit_new_nodes,
 )
@@ -126,7 +134,6 @@ def fd_integral(p: LauricellaParams, tol: float = 1e-10) -> EvalResult:
     for level in range(MAX_LEVEL + 1):
         t, tc, w = unit_new_nodes(level)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            arg = -(reg.b / t + reg.d / tc)
             powexp = ((p.alpha - 1.0) * np.log(t)
                       + (gamma - p.alpha - 1.0) * np.log(tc))
             for b, x in zip(p.betas, p.xs):
@@ -134,7 +141,8 @@ def fd_integral(p: LauricellaParams, tol: float = 1e-10) -> EvalResult:
                     powexp = powexp - b * np.log(tc)
                 else:
                     powexp = powexp - b * np.log1p(-x * t)
-            vals = w * safe_theta_product(kern, powexp, arg)
+            vals = w * safe_theta_product(kern, powexp,
+                                          *unit_kernel(kern, reg, level))
         nodes += t.size
         h = 2.0 ** -level if level else 1.0
         s = vals.sum()
@@ -239,16 +247,17 @@ def interval_product_integral(tp: IntervalProductParams,
     reg, kern = tp.reg, tp.kernel
     scaled = RegPair(tp.reg.b / span, tp.reg.d / span)
 
-    def f(t, tc):
+    def f(level):
+        t, tc, _ = unit_new_nodes(level)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            arg = -(scaled.b / t + scaled.d / tc)
             powexp = (tp.alpha - 1.0) * np.log(t) + (tp.beta - 1.0) * np.log(tc)
             for fj, gj, lam in tp.factors:
                 powexp = powexp + lam * np.log(fj * (tp.a_lo + span * t) + gj)
-            return safe_theta_product(kern, powexp, arg)
+            return safe_theta_product(kern, powexp,
+                                      *unit_kernel(kern, scaled, level))
 
     pref = span ** (tp.alpha + tp.beta - 1.0)
-    q = integrate_unit2(f, tol / pref)
+    q = integrate_unit_levels(f, tol / pref)
     lhs = EvalResult(pref * q.value, pref * q.abs_err_est, q.nodes_used,
                      q.converged, "quadrature")
 
@@ -379,12 +388,12 @@ def fa_integral(p: LauricellaParams, tol: float = 1e-10,
         g = unit_grid(level)
         t, tc, wt = g.nodes, g.complements, g.weights
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            arg = -(reg.b / t + reg.d / tc)
+            arg, theta = unit_grid_kernel(kern, reg, level)
             axes = []
             for b, gam in zip(p.betas, p.gammas):
                 powexp = ((b - 1.0) * np.log(t)
                           + (gam - b - 1.0) * np.log(tc))
-                axes.append(wt * safe_theta_product(kern, powexp, arg))
+                axes.append(wt * safe_theta_product(kern, powexp, arg, theta))
             if p.r == 1:
                 s = float(axes[0] @ np.exp(
                     -p.alpha * np.log1p(-p.xs[0] * t)))

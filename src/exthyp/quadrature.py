@@ -63,6 +63,7 @@ class QuadGrid:
 
 _unit_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 _half_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_unit_order_cache: dict[int, np.ndarray] = {}
 
 
 def _level_abscissae(level: int, umax: float) -> np.ndarray:
@@ -101,6 +102,18 @@ def halfline_new_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     return cached
 
 
+def unit_grid_order(level: int) -> np.ndarray:
+    """The permutation that sorts the new nodes of levels 0..level, laid end
+    to end, into the order of unit_grid(level) (cached, read-only)."""
+    order = _unit_order_cache.get(level)
+    if order is None:
+        order = np.argsort(np.concatenate(
+            [unit_new_nodes(k)[0] for k in range(level + 1)]))
+        order.flags.writeable = False
+        _unit_order_cache[level] = order
+    return order
+
+
 def unit_grid(level: int) -> QuadGrid:
     # every node carries the final trapezoid step 2**-level
     h = 2.0 ** -level
@@ -108,7 +121,7 @@ def unit_grid(level: int) -> QuadGrid:
     t = np.concatenate([a[0] for a in ts])
     tc = np.concatenate([a[1] for a in ts])
     w = np.concatenate([a[2] * h for a in ts])
-    order = np.argsort(t)
+    order = unit_grid_order(level)
     return QuadGrid(t[order], w[order], level, "unit", tc[order])
 
 
@@ -171,17 +184,28 @@ def _refine(new_contrib, tol: float, max_level: int = MAX_LEVEL,
     return total, err, nodes, False
 
 
-def integrate_unit2(f, tol: float, max_level: int = MAX_LEVEL) -> QuadResult:
-    """Integrate f(t, 1-t) over (0,1); f must accept ndarray arguments."""
+def integrate_unit_levels(f, tol: float,
+                          max_level: int = MAX_LEVEL) -> QuadResult:
+    """Integrate over (0,1), where f(level) returns the integrand on the
+    level's new nodes, ``unit_new_nodes(level)``.
+
+    The integrand sees the level, so it can read per-level caches.
+    """
 
     def contrib(level):
-        t, tc, w = unit_new_nodes(level)
-        vals = w * np.asarray(f(t, tc), dtype=float)
+        t, _, w = unit_new_nodes(level)
+        vals = w * np.asarray(f(level), dtype=float)
         _check_finite(vals, t)
         return vals.sum(), t.size
 
     value, err, nodes, ok = _refine(contrib, tol, max_level)
     return QuadResult(float(value), float(err), nodes, ok)
+
+
+def integrate_unit2(f, tol: float, max_level: int = MAX_LEVEL) -> QuadResult:
+    """Integrate f(t, 1-t) over (0,1); f must accept ndarray arguments."""
+    return integrate_unit_levels(lambda level: f(*unit_new_nodes(level)[:2]),
+                                 tol, max_level)
 
 
 def integrate_unit(f, tol: float, max_level: int = MAX_LEVEL) -> QuadResult:

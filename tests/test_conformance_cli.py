@@ -168,6 +168,16 @@ def test_cli_eval_non_finite_sample_is_domain_error():
     assert r.stdout == ""
 
 
+@pytest.mark.parametrize("params", ["2,inf", "inf,1", "2,nan"])
+def test_cli_eval_non_finite_beta_parameter_exit_2(params):
+    r = _cli("eval", "--func", "extbeta", "--params", params)
+    assert r.returncode == 2
+    assert r.stderr.startswith("domain error: ")
+    assert "finite" in r.stderr
+    assert "Warning" not in r.stderr
+    assert r.stdout == ""
+
+
 @pytest.mark.parametrize("z", ["nan", "inf", "-inf"])
 def test_cli_eval_non_finite_argument_exit_2(z):
     r = _cli("eval", "--func", "2f1", "--params", "0.5,0.7,1.9", f"--z={z}")

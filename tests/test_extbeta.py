@@ -15,6 +15,7 @@ from exthyp.extbeta import (
     _THETA_CACHE_SIZE,
     BetaArgs,
     RegPair,
+    check_beta_domain,
     check_beta_domain_complex,
     ext_beta,
     ext_beta_complex,
@@ -345,3 +346,32 @@ def test_theta_product_big_exponent_near_argument():
         got = safe_theta_product(k, powexp, arg)
     assert np.all(np.isfinite(got))
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("k", [EXP_KERNEL, KUM])
+@pytest.mark.parametrize("alpha, beta", [
+    (2.0, math.inf),
+    (math.inf, 1.0),
+    (-math.inf, 1.0),
+    (2.0, -math.inf),
+    (math.nan, 1.0),
+    (2.0, math.nan),
+])
+def test_non_finite_arguments_raise_before_quadrature(monkeypatch, k, alpha,
+                                                      beta):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran")
+
+    for name in ("integrate_unit_levels", "integrate_unit_batch", "_refine"):
+        monkeypatch.setattr(extbeta, name, no_quadrature)
+    reg = RegPair(0.2, 0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            check_beta_domain(k, alpha, beta, reg)
+        with pytest.raises(DomainError):
+            ext_beta(k, BetaArgs(alpha, beta), reg)
+        with pytest.raises(DomainError):
+            ext_beta_shifted_batch_arrays(k, alpha, 3, beta, reg)
+        with pytest.raises(DomainError):
+            check_beta_domain_complex(k, complex(alpha, 0.5), beta, reg)

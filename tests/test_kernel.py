@@ -19,8 +19,10 @@ from exthyp.corefn import (
     SERIES_CAP,
     SERIES_EPS,
     _is_nonpositive_int,
+    _kummer_amplitude,
     gammaln_real,
     kummer_1f1_arr,
+    kummer_algebraic_tail,
     ln_gamma,
 )
 from exthyp.results import DomainError
@@ -181,6 +183,43 @@ def test_kummer_arr_bit_identical_to_lockstep(a, c):
         want = _lockstep_kummer_1f1_arr(a, c, z)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("a,c", [
+    (1.5, 2.5),
+    (2.5, 1.0),      # aa = c - a < 0 on the transformed side
+    (4.0, 1.5),
+    (2.0, 2.0),      # c - a = 0
+    (0.5, 1e300),    # terms underflow to 0 after the first
+    (5e-324, 2.0),   # aa = 5e-324 on the direct side
+])
+def test_kummer_arr_fast_path_edges_bit_identical_to_lockstep(a, c):
+    below = np.nextafter(200.0, 0.0)
+    z = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-160,
+                  -1e-160, -below, below, -199.0, 199.0, -0.5, 0.5, 30.0])
+    got = kummer_1f1_arr(a, c, z)
+    with np.errstate(all="ignore"):  # lock-step terms run past their stop
+        want = _lockstep_kummer_1f1_arr(a, c, z)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_algebraic_tail_in_place_matches_former_expressions():
+    # below 200 the expansion is not used, but its terms are big enough
+    # there for a change of rounding to reach the sum
+    w = np.concatenate([np.geomspace(1.0, 1e12, 61), [np.inf, 250.5]])
+    for a, c in ((1.5, 2.5), (0.3, 4.7), (2.5, 1.0), (1.0, 2.0)):
+        g = np.exp(complex(ln_gamma(complex(c)) - ln_gamma(complex(c - a))))
+        s = np.ones_like(w)
+        term = np.ones_like(w)
+        for k in range(1, 25):
+            term = term * (a + k - 1) * (a - c + k) / (k * w)
+            s = s + term
+        amp, got = kummer_algebraic_tail(a, c, w)
+        assert np.float64(amp).view(np.int64) == np.float64(g.real).view(
+            np.int64)
+        assert np.array_equal(got.view(np.int64), s.view(np.int64))
+        # the amplitude is computed once per (a, c)
+        assert _kummer_amplitude(a, c) is amp
 
 
 def test_kummer_arr_non_finite_bit_identical_to_lockstep():
