@@ -19,7 +19,7 @@ from .corefn import gammaln_real, pochhammer
 from .extbeta import RegPair, safe_theta_product, unit_grid_kernel, unit_kernel
 from .hyp import PfqSpec, _CoeffLadder, ext_2f1, pfq_series_vector, pfq_spec
 from .kernel import EXP_VARIANT, KernelSpec
-from .quadrature import MAX_LEVEL, unit_grid, unit_new_nodes
+from .quadrature import _nested, _refine, unit_grid, unit_new_nodes
 from .results import DomainError, EvalResult
 
 _DIAG_CAP = 1024
@@ -149,12 +149,7 @@ def f1_integral(p: AppellParams, x: float, y: float,
     reg, kern = p.reg, p.kernel
     norm = _f1_integrand_norm(p)
 
-    totals = None
-    prev = None
-    err = math.inf
-    nodes = 0
-    converged = False
-    for level in range(MAX_LEVEL + 1):
+    def contrib(level):
         t, tc, w = unit_new_nodes(level)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             powexp = ((p.alpha - 1.0) * np.log(t)
@@ -163,16 +158,9 @@ def f1_integral(p: AppellParams, x: float, y: float,
                       - p.beta2 * np.log1p(-y * t))
             vals = w * safe_theta_product(kern, powexp,
                                           *unit_kernel(kern, reg, level))
-        nodes += t.size
-        h = 2.0 ** -level if level else 1.0
-        s = vals.sum()
-        totals = h * s if totals is None else 0.5 * totals + h * s
-        if level >= 1:
-            err = abs(totals - prev)
-        if level >= 3 and err <= tol / norm:
-            converged = True
-            break
-        prev = totals
+        return vals.sum(), t.size
+
+    totals, err, nodes, converged = _refine(_nested(contrib), tol / norm)
     return EvalResult(norm * totals, norm * err, nodes, converged,
                       "euler_integral")
 
@@ -333,12 +321,7 @@ def f2_integral(p: AppellParams, x: float, y: float, tol: float = 1e-10,
                - gammaln_real(p.gamma2 - p.beta2))
     norm = math.exp(lognorm)
 
-    totals = None
-    prev = None
-    err = math.inf
-    nodes = 0
-    converged = False
-    for level in range(2, max_level + 1):
+    def grid_sum(level):
         g = unit_grid(level)
         t, tc, wt = g.nodes, g.complements, g.weights
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -355,15 +338,10 @@ def f2_integral(p: AppellParams, x: float, y: float, tol: float = 1e-10,
                 m = np.exp(-p.alpha * np.log1p(-(x * t[blk][:, None]
                                                  + y * t[None, :])))
                 s += float(va[blk] @ m @ vb)
-        nodes += t.size * t.size
-        if totals is None:
-            totals, prev = s, s
-        else:
-            err = abs(s - prev)
-            totals, prev = s, s
-        if level >= 4 and err <= tol / norm:
-            converged = True
-            break
+        return s, t.size * t.size
+
+    totals, err, nodes, converged = _refine(
+        grid_sum, tol / norm, max_level, min_level=4, first_level=2)
     return EvalResult(norm * totals, norm * err, nodes, converged,
                       "euler_integral")
 
@@ -398,13 +376,10 @@ def f2_single_integral(p: AppellParams, x: float, y: float,
     norm = math.exp(gammaln_real(p.gamma1) - gammaln_real(p.beta1)
                     - gammaln_real(p.gamma1 - p.beta1))
 
-    totals = None
-    prev = None
-    err = math.inf
-    nodes = 0
     inner_err = 0.0
-    converged = False
-    for level in range(MAX_LEVEL + 1):
+
+    def contrib(level):
+        nonlocal inner_err
         t, tc, w = unit_new_nodes(level)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             powexp = ((p.beta1 - 1.0) * np.log(t)
@@ -415,16 +390,9 @@ def f2_single_integral(p: AppellParams, x: float, y: float,
             inner_err = max(inner_err, ierr)
             vals = w * safe_theta_product(kern, powexp,
                                           *unit_kernel(kern, reg, level)) * fv
-        nodes += t.size
-        h = 2.0 ** -level if level else 1.0
-        s = vals.sum()
-        totals = h * s if totals is None else 0.5 * totals + h * s
-        if level >= 1:
-            err = abs(totals - prev)
-        if level >= 3 and err <= tol / norm:
-            converged = True
-            break
-        prev = totals
+        return vals.sum(), t.size
+
+    totals, err, nodes, converged = _refine(_nested(contrib), tol / norm)
     return EvalResult(norm * totals, norm * (err + inner_err), nodes,
                       converged, "euler_integral")
 

@@ -211,7 +211,7 @@ def cmd_hilbert(args) -> int:
         ("margin", float(form.margin)),
         ("holds", bool(form.holds)),
     ]))
-    return EXIT_OK
+    return EXIT_OK if form.converged else EXIT_NO_CONVERGENCE
 
 
 def cmd_conformance(args) -> int:

@@ -26,6 +26,7 @@ from . import kernel as kernelmod
 from .kernel import EXP_VARIANT, KernelSpec
 from .quadrature import (
     MAX_LEVEL,
+    _nested,
     _refine,
     integrate_halfline,
     integrate_unit_batch,
@@ -332,8 +333,8 @@ def ext_beta_complex_many(k: KernelSpec, alphas: np.ndarray, beta: float,
                 blk.sum(axis=1, out=s[i0:i1])
         return s, t.size
 
-    values, err, nodes, converged = _refine(contrib, tol, max_level)
-    return values, float(err), nodes, converged
+    values, err, nodes, converged = _refine(_nested(contrib), tol, max_level)
+    return values, float(np.max(err)), nodes, converged
 
 
 def ext_beta_complex(k: KernelSpec, alpha: complex, beta: float,

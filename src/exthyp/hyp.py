@@ -31,7 +31,7 @@ from .extbeta import (
     unit_kernel,
 )
 from .kernel import EXP_VARIANT, KernelSpec
-from .quadrature import MAX_LEVEL, _running, unit_new_nodes
+from .quadrature import _nested, _refine, _running, unit_new_nodes
 from .results import DomainError, EvalResult, KernelMismatchError
 
 SERIES_CAP = 4096
@@ -395,13 +395,10 @@ def euler_step_integral(spec: PfqSpec, z: float, tol: float = 1e-10,
     # every level sums the inner series on its new nodes from one ladder
     ladder = None if inner_closed or z == 1.0 else _CoeffLadder(inner, tol)
 
-    totals = None
-    prev = None
-    err = math.inf
-    nodes = 0
-    converged = False
     inner_err = 0.0
-    for level in range(MAX_LEVEL + 1):
+
+    def contrib(level):
+        nonlocal inner_err
         t, tc, w = unit_new_nodes(level)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             if z == 1.0:
@@ -427,17 +424,10 @@ def euler_step_integral(spec: PfqSpec, z: float, tol: float = 1e-10,
                     inner_err = max(inner_err, ierr)
             base = safe_theta_product(k, powexp, *unit_kernel(k, reg, level))
             vals = w * base * fv
-        nodes += t.size
-        h = 2.0 ** -level if level else 1.0
-        s = vals.sum()
-        totals = h * s if totals is None else 0.5 * totals + h * s
-        if level >= 1:
-            err = abs(totals - prev)
-        if level >= 3 and err <= tol * math.exp(-lognorm):
-            converged = True
-            break
-        prev = totals
+        return vals.sum(), t.size
 
+    totals, err, nodes, converged = _refine(_nested(contrib),
+                                            tol * math.exp(-lognorm))
     norm = math.exp(lognorm)
     return EvalResult(norm * totals, norm * (err + inner_err), nodes,
                       converged, "euler_integral")
@@ -649,24 +639,18 @@ def recurrence_eval(which: str, kernel: KernelSpec, a1: float, a2: float,
         return ext_2f1(kernel, aa1, aa2, bb1, z, reg, tol)
 
     err = 0.0
-    if which == "a1_plus":
-        lhs = F(a1 + n, a2, b1)
+    if which in ("a1_plus", "a1_minus"):
+        # negation is exact, so x + sign*y has the bits of x + y or x - y
+        sign = 1.0 if which == "a1_plus" else -1.0
+        top = a1 + n if sign > 0 else a1
+        lhs = F(a1 + sign * n, a2, b1)
         acc = F(a1, a2, b1)
         total, err = acc.value, acc.abs_err_est
+        c = a2 * z / b1
         for kk in range(1, n + 1):
-            g = F(a1 + n - kk + 1, a2 + 1, b1 + 1)
-            total += a2 * z / b1 * g.value
-            err += abs(a2 * z / b1) * g.abs_err_est
-        rhs = EvalResult(total, err, lhs.terms_or_nodes, True, "series")
-        return lhs, rhs
-    if which == "a1_minus":
-        lhs = F(a1 - n, a2, b1)
-        acc = F(a1, a2, b1)
-        total, err = acc.value, acc.abs_err_est
-        for kk in range(1, n + 1):
-            g = F(a1 - kk + 1, a2 + 1, b1 + 1)
-            total -= a2 * z / b1 * g.value
-            err += abs(a2 * z / b1) * g.abs_err_est
+            g = F(top - kk + 1, a2 + 1, b1 + 1)
+            total += sign * c * g.value
+            err += abs(c) * g.abs_err_est
         rhs = EvalResult(total, err, lhs.terms_or_nodes, True, "series")
         return lhs, rhs
     if which == "b1_plus":
@@ -750,27 +734,15 @@ def frac_deriv(kernel: KernelSpec, mu: float, reg: RegPair, f, z: float,
     lam = -mu
     k, r = kernel, reg
 
-    totals = None
-    prev = None
-    err = math.inf
-    nodes = 0
-    converged = False
-    for level in range(MAX_LEVEL + 1):
+    def contrib(level):
         t, tc, w = unit_new_nodes(level)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             powexp = (lam - 1.0) * np.log(tc)
             base = safe_theta_product(k, powexp, *unit_kernel(k, r, level))
             vals = w * base * np.asarray(f(z * t), dtype=float)
-        nodes += t.size
-        h = 2.0 ** -level if level else 1.0
-        s = vals.sum()
-        totals = h * s if totals is None else 0.5 * totals + h * s
-        if level >= 1:
-            err = abs(totals - prev)
-        if level >= 3 and err <= tol:
-            converged = True
-            break
-        prev = totals
+        return vals.sum(), t.size
+
+    totals, err, nodes, converged = _refine(_nested(contrib), tol)
     norm = z ** lam / math.exp(gammaln_real(lam))
     return EvalResult(norm * totals, norm * err, nodes, converged,
                       "quadrature")

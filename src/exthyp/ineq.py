@@ -22,7 +22,7 @@ from .corefn import beta_classical
 from .extbeta import RegPair
 from .hyp import ext_2f1
 from .kernel import EXP_KERNEL
-from .quadrature import halfline_grid, unit_grid
+from .quadrature import _refine, halfline_grid, unit_grid
 from .results import DomainError, EvalResult
 
 
@@ -344,27 +344,25 @@ def _axis_nodes(level: int, top: float):
 
 
 def _weighted_norm(h: TestFunction, exponent: float, power: float,
-                   tol: float = 1e-11, max_level: int = 9) -> float:
-    """(int x^exponent f(x)^power dx)^(1/power) with finiteness checks."""
+                   tol: float = 1e-11,
+                   max_level: int = 9) -> tuple[float, bool]:
+    """(int x^exponent f(x)^power dx)^(1/power) with finiteness checks,
+    and whether its refinement converged."""
     if h.amplitude == 0.0:
-        return 0.0
+        return 0.0, True
     if exponent + h.norm_exponent_at_zero(power) <= -1.0:
         raise DomainError("weighted norm diverges at the origin")
     top = h.support_top()
-    prev = None
-    value = None
-    for level in range(2, max_level + 1):
+
+    def grid_sum(level):
         x, logw = _axis_nodes(level, top)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             e = logw + exponent * np.log(x) + power * h.log_values(x)
-            s = float(np.exp(e).sum())
-        if prev is not None and abs(s - prev) <= tol * (1.0 + abs(s)) \
-                and level >= 4:
-            value = s
-            break
-        prev = s
-        value = s
-    return abs(h.amplitude) * value ** (1.0 / power)
+            return float(np.exp(e).sum()), x.size
+
+    value, _, _, ok = _refine(grid_sum, tol, max_level, min_level=4,
+                              first_level=2, rel=True)
+    return abs(h.amplitude) * value ** (1.0 / power), ok
 
 
 @dataclass(frozen=True)
@@ -378,6 +376,7 @@ class HilbertReport:
     rhs_equiv: float
     margin_equiv: float
     holds_equiv: bool
+    converged: bool
 
 
 def _kernel_log_rows(hp: HilbertParams, x: np.ndarray, lx: np.ndarray,
@@ -413,20 +412,24 @@ class HilbertForm:
     rhs: float
     margin: float
     holds: bool
+    converged: bool  # every refinement behind lhs and rhs met its tolerance
 
 
-def _form(const: float, lhs: float, rhs: float) -> HilbertForm:
+def _form(const: float, lhs: float, rhs: float,
+          converged: bool) -> HilbertForm:
     return HilbertForm(constant=const, lhs=lhs, rhs=rhs, margin=rhs - lhs,
-                       holds=lhs <= rhs * (1.0 + 1e-9))
+                       holds=lhs <= rhs * (1.0 + 1e-9), converged=converged)
 
 
-def _rhs_factors(hp: HilbertParams, f: TestFunction) -> tuple[float, float]:
-    """(constant, prefactor times the weighted norm of f)."""
+def _rhs_factors(hp: HilbertParams,
+                 f: TestFunction) -> tuple[float, float, bool]:
+    """(constant, prefactor times the weighted norm of f, norm converged)."""
     qp = hp.qprime
     const = hilbert_constant(hp)
     wf = (hp.p / qp) * (1.0 - hp.s1 - hp.s2) + hp.p * (hp.A1 - hp.A2)
     pref = math.exp(2.0 * (hp.ptilde + hp.qtilde)) * const
-    return const, pref * _weighted_norm(f, wf, hp.p)
+    norm, ok = _weighted_norm(f, wf, hp.p)
+    return const, pref * norm, ok
 
 
 def hilbert_bilinear(hp: HilbertParams, f: TestFunction, g: TestFunction,
@@ -437,10 +440,9 @@ def hilbert_bilinear(hp: HilbertParams, f: TestFunction, g: TestFunction,
     the supports; the right side is the closed constant times the weighted
     norms of f and g.
     """
-    lhs = 0.0
+    lhs, ok = 0.0, True
     if f.amplitude != 0.0 and g.amplitude != 0.0:
-        prev = None
-        for level in range(2, max_level + 1):
+        def grid_sum(level):
             x, logwx = _axis_nodes(level, f.support_top())
             y, logwy = _axis_nodes(level, g.support_top())
             with np.errstate(over="ignore", under="ignore",
@@ -449,18 +451,17 @@ def hilbert_bilinear(hp: HilbertParams, f: TestFunction, g: TestFunction,
                 log_rows = _kernel_log_rows(hp, x, lx, y)
                 total = float(np.exp(logwy + g.log_values(y)
                                      + log_rows).sum())
-            if prev is not None and level >= 4 \
-                    and abs(total - prev) <= tol * (1.0 + abs(total)):
-                lhs = total
-                break
-            prev = total
-            lhs = total
+            return total, x.size * y.size
+
+        lhs, _, _, ok = _refine(grid_sum, tol, max_level, min_level=4,
+                                first_level=2, rel=True)
         lhs *= f.amplitude * g.amplitude
 
-    const, rhs_f = _rhs_factors(hp, f)
+    const, rhs_f, ok_f = _rhs_factors(hp, f)
     pp = hp.pprime
     wg = (hp.q / pp) * (1.0 - hp.s1 - hp.s2) + hp.q * (hp.A2 - hp.A1)
-    return _form(const, lhs, rhs_f * _weighted_norm(g, wg, hp.q))
+    norm_g, ok_g = _weighted_norm(g, wg, hp.q)
+    return _form(const, lhs, rhs_f * norm_g, ok and ok_f and ok_g)
 
 
 def hilbert_equivalent(hp: HilbertParams, f: TestFunction, tol: float = 1e-8,
@@ -474,10 +475,9 @@ def hilbert_equivalent(hp: HilbertParams, f: TestFunction, tol: float = 1e-8,
     qp, pp = hp.qprime, hp.pprime
     vexp = (qp / pp) * (hp.s1 + hp.s2 - 1.0) + qp * (hp.A1 - hp.A2)
 
-    lhs = 0.0
+    lhs, ok = 0.0, True
     if f.amplitude != 0.0:
-        prev = None
-        for level in range(2, max_level + 1):
+        def grid_sum(level):
             x, logwx = _axis_nodes(level, f.support_top())
             y, logwy = _axis_nodes(level, math.inf)
             with np.errstate(over="ignore", under="ignore",
@@ -486,16 +486,14 @@ def hilbert_equivalent(hp: HilbertParams, f: TestFunction, tol: float = 1e-8,
                 log_rows = _kernel_log_rows(hp, x, lx, y)
                 inner_tot = float(np.exp(logwy + vexp * np.log(y)
                                          + qp * log_rows).sum())
-            if prev is not None and level >= 4 \
-                    and abs(inner_tot - prev) <= tol * (1.0 + abs(inner_tot)):
-                lhs = inner_tot
-                break
-            prev = inner_tot
-            lhs = inner_tot
+            return inner_tot, x.size * y.size
+
+        lhs, _, _, ok = _refine(grid_sum, tol, max_level, min_level=4,
+                                first_level=2, rel=True)
         lhs = f.amplitude * lhs ** (1.0 / qp)
 
-    const, rhs = _rhs_factors(hp, f)
-    return _form(const, lhs, rhs)
+    const, rhs, ok_f = _rhs_factors(hp, f)
+    return _form(const, lhs, rhs, ok and ok_f)
 
 
 def hilbert_check(hp: HilbertParams, f: TestFunction, g: TestFunction,
@@ -514,4 +512,5 @@ def hilbert_check(hp: HilbertParams, f: TestFunction, g: TestFunction,
         rhs_equiv=equiv.rhs,
         margin_equiv=equiv.margin,
         holds_equiv=equiv.holds,
+        converged=bil.converged and equiv.converged,
     )

@@ -36,7 +36,8 @@ from .extbeta import (
 from .hyp import _CoeffLadder, ext_2f1, pfq_series_vector, pfq_spec
 from .kernel import EXP_VARIANT, KernelSpec
 from .quadrature import (
-    MAX_LEVEL,
+    _nested,
+    _refine,
     halfline_grid,
     integrate_unit_levels,
     unit_grid,
@@ -126,12 +127,7 @@ def fd_integral(p: LauricellaParams, tol: float = 1e-10) -> EvalResult:
     norm = math.exp(gammaln_real(gamma) - gammaln_real(p.alpha)
                     - gammaln_real(gamma - p.alpha))
 
-    totals = None
-    prev = None
-    err = math.inf
-    nodes = 0
-    converged = False
-    for level in range(MAX_LEVEL + 1):
+    def contrib(level):
         t, tc, w = unit_new_nodes(level)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             powexp = ((p.alpha - 1.0) * np.log(t)
@@ -143,16 +139,9 @@ def fd_integral(p: LauricellaParams, tol: float = 1e-10) -> EvalResult:
                     powexp = powexp - b * np.log1p(-x * t)
             vals = w * safe_theta_product(kern, powexp,
                                           *unit_kernel(kern, reg, level))
-        nodes += t.size
-        h = 2.0 ** -level if level else 1.0
-        s = vals.sum()
-        totals = h * s if totals is None else 0.5 * totals + h * s
-        if level >= 1:
-            err = abs(totals - prev)
-        if level >= 3 and err <= tol / norm:
-            converged = True
-            break
-        prev = totals
+        return vals.sum(), t.size
+
+    totals, err, nodes, converged = _refine(_nested(contrib), tol / norm)
     return EvalResult(norm * totals, norm * err, nodes, converged,
                       "euler_integral")
 
@@ -288,15 +277,14 @@ def fd_laplace_product(p: LauricellaParams, tol: float = 1e-8,
         raise DomainError("needs 0 <= x_j < 1 for integrability")
     inner = pfq_spec(p.kernel, (p.alpha,), (p.gammas[0],), p.reg)
     shared = _CoeffLadder(inner, tol)
-    cut = 750.0 / (1.0 - max(p.xs))
+    # past the cut the e^-t weight is 0; stopping where the argument sum
+    # reaches 700 also keeps the confluent factor finite (no 0 * inf)
+    cut = min(750.0 / (1.0 - max(p.xs)), 700.0 / max(sum(p.xs), 1e-300))
 
-    totals = None
-    prev = None
-    err = math.inf
-    nodes = 0
-    converged = False
     inner_err = 0.0
-    for level in range(2, max_level + 1):
+
+    def grid_sum(level):
+        nonlocal inner_err
         g = halfline_grid(level)
         t, wt = g.nodes, g.weights
         keep = t < cut
@@ -315,15 +303,10 @@ def fd_laplace_product(p: LauricellaParams, tol: float = 1e-8,
                                              ladder=shared)
                 s = float(wa @ fv.reshape(wsum.shape) @ wb)
             inner_err = max(inner_err, ierr)
-        nodes += t.size ** p.r
-        if totals is None:
-            totals, prev = s, s
-        else:
-            err = abs(s - prev)
-            totals, prev = s, s
-        if level >= 4 and err <= tol:
-            converged = True
-            break
+        return s, t.size ** p.r
+
+    totals, err, nodes, converged = _refine(
+        grid_sum, tol, max_level, min_level=4, first_level=2)
     lhs = EvalResult(totals, err + inner_err, nodes, converged,
                      "euler_integral")
     series = fd_series(p, tol)
@@ -379,12 +362,7 @@ def fa_integral(p: LauricellaParams, tol: float = 1e-10,
                   for b, g in zip(p.betas, p.gammas))
     norm = math.exp(lognorm) if variant == "proof" else math.exp(-lognorm)
 
-    totals = None
-    prev = None
-    err = math.inf
-    nodes = 0
-    converged = False
-    for level in range(2, max_level + 1):
+    def grid_sum(level):
         g = unit_grid(level)
         t, tc, wt = g.nodes, g.complements, g.weights
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -404,15 +382,10 @@ def fa_integral(p: LauricellaParams, tol: float = 1e-10,
                     m = np.exp(-p.alpha * np.log1p(
                         -(p.xs[0] * t[blk][:, None] + p.xs[1] * t[None, :])))
                     s += float(axes[0][blk] @ m @ axes[1])
-        nodes += t.size ** p.r
-        if totals is None:
-            totals, prev = s, s
-        else:
-            err = abs(s - prev)
-            totals, prev = s, s
-        if level >= 4 and err <= tol / norm:
-            converged = True
-            break
+        return s, t.size ** p.r
+
+    totals, err, nodes, converged = _refine(
+        grid_sum, tol / norm, max_level, min_level=4, first_level=2)
     return EvalResult(norm * totals, norm * err, nodes, converged,
                       "euler_integral")
 
@@ -432,16 +405,15 @@ def fa_single_integral(p: LauricellaParams, tol: float = 1e-8,
     inners = [pfq_spec(p.kernel, (b,), (g,), p.reg)
               for b, g in zip(p.betas, p.gammas)]
     shared = [_CoeffLadder(spec, tol) for spec in inners]
-    cut = 750.0 / (1.0 - sum(max(x, 0.0) for x in p.xs))
+    # as in fd_laplace_product: each confluent factor stays finite
+    cut = min(750.0 / (1.0 - sum(max(x, 0.0) for x in p.xs)),
+              700.0 / max(max(abs(x) for x in p.xs), 1e-300))
     norm = math.exp(-gammaln_real(p.alpha))
 
-    totals = None
-    prev = None
-    err = math.inf
-    nodes = 0
-    converged = False
     inner_err = 0.0
-    for level in range(2, max_level + 1):
+
+    def grid_sum(level):
+        nonlocal inner_err
         if math.isinf(upper):
             g = halfline_grid(level)
             t, wt = g.nodes, g.weights
@@ -457,15 +429,10 @@ def fa_single_integral(p: LauricellaParams, tol: float = 1e-8,
                 inner_err = max(inner_err, ierr)
                 vals = vals * fv
             s = float(vals.sum())
-        nodes += t.size
-        if totals is None:
-            totals, prev = s, s
-        else:
-            err = abs(s - prev)
-            totals, prev = s, s
-        if level >= 4 and err <= tol / norm:
-            converged = True
-            break
+        return s, t.size
+
+    totals, err, nodes, converged = _refine(
+        grid_sum, tol / norm, max_level, min_level=4, first_level=2)
     integral = EvalResult(norm * totals, norm * (err + inner_err), nodes,
                           converged, "euler_integral")
     series = fa_series(p, tol)

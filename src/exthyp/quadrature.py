@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .results import NonFiniteSampleError
+from .results import DomainError, NonFiniteSampleError
 
 MAX_LEVEL = 12
 
@@ -158,30 +158,53 @@ def _running(op, blk: np.ndarray) -> None:
             op(blk[i - 1], blk[i], out=blk[i])
 
 
-def _refine(new_contrib, tol: float, max_level: int = MAX_LEVEL,
-            min_level: int = 3):
-    """Shared level-doubling loop.
+def _refine(estimate, tol: float, max_level: int = MAX_LEVEL,
+            min_level: int = 3, first_level: int = 0, rel: bool = False):
+    """The level-doubling loop shared by every integral.
 
-    ``new_contrib(level)`` returns (sum over new nodes of w*f, node count).
-    The sum may be a scalar or an array (real or complex); an array's error
-    is its largest absolute change.  Returns (value, err, nodes, converged).
+    ``estimate(level)`` returns (estimate, nodes used) for the levels
+    first_level, first_level + 1, ...; the estimate is a scalar or an array
+    (real or complex).  Its error is |estimate - previous estimate|,
+    elementwise, and inf at the first level.  The loop stops at the first
+    level >= min_level whose largest error is <= tol, or <= tol * (1 +
+    |estimate|) with ``rel``.  Returns (estimate, err, nodes, converged):
+    the last level's estimate and error and the nodes of all levels.
     """
-    total = None
+    if max_level < first_level:
+        raise DomainError(f"max_level {max_level} is below {first_level}")
     prev = None
     err = math.inf
     nodes = 0
-    for level in range(max_level + 1):
-        s, n = new_contrib(level)
+    for level in range(first_level, max_level + 1):
+        est, n = estimate(level)
         nodes += n
+        if prev is not None:
+            err = abs(est - prev)
+        bound = tol * (1.0 + abs(est)) if rel else tol
+        if level >= min_level and ((err <= bound).all()
+                                   if isinstance(err, np.ndarray)
+                                   else err <= bound):
+            return est, err, nodes, True
+        prev = est
+    return est, err, nodes, False
+
+
+def _nested(contrib):
+    """Wrap new-node sums as the nested trapezoid estimates of _refine.
+
+    ``contrib(level)`` returns (sum of w*f over the level's new nodes, their
+    count); level L's estimate is half of level L-1's plus 2^-L times it.
+    """
+    total = None
+
+    def estimate(level):
+        nonlocal total
+        s, n = contrib(level)
         h = 2.0 ** -level if level else 1.0
         total = h * s if total is None else 0.5 * total + h * s
-        if level >= 1:
-            err = abs(total - prev) if np.isscalar(total) else np.max(
-                np.abs(total - prev))
-        if level >= min_level and err <= tol:
-            return total, err, nodes, True
-        prev = total
-    return total, err, nodes, False
+        return total, n
+
+    return estimate
 
 
 def integrate_unit_levels(f, tol: float,
@@ -198,7 +221,7 @@ def integrate_unit_levels(f, tol: float,
         _check_finite(vals, t)
         return vals.sum(), t.size
 
-    value, err, nodes, ok = _refine(contrib, tol, max_level)
+    value, err, nodes, ok = _refine(_nested(contrib), tol, max_level)
     return QuadResult(float(value), float(err), nodes, ok)
 
 
@@ -222,7 +245,7 @@ def integrate_halfline(f, tol: float, max_level: int = MAX_LEVEL) -> QuadResult:
         _check_finite(vals, t)
         return vals.sum(), t.size
 
-    value, err, nodes, ok = _refine(contrib, tol, max_level)
+    value, err, nodes, ok = _refine(_nested(contrib), tol, max_level)
     return QuadResult(float(value), float(err), nodes, ok)
 
 
@@ -265,20 +288,4 @@ def integrate_unit_batch(f0, count: int, tol: float, kstep: int = 1,
             cur = blk[-1] * ratio
         return out, t.size
 
-    totals = None
-    prev = None
-    errs = np.full(count, math.inf)
-    nodes = 0
-    converged = False
-    for level in range(max_level + 1):
-        s, n = contrib(level)
-        nodes += n
-        h = 2.0 ** -level if level else 1.0
-        totals = h * s if totals is None else 0.5 * totals + h * s
-        if level >= 1:
-            errs = np.abs(totals - prev)
-        if level >= 3 and errs.max() <= tol:
-            converged = True
-            break
-        prev = totals.copy()
-    return totals, errs, nodes, converged
+    return _refine(_nested(contrib), tol, max_level)

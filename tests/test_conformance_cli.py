@@ -1,5 +1,6 @@
 """Conformance runner, catalog completeness, CSV schema, CLI contract."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -328,6 +329,22 @@ def test_cli_hilbert_classical():
     assert abs(payload["K"] - 3.141592653589793) < 1e-8
     assert payload["holds"] is True
     assert list(payload.keys()) == ["K", "lhs", "rhs", "margin", "holds"]
+
+
+def test_cli_hilbert_non_convergence_exit_3(monkeypatch, capsys):
+    argv = ["hilbert", "--p", "2", "--q", "2", "--s1", "1", "--s2", "0",
+            "--a1", "1", "--a2", "1", "--A1", "0.25", "--A2", "0.25",
+            "--f", "exp_decay:0", "--g", "exp_decay:0"]
+    assert cli.main(argv) == 0
+    converged_out = capsys.readouterr().out
+    real = cli.hilbert_bilinear
+
+    def unconverged(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(cli, "hilbert_bilinear", unconverged)
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().out == converged_out
 
 
 def test_cli_hilbert_invalid_params_exit_2():

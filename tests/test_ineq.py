@@ -163,6 +163,7 @@ def test_hilbert_check_is_the_two_forms(pt):
                       (rep.margin_equiv, equiv.margin)]:
         assert _bits(got) == _bits(want)
     assert rep.holds == bil.holds and rep.holds_equiv == equiv.holds
+    assert rep.converged is (bil.converged and equiv.converged) is True
 
 
 def test_parse_test_function():
@@ -189,3 +190,15 @@ def test_bump_is_smooth_compact():
     v = b(x)
     assert v[0] == 0.0 and v[1] == 0.0 and v[3] == 0.0 and v[4] == 0.0
     assert v[2] == 1.0  # normalized peak at the midpoint
+
+
+def test_forms_report_unconverged_refinement():
+    hp, f, g = GENERIC, exp_decay(1.0), bump(1.0, 2.0)
+    assert hilbert_bilinear(hp, f, g).converged is True
+    assert hilbert_bilinear(hp, f, g, tol=1e-11, max_level=4).converged is False
+    assert hilbert_equivalent(hp, f).converged is True
+    assert hilbert_equivalent(hp, f, tol=1e-11,
+                              max_level=4).converged is False
+    assert hilbert_check(hp, f, g, tol=1e-11, max_level=4).converged is False
+    zero = exp_decay(0.0, amplitude=0.0)
+    assert hilbert_bilinear(hp, zero, g, tol=1e-11, max_level=4).converged

@@ -1,5 +1,8 @@
 """r-variable extended hypergeometric functions of types D and A."""
 
+import math
+
+import mpmath
 import pytest
 
 import oracles
@@ -248,3 +251,25 @@ def test_domain_guards():
         fd_series(PD(1.0, [0.5, 0.5, 0.5, 0.5, 0.5], 3.0, [0.1] * 5))
     with pytest.raises(DomainError):
         fa_integral(PA(1.0, [0.5] * 3, [1.5] * 3, [0.1] * 3))
+
+
+@pytest.mark.parametrize("alpha, betas, gamma, xs", [
+    (0.9, [1.1], 2.3, [0.6]),
+    (0.9, [1.1], 2.3, [0.8]),
+    (0.8, [0.9, 1.2], 2.5, [0.5, 0.6]),
+])
+def test_fd_laplace_product_large_arguments_converge(alpha, betas, gamma, xs):
+    # the truncation point used to let the confluent factor overflow where
+    # the e^-t weight had underflowed: 0 * inf = NaN and a RuntimeWarning
+    lhs, rhs = fd_laplace_product(PD(alpha, betas, gamma, xs,
+                                     RegPair(0.1, 0.2)))
+    assert lhs.converged and math.isfinite(lhs.value)
+    assert abs(lhs.value - rhs.value) <= 1e-13 * abs(rhs.value)
+
+
+def test_fa_single_integral_large_arguments_match_mpmath():
+    p = PA(0.9, [0.7, 1.1], [2.0, 2.3], [0.3, 0.4])
+    _, integral = fa_single_integral(p, 1e-10)
+    want = float(mpmath.appellf2(0.9, 0.7, 1.1, 2.0, 2.3, 0.3, 0.4))
+    assert integral.converged
+    assert abs(integral.value - want) <= 1e-13 * abs(want)

@@ -1,15 +1,20 @@
 """Quadrature engine: closed-form integrals, batching, honesty of estimates."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import exthyp
 from exthyp.extbeta import RegPair, ext_beta_complex
+from exthyp.ineq import classical_point, exp_decay, hilbert_bilinear
 from exthyp.kernel import EXP_KERNEL
 from exthyp.quadrature import (
     _BATCH_BLOCK_FLOATS,
     MAX_LEVEL,
+    _refine,
     integrate_halfline,
     integrate_unit,
     integrate_unit2,
@@ -18,7 +23,7 @@ from exthyp.quadrature import (
     unit_new_nodes,
     halfline_grid,
 )
-from exthyp.results import NonFiniteSampleError
+from exthyp.results import DomainError, NonFiniteSampleError
 
 TOL = 1e-10
 
@@ -221,3 +226,104 @@ def test_cumulative_grids_integrate():
     assert abs(float(g.weights @ np.sqrt(g.nodes)) - 2.0 / 3.0) < 1e-12
     h = halfline_grid(6)
     assert abs(float(h.weights @ np.exp(-h.nodes)) - 1.0) < 1e-12
+
+
+def _scripted(estimates, nodes=10):
+    """An estimate(level) replaying {level: estimate}; logs the levels asked."""
+    asked = []
+
+    def estimate(level):
+        asked.append(level)
+        return estimates[level], nodes
+
+    return estimate, asked
+
+
+def test_refine_stops_at_first_level_from_min_level_within_tol():
+    # level 2 is within tol but below min_level; level 3 is not; level 4 is
+    est, asked = _scripted({0: 1.0, 1: 0.5, 2: 0.5, 3: 0.9, 4: 0.9 + 1e-12,
+                            5: 0.9})
+    value, err, nodes, ok = _refine(est, 1e-9)
+    assert asked == [0, 1, 2, 3, 4]
+    assert ok and value == 0.9 + 1e-12
+    assert err == abs((0.9 + 1e-12) - 0.9)
+    assert nodes == 50
+
+
+def test_refine_first_level_requests_no_lower_level():
+    est, asked = _scripted({2: 3.0, 3: 2.0, 4: 2.0, 5: 1.0})
+    value, err, nodes, ok = _refine(est, 1e-9, max_level=6, min_level=4,
+                                    first_level=2)
+    assert asked == [2, 3, 4]
+    assert ok and value == 2.0 and err == 0.0 and nodes == 30
+    # a single level has no error estimate
+    est, asked = _scripted({2: 3.0})
+    assert _refine(est, 1.0, max_level=2, min_level=2, first_level=2) == (
+        3.0, math.inf, 10, False)
+    assert asked == [2]
+
+
+def test_refine_rel_bound_scales_with_estimate():
+    levels = {0: 2000.0, 1: 1000.0, 2: 1000.0 + 1e-7, 3: 1000.0}
+    # |change| = 1e-7 > tol = 1e-9, but <= tol * (1 + 1000)
+    est, asked = _scripted(levels)
+    assert not _refine(est, 1e-9, max_level=3, min_level=2)[3]
+    est, asked = _scripted(levels)
+    value, err, _, ok = _refine(est, 1e-9, max_level=3, min_level=2,
+                                rel=True)
+    assert ok and asked == [0, 1, 2] and value == 1000.0 + 1e-7
+    assert err == abs((1000.0 + 1e-7) - 1000.0)
+
+
+def test_refine_array_estimate_keeps_per_member_errors():
+    # member 0 settles at level 1, member 2 only at level 4
+    levels = {0: np.array([1.0, 2.0, 3.0]),
+              1: np.array([1.5, 2.5, 3.5]),
+              2: np.array([1.5, 2.5, 3.25]),
+              3: np.array([1.5, 2.5 + 1e-13, 3.0]),
+              4: np.array([1.5, 2.5, 3.0 + 1e-12]),
+              5: np.array([0.0, 0.0, 0.0])}
+    est, asked = _scripted(levels, nodes=7)
+    value, err, nodes, ok = _refine(est, 1e-10)
+    assert ok and asked == [0, 1, 2, 3, 4] and nodes == 35
+    assert value is not levels[3] and np.array_equal(value, levels[4])
+    assert err.shape == (3,)
+    assert np.array_equal(err, np.abs(levels[4] - levels[3]))
+    assert err.max() == err[2]
+
+
+def test_refine_unconverged_returns_last_level():
+    levels = {k: (-1.0) ** k for k in range(6)}
+    est, asked = _scripted(levels, nodes=4)
+    assert _refine(est, 1e-9, max_level=5) == (-1.0, 2.0, 24, False)
+    assert asked == list(range(6))
+
+
+def test_refine_rejects_an_empty_level_range():
+    # hilbert_bilinear returned lhs 0.0 for max_level < 2
+    est, asked = _scripted({})
+    with pytest.raises(DomainError):
+        _refine(est, 1e-9, max_level=1, first_level=2)
+    assert asked == []
+    with pytest.raises(DomainError):
+        hilbert_bilinear(classical_point(), exp_decay(0.0), exp_decay(0.0),
+                         max_level=1)
+
+
+def _level_loops(tree):
+    """The for loops whose target binds the name ``level``."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, (ast.For, ast.AsyncFor))
+            and any(isinstance(n, ast.Name) and n.id == "level"
+                    for n in ast.walk(node.target))]
+
+
+def test_one_refinement_loop_in_the_package():
+    # every level loop goes through quadrature._refine
+    src = Path(exthyp.__file__).parent
+    found = {}
+    for path in sorted(src.glob("*.py")):
+        loops = _level_loops(ast.parse(path.read_text(encoding="utf-8")))
+        if loops:
+            found[path.name] = len(loops)
+    assert found == {"quadrature.py": 1}
