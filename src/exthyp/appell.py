@@ -1,10 +1,11 @@
 """Extended two-variable hypergeometric functions (first and second kind).
 
-First kind: one shared beta-ratio coefficient per total degree, double
-series truncated by diagonals; second kind: independent per-axis beta
-ratios with a plain Pochhammer coupling.  Both come with Euler-type
-integral representations, argument transformations with printed/proof
-variant pairs, parameter-shift recursions, and the finite-sum expansion
+The first kind is the r-variable type D function at r = 2, and the second
+kind the type A function at r = 2, so their series and Euler-type integrals
+are one call each to the type D and type A engines of ``lauricella``.  This
+module adds what is particular to two variables: argument transformations
+with printed/proof variant pairs, parameter-shift recursions, the
+single-integral reduction of the second kind, and the finite-sum expansion
 into Gauss-level values.
 """
 
@@ -15,15 +16,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corefn import gammaln_real, pochhammer
-from .extbeta import RegPair, safe_theta_product, unit_grid_kernel, unit_kernel
-from .hyp import PfqSpec, _CoeffLadder, ext_2f1, pfq_series_vector, pfq_spec
+from .corefn import gammaln_real
+from .extbeta import RegPair, safe_theta_product, unit_kernel
+from .hyp import (
+    _CoeffLadder,
+    _shift_sums,
+    ext_2f1,
+    pfq_series_vector,
+    pfq_spec,
+)
 from .kernel import EXP_VARIANT, KernelSpec
-from .quadrature import _nested, _refine, unit_grid, unit_new_nodes
+from .lauricella import (
+    _SERIES_EDGE,
+    LauricellaParams,
+    _fa_integral,
+    _fa_series,
+    _fd_integral,
+    _fd_series,
+)
+from .quadrature import _nested, _refine, unit_new_nodes
 from .results import DomainError, EvalResult
-
-_DIAG_CAP = 1024
-_SERIES_EDGE = 0.95
 
 
 @dataclass(frozen=True)
@@ -53,116 +65,33 @@ class AppellParams:
             raise DomainError("second-kind function needs gamma_j > beta_j > 0")
 
 
-def _ratio_ladder(kernel: KernelSpec, reg: RegPair, alpha: float,
-                  gamma: float) -> _CoeffLadder:
-    """Beta-ratio coefficients B*(alpha+N, gamma-alpha)/B(alpha, gamma-alpha)."""
-    return _CoeffLadder(PfqSpec(((alpha, 1),), (gamma,), reg, kernel), 0.0)
+def _as_fd(p: AppellParams, x: float, y: float) -> LauricellaParams:
+    """The first-kind function as the type D function at r = 2."""
+    p.validate_f1()
+    return LauricellaParams(p.alpha, (p.beta1, p.beta2), (p.gamma1,), (x, y),
+                            p.reg, p.kernel)
 
 
-def _axis_seq(b: float, x: float, hi: int, prev: np.ndarray) -> np.ndarray:
-    """Extend the array of (b)_m x^m / m! to length hi."""
-    lo = prev.size
-    out = np.empty(hi)
-    out[:lo] = prev
-    if lo == 0:
-        out[0] = 1.0
-        lo = 1
-    cur = out[lo - 1]
-    for m in range(lo, hi):
-        cur = cur * (b + m - 1) * x / m
-        out[m] = cur
-    return out
-
-
-def _diagonal_sum(coeff_for, axis_arrays_for, tol: float):
-    """Sum sum_N coeff(N) * conv(axes)(N) with diagonal truncation.
-
-    ``coeff_for(hi)`` -> (coeffs, errs) arrays of length >= hi;
-    ``axis_arrays_for(hi)`` -> list of per-axis arrays of length >= hi.
-    Returns (value, err, diagonals, converged).
-    """
-    s = 0.0
-    errsum = 0.0
-    n_done = 0
-    small = 0
-    last = math.inf
-    ratio = 0.0
-    while n_done < _DIAG_CAP:
-        hi = min(n_done + 64, _DIAG_CAP)
-        coeffs, cerrs = coeff_for(hi)
-        axes = axis_arrays_for(hi)
-        full = axes[0][:hi]
-        for u in axes[1:]:
-            full = np.convolve(full, u[:hi])[:hi]
-        for n in range(n_done, hi):
-            term = coeffs[n] * full[n]
-            s += term
-            errsum += abs(full[n]) * cerrs[n]
-            if n > 0 and last not in (0.0, math.inf):
-                ratio = abs(term) / last
-            last = abs(term)
-            if last < 1e-15 * abs(s) + 1e-300:
-                small += 1
-                if small >= 4:
-                    tail = last * ratio / (1 - ratio) if ratio < 0.97 else last
-                    return s, errsum + tail, n + 1, True
-            else:
-                small = 0
-        n_done = hi
-    tail = last * 10.0
-    return s, errsum + tail, n_done, False
+def _as_fa(p: AppellParams, x: float, y: float) -> LauricellaParams:
+    """The second-kind function as the type A function at r = 2."""
+    p.validate_f2()
+    return LauricellaParams(p.alpha, (p.beta1, p.beta2),
+                            (p.gamma1, p.gamma2), (x, y), p.reg, p.kernel)
 
 
 def f1_series(p: AppellParams, x: float, y: float,
               tol: float = 1e-10) -> EvalResult:
     """Double series of the first-kind function, truncated by total degree."""
-    p.validate_f1()
-    if max(abs(x), abs(y)) >= 1.0:
-        raise DomainError("series needs max(|x|, |y|) < 1")
-    ladder = _ratio_ladder(p.kernel, p.reg, p.alpha, p.gamma1)
-    state = {"u": np.empty(0), "v": np.empty(0)}
-
-    def coeff_for(hi):
-        ladder.ensure(hi)
-        return ladder.coeffs, ladder.cerrs
-
-    def axes_for(hi):
-        state["u"] = _axis_seq(p.beta1, x, hi, state["u"])
-        state["v"] = _axis_seq(p.beta2, y, hi, state["v"])
-        return [state["u"], state["v"]]
-
-    value, err, n, ok = _diagonal_sum(coeff_for, axes_for, tol)
-    return EvalResult(value, err, n, ok, "series")
-
-
-def _f1_integrand_norm(p: AppellParams) -> float:
-    return math.exp(gammaln_real(p.gamma1) - gammaln_real(p.alpha)
-                    - gammaln_real(p.gamma1 - p.alpha))
+    return _fd_series(_as_fd(p, x, y), tol)
 
 
 def f1_integral(p: AppellParams, x: float, y: float,
                 tol: float = 1e-10) -> EvalResult:
     """Single kernel-weighted Euler integral of the first-kind function."""
-    p.validate_f1()
+    q = _as_fd(p, x, y)
     if not (x < 1.0 and y < 1.0):
         raise DomainError("integral needs x < 1 and y < 1")
-    reg, kern = p.reg, p.kernel
-    norm = _f1_integrand_norm(p)
-
-    def contrib(level):
-        t, tc, w = unit_new_nodes(level)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            powexp = ((p.alpha - 1.0) * np.log(t)
-                      + (p.gamma1 - p.alpha - 1.0) * np.log(tc)
-                      - p.beta1 * np.log1p(-x * t)
-                      - p.beta2 * np.log1p(-y * t))
-            vals = w * safe_theta_product(kern, powexp,
-                                          *unit_kernel(kern, reg, level))
-        return vals.sum(), t.size
-
-    totals, err, nodes, converged = _refine(_nested(contrib), tol / norm)
-    return EvalResult(norm * totals, norm * err, nodes, converged,
-                      "euler_integral")
+    return _fd_integral(q, tol)
 
 
 def f1_eval(p: AppellParams, x: float, y: float, tol: float = 1e-10,
@@ -197,153 +126,19 @@ def f1_transform(p: AppellParams, x: float, y: float, tol: float = 1e-10):
                            p.gamma2, swapped, p.kernel)
     rp = f1_eval(printed_p, xm, ym, tol)
     rq = f1_eval(proof_p, xm, ym, tol)
-    scale = lambda r: EvalResult(pref * r.value, abs(pref) * r.abs_err_est,
-                                 r.terms_or_nodes, r.converged, r.method)
-    return lhs, scale(rp), scale(rq)
-
-
-def nested_poch_series(alpha: float, ladders, xs, tol: float,
-                       cap: int = 2048) -> EvalResult:
-    """sum over index vectors m of (alpha)_{|m|} prod_j c_j[m_j] x_j^m_j/m_j!.
-
-    The leading Pochhammer factor is split as (alpha)_{m_1} (alpha+m_1)_{m_2}
-    ... and carried multiplicatively through the recursion, so no factor ever
-    overflows even deep in the tail.  Shared engine for the second-kind
-    two-variable function and its r-variable generalization.
-
-    The sums run on Python floats.  Each ladder is read into a list a block
-    at a time, and ``ensure`` runs only when an index passes the end of what
-    is read.  The innermost sum keeps the running total, error and term
-    count in locals, and has no exp((a + m) * grow) factors: there grow is
-    0.0, so each is exactly 1.0 for a finite alpha.  numpy scalars and
-    Python floats are the same doubles, and the operations run in the same
-    order, so the output bits are those of the recursion kept in
-    ``tests/test_appell.py`` as the reference.
-    """
-    r = len(xs)
-    if not all(math.isfinite(v) for v in (alpha, *xs)):
-        raise DomainError("series needs a finite alpha and finite arguments")
-    if sum(abs(x) for x in xs) >= 1.0:
-        raise DomainError("series needs sum of |arguments| below 1")
-    xs = [float(x) for x in xs]
-    rest = [sum(abs(x) for x in xs[j + 1:]) for j in range(r)]
-    coeffs = [[] for _ in range(r)]
-    cerrs = [[] for _ in range(r)]
-    total = 0.0
-    err = 0.0
-    count = 0
-    overflow = False
-
-    def read(j: int, m: int) -> None:
-        ladders[j].ensure(m + 1)
-        coeffs[j] += ladders[j].coeffs[len(coeffs[j]):].tolist()
-        cerrs[j] += ladders[j].cerrs[len(cerrs[j]):].tolist()
-
-    def innermost(a_shift: float, acc: float) -> None:
-        nonlocal total, err, count, overflow
-        c, e, x = coeffs[r - 1], cerrs[r - 1], xs[r - 1]
-        tot, er, n = total, err, count
-        small = 0
-        m = 0
-        while m < cap:
-            if m >= len(c):
-                read(r - 1, m)
-            contrib = acc * c[m]
-            er += abs(acc) * e[m]
-            tot += contrib
-            n += 1
-            if abs(contrib) < 1e-17 * (1.0 + abs(tot)):
-                small += 1
-                if small >= 3:
-                    break
-            else:
-                small = 0
-            acc = acc * (a_shift + m) * x / (m + 1)
-            m += 1
-        else:
-            overflow = True
-        total, err, count = tot, er, n
-
-    def rec(j: int, a_shift: float, acc: float) -> None:
-        nonlocal err, overflow
-        if j == r - 1:
-            innermost(a_shift, acc)
-            return
-        grow = -math.log1p(-rest[j]) if rest[j] > 0.0 else 0.0
-        c, e, x = coeffs[j], cerrs[j], xs[j]
-        small = 0
-        m = 0
-        while m < cap:
-            if m >= len(c):
-                read(j, m)
-            contrib = acc * c[m]
-            err += abs(acc) * e[m] * math.exp((a_shift + m) * grow)
-            rec(j + 1, a_shift + m, contrib)
-            bound = abs(contrib) * math.exp((a_shift + m + 1) * grow)
-            if bound < 1e-17 * (1.0 + abs(total)):
-                small += 1
-                if small >= 3:
-                    return
-            else:
-                small = 0
-            acc = acc * (a_shift + m) * x / (m + 1)
-            m += 1
-        overflow = True
-
-    rec(0, float(alpha), 1.0)
-    tail = 1e-16 * (1.0 + abs(total))
-    return EvalResult(total, err + tail, max(count, 1), not overflow,
-                      "series")
+    return lhs, rp.scaled(pref), rq.scaled(pref)
 
 
 def f2_series(p: AppellParams, x: float, y: float,
               tol: float = 1e-10) -> EvalResult:
     """Double series of the second-kind function."""
-    p.validate_f2()
-    if abs(x) + abs(y) >= 1.0:
-        raise DomainError("series needs |x| + |y| < 1")
-    la = _ratio_ladder(p.kernel, p.reg, p.beta1, p.gamma1)
-    lb = _ratio_ladder(p.kernel, p.reg, p.beta2, p.gamma2)
-    return nested_poch_series(p.alpha, [la, lb], [x, y], tol)
+    return _fa_series(_as_fa(p, x, y), tol)
 
 
 def f2_integral(p: AppellParams, x: float, y: float, tol: float = 1e-10,
                 max_level: int = 9) -> EvalResult:
     """Product-grid double integral of the second-kind function."""
-    p.validate_f2()
-    if max(x, 0.0) + max(y, 0.0) >= 1.0:
-        raise DomainError("double integral needs positive parts of x, y to "
-                          "sum below 1")
-    reg, kern = p.reg, p.kernel
-    lognorm = (gammaln_real(p.gamma1) - gammaln_real(p.beta1)
-               - gammaln_real(p.gamma1 - p.beta1)
-               + gammaln_real(p.gamma2) - gammaln_real(p.beta2)
-               - gammaln_real(p.gamma2 - p.beta2))
-    norm = math.exp(lognorm)
-
-    def grid_sum(level):
-        g = unit_grid(level)
-        t, tc, wt = g.nodes, g.complements, g.weights
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            arg, theta = unit_grid_kernel(kern, reg, level)
-            pa = ((p.beta1 - 1.0) * np.log(t)
-                  + (p.gamma1 - p.beta1 - 1.0) * np.log(tc))
-            va = wt * safe_theta_product(kern, pa, arg, theta)
-            pb = ((p.beta2 - 1.0) * np.log(t)
-                  + (p.gamma2 - p.beta2 - 1.0) * np.log(tc))
-            vb = wt * safe_theta_product(kern, pb, arg, theta)
-            s = 0.0
-            for i0 in range(0, t.size, 512):
-                blk = slice(i0, min(i0 + 512, t.size))
-                m = np.exp(-p.alpha * np.log1p(-(x * t[blk][:, None]
-                                                 + y * t[None, :])))
-                s += float(va[blk] @ m @ vb)
-        return s, t.size * t.size
-
-    totals, err, nodes, converged = _refine(
-        grid_sum, tol / norm, max_level, min_level=4, first_level=2)
-    return EvalResult(norm * totals, norm * err, nodes, converged,
-                      "euler_integral")
+    return _fa_integral(_as_fa(p, x, y), tol, max_level, "proof")
 
 
 def f2_eval(p: AppellParams, x: float, y: float, tol: float = 1e-10,
@@ -430,9 +225,7 @@ def f2_transform(p: AppellParams, x: float, y: float, which: str,
                          p.gamma1, p.gamma2, reg, p.kernel)
         s = 1.0 - x - y
         rhs = f2_eval(q, -x / s, -y / s, tol)
-    rhs = EvalResult(pref * rhs.value, abs(pref) * rhs.abs_err_est,
-                     rhs.terms_or_nodes, rhs.converged, rhs.method)
-    return lhs, rhs
+    return lhs, rhs.scaled(pref)
 
 
 def f2_recursion(p: AppellParams, n: int, which: str, x: float, y: float,
@@ -455,44 +248,9 @@ def f2_recursion(p: AppellParams, n: int, which: str, x: float, y: float,
         q = AppellParams(p.alpha, p.beta1, b2, p.gamma1, g2, p.reg, p.kernel)
         return f2_eval(q, x, y, tol)
 
-    err = 0.0
-    if which == "gamma2_shift":
-        lhs = F2(p.beta2, p.gamma2 + n)
-        pref = pochhammer(p.gamma2, n) / pochhammer(p.gamma2 - p.beta2, n)
-        total = 0.0
-        for k in range(n + 1):
-            g = F2(p.beta2 + k, p.gamma2 + k)
-            coef = ((-1.0) ** k * math.comb(n, k)
-                    * pochhammer(p.beta2, k) / pochhammer(p.gamma2, k))
-            total += coef * g.value
-            err += abs(coef) * g.abs_err_est
-        rhs = EvalResult(pref * total, abs(pref) * err, lhs.terms_or_nodes,
-                         True, "series")
-        return lhs, rhs
-    if variant == "proof":
-        lhs = F2(p.beta2 + n, p.gamma2 + 2 * n)
-        pref = pochhammer(p.gamma2, 2 * n) / (
-            pochhammer(p.gamma2 - p.beta2, n) * pochhammer(p.beta2, n))
-        i_lo = 0
-    elif variant == "printed":
-        if not p.gamma2 - p.beta2 - n > 0.0:
-            raise DomainError("printed shift needs gamma2 - beta2 - n > 0")
-        lhs = F2(p.beta2 + n, p.gamma2)
-        pref = pochhammer(p.gamma2 - p.beta2, 2 * n) / (
-            pochhammer(p.gamma2 - p.beta2, n) * pochhammer(p.beta2, n))
-        i_lo = 1
-    else:
-        raise DomainError(f"unknown variant {variant!r}")
-    total = 0.0
-    for i in range(i_lo, n + 1):
-        g = F2(p.beta2 + n + i, p.gamma2 + n + i)
-        coef = (pochhammer(-n, i) * pochhammer(p.beta2, i + n)
-                / (pochhammer(p.gamma2, i + n) * math.factorial(i)))
-        total += coef * g.value
-        err += abs(coef) * g.abs_err_est
-    rhs = EvalResult(pref * total, abs(pref) * err, lhs.terms_or_nodes,
-                     True, "series")
-    return lhs, rhs
+    return _shift_sums(F2, p.beta2, p.gamma2, n,
+                       "lower" if which == "gamma2_shift" else "upper",
+                       variant)
 
 
 def lemma1_expand(s: int, t: int, u: float, x: float,

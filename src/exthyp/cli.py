@@ -20,7 +20,7 @@ from .extbeta import BetaArgs, RegPair, ext_beta, ext_gamma
 from .hyp import ext_pfq, pfq_spec, shared_coefficients
 from .ineq import hilbert_bilinear, HilbertParams, parse_test_function
 from .kernel import parse_kernel
-from .lauricella import LauricellaParams, fa_series, fd_eval
+from .lauricella import LauricellaParams, fa_integral, fa_series, fd_eval
 from .mellin import ContourSpec, mb_eval
 from .results import DomainError, EvalResult
 
@@ -73,51 +73,65 @@ def _print_result(res: EvalResult) -> int:
     return EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
 
 
+# The methods each function has; "auto" lets the function choose.
+_METHODS = {
+    "2f1": ("auto", "series", "integral", "mellin"),
+    "pfq": ("auto", "series", "integral", "mellin"),
+    "f1": ("auto", "series", "integral"),
+    "f2": ("auto", "series", "integral"),
+    "fd": ("auto", "series", "integral"),
+    "fa": ("auto", "series", "integral"),
+    "extbeta": ("auto",),
+    "extgamma": ("auto",),
+}
+
+
+def _pfq_spec(args, kernel, reg: RegPair, params: list[float]):
+    if args.func == "2f1":
+        if len(params) != 3:
+            raise DomainError("2f1 needs --params a1,a2,b1")
+        return pfq_spec(kernel, params[:2], params[2:], reg)
+    if ":" not in (args.params or ""):
+        raise DomainError("pfq needs --params 'a1,..:b1,..'")
+    up_text, lo_text = args.params.split(":", 1)
+    ks = _floats(args.kshifts)
+    if not all(k.is_integer() for k in ks):
+        raise DomainError(f"shift multipliers must be integers, got {ks}")
+    return pfq_spec(kernel, _floats(up_text), _floats(lo_text), reg,
+                    ks=[int(k) for k in ks] if ks else None)
+
+
 def _eval_func(args) -> EvalResult:
     kernel = parse_kernel(args.kernel)
     reg = RegPair(args.b, args.d)
-    func = args.func
+    func, method = args.func, args.method
     params = _floats(args.params) if args.params and func != "pfq" else []
     tol = args.tol
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tolerance must be finite and > 0, got {tol}")
-    if func == "2f1":
-        if len(params) != 3:
-            raise DomainError("2f1 needs --params a1,a2,b1")
-        spec = pfq_spec(kernel, params[:2], params[2:], reg)
-        if args.method == "mellin":
-            contour = None
-            if args.contour:
-                c = _floats(args.contour)
-                contour = ContourSpec(*c)
-            return mb_eval(spec, args.z, contour, max(tol, 1e-8))
-        return ext_pfq(spec, args.z, tol, args.method)
-    if func == "pfq":
-        if ":" not in (args.params or ""):
-            raise DomainError("pfq needs --params 'a1,..:b1,..'")
-        up_text, lo_text = args.params.split(":", 1)
-        upper, lower = _floats(up_text), _floats(lo_text)
-        ks = [int(v) for v in _floats(args.kshifts)] if args.kshifts else None
-        spec = pfq_spec(kernel, upper, lower, reg, ks=ks)
-        if args.method == "mellin":
-            contour = ContourSpec(*_floats(args.contour)) if args.contour \
-                else None
-            return mb_eval(spec, args.z, contour, max(tol, 1e-8))
-        return ext_pfq(spec, args.z, tol, args.method)
+    if method not in _METHODS[func]:
+        raise DomainError(f"{func} has no method {method!r}")
+    if func in ("2f1", "pfq"):
+        spec = _pfq_spec(args, kernel, reg, params)
+        if method == "mellin":
+            c = _floats(args.contour)
+            if len(c) > 3:
+                raise DomainError("--contour takes at most c0,T,h")
+            return mb_eval(spec, args.z, ContourSpec(*c) if c else None,
+                           max(tol, 1e-8))
+        return ext_pfq(spec, args.z, tol, method)
     if func == "f1":
         if len(params) != 4:
             raise DomainError("f1 needs --params alpha,b1,b2,g1")
         p = AppellParams(params[0], params[1], params[2], params[3],
                          math.nan, reg, kernel)
-        return f1_eval(p, args.x, args.y, tol, args.method
-                       if args.method in ("series", "integral") else "auto")
+        return f1_eval(p, args.x, args.y, tol, method)
     if func == "f2":
         if len(params) != 5:
             raise DomainError("f2 needs --params alpha,b1,b2,g1,g2")
         p = AppellParams(params[0], params[1], params[2], params[3],
                          params[4], reg, kernel)
-        return f2_eval(p, args.x, args.y, tol, args.method
-                       if args.method in ("series", "integral") else "auto")
+        return f2_eval(p, args.x, args.y, tol, method)
     if func == "fd":
         r = args.r
         if len(params) != r + 2:
@@ -125,8 +139,7 @@ def _eval_func(args) -> EvalResult:
         xs = _floats(args.xs)
         p = LauricellaParams(params[0], tuple(params[1:1 + r]),
                              (params[1 + r],), tuple(xs), reg, kernel)
-        return fd_eval(p, tol, args.method
-                       if args.method in ("series", "integral") else "auto")
+        return fd_eval(p, tol, method)
     if func == "fa":
         r = args.r
         if len(params) != 2 * r + 1:
@@ -135,16 +148,14 @@ def _eval_func(args) -> EvalResult:
         p = LauricellaParams(params[0], tuple(params[1:1 + r]),
                              tuple(params[1 + r:1 + 2 * r]), tuple(xs), reg,
                              kernel)
-        return fa_series(p, tol)
+        return (fa_integral if method == "integral" else fa_series)(p, tol)
     if func == "extbeta":
         if len(params) != 2:
             raise DomainError("extbeta needs --params alpha,beta")
         return ext_beta(kernel, BetaArgs(params[0], params[1]), reg, tol)
-    if func == "extgamma":
-        if len(params) != 1:
-            raise DomainError("extgamma needs --params z")
-        return ext_gamma(kernel, params[0], args.b, tol)
-    raise DomainError(f"unknown function {func!r}")
+    if len(params) != 1:
+        raise DomainError("extgamma needs --params z")
+    return ext_gamma(kernel, params[0], args.b, tol)
 
 
 def cmd_eval(args) -> int:
@@ -238,8 +249,7 @@ def build_parser() -> _Parser:
 
     pe = sub.add_parser("eval", help="single evaluation as JSON")
     pe.add_argument("--func", required=True,
-                    choices=["2f1", "pfq", "f1", "f2", "fd", "fa", "extbeta",
-                             "extgamma"])
+                    choices=list(_METHODS))
     pe.add_argument("--kernel", default="exp")
     pe.add_argument("--params", default="")
     pe.add_argument("--kshifts", default="")
@@ -262,8 +272,7 @@ def build_parser() -> _Parser:
         help="argument sweep as CSV (sweeps z; for f1/f2 it sweeps x with "
              "--y fixed, for fd/fa all arguments move together)")
     pt.add_argument("--func", required=True,
-                    choices=["2f1", "pfq", "f1", "f2", "fd", "fa", "extbeta",
-                             "extgamma"])
+                    choices=list(_METHODS))
     pt.add_argument("--kernel", default="exp")
     pt.add_argument("--params", default="")
     pt.add_argument("--kshifts", default="")

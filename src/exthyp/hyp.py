@@ -490,9 +490,7 @@ def derivative(spec: PfqSpec, z: float, n: int, tol: float = 1e-10) -> EvalResul
         for i in range(n):
             den *= b + i
         pref /= den
-    inner = ext_pfq(spec.shifted(n), z, tol)
-    return EvalResult(pref * inner.value, abs(pref) * inner.abs_err_est,
-                      inner.terms_or_nodes, inner.converged, inner.method)
+    return ext_pfq(spec.shifted(n), z, tol).scaled(pref)
 
 
 def derivative_weighted(kernel: KernelSpec, a1: float, a2: float, b1: float,
@@ -514,8 +512,7 @@ def derivative_weighted(kernel: KernelSpec, a1: float, a2: float, b1: float,
     for i in range(n):
         pref *= a1 + i
     pref *= z ** (a1 - 1.0)
-    return EvalResult(pref * f.value, abs(pref) * f.abs_err_est,
-                      f.terms_or_nodes, f.converged, f.method)
+    return f.scaled(pref)
 
 
 def weighted_derivative_lhs(kernel: KernelSpec, a1: float, a2: float,
@@ -578,8 +575,7 @@ def pfaff_transform(kernel: KernelSpec, a1: float, a2: float, b1: float,
         f = ext_2f1(kernel, a1, b1 - a2, a2, z / (1.0 - z), reg.swapped(), tol)
     else:
         raise DomainError(f"unknown variant {variant!r}")
-    return EvalResult(pref * f.value, abs(pref) * f.abs_err_est,
-                      f.terms_or_nodes, f.converged, f.method)
+    return f.scaled(pref)
 
 
 def pfaff_parameter_action(a1: float, a2: float, b1: float, z: float,
@@ -613,12 +609,60 @@ def euler_transform(kernel: KernelSpec, a1: float, a2: float, b1: float,
     else:
         raise DomainError(f"unknown variant {variant!r}")
     pref *= omz ** (b1 - a2 - a1)
-    f = ext_2f1(kernel, b1 - a1, b1 - a2, b1, z, new_reg, tol)
-    return EvalResult(pref * f.value, abs(pref) * f.abs_err_est,
-                      f.terms_or_nodes, f.converged, f.method)
+    return ext_2f1(kernel, b1 - a1, b1 - a2, b1, z, new_reg, tol).scaled(pref)
 
 
 _RECURRENCES = ("a1_plus", "a1_minus", "b1_plus", "a2_plus")
+
+
+def _shift_sums(F, a: float, c: float, n: int, which: str,
+                variant: str) -> tuple[EvalResult, EvalResult]:
+    """Both sides of a finite shift sum in one (upper, lower) pair (a, c).
+
+    ``F(a2, c2)`` evaluates the function with the pair replaced.  "lower"
+    shifts c by n.  "upper" shifts a by n: the derivation's finite binomial
+    expansion is valid for the positive power only, so the proof variant
+    also lifts the left side's c by 2n; the printed variant keeps c and
+    starts the sum at 1.  Serves the Gauss-level and the second-kind
+    two-variable recursions.
+    """
+    total = 0.0
+    err = 0.0
+    if which == "lower":
+        lhs = F(a, c + n)
+        pref = 1.0
+        for i in range(n):
+            pref *= (c + i) / (c - a + i)
+        for k in range(n + 1):
+            g = F(a + k, c + k)
+            coef = ((-1.0) ** k * math.comb(n, k)
+                    * pochhammer(a, k) / pochhammer(c, k))
+            total += coef * g.value
+            err += abs(coef) * g.abs_err_est
+    else:
+        if variant == "proof":
+            lhs = F(a + n, c + 2 * n)
+            pref = pochhammer(c, 2 * n) / (pochhammer(c - a, n)
+                                           * pochhammer(a, n))
+            i_lo = 0
+        elif variant == "printed":
+            if not c - a - n > 0.0:
+                raise DomainError(f"printed upper shift needs c - a - n > 0, "
+                                  f"got c={c}, a={a}, n={n}")
+            lhs = F(a + n, c)
+            pref = pochhammer(c - a, 2 * n) / (pochhammer(c - a, n)
+                                               * pochhammer(a, n))
+            i_lo = 1
+        else:
+            raise DomainError(f"unknown variant {variant!r}")
+        for i in range(i_lo, n + 1):
+            g = F(a + n + i, c + n + i)
+            coef = (pochhammer(-n, i) * pochhammer(a, i + n)
+                    / (pochhammer(c, i + n) * math.factorial(i)))
+            total += coef * g.value
+            err += abs(coef) * g.abs_err_est
+    rhs = EvalResult(total, err, lhs.terms_or_nodes, True, "series")
+    return lhs, rhs.scaled(pref)
 
 
 def recurrence_eval(which: str, kernel: KernelSpec, a1: float, a2: float,
@@ -638,63 +682,22 @@ def recurrence_eval(which: str, kernel: KernelSpec, a1: float, a2: float,
     def F(aa1, aa2, bb1) -> EvalResult:
         return ext_2f1(kernel, aa1, aa2, bb1, z, reg, tol)
 
-    err = 0.0
-    if which in ("a1_plus", "a1_minus"):
-        # negation is exact, so x + sign*y has the bits of x + y or x - y
-        sign = 1.0 if which == "a1_plus" else -1.0
-        top = a1 + n if sign > 0 else a1
-        lhs = F(a1 + sign * n, a2, b1)
-        acc = F(a1, a2, b1)
-        total, err = acc.value, acc.abs_err_est
-        c = a2 * z / b1
-        for kk in range(1, n + 1):
-            g = F(top - kk + 1, a2 + 1, b1 + 1)
-            total += sign * c * g.value
-            err += abs(c) * g.abs_err_est
-        rhs = EvalResult(total, err, lhs.terms_or_nodes, True, "series")
-        return lhs, rhs
-    if which == "b1_plus":
-        lhs = F(a1, a2, b1 + n)
-        pref = 1.0
-        for i in range(n):
-            pref *= (b1 + i) / (b1 - a2 + i)
-        total = 0.0
-        for kk in range(n + 1):
-            g = F(a1, a2 + kk, b1 + kk)
-            coef = ((-1.0) ** kk * math.comb(n, kk)
-                    * pochhammer(a2, kk) / pochhammer(b1, kk))
-            total += coef * g.value
-            err += abs(coef) * g.abs_err_est
-        rhs = EvalResult(pref * total, abs(pref) * err, lhs.terms_or_nodes,
-                         True, "series")
-        return lhs, rhs
-    # a2_plus: the derivation's finite binomial expansion is valid for the
-    # positive power only, which lifts the left side's lower parameter by 2n.
-    if variant == "proof":
-        lhs = F(a1, a2 + n, b1 + 2 * n)
-        pref = pochhammer(b1, 2 * n) / (pochhammer(b1 - a2, n)
-                                        * pochhammer(a2, n))
-        i_lo = 0
-    elif variant == "printed":
-        if not b1 - a2 - n > 0.0:
-            raise DomainError("printed upper-second shift needs "
-                              "b1 - a2 - n > 0")
-        lhs = F(a1, a2 + n, b1)
-        pref = pochhammer(b1 - a2, 2 * n) / (pochhammer(b1 - a2, n)
-                                             * pochhammer(a2, n))
-        i_lo = 1
-    else:
-        raise DomainError(f"unknown variant {variant!r}")
-    total = 0.0
-    for i in range(i_lo, n + 1):
-        g = F(a1, a2 + n + i, b1 + n + i)
-        coef = (pochhammer(-n, i) * pochhammer(a2, i + n)
-                / (pochhammer(b1, i + n) * math.factorial(i)))
-        total += coef * g.value
-        err += abs(coef) * g.abs_err_est
-    rhs = EvalResult(pref * total, abs(pref) * err, lhs.terms_or_nodes,
-                     True, "series")
-    return lhs, rhs
+    if which in ("b1_plus", "a2_plus"):
+        return _shift_sums(lambda aa2, bb1: F(a1, aa2, bb1), a2, b1, n,
+                           "lower" if which == "b1_plus" else "upper",
+                           variant)
+    # negation is exact, so x + sign*y has the bits of x + y or x - y
+    sign = 1.0 if which == "a1_plus" else -1.0
+    top = a1 + n if sign > 0 else a1
+    lhs = F(a1 + sign * n, a2, b1)
+    acc = F(a1, a2, b1)
+    total, err = acc.value, acc.abs_err_est
+    c = a2 * z / b1
+    for kk in range(1, n + 1):
+        g = F(top - kk + 1, a2 + 1, b1 + 1)
+        total += sign * c * g.value
+        err += abs(c) * g.abs_err_est
+    return lhs, EvalResult(total, err, lhs.terms_or_nodes, True, "series")
 
 
 def summation_thm(kernel: KernelSpec, a1: float, a2: float, b1: float,
@@ -713,10 +716,7 @@ def summation_thm(kernel: KernelSpec, a1: float, a2: float, b1: float,
     lhs = euler_step_integral(spec, 1.0, tol)
     quot = math.exp(gammaln_real(b1) + gammaln_real(b1 - a2 - a1)
                     - gammaln_real(b1 - a2) - gammaln_real(b1 - a1))
-    f = ext_2f1(kernel, a1, a2, b1 - a1, -1.0, reg, tol)
-    rhs = EvalResult(quot * f.value, abs(quot) * f.abs_err_est,
-                     f.terms_or_nodes, f.converged, f.method)
-    return lhs, rhs
+    return lhs, ext_2f1(kernel, a1, a2, b1 - a1, -1.0, reg, tol).scaled(quot)
 
 
 def frac_deriv(kernel: KernelSpec, mu: float, reg: RegPair, f, z: float,

@@ -132,9 +132,7 @@ def lemma2_identity(which: str, a: float, b_par: float, c: float,
     else:
         fval = ext_2f1(EXP_KERNEL, c, b_par, c + a, (alpha - gamma) / alpha,
                        RegPair(ptilde, qtilde), tol)
-    rhs = EvalResult(pref * fval.value, abs(pref) * fval.abs_err_est,
-                     fval.terms_or_nodes, fval.converged, fval.method)
-    return lhs, rhs
+    return lhs, fval.scaled(pref)
 
 
 def weight_norm_f(hp: HilbertParams, ptilde: float, qtilde: float,

@@ -1,8 +1,9 @@
 """Extended r-variable hypergeometric functions of types D and A.
 
-Type D shares one beta-ratio coefficient per total degree (the r-variable
-analogue of the first Appell function); type A carries independent per-axis
-beta ratios under a joint Pochhammer factor (the analogue of the second).
+Type D shares one beta-ratio coefficient per total degree; type A carries
+independent per-axis beta ratios under a joint Pochhammer factor.  At r = 2
+they are the first and second Appell functions: ``appell`` evaluates those
+by calling the private type D and type A engines here.
 Alongside the series: the single Euler integral for type D, the r-fold
 product integral for type A, unit-argument and equal-argument reductions, a
 weighted product integral over an arbitrary interval, a Laplace-type
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .appell import _axis_seq, _diagonal_sum, _ratio_ladder, nested_poch_series
 from .corefn import beta_classical, gammaln_real
 from .extbeta import (
     BetaArgs,
@@ -33,7 +33,7 @@ from .extbeta import (
     unit_grid_kernel,
     unit_kernel,
 )
-from .hyp import _CoeffLadder, ext_2f1, pfq_series_vector, pfq_spec
+from .hyp import PfqSpec, _CoeffLadder, ext_2f1, pfq_series_vector, pfq_spec
 from .kernel import EXP_VARIANT, KernelSpec
 from .quadrature import (
     _nested,
@@ -46,6 +46,9 @@ from .quadrature import (
 from .results import DomainError, EvalResult
 
 MAX_VARIABLES = 4  # series cap; iterated integrals are checked for r <= 2
+# max_j |x_j| (type D) or sum_j |x_j| (type A) below which auto uses the series
+_SERIES_EDGE = 0.95
+_DIAG_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -84,6 +87,34 @@ class LauricellaParams:
                 raise DomainError("type A needs gamma_j > beta_j > 0")
 
 
+def _ratio_ladder(kernel: KernelSpec, reg: RegPair, alpha: float,
+                  gamma: float) -> _CoeffLadder:
+    """Beta-ratio coefficients B*(alpha+N, gamma-alpha)/B(alpha, gamma-alpha)."""
+    return _CoeffLadder(PfqSpec(((alpha, 1),), (gamma,), reg, kernel), 0.0)
+
+
+def _axis_seq(b: float, x: float, hi: int, prev: np.ndarray) -> np.ndarray:
+    """Extend the array of (b)_m x^m / m! to length hi."""
+    lo = prev.size
+    out = np.empty(hi)
+    out[:lo] = prev
+    if lo == 0:
+        out[0] = 1.0
+        lo = 1
+    cur = out[lo - 1]
+    for m in range(lo, hi):
+        cur = cur * (b + m - 1) * x / m
+        out[m] = cur
+    return out
+
+
+def _require_finite(p: LauricellaParams) -> None:
+    """Reject a non-finite parameter or argument before any ladder or grid."""
+    if not all(math.isfinite(v)
+               for v in (p.alpha, *p.betas, *p.gammas, *p.xs)):
+        raise DomainError("parameters and arguments must be finite")
+
+
 def fd_series(p: LauricellaParams, tol: float = 1e-10) -> EvalResult:
     """Type D series truncated by total degree.
 
@@ -91,22 +122,47 @@ def fd_series(p: LauricellaParams, tol: float = 1e-10) -> EvalResult:
     vector on that diagonal.
     """
     p.validate_fd()
+    return _fd_series(p, tol)
+
+
+def _fd_series(p: LauricellaParams, tol: float) -> EvalResult:
+    """Sum over total degrees N of coeff(N) * conv(axes)(N), by diagonals."""
+    _require_finite(p)
     if max(abs(x) for x in p.xs) >= 1.0:
         raise DomainError("series needs max_j |x_j| < 1")
     ladder = _ratio_ladder(p.kernel, p.reg, p.alpha, p.gammas[0])
-    state = {"axes": [np.empty(0) for _ in range(p.r)]}
-
-    def coeff_for(hi):
+    axes = [np.empty(0) for _ in range(p.r)]
+    s = 0.0
+    errsum = 0.0
+    n_done = 0
+    small = 0
+    last = math.inf
+    ratio = 0.0
+    while n_done < _DIAG_CAP:
+        hi = min(n_done + 64, _DIAG_CAP)
         ladder.ensure(hi)
-        return ladder.coeffs, ladder.cerrs
-
-    def axes_for(hi):
-        state["axes"] = [_axis_seq(b, x, hi, prev) for b, x, prev
-                         in zip(p.betas, p.xs, state["axes"])]
-        return state["axes"]
-
-    value, err, n, ok = _diagonal_sum(coeff_for, axes_for, tol)
-    return EvalResult(value, err, n, ok, "series")
+        coeffs, cerrs = ladder.coeffs, ladder.cerrs
+        axes = [_axis_seq(b, x, hi, prev)
+                for b, x, prev in zip(p.betas, p.xs, axes)]
+        full = axes[0][:hi]
+        for u in axes[1:]:
+            full = np.convolve(full, u[:hi])[:hi]
+        for n in range(n_done, hi):
+            term = coeffs[n] * full[n]
+            s += term
+            errsum += abs(full[n]) * cerrs[n]
+            if n > 0 and last not in (0.0, math.inf):
+                ratio = abs(term) / last
+            last = abs(term)
+            if last < 1e-15 * abs(s) + 1e-300:
+                small += 1
+                if small >= 4:
+                    tail = last * ratio / (1 - ratio) if ratio < 0.97 else last
+                    return EvalResult(s, errsum + tail, n + 1, True, "series")
+            else:
+                small = 0
+        n_done = hi
+    return EvalResult(s, errsum + last * 10.0, n_done, False, "series")
 
 
 def fd_integral(p: LauricellaParams, tol: float = 1e-10) -> EvalResult:
@@ -117,6 +173,11 @@ def fd_integral(p: LauricellaParams, tol: float = 1e-10) -> EvalResult:
     (or the right-endpoint regularization) allows it.
     """
     p.validate_fd()
+    return _fd_integral(p, tol)
+
+
+def _fd_integral(p: LauricellaParams, tol: float) -> EvalResult:
+    _require_finite(p)
     if any(x > 1.0 for x in p.xs):
         raise DomainError("integral needs every x_j <= 1")
     reg, kern = p.reg, p.kernel
@@ -152,7 +213,7 @@ def fd_eval(p: LauricellaParams, tol: float = 1e-10,
         return fd_series(p, tol)
     if method == "integral":
         return fd_integral(p, tol)
-    if max(abs(x) for x in p.xs) < 0.95:
+    if max(abs(x) for x in p.xs) < _SERIES_EDGE:
         return fd_series(p, tol)
     return fd_integral(p, tol)
 
@@ -172,9 +233,7 @@ def fd_summation_unit(p: LauricellaParams,
     quot = math.exp(gammaln_real(gamma) - gammaln_real(p.alpha)
                     - gammaln_real(gamma - p.alpha))
     bb = ext_beta(p.kernel, BetaArgs(p.alpha, width), p.reg, tol=tol * 1e-2)
-    rhs = EvalResult(quot * bb.value, abs(quot) * bb.abs_err_est,
-                     bb.terms_or_nodes, bb.converged, "quadrature")
-    return lhs, rhs
+    return lhs, bb.scaled(quot)
 
 
 def fd_equal_arguments(p: LauricellaParams,
@@ -257,9 +316,7 @@ def interval_product_integral(tp: IntervalProductParams,
     const = pref * beta_classical(tp.alpha, tp.beta)
     for fj, gj, lam in tp.factors:
         const *= (tp.a_lo * fj + gj) ** lam
-    rhs = EvalResult(const * fd.value, abs(const) * fd.abs_err_est,
-                     fd.terms_or_nodes, fd.converged, fd.method)
-    return lhs, rhs
+    return lhs, fd.scaled(const)
 
 
 def fd_laplace_product(p: LauricellaParams, tol: float = 1e-8,
@@ -309,11 +366,8 @@ def fd_laplace_product(p: LauricellaParams, tol: float = 1e-8,
         grid_sum, tol, max_level, min_level=4, first_level=2)
     lhs = EvalResult(totals, err + inner_err, nodes, converged,
                      "euler_integral")
-    series = fd_series(p, tol)
     pref = math.exp(sum(gammaln_real(b) for b in p.betas))
-    rhs = EvalResult(pref * series.value, pref * series.abs_err_est,
-                     series.terms_or_nodes, series.converged, "series")
-    return lhs, rhs
+    return lhs, fd_series(p, tol).scaled(pref)
 
 
 def multinomial_exponential_identity(xs, terms: int = 24) -> tuple[float, float]:
@@ -335,9 +389,108 @@ def multinomial_exponential_identity(xs, terms: int = 24) -> tuple[float, float]
     return total, math.exp(sum(xs))
 
 
+def nested_poch_series(alpha: float, ladders, xs, tol: float,
+                       cap: int = 2048) -> EvalResult:
+    """sum over index vectors m of (alpha)_{|m|} prod_j c_j[m_j] x_j^m_j/m_j!.
+
+    The leading Pochhammer factor is split as (alpha)_{m_1} (alpha+m_1)_{m_2}
+    ... and carried multiplicatively through the recursion, so no factor ever
+    overflows even deep in the tail.  Shared engine for the second-kind
+    two-variable function and its r-variable generalization.
+
+    The sums run on Python floats.  Each ladder is read into a list a block
+    at a time, and ``ensure`` runs only when an index passes the end of what
+    is read.  The innermost sum keeps the running total, error and term
+    count in locals, and has no exp((a + m) * grow) factors: there grow is
+    0.0, so each is exactly 1.0 for a finite alpha.  numpy scalars and
+    Python floats are the same doubles, and the operations run in the same
+    order, so the output bits are those of the recursion kept in
+    ``tests/test_appell.py`` as the reference.
+    """
+    r = len(xs)
+    if not all(math.isfinite(v) for v in (alpha, *xs)):
+        raise DomainError("series needs a finite alpha and finite arguments")
+    if sum(abs(x) for x in xs) >= 1.0:
+        raise DomainError("series needs sum of |arguments| below 1")
+    xs = [float(x) for x in xs]
+    rest = [sum(abs(x) for x in xs[j + 1:]) for j in range(r)]
+    coeffs = [[] for _ in range(r)]
+    cerrs = [[] for _ in range(r)]
+    total = 0.0
+    err = 0.0
+    count = 0
+    overflow = False
+
+    def read(j: int, m: int) -> None:
+        ladders[j].ensure(m + 1)
+        coeffs[j] += ladders[j].coeffs[len(coeffs[j]):].tolist()
+        cerrs[j] += ladders[j].cerrs[len(cerrs[j]):].tolist()
+
+    def innermost(a_shift: float, acc: float) -> None:
+        nonlocal total, err, count, overflow
+        c, e, x = coeffs[r - 1], cerrs[r - 1], xs[r - 1]
+        tot, er, n = total, err, count
+        small = 0
+        m = 0
+        while m < cap:
+            if m >= len(c):
+                read(r - 1, m)
+            contrib = acc * c[m]
+            er += abs(acc) * e[m]
+            tot += contrib
+            n += 1
+            if abs(contrib) < 1e-17 * (1.0 + abs(tot)):
+                small += 1
+                if small >= 3:
+                    break
+            else:
+                small = 0
+            acc = acc * (a_shift + m) * x / (m + 1)
+            m += 1
+        else:
+            overflow = True
+        total, err, count = tot, er, n
+
+    def rec(j: int, a_shift: float, acc: float) -> None:
+        nonlocal err, overflow
+        if j == r - 1:
+            innermost(a_shift, acc)
+            return
+        grow = -math.log1p(-rest[j]) if rest[j] > 0.0 else 0.0
+        c, e, x = coeffs[j], cerrs[j], xs[j]
+        small = 0
+        m = 0
+        while m < cap:
+            if m >= len(c):
+                read(j, m)
+            contrib = acc * c[m]
+            err += abs(acc) * e[m] * math.exp((a_shift + m) * grow)
+            rec(j + 1, a_shift + m, contrib)
+            bound = abs(contrib) * math.exp((a_shift + m + 1) * grow)
+            if bound < 1e-17 * (1.0 + abs(total)):
+                small += 1
+                if small >= 3:
+                    return
+            else:
+                small = 0
+            acc = acc * (a_shift + m) * x / (m + 1)
+            m += 1
+        overflow = True
+
+    rec(0, float(alpha), 1.0)
+    tail = 1e-16 * (1.0 + abs(total))
+    return EvalResult(total, err + tail, max(count, 1), not overflow,
+                      "series")
+
+
 def fa_series(p: LauricellaParams, tol: float = 1e-10) -> EvalResult:
     """Type A series with per-axis batched beta ratios."""
     p.validate_fa()
+    return _fa_series(p, tol)
+
+
+def _fa_series(p: LauricellaParams, tol: float) -> EvalResult:
+    _require_finite(p)
     if sum(abs(x) for x in p.xs) >= 1.0:
         raise DomainError("series needs sum_j |x_j| < 1")
     ladders = [_ratio_ladder(p.kernel, p.reg, b, g)
@@ -353,6 +506,12 @@ def fa_integral(p: LauricellaParams, tol: float = 1e-10,
     printed form multiplies them and is kept only for adjudication.
     """
     p.validate_fa()
+    return _fa_integral(p, tol, max_level, variant)
+
+
+def _fa_integral(p: LauricellaParams, tol: float, max_level: int,
+                 variant: str) -> EvalResult:
+    _require_finite(p)
     if p.r > 2:
         raise DomainError("iterated integral implemented for r <= 2")
     if sum(max(x, 0.0) for x in p.xs) >= 1.0:

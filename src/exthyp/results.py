@@ -47,3 +47,11 @@ class EvalResult:
                 f"err~{self.abs_err_est:.3g})"
             )
         return self.value
+
+    def scaled(self, c: float) -> "EvalResult":
+        """This result times a prefactor c: value * c, error * |c|.
+
+        The node count, the convergence flag and the method are kept.
+        """
+        return EvalResult(self.value * c, self.abs_err_est * abs(c),
+                          self.terms_or_nodes, self.converged, self.method)

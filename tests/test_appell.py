@@ -11,7 +11,6 @@ import oracles
 from exthyp import appell
 from exthyp.appell import (
     AppellParams,
-    _ratio_ladder,
     f1_finite_sum,
     f1_integral,
     f1_series,
@@ -21,11 +20,11 @@ from exthyp.appell import (
     f2_series,
     f2_single_integral,
     f2_transform,
-    nested_poch_series,
 )
 from exthyp.extbeta import RegPair
 from exthyp.hyp import _CoeffLadder, ext_2f1, pfq_series_vector
 from exthyp.kernel import EXP_KERNEL
+from exthyp.lauricella import _ratio_ladder, nested_poch_series
 from exthyp.results import DomainError, EvalResult
 
 R0 = RegPair()

@@ -304,6 +304,48 @@ def test_cli_mellin_confluent_kernel_with_regularization():
     assert abs(payload["value"] - 0.38041394052729632) < 1e-12
 
 
+_F1 = ["--func", "f1", "--params", "0.8,1.1,0.7,2.4", "--x", "0.2",
+       "--y", "0.3"]
+_F2 = ["--func", "f2", "--params", "0.8,1.1,0.7,2.4,2.1", "--x", "0.2",
+       "--y", "0.3"]
+_FD = ["--func", "fd", "--r", "2", "--params", "0.8,1.1,0.7,2.4", "--xs",
+       "0.2,0.3"]
+_FA = ["--func", "fa", "--r", "2", "--params", "0.8,1.1,0.7,2.4,2.1",
+       "--xs", "0.3,0.35"]
+
+
+@pytest.mark.parametrize("argv", [
+    _F2[:-1] + ["nan"],
+    _FD[:-1] + ["nan,0.2"],
+    ["--func", "2f1", "--params", "1,1,2", "--z", "-0.5", "--method",
+     "mellin", "--contour", "0.2,40,0.05,7"],
+    ["--func", "pfq", "--params", "1,1:2", "--z", "0.3", "--kshifts",
+     "1.5,1"],
+    _F1 + ["--method", "mellin"],
+    _F2 + ["--method", "mellin"],
+    _FD + ["--method", "mellin"],
+    _FA + ["--method", "mellin"],
+    ["--func", "extbeta", "--params", "2,3", "--method", "series"],
+], ids=["f2-nan", "fd-nan", "contour-4", "kshift-1.5", "f1-mellin",
+        "f2-mellin", "fd-mellin", "fa-mellin", "extbeta-series"])
+def test_cli_eval_bad_input_exit_2(argv, capsys):
+    assert cli.main(["eval", *argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("domain error: ")
+
+
+def test_cli_fa_integral_method(capsys):
+    argv = ["eval", *_FA, "--tol", "1e-7"]
+    assert cli.main(argv + ["--method", "integral"]) == 0
+    integral = json.loads(capsys.readouterr().out)
+    assert cli.main(argv) == 0
+    series = json.loads(capsys.readouterr().out)
+    assert integral["method"] == "euler_integral"
+    assert series["method"] == "series"
+    assert abs(integral["value"] - series["value"]) < 1e-6
+
+
 def test_cli_table_monotone(tmp_path):
     out = tmp_path / "table.csv"
     r = _cli("table", "--func", "2f1", "--params", "1,1,2", "--from", "0",

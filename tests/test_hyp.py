@@ -34,7 +34,7 @@ from exthyp.hyp import (
 )
 from exthyp.kernel import EXP_KERNEL, kummer_kernel
 from exthyp.quadrature import unit_new_nodes
-from exthyp.results import DomainError, KernelMismatchError
+from exthyp.results import DomainError, EvalResult, KernelMismatchError
 
 KUM = kummer_kernel(1.0, 2.0)
 R0 = RegPair()
@@ -601,3 +601,8 @@ def test_shared_scope_tells_apart_blocks_with_the_same_start():
         assert len(hyp._shared_blocks.get()) == len(specs)
     for g, w in zip(got, want):
         _same_result(g, w)
+
+
+def test_scaled_carries_a_prefactor():
+    r = EvalResult(2.0, 0.5, 7, False, "series")
+    assert r.scaled(-3.0) == EvalResult(-6.0, 1.5, 7, False, "series")

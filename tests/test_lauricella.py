@@ -1,15 +1,29 @@
 """r-variable extended hypergeometric functions of types D and A."""
 
+import ast
 import math
+import pathlib
+import warnings
 
 import mpmath
+import numpy as np
 import pytest
 
 import oracles
+from exthyp import appell, lauricella
+from exthyp.appell import (
+    AppellParams,
+    f1_eval,
+    f1_integral,
+    f1_series,
+    f2_eval,
+    f2_integral,
+    f2_series,
+)
 from exthyp.corefn import beta_classical
 from exthyp.extbeta import BetaArgs, RegPair, ext_beta
 from exthyp.hyp import ext_2f1
-from exthyp.kernel import EXP_KERNEL
+from exthyp.kernel import EXP_KERNEL, kummer_kernel
 from exthyp.lauricella import (
     IntervalProductParams,
     LauricellaParams,
@@ -273,3 +287,77 @@ def test_fa_single_integral_large_arguments_match_mpmath():
     want = float(mpmath.appellf2(0.9, 0.7, 1.1, 2.0, 2.3, 0.3, 0.4))
     assert integral.converged
     assert abs(integral.value - want) <= 1e-13 * abs(want)
+
+
+def _bits(r):
+    """int64 views of value and error, with the node count and flag."""
+    return (np.float64(r.value).view(np.int64),
+            np.float64(r.abs_err_est).view(np.int64), r.terms_or_nodes,
+            r.converged, r.method)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+@pytest.mark.parametrize("kernel", [EXP_KERNEL, kummer_kernel(1.5, 2.5)],
+                         ids=["exp", "kummer"])
+def test_appell_functions_are_the_r2_engines(kernel, tol):
+    reg = RegPair(0.2, 0.3)
+    p = AppellParams(0.8, 1.1, 0.7, 2.4, 2.1, reg, kernel)
+
+    def as_fd(x, y):
+        return LauricellaParams(0.8, (1.1, 0.7), (2.4,), (x, y), reg, kernel)
+
+    def as_fa(x, y):
+        return LauricellaParams(0.8, (1.1, 0.7), (2.4, 2.1), (x, y), reg,
+                                kernel)
+
+    for x, y in ((0.3, -0.2), (-0.6, 0.5)):
+        assert _bits(f1_series(p, x, y, tol)) == _bits(
+            fd_series(as_fd(x, y), tol))
+    for x, y in ((0.96, -0.4), (-0.5, 0.3)):
+        assert _bits(f1_integral(p, x, y, tol)) == _bits(
+            fd_integral(as_fd(x, y), tol))
+    for x, y in ((-0.4, 0.35), (0.3, -0.25)):
+        assert _bits(f2_series(p, x, y, tol)) == _bits(
+            fa_series(as_fa(x, y), tol))
+    for x, y in ((0.3, -0.35), (-0.5, 0.4)):
+        assert _bits(f2_integral(p, x, y, tol)) == _bits(
+            fa_integral(as_fa(x, y), tol))
+
+
+def test_appell_imports_the_engines_and_runs_no_loop_of_its_own():
+    src = pathlib.Path(lauricella.__file__).parent
+    for node in ast.walk(ast.parse((src / "lauricella.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            assert node.module != "appell"
+            assert "appell" not in (a.name for a in node.names)
+    tree = ast.parse((src / "appell.py").read_text())
+    assert not any(isinstance(node, ast.While) for node in ast.walk(tree))
+
+
+def test_non_finite_input_is_rejected_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a ladder or a quadrature started")
+
+    for module in (appell, lauricella):
+        monkeypatch.setattr(module, "_refine", no_work)
+    monkeypatch.setattr(lauricella, "_ratio_ladder", no_work)
+    nan, inf = math.nan, math.inf
+    p2 = AppellParams(0.8, 1.1, 0.7, 2.4, 2.1, R0, EXP_KERNEL)
+    p1_inf = AppellParams(0.8, 1.1, 0.7, inf, nan, R0, EXP_KERNEL)
+    calls = [
+        lambda: f2_eval(p2, 0.2, nan),
+        lambda: f2_integral(p2, 0.2, nan),
+        lambda: fa_integral(PA(0.8, [1.1, 0.7], [2.4, 2.1], [0.2, nan])),
+        lambda: fa_series(PA(0.8, [1.1, 0.7], [2.4, inf], [0.2, 0.3])),
+        lambda: f1_eval(p2, 0.2, nan),
+        lambda: fd_series(PD(0.8, [1.1, 0.7], 2.4, [0.2, nan])),
+        lambda: fd_series(PD(0.8, [1.1, inf], 2.4, [0.2, 0.3])),
+        lambda: fd_integral(PD(0.8, [1.1, 0.7], 2.4, [0.2, nan])),
+        lambda: f1_eval(p1_inf, 0.2, 0.3),
+        lambda: f1_eval(p1_inf, 0.96, 0.3),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(DomainError):
+                call()
