@@ -296,8 +296,11 @@ def f1_finite_sum(kernel: KernelSpec, s: int, t: int, x: float, y: float,
     p = AppellParams(1.0, s + 1.0, t + 1.0, 2.0, math.nan, reg, kernel)
     direct = f1_series(p, x, y, tol)
 
+    pieces = []
+
     def F(a: float, w: float) -> EvalResult:
-        return ext_2f1(kernel, a, 1.0, 2.0, w, reg, tol)
+        pieces.append(ext_2f1(kernel, a, 1.0, 2.0, w, reg, tol))
+        return pieces[-1]
 
     dyx = y - x
     err = 0.0
@@ -317,6 +320,7 @@ def f1_finite_sum(kernel: KernelSpec, s: int, t: int, x: float, y: float,
         err += abs(base) * g.abs_err_est
     fy = F(1.0, y)
     fx = F(1.0, x)
+    converged = all(g.converged for g in pieces)
     brace_coef = (math.comb(s + t, s) * (-1.0) ** t * x ** t * y ** s
                   / dyx ** (s + t + 1))
     err += abs(brace_coef) * (abs(y) * fy.abs_err_est + abs(x) * fx.abs_err_est)
@@ -324,6 +328,7 @@ def f1_finite_sum(kernel: KernelSpec, s: int, t: int, x: float, y: float,
                  + brace_coef * (y * fy.value - x * fx.value))
     printed_val = (common + ksum_printed
                    + brace_coef * (y * fy.value + x * fx.value))
-    mk = lambda v: EvalResult(v, err, direct.terms_or_nodes, True, "series")
+    mk = lambda v: EvalResult(v, err, direct.terms_or_nodes, converged,
+                              "series")
     return {"direct": direct, "proof": mk(proof_val),
             "printed": mk(printed_val)}

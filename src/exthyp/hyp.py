@@ -36,7 +36,7 @@ from .results import DomainError, EvalResult, KernelMismatchError
 
 SERIES_CAP = 4096
 _BLOCK = 64
-# Entries per block of pfq_series_vector (512 KiB of float64).
+# Entries per block of the series engine `_pfq_sum` (512 KiB of float64).
 _SERIES_BLOCK_FLOATS = 1 << 16
 _EULER_CUT = 0.85  # |z| beyond which the series gives way to the integral
 
@@ -201,107 +201,99 @@ class _CoeffLadder:
             self.cerrs = np.concatenate([self.cerrs, perr])
 
 
-def _step_factor(spec: PfqSpec, m: int, z: float) -> float:
-    """Multiplier taking the non-coefficient part of term m to term m+1."""
-    head = spec.poch_head()
-    f = z / (m + 1.0)
-    if head is not None:
-        a1, k1 = head
-        for i in range(k1):
-            f *= a1 + k1 * m + i
-    for j in range(spec.surplus):
-        f /= spec.lower[j] + m
-    return f
-
-
 def pfq_series(spec: PfqSpec, z: float, tol: float = 1e-10,
                strict: bool = True) -> EvalResult:
-    """Direct summation of the extended series."""
+    """Direct summation of the extended series: the engine on one column."""
     spec.validate(strict)
     if spec.p == spec.q + 1 and abs(z) >= 1.0 and not spec.terminating():
         raise DomainError(f"series diverges for |z| = {abs(z)} >= 1")
     ladder = _CoeffLadder(spec, tol)
-    s = 0.0
-    errsum = 0.0
-    wgt = 1.0
-    small = 0
-    last = math.inf
-    ratio = 0.0
-    m = 0
-    while m < SERIES_CAP:
-        ladder.ensure(m + 1)
-        term = wgt * ladder.coeffs[m]
-        s += term
-        errsum += abs(wgt) * ladder.cerrs[m]
-        if m > 0 and last != 0.0:
-            ratio = abs(term) / last
-        last = abs(term)
-        wgt *= _step_factor(spec, m, z)
-        m += 1
-        if wgt == 0.0:
-            return EvalResult(s, errsum, m, ladder.ok, "series")
-        if last < 1e-15 * abs(s) + 1e-300:
-            small += 1
-            if small >= 3:
-                tail = last * ratio / (1 - ratio) if ratio < 0.9 else last
-                return EvalResult(s, errsum + tail, m, ladder.ok, "series")
-        else:
-            small = 0
-    tail = last * ratio / (1 - ratio) if ratio < 0.9 else last * 10.0
-    return EvalResult(s, errsum + tail, m, False, "series")
+    s, err, rows, done = _pfq_sum(spec, np.array([float(z)]), ladder,
+                                  SERIES_CAP)
+    return EvalResult(float(s[0]), err, rows, done and ladder.ok, "series")
 
 
 def pfq_series_vector(spec: PfqSpec, w: np.ndarray, tol: float = 1e-10,
                       cap: int = SERIES_CAP, ladder: "_CoeffLadder" = None):
     """Series evaluated at an array of arguments with shared coefficients.
 
-    Returns (values, err_bound).  Used by the integral representations that
-    need the function on a whole quadrature grid; pass a ladder to reuse the
-    fetched coefficients across repeated calls.
-
-    The terms are formed a block of rows at a time: one row per term
-    index, one column per argument, at most ``_SERIES_BLOCK_FLOATS``
-    entries, and never past the coefficients the ladder holds.  A block
-    forms the step factors, the weights as a running product down the
-    rows, the terms, the partial sums as a running sum, and the per-row
-    maxima that the stopping rule reads; a Python walk over the rows then
-    finds the third small term.  Every entry goes through the
-    multiplications and additions of the term-by-term loop in the same
-    order, and the maxima equal that loop's (see ``_max_abs`` and the term
-    maxima below), so the output bits are those of the loop, which
-    ``tests/test_hyp.py`` keeps as the reference.
+    Returns (values, err_bound), the bound holding at every argument.  Used
+    by the integral representations that need the function on a whole
+    quadrature grid; pass a ladder to reuse the fetched coefficients across
+    repeated calls.
     """
     w = np.asarray(w, dtype=float)
     if ladder is None:
         ladder = _CoeffLadder(spec, tol)
-    flat = w.reshape(-1)
-    height = max(1, min(_BLOCK, _SERIES_BLOCK_FLOATS // max(flat.size, 1)))
+    s, err, _rows, done = _pfq_sum(spec, w.reshape(-1), ladder, cap)
+    if not done:
+        raise DomainError(f"series did not converge within {cap} terms "
+                          f"(max |argument| = {np.max(np.abs(w)):.3g})")
+    return s.reshape(w.shape), err
+
+
+def _pfq_sum(spec: PfqSpec, w: np.ndarray, ladder: _CoeffLadder, cap: int,
+             heads: np.ndarray | None = None,
+             weights: np.ndarray | None = None):
+    """The series engine: one column per entry of the flat array ``w``.
+
+    Returns (sums, err, rows, done): each column's partial sum; an error
+    bound that holds in every column (the coefficient errors times the
+    largest weight of each row, plus the largest last term); the number of
+    term rows summed; and whether the stopping rule ended the sum before
+    ``cap`` rows.  ``heads`` gives each column its own first upper
+    parameter in place of the spec's (a p = q+1 spec); ``weights`` gives
+    each column's term-0 weight, 1 by default.
+
+    A row is small when its largest term is at most 1e-16 (1 + the largest
+    partial sum) and every column is past its peak: each step factor, the
+    multiplier taking a weight to the next, is below 1 in modulus.  Three
+    small rows in a row end the sum, and so does a row of zero weights (a
+    terminating series: every later weight is zero too).
+
+    The terms are formed a block of rows at a time, one row per term index,
+    at most ``_SERIES_BLOCK_FLOATS`` entries and never past the
+    coefficients the ladder holds.  Every entry goes through the operations
+    of the term-by-term loop that ``tests/test_hyp.py`` keeps as the
+    reference, in the same order, and the row maxima equal that loop's (see
+    ``_max_abs`` and the term maxima below), so the output bits are the
+    loop's.
+    """
+    height = max(1, min(_BLOCK, _SERIES_BLOCK_FLOATS // max(w.size, 1)))
     head = spec.poch_head()
+    if head is not None and heads is not None:
+        head = (heads, head[1])
     lowers = spec.lower[:spec.surplus]
+
+    def steps_at(idx, out):
+        """The step factors of term index ``idx`` (an array of them)."""
+        np.divide(w, idx + 1.0, out=out)
+        if head is not None:
+            a1, k1 = head
+            for i in range(k1):
+                out *= a1 + k1 * idx + i
+        for b in lowers:
+            out /= b + idx
+        return out
+
     # Row 0 of the block carries in the weight of the block's first term.
     # Rows 1 to ``rows`` take the step factors; the running product turns
     # rows 0 to rows - 1 into the block's weights and row ``rows`` into the
     # weight that the next block carries in.  The weights then become the
     # terms and, by a running sum from ``s``, the partial sums, in place.
-    blk = np.empty((height + 1, flat.size))
-    blk[0] = 1.0
-    s = np.zeros_like(flat)  # partial sum before the block's first term
-    errsum = 0.0
+    # Only a row whose terms are small needs its step factors again, to
+    # tell whether every column is past its peak; they are recomputed.
+    blk = np.empty((height + 1, w.size))
+    blk[0] = 1.0 if weights is None else weights
+    s = np.zeros_like(w)  # partial sums before the block's first term
+    err = 0.0
     small = 0
     m = 0
     while m < cap:
         ladder.ensure(m + 1)
         hi = min(m + height, ladder.coeffs.size, cap)
         rows = hi - m
-        idx = np.arange(m, hi)[:, None]
-        steps = blk[1:rows + 1]
-        np.divide(flat, idx + 1.0, out=steps)
-        if head is not None:
-            a1, k1 = head
-            for i in range(k1):
-                steps *= a1 + k1 * idx + i
-        for b in lowers:
-            steps /= b + idx
+        steps_at(np.arange(m, hi)[:, None], blk[1:rows + 1])
         _running(np.multiply, blk[:rows + 1])
         part = blk[:rows]
         wmax = _max_abs(part)
@@ -312,30 +304,29 @@ def pfq_series_vector(spec: PfqSpec, w: np.ndarray, tol: float = 1e-10,
         tmax = wmax * np.abs(coeffs)
         np.add(s, part[0], out=part[0])
         _running(np.add, part)
-        done = (tmax <= 1e-16 * (1.0 + _max_abs(part))).tolist()
+        tiny = (tmax <= 1e-16 * (1.0 + _max_abs(part))).tolist()
         tmax, wmax = tmax.tolist(), wmax.tolist()
         cerrs = ladder.cerrs[m:hi].tolist()
         for i in range(rows):
-            errsum += wmax[i] * cerrs[i]
-            if done[i]:
+            err += wmax[i] * cerrs[i]
+            if tiny[i] and (wmax[i] == 0.0 or _max_abs(
+                    steps_at(m + i, np.empty((1, w.size))))[0] < 1.0):
+                if small == 2 or wmax[i] == 0.0:
+                    return part[i].copy(), err + tmax[i], m + i + 1, True
                 small += 1
-                if small >= 3:
-                    return part[i].reshape(w.shape).copy(), errsum + tmax[i]
             else:
                 small = 0
         s = part[-1].copy()
+        last = tmax[-1]
         blk[0] = blk[rows]
         m = hi
-    raise DomainError(f"series did not converge within {cap} terms "
-                      f"(max |argument| = {np.max(np.abs(w)):.3g})")
+    return s, err + (last if m else 0.0), m, False
 
 
 def _max_abs(blk: np.ndarray) -> np.ndarray:
-    """Row maxima of |blk|, read without forming |blk|.
-
-    A row holding a NaN gives NaN, as np.abs would.  Only the sign of a
-    zero or of a NaN can differ from np.abs; a zero maximum adds nothing to
-    a sum that starts at +0.0, and a NaN row never ends the series.
+    """Row maxima of |blk|, read without forming |blk|.  A NaN row gives
+    NaN, as np.abs would, and never ends the series; only the sign of a
+    zero can differ, and a zero adds nothing to a sum that starts at +0.0.
     """
     return np.maximum(blk.max(axis=1), -blk.min(axis=1))
 
@@ -626,19 +617,14 @@ def _shift_sums(F, a: float, c: float, n: int, which: str,
     starts the sum at 1.  Serves the Gauss-level and the second-kind
     two-variable recursions.
     """
-    total = 0.0
-    err = 0.0
     if which == "lower":
         lhs = F(a, c + n)
         pref = 1.0
         for i in range(n):
             pref *= (c + i) / (c - a + i)
-        for k in range(n + 1):
-            g = F(a + k, c + k)
-            coef = ((-1.0) ** k * math.comb(n, k)
-                    * pochhammer(a, k) / pochhammer(c, k))
-            total += coef * g.value
-            err += abs(coef) * g.abs_err_est
+        pairs = [((-1.0) ** k * math.comb(n, k)
+                  * pochhammer(a, k) / pochhammer(c, k), F(a + k, c + k))
+                 for k in range(n + 1)]
     else:
         if variant == "proof":
             lhs = F(a + n, c + 2 * n)
@@ -655,14 +641,18 @@ def _shift_sums(F, a: float, c: float, n: int, which: str,
             i_lo = 1
         else:
             raise DomainError(f"unknown variant {variant!r}")
-        for i in range(i_lo, n + 1):
-            g = F(a + n + i, c + n + i)
-            coef = (pochhammer(-n, i) * pochhammer(a, i + n)
-                    / (pochhammer(c, i + n) * math.factorial(i)))
-            total += coef * g.value
-            err += abs(coef) * g.abs_err_est
-    rhs = EvalResult(total, err, lhs.terms_or_nodes, True, "series")
-    return lhs, rhs.scaled(pref)
+        pairs = [(pochhammer(-n, i) * pochhammer(a, i + n)
+                  / (pochhammer(c, i + n) * math.factorial(i)),
+                  F(a + n + i, c + n + i)) for i in range(i_lo, n + 1)]
+    return lhs, _combine(pairs, lhs.terms_or_nodes).scaled(pref)
+
+
+def _combine(pairs, nodes: int) -> EvalResult:
+    """The sum of coef * piece over (coef, piece) pairs, in order: the
+    errors add in modulus, and the sum converged if every piece did."""
+    return EvalResult(sum(c * g.value for c, g in pairs),
+                      sum(abs(c) * g.abs_err_est for c, g in pairs), nodes,
+                      all(g.converged for _c, g in pairs), "series")
 
 
 def recurrence_eval(which: str, kernel: KernelSpec, a1: float, a2: float,
@@ -690,14 +680,10 @@ def recurrence_eval(which: str, kernel: KernelSpec, a1: float, a2: float,
     sign = 1.0 if which == "a1_plus" else -1.0
     top = a1 + n if sign > 0 else a1
     lhs = F(a1 + sign * n, a2, b1)
-    acc = F(a1, a2, b1)
-    total, err = acc.value, acc.abs_err_est
     c = a2 * z / b1
-    for kk in range(1, n + 1):
-        g = F(top - kk + 1, a2 + 1, b1 + 1)
-        total += sign * c * g.value
-        err += abs(c) * g.abs_err_est
-    return lhs, EvalResult(total, err, lhs.terms_or_nodes, True, "series")
+    pairs = [(1.0, F(a1, a2, b1))] + [
+        (sign * c, F(top - kk + 1, a2 + 1, b1 + 1)) for kk in range(1, n + 1)]
+    return lhs, _combine(pairs, lhs.terms_or_nodes)
 
 
 def summation_thm(kernel: KernelSpec, a1: float, a2: float, b1: float,

@@ -33,7 +33,15 @@ from .extbeta import (
     unit_grid_kernel,
     unit_kernel,
 )
-from .hyp import PfqSpec, _CoeffLadder, ext_2f1, pfq_series_vector, pfq_spec
+from .hyp import (
+    SERIES_CAP,
+    PfqSpec,
+    _CoeffLadder,
+    _pfq_sum,
+    ext_2f1,
+    pfq_series_vector,
+    pfq_spec,
+)
 from .kernel import EXP_VARIANT, KernelSpec
 from .quadrature import (
     _nested,
@@ -49,6 +57,7 @@ MAX_VARIABLES = 4  # series cap; iterated integrals are checked for r <= 2
 # max_j |x_j| (type D) or sum_j |x_j| (type A) below which auto uses the series
 _SERIES_EDGE = 0.95
 _DIAG_CAP = 1024
+_OUTER_CAP = 2048  # terms per outer axis of the type A series
 
 
 @dataclass(frozen=True)
@@ -389,100 +398,6 @@ def multinomial_exponential_identity(xs, terms: int = 24) -> tuple[float, float]
     return total, math.exp(sum(xs))
 
 
-def nested_poch_series(alpha: float, ladders, xs, tol: float,
-                       cap: int = 2048) -> EvalResult:
-    """sum over index vectors m of (alpha)_{|m|} prod_j c_j[m_j] x_j^m_j/m_j!.
-
-    The leading Pochhammer factor is split as (alpha)_{m_1} (alpha+m_1)_{m_2}
-    ... and carried multiplicatively through the recursion, so no factor ever
-    overflows even deep in the tail.  Shared engine for the second-kind
-    two-variable function and its r-variable generalization.
-
-    The sums run on Python floats.  Each ladder is read into a list a block
-    at a time, and ``ensure`` runs only when an index passes the end of what
-    is read.  The innermost sum keeps the running total, error and term
-    count in locals, and has no exp((a + m) * grow) factors: there grow is
-    0.0, so each is exactly 1.0 for a finite alpha.  numpy scalars and
-    Python floats are the same doubles, and the operations run in the same
-    order, so the output bits are those of the recursion kept in
-    ``tests/test_appell.py`` as the reference.
-    """
-    r = len(xs)
-    if not all(math.isfinite(v) for v in (alpha, *xs)):
-        raise DomainError("series needs a finite alpha and finite arguments")
-    if sum(abs(x) for x in xs) >= 1.0:
-        raise DomainError("series needs sum of |arguments| below 1")
-    xs = [float(x) for x in xs]
-    rest = [sum(abs(x) for x in xs[j + 1:]) for j in range(r)]
-    coeffs = [[] for _ in range(r)]
-    cerrs = [[] for _ in range(r)]
-    total = 0.0
-    err = 0.0
-    count = 0
-    overflow = False
-
-    def read(j: int, m: int) -> None:
-        ladders[j].ensure(m + 1)
-        coeffs[j] += ladders[j].coeffs[len(coeffs[j]):].tolist()
-        cerrs[j] += ladders[j].cerrs[len(cerrs[j]):].tolist()
-
-    def innermost(a_shift: float, acc: float) -> None:
-        nonlocal total, err, count, overflow
-        c, e, x = coeffs[r - 1], cerrs[r - 1], xs[r - 1]
-        tot, er, n = total, err, count
-        small = 0
-        m = 0
-        while m < cap:
-            if m >= len(c):
-                read(r - 1, m)
-            contrib = acc * c[m]
-            er += abs(acc) * e[m]
-            tot += contrib
-            n += 1
-            if abs(contrib) < 1e-17 * (1.0 + abs(tot)):
-                small += 1
-                if small >= 3:
-                    break
-            else:
-                small = 0
-            acc = acc * (a_shift + m) * x / (m + 1)
-            m += 1
-        else:
-            overflow = True
-        total, err, count = tot, er, n
-
-    def rec(j: int, a_shift: float, acc: float) -> None:
-        nonlocal err, overflow
-        if j == r - 1:
-            innermost(a_shift, acc)
-            return
-        grow = -math.log1p(-rest[j]) if rest[j] > 0.0 else 0.0
-        c, e, x = coeffs[j], cerrs[j], xs[j]
-        small = 0
-        m = 0
-        while m < cap:
-            if m >= len(c):
-                read(j, m)
-            contrib = acc * c[m]
-            err += abs(acc) * e[m] * math.exp((a_shift + m) * grow)
-            rec(j + 1, a_shift + m, contrib)
-            bound = abs(contrib) * math.exp((a_shift + m + 1) * grow)
-            if bound < 1e-17 * (1.0 + abs(total)):
-                small += 1
-                if small >= 3:
-                    return
-            else:
-                small = 0
-            acc = acc * (a_shift + m) * x / (m + 1)
-            m += 1
-        overflow = True
-
-    rec(0, float(alpha), 1.0)
-    tail = 1e-16 * (1.0 + abs(total))
-    return EvalResult(total, err + tail, max(count, 1), not overflow,
-                      "series")
-
-
 def fa_series(p: LauricellaParams, tol: float = 1e-10) -> EvalResult:
     """Type A series with per-axis batched beta ratios."""
     p.validate_fa()
@@ -490,12 +405,94 @@ def fa_series(p: LauricellaParams, tol: float = 1e-10) -> EvalResult:
 
 
 def _fa_series(p: LauricellaParams, tol: float) -> EvalResult:
+    """Sum over the total degree N of the first r - 1 axes of weight(N)
+    times the Gauss-level series in x_r with first parameter alpha + N: one
+    engine call with a column per N, and the value the sum of the columns.
+    """
     _require_finite(p)
+    degrees, leaves, err, done = _outer_terms(p)
+    weights = np.bincount(degrees, leaves)
+    cols, col_err, rows, cols_done = _last_axis_sum(p, weights)
+    return EvalResult(float(cols.sum()), err + weights.size * col_err,
+                      rows * weights.size, done and cols_done, "series")
+
+
+def _outer_terms(p: LauricellaParams):
+    """The leaves of the type A sum over its first r - 1 axes.
+
+    Returns (degrees, terms, err, done): per leaf, in recursion order, its
+    total degree N and its term (alpha)_N prod_j c_j[m_j] x_j^m_j / m_j!;
+    the error bound of the leaves; and whether every axis was cut before
+    ``_OUTER_CAP`` terms and every ladder converged.  At r = 1 the one leaf
+    is N = 0 with term 1.
+
+    Term m of axis j, N being the degree before it, leaves the Pochhammer
+    slot a = alpha + N + m to the axes after it, which multiply it by at
+    most (1 - rest)^-(|alpha| + N + m), rest being the sum of their |x_i|:
+    |a| is at most |alpha| + N + m and the beta ratios lie in (0, 1].
+    Every later step of axis j multiplies that bound by at most
+    rho = max(|a| / (m + 1), 1) |x_j| / (1 - rest), so once rho < 1 (past
+    the peak) the rest of the axis is bounded by bound * rho / (1 - rho),
+    and the axis is cut once that tail is at most 1e-17 (1 + |sum of the
+    terms so far|).  The error takes the tails and the coefficient errors
+    times the same bound.
+    """
     if sum(abs(x) for x in p.xs) >= 1.0:
         raise DomainError("series needs sum_j |x_j| < 1")
+    r, alpha, xs = p.r, p.alpha, [float(x) for x in p.xs]
     ladders = [_ratio_ladder(p.kernel, p.reg, b, g)
-               for b, g in zip(p.betas, p.gammas)]
-    return nested_poch_series(p.alpha, ladders, list(p.xs), tol)
+               for b, g in zip(p.betas[:-1], p.gammas[:-1])]
+    grows = [1.0 / (1.0 - sum(abs(x) for x in xs[j + 1:])) for j in range(r)]
+    # the ladders read into lists a block at a time: Python floats
+    coeffs, cerrs = [[] for _ in ladders], [[] for _ in ladders]
+    degrees, terms, total, err, done = [], [], 0.0, 0.0, True
+
+    def rec(j: int, n: int, acc: float) -> None:
+        nonlocal total, err, done
+        if j == r - 1:
+            degrees.append(n)
+            terms.append(acc)
+            total += acc
+            return
+        c, e, x, grow = coeffs[j], cerrs[j], xs[j], grows[j]
+        gx = abs(x) * grow
+        # the bound over the coefficient; the power never forms alone
+        scaled = math.exp(math.log(abs(acc)) + (abs(alpha) + n)
+                          * math.log(grow)) if acc else 0.0
+        for m in range(_OUTER_CAP):
+            if m == len(c):
+                ladders[j].ensure(m + 1)
+                c += ladders[j].coeffs[m:].tolist()
+                e += ladders[j].cerrs[m:].tolist()
+            a = alpha + n + m
+            err += scaled * e[m]
+            rec(j + 1, n + m, acc * c[m])
+            step = abs(a) / (m + 1) * gx
+            rho = max(step, gx)
+            if rho < 1.0:
+                tail = scaled * abs(c[m]) * rho / (1.0 - rho)
+                if tail <= 1e-17 * (1.0 + abs(total)):
+                    err += tail
+                    return
+            acc = acc * a * x / (m + 1)
+            scaled *= step
+        done = False
+
+    rec(0, 0, 1.0)
+    done = done and all(lad.ok for lad in ladders)
+    return np.array(degrees), np.array(terms), err, done
+
+
+def _last_axis_sum(p: LauricellaParams, weights: np.ndarray):
+    """The engine on the last axis: column N is the Gauss-level series with
+    first parameter alpha + N and term-0 weight weights[N].  Returns the
+    engine's (sums, err, rows, done), done also requiring the ladder."""
+    spec = pfq_spec(p.kernel, (p.alpha, p.betas[-1]), (p.gammas[-1],), p.reg)
+    ladder = _ratio_ladder(p.kernel, p.reg, p.betas[-1], p.gammas[-1])
+    cols, err, rows, done = _pfq_sum(
+        spec, np.full(weights.size, float(p.xs[-1])), ladder, SERIES_CAP,
+        heads=p.alpha + np.arange(weights.size), weights=weights)
+    return cols, err, rows, done and ladder.ok
 
 
 def fa_integral(p: LauricellaParams, tol: float = 1e-10,
@@ -519,6 +516,8 @@ def _fa_integral(p: LauricellaParams, tol: float, max_level: int,
     reg, kern = p.reg, p.kernel
     lognorm = sum(gammaln_real(g) - gammaln_real(b) - gammaln_real(g - b)
                   for b, g in zip(p.betas, p.gammas))
+    if variant not in ("proof", "printed"):
+        raise DomainError(f"unknown variant {variant!r}")
     norm = math.exp(lognorm) if variant == "proof" else math.exp(-lognorm)
 
     def grid_sum(level):
@@ -602,58 +601,17 @@ def fa_partial_series(p: LauricellaParams,
                       tol: float = 1e-10) -> tuple[EvalResult, EvalResult]:
     """Split off the last axis as a Gauss-level factor.
 
-    The outer (r-1)-fold sum shifts the Pochhammer slot of the inner
-    Gauss-level value by the outer total degree; the inner beta-ratio
-    family is shared across all outer terms.
-    """
+    Each leaf of the outer (r-1)-fold sum multiplies the Gauss-level value
+    whose Pochhammer slot is shifted by its total degree, summed leaf by
+    leaf (one engine column per degree)."""
     p.validate_fa()
     if p.r < 2:
         raise DomainError("partial series needs r >= 2")
     lhs = fa_series(p, tol)
-    ladders = [_ratio_ladder(p.kernel, p.reg, b, g)
-               for b, g in zip(p.betas[:-1], p.gammas[:-1])]
-    inner = _ratio_ladder(p.kernel, p.reg, p.betas[-1], p.gammas[-1])
-    xr = p.xs[-1]
-
-    def gauss_at(a_shift: float) -> float:
-        # inner Gauss-level series with shared coefficients
-        s = 0.0
-        w = 1.0
-        m = 0
-        while m < 2048:
-            inner.ensure(m + 1)
-            term = w * inner.coeffs[m]
-            s += term
-            if abs(term) < 1e-16 * (1.0 + abs(s)):
-                break
-            w = w * (a_shift + m) * xr / (m + 1)
-            m += 1
-        return s
-
-    state = {"total": 0.0, "count": 0}
-
-    def rec(j, a_shift, w):
-        if j == p.r - 1:
-            state["total"] += w * gauss_at(a_shift)
-            state["count"] += 1
-            return
-        acc = w
-        m = 0
-        small = 0
-        while m < 2048:
-            ladders[j].ensure(m + 1)
-            contrib = acc * ladders[j].coeffs[m]
-            rec(j + 1, a_shift + m, contrib)
-            if abs(contrib) < 1e-17 * (1.0 + abs(state["total"])):
-                small += 1
-                if small >= 3:
-                    return
-            else:
-                small = 0
-            acc = acc * (a_shift + m) * p.xs[j] / (m + 1)
-            m += 1
-
-    rec(0, p.alpha, 1.0)
-    rhs = EvalResult(state["total"], 1e-14 * (1.0 + abs(state["total"])),
-                     state["count"], True, "series")
+    degrees, leaves, err, done = _outer_terms(p)
+    gauss, gauss_err, _rows, gauss_done = _last_axis_sum(
+        p, np.ones(degrees.max() + 1))
+    total = float((leaves * gauss[degrees]).sum())
+    err += gauss_err * float(np.abs(leaves).sum())
+    rhs = EvalResult(total, err, leaves.size, done and gauss_done, "series")
     return lhs, rhs

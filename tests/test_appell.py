@@ -1,14 +1,17 @@
 """Two-variable extended hypergeometric functions."""
 
+import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from exthyp import appell
+from test_hyp import _sum_per_term
+from exthyp import appell, lauricella
 from exthyp.appell import (
     AppellParams,
     f1_finite_sum,
@@ -22,9 +25,9 @@ from exthyp.appell import (
     f2_transform,
 )
 from exthyp.extbeta import RegPair
-from exthyp.hyp import _CoeffLadder, ext_2f1, pfq_series_vector
+from exthyp.hyp import _CoeffLadder, ext_2f1, pfq_series_vector, pfq_spec
 from exthyp.kernel import EXP_KERNEL
-from exthyp.lauricella import _ratio_ladder, nested_poch_series
+from exthyp.lauricella import LauricellaParams, _ratio_ladder
 from exthyp.results import DomainError, EvalResult
 
 R0 = RegPair()
@@ -255,44 +258,53 @@ def test_lemma1_expansion_property(s, t, u, x, y):
     assert abs(lhs - rhs) <= 1e-9 * (1 + abs(lhs))
 
 
-def _nested_recursive(alpha, ladders, xs, tol, cap=2048):
-    """Reference: the former nested_poch_series, on numpy scalars."""
-    r = len(xs)
-    if sum(abs(x) for x in xs) >= 1.0:
-        raise DomainError("series needs sum of |arguments| below 1")
-    state = {"total": 0.0, "err": 0.0, "count": 0, "overflow": False}
-    rest = [sum(abs(x) for x in xs[j + 1:]) for j in range(r)]
+def _type_a_per_term(alpha, ladders, xs, last_spec, cap):
+    """Reference: ``lauricella._fa_series`` as plain loops.
 
-    def rec(j, a_shift, w):
-        grow = -math.log1p(-rest[j]) if rest[j] > 0.0 else 0.0
-        acc = w
-        small = 0
+    A recursion over the outer axes with the same past-the-peak cut, the
+    weights collected per total degree, then each degree's column summed
+    one term at a time by the engine reference of ``test_hyp``.
+    """
+    r = len(xs)
+    rests = [sum(abs(x) for x in xs[j + 1:]) for j in range(r)]
+    weights = {}
+    state = {"total": 0.0, "err": 0.0, "done": True}
+
+    def rec(j, n, acc):
+        if j == r - 1:
+            weights[n] = weights.get(n, 0.0) + acc
+            state["total"] += acc
+            return
+        grow = 1.0 / (1.0 - rests[j])
+        scaled = math.exp(math.log(abs(acc)) + (abs(alpha) + n)
+                          * math.log(grow)) if acc else 0.0
         m = 0
         while m < cap:
             ladders[j].ensure(m + 1)
-            contrib = acc * ladders[j].coeffs[m]
-            state["err"] += abs(acc) * ladders[j].cerrs[m] * math.exp(
-                (a_shift + m) * grow)
-            if j == r - 1:
-                state["total"] += contrib
-                state["count"] += 1
-            else:
-                rec(j + 1, a_shift + m, contrib)
-            bound = abs(contrib) * math.exp((a_shift + m + 1) * grow)
-            if bound < 1e-17 * (1.0 + abs(state["total"])):
-                small += 1
-                if small >= 3:
+            a = alpha + n + m
+            c = ladders[j].coeffs[m]
+            contrib = acc * c
+            state["err"] += scaled * ladders[j].cerrs[m]
+            rec(j + 1, n + m, contrib)
+            step = abs(a) / (m + 1) * (abs(xs[j]) * grow)
+            rho = max(step, abs(xs[j]) * grow)
+            if rho < 1.0:
+                tail = scaled * abs(c) * rho / (1.0 - rho)
+                if tail <= 1e-17 * (1.0 + abs(state["total"])):
+                    state["err"] += tail
                     return
-            else:
-                small = 0
-            acc = acc * (a_shift + m) * xs[j] / (m + 1)
+            acc = acc * a * xs[j] / (m + 1)
+            scaled *= step
             m += 1
-        state["overflow"] = True
+        state["done"] = False
 
-    rec(0, alpha, 1.0)
-    tail = 1e-16 * (1.0 + abs(state["total"]))
-    return EvalResult(state["total"], state["err"] + tail,
-                      max(state["count"], 1), not state["overflow"], "series")
+    rec(0, 0, 1.0)
+    n = max(weights) + 1
+    cols, col_err, rows, done = _sum_per_term(
+        last_spec, np.full(n, float(xs[-1])), ladders[-1], cap,
+        alpha + np.arange(n), np.array([weights.get(i, 0.0) for i in range(n)]))
+    return EvalResult(float(cols.sum()), state["err"] + n * col_err,
+                      rows * n, state["done"] and done, "series")
 
 
 def _bits(x):
@@ -309,9 +321,9 @@ def _same_result(got, want):
 
 _R13 = RegPair(0.1, 0.3)
 # (alpha, (beta_j, gamma_j) per axis, arguments, cap); the mixed-sign
-# arguments near |x| + |y| = 0.95 run inner sums past a 64-coefficient
-# ladder block, and the small caps stop sums early and set the overflow flag
-_NESTED_CASES = [
+# arguments near |x| + |y| = 0.95 run the last axis past a 64-coefficient
+# ladder block, and the small caps stop sums early and clear the flag
+_TYPE_A_CASES = [
     (0.9, [(0.6, 1.7), (0.7, 1.9)], [0.2, 0.3], 2048),
     (0.9, [(0.6, 1.7), (0.7, 1.9)], [0.28, -0.67], 2048),
     (1.3, [(0.6, 1.7), (0.7, 1.9)], [-0.6, 0.35], 2048),
@@ -323,31 +335,31 @@ _NESTED_CASES = [
 ]
 
 
-@pytest.mark.parametrize("case", range(len(_NESTED_CASES)))
-def test_nested_series_bit_identical_to_recursive(case):
-    alpha, axes, xs, cap = _NESTED_CASES[case]
-
-    def ladders():
-        return [_ratio_ladder(EXP_KERNEL, _R13, b, g) for b, g in axes]
-
-    got_ladders, want_ladders = ladders(), ladders()
-    got = nested_poch_series(alpha, got_ladders, xs, 1e-10, cap)
-    want = _nested_recursive(alpha, want_ladders, xs, 1e-10, cap)
+@pytest.mark.parametrize("case", range(len(_TYPE_A_CASES)))
+def test_type_a_series_bit_identical_to_per_term(case, monkeypatch):
+    alpha, axes, xs, cap = _TYPE_A_CASES[case]
+    # the case's cap bounds every outer axis and the last axis' rows
+    monkeypatch.setattr(lauricella, "_OUTER_CAP", cap)
+    monkeypatch.setattr(lauricella, "SERIES_CAP", cap)
+    p = LauricellaParams(alpha, tuple(b for b, _ in axes),
+                         tuple(g for _, g in axes), tuple(xs), _R13,
+                         EXP_KERNEL)
+    got = lauricella._fa_series(p, 1e-10)
+    ladders = [_ratio_ladder(EXP_KERNEL, _R13, b, g) for b, g in axes]
+    last_spec = pfq_spec(EXP_KERNEL, (alpha, axes[-1][0]), (axes[-1][1],),
+                         _R13)
+    want = _type_a_per_term(alpha, ladders, xs, last_spec, cap)
     _same_result(got, want)
     assert got.converged == (cap > 70)
-    for g, w in zip(got_ladders, want_ladders):
-        assert g.coeffs.size == w.coeffs.size
     if case in (1, 2):
-        assert max(w.coeffs.size for w in want_ladders) > 64
+        assert ladders[-1].coeffs.size > 64
 
 
 def test_nested_series_rejects_non_finite():
-    lads = [_ratio_ladder(EXP_KERNEL, R0, 0.6, 1.7),
-            _ratio_ladder(EXP_KERNEL, R0, 0.7, 1.9)]
     for alpha, xs in ((math.nan, [0.2, 0.3]), (math.inf, [0.2, 0.3]),
                       (0.9, [math.nan, 0.3]), (0.9, [0.2, -math.inf])):
         with pytest.raises(DomainError):
-            nested_poch_series(alpha, lads, xs, 1e-10)
+            f2_series(P2(alpha, 0.6, 0.7, 1.7, 1.9), *xs)
 
 
 def test_f2_single_integral_builds_one_inner_ladder(monkeypatch):
@@ -372,3 +384,54 @@ def test_f2_single_integral_builds_one_inner_ladder(monkeypatch):
     want = f2_single_integral(p, 0.2, 0.3)
     assert len(built) > 1
     _same_result(got, want)
+
+
+def test_finite_sum_carries_its_pieces_flags(monkeypatch):
+    out = f1_finite_sum(EXP_KERNEL, 1, 2, 0.25, 0.55)
+    assert all(r.converged for r in out.values())
+    real = appell.ext_2f1
+
+    def flagged(kernel, a, b, c, w, *rest, **kwargs):
+        got = real(kernel, a, b, c, w, *rest, **kwargs)
+        # one Gauss-level piece: F(1, 1; 2; x)
+        return dataclasses.replace(got, converged=got.converged
+                                   and (a, w) != (1.0, 0.25))
+
+    monkeypatch.setattr(appell, "ext_2f1", flagged)
+    out = f1_finite_sum(EXP_KERNEL, 1, 2, 0.25, 0.55)
+    assert out["direct"].converged
+    assert not out["proof"].converged and not out["printed"].converged
+
+
+def _f2_grid(n, seed=20261018):
+    """Seeded second-kind points at zero regularization, mixed signs and
+    |x| + |y| up to 0.945, after the point of the truncation repro."""
+    rng = np.random.default_rng(seed)
+    points = [(0.9, 0.6, 0.7, 1.9, 2.1, 0.282, 0.658)]
+    for _ in range(n - 1):
+        alpha, b1, b2 = rng.uniform(0.2, 2.5), *rng.uniform(0.2, 2.0, 2)
+        g1, g2 = b1 + rng.uniform(0.3, 2.5), b2 + rng.uniform(0.3, 2.5)
+        total, share = rng.uniform(0.0, 0.945), rng.uniform()
+        x = total * share * rng.choice([-1.0, 1.0])
+        y = total * (1.0 - share) * rng.choice([-1.0, 1.0])
+        points.append((alpha, b1, b2, g1, g2, float(x), float(y)))
+    return points
+
+
+def test_f2_series_matches_mpmath_on_a_seeded_grid():
+    # an inner sum whose first terms are tiny but still growing used to
+    # stop there: the repro point was off by 4e-7 with an estimate of 4e-16
+    for alpha, b1, b2, g1, g2, x, y in _f2_grid(40):
+        got = f2_series(P2(alpha, b1, b2, g1, g2), x, y)
+        want = mpmath.appellf2(alpha, b1, b2, g1, g2, x, y)
+        assert got.converged
+        assert abs(got.value - want) <= 1e-14 * abs(want), (alpha, x, y)
+
+
+def test_f2_series_with_most_of_the_sum_on_one_axis():
+    # the power (1 - |y|)^-(alpha + m) of the outer bound passes 1e308
+    # before the cut; formed on its own it raised OverflowError
+    got = f2_series(P2(0.9, 0.6, 0.7, 1.9, 2.1), 0.09, 0.9)
+    want = mpmath.appellf2(0.9, 0.6, 0.7, 1.9, 2.1, 0.09, 0.9)
+    assert got.converged
+    assert abs(got.value - want) <= 1e-14 * abs(want)

@@ -1,7 +1,10 @@
 """Extended Gauss/generalized hypergeometric functions and their identities."""
 
+import ast
+import dataclasses
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -376,22 +379,24 @@ def test_extended_gauss_against_external_quadrature():
     assert abs(got.value - want) <= 1e-12 * (1 + abs(want))
 
 
-def _series_vector_per_term(spec, w, tol=1e-10, cap=SERIES_CAP, ladder=None):
-    """Reference: the former pfq_series_vector, one term at a time."""
+def _sum_per_term(spec, w, ladder, cap=SERIES_CAP, heads=None, weights=None):
+    """Reference: the series engine ``hyp._pfq_sum``, one term at a time."""
     w = np.asarray(w, dtype=float)
-    if ladder is None:
-        ladder = _CoeffLadder(spec, tol)
     s = np.zeros_like(w)
-    errsum = 0.0
-    wgt = np.ones_like(w)
+    wgt = np.ones_like(w) if weights is None else np.array(weights, float)
     head = spec.poch_head()
+    if head is not None and heads is not None:
+        head = (np.asarray(heads, dtype=float), head[1])
+    errsum = 0.0
+    mx = 0.0
     small = 0
     m = 0
     while m < cap:
         ladder.ensure(m + 1)
         term = wgt * ladder.coeffs[m]
         s += term
-        errsum += float(np.max(np.abs(wgt))) * ladder.cerrs[m]
+        wmax = float(np.max(np.abs(wgt)))
+        errsum += wmax * ladder.cerrs[m]
         mx = float(np.max(np.abs(term)))
         f = w / (m + 1.0)
         if head is not None:
@@ -400,16 +405,24 @@ def _series_vector_per_term(spec, w, tol=1e-10, cap=SERIES_CAP, ladder=None):
                 f = f * (a1 + k1 * m + i)
         for j in range(spec.surplus):
             f = f / (spec.lower[j] + m)
+        past = float(np.max(np.abs(f))) < 1.0
         wgt = wgt * f
         m += 1
-        if mx <= 1e-16 * (1.0 + float(np.max(np.abs(s)))):
+        if (mx <= 1e-16 * (1.0 + float(np.max(np.abs(s))))
+                and (past or wmax == 0.0)):
+            if small == 2 or wmax == 0.0:
+                return s, errsum + mx, m, True
             small += 1
-            if small >= 3:
-                return s, errsum + mx
         else:
             small = 0
-    raise DomainError(f"series did not converge within {cap} terms "
-                      f"(max |argument| = {np.max(np.abs(w)):.3g})")
+    return s, errsum + mx, m, False
+
+
+def _series_vector_per_term(spec, w, ladder):
+    """pfq_series_vector's (values, bound) from the per-term reference."""
+    s, err, _rows, done = _sum_per_term(spec, w, ladder)
+    assert done
+    return s, err
 
 
 def _bits(x):
@@ -435,7 +448,7 @@ def test_series_vector_bit_identical_to_per_term(size, case):
     w = np.linspace(-wmax, wmax, size) if size > 1 else np.array([-wmax])
     got_ladder, want_ladder = _CoeffLadder(spec, 0.0), _CoeffLadder(spec, 0.0)
     got = pfq_series_vector(spec, w, ladder=got_ladder)
-    want = _series_vector_per_term(spec, w, ladder=want_ladder)
+    want = _series_vector_per_term(spec, w, want_ladder)
     assert got[0].shape == want[0].shape
     assert np.array_equal(_bits(got[0]), _bits(want[0]))
     assert np.array_equal(_bits(got[1]), _bits(want[1]))
@@ -452,10 +465,16 @@ def test_series_vector_long_series_crosses_ladder_blocks():
     w = np.linspace(-0.97, 0.97, 97)
     ladder = _CoeffLadder(spec, 0.0)
     got = pfq_series_vector(spec, w, ladder=ladder)
-    want = _series_vector_per_term(spec, w)
+    want = _series_vector_per_term(spec, w, _CoeffLadder(spec, 0.0))
     assert ladder.coeffs.size > 4 * hyp._BLOCK
     assert np.array_equal(_bits(got[0]), _bits(want[0]))
     assert np.array_equal(_bits(got[1]), _bits(want[1]))
+
+
+def _same_sums(got, want):
+    assert np.array_equal(_bits(got[0]), _bits(want[0]))
+    assert np.array_equal(_bits(got[1]), _bits(want[1]))
+    assert got[2:] == want[2:]
 
 
 def test_series_vector_empty_and_cap_match_per_term():
@@ -463,15 +482,64 @@ def test_series_vector_empty_and_cap_match_per_term():
     with pytest.raises(ValueError) as got:
         pfq_series_vector(spec, np.zeros(0))
     with pytest.raises(ValueError) as want:
-        _series_vector_per_term(spec, np.zeros(0))
+        _sum_per_term(spec, np.zeros(0), _CoeffLadder(spec, 0.0))
     assert str(got.value) == str(want.value)
     w = np.linspace(-0.8, 0.8, 65)
     for cap in (0, 5, 70):
-        with pytest.raises(DomainError) as got:
+        got = hyp._pfq_sum(spec, w, _CoeffLadder(spec, 0.0), cap)
+        want = _sum_per_term(spec, w, _CoeffLadder(spec, 0.0), cap)
+        _same_sums(got, want)
+        assert got[2:] == (cap, False)
+        with pytest.raises(DomainError, match=f"within {cap} terms"):
             pfq_series_vector(spec, w, cap=cap)
-        with pytest.raises(DomainError) as want:
-            _series_vector_per_term(spec, w, cap=cap)
-        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("size", [1, 7, 65, 300])
+def test_engine_per_column_heads_and_weights_match_per_term(size):
+    # the type A layout: one argument, first parameter alpha + N and a
+    # start weight per column; the large heads start tiny and still grow
+    spec = PfqSpec(((0.9, 1), (0.7, 1)), (2.1,), _R12)
+    w = np.full(size, 0.658)
+    heads = 0.9 + np.arange(size)
+    weights = np.cos(np.arange(size)) * 0.6 ** np.arange(size)
+    for cols in ((heads, weights), (heads, None), (None, weights)):
+        got_ladder, want_ladder = _CoeffLadder(spec, 0.0), _CoeffLadder(spec, 0.0)
+        got = hyp._pfq_sum(spec, w, got_ladder, SERIES_CAP, *cols)
+        want = _sum_per_term(spec, w, want_ladder, SERIES_CAP, *cols)
+        _same_sums(got, want)
+        assert got[3]
+        assert got_ladder.coeffs.size == want_ladder.coeffs.size
+
+
+def test_engine_sums_a_column_past_its_peak():
+    # 2F1(300, 0.7; 2.1; 0.658) scaled by 1e-30: its first terms are far
+    # below 1e-16 of the sum, but each is larger than the one before
+    spec = pfq_spec(EXP_KERNEL, (0.9, 0.7), (2.1,))
+    got = hyp._pfq_sum(spec, np.array([0.658]), _CoeffLadder(spec, 0.0),
+                       SERIES_CAP, np.array([300.0]), np.array([1e-30]))
+    want = 1e-30 * oracles.hyp2f1(300.0, 0.7, 2.1, 0.658)
+    assert got[3] and got[2] > 500
+    assert abs(got[0][0] - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("upper, lower, z", [
+    ((0.7, 1.3), (2.1,), 0.8), ((0.7, 1.3), (2.1,), -0.6),
+    ((0.9,), (2.3,), 40.0), ((1.3,), (2.5, 3.1), -30.0),
+    ((0.8, 1.1, 1.4), (2.2, 2.9), 0.5), ((-3.0, 1.3), (2.1,), 0.9),
+])
+def test_scalar_series_is_the_engine_on_one_element(upper, lower, z):
+    spec = pfq_spec(kummer_kernel(1.5, 2.5), upper, lower, _R12)
+    got = pfq_series(spec, z)
+    values, bound = pfq_series_vector(spec, np.array([z]))
+    assert got.converged
+    assert _bits(got.value) == _bits(values[0])
+    assert _bits(got.abs_err_est) == _bits(bound)
+
+
+def test_scalar_series_at_the_cap_is_unconverged_and_finite():
+    got = pfq_series(pfq_spec(EXP_KERNEL, (1.0, 1.0), (2.0,)), 0.9995)
+    assert not got.converged and got.terms_or_nodes == SERIES_CAP
+    assert math.isfinite(got.value) and math.isfinite(got.abs_err_est)
 
 
 def _same_result(got, want):
@@ -606,3 +674,67 @@ def test_shared_scope_tells_apart_blocks_with_the_same_start():
 def test_scaled_carries_a_prefactor():
     r = EvalResult(2.0, 0.5, 7, False, "series")
     assert r.scaled(-3.0) == EvalResult(-6.0, 1.5, 7, False, "series")
+
+
+def _functions(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.name: node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)}
+
+
+def test_one_series_engine_for_the_scalar_and_type_a_sums():
+    # the scalar series and the type A series run no loop of their own:
+    # their terms go through hyp._pfq_sum
+    src = Path(hyp.__file__).parent
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.comprehension)
+    for module, name in (("hyp.py", "pfq_series"),
+                         ("lauricella.py", "_fa_series")):
+        fn = _functions(src / module)[name]
+        assert not any(isinstance(n, loops) for n in ast.walk(fn)), name
+    defined = set()
+    for path in src.glob("*.py"):
+        defined |= set(_functions(path))
+    assert "_pfq_sum" in defined
+    assert not defined & {"_step_factor", "nested_poch_series"}
+
+
+@pytest.mark.parametrize("which", ["a1_plus", "a1_minus", "b1_plus",
+                                   "a2_plus"])
+def test_recurrence_sides_carry_their_pieces_flags(which, monkeypatch):
+    args = (which, EXP_KERNEL, 0.9, 1.1, 3.2, 2, 0.25, RegPair(0.1, 0.1))
+    lhs, rhs = recurrence_eval(*args)
+    assert lhs.converged and rhs.converged
+    real = hyp.ext_2f1
+    calls = []
+
+    def spy(kernel, a1, a2, b1, *rest, **kwargs):
+        calls.append((a1, a2, b1))
+        return real(kernel, a1, a2, b1, *rest, **kwargs)
+
+    monkeypatch.setattr(hyp, "ext_2f1", spy)
+    recurrence_eval(*args)
+    # the left side is evaluated first; mark the last right-side piece
+    piece = calls[-1]
+    assert piece not in calls[:1]
+
+    def flagged(kernel, a1, a2, b1, *rest, **kwargs):
+        out = real(kernel, a1, a2, b1, *rest, **kwargs)
+        return dataclasses.replace(
+            out, converged=out.converged and (a1, a2, b1) != piece)
+
+    monkeypatch.setattr(hyp, "ext_2f1", flagged)
+    lhs, rhs = recurrence_eval(*args)
+    assert lhs.converged and not rhs.converged
+
+
+def test_shift_sums_carry_their_pieces_flags():
+    def F(a, c, bad=None):
+        return EvalResult(a / c, 1e-16, 10, (a, c) != bad, "series")
+
+    for which, bad in (("lower", (1.1 + 1, 3.2 + 1)),
+                       ("upper", (1.1 + 2 + 1, 3.2 + 2 + 1))):
+        lhs, rhs = hyp._shift_sums(F, 1.1, 3.2, 2, which, "proof")
+        assert lhs.converged and rhs.converged
+        lhs, rhs = hyp._shift_sums(lambda a, c: F(a, c, bad), 1.1, 3.2, 2,
+                                   which, "proof")
+        assert lhs.converged and not rhs.converged

@@ -361,3 +361,20 @@ def test_non_finite_input_is_rejected_before_any_work(monkeypatch):
         for call in calls:
             with pytest.raises(DomainError):
                 call()
+
+
+def test_fa_integral_rejects_an_unknown_variant():
+    p = PA(0.8, [1.1, 0.7], [2.4, 2.1], [0.3, 0.35])
+    assert abs(fa_integral(p, 1e-7).value - 1.2927) < 1e-4
+    for variant in ("prof", "", "Proof"):
+        with pytest.raises(DomainError):
+            fa_integral(p, 1e-7, variant=variant)
+
+
+@pytest.mark.parametrize("xs", [(0.3, 0.3, 0.3), (0.2, -0.3, 0.4),
+                                (-0.45, 0.1, -0.4), (0.05, 0.1, 0.8)])
+def test_fa_series_r3_matches_the_partial_series(xs):
+    p = PA(0.9, [0.6, 0.7, 0.8], [1.9, 2.1, 2.2], list(xs), RegPair(0.1, 0.2))
+    lhs, rhs = fa_partial_series(p)
+    assert lhs.converged and rhs.converged
+    assert abs(lhs.value - rhs.value) <= 1e-13 * abs(lhs.value)
