@@ -106,27 +106,29 @@ def f1_eval(p: AppellParams, x: float, y: float, tol: float = 1e-10,
     return f1_integral(p, x, y, tol)
 
 
-def f1_transform(p: AppellParams, x: float, y: float, tol: float = 1e-10):
+def f1_transform(p: AppellParams, x: float, y: float, tol: float = 1e-10,
+                 variant: str = "proof") -> tuple[EvalResult, EvalResult]:
     """Both sides of the argument map (x, y) -> (x/(x-1), y/(y-1)).
 
-    Returns (lhs, rhs_printed, rhs_proof): the printed right side keeps the
-    first parameter; the proof-derived one replaces it by gamma1 - alpha.
-    Both carry (1-x)^-beta1 (1-y)^-beta2 and the swapped reg pair.
+    The right side carries (1-x)^-beta1 (1-y)^-beta2 and the swapped reg
+    pair.  The proof-derived variant replaces the first parameter by
+    gamma1 - alpha; the printed variant keeps it.
     """
     p.validate_f1()
     if not (x < 1.0 and y < 1.0):
         raise DomainError("transform needs x < 1 and y < 1")
+    if variant == "proof":
+        alpha = p.gamma1 - p.alpha
+    elif variant == "printed":
+        alpha = p.alpha
+    else:
+        raise DomainError(f"unknown variant {variant!r}")
     lhs = f1_eval(p, x, y, tol)
     pref = (1.0 - x) ** -p.beta1 * (1.0 - y) ** -p.beta2
-    xm, ym = x / (x - 1.0), y / (y - 1.0)
-    swapped = p.reg.swapped()
-    printed_p = AppellParams(p.alpha, p.beta1, p.beta2, p.gamma1, p.gamma2,
-                             swapped, p.kernel)
-    proof_p = AppellParams(p.gamma1 - p.alpha, p.beta1, p.beta2, p.gamma1,
-                           p.gamma2, swapped, p.kernel)
-    rp = f1_eval(printed_p, xm, ym, tol)
-    rq = f1_eval(proof_p, xm, ym, tol)
-    return lhs, rp.scaled(pref), rq.scaled(pref)
+    mapped = AppellParams(alpha, p.beta1, p.beta2, p.gamma1, p.gamma2,
+                          p.reg.swapped(), p.kernel)
+    rhs = f1_eval(mapped, x / (x - 1.0), y / (y - 1.0), tol)
+    return lhs, rhs.scaled(pref)
 
 
 def f2_series(p: AppellParams, x: float, y: float,

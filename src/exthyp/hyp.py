@@ -493,6 +493,8 @@ def derivative_weighted(kernel: KernelSpec, a1: float, a2: float, b1: float,
     The proof-derived right side shifts the first upper parameter by n; the
     printed variant leaves it unshifted and is retained for adjudication.
     """
+    if variant not in ("proof", "printed"):
+        raise DomainError(f"unknown variant {variant!r}")
     if a1 <= 0.0:
         raise DomainError("weighted derivative needs a1 > 0")
     if z <= 0.0:
@@ -567,12 +569,6 @@ def pfaff_transform(kernel: KernelSpec, a1: float, a2: float, b1: float,
     else:
         raise DomainError(f"unknown variant {variant!r}")
     return f.scaled(pref)
-
-
-def pfaff_parameter_action(a1: float, a2: float, b1: float, z: float,
-                           b: float, d: float):
-    """Parameter tuple produced by the proof-variant map (an involution)."""
-    return (a1, b1 - a2, b1, z / (z - 1.0), d, b)
 
 
 def euler_transform(kernel: KernelSpec, a1: float, a2: float, b1: float,

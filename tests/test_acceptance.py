@@ -239,8 +239,10 @@ def test_criterion_04_transformation_identities():
               (0.8, 1.0, 0.7, 2.4, 0.4, 0.2, RegPair(0.05, 0.15))]
     for alpha, b1, b2, g1, x, y, r in f1_pts:
         p = AppellParams(alpha, b1, b2, g1, math.nan, r)
-        lhs, _printed, proof = f1_transform(p, x, y)
+        lhs, proof = f1_transform(p, x, y, variant="proof")
         assert _rel(lhs.value, proof.value) < 1e-8
+        _, printed = f1_transform(p, x, y, variant="printed")
+        assert _rel(lhs.value, printed.value) > 1e-4
     f2_pts = [(1.0, 0.5, 0.6, 1.8, 2.1, 0.2, 0.25),
               (0.9, 0.7, 0.5, 2.0, 1.9, 0.15, 0.3),
               (1.1, 0.6, 0.8, 2.2, 2.4, 0.1, 0.2),

@@ -86,21 +86,43 @@ def test_f1_integral_outside_series_domain():
     got = f1_integral(p, 0.2, -3.0)
     assert got.converged
     # map back into the series domain through the argument transformation
-    _, _, proof = f1_transform(p, 0.2, -3.0)
+    _, proof = f1_transform(p, 0.2, -3.0, variant="proof")
     assert abs(got.value - proof.value) <= 1e-8 * (1 + abs(got.value))
 
 
 def test_f1_transform_classical_picks_proof_variant():
     p = P1(1.0, 0.7, 0.9, 2.3)
-    lhs, printed, proof = f1_transform(p, 0.3, 0.5)
+    lhs, proof = f1_transform(p, 0.3, 0.5, variant="proof")
+    _, printed = f1_transform(p, 0.3, 0.5, variant="printed")
     assert abs(lhs.value - proof.value) <= 1e-9 * (1 + abs(lhs.value))
     assert abs(lhs.value - printed.value) > 1e-3
 
 
 def test_f1_transform_extended_proof_variant():
     p = P1(1.0, 0.7, 0.9, 2.3, RegPair(0.2, 0.1))
-    lhs, printed, proof = f1_transform(p, 0.3, 0.5)
+    lhs, proof = f1_transform(p, 0.3, 0.5, variant="proof")
+    _, printed = f1_transform(p, 0.3, 0.5, variant="printed")
     assert abs(lhs.value - proof.value) <= 1e-8 * (1 + abs(lhs.value))
+    assert abs(lhs.value - printed.value) > 1e-3
+
+
+def test_f1_transform_one_right_side_per_variant(monkeypatch):
+    # each call evaluates the left side and the selected right side only
+    p = P1(1.0, 0.7, 0.9, 2.3, RegPair(0.2, 0.1))
+    calls = []
+    real = appell.f1_eval
+
+    def counting(q, x, y, tol=1e-10):
+        calls.append(q.alpha)
+        return real(q, x, y, tol)
+
+    monkeypatch.setattr(appell, "f1_eval", counting)
+    for variant, alpha in (("printed", 1.0), ("proof", 2.3 - 1.0)):
+        calls.clear()
+        lhs, rhs = f1_transform(p, 0.3, 0.5, variant=variant)
+        assert calls == [1.0, alpha]
+    with pytest.raises(DomainError):
+        f1_transform(p, 0.3, 0.5, variant="Proof")
 
 
 def test_f2_classical_oracle():

@@ -1,17 +1,18 @@
 """Conformance runner, catalog completeness, CSV schema, CLI contract."""
 
+import ast
 import dataclasses
 import json
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from exthyp import cli
+from exthyp import cli, conformance
 from exthyp.conformance import (
     build_catalog,
-    catalog_identity_ids,
     exit_code,
     fmt17,
     run_conformance,
@@ -20,7 +21,7 @@ from exthyp.conformance import (
 from exthyp.extbeta import RegPair
 from exthyp.hyp import ext_pfq, pfq_spec, shared_coefficients
 from exthyp.kernel import parse_kernel
-from exthyp.results import DomainError
+from exthyp.results import DomainError, EvalResult
 
 # one entry per implemented identity; the unit test cross-checks the catalog
 EXPECTED_IDENTITY_IDS = sorted([
@@ -87,7 +88,8 @@ def _cli(*argv, config=None):
 
 
 def test_catalog_matches_static_list():
-    assert sorted(catalog_identity_ids()) == EXPECTED_IDENTITY_IDS
+    ids = [ident.identity_id for ident in build_catalog()]
+    assert sorted(ids) == EXPECTED_IDENTITY_IDS
 
 
 def test_catalog_points_bounded_for_small_grid():
@@ -113,6 +115,33 @@ def test_small_grid_passes_and_adjudicates():
 def test_impossible_tolerance_fails_honestly():
     report = run_conformance("hyp", "small", 1e-15)
     assert exit_code(report) == 4
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_side_that_did_not_converge_fails_its_case(monkeypatch, side):
+    # the two sides agree to the bit, but one of them did not converge
+    def evaluate(pt, variant, tol):
+        sides = [EvalResult(0.75, 0.0, 1, True, "series") for _ in range(2)]
+        sides[side] = dataclasses.replace(sides[side], converged=False)
+        return tuple(sides)
+
+    ident = conformance._ident("agreeing-sides", "hyp", evaluate,
+                               [dict(z=0.5)])
+    monkeypatch.setattr(conformance, "build_catalog", lambda: [ident])
+    report = run_conformance("all", "small", 1e-8)
+    (case,) = report.cases
+    assert (case.lhs, case.rhs, case.residual) == (0.75, 0.75, 0.0)
+    assert case.status == "fail"
+    assert exit_code(report) == 4
+
+
+def test_catalog_entries_are_data_with_one_call_each():
+    # no per-identity evaluator or factory: an entry holds its call inline
+    tree = ast.parse(pathlib.Path(conformance.__file__).read_text())
+    names = {node.name for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef)}
+    assert not [n for n in names if n.startswith(("_ev_", "_mk_"))]
+    assert "catalog_identity_ids" not in names
 
 
 def test_report_csv_schema(tmp_path):
@@ -248,7 +277,8 @@ def test_catalog_points_same_bits_inside_shared_scope():
             lhs, rhs = ident.evaluate(pt, variant, 1e-8)
         except DomainError as exc:
             return str(exc)
-        return _bits(float(lhs)), _bits(float(rhs))
+        return tuple(_bits(s.value if isinstance(s, EvalResult) else s)
+                     for s in (lhs, rhs))
 
     with shared_coefficients():
         shared = [evaluate(*u) for u in units]

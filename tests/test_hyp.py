@@ -26,7 +26,6 @@ from exthyp.hyp import (
     ext_pfq,
     finite_difference_derivative,
     frac_deriv,
-    pfaff_parameter_action,
     pfaff_transform,
     pfq_series,
     pfq_series_vector,
@@ -188,6 +187,14 @@ def test_weighted_derivative_proof_variant_wins():
         assert abs(lhs - printed.value) > 1e-3
 
 
+@pytest.mark.parametrize("variant", ["prof", "Proof", "", "printed "])
+def test_weighted_derivative_rejects_unknown_variant(variant):
+    # a misspelt variant used to evaluate the printed (unshifted) form
+    with pytest.raises(DomainError, match="unknown variant"):
+        derivative_weighted(EXP_KERNEL, 1.0, 1.0, 2.0, 0.4, 1,
+                            RegPair(0.1, 0.15), variant=variant)
+
+
 def test_pfaff_proof_variant_log_case():
     lhs = ext_2f1(EXP_KERNEL, 1.0, 1.0, 2.0, 0.5)
     rhs = pfaff_transform(EXP_KERNEL, 1.0, 1.0, 2.0, 0.5)
@@ -210,12 +217,6 @@ def test_pfaff_printed_variant_fails():
 
 
 def test_pfaff_involution():
-    tup = (0.9, 1.1, 2.4, 0.35, 0.2, 0.5)
-    mapped = pfaff_parameter_action(*tup)
-    back = pfaff_parameter_action(*mapped)
-    # parameter slots return exactly; the argument slot to rounding
-    assert back[:3] == tup[:3] and back[4:] == tup[4:]
-    assert back[3] == pytest.approx(tup[3], rel=4e-16)
     lhs = ext_2f1(EXP_KERNEL, 0.9, 1.1, 2.4, 0.35, RegPair(0.2, 0.5))
     once = pfaff_transform(EXP_KERNEL, 0.9, 1.1, 2.4, 0.35, RegPair(0.2, 0.5))
     assert abs(lhs.value - once.value) < 2e-8
