@@ -97,11 +97,8 @@ def f1_integral(p: AppellParams, x: float, y: float,
 def f1_eval(p: AppellParams, x: float, y: float, tol: float = 1e-10,
             method: str = "auto") -> EvalResult:
     """Series inside the polydisk, integral elsewhere left of 1."""
-    if method == "series":
-        return f1_series(p, x, y, tol)
-    if method == "integral":
-        return f1_integral(p, x, y, tol)
-    if max(abs(x), abs(y)) < _SERIES_EDGE:
+    if method == "series" or (method != "integral"
+                              and max(abs(x), abs(y)) < _SERIES_EDGE):
         return f1_series(p, x, y, tol)
     return f1_integral(p, x, y, tol)
 
@@ -145,11 +142,8 @@ def f2_integral(p: AppellParams, x: float, y: float, tol: float = 1e-10,
 
 def f2_eval(p: AppellParams, x: float, y: float, tol: float = 1e-10,
             method: str = "auto") -> EvalResult:
-    if method == "series":
-        return f2_series(p, x, y, tol)
-    if method == "integral":
-        return f2_integral(p, x, y, tol)
-    if abs(x) + abs(y) < _SERIES_EDGE:
+    if method == "series" or (method != "integral"
+                              and abs(x) + abs(y) < _SERIES_EDGE):
         return f2_series(p, x, y, tol)
     return f2_integral(p, x, y, tol)
 

@@ -274,6 +274,8 @@ def _kummer_series_node(aa: float, c: float, w: float) -> float:
     operations in the same order, with a float index m (aa + m, c + m and
     m + 1 are exact either way).
     """
+    if aa > 0.0 and c > 0.0 and w == math.inf:
+        return w  # every term is +inf: the loop would return it at the cap
     if aa > 0.0 and c > 0.0 and 0.0 < w < math.inf:
         eps = SERIES_EPS
         s = 1.0

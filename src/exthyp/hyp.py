@@ -35,6 +35,7 @@ from .quadrature import _nested, _refine, _running, unit_new_nodes
 from .results import DomainError, EvalResult, KernelMismatchError
 
 SERIES_CAP = 4096
+SERIES_SMALL = 1e-16  # a small term, relative to 1 + the largest partial sum
 _BLOCK = 64
 # Entries per block of the series engine `_pfq_sum` (512 KiB of float64).
 _SERIES_BLOCK_FLOATS = 1 << 16
@@ -234,7 +235,8 @@ def pfq_series_vector(spec: PfqSpec, w: np.ndarray, tol: float = 1e-10,
 
 def _pfq_sum(spec: PfqSpec, w: np.ndarray, ladder: _CoeffLadder, cap: int,
              heads: np.ndarray | None = None,
-             weights: np.ndarray | None = None):
+             weights: np.ndarray | None = None,
+             row_weights: np.ndarray | None = None):
     """The series engine: one column per entry of the flat array ``w``.
 
     Returns (sums, err, rows, done): each column's partial sum; an error
@@ -243,13 +245,17 @@ def _pfq_sum(spec: PfqSpec, w: np.ndarray, ladder: _CoeffLadder, cap: int,
     term rows summed; and whether the stopping rule ended the sum before
     ``cap`` rows.  ``heads`` gives each column its own first upper
     parameter in place of the spec's (a p = q+1 spec); ``weights`` gives
-    each column's term-0 weight, 1 by default.
+    each column's term-0 weight, 1 by default.  ``row_weights`` gives a
+    single column's weights row by row (at least ``cap``), the type D
+    diagonal weights: the step factors of the spec at ``w`` then only tell
+    whether the column is past its peak, and must be those of a majorant.
 
-    A row is small when its largest term is at most 1e-16 (1 + the largest
-    partial sum) and every column is past its peak: each step factor, the
-    multiplier taking a weight to the next, is below 1 in modulus.  Three
-    small rows in a row end the sum, and so does a row of zero weights (a
-    terminating series: every later weight is zero too).
+    A row is small when its largest term is at most ``SERIES_SMALL`` (1 +
+    the largest partial sum) and every column is past its peak: each step
+    factor, the multiplier taking a weight to the next, is below 1 in
+    modulus.  Three small rows in a row end the sum, and so does a row of
+    zero weights (a terminating series: every later weight is zero too),
+    except for ``row_weights``.
 
     The terms are formed a block of rows at a time, one row per term index,
     at most ``_SERIES_BLOCK_FLOATS`` entries and never past the
@@ -293,8 +299,11 @@ def _pfq_sum(spec: PfqSpec, w: np.ndarray, ladder: _CoeffLadder, cap: int,
         ladder.ensure(m + 1)
         hi = min(m + height, ladder.coeffs.size, cap)
         rows = hi - m
-        steps_at(np.arange(m, hi)[:, None], blk[1:rows + 1])
-        _running(np.multiply, blk[:rows + 1])
+        if row_weights is None:
+            steps_at(np.arange(m, hi)[:, None], blk[1:rows + 1])
+            _running(np.multiply, blk[:rows + 1])
+        else:
+            blk[:rows, 0] = row_weights[m:hi]
         part = blk[:rows]
         wmax = _max_abs(part)
         coeffs = ladder.coeffs[m:hi]
@@ -304,14 +313,15 @@ def _pfq_sum(spec: PfqSpec, w: np.ndarray, ladder: _CoeffLadder, cap: int,
         tmax = wmax * np.abs(coeffs)
         np.add(s, part[0], out=part[0])
         _running(np.add, part)
-        tiny = (tmax <= 1e-16 * (1.0 + _max_abs(part))).tolist()
+        tiny = (tmax <= SERIES_SMALL * (1.0 + _max_abs(part))).tolist()
         tmax, wmax = tmax.tolist(), wmax.tolist()
         cerrs = ladder.cerrs[m:hi].tolist()
         for i in range(rows):
             err += wmax[i] * cerrs[i]
-            if tiny[i] and (wmax[i] == 0.0 or _max_abs(
+            ends = wmax[i] == 0.0 and row_weights is None
+            if tiny[i] and (ends or _max_abs(
                     steps_at(m + i, np.empty((1, w.size))))[0] < 1.0):
-                if small == 2 or wmax[i] == 0.0:
+                if small == 2 or ends:
                     return part[i].copy(), err + tmax[i], m + i + 1, True
                 small += 1
             else:

@@ -35,6 +35,7 @@ from .extbeta import (
 )
 from .hyp import (
     SERIES_CAP,
+    SERIES_SMALL,
     PfqSpec,
     _CoeffLadder,
     _pfq_sum,
@@ -56,7 +57,6 @@ from .results import DomainError, EvalResult
 MAX_VARIABLES = 4  # series cap; iterated integrals are checked for r <= 2
 # max_j |x_j| (type D) or sum_j |x_j| (type A) below which auto uses the series
 _SERIES_EDGE = 0.95
-_DIAG_CAP = 1024
 _OUTER_CAP = 2048  # terms per outer axis of the type A series
 
 
@@ -102,21 +102,6 @@ def _ratio_ladder(kernel: KernelSpec, reg: RegPair, alpha: float,
     return _CoeffLadder(PfqSpec(((alpha, 1),), (gamma,), reg, kernel), 0.0)
 
 
-def _axis_seq(b: float, x: float, hi: int, prev: np.ndarray) -> np.ndarray:
-    """Extend the array of (b)_m x^m / m! to length hi."""
-    lo = prev.size
-    out = np.empty(hi)
-    out[:lo] = prev
-    if lo == 0:
-        out[0] = 1.0
-        lo = 1
-    cur = out[lo - 1]
-    for m in range(lo, hi):
-        cur = cur * (b + m - 1) * x / m
-        out[m] = cur
-    return out
-
-
 def _require_finite(p: LauricellaParams) -> None:
     """Reject a non-finite parameter or argument before any ladder or grid."""
     if not all(math.isfinite(v)
@@ -135,43 +120,52 @@ def fd_series(p: LauricellaParams, tol: float = 1e-10) -> EvalResult:
 
 
 def _fd_series(p: LauricellaParams, tol: float) -> EvalResult:
-    """Sum over total degrees N of coeff(N) * conv(axes)(N), by diagonals."""
+    """Sum over total degrees N of coeff(N) * weight(N): one engine column.
+
+    The tail, in the error only, is the largest of the last three terms (a
+    diagonal can vanish) times the geometric sum of the majorant's step
+    factor, which tends to rho (Darboux's method)."""
     _require_finite(p)
-    if max(abs(x) for x in p.xs) >= 1.0:
-        raise DomainError("series needs max_j |x_j| < 1")
+    big, rho, diag = _fd_diagonals(p)
     ladder = _ratio_ladder(p.kernel, p.reg, p.alpha, p.gammas[0])
-    axes = [np.empty(0) for _ in range(p.r)]
-    s = 0.0
-    errsum = 0.0
-    n_done = 0
-    small = 0
-    last = math.inf
-    ratio = 0.0
-    while n_done < _DIAG_CAP:
-        hi = min(n_done + 64, _DIAG_CAP)
-        ladder.ensure(hi)
-        coeffs, cerrs = ladder.coeffs, ladder.cerrs
-        axes = [_axis_seq(b, x, hi, prev)
-                for b, x, prev in zip(p.betas, p.xs, axes)]
-        full = axes[0][:hi]
-        for u in axes[1:]:
-            full = np.convolve(full, u[:hi])[:hi]
-        for n in range(n_done, hi):
-            term = coeffs[n] * full[n]
-            s += term
-            errsum += abs(full[n]) * cerrs[n]
-            if n > 0 and last not in (0.0, math.inf):
-                ratio = abs(term) / last
-            last = abs(term)
-            if last < 1e-15 * abs(s) + 1e-300:
-                small += 1
-                if small >= 4:
-                    tail = last * ratio / (1 - ratio) if ratio < 0.97 else last
-                    return EvalResult(s, errsum + tail, n + 1, True, "series")
-            else:
-                small = 0
-        n_done = hi
-    return EvalResult(s, errsum + last * 10.0, n_done, False, "series")
+    s, err, rows, done = _pfq_sum(pfq_spec(p.kernel, (big,), ()),
+                                  np.array([rho]), ladder, diag.size,
+                                  row_weights=diag)
+    last = np.abs(diag[rows - 3:rows] * ladder.coeffs[rows - 3:rows]).max()
+    step = max((big + rows) * rho / (rows + 1), rho)
+    tail = float(last) * step / (1.0 - step) if step < 1.0 else math.inf
+    return EvalResult(float(s[0]), err + tail, rows, done and ladder.ok,
+                      "series")
+
+
+def _fd_diagonals(p: LauricellaParams):
+    """(big, rho, weights): the type D weights by total degree N, the t^N
+    coefficients of prod_j (1 - x_j t)^-beta_j, and their majorant.
+
+    |weight N| <= (big)_N rho^N / N!, the 1F0 series with head big at rho
+    = max_j |x_j|, where big = sum_j |beta_j|.  The beta ratios lie in
+    (0, 1], so every term is small from the first majorant coefficient at
+    most ``SERIES_SMALL`` on (past the peak, being below the first): three
+    rows from there end the sum; the weights stop there, or at SERIES_CAP.
+    """
+    rho = max(abs(x) for x in p.xs)
+    if rho >= 1.0:
+        raise DomainError("series needs max_j |x_j| < 1")
+    big = sum(abs(b) for b in p.betas)
+    n = np.arange(SERIES_CAP - 1.0)
+    with np.errstate(divide="ignore"):  # logs of coefficients 1, 2, ...
+        bound = np.cumsum(np.log((big + n) * rho / (n + 1.0)))
+    below = np.flatnonzero(bound <= math.log(SERIES_SMALL))
+    rows = min(int(below[0]) + 4, SERIES_CAP) if below.size else SERIES_CAP
+    n, diag = n[:rows - 1], np.ones(1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b, x in zip(p.betas, p.xs):
+            axis = np.cumprod(np.concatenate(([1.0], (b + n) * x / (n + 1.0))))
+            # an axis ends before its first entry below the normal range: what
+            # follows cannot reach the sum, and subnormal products are slow
+            cut = np.argmax(np.abs(axis) < np.finfo(float).tiny) or None
+            diag = np.convolve(diag, axis[:cut])[:rows]
+    return big, rho, np.concatenate([diag, np.zeros(rows - diag.size)])
 
 
 def fd_integral(p: LauricellaParams, tol: float = 1e-10) -> EvalResult:
@@ -218,11 +212,8 @@ def _fd_integral(p: LauricellaParams, tol: float) -> EvalResult:
 
 def fd_eval(p: LauricellaParams, tol: float = 1e-10,
             method: str = "auto") -> EvalResult:
-    if method == "series":
-        return fd_series(p, tol)
-    if method == "integral":
-        return fd_integral(p, tol)
-    if max(abs(x) for x in p.xs) < _SERIES_EDGE:
+    if method == "series" or (method != "integral"
+                              and max(abs(x) for x in p.xs) < _SERIES_EDGE):
         return fd_series(p, tol)
     return fd_integral(p, tol)
 

@@ -457,3 +457,44 @@ def test_f2_series_with_most_of_the_sum_on_one_axis():
     want = mpmath.appellf2(0.9, 0.6, 0.7, 1.9, 2.1, 0.09, 0.9)
     assert got.converged
     assert abs(got.value - want) <= 1e-14 * abs(want)
+
+
+def _f1_grid(n, seed=20261019):
+    """Seeded first-kind points at zero regularization: |x| in [0.9, 0.97]
+    and |y| up to 0.97, with mixed signs."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(n):
+        alpha, b1, b2 = rng.uniform(0.2, 2.5), *rng.uniform(0.2, 2.0, 2)
+        g1 = alpha + rng.uniform(0.3, 2.5)
+        x = rng.uniform(0.9, 0.97) * rng.choice([-1.0, 1.0])
+        points.append((alpha, b1, b2, g1, float(x), rng.uniform(-0.97, 0.97)))
+    return points
+
+
+def test_f1_series_matches_mpmath_near_the_series_edge():
+    # the series used to stop at 1e-15 of the sum, up to 2e-14 short of it
+    # once the terms fall only like 0.97^N
+    for alpha, b1, b2, g1, x, y in _f1_grid(30):
+        got = f1_series(P1(alpha, b1, b2, g1), x, y)
+        with mpmath.workdps(30):
+            want = mpmath.appellf1(alpha, b1, b2, g1, x, y, maxterms=10**6)
+        assert got.converged
+        assert abs(got.value - want) <= 1e-14 * abs(want), (alpha, x, y)
+
+
+def test_f1_on_the_antidiagonal():
+    # beta_1 = beta_2 and y = -x: the odd diagonal weights vanish, the
+    # first ones exactly, and must not end the sum; at zero regularization
+    # F1 = 3F2(a/2, (a+1)/2, beta; c/2, (c+1)/2; x^2)
+    alpha, beta, g1, x = 0.7, 0.9, 1.9, 0.93
+    got = f1_series(P1(alpha, beta, beta, g1), x, -x)
+    want = mpmath.hyp3f2(alpha / 2, (alpha + 1) / 2, beta, g1 / 2,
+                         (g1 + 1) / 2, x * x)
+    assert got.converged
+    assert abs(got.value - want) <= 1e-14 * abs(want)
+    p = P1(alpha, beta, beta, g1, RegPair(0.1, 0.2))
+    got = f1_series(p, x, -x)
+    want = f1_integral(p, x, -x, 1e-12)
+    assert got.converged and want.converged
+    assert abs(got.value - want.value) <= 1e-13 * abs(want.value)

@@ -380,8 +380,12 @@ def test_extended_gauss_against_external_quadrature():
     assert abs(got.value - want) <= 1e-12 * (1 + abs(want))
 
 
-def _sum_per_term(spec, w, ladder, cap=SERIES_CAP, heads=None, weights=None):
-    """Reference: the series engine ``hyp._pfq_sum``, one term at a time."""
+def _sum_per_term(spec, w, ladder, cap=SERIES_CAP, heads=None, weights=None,
+                  row_weights=None):
+    """Reference: the series engine ``hyp._pfq_sum``, one term at a time.
+
+    With ``row_weights`` the weight of term m is row_weights[m], and the
+    step factors only tell whether the column is past its peak."""
     w = np.asarray(w, dtype=float)
     s = np.zeros_like(w)
     wgt = np.ones_like(w) if weights is None else np.array(weights, float)
@@ -394,6 +398,8 @@ def _sum_per_term(spec, w, ladder, cap=SERIES_CAP, heads=None, weights=None):
     m = 0
     while m < cap:
         ladder.ensure(m + 1)
+        if row_weights is not None:
+            wgt = np.full_like(w, row_weights[m])
         term = wgt * ladder.coeffs[m]
         s += term
         wmax = float(np.max(np.abs(wgt)))
@@ -409,9 +415,11 @@ def _sum_per_term(spec, w, ladder, cap=SERIES_CAP, heads=None, weights=None):
         past = float(np.max(np.abs(f))) < 1.0
         wgt = wgt * f
         m += 1
+        # a zero row ends a series of step factors, not of given weights
+        ends = wmax == 0.0 and row_weights is None
         if (mx <= 1e-16 * (1.0 + float(np.max(np.abs(s))))
-                and (past or wmax == 0.0)):
-            if small == 2 or wmax == 0.0:
+                and (past or ends)):
+            if small == 2 or ends:
                 return s, errsum + mx, m, True
             small += 1
         else:
@@ -689,14 +697,22 @@ def test_one_series_engine_for_the_scalar_and_type_a_sums():
     src = Path(hyp.__file__).parent
     loops = (ast.For, ast.AsyncFor, ast.While, ast.comprehension)
     for module, name in (("hyp.py", "pfq_series"),
-                         ("lauricella.py", "_fa_series")):
+                         ("lauricella.py", "_fa_series"),
+                         ("lauricella.py", "_fd_series")):
         fn = _functions(src / module)[name]
         assert not any(isinstance(n, loops) for n in ast.walk(fn)), name
     defined = set()
     for path in src.glob("*.py"):
         defined |= set(_functions(path))
     assert "_pfq_sum" in defined
-    assert not defined & {"_step_factor", "nested_poch_series"}
+    assert not defined & {"_step_factor", "nested_poch_series", "_axis_seq"}
+    # the type D series keeps no cap and no stopping constants of its own
+    tree = ast.parse((src / "lauricella.py").read_text(encoding="utf-8"))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert "_DIAG_CAP" not in names
+    fd = _functions(src / "lauricella.py")["_fd_series"]
+    consts = {n.value for n in ast.walk(fd) if isinstance(n, ast.Constant)}
+    assert not consts & {1e-15, 0.97}
 
 
 @pytest.mark.parametrize("which", ["a1_plus", "a1_minus", "b1_plus",

@@ -1,6 +1,7 @@
 """Regularization kernels: coefficients, evaluation, decay, parsing."""
 
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -25,6 +26,7 @@ from exthyp.corefn import (
     kummer_algebraic_tail,
     ln_gamma,
 )
+from exthyp import corefn
 from exthyp.results import DomainError
 
 KUM = kummer_kernel(1.0, 2.0)
@@ -223,12 +225,24 @@ def test_algebraic_tail_in_place_matches_former_expressions():
 
 
 def test_kummer_arr_non_finite_bit_identical_to_lockstep():
-    # NaN and +inf never meet the stopping rule, so both loops run to the cap
+    # NaN and +inf never meet the stopping rule, so the lock-step loop runs
+    # to the cap; the library's +inf node returns +inf at once
     z = np.array([np.nan, np.inf, -np.inf, -3.0])
     with np.errstate(all="ignore"):
         got = kummer_1f1_arr(1.5, 2.0, z)
         want = _lockstep_kummer_1f1_arr(1.5, 2.0, z)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_kummer_node_at_plus_inf_returns_at_once(monkeypatch):
+    # with aa > 0 and c > 0 every term is +inf: run to this cap, the loop
+    # would take seconds (about 0.25 us a term); the node takes microseconds
+    monkeypatch.setattr(corefn, "SERIES_CAP", 10**7)
+    start = time.perf_counter()
+    got = kummer_1f1_arr(1.5, 2.0, np.array([np.inf]))
+    elapsed = time.perf_counter() - start
+    assert got[0] == math.inf
+    assert elapsed < 0.5
 
 
 def test_kummer_arr_nan_exit_keeps_lockstep_bits():

@@ -1,6 +1,7 @@
 """r-variable extended hypergeometric functions of types D and A."""
 
 import ast
+import itertools
 import math
 import pathlib
 import warnings
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
+from test_hyp import _sum_per_term
 from exthyp import appell, lauricella
 from exthyp.appell import (
     AppellParams,
@@ -22,7 +24,7 @@ from exthyp.appell import (
 )
 from exthyp.corefn import beta_classical
 from exthyp.extbeta import BetaArgs, RegPair, ext_beta
-from exthyp.hyp import ext_2f1
+from exthyp.hyp import SERIES_CAP, ext_2f1, pfq_spec
 from exthyp.kernel import EXP_KERNEL, kummer_kernel
 from exthyp.lauricella import (
     IntervalProductParams,
@@ -39,7 +41,7 @@ from exthyp.lauricella import (
     interval_product_integral,
     multinomial_exponential_identity,
 )
-from exthyp.results import DomainError
+from exthyp.results import DomainError, EvalResult
 
 R0 = RegPair()
 
@@ -378,3 +380,60 @@ def test_fa_series_r3_matches_the_partial_series(xs):
     lhs, rhs = fa_partial_series(p)
     assert lhs.converged and rhs.converged
     assert abs(lhs.value - rhs.value) <= 1e-13 * abs(lhs.value)
+
+
+# (alpha, betas, gamma, xs) at r = 1 to 4: mixed signs, a terminating
+# beta_j = -2, beta_1 = beta_2 with x_2 = -x_1 (every odd weight vanishes,
+# the first ones exactly), arguments near the series edge, and a zero one
+_FD_CASES = [
+    (0.8, (1.3,), 2.1, (0.9,)),
+    (0.8, (1.1, 0.7), 2.4, (0.96, -0.9)),
+    (1.2, (-2.0, 0.6), 2.9, (0.8, -0.5)),
+    (0.7, (0.9, 0.9), 1.9, (0.93, -0.93)),
+    (0.9, (0.4, -0.6, 1.8), 2.5, (-0.6, 0.3, 0.94)),
+    (1.1, (0.5, 1.2, -2.0, 0.7), 2.6, (0.2, -0.85, 0.6, 0.0)),
+]
+
+
+@pytest.mark.parametrize("kernel", [EXP_KERNEL, kummer_kernel(1.5, 2.5)],
+                         ids=["exp", "kummer"])
+@pytest.mark.parametrize("case", range(len(_FD_CASES)))
+def test_fd_series_is_the_engine_on_the_diagonal_weights(case, kernel):
+    alpha, betas, gamma, xs = _FD_CASES[case]
+    reg = RegPair(0.1, 0.2)
+    p = LauricellaParams(alpha, betas, (gamma,), xs, reg, kernel)
+    got = fd_series(p)
+    big, rho, diag = lauricella._fd_diagonals(p)
+    ladder = lauricella._ratio_ladder(kernel, reg, alpha, gamma)
+    s, err, rows, done = _sum_per_term(pfq_spec(kernel, (big,), ()), [rho],
+                                       ladder, diag.size, row_weights=diag)
+    assert done and rows < diag.size <= SERIES_CAP
+    # the tail past the last row: the largest of its last three terms
+    # times the geometric sum of the majorant's step factor
+    last = np.max(np.abs(diag[rows - 3:rows] * ladder.coeffs[rows - 3:rows]))
+    step = max((big + rows) * rho / (rows + 1), rho)
+    want = EvalResult(float(s[0]), err + last * step / (1 - step), rows,
+                      True, "series")
+    assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("case", range(len(_FD_CASES)))
+def test_fd_diagonal_weights_are_the_multinomial_sums(case):
+    alpha, betas, gamma, xs = _FD_CASES[case]
+    big, rho, diag = lauricella._fd_diagonals(PD(alpha, betas, gamma, xs))
+    assert big == sum(abs(b) for b in betas)
+    assert rho == max(abs(x) for x in xs)
+    # the majorant (big)_N rho^N / N! bounds every weight
+    n = np.arange(diag.size - 1.0)
+    majorant = np.cumprod(np.concatenate(([1.0], (big + n) * rho / (n + 1))))
+    assert np.all(np.abs(diag) <= majorant * (1.0 + 1e-13))
+    for total in range(9):
+        with mpmath.workdps(30):
+            want = mpmath.fsum(
+                mpmath.fprod(oracles.poch(b, m) * mpmath.mpf(x) ** m
+                             / mpmath.factorial(m)
+                             for b, x, m in zip(betas, xs, ms))
+                for ms in itertools.product(range(total + 1),
+                                            repeat=len(xs))
+                if sum(ms) == total)
+        assert abs(diag[total] - want) <= 1e-14 * majorant[total], total
