@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corefn import gammaln_real
-from .extbeta import RegPair, safe_theta_product, unit_kernel
+from .extbeta import RegPair, _kernel_integral
 from .hyp import (
     _CoeffLadder,
     _shift_sums,
@@ -33,8 +33,8 @@ from .lauricella import (
     _fa_series,
     _fd_integral,
     _fd_series,
+    _use_series,
 )
-from .quadrature import _nested, _refine, unit_new_nodes
 from .results import DomainError, EvalResult
 
 
@@ -97,8 +97,7 @@ def f1_integral(p: AppellParams, x: float, y: float,
 def f1_eval(p: AppellParams, x: float, y: float, tol: float = 1e-10,
             method: str = "auto") -> EvalResult:
     """Series inside the polydisk, integral elsewhere left of 1."""
-    if method == "series" or (method != "integral"
-                              and max(abs(x), abs(y)) < _SERIES_EDGE):
+    if _use_series(method, max(abs(x), abs(y)) < _SERIES_EDGE):
         return f1_series(p, x, y, tol)
     return f1_integral(p, x, y, tol)
 
@@ -142,8 +141,7 @@ def f2_integral(p: AppellParams, x: float, y: float, tol: float = 1e-10,
 
 def f2_eval(p: AppellParams, x: float, y: float, tol: float = 1e-10,
             method: str = "auto") -> EvalResult:
-    if method == "series" or (method != "integral"
-                              and abs(x) + abs(y) < _SERIES_EDGE):
+    if _use_series(method, abs(x) + abs(y) < _SERIES_EDGE):
         return f2_series(p, x, y, tol)
     return f2_integral(p, x, y, tol)
 
@@ -167,25 +165,14 @@ def f2_single_integral(p: AppellParams, x: float, y: float,
     norm = math.exp(gammaln_real(p.gamma1) - gammaln_real(p.beta1)
                     - gammaln_real(p.gamma1 - p.beta1))
 
-    inner_err = 0.0
+    def powexp(t, tc, lt, ltc):
+        return ((p.beta1 - 1.0) * lt + (p.gamma1 - p.beta1 - 1.0) * ltc
+                - p.alpha * np.log1p(-x * t))
 
-    def contrib(level):
-        nonlocal inner_err
-        t, tc, w = unit_new_nodes(level)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            powexp = ((p.beta1 - 1.0) * np.log(t)
-                      + (p.gamma1 - p.beta1 - 1.0) * np.log(tc)
-                      - p.alpha * np.log1p(-x * t))
-            fv, ierr = pfq_series_vector(inner, y / (1.0 - x * t), tol,
-                                         ladder=ladder)
-            inner_err = max(inner_err, ierr)
-            vals = w * safe_theta_product(kern, powexp,
-                                          *unit_kernel(kern, reg, level)) * fv
-        return vals.sum(), t.size
+    def factor(t):
+        return pfq_series_vector(inner, y / (1.0 - x * t), tol, ladder=ladder)
 
-    totals, err, nodes, converged = _refine(_nested(contrib), tol / norm)
-    return EvalResult(norm * totals, norm * (err + inner_err), nodes,
-                      converged, "euler_integral")
+    return _kernel_integral(kern, reg, powexp, tol / norm, norm, factor)
 
 
 _F2_TRANSFORMS = ("x", "y", "xy", "xy_general")

@@ -26,11 +26,11 @@ from . import kernel as kernelmod
 from .kernel import EXP_VARIANT, KernelSpec
 from .quadrature import (
     MAX_LEVEL,
+    _check_finite,
     _nested,
     _refine,
     integrate_halfline,
     integrate_unit_batch,
-    integrate_unit_levels,
     unit_grid_order,
     unit_new_nodes,
 )
@@ -190,21 +190,49 @@ def safe_theta_product(k: KernelSpec, powexp: np.ndarray, arg: np.ndarray,
         return out
 
 
+def _kernel_integral(k: KernelSpec, reg: RegPair, powexp, tol: float,
+                     norm: float = 1.0, factor=None,
+                     method: str = "euler_integral") -> EvalResult:
+    """norm times the kernel-weighted Euler integral over (0, 1) of
+    exp(powexp) Theta(-b/t - d/(1-t)) g(t).
+
+    ``powexp(t, tc, lt, ltc)`` returns the exponent on a level's new nodes t
+    and complements tc = 1-t, with lt, ltc = log t, log tc.  ``factor(t)``
+    returns (g(t), its error), for an inner series or closed form; g = 1
+    without it.  The refinement stops at the absolute ``tol``, so callers
+    pass their tolerance divided by norm where it should bound the scaled
+    value.  A non-finite sample raises ``NonFiniteSampleError``.  The error
+    is norm times the last level difference plus the largest factor error.
+    """
+    factor_err = 0.0
+
+    def contrib(level):
+        nonlocal factor_err
+        t, tc, w = unit_new_nodes(level)
+        lt, ltc = _unit_logs(level)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            vals = w * safe_theta_product(k, powexp(t, tc, lt, ltc),
+                                          *unit_kernel(k, reg, level))
+            if factor is not None:
+                fv, ferr = factor(t)
+                factor_err = max(factor_err, ferr)
+                vals = vals * fv
+        _check_finite(vals, t)
+        return vals.sum(), t.size
+
+    totals, err, nodes, converged = _refine(_nested(contrib), tol)
+    return EvalResult(float(norm * totals), float(norm * (err + factor_err)),
+                      nodes, converged, method)
+
+
 def ext_beta(k: KernelSpec, args: BetaArgs, reg: RegPair = RegPair(),
              tol: float = 1e-12) -> EvalResult:
     """Regularized beta value by unit-interval quadrature."""
     check_beta_domain(k, args.alpha, args.beta, reg)
     alpha, beta = args.alpha, args.beta
-
-    def f(level):
-        lt, ltc = _unit_logs(level)
-        with np.errstate(over="ignore", under="ignore"):
-            powexp = (alpha - 1.0) * lt + (beta - 1.0) * ltc
-            return safe_theta_product(k, powexp, *unit_kernel(k, reg, level))
-
-    q = integrate_unit_levels(f, tol)
-    return EvalResult(q.value, q.abs_err_est, q.nodes_used, q.converged,
-                      "quadrature")
+    return _kernel_integral(
+        k, reg, lambda t, tc, lt, ltc: (alpha - 1.0) * lt + (beta - 1.0) * ltc,
+        tol, method="quadrature")
 
 
 def ext_beta_shifted_batch_arrays(k: KernelSpec, alpha0: float, count: int,

@@ -25,13 +25,12 @@ import numpy as np
 from .corefn import _is_nonpositive_int, beta_signed, gammaln_real, pochhammer
 from .extbeta import (
     RegPair,
-    safe_theta_product,
+    _kernel_integral,
     check_beta_domain,
     ext_beta_shifted_batch_arrays,
-    unit_kernel,
 )
 from .kernel import EXP_VARIANT, KernelSpec
-from .quadrature import _nested, _refine, _running, unit_new_nodes
+from .quadrature import _running
 from .results import DomainError, EvalResult, KernelMismatchError
 
 SERIES_CAP = 4096
@@ -393,45 +392,33 @@ def euler_step_integral(spec: PfqSpec, z: float, tol: float = 1e-10,
 
     lognorm = (gammaln_real(b_q) - gammaln_real(a_p)
                - gammaln_real(b_q - a_p))
-    # every level sums the inner series on its new nodes from one ladder
-    ladder = None if inner_closed or z == 1.0 else _CoeffLadder(inner, tol)
+    factor = None
+    if z == 1.0:
+        def powexp(t, tc, lt, ltc):
+            # fold (1 - t**k) = (1-t)(1 + t + ... + t**(k-1))
+            poly = np.zeros_like(t)
+            for i in range(k_p):
+                poly += t ** i
+            return ((a_p - 1.0) * lt + (b_q - a_p - a1 - 1.0) * ltc
+                    - a1 * np.log(poly))
+    else:
+        def powexp(t, tc, lt, ltc):
+            return (a_p - 1.0) * lt + (b_q - a_p - 1.0) * ltc
 
-    inner_err = 0.0
+        if inner_closed:
+            a1, k1 = inner.upper[0]
 
-    def contrib(level):
-        nonlocal inner_err
-        t, tc, w = unit_new_nodes(level)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            if z == 1.0:
-                a1, k1 = inner.upper[0]
-                # fold (1 - t**k) = (1-t)(1 + t + ... + t**(k-1))
-                poly = np.zeros_like(t)
-                for i in range(k_p):
-                    poly += t ** i
-                powexp = ((a_p - 1.0) * np.log(t)
-                          + (b_q - a_p - a1 - 1.0) * np.log(tc)
-                          - a1 * np.log(poly))
-                fv = np.ones_like(t)
-            else:
-                powexp = ((a_p - 1.0) * np.log(t)
-                          + (b_q - a_p - 1.0) * np.log(tc))
-                wz = z * t ** k_p
-                if inner_closed:
-                    a1, k1 = inner.upper[0]
-                    fv = _one_f0_vector(a1, k1, wz)
-                else:
-                    fv, ierr = pfq_series_vector(inner, wz, tol,
-                                                 ladder=ladder)
-                    inner_err = max(inner_err, ierr)
-            base = safe_theta_product(k, powexp, *unit_kernel(k, reg, level))
-            vals = w * base * fv
-        return vals.sum(), t.size
+            def factor(t):
+                return _one_f0_vector(a1, k1, z * t ** k_p), 0.0
+        else:
+            ladder = _CoeffLadder(inner, tol)
 
-    totals, err, nodes, converged = _refine(_nested(contrib),
-                                            tol * math.exp(-lognorm))
-    norm = math.exp(lognorm)
-    return EvalResult(norm * totals, norm * (err + inner_err), nodes,
-                      converged, "euler_integral")
+            def factor(t):
+                return pfq_series_vector(inner, z * t ** k_p, tol,
+                                         ladder=ladder)
+
+    return _kernel_integral(k, reg, powexp, tol * math.exp(-lognorm),
+                            math.exp(lognorm), factor)
 
 
 def ext_pfq(spec: PfqSpec, z: float, tol: float = 1e-10,
@@ -724,17 +711,7 @@ def frac_deriv(kernel: KernelSpec, mu: float, reg: RegPair, f, z: float,
     if z <= 0.0:
         raise DomainError("needs z > 0")
     lam = -mu
-    k, r = kernel, reg
-
-    def contrib(level):
-        t, tc, w = unit_new_nodes(level)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            powexp = (lam - 1.0) * np.log(tc)
-            base = safe_theta_product(k, powexp, *unit_kernel(k, r, level))
-            vals = w * base * np.asarray(f(z * t), dtype=float)
-        return vals.sum(), t.size
-
-    totals, err, nodes, converged = _refine(_nested(contrib), tol)
-    norm = z ** lam / math.exp(gammaln_real(lam))
-    return EvalResult(norm * totals, norm * err, nodes, converged,
-                      "quadrature")
+    return _kernel_integral(
+        kernel, reg, lambda t, tc, lt, ltc: (lam - 1.0) * ltc, tol,
+        z ** lam / math.exp(gammaln_real(lam)),
+        lambda t: (np.asarray(f(z * t), dtype=float), 0.0), "quadrature")

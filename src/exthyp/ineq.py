@@ -22,7 +22,7 @@ from .corefn import beta_classical
 from .extbeta import RegPair
 from .hyp import ext_2f1
 from .kernel import EXP_KERNEL
-from .quadrature import _refine, halfline_grid, unit_grid
+from .quadrature import _refine, halfline_grid, integrate_halfline, unit_grid
 from .results import DomainError, EvalResult
 
 
@@ -119,8 +119,6 @@ def lemma2_identity(which: str, a: float, b_par: float, c: float,
                 e = e - (ptilde / scale) / x
             return np.exp(e)
 
-    from .quadrature import integrate_halfline
-
     q = integrate_halfline(f, tol * 1e-2)
     lhs = EvalResult(q.value, q.abs_err_est, q.nodes_used, q.converged,
                      "quadrature")
@@ -200,8 +198,6 @@ def weight_F_quadrature(hp: HilbertParams, x: float,
                 e = e - (hp.ptilde / hp.alpha1) * x / y
             return np.exp(e)
 
-    from .quadrature import integrate_halfline
-
     q = integrate_halfline(f, tol)
     return q.value ** (1.0 / qp)
 
@@ -225,8 +221,6 @@ def weight_G_quadrature(hp: HilbertParams, y: float,
             if hp.ptilde > 0.0:
                 e = e - hp.ptilde * hp.alpha2 * y / x
             return np.exp(e)
-
-    from .quadrature import integrate_halfline
 
     q = integrate_halfline(f, tol)
     return q.value ** (1.0 / pp)

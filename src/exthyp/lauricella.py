@@ -27,11 +27,11 @@ from .corefn import beta_classical, gammaln_real
 from .extbeta import (
     BetaArgs,
     RegPair,
+    _kernel_integral,
     check_beta_domain,
     ext_beta,
     safe_theta_product,
     unit_grid_kernel,
-    unit_kernel,
 )
 from .hyp import (
     SERIES_CAP,
@@ -44,20 +44,21 @@ from .hyp import (
     pfq_spec,
 )
 from .kernel import EXP_VARIANT, KernelSpec
-from .quadrature import (
-    _nested,
-    _refine,
-    halfline_grid,
-    integrate_unit_levels,
-    unit_grid,
-    unit_new_nodes,
-)
+from .quadrature import _refine, halfline_grid, unit_grid
 from .results import DomainError, EvalResult
 
 MAX_VARIABLES = 4  # series cap; iterated integrals are checked for r <= 2
 # max_j |x_j| (type D) or sum_j |x_j| (type A) below which auto uses the series
 _SERIES_EDGE = 0.95
 _OUTER_CAP = 2048  # terms per outer axis of the type A series
+
+
+def _use_series(method: str, inside: bool) -> bool:
+    """Whether an evaluator sums its series: for method "series", or for
+    "auto" when the arguments lie ``inside`` the series edge."""
+    if method not in ("auto", "series", "integral"):
+        raise DomainError(f"unknown method {method!r}")
+    return method == "series" or (method == "auto" and inside)
 
 
 @dataclass(frozen=True)
@@ -191,29 +192,22 @@ def _fd_integral(p: LauricellaParams, tol: float) -> EvalResult:
     norm = math.exp(gammaln_real(gamma) - gammaln_real(p.alpha)
                     - gammaln_real(gamma - p.alpha))
 
-    def contrib(level):
-        t, tc, w = unit_new_nodes(level)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            powexp = ((p.alpha - 1.0) * np.log(t)
-                      + (gamma - p.alpha - 1.0) * np.log(tc))
-            for b, x in zip(p.betas, p.xs):
-                if x == 1.0:
-                    powexp = powexp - b * np.log(tc)
-                else:
-                    powexp = powexp - b * np.log1p(-x * t)
-            vals = w * safe_theta_product(kern, powexp,
-                                          *unit_kernel(kern, reg, level))
-        return vals.sum(), t.size
+    def powexp(t, tc, lt, ltc):
+        out = (p.alpha - 1.0) * lt + (gamma - p.alpha - 1.0) * ltc
+        for b, x in zip(p.betas, p.xs):
+            if x == 1.0:
+                out = out - b * ltc
+            else:
+                out = out - b * np.log1p(-x * t)
+        return out
 
-    totals, err, nodes, converged = _refine(_nested(contrib), tol / norm)
-    return EvalResult(norm * totals, norm * err, nodes, converged,
-                      "euler_integral")
+    return _kernel_integral(kern, reg, powexp, tol / norm, norm)
 
 
 def fd_eval(p: LauricellaParams, tol: float = 1e-10,
             method: str = "auto") -> EvalResult:
-    if method == "series" or (method != "integral"
-                              and max(abs(x) for x in p.xs) < _SERIES_EDGE):
+    if _use_series(method,
+                   max(map(abs, p.xs), default=0.0) < _SERIES_EDGE):
         return fd_series(p, tol)
     return fd_integral(p, tol)
 
@@ -292,22 +286,18 @@ def interval_product_integral(tp: IntervalProductParams,
     """
     tp.validate()
     span = tp.b_hi - tp.a_lo
-    reg, kern = tp.reg, tp.kernel
+    kern = tp.kernel
     scaled = RegPair(tp.reg.b / span, tp.reg.d / span)
 
-    def f(level):
-        t, tc, _ = unit_new_nodes(level)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            powexp = (tp.alpha - 1.0) * np.log(t) + (tp.beta - 1.0) * np.log(tc)
-            for fj, gj, lam in tp.factors:
-                powexp = powexp + lam * np.log(fj * (tp.a_lo + span * t) + gj)
-            return safe_theta_product(kern, powexp,
-                                      *unit_kernel(kern, scaled, level))
+    def powexp(t, tc, lt, ltc):
+        out = (tp.alpha - 1.0) * lt + (tp.beta - 1.0) * ltc
+        for fj, gj, lam in tp.factors:
+            out = out + lam * np.log(fj * (tp.a_lo + span * t) + gj)
+        return out
 
     pref = span ** (tp.alpha + tp.beta - 1.0)
-    q = integrate_unit_levels(f, tol / pref)
-    lhs = EvalResult(pref * q.value, pref * q.abs_err_est, q.nodes_used,
-                     q.converged, "quadrature")
+    lhs = _kernel_integral(kern, scaled, powexp, tol / pref, pref,
+                           method="quadrature")
 
     xs = tuple(-span * fj / (tp.a_lo * fj + gj) for fj, gj, _ in tp.factors)
     lams = tuple(-lam for _f, _g, lam in tp.factors)

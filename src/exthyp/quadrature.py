@@ -138,7 +138,8 @@ def _check_finite(contrib: np.ndarray, where: np.ndarray) -> None:
     bad = ~np.isfinite(contrib)
     if np.any(bad):
         raise NonFiniteSampleError(
-            f"integrand produced a non-finite sample near t={where[bad][0]!r}"
+            f"integrand produced a non-finite sample near "
+            f"t={float(where[bad][0])!r}"
         )
 
 
@@ -207,19 +208,15 @@ def _nested(contrib):
     return estimate
 
 
-def integrate_unit_levels(f, tol: float,
-                          max_level: int = MAX_LEVEL) -> QuadResult:
-    """Integrate over (0,1), where f(level) returns the integrand on the
-    level's new nodes, ``unit_new_nodes(level)``.
-
-    The integrand sees the level, so it can read per-level caches.
-    """
+def _integrate_levels(new_nodes, f, tol: float, max_level: int) -> QuadResult:
+    """Integrate f over the nodes (t, ..., w) = new_nodes(level), level by
+    level; f takes every array but the weights w."""
 
     def contrib(level):
-        t, _, w = unit_new_nodes(level)
-        vals = w * np.asarray(f(level), dtype=float)
-        _check_finite(vals, t)
-        return vals.sum(), t.size
+        *ts, w = new_nodes(level)
+        vals = w * np.asarray(f(*ts), dtype=float)
+        _check_finite(vals, ts[0])
+        return vals.sum(), w.size
 
     value, err, nodes, ok = _refine(_nested(contrib), tol, max_level)
     return QuadResult(float(value), float(err), nodes, ok)
@@ -227,8 +224,7 @@ def integrate_unit_levels(f, tol: float,
 
 def integrate_unit2(f, tol: float, max_level: int = MAX_LEVEL) -> QuadResult:
     """Integrate f(t, 1-t) over (0,1); f must accept ndarray arguments."""
-    return integrate_unit_levels(lambda level: f(*unit_new_nodes(level)[:2]),
-                                 tol, max_level)
+    return _integrate_levels(unit_new_nodes, f, tol, max_level)
 
 
 def integrate_unit(f, tol: float, max_level: int = MAX_LEVEL) -> QuadResult:
@@ -238,15 +234,7 @@ def integrate_unit(f, tol: float, max_level: int = MAX_LEVEL) -> QuadResult:
 
 def integrate_halfline(f, tol: float, max_level: int = MAX_LEVEL) -> QuadResult:
     """Integrate a vectorized f(t) over (0, inf)."""
-
-    def contrib(level):
-        t, w = halfline_new_nodes(level)
-        vals = w * np.asarray(f(t), dtype=float)
-        _check_finite(vals, t)
-        return vals.sum(), t.size
-
-    value, err, nodes, ok = _refine(_nested(contrib), tol, max_level)
-    return QuadResult(float(value), float(err), nodes, ok)
+    return _integrate_levels(halfline_new_nodes, f, tol, max_level)
 
 
 def integrate_unit_batch(f0, count: int, tol: float, kstep: int = 1,

@@ -356,8 +356,13 @@ _FA = ["--func", "fa", "--r", "2", "--params", "0.8,1.1,0.7,2.4,2.1",
     _FD + ["--method", "mellin"],
     _FA + ["--method", "mellin"],
     ["--func", "extbeta", "--params", "2,3", "--method", "series"],
+    # (1 - 0.9999 t)**-800 overflows near t = 1 on the first level's nodes
+    ["--func", "fd", "--r", "1", "--params", "1,800,2", "--xs", "0.9999",
+     "--method", "integral"],
+    ["--func", "fd", "--r", "0", "--params", "0.8,2.4"],
 ], ids=["f2-nan", "fd-nan", "contour-4", "kshift-1.5", "f1-mellin",
-        "f2-mellin", "fd-mellin", "fa-mellin", "extbeta-series"])
+        "f2-mellin", "fd-mellin", "fa-mellin", "extbeta-series",
+        "fd-overflow", "fd-r0"])
 def test_cli_eval_bad_input_exit_2(argv, capsys):
     assert cli.main(["eval", *argv]) == 2
     out = capsys.readouterr()

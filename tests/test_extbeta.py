@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exthyp import extbeta
+from exthyp.appell import AppellParams, f2_single_integral
 from exthyp.corefn import beta_classical, ln_gamma
 from exthyp.extbeta import (
     _THETA_CACHE_SIZE,
@@ -27,6 +28,7 @@ from exthyp.extbeta import (
     _unit_logs,
     _unit_theta,
 )
+from exthyp.hyp import euler_step_integral, frac_deriv, pfq_spec
 from exthyp.kernel import (
     EXP_KERNEL,
     EXP_VARIANT,
@@ -39,7 +41,8 @@ from exthyp.quadrature import (
     integrate_unit2,
     unit_new_nodes,
 )
-from exthyp.results import DomainError
+from exthyp.lauricella import LauricellaParams, fd_integral
+from exthyp.results import DomainError, NonFiniteSampleError
 
 mpmath.mp.dps = 30
 
@@ -362,7 +365,7 @@ def test_non_finite_arguments_raise_before_quadrature(monkeypatch, k, alpha,
     def no_quadrature(*args, **kwargs):
         raise AssertionError("quadrature ran")
 
-    for name in ("integrate_unit_levels", "integrate_unit_batch", "_refine"):
+    for name in ("integrate_unit_batch", "_refine"):
         monkeypatch.setattr(extbeta, name, no_quadrature)
     reg = RegPair(0.2, 0.3)
     with warnings.catch_warnings():
@@ -375,3 +378,37 @@ def test_non_finite_arguments_raise_before_quadrature(monkeypatch, k, alpha,
             ext_beta_shifted_batch_arrays(k, alpha, 3, beta, reg)
         with pytest.raises(DomainError):
             check_beta_domain_complex(k, complex(alpha, 0.5), beta, reg)
+
+
+# Euler integrals whose samples overflow on the first level's nodes: a large
+# negative power of (1 - 0.9999 t), or of exp(t), near t = 1
+_OVERFLOWING = {
+    "fd": lambda: fd_integral(LauricellaParams(1.0, (800.0,), (2.0,),
+                                               (0.9999,))),
+    "euler-step": lambda: euler_step_integral(
+        pfq_spec(EXP_KERNEL, (800.0, 1.0), (2.0,)), 0.9999),
+    "f2-single": lambda: f2_single_integral(
+        AppellParams(800.0, 1.1, 0.7, 2.4, 2.1), 0.9999, 0.0),
+    "frac-deriv": lambda: frac_deriv(EXP_KERNEL, -0.5, RegPair(),
+                                     lambda t: np.exp(1e4 * t), 1.0),
+}
+
+
+@pytest.mark.parametrize("evaluate", list(_OVERFLOWING.values()),
+                         ids=list(_OVERFLOWING))
+def test_kernel_integral_stops_at_the_first_non_finite_sample(monkeypatch,
+                                                              evaluate):
+    levels = []
+    nested = extbeta._nested
+
+    def spy(contrib):
+        def counted(level):
+            levels.append(level)
+            return contrib(level)
+        return nested(counted)
+
+    monkeypatch.setattr(extbeta, "_nested", spy)
+    # the node prints as a plain float
+    with pytest.raises(NonFiniteSampleError, match=r"near t=0\.\d+$"):
+        evaluate()
+    assert levels == [0]

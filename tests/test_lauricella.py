@@ -12,7 +12,7 @@ import pytest
 
 import oracles
 from test_hyp import _sum_per_term
-from exthyp import appell, lauricella
+from exthyp import appell, extbeta, lauricella
 from exthyp.appell import (
     AppellParams,
     f1_eval,
@@ -34,6 +34,7 @@ from exthyp.lauricella import (
     fa_series,
     fa_single_integral,
     fd_equal_arguments,
+    fd_eval,
     fd_integral,
     fd_laplace_product,
     fd_series,
@@ -340,7 +341,7 @@ def test_non_finite_input_is_rejected_before_any_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a ladder or a quadrature started")
 
-    for module in (appell, lauricella):
+    for module in (extbeta, lauricella):
         monkeypatch.setattr(module, "_refine", no_work)
     monkeypatch.setattr(lauricella, "_ratio_ladder", no_work)
     nan, inf = math.nan, math.inf
@@ -363,6 +364,28 @@ def test_non_finite_input_is_rejected_before_any_work(monkeypatch):
         for call in calls:
             with pytest.raises(DomainError):
                 call()
+
+
+@pytest.mark.parametrize("method", ["integrl", "", "Series", "mellin"])
+def test_unknown_method_is_rejected_before_any_work(monkeypatch, method):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a ladder or a quadrature started")
+
+    for module in (extbeta, lauricella):
+        monkeypatch.setattr(module, "_refine", no_work)
+    for name in ("_ratio_ladder", "_CoeffLadder"):
+        monkeypatch.setattr(lauricella, name, no_work)
+    p = AppellParams(0.8, 1.1, 0.7, 2.4, 2.1, R0, EXP_KERNEL)
+    calls = [
+        lambda: f1_eval(p, 0.2, 0.3, method=method),
+        lambda: f2_eval(p, 0.2, 0.3, method=method),
+        lambda: fd_eval(PD(0.8, [1.1, 0.7], 2.4, [0.2, 0.3]), method=method),
+        lambda: fd_eval(PD(0.8, [1.1, 0.7], 2.4, [0.97, 0.3]),
+                        method=method),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="unknown method"):
+            call()
 
 
 def test_fa_integral_rejects_an_unknown_variant():

@@ -327,3 +327,32 @@ def test_one_refinement_loop_in_the_package():
         if loops:
             found[path.name] = len(loops)
     assert found == {"quadrature.py": 1}
+
+
+def _names(tree):
+    """Every name a module binds, imports, reads or takes as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_one_kernel_weighted_unit_integrand_in_the_package():
+    # the kernel-weighted Euler integrals run through extbeta._kernel_integral;
+    # no other module sums the level nodes or evaluates the kernel on them
+    src = Path(exthyp.__file__).parent
+    named = {}
+    for path in sorted(src.glob("*.py")):
+        for name in _names(ast.parse(path.read_text(encoding="utf-8"))):
+            named.setdefault(name, set()).add(path.name)
+    for name in ("unit_new_nodes", "_nested", "unit_kernel"):
+        assert named[name] <= {"quadrature.py", "extbeta.py"}, name
+    assert "_kernel_integral" in named
+    assert "integrate_unit_levels" not in named
