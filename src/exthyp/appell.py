@@ -162,8 +162,8 @@ def f2_single_integral(p: AppellParams, x: float, y: float,
     reg, kern = p.reg, p.kernel
     inner = pfq_spec(kern, (p.alpha, p.beta2), (p.gamma2,), reg)
     ladder = _CoeffLadder(inner, tol)
-    norm = math.exp(gammaln_real(p.gamma1) - gammaln_real(p.beta1)
-                    - gammaln_real(p.gamma1 - p.beta1))
+    lognorm = (gammaln_real(p.gamma1) - gammaln_real(p.beta1)
+               - gammaln_real(p.gamma1 - p.beta1))
 
     def powexp(t, tc, lt, ltc):
         return ((p.beta1 - 1.0) * lt + (p.gamma1 - p.beta1 - 1.0) * ltc
@@ -172,7 +172,7 @@ def f2_single_integral(p: AppellParams, x: float, y: float,
     def factor(t):
         return pfq_series_vector(inner, y / (1.0 - x * t), tol, ladder=ladder)
 
-    return _kernel_integral(kern, reg, powexp, tol / norm, norm, factor)
+    return _kernel_integral(kern, reg, powexp, tol, lognorm, factor)
 
 
 _F2_TRANSFORMS = ("x", "y", "xy", "xy_general")

@@ -41,6 +41,12 @@ _LANCZOS_C = (
 
 SERIES_EPS = 1e-15
 SERIES_CAP = 10_000
+# kummer_1f1_arr: its algebraic branch starts at w0(a, c) <= _KUMMER_CUT_MAX,
+# and the first blocks of its series and of its algebraic expansion hold
+# this many terms a node.
+_KUMMER_CUT_MAX = 200.0
+_SERIES_TERMS = 128
+_ALGEBRAIC_TERMS = 16
 
 
 def _is_nonpositive_int(x: float, tol: float = 1e-12) -> bool:
@@ -240,106 +246,117 @@ def _kummer_amplitude(a: float, c: float) -> float:
     return g.real
 
 
+@functools.lru_cache(maxsize=128)
+def _kummer_cut(a: float, c: float) -> float:
+    """w0: the smallest w in 1, ..., 200 from which on the algebraic series
+    of 1F1(a; c; -w) falls at least like 3^-k, and its smallest term and the
+    exponential piece it drops, |Gamma(c-a)/Gamma(a)| e^-w w^(2a-c), are
+    below 2^-56 of its first (DLMF 13.7); 200 if none; inf where c - a is a
+    nonpositive integer."""
+    if _is_nonpositive_int(c - a):
+        return math.inf
+    ulp = -56.0 * math.log(2.0)
+    k = np.arange(1.0, 2.0 * _KUMMER_CUT_MAX + 1.0)
+    with np.errstate(divide="ignore"):
+        logt = np.cumsum(np.log(np.abs((a + k - 1.0) * (a - c + k) / k)))
+    w = np.arange(1.0, _KUMMER_CUT_MAX + 1.0)
+    # term k is below 2^-56 once log w > (log|coefficient| + 56 ln 2) / k
+    bad = np.log(w) <= np.min((logt - ulp) / k)
+    # |t_k / t_(k-1)| = (a+k-1) |a-c+k| / (k w) <= max(a, 1) (c-a-1) / w
+    bad |= w < 3.0 * max(a, 1.0) * (c - a - 1.0)
+    if not _is_nonpositive_int(a):
+        bad |= (math.lgamma(c - a) - math.lgamma(a) - w
+                + (2.0 * a - c) * np.log(w)) >= ulp
+    return min(w[bad].max(initial=0.0) + 1.0, _KUMMER_CUT_MAX)
+
+
+def _kummer_at_inf(a: float, c: float, z: float) -> float:
+    """1F1(a; c; +-inf): the limit of Gamma(c)/Gamma(a) e^z z^(a-c), of e^z
+    times a polynomial, or of Gamma(c)/Gamma(c-a) (-z)^-a, which is also
+    the top term of a polynomial 1F1(-n; c; z)."""
+    if z > 0.0 and not _is_nonpositive_int(a):
+        return _kummer_amplitude(c - a, c) * math.inf
+    if z < 0.0 and _is_nonpositive_int(c - a):
+        return 0.0
+    return _kummer_amplitude(a, c) * (-z) ** (-a if z < 0.0 else round(-a))
+
+
+def _block_sum(ratio, x: np.ndarray, asymptotic: bool = False) -> np.ndarray:
+    """Per node, 1 + the sum of t_m = t_(m-1) ratio(m - 1) x over m >= 1.
+
+    A (nodes x width) block takes the running product of ratio(m) x (m a
+    float index array) and then the running sum along each row, so a node's
+    bits depend on its x alone.  A row stops at a zero term, a non-finite
+    sum or a third term in a row below SERIES_EPS of its sum; the rest go
+    again twice as wide, with the same bits, up to a last sum at
+    SERIES_CAP * 3 terms.  An ``asymptotic`` row whose sum turns non-finite
+    diverges: it is cut off at its last smallest term before that (a term
+    below both neighbours, or t_0), where a divergent expansion is closest.
+    """
+    out = np.empty_like(x)
+    todo = np.arange(x.size)
+    width = _ALGEBRAIC_TERMS if asymptotic else _SERIES_TERMS
+    cap = SERIES_CAP * 3
+    while todo.size:
+        width = min(width, cap)
+        terms = np.cumprod(x[todo, None] * ratio(np.arange(width, dtype=float)),
+                           axis=1)
+        sums = 1.0 + np.cumsum(terms, axis=1)
+        tiny = np.abs(terms) < SERIES_EPS * np.abs(sums)
+        stop = (terms == 0.0) | ~np.isfinite(sums)
+        stop[:, 2:] |= tiny[:, 2:] & tiny[:, 1:-1] & tiny[:, :-2]
+        stop[:, -1] |= width == cap
+        first = stop.argmax(axis=1)
+        rows = np.arange(todo.size)
+        out[todo] = sums[rows, first]  # final where the row stopped
+        if asymptotic and not np.isfinite(out[todo]).all():
+            div = ~np.isfinite(out[todo])  # 1 + the terms up to t_last
+            fell = np.diff(np.abs(terms[div]), axis=1, prepend=1.0) < 0.0
+            low = np.arange(1, width) * (fell[:, :-1] & ~fell[:, 1:])
+            last = np.where(low <= first[div, None], low, 0).max(axis=1)
+            out[todo[div]] = np.where(last > 0, sums[div, last - 1], 1.0)
+        todo = todo[~stop[rows, first]]
+        width *= 2
+    return out
+
+
 def kummer_algebraic_tail(a: float, c: float,
                           w: np.ndarray) -> tuple[float, np.ndarray]:
     """Algebraic branch of 1F1(a; c; -w) for large w > 0.
 
-    Returns the amplitude Gamma(c)/Gamma(c-a) and the 24-term correction sum
-    of the expansion 1F1(a; c; -w) ~ amplitude * w**-a * sum.  The in-place
-    steps round like term = term * (a+k-1) * (a-c+k) / (k*w); s = s + term.
+    Returns the amplitude Gamma(c)/Gamma(c-a) and the sum of the expansion
+    1F1(a; c; -w) ~ amplitude * w**-a * 2F0(a, a-c+1;; 1/w).
     """
-    w = np.asarray(w, dtype=float)
-    s = np.ones_like(w)
-    term = np.ones_like(w)
-    for k in range(1, 25):
-        term *= a + k - 1
-        term *= a - c + k
-        term /= k * w
-        s += term
-    return _kummer_amplitude(a, c), s
-
-
-def _kummer_series_node(aa: float, c: float, w: float) -> float:
-    """Series of 1F1(aa; c; w) at one node, stopped by its own terms.
-
-    A NaN partial sum (s != s) ends the loop at once: NaN absorbs every later
-    term, so the result is the same.  An infinite one does not, because a
-    later 0 * inf term can still turn it into NaN.  With s NaN the
-    small-term comparison is false, so the NaN test only runs on the branch
-    where that comparison fails.
-
-    With aa > 0, c > 0 and finite w > 0 every term is >= 0 and s >= 1, so
-    the absolute values drop out, no term is NaN, and a zero term always
-    takes the small-term branch.  That case runs a lean loop: the same double
-    operations in the same order, with a float index m (aa + m, c + m and
-    m + 1 are exact either way).
-    """
-    if aa > 0.0 and c > 0.0 and w == math.inf:
-        return w  # every term is +inf: the loop would return it at the cap
-    if aa > 0.0 and c > 0.0 and 0.0 < w < math.inf:
-        eps = SERIES_EPS
-        s = 1.0
-        term = 1.0
-        small = 0
-        m = 0.0
-        for _ in range(SERIES_CAP * 3):
-            term = term * (aa + m) / (c + m) * w / (m + 1.0)
-            s = s + term
-            m += 1.0
-            if term < eps * s:
-                small += 1
-                if small >= 3 or term == 0.0:
-                    break
-            else:
-                small = 0
-        return s
-    s = 1.0
-    term = 1.0
-    small = 0
-    for m in range(SERIES_CAP * 3):
-        term = term * (aa + m) / (c + m) * w / (m + 1)
-        s = s + term
-        if abs(term) < SERIES_EPS * abs(s):
-            small = small + 1
-            if small >= 3 or term == 0.0:
-                break
-        else:
-            small = 0
-            if term == 0.0 or s != s:
-                break
-    return s
+    return _kummer_amplitude(a, c), _block_sum(
+        lambda m: (a + m) * (a - c + 1.0 + m) / (m + 1.0),
+        1.0 / np.asarray(w, dtype=float), asymptotic=True)
 
 
 def kummer_1f1_arr(a: float, c: float, z: np.ndarray) -> np.ndarray:
-    """Vectorized 1F1 over a real array; same branch logic as kummer_1f1.
+    """Vectorized 1F1 over a real array; the branches of kummer_1f1.
 
-    Below z = -200 the algebraic branch is evaluated over the whole array.
-    Elsewhere each node sums its own series, after Kummer's transformation
-    1F1(a; c; z) = exp(z) 1F1(c-a; c; -z) for z < 0, and stops when three
-    successive terms of its own are below SERIES_EPS of its partial sum, or
-    a term is exactly zero.  Each node's arithmetic is the same sequence of
-    double operations as a lock-step sum over the array with a per-node stop
-    mask, so the results are bit-identical to it; only the nodes that need
-    many terms pay for them.
+    The algebraic branch starts at z = -w0(a, c) (``_kummer_cut``), while
+    the scalar ``kummer_1f1`` keeps its own cut at -200, so that it stays
+    an independent oracle.  Above it the series is summed, after Kummer's
+    transformation 1F1(a; c; z) = exp(z) 1F1(c-a; c; -z) for z <= 0.  Both
+    are ``_block_sum``s, so a node's value depends on (a, c, z) alone.  An
+    infinite node takes the limit there, and a NaN node stays NaN.
     """
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    neg_big = z <= -200.0
-    if _is_nonpositive_int(c - a):
-        neg_big = np.zeros_like(neg_big)
-    rest = ~neg_big
-    if np.any(rest):
-        zr = z[rest]
-        transform = zr < 0.0
-        ca = c - a
-        s = np.array([_kummer_series_node(ca, c, -x) if x < 0.0
-                      else _kummer_series_node(a, c, x)
-                      for x in zr.tolist()])
-        out[rest] = np.where(transform, np.exp(zr) * s, s)
-    if np.any(neg_big):
-        w = -z[neg_big]
-        amp, s = kummer_algebraic_tail(a, c, w)
-        out[neg_big] = amp * np.exp(-a * np.log(w)) * s
+    out = z.copy()  # a NaN node stays NaN
+    fin = np.isfinite(z)
+    if not fin.all():
+        out[z == math.inf] = _kummer_at_inf(a, c, math.inf)
+        out[z == -math.inf] = _kummer_at_inf(a, c, -math.inf)
+    alg = fin & (z <= -_kummer_cut(a, c))
+    neg = fin & (z <= 0.0) & ~alg
+    pos = fin & (z > 0.0)
+    out[neg] = np.exp(z[neg]) * _block_sum(
+        lambda m: (c - a + m) / ((c + m) * (m + 1.0)), -z[neg])
+    out[pos] = _block_sum(lambda m: (a + m) / ((c + m) * (m + 1.0)), z[pos])
+    if alg.any():
+        amp, s = kummer_algebraic_tail(a, c, -z[alg])
+        out[alg] = amp * np.exp(-a * np.log(-z[alg])) * s
     return out
 
 

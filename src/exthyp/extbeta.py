@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ from . import kernel as kernelmod
 from .kernel import EXP_VARIANT, KernelSpec
 from .quadrature import (
     MAX_LEVEL,
+    MIN_LEVEL,
     _check_finite,
     _nested,
     _refine,
@@ -37,7 +39,8 @@ from .quadrature import (
 from .results import DomainError, EvalResult
 
 _BIG_EXPONENT = 600.0
-# kernel.log_theta_neg_asym holds only at kernel arguments at or below this.
+# kernel.log_theta_neg_asym holds only at kernel arguments at or below this,
+# where kummer_1f1_arr takes the same algebraic branch, as every w0 <= 200.
 _FAR_TAIL_ARG = -200.0
 # First arguments per complex sample block of ext_beta_complex_many.
 _COMPLEX_BLOCK_ROWS = 256
@@ -81,12 +84,11 @@ def _unit_logs(level: int) -> tuple[np.ndarray, np.ndarray]:
     return cached
 
 
-# One entry per (kernel, (b, d), level).  The coefficient ladders and every
-# kernel-weighted unit-interval integrand share the entries, so a call with
-# fresh parameters evaluates the kernel once per node and keeps one entry per
-# level it reaches: at most 7 in a mixed stream of independent calls (a
-# product grid run to its last level, 9, would keep 10).  A conformance pass
-# uses 6.
+# One entry per (kernel, (b, d), level), plus one for levels 0..MIN_LEVEL,
+# shared by the coefficient ladders and every kernel-weighted integrand: a
+# call with fresh parameters evaluates the kernel once per node and keeps at
+# most 8 entries in a mixed stream of independent calls (11 for a product
+# grid run to its last level, 9).  A conformance pass uses 7.
 _THETA_CACHE_SIZE = 128
 
 
@@ -104,10 +106,17 @@ def _unit_arg(reg: RegPair, level: int) -> np.ndarray:
 def _unit_theta(k: KernelSpec, reg: RegPair, level: int) -> np.ndarray:
     """Confluent-kernel values on the level's new unit nodes (cached).
 
-    The cached array is shared by every caller, so it is read-only.
+    Every refinement visits levels 0..MIN_LEVEL: one kernel call over their
+    nodes laid end to end (level -1) serves them all, with the bits of one
+    call per level.  The cached array is shared, so it is read-only.
     """
+    if 0 <= level <= MIN_LEVEL:
+        end = sum(unit_new_nodes(lv)[0].size for lv in range(level + 1))
+        return _unit_theta(k, reg, -1)[end - unit_new_nodes(level)[0].size:end]
+    levels = range(MIN_LEVEL + 1) if level < 0 else (level,)
     with np.errstate(over="ignore", under="ignore"):
-        theta = kernelmod.theta_eval_arr(k, _unit_arg(reg, level))
+        theta = kernelmod.theta_eval_arr(
+            k, np.concatenate([_unit_arg(reg, lv) for lv in levels]))
     theta.flags.writeable = False
     return theta
 
@@ -190,20 +199,29 @@ def safe_theta_product(k: KernelSpec, powexp: np.ndarray, arg: np.ndarray,
         return out
 
 
+def _exp_norm(lognorm: float) -> float:
+    """exp(lognorm), or a DomainError where it is no normal double."""
+    if not (math.log(sys.float_info.min) < lognorm
+            < math.log(sys.float_info.max)):
+        raise DomainError(f"normalisation exp({lognorm:.6g}) out of range")
+    return math.exp(lognorm)
+
+
 def _kernel_integral(k: KernelSpec, reg: RegPair, powexp, tol: float,
-                     norm: float = 1.0, factor=None,
+                     lognorm: float = 0.0, factor=None,
                      method: str = "euler_integral") -> EvalResult:
-    """norm times the kernel-weighted Euler integral over (0, 1) of
+    """exp(lognorm) times the kernel-weighted Euler integral over (0, 1) of
     exp(powexp) Theta(-b/t - d/(1-t)) g(t).
 
     ``powexp(t, tc, lt, ltc)`` returns the exponent on a level's new nodes t
     and complements tc = 1-t, with lt, ltc = log t, log tc.  ``factor(t)``
     returns (g(t), its error), for an inner series or closed form; g = 1
-    without it.  The refinement stops at the absolute ``tol``, so callers
-    pass their tolerance divided by norm where it should bound the scaled
-    value.  A non-finite sample raises ``NonFiniteSampleError``.  The error
-    is norm times the last level difference plus the largest factor error.
+    without it.  The refinement stops at the absolute ``tol`` on the scaled
+    value.  A norm out of range raises ``DomainError`` before any node, and
+    a non-finite sample ``NonFiniteSampleError``.  The error is the norm
+    times the last level difference plus the largest factor error.
     """
+    norm = _exp_norm(lognorm)
     factor_err = 0.0
 
     def contrib(level):
@@ -220,7 +238,7 @@ def _kernel_integral(k: KernelSpec, reg: RegPair, powexp, tol: float,
         _check_finite(vals, t)
         return vals.sum(), t.size
 
-    totals, err, nodes, converged = _refine(_nested(contrib), tol)
+    totals, err, nodes, converged = _refine(_nested(contrib), tol / norm)
     return EvalResult(float(norm * totals), float(norm * (err + factor_err)),
                       nodes, converged, method)
 

@@ -417,8 +417,7 @@ def euler_step_integral(spec: PfqSpec, z: float, tol: float = 1e-10,
                 return pfq_series_vector(inner, z * t ** k_p, tol,
                                          ladder=ladder)
 
-    return _kernel_integral(k, reg, powexp, tol * math.exp(-lognorm),
-                            math.exp(lognorm), factor)
+    return _kernel_integral(k, reg, powexp, tol, lognorm, factor)
 
 
 def ext_pfq(spec: PfqSpec, z: float, tol: float = 1e-10,
@@ -713,5 +712,5 @@ def frac_deriv(kernel: KernelSpec, mu: float, reg: RegPair, f, z: float,
     lam = -mu
     return _kernel_integral(
         kernel, reg, lambda t, tc, lt, ltc: (lam - 1.0) * ltc, tol,
-        z ** lam / math.exp(gammaln_real(lam)),
-        lambda t: (np.asarray(f(z * t), dtype=float), 0.0), "quadrature")
+        factor=lambda t: (np.asarray(f(z * t), dtype=float), 0.0),
+        method="quadrature").scaled(z ** lam / math.exp(gammaln_real(lam)))

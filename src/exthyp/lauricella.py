@@ -27,6 +27,7 @@ from .corefn import beta_classical, gammaln_real
 from .extbeta import (
     BetaArgs,
     RegPair,
+    _exp_norm,
     _kernel_integral,
     check_beta_domain,
     ext_beta,
@@ -189,8 +190,8 @@ def _fd_integral(p: LauricellaParams, tol: float) -> EvalResult:
     width_eff = gamma - p.alpha - sum(b for b, x in zip(p.betas, p.xs)
                                       if x == 1.0)
     check_beta_domain(kern, p.alpha, width_eff, reg)
-    norm = math.exp(gammaln_real(gamma) - gammaln_real(p.alpha)
-                    - gammaln_real(gamma - p.alpha))
+    lognorm = (gammaln_real(gamma) - gammaln_real(p.alpha)
+               - gammaln_real(gamma - p.alpha))
 
     def powexp(t, tc, lt, ltc):
         out = (p.alpha - 1.0) * lt + (gamma - p.alpha - 1.0) * ltc
@@ -201,7 +202,7 @@ def _fd_integral(p: LauricellaParams, tol: float) -> EvalResult:
                 out = out - b * np.log1p(-x * t)
         return out
 
-    return _kernel_integral(kern, reg, powexp, tol / norm, norm)
+    return _kernel_integral(kern, reg, powexp, tol, lognorm)
 
 
 def fd_eval(p: LauricellaParams, tol: float = 1e-10,
@@ -296,8 +297,8 @@ def interval_product_integral(tp: IntervalProductParams,
         return out
 
     pref = span ** (tp.alpha + tp.beta - 1.0)
-    lhs = _kernel_integral(kern, scaled, powexp, tol / pref, pref,
-                           method="quadrature")
+    lhs = _kernel_integral(kern, scaled, powexp, tol / pref,
+                           method="quadrature").scaled(pref)
 
     xs = tuple(-span * fj / (tp.a_lo * fj + gj) for fj, gj, _ in tp.factors)
     lams = tuple(-lam for _f, _g, lam in tp.factors)
@@ -499,7 +500,7 @@ def _fa_integral(p: LauricellaParams, tol: float, max_level: int,
                   for b, g in zip(p.betas, p.gammas))
     if variant not in ("proof", "printed"):
         raise DomainError(f"unknown variant {variant!r}")
-    norm = math.exp(lognorm) if variant == "proof" else math.exp(-lognorm)
+    norm = _exp_norm(lognorm if variant == "proof" else -lognorm)
 
     def grid_sum(level):
         g = unit_grid(level)
@@ -547,7 +548,7 @@ def fa_single_integral(p: LauricellaParams, tol: float = 1e-8,
     # as in fd_laplace_product: each confluent factor stays finite
     cut = min(750.0 / (1.0 - sum(max(x, 0.0) for x in p.xs)),
               700.0 / max(max(abs(x) for x in p.xs), 1e-300))
-    norm = math.exp(-gammaln_real(p.alpha))
+    norm = _exp_norm(-gammaln_real(p.alpha))
 
     inner_err = 0.0
 

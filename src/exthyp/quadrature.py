@@ -21,6 +21,7 @@ import numpy as np
 from .results import DomainError, NonFiniteSampleError
 
 MAX_LEVEL = 12
+MIN_LEVEL = 3
 
 # Samples per block of integrate_unit_batch (512 KiB of float64).
 _BATCH_BLOCK_FLOATS = 1 << 16
@@ -160,7 +161,8 @@ def _running(op, blk: np.ndarray) -> None:
 
 
 def _refine(estimate, tol: float, max_level: int = MAX_LEVEL,
-            min_level: int = 3, first_level: int = 0, rel: bool = False):
+            min_level: int = MIN_LEVEL, first_level: int = 0,
+            rel: bool = False):
     """The level-doubling loop shared by every integral.
 
     ``estimate(level)`` returns (estimate, nodes used) for the levels

@@ -360,9 +360,12 @@ _FA = ["--func", "fa", "--r", "2", "--params", "0.8,1.1,0.7,2.4,2.1",
     ["--func", "fd", "--r", "1", "--params", "1,800,2", "--xs", "0.9999",
      "--method", "integral"],
     ["--func", "fd", "--r", "0", "--params", "0.8,2.4"],
+    # 1/B(600, 800) is about exp(958): out of double range
+    ["--func", "fd", "--r", "1", "--params", "600,0.5,1400", "--xs", "0.2",
+     "--method", "integral"],
 ], ids=["f2-nan", "fd-nan", "contour-4", "kshift-1.5", "f1-mellin",
         "f2-mellin", "fd-mellin", "fa-mellin", "extbeta-series",
-        "fd-overflow", "fd-r0"])
+        "fd-overflow", "fd-r0", "fd-norm-overflow"])
 def test_cli_eval_bad_input_exit_2(argv, capsys):
     assert cli.main(["eval", *argv]) == 2
     out = capsys.readouterr()

@@ -460,3 +460,18 @@ def test_fd_diagonal_weights_are_the_multinomial_sums(case):
                                             repeat=len(xs))
                 if sum(ms) == total)
         assert abs(diag[total] - want) <= 1e-14 * majorant[total], total
+
+
+def test_out_of_range_normalisations_raise_before_quadrature(monkeypatch):
+    # 1/B(600, 800) ~ exp(958) for type D, 1/Gamma(180) ~ exp(-753) for the
+    # single type A integral: both leave double range
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(lauricella, "_refine", no_quadrature)
+    monkeypatch.setattr(extbeta, "_refine", no_quadrature)
+    with pytest.raises(DomainError, match="normalisation"):
+        fd_integral(LauricellaParams(600.0, (0.5,), (1400.0,), (0.2,)))
+    with pytest.raises(DomainError, match="normalisation"):
+        lauricella.fa_single_integral(LauricellaParams(
+            180.0, (1.1, 0.7), (2.4, 2.1), (0.2, 0.3)), 1e-8)

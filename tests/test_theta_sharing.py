@@ -28,7 +28,7 @@ from exthyp.lauricella import (
     fd_integral,
     interval_product_integral,
 )
-from exthyp.quadrature import unit_grid, unit_new_nodes
+from exthyp.quadrature import MIN_LEVEL, unit_grid, unit_new_nodes
 from exthyp.results import DomainError
 
 _REGS = (RegPair(0.2, 0.3), RegPair(0.0, 0.7), RegPair(1.0, 0.0))
@@ -109,6 +109,13 @@ def _count_theta_nodes(monkeypatch):
     return sizes
 
 
+def _per_call_sizes(top: int) -> list[int]:
+    """Kernel nodes per call for levels 0..top: the levels up to MIN_LEVEL
+    in one call, then one call per level."""
+    sizes = [unit_new_nodes(lv)[0].size for lv in range(top + 1)]
+    return [sum(sizes[:MIN_LEVEL + 1])] + sizes[MIN_LEVEL + 1:]
+
+
 def _final_grid_level(nodes: int, r: int) -> int:
     """The last level of a product grid that used ``nodes`` points."""
     total = 0
@@ -133,7 +140,7 @@ def test_product_grid_evaluates_each_node_once(monkeypatch, which):
     level = _final_grid_level(res.terms_or_nodes, 2)
     assert level >= 4
     # one evaluation per level's new nodes, not one per axis and grid level
-    assert sizes == [unit_new_nodes(lv)[0].size for lv in range(level + 1)]
+    assert sizes == _per_call_sizes(level)
     assert sum(sizes) == unit_grid(level).nodes.size
 
 
@@ -146,9 +153,9 @@ def test_euler_step_and_ladder_share_the_kernel_values(monkeypatch):
     _unit_theta.cache_clear()
     res = ext_pfq(spec, -0.5)
     assert res.method == "euler_integral"
-    top = len(sizes) - 1
-    assert top >= 3
-    assert sizes == [unit_new_nodes(lv)[0].size for lv in range(top + 1)]
+    top = len(sizes) + MIN_LEVEL - 1
+    assert top >= MIN_LEVEL
+    assert sizes == _per_call_sizes(top)
     # the integrand read only levels the ladder had already evaluated, or
     # evaluated them itself
     assert res.terms_or_nodes <= sum(sizes)
