@@ -191,7 +191,11 @@ def _kummer_direct(a: float, c: float, z: float) -> EvalResult:
 
 
 def _kummer_asymptotic_neg(a: float, c: float, z: float) -> EvalResult:
-    """Large negative argument: leading algebraic branch of 1F1."""
+    """Large negative argument: leading algebraic branch of 1F1.
+
+    The sum stops at its smallest term (optimal truncation); it has not
+    converged unless that term is below SERIES_EPS of the sum.
+    """
     w = -z
     lead = _kummer_amplitude(a, c) * math.exp(-a * math.log(w))
     s = 1.0
@@ -205,7 +209,8 @@ def _kummer_asymptotic_neg(a: float, c: float, z: float) -> EvalResult:
         s += term
         last = abs(term)
         used = k + 1
-    return EvalResult(lead * s, abs(lead) * last, used, True, "series")
+    return EvalResult(lead * s, abs(lead) * last, used,
+                      last <= SERIES_EPS * abs(s), "series")
 
 
 def kummer_1f1(a: float, c: float, z: float) -> EvalResult:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ from .quadrature import (
     integrate_halfline,
     integrate_unit_batch,
     unit_grid_order,
+    unit_level_span,
     unit_new_nodes,
 )
 from .results import DomainError, EvalResult
@@ -111,12 +113,9 @@ def _unit_theta(k: KernelSpec, reg: RegPair, level: int) -> np.ndarray:
     call per level.  The cached array is shared, so it is read-only.
     """
     if 0 <= level <= MIN_LEVEL:
-        end = sum(unit_new_nodes(lv)[0].size for lv in range(level + 1))
-        return _unit_theta(k, reg, -1)[end - unit_new_nodes(level)[0].size:end]
-    levels = range(MIN_LEVEL + 1) if level < 0 else (level,)
+        return _unit_theta(k, reg, -1)[unit_level_span(level)]
     with np.errstate(over="ignore", under="ignore"):
-        theta = kernelmod.theta_eval_arr(
-            k, np.concatenate([_unit_arg(reg, lv) for lv in levels]))
+        theta = kernelmod.theta_eval_arr(k, _unit_arg(reg, level))
     theta.flags.writeable = False
     return theta
 
@@ -265,11 +264,12 @@ def ext_beta_shifted_batch_arrays(k: KernelSpec, alpha0: float, count: int,
     if kstep < 0:
         raise DomainError("batch stride must be >= 0")
 
-    levels_seen = []
+    # the batch's first call covers levels 0..MIN_LEVEL (level -1), then one
+    # level per call
+    levels = itertools.chain([-1], itertools.count(MIN_LEVEL + 1))
 
     def f0(t, tc):
-        level = len(levels_seen)
-        levels_seen.append(level)
+        level = next(levels)
         lt, ltc = _unit_logs(level)
         with np.errstate(over="ignore", under="ignore"):
             powexp = (alpha0 - 1.0) * lt + (beta - 1.0) * ltc

@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -703,14 +704,23 @@ def frac_deriv(kernel: KernelSpec, mu: float, reg: RegPair, f, z: float,
 
     Computed on the unit interval after the substitution t = z v; only the
     negative-order branch is implemented (positive orders would require
-    differentiating through the quadrature).
+    differentiating through the quadrature).  The prefactor z**lambda /
+    Gamma(lambda), lambda = -mu, is refused with ``DomainError`` before any
+    node where z**lambda is no normal double or Gamma(lambda) overflows.
     """
     if mu >= 0.0:
         raise DomainError("only the mu < 0 branch is implemented")
     if z <= 0.0:
         raise DomainError("needs z > 0")
     lam = -mu
+    try:
+        power, gamma = z ** lam, math.exp(gammaln_real(lam))
+    except OverflowError:
+        power = gamma = math.inf
+    if not (sys.float_info.min <= power < math.inf and gamma < math.inf):
+        raise DomainError(f"prefactor z**{lam:.6g} / Gamma({lam:.6g}) "
+                          f"out of double range at z = {z:.6g}")
     return _kernel_integral(
         kernel, reg, lambda t, tc, lt, ltc: (lam - 1.0) * ltc, tol,
         factor=lambda t: (np.asarray(f(z * t), dtype=float), 0.0),
-        method="quadrature").scaled(z ** lam / math.exp(gammaln_real(lam)))
+        method="quadrature").scaled(power / gamma)

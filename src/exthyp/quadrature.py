@@ -23,8 +23,15 @@ from .results import DomainError, NonFiniteSampleError
 MAX_LEVEL = 12
 MIN_LEVEL = 3
 
-# Samples per block of integrate_unit_batch (512 KiB of float64).
+# Powers per table block of integrate_unit_batch (512 KiB of float64), and
+# rows per block at most (the coefficient ladder's block of first arguments).
 _BATCH_BLOCK_FLOATS = 1 << 16
+_BATCH_BLOCK_ROWS = 64
+# Powers kept by the table cache of integrate_unit_batch (1 MiB of float64).
+_POWER_CACHE_FLOATS = 1 << 17
+# Columns per dot product: OpenBLAS splits a longer ddot across its threads,
+# and the rounding of the partial sums would then depend on the thread count.
+_DOT_COLUMNS = 8192
 # The widest block whose running products and sums use a ufunc accumulate
 # down axis 0 (see _running).
 _ACCUMULATE_MAX_WIDTH = 512
@@ -65,6 +72,7 @@ class QuadGrid:
 _unit_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 _half_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _unit_order_cache: dict[int, np.ndarray] = {}
+_power_cache: dict[tuple[int, int, int], np.ndarray] = {}
 
 
 def _level_abscissae(level: int, umax: float) -> np.ndarray:
@@ -78,17 +86,32 @@ def _level_abscissae(level: int, umax: float) -> np.ndarray:
 
 
 def unit_new_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(t, 1-t, w) for the nodes first appearing at this refinement level."""
+    """(t, 1-t, w) for the nodes first appearing at this refinement level.
+
+    Level -1 stands for levels 0..MIN_LEVEL laid end to end, which every
+    refinement visits: one pass over them serves all of those levels, and
+    ``unit_level_span`` gives each level's slice.
+    """
     cached = _unit_cache.get(level)
     if cached is None:
-        u = _level_abscissae(level, _UNIT_UMAX)
-        v = _PI_HALF * np.sinh(u)
-        t = 1.0 / (1.0 + np.exp(-2.0 * v))
-        tc = 1.0 / (1.0 + np.exp(2.0 * v))
-        w = math.pi * np.cosh(u) * t * tc  # dt/du on (0,1)
-        cached = (t, tc, w)
+        if level < 0:
+            parts = [unit_new_nodes(lv) for lv in range(MIN_LEVEL + 1)]
+            cached = tuple(np.concatenate(a) for a in zip(*parts))
+        else:
+            u = _level_abscissae(level, _UNIT_UMAX)
+            v = _PI_HALF * np.sinh(u)
+            t = 1.0 / (1.0 + np.exp(-2.0 * v))
+            tc = 1.0 / (1.0 + np.exp(2.0 * v))
+            w = math.pi * np.cosh(u) * t * tc  # dt/du on (0,1)
+            cached = (t, tc, w)
         _unit_cache[level] = cached
     return cached
+
+
+def unit_level_span(level: int) -> slice:
+    """The slice of ``unit_new_nodes(-1)`` that holds a level 0..MIN_LEVEL."""
+    start = sum(unit_new_nodes(lv)[0].size for lv in range(level))
+    return slice(start, start + unit_new_nodes(level)[0].size)
 
 
 def halfline_new_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
@@ -239,43 +262,94 @@ def integrate_halfline(f, tol: float, max_level: int = MAX_LEVEL) -> QuadResult:
     return _integrate_levels(halfline_new_nodes, f, tol, max_level)
 
 
+def _block_rows(nodes: int) -> int:
+    """Rows per power-table block of a level with this many nodes."""
+    return max(1, min(_BATCH_BLOCK_ROWS, _BATCH_BLOCK_FLOATS // nodes))
+
+
+def _power_block(level: int, kstep: int, block: int,
+                 prev: np.ndarray | None) -> np.ndarray:
+    """Rows t**(kstep*m) on the level's new nodes t, for the m of a block.
+
+    Block j holds the rows m = j*R, ..., j*R + R - 1, R = _block_rows(nodes).
+    Row m is the running product of t**kstep from ones at m = 0, so block
+    j > 0 starts from ``prev``, the last row of block j - 1.  Blocks are
+    cached read-only, at most _POWER_CACHE_FLOATS powers in all, the least
+    recently used dropped first; a rebuilt block has the same bits.
+    """
+    key = (level, kstep, block)
+    table = _power_cache.pop(key, None)
+    if table is None:
+        t = unit_new_nodes(level)[0]
+        ratio = t ** kstep
+        table = np.empty((_block_rows(t.size), t.size))
+        table[0] = 1.0 if prev is None else prev * ratio
+        table[1:] = ratio
+        _running(np.multiply, table)
+        table.flags.writeable = False
+    _power_cache[key] = table
+    while sum(a.size for a in _power_cache.values()) > _POWER_CACHE_FLOATS:
+        del _power_cache[next(iter(_power_cache))]
+    return table
+
+
+def _member_sums(level: int, kstep: int, count: int, base: np.ndarray,
+                 spans: list[slice]) -> np.ndarray:
+    """Row i: for m < count, the dot product of t**(kstep*m) with ``base``
+    over the columns of spans[i].
+
+    Each member is one ddot of its power row per run of at most _DOT_COLUMNS
+    columns, the runs added in order, so its bits depend on neither the
+    block it falls in nor the BLAS thread count (a matrix-vector product
+    rounds a row by where it sits in the matrix).
+    """
+    out = np.zeros((len(spans), count))
+    rows = _block_rows(base.size)
+    prev = None
+    for block, m0 in enumerate(range(0, count, rows)):
+        table = _power_block(level, kstep, block, prev)
+        m1 = min(m0 + rows, count)
+        for i, span in enumerate(spans):
+            for c0 in range(span.start, span.stop, _DOT_COLUMNS):
+                cols = slice(c0, min(c0 + _DOT_COLUMNS, span.stop))
+                out[i, m0:m1] += np.vecdot(table[:m1 - m0, cols], base[cols])
+        prev = table[-1]
+    return out
+
+
 def integrate_unit_batch(f0, count: int, tol: float, kstep: int = 1,
                          max_level: int = MAX_LEVEL):
     """Integrate the power family t**(kstep*m) * f0(t, 1-t) for m=0..count-1.
 
     f0 is the m = 0 integrand, evaluated once per node and shared across the
-    whole family, so one grid refinement serves every member.  At each level
-    the members are formed block-wise: a row-major block holds the m = 0
-    samples in its first row and t**kstep in the others, a running product
-    down the rows turns row j into the samples of member j, and each row is
-    summed as one contiguous reduction.  Blocks hold at most
-    _BATCH_BLOCK_FLOATS samples; the next block starts from the last row
-    times t**kstep.  The multiplications and sums are those of repeated
-    multiplication by t**kstep with one sum per member, so the results are
-    bit-identical to it.  Returns (values, errs, nodes_used, converged) with
+    whole family, so one grid refinement serves every member.  Its first
+    call covers levels 0..MIN_LEVEL at once, on ``unit_new_nodes(-1)``; each
+    later call one level.  On a level the member sums are the product of a
+    power table (rows t**(kstep*m), a running product of t**kstep, cached
+    per level and block; see ``_power_block``) with the weighted samples,
+    one dot product per member and level (``_member_sums``), so a member's
+    bits do not depend on the cache, on ``count`` or on the other levels of
+    the first call.  Returns (values, errs, nodes_used, converged) with
     per-member error estimates from the last refinement step.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    first = []  # (sums, nodes) of levels 0..MIN_LEVEL, from the first call
 
-    def contrib(level):
+    def level_sums(level, spans):
         t, tc, w = unit_new_nodes(level)
         base = w * np.asarray(f0(t, tc), dtype=float)
         _check_finite(base, t)
-        if kstep == 0:
-            s = base.sum()
-            return np.full(count, s), t.size
-        ratio = t ** kstep
-        rows = max(1, _BATCH_BLOCK_FLOATS // t.size)
-        out = np.empty(count)
-        cur = base
-        for m0 in range(0, count, rows):
-            blk = np.empty((min(rows, count - m0), t.size))
-            blk[0] = cur
-            blk[1:] = ratio
-            _running(np.multiply, blk)
-            out[m0:m0 + len(blk)] = blk.sum(axis=1)
-            cur = blk[-1] * ratio
-        return out, t.size
+        sums = _member_sums(level, kstep, count, base, spans)
+        return [(s, span.stop - span.start) for s, span in zip(sums, spans)]
+
+    def contrib(level):
+        if level > MIN_LEVEL:
+            nodes = unit_new_nodes(level)[0].size
+            return level_sums(level, [slice(0, nodes)])[0]
+        if not first:
+            first.extend(level_sums(-1, [unit_level_span(lv)
+                                         for lv in range(MIN_LEVEL + 1)]))
+        return first[level]
 
     return _refine(_nested(contrib), tol, max_level)

@@ -224,7 +224,7 @@ def test_cli_eval_confluent_kernel_with_zero_regularization():
              "--params", "0.8,1.4,1.46", "--z", "0.3")
     assert r.returncode == 0
     assert r.stderr == ""
-    assert json.loads(r.stdout)["value"] == 1.3140038835145504
+    assert json.loads(r.stdout)["value"] == 1.3140038835145502
 
 
 @pytest.mark.parametrize("command", ["eval", "table"])

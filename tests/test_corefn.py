@@ -136,6 +136,17 @@ def test_kummer_large_negative_matches_mpmath(z):
     assert abs(got.value - want) <= 1e-11 * (1 + abs(want))
 
 
+def test_kummer_asymptotic_branch_flags_an_early_truncation():
+    # with c - a large the algebraic series grows from its second term on,
+    # so it stops after 2 terms far from 1F1 = 0.5450786402430993 (mpmath)
+    got = kummer_1f1(1.0, 300.0, -250.0)
+    assert got.terms_or_nodes == 2
+    assert got.value == -0.22963200000004563
+    assert not got.converged
+    assert abs(got.value - float(mpmath.hyp1f1(1.0, 300.0, -250.0))) > 0.7
+    assert kummer_1f1(0.8, 2.1, -250.0).converged
+
+
 def test_classical_2f1_log_case():
     got = classical_pfq(ClassicalPfqSpec((1.0, 1.0), (2.0,)), 0.5)
     assert abs(got.value - 2.0 * math.log(2.0)) < 1e-12

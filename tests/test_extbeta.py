@@ -167,6 +167,22 @@ def test_batch_stride_two_matches_single():
         assert abs(vals[m] - single.value) <= 1e-13 * (1 + abs(single.value))
 
 
+@pytest.mark.parametrize("kstep", [1, 2])
+def test_batch_relative_accuracy_against_mpmath(kstep):
+    # a ladder block of 64 first arguments at b = d = 0, where the batch is
+    # the classical beta; 40 seeded draws of (alpha0, beta) in (0.5, 4)
+    rng = np.random.default_rng(20261018)
+    worst = 0.0
+    for alpha0, beta in rng.uniform(0.5, 4.0, (40, 2)):
+        vals, _, _, ok = ext_beta_shifted_batch_arrays(
+            EXP_KERNEL, alpha0, 64, beta, RegPair(0.0, 0.0), kstep)
+        assert ok
+        want = np.array([float(mpmath.beta(alpha0 + kstep * m, beta))
+                         for m in range(64)])
+        worst = max(worst, float(np.max(np.abs(vals / want - 1.0))))
+    assert worst <= 5e-15
+
+
 def test_batch_kummer_matches_single():
     vals, _, _, ok = ext_beta_shifted_batch_arrays(
         KUM, 0.5, 5, 0.5, RegPair(0.3, 0.7))

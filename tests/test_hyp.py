@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from exthyp import hyp
+from exthyp import extbeta, hyp
 from exthyp.corefn import gammaln_real
 from exthyp.extbeta import BetaArgs, RegPair, ext_beta
 from exthyp.hyp import (
@@ -297,6 +297,20 @@ def test_frac_deriv_constant_closed_form():
     assert abs(got.value - 2.0 / math.sqrt(math.pi)) < 1e-9
     got2 = frac_deriv(EXP_KERNEL, -1.0, R0, lambda t: np.ones_like(t), 2.0)
     assert abs(got2.value - 2.0) < 1e-9
+
+
+@pytest.mark.parametrize("mu, z", [(-200.0, 0.5), (-0.5, math.inf),
+                                   (-30.0, 1e-12), (-160.0, 100.0)])
+def test_frac_deriv_prefactor_out_of_range_raises_before_any_node(
+        monkeypatch, mu, z):
+    # Gamma(200) overflows, z**0.5 at z = inf is inf, 1e-12**30 underflows
+    # and 100**160 overflows
+    def no_nodes(*args, **kwargs):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(extbeta, "_refine", no_nodes)
+    with pytest.raises(DomainError, match="out of double range"):
+        frac_deriv(EXP_KERNEL, mu, RegPair(0.1, 0.1), np.exp, z)
 
 
 def test_frac_deriv_riemann_liouville_power():

@@ -8,18 +8,23 @@ import numpy as np
 import pytest
 
 import exthyp
+from exthyp import quadrature
 from exthyp.extbeta import RegPair, ext_beta_complex
 from exthyp.ineq import classical_point, exp_decay, hilbert_bilinear
 from exthyp.kernel import EXP_KERNEL
 from exthyp.quadrature import (
     _BATCH_BLOCK_FLOATS,
+    _DOT_COLUMNS,
     MAX_LEVEL,
+    MIN_LEVEL,
+    _member_sums,
     _refine,
     integrate_halfline,
     integrate_unit,
     integrate_unit2,
     integrate_unit_batch,
     unit_grid,
+    unit_level_span,
     unit_new_nodes,
     halfline_grid,
 )
@@ -100,20 +105,21 @@ def test_batch_stride_two():
 
 
 def _loop_batch_reference(f0, count, tol, kstep):
-    """Reference: the former batch, one sum and one multiply per member."""
+    """Reference: one level at a time, member m the dot product of row m of
+    the running product of t**kstep with the weighted samples, in runs of
+    _DOT_COLUMNS columns added in order."""
     def contrib(level):
         t, tc, w = unit_new_nodes(level)
         base = w * np.asarray(f0(t, tc), dtype=float)
-        if kstep == 0:
-            s = base.sum()
-            return np.full(count, s), t.size
         ratio = t ** kstep
         out = np.empty(count)
-        cur = base
+        power = np.ones_like(t)
         for m in range(count):
-            out[m] = cur.sum()
-            if m + 1 < count:
-                cur = cur * ratio
+            out[m] = 0.0
+            for c0 in range(0, t.size, _DOT_COLUMNS):
+                c = slice(c0, c0 + _DOT_COLUMNS)
+                out[m] += np.dot(power[c], base[c])
+            power = power * ratio
         return out, t.size
 
     totals = None
@@ -135,23 +141,77 @@ def _loop_batch_reference(f0, count, tol, kstep):
     return totals, errs, nodes, converged
 
 
+def _kinked(t, tc):
+    # the kink at t = 1/3 keeps the level-to-level change far above 1e-30
+    return t ** -0.4 * tc ** 0.7 * np.abs(t - 1.0 / 3.0)
+
+
+def _same_bits(x, y):
+    return np.array_equal(np.asarray(x).view(np.int64),
+                          np.asarray(y).view(np.int64))
+
+
 @pytest.mark.parametrize("kstep", [0, 1, 2, 3])
 @pytest.mark.parametrize("count", [1, 2, 64, 200])
 def test_batch_bit_identical_to_member_loop(kstep, count):
-    def f0(t, tc):
-        # the kink at t = 1/3 keeps the level-to-level change far above 1e-30
-        return t ** -0.4 * tc ** 0.7 * np.abs(t - 1.0 / 3.0)
-
     # at MAX_LEVEL the members of counts 64 and 200 span several blocks
     assert 64 * unit_new_nodes(MAX_LEVEL)[0].size > 2 * _BATCH_BLOCK_FLOATS
     for tol in (1e-6, 1e-30):
-        got = integrate_unit_batch(f0, count, tol, kstep)
-        want = _loop_batch_reference(f0, count, tol, kstep)
-        assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
-        assert np.array_equal(got[1].view(np.int64), want[1].view(np.int64))
+        got = integrate_unit_batch(_kinked, count, tol, kstep)
+        want = _loop_batch_reference(_kinked, count, tol, kstep)
+        assert _same_bits(got[0], want[0])
+        assert _same_bits(got[1], want[1])
         assert got[2:] == want[2:]
         assert got[3] == (tol == 1e-6)
     assert got[2] == unit_grid(MAX_LEVEL).nodes.size
+
+
+@pytest.mark.parametrize("kstep", [1, 2])
+def test_batch_bits_do_not_depend_on_table_cache_or_count(kstep):
+    def smooth(t, tc):
+        return t ** -0.4 * tc ** 0.7
+
+    quadrature._power_cache.clear()
+    fresh = integrate_unit_batch(smooth, 64, 1e-6, kstep)
+    table = quadrature._power_cache[(-1, kstep, 0)]
+    cached = integrate_unit_batch(smooth, 64, 1e-6, kstep)
+    assert quadrature._power_cache[(-1, kstep, 0)] is table
+    assert _same_bits(fresh[0], cached[0]) and _same_bits(fresh[1], cached[1])
+    # to MAX_LEVEL, where 200 members span many blocks of the power table
+    # and the cache holds only a few of them
+    n = unit_new_nodes(MAX_LEVEL)[0].size
+    assert 200 * n > 4 * quadrature._POWER_CACHE_FLOATS
+    deep = integrate_unit_batch(_kinked, 64, 1e-30, kstep)
+    wide = integrate_unit_batch(_kinked, 200, 1e-30, kstep)
+    assert deep[2] == wide[2] == unit_grid(MAX_LEVEL).nodes.size
+    assert _same_bits(wide[0][:64], deep[0])
+    assert _same_bits(wide[1][:64], deep[1])
+
+
+@pytest.mark.parametrize("kstep, count", [(0, 3), (1, 64), (2, 200)])
+def test_batch_first_levels_in_one_pass_equal_one_level_at_a_time(kstep,
+                                                                  count):
+    sizes = []
+
+    def f0(t, tc):
+        sizes.append(t.size)
+        return _kinked(t, tc)
+
+    integrate_unit_batch(f0, count, 1e-6, kstep)
+    per_level = [unit_new_nodes(lv)[0].size
+                 for lv in range(MIN_LEVEL + len(sizes))]
+    # one call over levels 0..MIN_LEVEL, then one per level
+    first = sum(per_level[:MIN_LEVEL + 1])
+    assert sizes == [first] + per_level[MIN_LEVEL + 1:]
+    t, tc, w = unit_new_nodes(-1)
+    spans = [unit_level_span(lv) for lv in range(MIN_LEVEL + 1)]
+    merged = _member_sums(-1, kstep, count, w * _kinked(t, tc), spans)
+    for lv, span in enumerate(spans):
+        t, tc, w = unit_new_nodes(lv)
+        assert _same_bits(t, unit_new_nodes(-1)[0][span])
+        alone = _member_sums(lv, kstep, count, w * _kinked(t, tc),
+                             [slice(0, t.size)])
+        assert _same_bits(merged[lv], alone[0])
 
 
 def test_batch_non_finite_sample_raises():
