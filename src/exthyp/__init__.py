@@ -16,11 +16,7 @@ conformance runner.
 """
 
 from .corefn import (
-    ClassicalPfqSpec,
     beta_classical,
-    classical_2f1,
-    classical_pfq,
-    kummer_1f1,
     ln_gamma,
     pochhammer,
 )
@@ -28,7 +24,6 @@ from .extbeta import (
     BetaArgs,
     RegPair,
     ext_beta,
-    ext_beta_complex,
     ext_beta_shifted_batch,
     ext_gamma,
 )
@@ -102,13 +97,11 @@ from .kernel import (
     kummer_kernel,
     parse_kernel,
     theta_coeff,
-    theta_eval,
 )
 from .quadrature import (
     QuadGrid,
     QuadResult,
     integrate_halfline,
-    integrate_unit,
     integrate_unit_batch,
 )
 from .results import (

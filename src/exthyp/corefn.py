@@ -1,20 +1,18 @@
-"""Classical special functions: building blocks and reference oracles.
+"""Classical special functions the kernel-regularized machinery builds on.
 
-Everything here is independent of the kernel-regularized machinery so the
-b = d = 0 reductions of the extended functions can be checked against a
-genuinely different computation path.
+Log-gamma, the Pochhammer symbol, the Euler beta and the array confluent
+hypergeometric function 1F1, which is the confluent kernel's value.
+Nothing here depends on the regularized integrals.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import integrate_unit2
-from .results import DomainError, EvalResult
+from .results import DomainError
 
 _LOG_SQRT_2PI = 0.9189385332046727417803297364
 
@@ -140,110 +138,6 @@ def beta_signed(a: float, b: float) -> float:
     return float(v.real)
 
 
-@dataclass(frozen=True)
-class ClassicalPfqSpec:
-    """Upper/lower parameter lists of a classical hypergeometric series."""
-
-    upper: tuple[float, ...]
-    lower: tuple[float, ...]
-
-    def __post_init__(self):
-        for b in self.lower:
-            if _is_nonpositive_int(b):
-                raise DomainError(f"lower parameter {b} is a nonpositive integer")
-
-
-def _series_sum(term_ratio, first_term: float, cap: int = SERIES_CAP):
-    """Sum term_0 * prod of ratios with the three-small-terms stopping rule.
-
-    Returns (value, tail_estimate, terms, converged).  The tail estimate is
-    a geometric bound from the last two terms, guarded by ratio < 0.9.
-    """
-    s = first_term
-    t = first_term
-    small = 0
-    ratio = 0.0
-    for m in range(1, cap):
-        r = term_ratio(m - 1)
-        t_new = t * r
-        s += t_new
-        ratio = abs(t_new) / abs(t) if t != 0.0 else 0.0
-        t = t_new
-        if t == 0.0:
-            return s, 0.0, m + 1, True  # terminated exactly
-        if abs(t) < SERIES_EPS * abs(s):
-            small += 1
-            if small >= 3:
-                tail = abs(t) * ratio / (1 - ratio) if ratio < 0.9 else abs(t)
-                return s, tail + SERIES_EPS * abs(s), m + 1, True
-        else:
-            small = 0
-    tail = abs(t) * ratio / (1 - ratio) if ratio < 0.9 else abs(t) * 10
-    return s, tail, cap, False
-
-
-def _kummer_direct(a: float, c: float, z: float) -> EvalResult:
-    def ratio(m):
-        return (a + m) / (c + m) * z / (m + 1)
-
-    value, tail, n, ok = _series_sum(ratio, 1.0)
-    return EvalResult(value, tail, n, ok, "series")
-
-
-def _kummer_asymptotic_neg(a: float, c: float, z: float) -> EvalResult:
-    """Large negative argument: leading algebraic branch of 1F1.
-
-    The sum stops at its smallest term (optimal truncation); it has not
-    converged unless that term is below SERIES_EPS of the sum.
-    """
-    w = -z
-    lead = _kummer_amplitude(a, c) * math.exp(-a * math.log(w))
-    s = 1.0
-    term = 1.0
-    last = math.inf
-    used = 1
-    for k in range(1, 30):
-        term *= (a + k - 1) * (a - c + k) / (k * w)
-        if abs(term) > last:
-            break  # optimal truncation reached
-        s += term
-        last = abs(term)
-        used = k + 1
-    return EvalResult(lead * s, abs(lead) * last, used,
-                      last <= SERIES_EPS * abs(s), "series")
-
-
-def kummer_1f1(a: float, c: float, z: float) -> EvalResult:
-    """Confluent hypergeometric 1F1(a; c; z) for real arguments.
-
-    Negative arguments go through the exp-weighted reflection of the series
-    so alternating cancellation never occurs; very large negative arguments
-    use the algebraic asymptotic branch.  A NaN or +inf argument is a
-    DomainError; -inf keeps the limit of the branch it reaches.
-    """
-    if _is_nonpositive_int(c):
-        raise DomainError(f"1F1 pole: c={c} is a nonpositive integer")
-    if math.isnan(z) or z == math.inf:
-        raise DomainError(f"1F1 needs a finite argument, got z={z}")
-    if _is_nonpositive_int(a):
-        # terminating polynomial
-        n = int(round(-a))
-        s = 0.0
-        term = 1.0
-        for m in range(n + 1):
-            s += term
-            term *= (a + m) / (c + m) * z / (m + 1)
-        return EvalResult(s, 0.0, n + 1, True, "series")
-    if z >= 0.0:
-        return _kummer_direct(a, c, z)
-    if z > -200.0 or _is_nonpositive_int(c - a):
-        inner = _kummer_direct(c - a, c, -z)
-        ez = math.exp(z)
-        return EvalResult(ez * inner.value, ez * inner.abs_err_est + 1e-300,
-                          inner.terms_or_nodes, inner.converged, "series")
-    return _kummer_asymptotic_neg(a, c, z)
-
-
 @functools.lru_cache(maxsize=128)
 def _kummer_amplitude(a: float, c: float) -> float:
     """Gamma(c)/Gamma(c-a), the amplitude of the algebraic branch of 1F1."""
@@ -338,12 +232,11 @@ def kummer_algebraic_tail(a: float, c: float,
 
 
 def kummer_1f1_arr(a: float, c: float, z: np.ndarray) -> np.ndarray:
-    """Vectorized 1F1 over a real array; the branches of kummer_1f1.
+    """Confluent hypergeometric 1F1(a; c; z) over a real array.
 
-    The algebraic branch starts at z = -w0(a, c) (``_kummer_cut``), while
-    the scalar ``kummer_1f1`` keeps its own cut at -200, so that it stays
-    an independent oracle.  Above it the series is summed, after Kummer's
-    transformation 1F1(a; c; z) = exp(z) 1F1(c-a; c; -z) for z <= 0.  Both
+    The algebraic branch serves z <= -w0(a, c) (``_kummer_cut``).  Above
+    it the series is summed, after Kummer's transformation
+    1F1(a; c; z) = exp(z) 1F1(c-a; c; -z) for z <= 0.  Both
     are ``_block_sum``s, so a node's value depends on (a, c, z) alone.  An
     infinite node takes the limit there, and a NaN node stays NaN.
     """
@@ -363,80 +256,3 @@ def kummer_1f1_arr(a: float, c: float, z: np.ndarray) -> np.ndarray:
         amp, s = kummer_algebraic_tail(a, c, -z[alg])
         out[alg] = amp * np.exp(-a * np.log(-z[alg])) * s
     return out
-
-
-def _pfq_series(upper, lower, z: float) -> EvalResult:
-    def ratio(m):
-        num = 1.0
-        for al in upper:
-            num *= al + m
-        den = 1.0
-        for be in lower:
-            den *= be + m
-        return num / den * z / (m + 1)
-
-    value, tail, n, ok = _series_sum(ratio, 1.0)
-    return EvalResult(value, tail, n, ok, "series")
-
-
-def _classical_2f1_integral(a: float, b: float, c: float, z: float,
-                            tol: float = 1e-12) -> EvalResult:
-    """Euler integral for 2F1, valid for any real z <= 1 with c > b > 0.
-
-    The z = 1 endpoint folds (1-zt)^(-a) into the (1-t) power analytically.
-    """
-    pairs = [(b, a), (a, b)]  # (exponent parameter, remaining upper)
-    for bb, aa in pairs:
-        if c > bb > 0 and (z < 1.0 or c - bb - aa > 0):
-            break
-    else:
-        raise DomainError(
-            f"no admissible Euler pairing for 2F1({a},{b};{c};{z})")
-    norm = 1.0 / beta_classical(bb, c - bb)
-    if z == 1.0:
-        def f(t, tc):
-            return np.exp((bb - 1.0) * np.log(t)
-                          + (c - bb - aa - 1.0) * np.log(tc))
-    else:
-        def f(t, tc):
-            return np.exp((bb - 1.0) * np.log(t) + (c - bb - 1.0) * np.log(tc)
-                          - aa * np.log1p(-z * t))
-    q = integrate_unit2(f, tol * 0.1 / norm if norm > 1 else tol * 0.1)
-    return EvalResult(norm * q.value, norm * q.abs_err_est, q.nodes_used,
-                      q.converged, "euler_integral")
-
-
-def classical_pfq(spec: ClassicalPfqSpec, z: float) -> EvalResult:
-    """Classical pFq by direct summation (reference oracle).
-
-    p <= q converges for all real z.  p = q+1 uses the series inside
-    |z| <= 0.85 and the Euler integral for 2F1 beyond it (including z = 1
-    under the usual parameter-sum condition).
-    """
-    p, q = len(spec.upper), len(spec.lower)
-    terminating = any(_is_nonpositive_int(al) for al in spec.upper)
-    if p <= q or terminating or abs(z) <= 0.85:
-        if p == q + 1 and abs(z) > 1.0 and not terminating:
-            raise DomainError(f"series diverges at |z|={abs(z)} > 1")
-        if p > q + 1 and not terminating and z != 0.0:
-            raise DomainError("p > q+1 diverges for nonzero argument")
-        return _pfq_series(spec.upper, spec.lower, z)
-    if p == q + 1 == 2:
-        if abs(z) == 1.0:
-            cond = sum(spec.lower) - sum(spec.upper)
-            if cond <= 0:
-                raise DomainError(
-                    "2F1 at |z|=1 needs positive parameter-sum excess")
-        if z > 1.0:
-            raise DomainError("2F1 undefined for real z > 1")
-        return _classical_2f1_integral(spec.upper[0], spec.upper[1],
-                                       spec.lower[0], z)
-    if abs(z) < 1.0:
-        return _pfq_series(spec.upper, spec.lower, z)
-    raise DomainError(
-        f"classical {p}F{q} supported only for |z| <= 0.85 (or 2F1)")
-
-
-def classical_2f1(a: float, b: float, c: float, z: float) -> float:
-    """Convenience scalar 2F1 dispatching between series and integral."""
-    return classical_pfq(ClassicalPfqSpec((a, b), (c,)), z).value

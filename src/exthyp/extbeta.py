@@ -19,6 +19,7 @@ import cmath
 import functools
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -258,11 +259,19 @@ def ext_beta_shifted_batch_arrays(k: KernelSpec, alpha0: float, count: int,
     """Values of the regularized beta at first arguments alpha0 + kstep*m.
 
     One node grid serves the whole family.  Returns (values, errs,
-    nodes_used, converged) as arrays/scalars.
+    nodes_used, converged) as arrays/scalars.  A count that is not an
+    integer >= 1 is a DomainError.
     """
     check_beta_domain(k, alpha0, beta, reg)
     if kstep < 0:
         raise DomainError("batch stride must be >= 0")
+    try:
+        count = operator.index(count)
+    except TypeError:
+        raise DomainError(f"batch count must be an integer, got {count!r}") \
+            from None
+    if count < 1:
+        raise DomainError(f"batch count must be >= 1, got {count}")
 
     # the batch's first call covers levels 0..MIN_LEVEL (level -1), then one
     # level per call
@@ -381,12 +390,3 @@ def ext_beta_complex_many(k: KernelSpec, alphas: np.ndarray, beta: float,
 
     values, err, nodes, converged = _refine(_nested(contrib), tol, max_level)
     return values, float(np.max(err)), nodes, converged
-
-
-def ext_beta_complex(k: KernelSpec, alpha: complex, beta: float,
-                     reg: RegPair = RegPair(),
-                     tol: float = 1e-12) -> EvalResult:
-    """Regularized beta with a complex first argument (real path)."""
-    values, err, nodes, ok = ext_beta_complex_many(
-        k, np.array([alpha]), beta, reg, tol)
-    return EvalResult(complex(values[0]), err, nodes, ok, "quadrature")

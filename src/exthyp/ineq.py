@@ -133,31 +133,42 @@ def lemma2_identity(which: str, a: float, b_par: float, c: float,
     return lhs, fval.scaled(pref)
 
 
+def _proportional(value: float, f: EvalResult,
+                  power: float = 1.0) -> EvalResult:
+    """A value proportional to f.value ** (1/power), with f's error carried
+    through that power, |value| err_f / (power |f|), and f's flag."""
+    return EvalResult(value,
+                      abs(value) * f.abs_err_est / (power * abs(f.value)),
+                      f.terms_or_nodes, f.converged, f.method)
+
+
 def weight_norm_f(hp: HilbertParams, ptilde: float, qtilde: float,
-                  tol: float = 1e-10) -> float:
+                  tol: float = 1e-10) -> EvalResult:
     """Normalization constant of the x-side weight function."""
     qp = hp.qprime
     bb = 1.0 - qp * hp.A2
     f = ext_2f1(EXP_KERNEL, hp.s2, bb, hp.s1 + hp.s2,
                 (hp.alpha1 - hp.alpha2) / hp.alpha1,
                 RegPair(ptilde, qtilde), tol)
-    return (hp.alpha1 ** (hp.A2 - 1.0 / qp)
-            * beta_classical(bb, hp.s1 + hp.s2 + qp * hp.A2 - 1.0) ** (1.0 / qp)
-            * f.value ** (1.0 / qp))
+    return _proportional(
+        hp.alpha1 ** (hp.A2 - 1.0 / qp)
+        * beta_classical(bb, hp.s1 + hp.s2 + qp * hp.A2 - 1.0) ** (1.0 / qp)
+        * f.value ** (1.0 / qp), f, qp)
 
 
 def weight_norm_g(hp: HilbertParams, ptilde: float, qtilde: float,
-                  tol: float = 1e-10) -> float:
+                  tol: float = 1e-10) -> EvalResult:
     """Normalization constant of the y-side weight function."""
     pp = hp.pprime
     bb = 1.0 - pp * hp.A1
     f = ext_2f1(EXP_KERNEL, hp.s1, bb, hp.s1 + hp.s2,
                 (hp.alpha1 - hp.alpha2) / hp.alpha1,
                 RegPair(ptilde, qtilde), tol)
-    return (hp.alpha1 ** (-hp.s1 / pp)
-            * hp.alpha2 ** ((1.0 - hp.s2) / pp - hp.A1)
-            * beta_classical(bb, hp.s1 + hp.s2 + pp * hp.A1 - 1.0) ** (1.0 / pp)
-            * f.value ** (1.0 / pp))
+    return _proportional(
+        hp.alpha1 ** (-hp.s1 / pp)
+        * hp.alpha2 ** ((1.0 - hp.s2) / pp - hp.A1)
+        * beta_classical(bb, hp.s1 + hp.s2 + pp * hp.A1 - 1.0) ** (1.0 / pp)
+        * f.value ** (1.0 / pp), f, pp)
 
 
 def weight_F(hp: HilbertParams, x: float, tol: float = 1e-10) -> EvalResult:
@@ -165,10 +176,10 @@ def weight_F(hp: HilbertParams, x: float, tol: float = 1e-10) -> EvalResult:
     if x <= 0.0:
         raise DomainError("needs x > 0")
     qp = hp.qprime
-    v = (math.exp((hp.ptilde + hp.qtilde) / qp)
-         * weight_norm_f(hp, hp.ptilde, hp.qtilde, tol)
+    norm = weight_norm_f(hp, hp.ptilde, hp.qtilde, tol)
+    v = (math.exp((hp.ptilde + hp.qtilde) / qp) * norm.value
          * x ** ((1.0 - hp.s1 - hp.s2) / qp - hp.A2))
-    return EvalResult(v, abs(v) * 1e-11, 1, True, "series")
+    return _proportional(v, norm)
 
 
 def weight_G(hp: HilbertParams, y: float, tol: float = 1e-10) -> EvalResult:
@@ -176,10 +187,10 @@ def weight_G(hp: HilbertParams, y: float, tol: float = 1e-10) -> EvalResult:
     if y <= 0.0:
         raise DomainError("needs y > 0")
     pp = hp.pprime
-    v = (math.exp((hp.ptilde + hp.qtilde) / pp)
-         * weight_norm_g(hp, hp.ptilde, hp.qtilde, tol)
+    norm = weight_norm_g(hp, hp.ptilde, hp.qtilde, tol)
+    v = (math.exp((hp.ptilde + hp.qtilde) / pp) * norm.value
          * y ** ((1.0 - hp.s1 - hp.s2) / pp - hp.A1))
-    return EvalResult(v, abs(v) * 1e-11, 1, True, "series")
+    return _proportional(v, norm)
 
 
 def weight_F_quadrature(hp: HilbertParams, x: float,
@@ -229,9 +240,9 @@ def weight_G_quadrature(hp: HilbertParams, y: float,
 def hilbert_constant(hp: HilbertParams, tol: float = 1e-10) -> float:
     """Product of the two weight normalizations at lifted offsets."""
     return (weight_norm_f(hp, hp.qprime * hp.ptilde, hp.qprime * hp.qtilde,
-                          tol)
+                          tol).value
             * weight_norm_g(hp, hp.pprime * hp.ptilde,
-                            hp.pprime * hp.qtilde, tol))
+                            hp.pprime * hp.qtilde, tol).value)
 
 
 @dataclass(frozen=True)

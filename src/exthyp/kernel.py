@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import corefn
-from .results import DomainError, EvalResult
+from .results import DomainError
 
 EXP_VARIANT = "exp"
 KUMMER_VARIANT = "kummer"
@@ -95,14 +95,6 @@ def theta_eval_arr(k: KernelSpec, z: np.ndarray) -> np.ndarray:
     if k.variant == EXP_VARIANT:
         return np.exp(z)
     return corefn.kummer_1f1_arr(k.a, k.c, z)
-
-
-def theta_eval(k: KernelSpec, z: float) -> EvalResult:
-    """Kernel value at a real point with an error estimate."""
-    if k.variant == EXP_VARIANT:
-        v = math.exp(z)
-        return EvalResult(v, abs(v) * 2e-16, 1, True, "series")
-    return corefn.kummer_1f1(k.a, k.c, z)
 
 
 def log_theta_neg_asym(k: KernelSpec, z: np.ndarray) -> np.ndarray:

@@ -252,11 +252,6 @@ def integrate_unit2(f, tol: float, max_level: int = MAX_LEVEL) -> QuadResult:
     return _integrate_levels(unit_new_nodes, f, tol, max_level)
 
 
-def integrate_unit(f, tol: float, max_level: int = MAX_LEVEL) -> QuadResult:
-    """Integrate a vectorized f(t) over the open interval (0,1)."""
-    return integrate_unit2(lambda t, tc: f(t), tol, max_level)
-
-
 def integrate_halfline(f, tol: float, max_level: int = MAX_LEVEL) -> QuadResult:
     """Integrate a vectorized f(t) over (0, inf)."""
     return _integrate_levels(halfline_new_nodes, f, tol, max_level)

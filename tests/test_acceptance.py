@@ -23,7 +23,6 @@ from exthyp.appell import (
     f2_series,
     f2_transform,
 )
-from exthyp.corefn import ClassicalPfqSpec, classical_pfq
 from exthyp.extbeta import RegPair, ext_gamma
 from exthyp.hyp import (
     ext_2f1,
@@ -63,7 +62,7 @@ from exthyp.lauricella import (
     interval_product_integral,
 )
 from exthyp.mellin import ContourSpec, default_contour, mb_eval
-from exthyp.quadrature import integrate_halfline, integrate_unit, integrate_unit_batch, integrate_unit2
+from exthyp.quadrature import integrate_halfline, integrate_unit_batch, integrate_unit2
 from exthyp.conformance import exit_code, run_conformance
 
 KUM = kummer_kernel(1.0, 2.0)
@@ -86,7 +85,7 @@ def test_criterion_01_classical_reduction_suite():
                          (1.2, 0.9, 2.6), (0.8, 1.1, 2.4), (1.7, 1.3, 3.5)]:
         for z in (-0.6, 0.2, 0.5, 0.8):
             got = ext_2f1(EXP_KERNEL, a1, a2, b1, z).value
-            want = classical_pfq(ClassicalPfqSpec((a1, a2), (b1,)), z).value
+            want = oracles.hyp2f1(a1, a2, b1, z)
             worst = max(worst, _rel(got, want))
     # generalized, 20 points across shapes
     shapes = [((0.9,), (2.1,)), ((1.0,), (1.8, 2.3)), ((0.8, 1.2), (1.9, 2.5)),
@@ -96,7 +95,7 @@ def test_criterion_01_classical_reduction_suite():
             if len(upper) == len(lower) + 1 and abs(z) > 0.85:
                 continue
             got = ext_pfq(pfq_spec(EXP_KERNEL, upper, lower), z).value
-            want = classical_pfq(ClassicalPfqSpec(upper, lower), z).value
+            want = oracles.hyper(upper, lower, z)
             worst = max(worst, _rel(got, want))
     # first-kind two-variable, 20 points
     pts = [(x, y) for x in (-0.4, 0.1, 0.3, 0.5) for y in (-0.3, 0.2, 0.45,
@@ -406,7 +405,7 @@ def test_criterion_11_quadrature_honesty():
         (lambda t: np.exp(2.0 * np.log(t) - 3.0 * t), 2.0 / 27.0, "half"),
     ]
     for f, want, kind in closed:
-        q = integrate_unit(f, 1e-10) if kind == "unit" \
+        q = integrate_unit2(lambda t, tc: f(t), 1e-10) if kind == "unit" \
             else integrate_halfline(f, 1e-10)
         assert abs(q.value - want) <= 10.0 * max(q.abs_err_est, 1e-15), want
     def g(t, tc):

@@ -19,7 +19,6 @@ from exthyp.extbeta import (
     check_beta_domain,
     check_beta_domain_complex,
     ext_beta,
-    ext_beta_complex,
     ext_beta_complex_many,
     ext_beta_shifted_batch,
     ext_beta_shifted_batch_arrays,
@@ -193,22 +192,41 @@ def test_batch_kummer_matches_single():
         assert abs(vals[m] - single.value) <= 1e-13 * (1 + abs(single.value))
 
 
+@pytest.mark.parametrize("count", [0, -2, 2.5, "4"])
+def test_batch_bad_count_is_domain_error_before_any_node(monkeypatch,
+                                                         count):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(extbeta, "integrate_unit_batch", no_quadrature)
+    with pytest.raises(DomainError):
+        ext_beta_shifted_batch_arrays(EXP_KERNEL, 1.0, count, 1.0)
+    with pytest.raises(DomainError):
+        ext_beta_shifted_batch(EXP_KERNEL, 1.0, count, 1.0)
+
+
 def test_complex_real_reduction():
-    got = ext_beta_complex(EXP_KERNEL, 2.0 + 0.0j, 3.0)
-    assert abs(got.value - 1.0 / 12.0) < 1e-12
+    values, _, _, ok = ext_beta_complex_many(EXP_KERNEL, np.array([2.0 + 0.0j]),
+                                             3.0)
+    assert ok
+    assert abs(values[0] - 1.0 / 12.0) < 1e-12
 
 
 def test_complex_pure_power():
-    got = ext_beta_complex(EXP_KERNEL, 1.0 + 1.0j, 1.0)
-    assert abs(got.value - (0.5 - 0.5j)) < 1e-11
+    # int_0^1 t^i dt = 1/(1+i) = 0.5 - 0.5i
+    values, _, _, ok = ext_beta_complex_many(EXP_KERNEL, np.array([1.0 + 1.0j]),
+                                             1.0)
+    assert ok
+    assert abs(values[0] - (0.5 - 0.5j)) < 1e-11
 
 
 def test_complex_gamma_quotient_oracle():
     for alpha in (0.8 + 3.0j, 0.5 + 2.0j):
-        got = ext_beta_complex(EXP_KERNEL, alpha, 0.9)
+        values, _, _, _ = ext_beta_complex_many(EXP_KERNEL, np.array([alpha]),
+                                                0.9)
         want = np.exp(complex(ln_gamma(alpha) + ln_gamma(0.9)
                               - ln_gamma(alpha + 0.9)))
-        assert abs(got.value - want) <= 1e-10 * (1 + abs(want))
+        assert abs(values[0] - want) <= 1e-10 * (1 + abs(want))
 
 
 def test_complex_confluent_kernel_zero_samples():
@@ -217,10 +235,11 @@ def test_complex_confluent_kernel_zero_samples():
     k = kummer_kernel(1.5, 2.5)
     reg = RegPair(0.2, 0.3)
     assert np.any(_unit_theta(k, reg, 0) == 0.0)
-    got = ext_beta_complex(k, 2.0 + 0.0j, 1.5, reg)
+    values, _, _, ok = ext_beta_complex_many(k, np.array([2.0 + 0.0j]), 1.5,
+                                             reg)
     want = ext_beta(k, BetaArgs(2.0, 1.5), reg)
-    assert got.converged
-    assert abs(got.value - want.value) <= 1e-12
+    assert ok
+    assert abs(values[0] - want.value) <= 1e-12
 
 
 def _complex_many_reference(k, alphas, beta, reg=RegPair(), tol=1e-12,
@@ -348,7 +367,7 @@ def test_complex_non_finite_arguments_raise_before_quadrature(
 
     monkeypatch.setattr(extbeta, "_refine", no_quadrature)
     with pytest.raises(DomainError):
-        ext_beta_complex(EXP_KERNEL, alpha, beta)
+        ext_beta_complex_many(EXP_KERNEL, np.array([alpha]), beta)
     with pytest.raises(DomainError):
         ext_beta_complex_many(EXP_KERNEL, np.array([2.0 + 1j, alpha]), beta)
 

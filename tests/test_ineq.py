@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from exthyp.conformance import _hp_from_point, build_catalog
+from exthyp import ineq
+from exthyp.conformance import _hp_from_point, build_catalog, run_conformance
+from exthyp.extbeta import RegPair
 from exthyp.ineq import (
     HilbertParams,
     bump,
@@ -24,7 +26,8 @@ from exthyp.ineq import (
     weight_G,
     weight_G_quadrature,
 )
-from exthyp.results import DomainError
+from exthyp.kernel import EXP_KERNEL
+from exthyp.results import DomainError, EvalResult
 
 GENERIC = midpoint_params(1.8, 2.2, 0.6, 0.6, 1.0, 1.5, 0.1, 0.1)
 
@@ -66,6 +69,35 @@ def test_weight_homogeneity():
     for x in (0.5, 2.0, 7.0):
         got = weight_F(hp, x).value
         assert abs(got / base - x ** expo) <= 1e-9 * (1 + x ** expo)
+
+
+def test_weight_rows_fail_when_their_2f1_does_not_converge(monkeypatch):
+    real = ineq.ext_2f1
+
+    def unconverged(*args, **kwargs):
+        r = real(*args, **kwargs)
+        return EvalResult(r.value, r.abs_err_est, r.terms_or_nodes, False,
+                          r.method)
+
+    monkeypatch.setattr(ineq, "ext_2f1", unconverged)
+    assert not weight_F(GENERIC, 0.7).converged
+    assert not weight_G(GENERIC, 1.9).converged
+    rows = [c for c in run_conformance("ineq", "full", 1e-8).cases
+            if c.identity_id in ("weight-f-closed-form",
+                                 "weight-g-closed-form")]
+    assert len(rows) == 5
+    assert all(c.status == "fail" for c in rows)
+
+
+def test_weight_error_is_the_2f1_error_through_the_root():
+    hp = GENERIC
+    f = ineq.ext_2f1(EXP_KERNEL, hp.s2, 1.0 - hp.qprime * hp.A2,
+                     hp.s1 + hp.s2, (hp.alpha1 - hp.alpha2) / hp.alpha1,
+                     RegPair(hp.ptilde, hp.qtilde), 1e-10)
+    got = weight_F(hp, 0.7)
+    want = abs(got.value) * f.abs_err_est / (hp.qprime * abs(f.value))
+    assert got.converged == f.converged
+    assert got.abs_err_est == pytest.approx(want, rel=1e-12)
 
 
 def test_weight_closed_forms_vs_quadrature():

@@ -9,7 +9,7 @@ import pytest
 
 import exthyp
 from exthyp import quadrature
-from exthyp.extbeta import RegPair, ext_beta_complex
+from exthyp.extbeta import RegPair, ext_beta_complex_many
 from exthyp.ineq import classical_point, exp_decay, hilbert_bilinear
 from exthyp.kernel import EXP_KERNEL
 from exthyp.quadrature import (
@@ -20,7 +20,6 @@ from exthyp.quadrature import (
     _member_sums,
     _refine,
     integrate_halfline,
-    integrate_unit,
     integrate_unit2,
     integrate_unit_batch,
     unit_grid,
@@ -34,13 +33,13 @@ TOL = 1e-10
 
 
 def test_unit_constant():
-    q = integrate_unit(lambda t: np.ones_like(t), TOL)
+    q = integrate_unit2(lambda t, tc: np.ones_like(t), TOL)
     assert q.converged
     assert abs(q.value - 1.0) < 1e-12
 
 
 def test_unit_sqrt_singularity():
-    q = integrate_unit(lambda t: t ** -0.5, TOL)
+    q = integrate_unit2(lambda t, tc: t ** -0.5, TOL)
     assert q.converged
     assert abs(q.value - 2.0) < 1e-11
 
@@ -221,32 +220,34 @@ def test_batch_non_finite_sample_raises():
 
 
 def test_complex_beta_real_reduction():
-    r = ext_beta_complex(EXP_KERNEL, 2.0 + 0.0j, 3.0, RegPair(), 1e-12)
-    assert r.converged
-    assert abs(r.value - 1.0 / 12.0) < 1e-12
+    values, _, _, ok = ext_beta_complex_many(
+        EXP_KERNEL, np.array([2.0 + 0.0j]), 3.0, RegPair(), 1e-12)
+    assert ok
+    assert abs(values[0] - 1.0 / 12.0) < 1e-12
 
 
 def test_complex_beta_pure_imaginary():
     # int_0^1 t^i dt = 1/(1+i) = 0.5 - 0.5i
-    r = ext_beta_complex(EXP_KERNEL, 1.0 + 1.0j, 1.0, RegPair(), 1e-12)
-    assert r.converged
-    assert abs(r.value - (0.5 - 0.5j)) < 1e-11
+    values, _, _, ok = ext_beta_complex_many(
+        EXP_KERNEL, np.array([1.0 + 1.0j]), 1.0, RegPair(), 1e-12)
+    assert ok
+    assert abs(values[0] - (0.5 - 0.5j)) < 1e-11
 
 
 def test_linearity():
     f = lambda t: np.sqrt(t)
     g = lambda t: 1.0 / (1.0 + t)
-    qa = integrate_unit(f, TOL)
-    qb = integrate_unit(g, TOL)
-    qc = integrate_unit(lambda t: 2.0 * f(t) + 3.0 * g(t), TOL)
+    qa = integrate_unit2(lambda t, tc: f(t), TOL)
+    qb = integrate_unit2(lambda t, tc: g(t), TOL)
+    qc = integrate_unit2(lambda t, tc: 2.0 * f(t) + 3.0 * g(t), TOL)
     assert abs(qc.value - (2 * qa.value + 3 * qb.value)) <= (
         2 * qa.abs_err_est + 3 * qb.abs_err_est + qc.abs_err_est + 1e-13)
 
 
 def test_substitution_symmetry():
     f = lambda t: t ** 0.2 * np.exp(-t)
-    qa = integrate_unit(f, TOL)
-    qb = integrate_unit(lambda t: f(1.0 - t), TOL)
+    qa = integrate_unit2(lambda t, tc: f(t), TOL)
+    qb = integrate_unit2(lambda t, tc: f(1.0 - t), TOL)
     assert abs(qa.value - qb.value) <= 2 * (qa.abs_err_est + qb.abs_err_est) + 1e-13
 
 
@@ -259,14 +260,14 @@ def test_error_estimate_honesty():
         (lambda t: np.sqrt(t) * np.log(t), -4.0 / 9.0),
     ]
     for f, want in cases:
-        q = integrate_unit(f, TOL)
+        q = integrate_unit2(lambda t, tc: f(t), TOL)
         assert abs(q.value - want) <= 10.0 * max(q.abs_err_est, 1e-15)
 
 
 def test_non_finite_sample_raises():
     with np.errstate(divide="ignore"):
         with pytest.raises(NonFiniteSampleError):
-            integrate_unit(lambda t: 1.0 / (t - 0.5), TOL)  # pole inside
+            integrate_unit2(lambda t, tc: 1.0 / (t - 0.5), TOL)  # pole inside
 
 
 def test_grids_have_positive_weights_open_interval():
