@@ -19,7 +19,6 @@ import cmath
 import functools
 import itertools
 import math
-import operator
 import sys
 from dataclasses import dataclass
 
@@ -265,13 +264,6 @@ def ext_beta_shifted_batch_arrays(k: KernelSpec, alpha0: float, count: int,
     check_beta_domain(k, alpha0, beta, reg)
     if kstep < 0:
         raise DomainError("batch stride must be >= 0")
-    try:
-        count = operator.index(count)
-    except TypeError:
-        raise DomainError(f"batch count must be an integer, got {count!r}") \
-            from None
-    if count < 1:
-        raise DomainError(f"batch count must be >= 1, got {count}")
 
     # the batch's first call covers levels 0..MIN_LEVEL (level -1), then one
     # level per call

@@ -239,10 +239,15 @@ def weight_G_quadrature(hp: HilbertParams, y: float,
 
 def hilbert_constant(hp: HilbertParams, tol: float = 1e-10) -> float:
     """Product of the two weight normalizations at lifted offsets."""
-    return (weight_norm_f(hp, hp.qprime * hp.ptilde, hp.qprime * hp.qtilde,
-                          tol).value
-            * weight_norm_g(hp, hp.pprime * hp.ptilde,
-                            hp.pprime * hp.qtilde, tol).value)
+    return _hilbert_constant(hp, tol)[0]
+
+
+def _hilbert_constant(hp: HilbertParams,
+                      tol: float = 1e-10) -> tuple[float, bool]:
+    """``hilbert_constant`` and whether both normalizations converged."""
+    nf = weight_norm_f(hp, hp.qprime * hp.ptilde, hp.qprime * hp.qtilde, tol)
+    ng = weight_norm_g(hp, hp.pprime * hp.ptilde, hp.pprime * hp.qtilde, tol)
+    return nf.value * ng.value, nf.converged and ng.converged
 
 
 @dataclass(frozen=True)
@@ -426,13 +431,14 @@ def _form(const: float, lhs: float, rhs: float,
 
 def _rhs_factors(hp: HilbertParams,
                  f: TestFunction) -> tuple[float, float, bool]:
-    """(constant, prefactor times the weighted norm of f, norm converged)."""
+    """(constant, prefactor times the weighted norm of f, whether the
+    constant and the norm converged)."""
     qp = hp.qprime
-    const = hilbert_constant(hp)
+    const, const_ok = _hilbert_constant(hp)
     wf = (hp.p / qp) * (1.0 - hp.s1 - hp.s2) + hp.p * (hp.A1 - hp.A2)
     pref = math.exp(2.0 * (hp.ptilde + hp.qtilde)) * const
     norm, ok = _weighted_norm(f, wf, hp.p)
-    return const, pref * norm, ok
+    return const, pref * norm, const_ok and ok
 
 
 def hilbert_bilinear(hp: HilbertParams, f: TestFunction, g: TestFunction,

@@ -51,7 +51,6 @@ from .results import DomainError, EvalResult
 MAX_VARIABLES = 4  # series cap; iterated integrals are checked for r <= 2
 # max_j |x_j| (type D) or sum_j |x_j| (type A) below which auto uses the series
 _SERIES_EDGE = 0.95
-_OUTER_CAP = 2048  # terms per outer axis of the type A series
 
 
 def _use_series(method: str, inside: bool) -> bool:
@@ -125,8 +124,7 @@ def _fd_series(p: LauricellaParams, tol: float) -> EvalResult:
     """Sum over total degrees N of coeff(N) * weight(N): one engine column.
 
     The tail, in the error only, is the largest of the last three terms (a
-    diagonal can vanish) times the geometric sum of the majorant's step
-    factor, which tends to rho (Darboux's method)."""
+    diagonal can vanish) carried by ``_geometric_tail``."""
     _require_finite(p)
     big, rho, diag = _fd_diagonals(p)
     ladder = _ratio_ladder(p.kernel, p.reg, p.alpha, p.gammas[0])
@@ -134,10 +132,18 @@ def _fd_series(p: LauricellaParams, tol: float) -> EvalResult:
                                   np.array([rho]), ladder, diag.size,
                                   row_weights=diag)
     last = np.abs(diag[rows - 3:rows] * ladder.coeffs[rows - 3:rows]).max()
-    step = max((big + rows) * rho / (rows + 1), rho)
-    tail = float(last) * step / (1.0 - step) if step < 1.0 else math.inf
-    return EvalResult(float(s[0]), err + tail, rows, done and ladder.ok,
-                      "series")
+    err += float(_geometric_tail(last, big, rows, rho))
+    return EvalResult(float(s[0]), err, rows, done and ladder.ok, "series")
+
+
+def _geometric_tail(last, head, m, x):
+    """last * q / (1 - q), or inf while q >= 1, elementwise: what follows a
+    term ``last`` of a series whose step factors from index m on are at
+    most q = max((head + m) x / (m + 1), x), as those of the 1F0 majorant
+    with head ``head`` at x are (Darboux's method)."""
+    q = np.maximum((head + m) * x / (m + 1), x)
+    return np.divide(last * q, 1.0 - q, out=np.full(np.shape(q), math.inf),
+                     where=q < 1.0)
 
 
 def _fd_diagonals(p: LauricellaParams):
@@ -362,22 +368,14 @@ def fd_laplace_product(p: LauricellaParams, tol: float = 1e-8,
 
 
 def multinomial_exponential_identity(xs, terms: int = 24) -> tuple[float, float]:
-    """Constant-coefficient collapse of the multinomial series to exp(sum)."""
-    r = len(xs)
-    total = 0.0
-
-    def rec(j, left, coeff):
-        nonlocal total
-        if j == r:
-            total += coeff
-            return
-        fac = 1.0
-        for m in range(left):
-            rec(j + 1, left - m, coeff * fac)
-            fac = fac * xs[j] / (m + 1)
-
-    rec(0, terms, 1.0)
-    return total, math.exp(sum(xs))
+    """Constant-coefficient collapse of the multinomial series to exp(sum):
+    the product of the axes' x^m / m!, summed over total degrees below
+    ``terms``."""
+    total, m = np.ones(1), np.arange(1, terms)
+    for x in xs:
+        axis = np.cumprod(np.concatenate(([1.0], x / m)))
+        total = np.convolve(total, axis)[:terms]
+    return float(total.sum()), math.exp(sum(xs))
 
 
 def fa_series(p: LauricellaParams, tol: float = 1e-10) -> EvalResult:
@@ -402,67 +400,56 @@ def _fa_series(p: LauricellaParams, tol: float) -> EvalResult:
 def _outer_terms(p: LauricellaParams):
     """The leaves of the type A sum over its first r - 1 axes.
 
-    Returns (degrees, terms, err, done): per leaf, in recursion order, its
-    total degree N and its term (alpha)_N prod_j c_j[m_j] x_j^m_j / m_j!;
-    the error bound of the leaves; and whether every axis was cut before
-    ``_OUTER_CAP`` terms and every ladder converged.  At r = 1 the one leaf
-    is N = 0 with term 1.
+    Returns (degrees, terms, err, done): per leaf its total degree N and
+    its term (alpha)_N prod_j c_j[m_j] x_j^m_j / m_j!; the error bound of
+    the leaves; and whether every row was cut before ``SERIES_CAP`` terms
+    and every ladder converged.  At r = 1 the one leaf is N = 0, term 1.
 
-    Term m of axis j, N being the degree before it, leaves the Pochhammer
-    slot a = alpha + N + m to the axes after it, which multiply it by at
-    most (1 - rest)^-(|alpha| + N + m), rest being the sum of their |x_i|:
-    |a| is at most |alpha| + N + m and the beta ratios lie in (0, 1].
-    Every later step of axis j multiplies that bound by at most
-    rho = max(|a| / (m + 1), 1) |x_j| / (1 - rest), so once rho < 1 (past
-    the peak) the rest of the axis is bounded by bound * rho / (1 - rho),
-    and the axis is cut once that tail is at most 1e-17 (1 + |sum of the
-    terms so far|).  The error takes the tails and the coefficient errors
-    times the same bound.
+    Axis j extends each leaf by a row, a running product from its term.
+    The axes after j multiply term m of a row from degree N by at most
+    (1 - rest)^-(|alpha| + N + m), rest being the sum of their |x_i| (the
+    beta ratios lie in (0, 1]); that bound is formed in logs, and the rest
+    of the row is at most its ``_geometric_tail`` with head |alpha| + N at
+    |x_j| / (1 - rest).  A row is cut at its first term whose tail is at
+    most ``SERIES_SMALL`` (1 + |sum of its terms so far|); a block that
+    leaves a row uncut goes again twice as wide, up to ``SERIES_CAP``.  The
+    error takes the bounds times the coefficient errors, and the tails.
     """
     if sum(abs(x) for x in p.xs) >= 1.0:
         raise DomainError("series needs sum_j |x_j| < 1")
-    r, alpha, xs = p.r, p.alpha, [float(x) for x in p.xs]
-    ladders = [_ratio_ladder(p.kernel, p.reg, b, g)
-               for b, g in zip(p.betas[:-1], p.gammas[:-1])]
-    grows = [1.0 / (1.0 - sum(abs(x) for x in xs[j + 1:])) for j in range(r)]
-    # the ladders read into lists a block at a time: Python floats
-    coeffs, cerrs = [[] for _ in ladders], [[] for _ in ladders]
-    degrees, terms, total, err, done = [], [], 0.0, 0.0, True
-
-    def rec(j: int, n: int, acc: float) -> None:
-        nonlocal total, err, done
-        if j == r - 1:
-            degrees.append(n)
-            terms.append(acc)
-            total += acc
-            return
-        c, e, x, grow = coeffs[j], cerrs[j], xs[j], grows[j]
-        gx = abs(x) * grow
-        # the bound over the coefficient; the power never forms alone
-        scaled = math.exp(math.log(abs(acc)) + (abs(alpha) + n)
-                          * math.log(grow)) if acc else 0.0
-        for m in range(_OUTER_CAP):
-            if m == len(c):
-                ladders[j].ensure(m + 1)
-                c += ladders[j].coeffs[m:].tolist()
-                e += ladders[j].cerrs[m:].tolist()
-            a = alpha + n + m
-            err += scaled * e[m]
-            rec(j + 1, n + m, acc * c[m])
-            step = abs(a) / (m + 1) * gx
-            rho = max(step, gx)
-            if rho < 1.0:
-                tail = scaled * abs(c[m]) * rho / (1.0 - rho)
-                if tail <= 1e-17 * (1.0 + abs(total)):
-                    err += tail
-                    return
-            acc = acc * a * x / (m + 1)
-            scaled *= step
-        done = False
-
-    rec(0, 0, 1.0)
-    done = done and all(lad.ok for lad in ladders)
-    return np.array(degrees), np.array(terms), err, done
+    degrees, terms, err, done = np.zeros(1, dtype=int), np.ones(1), 0.0, True
+    for j in range(p.r - 1):
+        x = float(p.xs[j])
+        grow = 1.0 / (1.0 - sum(abs(v) for v in p.xs[j + 1:]))
+        lgrow, xg = math.log(grow), abs(x) * grow
+        ladder = _ratio_ladder(p.kernel, p.reg, p.betas[j], p.gammas[j])
+        ladder.ensure(1)
+        width = min(ladder.coeffs.size, SERIES_CAP)
+        head = abs(p.alpha) + degrees[:, None]
+        while True:
+            ladder.ensure(width)
+            m = np.arange(width)
+            row = np.empty((terms.size, width))
+            row[:, 0] = terms
+            row[:, 1:] = (p.alpha + degrees[:, None] + m[:-1]) * x / m[1:]
+            np.cumprod(row, axis=1, out=row)
+            coeffs = ladder.coeffs[:width]
+            with np.errstate(divide="ignore", over="ignore"):
+                bound = np.exp(np.log(np.abs(row)) + (head + m) * lgrow)
+                tail = _geometric_tail(bound * np.abs(coeffs), head, m, xg)
+            row *= coeffs
+            small = tail <= SERIES_SMALL * (1.0 + np.abs(np.cumsum(row, 1)))
+            ends = small.any(axis=1)
+            if ends.all() or width == SERIES_CAP:
+                break
+            width = min(2 * width, SERIES_CAP)
+        cut = np.where(ends, small.argmax(axis=1), width - 1)
+        keep = m <= cut[:, None]
+        err += float((bound * ladder.cerrs[:width])[keep].sum()
+                     + tail[np.arange(cut.size), cut].sum())
+        done = done and bool(ends.all()) and ladder.ok
+        degrees, terms = (degrees[:, None] + m)[keep], row[keep]
+    return degrees, terms, err, done
 
 
 def _last_axis_sum(p: LauricellaParams, weights: np.ndarray):

@@ -14,6 +14,7 @@ precision arbitrarily close to the endpoint.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -325,10 +326,16 @@ def integrate_unit_batch(f0, count: int, tol: float, kstep: int = 1,
     one dot product per member and level (``_member_sums``), so a member's
     bits do not depend on the cache, on ``count`` or on the other levels of
     the first call.  Returns (values, errs, nodes_used, converged) with
-    per-member error estimates from the last refinement step.
+    per-member error estimates from the last refinement step.  A count that
+    is not an integer >= 1 is a DomainError, raised before any node.
     """
+    try:
+        count = operator.index(count)
+    except TypeError:
+        raise DomainError(f"batch count must be an integer, got {count!r}") \
+            from None
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise DomainError(f"batch count must be >= 1, got {count}")
     first = []  # (sums, nodes) of levels 0..MIN_LEVEL, from the first call
 
     def level_sums(level, spans):

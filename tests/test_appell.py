@@ -25,7 +25,13 @@ from exthyp.appell import (
     f2_transform,
 )
 from exthyp.extbeta import RegPair
-from exthyp.hyp import _CoeffLadder, ext_2f1, pfq_series_vector, pfq_spec
+from exthyp.hyp import (
+    SERIES_SMALL,
+    _CoeffLadder,
+    ext_2f1,
+    pfq_series_vector,
+    pfq_spec,
+)
 from exthyp.kernel import EXP_KERNEL
 from exthyp.lauricella import LauricellaParams, _ratio_ladder
 from exthyp.results import DomainError, EvalResult
@@ -283,50 +289,52 @@ def test_lemma1_expansion_property(s, t, u, x, y):
 def _type_a_per_term(alpha, ladders, xs, last_spec, cap):
     """Reference: ``lauricella._fa_series`` as plain loops.
 
-    A recursion over the outer axes with the same past-the-peak cut, the
-    weights collected per total degree, then each degree's column summed
-    one term at a time by the engine reference of ``test_hyp``.
+    Axis by axis, every leaf (degree, term) is extended by its row one term
+    at a time, with the same bound, tail and cut (or all ``cap`` terms);
+    the weights are collected per total degree, then each degree's column
+    summed one term at a time by the engine reference of ``test_hyp``.  The
+    error sums of each axis are numpy sums over the same values in the
+    same order as the engine's.
     """
     r = len(xs)
-    rests = [sum(abs(x) for x in xs[j + 1:]) for j in range(r)]
+    leaves, err, done = [(0, 1.0)], 0.0, True
+    for j in range(r - 1):
+        grow = 1.0 / (1.0 - sum(abs(x) for x in xs[j + 1:]))
+        lgrow, xg = math.log(grow), abs(xs[j]) * grow
+        grown, bounds, tails = [], [], []
+        for n, acc in leaves:
+            head = abs(alpha) + n
+            w, s = acc, 0.0
+            for m in range(cap):
+                ladders[j].ensure(m + 1)
+                c, e = ladders[j].coeffs[m], ladders[j].cerrs[m]
+                if m:
+                    w = w * ((alpha + n + (m - 1)) * xs[j] / m)
+                with np.errstate(divide="ignore", over="ignore"):
+                    bound = np.exp(np.log(abs(w)) + (head + m) * lgrow)
+                last = bound * abs(c)
+                q = max((head + m) * xg / (m + 1), xg)
+                tail = last * q / (1.0 - q) if q < 1.0 else math.inf
+                grown.append((n + m, w * c))
+                bounds.append(bound * e)
+                s = s + w * c
+                if tail <= SERIES_SMALL * (1.0 + abs(s)):
+                    break
+            else:
+                done = False
+            tails.append(tail)
+        err += float(np.sum(np.array(bounds)) + np.sum(np.array(tails)))
+        done = done and ladders[j].ok
+        leaves = grown
     weights = {}
-    state = {"total": 0.0, "err": 0.0, "done": True}
-
-    def rec(j, n, acc):
-        if j == r - 1:
-            weights[n] = weights.get(n, 0.0) + acc
-            state["total"] += acc
-            return
-        grow = 1.0 / (1.0 - rests[j])
-        scaled = math.exp(math.log(abs(acc)) + (abs(alpha) + n)
-                          * math.log(grow)) if acc else 0.0
-        m = 0
-        while m < cap:
-            ladders[j].ensure(m + 1)
-            a = alpha + n + m
-            c = ladders[j].coeffs[m]
-            contrib = acc * c
-            state["err"] += scaled * ladders[j].cerrs[m]
-            rec(j + 1, n + m, contrib)
-            step = abs(a) / (m + 1) * (abs(xs[j]) * grow)
-            rho = max(step, abs(xs[j]) * grow)
-            if rho < 1.0:
-                tail = scaled * abs(c) * rho / (1.0 - rho)
-                if tail <= 1e-17 * (1.0 + abs(state["total"])):
-                    state["err"] += tail
-                    return
-            acc = acc * a * xs[j] / (m + 1)
-            scaled *= step
-            m += 1
-        state["done"] = False
-
-    rec(0, 0, 1.0)
+    for n, term in leaves:
+        weights[n] = weights.get(n, 0.0) + term
     n = max(weights) + 1
-    cols, col_err, rows, done = _sum_per_term(
+    cols, col_err, rows, cols_done = _sum_per_term(
         last_spec, np.full(n, float(xs[-1])), ladders[-1], cap,
         alpha + np.arange(n), np.array([weights.get(i, 0.0) for i in range(n)]))
-    return EvalResult(float(cols.sum()), state["err"] + n * col_err,
-                      rows * n, state["done"] and done, "series")
+    return EvalResult(float(cols.sum()), err + n * col_err,
+                      rows * n, done and cols_done, "series")
 
 
 def _bits(x):
@@ -344,7 +352,8 @@ def _same_result(got, want):
 _R13 = RegPair(0.1, 0.3)
 # (alpha, (beta_j, gamma_j) per axis, arguments, cap); the mixed-sign
 # arguments near |x| + |y| = 0.95 run the last axis past a 64-coefficient
-# ladder block, and the small caps stop sums early and clear the flag
+# ladder block, the small caps stop sums early and clear the flag, and the
+# r = 4 case runs three outer axes
 _TYPE_A_CASES = [
     (0.9, [(0.6, 1.7), (0.7, 1.9)], [0.2, 0.3], 2048),
     (0.9, [(0.6, 1.7), (0.7, 1.9)], [0.28, -0.67], 2048),
@@ -354,14 +363,15 @@ _TYPE_A_CASES = [
     (0.9, [(0.6, 1.7), (0.7, 1.9)], [0.28, -0.67], 70),
     (0.9, [(0.6, 1.7), (0.7, 1.9)], [0.28, -0.67], 4),
     (0.9, [(0.6, 1.7)], [0.9], 2048),
+    (1.2, [(0.5, 1.4), (0.9, 2.1), (0.7, 1.6), (0.6, 1.5)],
+     [0.3, -0.25, 0.2, -0.2], 2048),
 ]
 
 
 @pytest.mark.parametrize("case", range(len(_TYPE_A_CASES)))
 def test_type_a_series_bit_identical_to_per_term(case, monkeypatch):
     alpha, axes, xs, cap = _TYPE_A_CASES[case]
-    # the case's cap bounds every outer axis and the last axis' rows
-    monkeypatch.setattr(lauricella, "_OUTER_CAP", cap)
+    # the case's cap bounds every outer row and the last axis' rows
     monkeypatch.setattr(lauricella, "SERIES_CAP", cap)
     p = LauricellaParams(alpha, tuple(b for b, _ in axes),
                          tuple(g for _, g in axes), tuple(xs), _R13,

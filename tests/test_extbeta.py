@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exthyp import extbeta
+from exthyp import extbeta, quadrature
 from exthyp.appell import AppellParams, f2_single_integral
 from exthyp.corefn import beta_classical, ln_gamma
 from exthyp.extbeta import (
@@ -195,10 +195,11 @@ def test_batch_kummer_matches_single():
 @pytest.mark.parametrize("count", [0, -2, 2.5, "4"])
 def test_batch_bad_count_is_domain_error_before_any_node(monkeypatch,
                                                          count):
-    def no_quadrature(*args, **kwargs):
-        raise AssertionError("quadrature ran")
+    def no_nodes(*args, **kwargs):
+        raise AssertionError("a node was formed")
 
-    monkeypatch.setattr(extbeta, "integrate_unit_batch", no_quadrature)
+    # the check sits in the batch quadrature, ahead of its first node
+    monkeypatch.setattr(quadrature, "unit_new_nodes", no_nodes)
     with pytest.raises(DomainError):
         ext_beta_shifted_batch_arrays(EXP_KERNEL, 1.0, count, 1.0)
     with pytest.raises(DomainError):

@@ -727,6 +727,24 @@ def test_one_series_engine_for_the_scalar_and_type_a_sums():
     fd = _functions(src / "lauricella.py")["_fd_series"]
     consts = {n.value for n in ast.walk(fd) if isinstance(n, ast.Constant)}
     assert not consts & {1e-15, 0.97}
+    # nor does the type A series: no recursion, no outer cap, no 1e-17 cut,
+    # and both series take their tails from the one helper
+    assert "_OUTER_CAP" not in names
+    consts = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
+    assert 1e-17 not in consts
+    called = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            called[fn.name] = {n.func.id for n in ast.walk(fn)
+                               if isinstance(n, ast.Call)
+                               and isinstance(n.func, ast.Name)}
+            assert fn.name not in called[fn.name], fn.name
+            # the only nested defs are integrands handed to the quadrature
+            nested = {n.name for n in ast.walk(fn)
+                      if isinstance(n, ast.FunctionDef) and n is not fn}
+            assert nested <= {"powexp", "grid_sum"}, fn.name
+    assert "_geometric_tail" in called["_fd_series"]
+    assert "_geometric_tail" in called["_outer_terms"]
 
 
 @pytest.mark.parametrize("which", ["a1_plus", "a1_minus", "b1_plus",

@@ -89,6 +89,23 @@ def test_weight_rows_fail_when_their_2f1_does_not_converge(monkeypatch):
     assert all(c.status == "fail" for c in rows)
 
 
+def test_hilbert_forms_carry_the_constant_flags(monkeypatch):
+    f = g = exp_decay(0.0)
+    assert hilbert_check(GENERIC, f, g).converged
+    real = ineq.ext_2f1
+
+    def unconverged(*args, **kwargs):
+        r = real(*args, **kwargs)
+        return EvalResult(r.value, r.abs_err_est, r.terms_or_nodes, False,
+                          r.method)
+
+    monkeypatch.setattr(ineq, "ext_2f1", unconverged)
+    assert not hilbert_bilinear(GENERIC, f, g).converged
+    assert not hilbert_equivalent(GENERIC, f).converged
+    assert not hilbert_check(GENERIC, f, g).converged
+    assert isinstance(hilbert_constant(GENERIC), float)
+
+
 def test_weight_error_is_the_2f1_error_through_the_root():
     hp = GENERIC
     f = ineq.ext_2f1(EXP_KERNEL, hp.s2, 1.0 - hp.qprime * hp.A2,

@@ -187,6 +187,14 @@ def test_fa_classical_oracle():
     want3 = oracles.lauricella_fa(1.1, [0.4, 0.6, 0.5], [1.8, 2.1, 1.9],
                                   [0.15, 0.2, 0.1])
     assert abs(got3.value - want3) <= 1e-8 * (1 + abs(want3))
+    # r = 4 runs a third outer axis; at sum |x_j| = 0.5 the float oracle's
+    # 44 total degrees give the same bits as 54
+    args4 = (1.2, [0.4, 0.6, 0.5, 0.7], [1.8, 2.1, 1.9, 2.3],
+             [0.15, -0.12, 0.13, -0.1])
+    got4 = fa_series(PA(*args4))
+    want4 = oracles.lauricella_fa_float(*args4, terms=44)
+    assert got4.converged
+    assert abs(got4.value - want4) <= 1e-13 * abs(want4)
 
 
 def test_fa_permutation_symmetry():

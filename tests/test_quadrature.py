@@ -165,6 +165,16 @@ def test_batch_bit_identical_to_member_loop(kstep, count):
     assert got[2] == unit_grid(MAX_LEVEL).nodes.size
 
 
+@pytest.mark.parametrize("count", [0, -2, 2.5, "4"])
+def test_batch_bad_count_is_domain_error_before_any_node(monkeypatch, count):
+    def no_nodes(*args, **kwargs):
+        raise AssertionError("a node was formed")
+
+    monkeypatch.setattr(quadrature, "unit_new_nodes", no_nodes)
+    with pytest.raises(DomainError):
+        integrate_unit_batch(_kinked, count, 1e-6)
+
+
 @pytest.mark.parametrize("kstep", [1, 2])
 def test_batch_bits_do_not_depend_on_table_cache_or_count(kstep):
     def smooth(t, tc):
