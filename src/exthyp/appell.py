@@ -161,7 +161,7 @@ def f2_single_integral(p: AppellParams, x: float, y: float,
         raise DomainError("inner argument y/(1-xt) leaves (-1, 1)")
     reg, kern = p.reg, p.kernel
     inner = pfq_spec(kern, (p.alpha, p.beta2), (p.gamma2,), reg)
-    ladder = _CoeffLadder(inner, tol)
+    ladder = _CoeffLadder(inner)
     lognorm = (gammaln_real(p.gamma1) - gammaln_real(p.beta1)
                - gammaln_real(p.gamma1 - p.beta1))
 
@@ -170,7 +170,7 @@ def f2_single_integral(p: AppellParams, x: float, y: float,
                 - p.alpha * np.log1p(-x * t))
 
     def factor(t):
-        return pfq_series_vector(inner, y / (1.0 - x * t), tol, ladder=ladder)
+        return pfq_series_vector(inner, y / (1.0 - x * t), ladder=ladder)
 
     return _kernel_integral(kern, reg, powexp, tol, lognorm, factor)
 

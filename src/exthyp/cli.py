@@ -17,7 +17,7 @@ import sys
 from .appell import AppellParams, f1_eval, f2_eval
 from .conformance import exit_code, fmt17, run_conformance, summary_lines, write_report_csv
 from .extbeta import BetaArgs, RegPair, ext_beta, ext_gamma
-from .hyp import ext_pfq, pfq_spec, shared_coefficients
+from .hyp import ext_pfq, pfq_spec
 from .ineq import hilbert_bilinear, HilbertParams, parse_test_function
 from .kernel import parse_kernel
 from .lauricella import LauricellaParams, fa_integral, fa_series, fd_eval
@@ -173,29 +173,27 @@ def cmd_table(args) -> int:
         return EXIT_USAGE
     rows = ["argument,value,err_est"]
     code = EXIT_OK
-    # The rows share their parameters, so they share coefficient blocks.
-    with shared_coefficients():
-        for i in range(args.steps + 1):
-            zi = args.frm + (args.to - args.frm) * i / args.steps
-            sub = argparse.Namespace(**vars(args))
-            if args.func in ("f1", "f2"):
-                sub.x = zi
-            elif args.func in ("fd", "fa"):
-                sub.xs = ",".join([fmt17(zi)] * args.r)
-            else:
-                sub.z = zi
-            try:
-                res = _eval_func(sub)
-            except DomainError as exc:
-                print(f"domain error at argument {fmt17(zi)}: {exc}",
-                      file=sys.stderr)
-                return EXIT_DOMAIN
-            if not res.converged:
-                code = EXIT_NO_CONVERGENCE
-            value = (res.value.real if isinstance(res.value, complex)
-                     else res.value)
-            rows.append(",".join([fmt17(zi), fmt17(float(value)),
-                                  fmt17(float(res.abs_err_est))]))
+    for i in range(args.steps + 1):
+        zi = args.frm + (args.to - args.frm) * i / args.steps
+        sub = argparse.Namespace(**vars(args))
+        if args.func in ("f1", "f2"):
+            sub.x = zi
+        elif args.func in ("fd", "fa"):
+            sub.xs = ",".join([fmt17(zi)] * args.r)
+        else:
+            sub.z = zi
+        try:
+            res = _eval_func(sub)
+        except DomainError as exc:
+            print(f"domain error at argument {fmt17(zi)}: {exc}",
+                  file=sys.stderr)
+            return EXIT_DOMAIN
+        if not res.converged:
+            code = EXIT_NO_CONVERGENCE
+        value = (res.value.real if isinstance(res.value, complex)
+                 else res.value)
+        rows.append(",".join([fmt17(zi), fmt17(float(value)),
+                              fmt17(float(res.abs_err_est))]))
     text = "\n".join(rows) + "\n"
     if args.report:
         with open(args.report, "w", encoding="utf-8", newline="\n") as fh:

@@ -50,7 +50,6 @@ from .hyp import (
     pfq_series,
     pfq_spec,
     recurrence_eval,
-    shared_coefficients,
     summation_thm,
     weighted_derivative_lhs,
 )
@@ -568,61 +567,58 @@ def run_conformance(suite: str = "all", grid: str = "small",
     t0 = time.perf_counter()
     cases = []
     aggregates = []
-    # Identities relate the same functions at the same parameters, so the
-    # whole pass shares one set of coefficient blocks.
-    with shared_coefficients():
-        for ident in build_catalog():
-            if suite != "all" and ident.suite != suite:
-                continue
-            points = ident.points + (ident.extra_points if grid == "full"
-                                     else ())
-            per_variant = {}
-            for variant in ident.variants:
-                n_pass = n_fail = n_skip = 0
-                max_res = 0.0
-                for i, pt in enumerate(points):
-                    try:
-                        sides = ident.evaluate(pt, variant, tol)
-                    except DomainError:
-                        cases.append(IdentityCase(
-                            ident.identity_id, variant, i, _point_str(pt),
-                            math.nan, math.nan, math.nan, "skipped-domain"))
-                        n_skip += 1
-                        continue
-                    lhs, rhs = (s.value if isinstance(s, EvalResult) else s
-                                for s in sides)
-                    res = _residual(lhs, rhs)
-                    if ident.mode == "le":
-                        ok = lhs <= rhs * (1.0 + 1e-9)
-                    else:
-                        ok = res < tol * ident.tol_scale
-                    # a side that did not converge never counts as a pass
-                    ok = ok and all(s.converged for s in sides
-                                    if isinstance(s, EvalResult))
-                    cases.append(IdentityCase(ident.identity_id, variant, i,
-                                              _point_str(pt), float(lhs),
-                                              float(rhs), res,
-                                              "pass" if ok else "fail"))
-                    if not math.isnan(res):
-                        max_res = max(max_res, res)
-                    if ok:
-                        n_pass += 1
-                    else:
-                        n_fail += 1
-                per_variant[variant] = (n_pass, n_fail, n_skip, max_res)
-            winner = _adjudicate(ident.variants, per_variant)
-            aggregates.append({
-                "identity_id": ident.identity_id,
-                "suite": ident.suite,
-                "variants": {v: {"passed": per_variant[v][0],
-                                 "failed": per_variant[v][1],
-                                 "skipped": per_variant[v][2],
-                                 "max_residual": per_variant[v][3]}
-                             for v in ident.variants},
-                "winner": winner,
-                "ok": any(per_variant[v][1] == 0 and per_variant[v][0] > 0
-                          for v in ident.variants),
-            })
+    for ident in build_catalog():
+        if suite != "all" and ident.suite != suite:
+            continue
+        points = ident.points + (ident.extra_points if grid == "full"
+                                 else ())
+        per_variant = {}
+        for variant in ident.variants:
+            n_pass = n_fail = n_skip = 0
+            max_res = 0.0
+            for i, pt in enumerate(points):
+                try:
+                    sides = ident.evaluate(pt, variant, tol)
+                except DomainError:
+                    cases.append(IdentityCase(
+                        ident.identity_id, variant, i, _point_str(pt),
+                        math.nan, math.nan, math.nan, "skipped-domain"))
+                    n_skip += 1
+                    continue
+                lhs, rhs = (s.value if isinstance(s, EvalResult) else s
+                            for s in sides)
+                res = _residual(lhs, rhs)
+                if ident.mode == "le":
+                    ok = lhs <= rhs * (1.0 + 1e-9)
+                else:
+                    ok = res < tol * ident.tol_scale
+                # a side that did not converge never counts as a pass
+                ok = ok and all(s.converged for s in sides
+                                if isinstance(s, EvalResult))
+                cases.append(IdentityCase(ident.identity_id, variant, i,
+                                          _point_str(pt), float(lhs),
+                                          float(rhs), res,
+                                          "pass" if ok else "fail"))
+                if not math.isnan(res):
+                    max_res = max(max_res, res)
+                if ok:
+                    n_pass += 1
+                else:
+                    n_fail += 1
+            per_variant[variant] = (n_pass, n_fail, n_skip, max_res)
+        winner = _adjudicate(ident.variants, per_variant)
+        aggregates.append({
+            "identity_id": ident.identity_id,
+            "suite": ident.suite,
+            "variants": {v: {"passed": per_variant[v][0],
+                             "failed": per_variant[v][1],
+                             "skipped": per_variant[v][2],
+                             "max_residual": per_variant[v][3]}
+                         for v in ident.variants},
+            "winner": winner,
+            "ok": any(per_variant[v][1] == 0 and per_variant[v][0] > 0
+                      for v in ident.variants),
+        })
     cases.sort(key=lambda c: (c.identity_id, c.variant, c.point_index))
     aggregates.sort(key=lambda a: a["identity_id"])
     wall = time.perf_counter() - t0

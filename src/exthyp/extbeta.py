@@ -15,7 +15,6 @@ refinement of the node grid.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 import math
@@ -31,6 +30,7 @@ from .quadrature import (
     MIN_LEVEL,
     _check_finite,
     _nested,
+    _read_only,
     _refine,
     integrate_halfline,
     integrate_unit_batch,
@@ -74,16 +74,11 @@ class BetaArgs:
     beta: float
 
 
-_log_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _unit_logs(level: int) -> tuple[np.ndarray, np.ndarray]:
-    cached = _log_cache.get(level)
-    if cached is None:
-        t, tc, _ = unit_new_nodes(level)
-        cached = (np.log(t), np.log(tc))
-        _log_cache[level] = cached
-    return cached
+    """(log t, log(1-t)) on the level's new unit nodes (cached, read-only)."""
+    t, tc, _ = unit_new_nodes(level)
+    return _read_only(np.log(t), np.log(tc))
 
 
 # One entry per (kernel, (b, d), level), plus one for levels 0..MIN_LEVEL,
@@ -313,18 +308,6 @@ def ext_gamma(k: KernelSpec, z: float, b: float = 0.0,
                       "quadrature")
 
 
-def check_beta_domain_complex(k: KernelSpec, alpha: complex, beta: float,
-                              reg: RegPair) -> None:
-    if not (cmath.isfinite(alpha) and math.isfinite(beta)):
-        raise DomainError(f"beta arguments must be finite, got "
-                          f"({alpha}, {beta})")
-    if not alpha.real > _min_exponent(k, reg.b):
-        raise DomainError(
-            f"Re(first argument) = {alpha.real} out of range for b={reg.b}")
-    if not beta > _min_exponent(k, reg.d):
-        raise DomainError(f"second argument {beta} out of range for d={reg.d}")
-
-
 def ext_beta_complex_many(k: KernelSpec, alphas: np.ndarray, beta: float,
                           reg: RegPair = RegPair(), tol: float = 1e-12,
                           max_level: int = MAX_LEVEL):
@@ -348,8 +331,8 @@ def ext_beta_complex_many(k: KernelSpec, alphas: np.ndarray, beta: float,
     alphas = np.asarray(alphas, dtype=complex)
     if not (np.all(np.isfinite(alphas)) and np.isfinite(beta)):
         raise DomainError("complex-beta arguments must be finite")
-    for a in (alphas.real.min(), alphas.real.max()):
-        check_beta_domain_complex(k, complex(a), beta, reg)
+    # the arguments are finite, so only the smallest real part can fail
+    check_beta_domain(k, float(alphas.real.min()), beta, reg)
     re_m1 = (alphas.real - 1.0)[:, None]
     im = alphas.imag[:, None]
 

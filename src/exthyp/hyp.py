@@ -15,8 +15,7 @@ refinement serves a whole stretch of series terms.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -31,7 +30,7 @@ from .extbeta import (
     ext_beta_shifted_batch_arrays,
 )
 from .kernel import EXP_VARIANT, KernelSpec
-from .quadrature import _running
+from .quadrature import _read_only, _running
 from .results import DomainError, EvalResult, KernelMismatchError
 
 SERIES_CAP = 4096
@@ -137,33 +136,32 @@ def pfq_spec(kernel: KernelSpec, upper, lower, reg: RegPair = RegPair(),
                    tuple(float(b) for b in lower), reg, kernel)
 
 
-# Coefficient blocks of the innermost open ``shared_coefficients`` scope,
-# keyed by the arguments of the batch call that built them; None outside.
-_shared_blocks: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
-    "exthyp_shared_blocks", default=None)
+# Coefficient blocks kept by ``_coeff_block``.  A full conformance pass
+# builds 148 distinct blocks, so a repeated pass finds them all; calls with
+# fresh parameters repeat no block, so the cache is bounded: at about
+# 1.2 KiB a block it holds about 300 KiB.
+_BLOCK_CACHE_SIZE = 256
 
 
-@contextlib.contextmanager
-def shared_coefficients():
-    """Let every ladder built inside the scope share its coefficient blocks.
+@functools.lru_cache(maxsize=_BLOCK_CACHE_SIZE)
+def _coeff_block(kernel: KernelSpec, reg: RegPair, alpha: float,
+                 width: float, k: int, ctol: float):
+    """(values, errs, ok) of the ``_BLOCK`` regularized betas at first
+    arguments alpha + k*m, m < ``_BLOCK`` (cached, read-only).
 
-    A block's values depend only on the arguments of the batch call that
-    builds it, because blocks always start at multiples of ``_BLOCK``, so a
-    repeated block is looked up instead of integrated again and the results
-    keep their bits.  The blocks are dropped when the scope exits; a nested
-    scope starts empty and leaves the outer one untouched.
+    A block's values depend only on these arguments, because ladders start
+    their blocks at multiples of ``_BLOCK``, so every ladder that needs the
+    block shares it and the results keep their bits.
     """
-    token = _shared_blocks.set({})
-    try:
-        yield
-    finally:
-        _shared_blocks.reset(token)
+    vals, errs, _, ok = ext_beta_shifted_batch_arrays(
+        kernel, alpha, _BLOCK, width, reg, kstep=k, tol=ctol)
+    return (*_read_only(vals, errs), ok)
 
 
 class _CoeffLadder:
     """Beta-ratio coefficient products, grown in blocks on demand."""
 
-    def __init__(self, spec: PfqSpec, tol: float):
+    def __init__(self, spec: PfqSpec):
         self.spec = spec
         self.pairs = spec.pairs()
         self.norms = [beta_signed(a, w) for a, _k, w in self.pairs]
@@ -173,27 +171,15 @@ class _CoeffLadder:
         self.ok = True
 
     def ensure(self, hi: int) -> None:
-        shared = _shared_blocks.get()
         kernel, reg = self.spec.kernel, self.spec.reg
         while self.coeffs.size < hi:
             lo = self.coeffs.size
-            count = _BLOCK
-            prod = np.ones(count)
-            perr = np.zeros(count)
+            prod = np.ones(_BLOCK)
+            perr = np.zeros(_BLOCK)
             for (alpha, k, width), norm, ctol in zip(self.pairs, self.norms,
                                                      self.tols):
-                key = (kernel, reg, alpha + k * lo, count, width, k, ctol)
-                block = None if shared is None else shared.get(key)
-                if block is None:
-                    vals, errs, _, okj = ext_beta_shifted_batch_arrays(
-                        kernel, alpha + k * lo, count, width, reg, kstep=k,
-                        tol=ctol)
-                    if shared is not None:
-                        vals.flags.writeable = False
-                        errs.flags.writeable = False
-                        shared[key] = (vals, errs, okj)
-                else:
-                    vals, errs, okj = block
+                vals, errs, okj = _coeff_block(kernel, reg, alpha + k * lo,
+                                               width, k, ctol)
                 ratios = vals / norm
                 perr = perr * np.abs(ratios) + np.abs(prod) * (errs / norm)
                 prod = prod * ratios
@@ -208,14 +194,14 @@ def pfq_series(spec: PfqSpec, z: float, tol: float = 1e-10,
     spec.validate(strict)
     if spec.p == spec.q + 1 and abs(z) >= 1.0 and not spec.terminating():
         raise DomainError(f"series diverges for |z| = {abs(z)} >= 1")
-    ladder = _CoeffLadder(spec, tol)
+    ladder = _CoeffLadder(spec)
     s, err, rows, done = _pfq_sum(spec, np.array([float(z)]), ladder,
                                   SERIES_CAP)
     return EvalResult(float(s[0]), err, rows, done and ladder.ok, "series")
 
 
-def pfq_series_vector(spec: PfqSpec, w: np.ndarray, tol: float = 1e-10,
-                      cap: int = SERIES_CAP, ladder: "_CoeffLadder" = None):
+def pfq_series_vector(spec: PfqSpec, w: np.ndarray, cap: int = SERIES_CAP,
+                      ladder: "_CoeffLadder" = None):
     """Series evaluated at an array of arguments with shared coefficients.
 
     Returns (values, err_bound), the bound holding at every argument.  Used
@@ -225,7 +211,7 @@ def pfq_series_vector(spec: PfqSpec, w: np.ndarray, tol: float = 1e-10,
     """
     w = np.asarray(w, dtype=float)
     if ladder is None:
-        ladder = _CoeffLadder(spec, tol)
+        ladder = _CoeffLadder(spec)
     s, err, _rows, done = _pfq_sum(spec, w.reshape(-1), ladder, cap)
     if not done:
         raise DomainError(f"series did not converge within {cap} terms "
@@ -412,34 +398,35 @@ def euler_step_integral(spec: PfqSpec, z: float, tol: float = 1e-10,
             def factor(t):
                 return _one_f0_vector(a1, k1, z * t ** k_p), 0.0
         else:
-            ladder = _CoeffLadder(inner, tol)
+            ladder = _CoeffLadder(inner)
 
             def factor(t):
-                return pfq_series_vector(inner, z * t ** k_p, tol,
-                                         ladder=ladder)
+                return pfq_series_vector(inner, z * t ** k_p, ladder=ladder)
 
     return _kernel_integral(k, reg, powexp, tol, lognorm, factor)
 
 
 def ext_pfq(spec: PfqSpec, z: float, tol: float = 1e-10,
             method: str = "auto", strict: bool = True) -> EvalResult:
-    """Evaluate the extended generalized hypergeometric function."""
+    """Evaluate the extended generalized hypergeometric function.
+
+    Each path validates the spec itself, so it is validated once per call.
+    """
     if not math.isfinite(z):
         raise DomainError(f"argument must be finite, got z={z}")
-    spec.validate(strict)
     if method == "series":
         return pfq_series(spec, z, tol, strict)
     if method == "integral":
         return euler_step_integral(spec, z, tol, strict)
     if method != "auto":
         raise DomainError(f"unknown method {method!r}")
-    if spec.p == spec.q + 1 and not spec.terminating():
-        if z >= 1.0 or z <= -1.0 or abs(z) > _EULER_CUT or z < 0.0:
-            if spec.p == 2 or abs(z) <= _EULER_CUT:
-                return euler_step_integral(spec, z, tol, strict)
-            raise DomainError(
-                f"argument {z} outside the series domain and the Euler path")
-        return pfq_series(spec, z, tol, strict)
+    if (spec.p == spec.q + 1 and not spec.terminating()
+            and (z < 0.0 or abs(z) > _EULER_CUT)):
+        if spec.p == 2 or abs(z) <= _EULER_CUT:
+            return euler_step_integral(spec, z, tol, strict)
+        spec.validate(strict)
+        raise DomainError(
+            f"argument {z} outside the series domain and the Euler path")
     return pfq_series(spec, z, tol, strict)
 
 

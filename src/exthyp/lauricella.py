@@ -100,7 +100,7 @@ class LauricellaParams:
 def _ratio_ladder(kernel: KernelSpec, reg: RegPair, alpha: float,
                   gamma: float) -> _CoeffLadder:
     """Beta-ratio coefficients B*(alpha+N, gamma-alpha)/B(alpha, gamma-alpha)."""
-    return _CoeffLadder(PfqSpec(((alpha, 1),), (gamma,), reg, kernel), 0.0)
+    return _CoeffLadder(PfqSpec(((alpha, 1),), (gamma,), reg, kernel))
 
 
 def _require_finite(p: LauricellaParams) -> None:
@@ -330,7 +330,7 @@ def fd_laplace_product(p: LauricellaParams, tol: float = 1e-8,
     if any(not 0.0 <= x < 1.0 for x in p.xs):
         raise DomainError("needs 0 <= x_j < 1 for integrability")
     inner = pfq_spec(p.kernel, (p.alpha,), (p.gammas[0],), p.reg)
-    shared = _CoeffLadder(inner, tol)
+    shared = _CoeffLadder(inner)
     # past the cut the e^-t weight is 0; stopping where the argument sum
     # reaches 700 also keeps the confluent factor finite (no 0 * inf)
     cut = min(750.0 / (1.0 - max(p.xs)), 700.0 / max(sum(p.xs), 1e-300))
@@ -346,14 +346,14 @@ def fd_laplace_product(p: LauricellaParams, tol: float = 1e-8,
         with np.errstate(over="ignore", under="ignore"):
             if p.r == 1:
                 wsum = p.xs[0] * t
-                fv, ierr = pfq_series_vector(inner, wsum, tol, ladder=shared)
+                fv, ierr = pfq_series_vector(inner, wsum, ladder=shared)
                 vals = wt * np.exp((p.betas[0] - 1.0) * np.log(t) - t) * fv
                 s = float(vals.sum())
             else:
                 wa = wt * np.exp((p.betas[0] - 1.0) * np.log(t) - t)
                 wb = wt * np.exp((p.betas[1] - 1.0) * np.log(t) - t)
                 wsum = p.xs[0] * t[:, None] + p.xs[1] * t[None, :]
-                fv, ierr = pfq_series_vector(inner, wsum.ravel(), tol,
+                fv, ierr = pfq_series_vector(inner, wsum.ravel(),
                                              ladder=shared)
                 s = float(wa @ fv.reshape(wsum.shape) @ wb)
             inner_err = max(inner_err, ierr)
@@ -388,12 +388,18 @@ def _fa_series(p: LauricellaParams, tol: float) -> EvalResult:
     """Sum over the total degree N of the first r - 1 axes of weight(N)
     times the Gauss-level series in x_r with first parameter alpha + N: one
     engine call with a column per N, and the value the sum of the columns.
+    Terms out of double range are formed silently, and a value that is not
+    finite is a ``DomainError``.
     """
     _require_finite(p)
-    degrees, leaves, err, done = _outer_terms(p)
-    weights = np.bincount(degrees, leaves)
-    cols, col_err, rows, cols_done = _last_axis_sum(p, weights)
-    return EvalResult(float(cols.sum()), err + weights.size * col_err,
+    with np.errstate(over="ignore", invalid="ignore"):
+        degrees, leaves, err, done = _outer_terms(p)
+        weights = np.bincount(degrees, leaves)
+        cols, col_err, rows, cols_done = _last_axis_sum(p, weights)
+        value = float(cols.sum())
+    if not math.isfinite(value):
+        raise DomainError("type A series value out of double range")
+    return EvalResult(value, err + weights.size * col_err,
                       rows * weights.size, done and cols_done, "series")
 
 
@@ -531,7 +537,7 @@ def fa_single_integral(p: LauricellaParams, tol: float = 1e-8,
         raise DomainError("needs sum_j |x_j| < 1")
     inners = [pfq_spec(p.kernel, (b,), (g,), p.reg)
               for b, g in zip(p.betas, p.gammas)]
-    shared = [_CoeffLadder(spec, tol) for spec in inners]
+    shared = [_CoeffLadder(spec) for spec in inners]
     # as in fd_laplace_product: each confluent factor stays finite
     cut = min(750.0 / (1.0 - sum(max(x, 0.0) for x in p.xs)),
               700.0 / max(max(abs(x) for x in p.xs), 1e-300))
@@ -552,7 +558,7 @@ def fa_single_integral(p: LauricellaParams, tol: float = 1e-8,
         with np.errstate(over="ignore", under="ignore"):
             vals = wt * np.exp((p.alpha - 1.0) * np.log(t) - t)
             for spec, x, lad in zip(inners, p.xs, shared):
-                fv, ierr = pfq_series_vector(spec, x * t, tol, ladder=lad)
+                fv, ierr = pfq_series_vector(spec, x * t, ladder=lad)
                 inner_err = max(inner_err, ierr)
                 vals = vals * fv
             s = float(vals.sum())

@@ -48,18 +48,19 @@ class ContourSpec:
             raise DomainError("half_height/step must be an integer >= 100")
 
 
-def default_contour(spec: PfqSpec) -> ContourSpec:
-    """Abscissa 0.25 * min(leading upper, 1), clamped under every pole.
-
-    With zero regularization the continued beta ratios contribute poles at
-    the paired upper parameters, so those clamp the abscissa as well.
-    """
-    bounds = [1.0]
-    if spec.p == spec.q + 1:
-        bounds.append(spec.upper[0][0])
+def _pole_ladders(spec: PfqSpec) -> list[float]:
+    """Starts a of the right-half-plane pole ladders a, a+1, ...: the
+    leading upper parameter when p = q+1 and, with zero regularization,
+    the paired upper parameters of the continued beta ratios."""
+    ladders = [spec.upper[0][0]] if spec.p == spec.q + 1 else []
     if spec.reg.is_zero:
-        bounds.extend(a for a, _k, _w in spec.pairs())
-    c0 = 0.25 * min(bounds)
+        ladders.extend(a for a, _k, _w in spec.pairs())
+    return ladders
+
+
+def default_contour(spec: PfqSpec) -> ContourSpec:
+    """Abscissa 0.25 * min(leading upper, 1), clamped under every pole."""
+    c0 = 0.25 * min([1.0, *_pole_ladders(spec)])
     if c0 <= 0.0:
         raise DomainError("no admissible abscissa for these parameters")
     return ContourSpec(c0)
@@ -70,12 +71,7 @@ def _pole_distance(spec: PfqSpec, c0: float) -> float:
     if c0 <= 0.0:
         return 0.0
     dists = [c0]  # origin ladder s = 0, -1, ...
-    ladders = []
-    if spec.p == spec.q + 1:
-        ladders.append(spec.upper[0][0])
-    if spec.reg.is_zero:
-        ladders.extend(a for a, _k, _w in spec.pairs())
-    for a in ladders:
+    for a in _pole_ladders(spec):
         # increasing ladder a, a+1, ...
         dists.append(a - c0 if c0 < a else min(abs(c0 - (a + k))
                                                for k in (math.floor(c0 - a),

@@ -13,6 +13,7 @@ precision arbitrarily close to the endpoint.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -70,9 +71,6 @@ class QuadGrid:
     complements: np.ndarray | None = None
 
 
-_unit_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-_half_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_unit_order_cache: dict[int, np.ndarray] = {}
 _power_cache: dict[tuple[int, int, int], np.ndarray] = {}
 
 
@@ -86,27 +84,31 @@ def _level_abscissae(level: int, umax: float) -> np.ndarray:
     return k[k % 2 != 0] * h
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, marked read-only: a cache hands them to every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.cache
 def unit_new_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(t, 1-t, w) for the nodes first appearing at this refinement level.
+    """(t, 1-t, w) for the nodes first appearing at this refinement level
+    (cached, read-only).
 
     Level -1 stands for levels 0..MIN_LEVEL laid end to end, which every
     refinement visits: one pass over them serves all of those levels, and
     ``unit_level_span`` gives each level's slice.
     """
-    cached = _unit_cache.get(level)
-    if cached is None:
-        if level < 0:
-            parts = [unit_new_nodes(lv) for lv in range(MIN_LEVEL + 1)]
-            cached = tuple(np.concatenate(a) for a in zip(*parts))
-        else:
-            u = _level_abscissae(level, _UNIT_UMAX)
-            v = _PI_HALF * np.sinh(u)
-            t = 1.0 / (1.0 + np.exp(-2.0 * v))
-            tc = 1.0 / (1.0 + np.exp(2.0 * v))
-            w = math.pi * np.cosh(u) * t * tc  # dt/du on (0,1)
-            cached = (t, tc, w)
-        _unit_cache[level] = cached
-    return cached
+    if level < 0:
+        parts = [unit_new_nodes(lv) for lv in range(MIN_LEVEL + 1)]
+        return _read_only(*(np.concatenate(a) for a in zip(*parts)))
+    u = _level_abscissae(level, _UNIT_UMAX)
+    v = _PI_HALF * np.sinh(u)
+    t = 1.0 / (1.0 + np.exp(-2.0 * v))
+    tc = 1.0 / (1.0 + np.exp(2.0 * v))
+    w = math.pi * np.cosh(u) * t * tc  # dt/du on (0,1)
+    return _read_only(t, tc, w)
 
 
 def unit_level_span(level: int) -> slice:
@@ -115,27 +117,22 @@ def unit_level_span(level: int) -> slice:
     return slice(start, start + unit_new_nodes(level)[0].size)
 
 
+@functools.cache
 def halfline_new_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """(t, w) on (0, inf) for the nodes first appearing at this level."""
-    cached = _half_cache.get(level)
-    if cached is None:
-        u = _level_abscissae(level, _HALF_UMAX)
-        t = np.exp(_PI_HALF * np.sinh(u))
-        w = _PI_HALF * np.cosh(u) * t
-        cached = (t, w)
-        _half_cache[level] = cached
-    return cached
+    """(t, w) on (0, inf) for the nodes first appearing at this level
+    (cached, read-only)."""
+    u = _level_abscissae(level, _HALF_UMAX)
+    t = np.exp(_PI_HALF * np.sinh(u))
+    w = _PI_HALF * np.cosh(u) * t
+    return _read_only(t, w)
 
 
+@functools.cache
 def unit_grid_order(level: int) -> np.ndarray:
     """The permutation that sorts the new nodes of levels 0..level, laid end
     to end, into the order of unit_grid(level) (cached, read-only)."""
-    order = _unit_order_cache.get(level)
-    if order is None:
-        order = np.argsort(np.concatenate(
-            [unit_new_nodes(k)[0] for k in range(level + 1)]))
-        order.flags.writeable = False
-        _unit_order_cache[level] = order
+    order, = _read_only(np.argsort(np.concatenate(
+        [unit_new_nodes(k)[0] for k in range(level + 1)])))
     return order
 
 

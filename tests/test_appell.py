@@ -407,9 +407,9 @@ def test_f2_single_integral_builds_one_inner_ladder(monkeypatch):
     got = f2_single_integral(p, 0.2, 0.3)
     assert len(built) == 1
 
-    def ladder_per_call(spec, w, tol, ladder=None):
+    def ladder_per_call(spec, w, ladder=None):
         # the former inner-series call: a fresh ladder every time
-        return pfq_series_vector(spec, w, tol)
+        return pfq_series_vector(spec, w)
 
     monkeypatch.setattr(appell, "pfq_series_vector", ladder_per_call)
     del built[:]

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from exthyp import cli, conformance
+from exthyp import cli, conformance, hyp
 from exthyp.conformance import (
     build_catalog,
     exit_code,
@@ -19,7 +19,7 @@ from exthyp.conformance import (
     write_report_csv,
 )
 from exthyp.extbeta import RegPair
-from exthyp.hyp import ext_pfq, pfq_spec, shared_coefficients
+from exthyp.hyp import ext_pfq, pfq_spec
 from exthyp.kernel import parse_kernel
 from exthyp.results import DomainError, EvalResult
 
@@ -266,8 +266,9 @@ def _bits(x):
 
 
 def test_catalog_points_same_bits_inside_shared_scope():
-    # every full-grid point, evaluated in catalog order inside one scope
-    # (as a conformance pass does) and then each with nothing shared
+    # every full-grid point, evaluated in catalog order from one empty block
+    # cache (as a conformance pass does) and then each from an empty cache;
+    # the name is kept from the former shared_coefficients() scope
     units = [(ident, variant, pt) for ident in build_catalog()
              for variant in ident.variants
              for pt in ident.points + ident.extra_points]
@@ -280,10 +281,31 @@ def test_catalog_points_same_bits_inside_shared_scope():
         return tuple(_bits(s.value if isinstance(s, EvalResult) else s)
                      for s in (lhs, rhs))
 
-    with shared_coefficients():
-        shared = [evaluate(*u) for u in units]
+    hyp._coeff_block.cache_clear()
+    shared = [evaluate(*u) for u in units]
     for u, got in zip(units, shared):
+        hyp._coeff_block.cache_clear()
         assert evaluate(*u) == got, (u[0].identity_id, u[1], u[2])
+
+
+def test_second_full_pass_builds_no_coefficient_block(monkeypatch):
+    built = []
+    batch = hyp.ext_beta_shifted_batch_arrays
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return batch(*args, **kwargs)
+
+    monkeypatch.setattr(hyp, "ext_beta_shifted_batch_arrays", counting)
+    hyp._coeff_block.cache_clear()
+    first = run_conformance("all", "full", 1e-8)
+    assert built
+    assert hyp._coeff_block.cache_info().currsize <= hyp._BLOCK_CACHE_SIZE
+    del built[:]
+    second = run_conformance("all", "full", 1e-8)
+    assert built == []
+    assert hyp._coeff_block.cache_info().currsize <= hyp._BLOCK_CACHE_SIZE
+    assert repr(second.cases) == repr(first.cases)
 
 
 def test_cli_eval_non_convergence_exit_3():

@@ -17,7 +17,6 @@ from exthyp.extbeta import (
     BetaArgs,
     RegPair,
     check_beta_domain,
-    check_beta_domain_complex,
     ext_beta,
     ext_beta_complex_many,
     ext_beta_shifted_batch,
@@ -249,7 +248,7 @@ def _complex_many_reference(k, alphas, beta, reg=RegPair(), tol=1e-12,
     exponent built in complex arithmetic from broadcast real rows."""
     alphas = np.asarray(alphas, dtype=complex)
     for a in (alphas.real.min(), alphas.real.max()):
-        check_beta_domain_complex(k, complex(a), beta, reg)
+        check_beta_domain(k, float(a), beta, reg)
 
     totals = None
     prev = None
@@ -413,7 +412,8 @@ def test_non_finite_arguments_raise_before_quadrature(monkeypatch, k, alpha,
         with pytest.raises(DomainError):
             ext_beta_shifted_batch_arrays(k, alpha, 3, beta, reg)
         with pytest.raises(DomainError):
-            check_beta_domain_complex(k, complex(alpha, 0.5), beta, reg)
+            ext_beta_complex_many(k, np.array([complex(alpha, 0.5)]), beta,
+                                  reg)
 
 
 # Euler integrals whose samples overflow on the first level's nodes: a large

@@ -469,7 +469,7 @@ _VECTOR_SPECS = [
 def test_series_vector_bit_identical_to_per_term(size, case):
     spec, wmax = _VECTOR_SPECS[case]
     w = np.linspace(-wmax, wmax, size) if size > 1 else np.array([-wmax])
-    got_ladder, want_ladder = _CoeffLadder(spec, 0.0), _CoeffLadder(spec, 0.0)
+    got_ladder, want_ladder = _CoeffLadder(spec), _CoeffLadder(spec)
     got = pfq_series_vector(spec, w, ladder=got_ladder)
     want = _series_vector_per_term(spec, w, want_ladder)
     assert got[0].shape == want[0].shape
@@ -486,9 +486,9 @@ def test_series_vector_bit_identical_to_per_term(size, case):
 def test_series_vector_long_series_crosses_ladder_blocks():
     spec = PfqSpec(((0.7, 1), (1.3, 1)), (2.1,), _R12)
     w = np.linspace(-0.97, 0.97, 97)
-    ladder = _CoeffLadder(spec, 0.0)
+    ladder = _CoeffLadder(spec)
     got = pfq_series_vector(spec, w, ladder=ladder)
-    want = _series_vector_per_term(spec, w, _CoeffLadder(spec, 0.0))
+    want = _series_vector_per_term(spec, w, _CoeffLadder(spec))
     assert ladder.coeffs.size > 4 * hyp._BLOCK
     assert np.array_equal(_bits(got[0]), _bits(want[0]))
     assert np.array_equal(_bits(got[1]), _bits(want[1]))
@@ -505,12 +505,12 @@ def test_series_vector_empty_and_cap_match_per_term():
     with pytest.raises(ValueError) as got:
         pfq_series_vector(spec, np.zeros(0))
     with pytest.raises(ValueError) as want:
-        _sum_per_term(spec, np.zeros(0), _CoeffLadder(spec, 0.0))
+        _sum_per_term(spec, np.zeros(0), _CoeffLadder(spec))
     assert str(got.value) == str(want.value)
     w = np.linspace(-0.8, 0.8, 65)
     for cap in (0, 5, 70):
-        got = hyp._pfq_sum(spec, w, _CoeffLadder(spec, 0.0), cap)
-        want = _sum_per_term(spec, w, _CoeffLadder(spec, 0.0), cap)
+        got = hyp._pfq_sum(spec, w, _CoeffLadder(spec), cap)
+        want = _sum_per_term(spec, w, _CoeffLadder(spec), cap)
         _same_sums(got, want)
         assert got[2:] == (cap, False)
         with pytest.raises(DomainError, match=f"within {cap} terms"):
@@ -526,7 +526,7 @@ def test_engine_per_column_heads_and_weights_match_per_term(size):
     heads = 0.9 + np.arange(size)
     weights = np.cos(np.arange(size)) * 0.6 ** np.arange(size)
     for cols in ((heads, weights), (heads, None), (None, weights)):
-        got_ladder, want_ladder = _CoeffLadder(spec, 0.0), _CoeffLadder(spec, 0.0)
+        got_ladder, want_ladder = _CoeffLadder(spec), _CoeffLadder(spec)
         got = hyp._pfq_sum(spec, w, got_ladder, SERIES_CAP, *cols)
         want = _sum_per_term(spec, w, want_ladder, SERIES_CAP, *cols)
         _same_sums(got, want)
@@ -538,7 +538,7 @@ def test_engine_sums_a_column_past_its_peak():
     # 2F1(300, 0.7; 2.1; 0.658) scaled by 1e-30: its first terms are far
     # below 1e-16 of the sum, but each is larger than the one before
     spec = pfq_spec(EXP_KERNEL, (0.9, 0.7), (2.1,))
-    got = hyp._pfq_sum(spec, np.array([0.658]), _CoeffLadder(spec, 0.0),
+    got = hyp._pfq_sum(spec, np.array([0.658]), _CoeffLadder(spec),
                        SERIES_CAP, np.array([300.0]), np.array([1e-30]))
     want = 1e-30 * oracles.hyp2f1(300.0, 0.7, 2.1, 0.658)
     assert got[3] and got[2] > 500
@@ -587,9 +587,9 @@ def test_euler_step_builds_one_inner_ladder(monkeypatch):
     assert len(built) == 1
     assert got.terms_or_nodes > unit_new_nodes(0)[0].size  # several levels
 
-    def ladder_per_call(spec, w, tol, ladder=None):
+    def ladder_per_call(spec, w, ladder=None):
         # the former inner-series call: a fresh ladder every time
-        return pfq_series_vector(spec, w, tol)
+        return pfq_series_vector(spec, w)
 
     monkeypatch.setattr(hyp, "pfq_series_vector", ladder_per_call)
     del built[:]
@@ -610,57 +610,44 @@ def _count_builds(monkeypatch):
     return built
 
 
+# The shared-block tests below keep their names from the former
+# ``shared_coefficients()`` scope; the block cache, ``_coeff_block``, now
+# does that sharing everywhere, so each test starts from an empty cache.
 @pytest.mark.parametrize("kern", [EXP_KERNEL, kummer_kernel(1.5, 2.5)])
 def test_shared_scope_builds_each_block_once(monkeypatch, kern):
     spec = pfq_spec(kern, (0.8, 1.1), (2.4,), _R12)
     built = _count_builds(monkeypatch)
-    want = [ext_pfq(spec, 0.3), ext_pfq(spec, 0.3)]
+    want = []
+    for _ in range(2):
+        hyp._coeff_block.cache_clear()
+        want.append(ext_pfq(spec, 0.3))
     assert len(built) == 2
     del built[:]
-    with hyp.shared_coefficients():
-        got = [ext_pfq(spec, 0.3), ext_pfq(spec, 0.3)]
+    hyp._coeff_block.cache_clear()
+    got = [ext_pfq(spec, 0.3), ext_pfq(spec, 0.3)]
     assert len(built) == 1
     for g, w in zip(got, want):
         _same_result(g, w)
 
 
-def test_shared_scope_blocks_are_read_only_and_dropped():
+def test_shared_scope_blocks_are_read_only_and_dropped(monkeypatch):
     spec = pfq_spec(EXP_KERNEL, (0.8, 1.1), (2.4,), _R12)
-    assert hyp._shared_blocks.get() is None
-    with hyp.shared_coefficients():
-        ext_pfq(spec, 0.3)
-        blocks = hyp._shared_blocks.get()
-        assert len(blocks) == 1
-        (vals, errs, ok), = blocks.values()
-        assert not vals.flags.writeable and not errs.flags.writeable
-        assert ok
-    assert hyp._shared_blocks.get() is None
-    ext_pfq(spec, 0.3)  # no scope: nothing is kept
-    assert hyp._shared_blocks.get() is None
-
-
-def test_shared_scope_restored_after_exception():
-    with pytest.raises(DomainError):
-        with hyp.shared_coefficients():
-            ext_pfq(pfq_spec(EXP_KERNEL, (0.8, 1.1), (2.4,)), 0.3)
-            ext_pfq(pfq_spec(EXP_KERNEL, (1.0, 1.0), (2.0,)), 1.5)
-    assert hyp._shared_blocks.get() is None
-
-
-def test_nested_shared_scope_starts_empty_and_does_not_leak():
-    outer_spec = pfq_spec(EXP_KERNEL, (0.8, 1.1), (2.4,))
-    inner_spec = pfq_spec(EXP_KERNEL, (0.6, 1.3), (2.1,))
-    with hyp.shared_coefficients():
-        ext_pfq(outer_spec, 0.3)
-        outer = hyp._shared_blocks.get()
-        outer_keys = set(outer)
-        with hyp.shared_coefficients():
-            assert hyp._shared_blocks.get() == {}
-            ext_pfq(inner_spec, 0.3)
-            assert len(hyp._shared_blocks.get()) == 1
-        assert hyp._shared_blocks.get() is outer
-        assert set(outer) == outer_keys
-    assert hyp._shared_blocks.get() is None
+    built = _count_builds(monkeypatch)
+    hyp._coeff_block.cache_clear()
+    ext_pfq(spec, 0.3)
+    assert hyp._coeff_block.cache_info().currsize == 1
+    ladder = _CoeffLadder(spec)
+    (alpha, k, width), = ladder.pairs
+    vals, errs, ok = hyp._coeff_block(spec.kernel, spec.reg, alpha, width, k,
+                                      ladder.tols[0])
+    assert hyp._coeff_block.cache_info().hits == 1
+    assert not vals.flags.writeable and not errs.flags.writeable
+    assert ok
+    assert len(built) == 1
+    hyp._coeff_block.cache_clear()  # a dropped block is built again
+    ext_pfq(spec, 0.3)
+    assert len(built) == 2
+    assert hyp._coeff_block.cache_info().maxsize == hyp._BLOCK_CACHE_SIZE
 
 
 @pytest.mark.parametrize("upper, lower, z", [
@@ -686,10 +673,13 @@ def test_shared_scope_tells_apart_blocks_with_the_same_start():
              pfq_spec(EXP_KERNEL, (0.8, 1.1), (2.4,), ks=(1, 2)),
              pfq_spec(EXP_KERNEL, (0.8, 1.1), (2.4,), _R12),
              pfq_spec(kummer_kernel(1.5, 2.5), (0.8, 1.1), (2.4,), _R12)]
-    want = [ext_pfq(spec, 0.3) for spec in specs]
-    with hyp.shared_coefficients():
-        got = [ext_pfq(spec, 0.3) for spec in specs]
-        assert len(hyp._shared_blocks.get()) == len(specs)
+    want = []
+    for spec in specs:
+        hyp._coeff_block.cache_clear()
+        want.append(ext_pfq(spec, 0.3))
+    hyp._coeff_block.cache_clear()
+    got = [ext_pfq(spec, 0.3) for spec in specs]
+    assert hyp._coeff_block.cache_info().currsize == len(specs)
     for g, w in zip(got, want):
         _same_result(g, w)
 

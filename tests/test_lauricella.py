@@ -483,3 +483,18 @@ def test_out_of_range_normalisations_raise_before_quadrature(monkeypatch):
     with pytest.raises(DomainError, match="normalisation"):
         lauricella.fa_single_integral(LauricellaParams(
             180.0, (1.1, 0.7), (2.4, 2.1), (0.2, 0.3)), 1e-8)
+
+
+@pytest.mark.parametrize("alpha, xs", [
+    (1000.0, (0.9, 0.05)),   # the outer axis's terms overflow: value inf
+    (400.0, (0.5, -0.45)),   # the last axis's columns overflow: value NaN
+])
+def test_type_a_series_out_of_double_range_is_a_domain_error(alpha, xs):
+    p = LauricellaParams(alpha, (0.6, 0.6), (1.7, 1.7), xs, RegPair(0.1, 0.1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="out of double range"):
+            fa_series(p)
+        with pytest.raises(DomainError, match="out of double range"):
+            f2_series(AppellParams(alpha, 0.6, 0.6, 1.7, 1.7,
+                                   RegPair(0.1, 0.1)), *xs)

@@ -20,6 +20,15 @@ REMOVED = {
     "_classical_2f1_integral", "classical_pfq", "classical_2f1",
     "theta_eval", "integrate_unit", "ext_beta_complex",
 }
+# per module: the former shared_coefficients() scope, which the block cache
+# hyp._coeff_block replaced, the memo dicts that functools caches replaced,
+# and the twin of check_beta_domain
+REMOVED_FROM = {
+    "hyp.py": {"shared_coefficients", "_shared_blocks", "contextvars",
+               "contextlib"},
+    "quadrature.py": {"_unit_cache", "_half_cache", "_unit_order_cache"},
+    "extbeta.py": {"_log_cache", "check_beta_domain_complex"},
+}
 
 
 def _trees():
@@ -27,14 +36,30 @@ def _trees():
         yield path.name, ast.parse(path.read_text(encoding="utf-8"))
 
 
+def _names(tree):
+    """Every name a module defines, assigns or imports."""
+    names = set()
+    for n in ast.walk(tree):
+        if isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+            names.add(n.name)
+        elif isinstance(n, (ast.Assign, ast.AnnAssign)):
+            targets = n.targets if isinstance(n, ast.Assign) else [n.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            names |= {a.asname or a.name.split(".")[0] for a in n.names}
+    return names
+
+
 def test_removed_names_are_not_defined_or_exported():
     for name, tree in _trees():
-        defined = {n.name for n in ast.walk(tree)
-                   if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
-        defined |= {t.id for n in ast.walk(tree) if isinstance(n, ast.Assign)
-                    for t in n.targets if isinstance(t, ast.Name)}
-        assert not defined & REMOVED, name
+        assert not _names(tree) & REMOVED, name
     assert not set(exthyp.__all__) & REMOVED
+
+
+def test_shared_scope_and_memo_dicts_stay_removed():
+    trees = dict(_trees())
+    for name, removed in REMOVED_FROM.items():
+        assert not _names(trees[name]) & removed, name
 
 
 def test_library_does_not_import_mpmath():
