@@ -34,7 +34,6 @@ from .hyp import (
     euler_step_integral,
     euler_transform,
     ext_2f1,
-    ext_2f1_integral,
     ext_pfq,
     frac_deriv,
     pfaff_transform,
@@ -60,6 +59,7 @@ from .appell import (
 from .lauricella import (
     IntervalProductParams,
     LauricellaParams,
+    fa_eval,
     fa_integral,
     fa_partial_series,
     fa_series,

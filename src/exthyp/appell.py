@@ -133,10 +133,10 @@ def f2_series(p: AppellParams, x: float, y: float,
     return _fa_series(_as_fa(p, x, y), tol)
 
 
-def f2_integral(p: AppellParams, x: float, y: float, tol: float = 1e-10,
-                max_level: int = 9) -> EvalResult:
+def f2_integral(p: AppellParams, x: float, y: float,
+                tol: float = 1e-10) -> EvalResult:
     """Product-grid double integral of the second-kind function."""
-    return _fa_integral(_as_fa(p, x, y), tol, max_level, "proof")
+    return _fa_integral(_as_fa(p, x, y), tol, "proof")
 
 
 def f2_eval(p: AppellParams, x: float, y: float, tol: float = 1e-10,

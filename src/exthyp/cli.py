@@ -20,7 +20,7 @@ from .extbeta import BetaArgs, RegPair, ext_beta, ext_gamma
 from .hyp import ext_pfq, pfq_spec
 from .ineq import hilbert_bilinear, HilbertParams, parse_test_function
 from .kernel import parse_kernel
-from .lauricella import LauricellaParams, fa_integral, fa_series, fd_eval
+from .lauricella import LauricellaParams, fa_eval, fd_eval
 from .mellin import ContourSpec, mb_eval
 from .results import DomainError, EvalResult
 
@@ -148,7 +148,7 @@ def _eval_func(args) -> EvalResult:
         p = LauricellaParams(params[0], tuple(params[1:1 + r]),
                              tuple(params[1 + r:1 + 2 * r]), tuple(xs), reg,
                              kernel)
-        return (fa_integral if method == "integral" else fa_series)(p, tol)
+        return fa_eval(p, tol, method)
     if func == "extbeta":
         if len(params) != 2:
             raise DomainError("extbeta needs --params alpha,beta")
@@ -245,48 +245,36 @@ def build_parser() -> _Parser:
                      description="kernel-regularized special functions")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pe = sub.add_parser("eval", help="single evaluation as JSON")
-    pe.add_argument("--func", required=True,
-                    choices=list(_METHODS))
-    pe.add_argument("--kernel", default="exp")
-    pe.add_argument("--params", default="")
-    pe.add_argument("--kshifts", default="")
+    # the arguments that eval and table share
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--func", required=True, choices=list(_METHODS))
+    common.add_argument("--kernel", default="exp")
+    common.add_argument("--params", default="")
+    common.add_argument("--kshifts", default="")
+    common.add_argument("--x", type=float, default=0.0)
+    common.add_argument("--y", type=float, default=0.0)
+    common.add_argument("--xs", default="")
+    common.add_argument("--r", type=int, default=1)
+    common.add_argument("--b", type=float, default=0.0)
+    common.add_argument("--d", type=float, default=0.0)
+    common.add_argument("--tol", type=float, default=1e-10)
+    methods = dict.fromkeys(m for ms in _METHODS.values() for m in ms)
+    common.add_argument("--method", default="auto", choices=list(methods))
+    common.add_argument("--contour", default="",
+                        help="mellin contour as c0,T,h")
+
+    pe = sub.add_parser("eval", parents=[common],
+                        help="single evaluation as JSON")
     pe.add_argument("--z", type=float, default=0.0)
-    pe.add_argument("--x", type=float, default=0.0)
-    pe.add_argument("--y", type=float, default=0.0)
-    pe.add_argument("--xs", default="")
-    pe.add_argument("--r", type=int, default=1)
-    pe.add_argument("--b", type=float, default=0.0)
-    pe.add_argument("--d", type=float, default=0.0)
-    pe.add_argument("--tol", type=float, default=1e-10)
-    pe.add_argument("--method", default="auto",
-                    choices=["auto", "series", "integral", "mellin"])
-    pe.add_argument("--contour", default="",
-                    help="mellin contour as c0,T,h")
     pe.set_defaults(run=cmd_eval)
 
     pt = sub.add_parser(
-        "table",
+        "table", parents=[common],
         help="argument sweep as CSV (sweeps z; for f1/f2 it sweeps x with "
              "--y fixed, for fd/fa all arguments move together)")
-    pt.add_argument("--func", required=True,
-                    choices=list(_METHODS))
-    pt.add_argument("--kernel", default="exp")
-    pt.add_argument("--params", default="")
-    pt.add_argument("--kshifts", default="")
     pt.add_argument("--from", dest="frm", type=float, required=True)
     pt.add_argument("--to", type=float, required=True)
     pt.add_argument("--steps", type=int, required=True)
-    pt.add_argument("--x", type=float, default=0.0)
-    pt.add_argument("--y", type=float, default=0.0)
-    pt.add_argument("--xs", default="")
-    pt.add_argument("--r", type=int, default=1)
-    pt.add_argument("--b", type=float, default=0.0)
-    pt.add_argument("--d", type=float, default=0.0)
-    pt.add_argument("--tol", type=float, default=1e-10)
-    pt.add_argument("--method", default="auto",
-                    choices=["auto", "series", "integral", "mellin"])
-    pt.add_argument("--contour", default="")
     pt.add_argument("--report", default="")
     pt.set_defaults(run=cmd_table)
 

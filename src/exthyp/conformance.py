@@ -42,7 +42,6 @@ from .hyp import (
     euler_step_integral,
     euler_transform,
     ext_2f1,
-    ext_2f1_integral,
     ext_pfq,
     finite_difference_derivative,
     frac_deriv,
@@ -253,7 +252,7 @@ def build_catalog() -> list[IdentityDef]:
         _ident("gauss-series-vs-integral", "hyp",
                lambda pt, v, tol: (
                    pfq_series(_spec(pt), pt["z"], tol),
-                   ext_2f1_integral(*_g(pt), pt["z"], _regp(pt), tol)),
+                   ext_2f1(*_g(pt), pt["z"], _regp(pt), tol, "integral")),
                pts_2f1,
                extra=[dict(a1=1.2, a2=0.9, b1=2.6, z=0.7, b=0.25, d=0.25),
                       dict(a1=0.8, a2=1.1, b1=2.4, z=-0.3, b=0.0, d=0.6)]),

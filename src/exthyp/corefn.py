@@ -64,7 +64,9 @@ def _ln_gamma_right(z):
 def ln_gamma(z: complex) -> complex:
     """log Gamma: principal branch on Re(z) > 0 (recurrence into the Lanczos
     region), reflection for Re(z) <= 0 (principal up to multiples of 2 pi i
-    off the real axis; the exponential is always exact).
+    off the real axis; the exponential is always exact).  The reflection
+    takes sin(pi z) = (-1)^n sin(pi (z - n)), n = round(Re z), whose
+    reduced argument is exact, so no digits are lost next to a pole.
 
     Raises DomainError at the poles (nonpositive integers).
     """
@@ -75,7 +77,9 @@ def ln_gamma(z: complex) -> complex:
         return complex(_ln_gamma_right(z))
     if z.real > 0.0:
         return complex(_ln_gamma_right(z + 1.0) - np.log(z))
-    refl = math.log(math.pi) - np.log(np.sin(math.pi * z))
+    n = round(z.real)
+    sin = np.sin(math.pi * (z - n))
+    refl = math.log(math.pi) - np.log(-sin if n % 2 else sin)
     return complex(refl - ln_gamma(1.0 - z))
 
 
@@ -93,7 +97,9 @@ def ln_gamma_arr(z: np.ndarray) -> np.ndarray:
         out[strip] = _ln_gamma_right(zs + 1.0) - np.log(zs)
     if np.any(left):
         zl = z[left]
-        out[left] = (math.log(math.pi) - np.log(np.sin(math.pi * zl))
+        n = np.round(zl.real)
+        sin = np.sin(math.pi * (zl - n))
+        out[left] = (math.log(math.pi) - np.log(np.where(n % 2, -sin, sin))
                      - _ln_gamma_right(1.0 - zl))
     return out
 

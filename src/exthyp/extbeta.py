@@ -26,12 +26,10 @@ import numpy as np
 from . import kernel as kernelmod
 from .kernel import EXP_VARIANT, KernelSpec
 from .quadrature import (
-    MAX_LEVEL,
     MIN_LEVEL,
     _check_finite,
-    _nested,
     _read_only,
-    _refine,
+    _refine_nested,
     integrate_halfline,
     integrate_unit_batch,
     unit_grid_order,
@@ -232,7 +230,7 @@ def _kernel_integral(k: KernelSpec, reg: RegPair, powexp, tol: float,
         _check_finite(vals, t)
         return vals.sum(), t.size
 
-    totals, err, nodes, converged = _refine(_nested(contrib), tol / norm)
+    totals, err, nodes, converged = _refine_nested(contrib, tol / norm)
     return EvalResult(float(norm * totals), float(norm * (err + factor_err)),
                       nodes, converged, method)
 
@@ -309,8 +307,7 @@ def ext_gamma(k: KernelSpec, z: float, b: float = 0.0,
 
 
 def ext_beta_complex_many(k: KernelSpec, alphas: np.ndarray, beta: float,
-                          reg: RegPair = RegPair(), tol: float = 1e-12,
-                          max_level: int = MAX_LEVEL):
+                          reg: RegPair = RegPair(), tol: float = 1e-12):
     """Vectorized regularized beta over an array of complex first arguments.
 
     All first arguments share one quadrature grid; convergence is judged on
@@ -363,5 +360,5 @@ def ext_beta_complex_many(k: KernelSpec, alphas: np.ndarray, beta: float,
                 blk.sum(axis=1, out=s[i0:i1])
         return s, t.size
 
-    values, err, nodes, converged = _refine(_nested(contrib), tol, max_level)
+    values, err, nodes, converged = _refine_nested(contrib, tol)
     return values, float(np.max(err)), nodes, converged

@@ -195,27 +195,31 @@ def pfq_series(spec: PfqSpec, z: float, tol: float = 1e-10,
     if spec.p == spec.q + 1 and abs(z) >= 1.0 and not spec.terminating():
         raise DomainError(f"series diverges for |z| = {abs(z)} >= 1")
     ladder = _CoeffLadder(spec)
-    s, err, rows, done = _pfq_sum(spec, np.array([float(z)]), ladder,
-                                  SERIES_CAP)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, err, rows, done = _pfq_sum(spec, np.array([float(z)]), ladder,
+                                      SERIES_CAP)
+    if not math.isfinite(s[0]):
+        raise DomainError("series value out of double range")
     return EvalResult(float(s[0]), err, rows, done and ladder.ok, "series")
 
 
-def pfq_series_vector(spec: PfqSpec, w: np.ndarray, cap: int = SERIES_CAP,
+def pfq_series_vector(spec: PfqSpec, w: np.ndarray,
                       ladder: "_CoeffLadder" = None):
     """Series evaluated at an array of arguments with shared coefficients.
 
-    Returns (values, err_bound), the bound holding at every argument.  Used
-    by the integral representations that need the function on a whole
-    quadrature grid; pass a ladder to reuse the fetched coefficients across
-    repeated calls.
+    Returns (values, err_bound), the bound holding at every argument; a sum
+    not done within ``SERIES_CAP`` terms is a ``DomainError``.  Used by the
+    integral representations that need the function on a whole quadrature
+    grid; pass a ladder to reuse the fetched coefficients across repeated
+    calls.
     """
     w = np.asarray(w, dtype=float)
     if ladder is None:
         ladder = _CoeffLadder(spec)
-    s, err, _rows, done = _pfq_sum(spec, w.reshape(-1), ladder, cap)
+    s, err, _rows, done = _pfq_sum(spec, w.reshape(-1), ladder, SERIES_CAP)
     if not done:
-        raise DomainError(f"series did not converge within {cap} terms "
-                          f"(max |argument| = {np.max(np.abs(w)):.3g})")
+        raise DomainError(f"series did not converge within {SERIES_CAP} "
+                          f"terms (max |argument| = {np.max(np.abs(w)):.3g})")
     return s.reshape(w.shape), err
 
 
@@ -333,10 +337,7 @@ def _one_f0_vector(alpha: float, k1: int, w: np.ndarray) -> np.ndarray:
         n = int(round(-alpha))
         s = np.zeros_like(w)
         for m in range(n // k1 + 1):
-            num = 1.0
-            for i in range(k1 * m):
-                num *= alpha + i
-            s += num * w ** m / math.factorial(m)
+            s += pochhammer(alpha, k1 * m) * w ** m / math.factorial(m)
         return s
     if k1 == 0:
         return np.exp(w)
@@ -438,14 +439,6 @@ def ext_2f1(kernel: KernelSpec, a1: float, a2: float, b1: float, z: float,
     return ext_pfq(spec, z, tol, method, strict)
 
 
-def ext_2f1_integral(kernel: KernelSpec, a1: float, a2: float, b1: float,
-                     z: float, reg: RegPair = RegPair(),
-                     tol: float = 1e-10) -> EvalResult:
-    """Kernel-weighted Euler integral for the extended Gauss function."""
-    spec = pfq_spec(kernel, (a1, a2), (b1,), reg)
-    return euler_step_integral(spec, z, tol)
-
-
 def derivative(spec: PfqSpec, z: float, n: int, tol: float = 1e-10) -> EvalResult:
     """n-th derivative: Pochhammer prefactor times the all-shifted function."""
     if n < 0:
@@ -456,15 +449,9 @@ def derivative(spec: PfqSpec, z: float, n: int, tol: float = 1e-10) -> EvalResul
         return ext_pfq(spec, z, tol)
     pref = 1.0
     for a, _k in spec.upper:
-        num = 1.0
-        for i in range(n):
-            num *= a + i
-        pref *= num
+        pref *= pochhammer(a, n)
     for b in spec.lower:
-        den = 1.0
-        for i in range(n):
-            den *= b + i
-        pref /= den
+        pref /= pochhammer(b, n)
     return ext_pfq(spec.shifted(n), z, tol).scaled(pref)
 
 
@@ -485,10 +472,7 @@ def derivative_weighted(kernel: KernelSpec, a1: float, a2: float, b1: float,
         raise DomainError("weighted derivative evaluated for z > 0")
     shift = n if variant == "proof" else 0
     f = ext_2f1(kernel, a1 + shift, a2, b1, z, reg, tol)
-    pref = 1.0
-    for i in range(n):
-        pref *= a1 + i
-    pref *= z ** (a1 - 1.0)
+    pref = pochhammer(a1, n) * z ** (a1 - 1.0)
     return f.scaled(pref)
 
 

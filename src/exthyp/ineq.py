@@ -22,7 +22,8 @@ from .corefn import beta_classical
 from .extbeta import RegPair
 from .hyp import ext_2f1
 from .kernel import EXP_KERNEL
-from .quadrature import _refine, halfline_grid, integrate_halfline, unit_grid
+from .quadrature import (_refine_grid, halfline_grid, integrate_halfline,
+                         unit_grid)
 from .results import DomainError, EvalResult
 
 
@@ -351,11 +352,10 @@ def _axis_nodes(level: int, top: float):
     return g.nodes * top, np.log(g.weights * top)
 
 
-def _weighted_norm(h: TestFunction, exponent: float, power: float,
-                   tol: float = 1e-11,
-                   max_level: int = 9) -> tuple[float, bool]:
-    """(int x^exponent f(x)^power dx)^(1/power) with finiteness checks,
-    and whether its refinement converged."""
+def _weighted_norm(h: TestFunction, exponent: float,
+                   power: float) -> tuple[float, bool]:
+    """(int x^exponent f(x)^power dx)^(1/power), refined to a relative
+    1e-11, with finiteness checks, and whether its refinement converged."""
     if h.amplitude == 0.0:
         return 0.0, True
     if exponent + h.norm_exponent_at_zero(power) <= -1.0:
@@ -368,8 +368,7 @@ def _weighted_norm(h: TestFunction, exponent: float, power: float,
             e = logw + exponent * np.log(x) + power * h.log_values(x)
             return float(np.exp(e).sum()), x.size
 
-    value, _, _, ok = _refine(grid_sum, tol, max_level, min_level=4,
-                              first_level=2, rel=True)
+    value, _, _, ok = _refine_grid(grid_sum, 1e-11, rel=True)
     return abs(h.amplitude) * value ** (1.0 / power), ok
 
 
@@ -442,7 +441,7 @@ def _rhs_factors(hp: HilbertParams,
 
 
 def hilbert_bilinear(hp: HilbertParams, f: TestFunction, g: TestFunction,
-                     tol: float = 1e-8, max_level: int = 8) -> HilbertForm:
+                     tol: float = 1e-8) -> HilbertForm:
     """The bilinear form of the inequality on a test pair.
 
     The left side is computed by iterated double-exponential quadrature over
@@ -462,8 +461,7 @@ def hilbert_bilinear(hp: HilbertParams, f: TestFunction, g: TestFunction,
                                      + log_rows).sum())
             return total, x.size * y.size
 
-        lhs, _, _, ok = _refine(grid_sum, tol, max_level, min_level=4,
-                                first_level=2, rel=True)
+        lhs, _, _, ok = _refine_grid(grid_sum, tol, rel=True)
         lhs *= f.amplitude * g.amplitude
 
     const, rhs_f, ok_f = _rhs_factors(hp, f)
@@ -473,8 +471,8 @@ def hilbert_bilinear(hp: HilbertParams, f: TestFunction, g: TestFunction,
     return _form(const, lhs, rhs_f * norm_g, ok and ok_f and ok_g)
 
 
-def hilbert_equivalent(hp: HilbertParams, f: TestFunction, tol: float = 1e-8,
-                       max_level: int = 8) -> HilbertForm:
+def hilbert_equivalent(hp: HilbertParams, f: TestFunction,
+                       tol: float = 1e-8) -> HilbertForm:
     """The single-function equivalent form of the inequality.
 
     The left side is computed by iterated double-exponential quadrature
@@ -497,8 +495,7 @@ def hilbert_equivalent(hp: HilbertParams, f: TestFunction, tol: float = 1e-8,
                                          + qp * log_rows).sum())
             return inner_tot, x.size * y.size
 
-        lhs, _, _, ok = _refine(grid_sum, tol, max_level, min_level=4,
-                                first_level=2, rel=True)
+        lhs, _, _, ok = _refine_grid(grid_sum, tol, rel=True)
         lhs = f.amplitude * lhs ** (1.0 / qp)
 
     const, rhs, ok_f = _rhs_factors(hp, f)
@@ -506,11 +503,11 @@ def hilbert_equivalent(hp: HilbertParams, f: TestFunction, tol: float = 1e-8,
 
 
 def hilbert_check(hp: HilbertParams, f: TestFunction, g: TestFunction,
-                  tol: float = 1e-8, max_level: int = 8) -> HilbertReport:
+                  tol: float = 1e-8) -> HilbertReport:
     """Evaluate both inequalities on a test pair (see ``hilbert_bilinear``
     and ``hilbert_equivalent``)."""
-    bil = hilbert_bilinear(hp, f, g, tol, max_level)
-    equiv = hilbert_equivalent(hp, f, tol, max_level)
+    bil = hilbert_bilinear(hp, f, g, tol)
+    equiv = hilbert_equivalent(hp, f, tol)
     return HilbertReport(
         constant=bil.constant,
         lhs=bil.lhs,

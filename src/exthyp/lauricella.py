@@ -45,7 +45,7 @@ from .hyp import (
     pfq_spec,
 )
 from .kernel import EXP_VARIANT, KernelSpec
-from .quadrature import _refine, halfline_grid, unit_grid
+from .quadrature import _refine_grid, halfline_grid, unit_grid
 from .results import DomainError, EvalResult
 
 MAX_VARIABLES = 4  # series cap; iterated integrals are checked for r <= 2
@@ -316,8 +316,8 @@ def interval_product_integral(tp: IntervalProductParams,
     return lhs, fd.scaled(const)
 
 
-def fd_laplace_product(p: LauricellaParams, tol: float = 1e-8,
-                       max_level: int = 8) -> tuple[EvalResult, EvalResult]:
+def fd_laplace_product(p: LauricellaParams,
+                       tol: float = 1e-8) -> tuple[EvalResult, EvalResult]:
     """Laplace-type product integral against the type D series (r <= 2).
 
     The integrand couples the axes only through the confluent-level factor
@@ -359,8 +359,7 @@ def fd_laplace_product(p: LauricellaParams, tol: float = 1e-8,
             inner_err = max(inner_err, ierr)
         return s, t.size ** p.r
 
-    totals, err, nodes, converged = _refine(
-        grid_sum, tol, max_level, min_level=4, first_level=2)
+    totals, err, nodes, converged = _refine_grid(grid_sum, tol)
     lhs = EvalResult(totals, err + inner_err, nodes, converged,
                      "euler_integral")
     pref = math.exp(sum(gammaln_real(b) for b in p.betas))
@@ -470,19 +469,25 @@ def _last_axis_sum(p: LauricellaParams, weights: np.ndarray):
     return cols, err, rows, done and ladder.ok
 
 
+def fa_eval(p: LauricellaParams, tol: float = 1e-10,
+            method: str = "auto") -> EvalResult:
+    if _use_series(method, sum(map(abs, p.xs)) < _SERIES_EDGE):
+        return fa_series(p, tol)
+    return fa_integral(p, tol)
+
+
 def fa_integral(p: LauricellaParams, tol: float = 1e-10,
-                max_level: int = 9, variant: str = "proof") -> EvalResult:
+                variant: str = "proof") -> EvalResult:
     """r-fold product integral of type A (numeric path for r <= 2).
 
     The per-axis beta normalizers divide in the proof-consistent form; the
     printed form multiplies them and is kept only for adjudication.
     """
     p.validate_fa()
-    return _fa_integral(p, tol, max_level, variant)
+    return _fa_integral(p, tol, variant)
 
 
-def _fa_integral(p: LauricellaParams, tol: float, max_level: int,
-                 variant: str) -> EvalResult:
+def _fa_integral(p: LauricellaParams, tol: float, variant: str) -> EvalResult:
     _require_finite(p)
     if p.r > 2:
         raise DomainError("iterated integral implemented for r <= 2")
@@ -517,15 +522,14 @@ def _fa_integral(p: LauricellaParams, tol: float, max_level: int,
                     s += float(axes[0][blk] @ m @ axes[1])
         return s, t.size ** p.r
 
-    totals, err, nodes, converged = _refine(
-        grid_sum, tol / norm, max_level, min_level=4, first_level=2)
+    totals, err, nodes, converged = _refine_grid(grid_sum, tol / norm)
     return EvalResult(norm * totals, norm * err, nodes, converged,
                       "euler_integral")
 
 
-def fa_single_integral(p: LauricellaParams, tol: float = 1e-8,
-                       upper: float = math.inf,
-                       max_level: int = 9) -> tuple[EvalResult, EvalResult]:
+def fa_single_integral(
+        p: LauricellaParams, tol: float = 1e-8,
+        upper: float = math.inf) -> tuple[EvalResult, EvalResult]:
     """Type A as one exponential-weighted integral of confluent products.
 
     The derivation forces the infinite upper limit; upper=1.0 reproduces the
@@ -564,8 +568,7 @@ def fa_single_integral(p: LauricellaParams, tol: float = 1e-8,
             s = float(vals.sum())
         return s, t.size
 
-    totals, err, nodes, converged = _refine(
-        grid_sum, tol / norm, max_level, min_level=4, first_level=2)
+    totals, err, nodes, converged = _refine_grid(grid_sum, tol / norm)
     integral = EvalResult(norm * totals, norm * (err + inner_err), nodes,
                           converged, "euler_integral")
     series = fa_series(p, tol)

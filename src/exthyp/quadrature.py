@@ -22,8 +22,14 @@ import numpy as np
 
 from .results import DomainError, NonFiniteSampleError
 
+# The two refinement forms and their level ranges.  Nested new-node sums
+# run levels 0 to MAX_LEVEL and may stop from MIN_LEVEL.  Full-grid sums
+# form every node of a level afresh, so they run the shorter range
+# GRID_LEVELS: (first level, first level that may stop, last level); none
+# of them has been seen to need a level past 7.
 MAX_LEVEL = 12
 MIN_LEVEL = 3
+GRID_LEVELS = (2, 4, 8)
 
 # Powers per table block of integrate_unit_batch (512 KiB of float64), and
 # rows per block at most (the coefficient ladder's block of first arguments).
@@ -66,8 +72,6 @@ class QuadGrid:
 
     nodes: np.ndarray
     weights: np.ndarray
-    level: int
-    interval: str  # "unit" or "semi_infinite"
     complements: np.ndarray | None = None
 
 
@@ -144,7 +148,7 @@ def unit_grid(level: int) -> QuadGrid:
     tc = np.concatenate([a[1] for a in ts])
     w = np.concatenate([a[2] * h for a in ts])
     order = unit_grid_order(level)
-    return QuadGrid(t[order], w[order], level, "unit", tc[order])
+    return QuadGrid(t[order], w[order], tc[order])
 
 
 def halfline_grid(level: int) -> QuadGrid:
@@ -153,7 +157,7 @@ def halfline_grid(level: int) -> QuadGrid:
     t = np.concatenate([a[0] for a in ts])
     w = np.concatenate([a[1] * h for a in ts])
     order = np.argsort(t)
-    return QuadGrid(t[order], w[order], level, "semi_infinite")
+    return QuadGrid(t[order], w[order])
 
 
 def _check_finite(contrib: np.ndarray, where: np.ndarray) -> None:
@@ -181,33 +185,32 @@ def _running(op, blk: np.ndarray) -> None:
             op(blk[i - 1], blk[i], out=blk[i])
 
 
-def _refine(estimate, tol: float, max_level: int = MAX_LEVEL,
-            min_level: int = MIN_LEVEL, first_level: int = 0,
+def _refine(estimate, tol: float, levels: tuple[int, int, int],
             rel: bool = False):
     """The level-doubling loop shared by every integral.
 
     ``estimate(level)`` returns (estimate, nodes used) for the levels
-    first_level, first_level + 1, ...; the estimate is a scalar or an array
-    (real or complex).  Its error is |estimate - previous estimate|,
-    elementwise, and inf at the first level.  The loop stops at the first
-    level >= min_level whose largest error is <= tol, or <= tol * (1 +
-    |estimate|) with ``rel``.  Returns (estimate, err, nodes, converged):
-    the last level's estimate and error and the nodes of all levels.
+    first, first + 1, ..., last of ``levels`` = (first, least, last); the
+    estimate is a scalar or an array (real or complex).  Its error is
+    |estimate - previous estimate|, elementwise, and inf at the first
+    level.  The loop stops at the first level >= least whose largest error
+    is <= tol, or <= tol * (1 + |estimate|) with ``rel``.  Returns
+    (estimate, err, nodes, converged): the last level's estimate and error
+    and the nodes of all levels.
     """
-    if max_level < first_level:
-        raise DomainError(f"max_level {max_level} is below {first_level}")
+    first, least, last = levels
     prev = None
     err = math.inf
     nodes = 0
-    for level in range(first_level, max_level + 1):
+    for level in range(first, last + 1):
         est, n = estimate(level)
         nodes += n
         if prev is not None:
             err = abs(est - prev)
         bound = tol * (1.0 + abs(est)) if rel else tol
-        if level >= min_level and ((err <= bound).all()
-                                   if isinstance(err, np.ndarray)
-                                   else err <= bound):
+        if level >= least and ((err <= bound).all()
+                               if isinstance(err, np.ndarray)
+                               else err <= bound):
             return est, err, nodes, True
         prev = est
     return est, err, nodes, False
@@ -231,7 +234,19 @@ def _nested(contrib):
     return estimate
 
 
-def _integrate_levels(new_nodes, f, tol: float, max_level: int) -> QuadResult:
+def _refine_nested(contrib, tol: float):
+    """``_refine`` of the nested estimates of the new-node sums
+    ``contrib(level)`` (see ``_nested``), over levels 0 to MAX_LEVEL."""
+    return _refine(_nested(contrib), tol, (0, MIN_LEVEL, MAX_LEVEL))
+
+
+def _refine_grid(grid_sum, tol: float, rel: bool = False):
+    """``_refine`` of the full-grid sums ``grid_sum(level)``, over the
+    levels of GRID_LEVELS."""
+    return _refine(grid_sum, tol, GRID_LEVELS, rel)
+
+
+def _integrate_levels(new_nodes, f, tol: float) -> QuadResult:
     """Integrate f over the nodes (t, ..., w) = new_nodes(level), level by
     level; f takes every array but the weights w."""
 
@@ -241,18 +256,18 @@ def _integrate_levels(new_nodes, f, tol: float, max_level: int) -> QuadResult:
         _check_finite(vals, ts[0])
         return vals.sum(), w.size
 
-    value, err, nodes, ok = _refine(_nested(contrib), tol, max_level)
+    value, err, nodes, ok = _refine_nested(contrib, tol)
     return QuadResult(float(value), float(err), nodes, ok)
 
 
-def integrate_unit2(f, tol: float, max_level: int = MAX_LEVEL) -> QuadResult:
+def integrate_unit2(f, tol: float) -> QuadResult:
     """Integrate f(t, 1-t) over (0,1); f must accept ndarray arguments."""
-    return _integrate_levels(unit_new_nodes, f, tol, max_level)
+    return _integrate_levels(unit_new_nodes, f, tol)
 
 
-def integrate_halfline(f, tol: float, max_level: int = MAX_LEVEL) -> QuadResult:
+def integrate_halfline(f, tol: float) -> QuadResult:
     """Integrate a vectorized f(t) over (0, inf)."""
-    return _integrate_levels(halfline_new_nodes, f, tol, max_level)
+    return _integrate_levels(halfline_new_nodes, f, tol)
 
 
 def _block_rows(nodes: int) -> int:
@@ -310,8 +325,7 @@ def _member_sums(level: int, kstep: int, count: int, base: np.ndarray,
     return out
 
 
-def integrate_unit_batch(f0, count: int, tol: float, kstep: int = 1,
-                         max_level: int = MAX_LEVEL):
+def integrate_unit_batch(f0, count: int, tol: float, kstep: int = 1):
     """Integrate the power family t**(kstep*m) * f0(t, 1-t) for m=0..count-1.
 
     f0 is the m = 0 integrand, evaluated once per node and shared across the
@@ -351,4 +365,4 @@ def integrate_unit_batch(f0, count: int, tol: float, kstep: int = 1,
                                          for lv in range(MIN_LEVEL + 1)]))
         return first[level]
 
-    return _refine(_nested(contrib), tol, max_level)
+    return _refine_nested(contrib, tol)

@@ -26,7 +26,6 @@ from exthyp.appell import (
 from exthyp.extbeta import RegPair, ext_gamma
 from exthyp.hyp import (
     ext_2f1,
-    ext_2f1_integral,
     ext_pfq,
     euler_transform,
     frac_deriv,
@@ -163,7 +162,7 @@ def test_criterion_02_known_closed_forms():
     assert abs(g.value - want) <= 1e-10 * (1 + abs(want))
     f = ext_2f1(EXP_KERNEL, 1.0, 1.0, 2.0, 0.5)
     assert abs(f.value - 2.0 * math.log(2.0)) <= 1e-10
-    s = ext_2f1_integral(EXP_KERNEL, 1.0, 2.0, 4.0, 1.0)
+    s = ext_2f1(EXP_KERNEL, 1.0, 2.0, 4.0, 1.0, method="integral")
     assert abs(s.value - 3.0) <= 1e-9
     d = frac_deriv(EXP_KERNEL, -0.5, R0, lambda t: np.ones_like(t), 1.0)
     assert abs(d.value - 2.0 / math.sqrt(math.pi)) <= 1e-9
@@ -182,7 +181,7 @@ def test_criterion_03_dual_representation_agreement():
             for r in regs:
                 for z in (-0.5, 0.0, 0.3, 0.7):
                     s = pfq_series(pfq_spec(kern, (a1, a2), (b1,), r), z)
-                    i = ext_2f1_integral(kern, a1, a2, b1, z, r)
+                    i = ext_2f1(kern, a1, a2, b1, z, r, method="integral")
                     worst_1d = max(worst_1d, _rel(s.value, i.value))
     for r in (R0, RegPair(0.2, 0.2), RegPair(0.0, 0.2), RegPair(0.2, 0.0)):
         for x in (-0.3, 0.1, 0.4):

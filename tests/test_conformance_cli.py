@@ -385,9 +385,12 @@ _FA = ["--func", "fa", "--r", "2", "--params", "0.8,1.1,0.7,2.4,2.1",
     # 1/B(600, 800) is about exp(958): out of double range
     ["--func", "fd", "--r", "1", "--params", "600,0.5,1400", "--xs", "0.2",
      "--method", "integral"],
+    # the series terms overflow: the value is out of double range
+    ["--func", "2f1", "--params", "800,1,2", "--z", "0.8", "--b", "0.1",
+     "--d", "0.1"],
 ], ids=["f2-nan", "fd-nan", "contour-4", "kshift-1.5", "f1-mellin",
         "f2-mellin", "fd-mellin", "fa-mellin", "extbeta-series",
-        "fd-overflow", "fd-r0", "fd-norm-overflow"])
+        "fd-overflow", "fd-r0", "fd-norm-overflow", "2f1-overflow"])
 def test_cli_eval_bad_input_exit_2(argv, capsys):
     assert cli.main(["eval", *argv]) == 2
     out = capsys.readouterr()
@@ -404,6 +407,19 @@ def test_cli_fa_integral_method(capsys):
     assert integral["method"] == "euler_integral"
     assert series["method"] == "series"
     assert abs(integral["value"] - series["value"]) < 1e-6
+
+
+def test_cli_fa_auto_takes_the_integral_outside_the_series(capsys):
+    # sum |x_j| = 1.2 is outside the series, so auto takes the product grid,
+    # as f2 does at the same point
+    params = ["--params", "0.8,1.1,0.7,2.4,2.1"]
+    assert cli.main(["eval", "--func", "fa", "--r", "2", *params,
+                     "--xs", "0.7,-0.5"]) == 0
+    fa = json.loads(capsys.readouterr().out)
+    assert cli.main(["eval", "--func", "f2", *params, "--x", "0.7",
+                     "--y", "-0.5"]) == 0
+    assert fa == json.loads(capsys.readouterr().out)
+    assert fa["value"] == 1.2168443709347243
 
 
 def test_cli_table_monotone(tmp_path):

@@ -14,6 +14,7 @@ from exthyp.corefn import (
     gammaln_real,
     kummer_1f1_arr,
     ln_gamma,
+    ln_gamma_arr,
     pochhammer,
 )
 from exthyp.results import DomainError
@@ -57,6 +58,16 @@ def test_exp_ln_gamma_matches_mpmath_left_half(z):
     want = complex(mpmath.gamma(mpmath.mpc(z.real, z.imag)))
     got = np.exp(complex(ln_gamma(z)))
     assert abs(got - want) <= 1e-12 * (1 + abs(want))
+
+
+@pytest.mark.parametrize("z", [-0.999999, -1.000001, -2.999, -7.0 + 1e-9,
+                               -3.0000001 + 1e-7j])
+def test_gamma_next_to_a_pole_matches_mpmath(z):
+    # the reflection reduces its argument before sin(pi z), so it keeps
+    # the digits that z holds next to the pole, in both copies
+    want = complex(mpmath.gamma(mpmath.mpmathify(z)))
+    for got in (ln_gamma(z), ln_gamma_arr(np.array([z]))[0]):
+        assert abs(np.exp(complex(got)) - want) <= 1e-13 * abs(want)
 
 
 def test_ln_gamma_pole():

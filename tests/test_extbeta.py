@@ -365,7 +365,7 @@ def test_complex_non_finite_arguments_raise_before_quadrature(
     def no_quadrature(*args, **kwargs):
         raise AssertionError("quadrature ran")
 
-    monkeypatch.setattr(extbeta, "_refine", no_quadrature)
+    monkeypatch.setattr(quadrature, "_refine", no_quadrature)
     with pytest.raises(DomainError):
         ext_beta_complex_many(EXP_KERNEL, np.array([alpha]), beta)
     with pytest.raises(DomainError):
@@ -400,8 +400,8 @@ def test_non_finite_arguments_raise_before_quadrature(monkeypatch, k, alpha,
     def no_quadrature(*args, **kwargs):
         raise AssertionError("quadrature ran")
 
-    for name in ("integrate_unit_batch", "_refine"):
-        monkeypatch.setattr(extbeta, name, no_quadrature)
+    monkeypatch.setattr(extbeta, "integrate_unit_batch", no_quadrature)
+    monkeypatch.setattr(quadrature, "_refine", no_quadrature)
     reg = RegPair(0.2, 0.3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -435,7 +435,7 @@ _OVERFLOWING = {
 def test_kernel_integral_stops_at_the_first_non_finite_sample(monkeypatch,
                                                               evaluate):
     levels = []
-    nested = extbeta._nested
+    nested = quadrature._nested
 
     def spy(contrib):
         def counted(level):
@@ -443,7 +443,7 @@ def test_kernel_integral_stops_at_the_first_non_finite_sample(monkeypatch,
             return contrib(level)
         return nested(counted)
 
-    monkeypatch.setattr(extbeta, "_nested", spy)
+    monkeypatch.setattr(quadrature, "_nested", spy)
     # the node prints as a plain float
     with pytest.raises(NonFiniteSampleError, match=r"near t=0\.\d+$"):
         evaluate()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from exthyp import extbeta, hyp
+from exthyp import hyp, quadrature
 from exthyp.corefn import gammaln_real
 from exthyp.extbeta import BetaArgs, RegPair, ext_beta
 from exthyp.hyp import (
@@ -22,7 +22,6 @@ from exthyp.hyp import (
     euler_step_integral,
     euler_transform,
     ext_2f1,
-    ext_2f1_integral,
     ext_pfq,
     finite_difference_derivative,
     frac_deriv,
@@ -65,7 +64,7 @@ def test_ext_2f1_series_vs_integral_spec_grid():
             for r in regs:
                 for z in (-0.5, 0.0, 0.3, 0.7):
                     s = pfq_series(pfq_spec(kern, (a1, a2), (b1,), r), z)
-                    i = ext_2f1_integral(kern, a1, a2, b1, z, r)
+                    i = ext_2f1(kern, a1, a2, b1, z, r, method="integral")
                     res = abs(s.value - i.value) / (1 + abs(i.value))
                     worst = max(worst, res)
     assert worst < 1e-8
@@ -74,9 +73,19 @@ def test_ext_2f1_series_vs_integral_spec_grid():
 def test_ext_2f1_integral_outside_series_domain():
     # z = -5: integral directly, cross-checked by the mapped series
     r = RegPair(0.2, 0.4)
-    got = ext_2f1_integral(EXP_KERNEL, 0.7, 1.2, 2.5, -5.0, r)
+    got = ext_2f1(EXP_KERNEL, 0.7, 1.2, 2.5, -5.0, r, method="integral")
     mapped = pfaff_transform(EXP_KERNEL, 0.7, 1.2, 2.5, -5.0, r)
     assert abs(got.value - mapped.value) <= 1e-9 * (1 + abs(got.value))
+
+
+@pytest.mark.parametrize("a1, a2, b1, z", [(800.0, 1.0, 2.0, 0.8),
+                                           (3000.0, 0.5, 1.5, 0.5)])
+def test_series_value_out_of_double_range_is_domain_error(a1, a2, b1, z):
+    # the terms overflow, so the sum is inf: refused, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="out of double range"):
+            ext_2f1(EXP_KERNEL, a1, a2, b1, z, RegPair(0.1, 0.1))
 
 
 def test_ext_pfq_kummer_level_closed_form():
@@ -112,7 +121,7 @@ def test_euler_step_reduces_to_gauss_integral():
     r = RegPair(0.1, 0.2)
     spec = pfq_spec(EXP_KERNEL, (0.5, 1.5), (3.0,), r)
     a = euler_step_integral(spec, 0.3)
-    b = ext_2f1_integral(EXP_KERNEL, 0.5, 1.5, 3.0, 0.3, r)
+    b = ext_2f1(EXP_KERNEL, 0.5, 1.5, 3.0, 0.3, r, method="integral")
     assert abs(a.value - b.value) <= 1e-12 * (1 + abs(b.value))
 
 
@@ -308,7 +317,7 @@ def test_frac_deriv_prefactor_out_of_range_raises_before_any_node(
     def no_nodes(*args, **kwargs):
         raise AssertionError("quadrature ran")
 
-    monkeypatch.setattr(extbeta, "_refine", no_nodes)
+    monkeypatch.setattr(quadrature, "_refine", no_nodes)
     with pytest.raises(DomainError, match="out of double range"):
         frac_deriv(EXP_KERNEL, mu, RegPair(0.1, 0.1), np.exp, z)
 
@@ -371,7 +380,7 @@ def test_pairing_validation():
 def test_kummer_kernel_2f1_dual_route():
     r = RegPair(0.2, 0.4)
     s = pfq_series(pfq_spec(KUM, (0.5, 1.5), (3.0,), r), 0.3)
-    i = ext_2f1_integral(KUM, 0.5, 1.5, 3.0, 0.3, r)
+    i = ext_2f1(KUM, 0.5, 1.5, 3.0, 0.3, r, method="integral")
     assert abs(s.value - i.value) <= 1e-9 * (1 + abs(s.value))
 
 
@@ -500,7 +509,7 @@ def _same_sums(got, want):
     assert got[2:] == want[2:]
 
 
-def test_series_vector_empty_and_cap_match_per_term():
+def test_series_vector_empty_and_cap_match_per_term(monkeypatch):
     spec = PfqSpec(((0.7, 1), (1.3, 1)), (2.1,), _R12)
     with pytest.raises(ValueError) as got:
         pfq_series_vector(spec, np.zeros(0))
@@ -513,8 +522,9 @@ def test_series_vector_empty_and_cap_match_per_term():
         want = _sum_per_term(spec, w, _CoeffLadder(spec), cap)
         _same_sums(got, want)
         assert got[2:] == (cap, False)
+        monkeypatch.setattr(hyp, "SERIES_CAP", cap)
         with pytest.raises(DomainError, match=f"within {cap} terms"):
-            pfq_series_vector(spec, w, cap=cap)
+            pfq_series_vector(spec, w)
 
 
 @pytest.mark.parametrize("size", [1, 7, 65, 300])

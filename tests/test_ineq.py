@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from exthyp import ineq
+from exthyp import ineq, quadrature
 from exthyp.conformance import _hp_from_point, build_catalog, run_conformance
 from exthyp.extbeta import RegPair
 from exthyp.ineq import (
@@ -241,13 +241,18 @@ def test_bump_is_smooth_compact():
     assert v[2] == 1.0  # normalized peak at the midpoint
 
 
-def test_forms_report_unconverged_refinement():
+def test_forms_report_unconverged_refinement(monkeypatch):
     hp, f, g = GENERIC, exp_decay(1.0), bump(1.0, 2.0)
     assert hilbert_bilinear(hp, f, g).converged is True
-    assert hilbert_bilinear(hp, f, g, tol=1e-11, max_level=4).converged is False
     assert hilbert_equivalent(hp, f).converged is True
-    assert hilbert_equivalent(hp, f, tol=1e-11,
-                              max_level=4).converged is False
-    assert hilbert_check(hp, f, g, tol=1e-11, max_level=4).converged is False
-    zero = exp_decay(0.0, amplitude=0.0)
-    assert hilbert_bilinear(hp, zero, g, tol=1e-11, max_level=4).converged
+    # the full-grid refinements end at level 4
+    monkeypatch.setattr(quadrature, "GRID_LEVELS", (2, 4, 4))
+    assert hilbert_bilinear(hp, f, g, tol=1e-11).converged is False
+    assert hilbert_equivalent(hp, f, tol=1e-11).converged is False
+    assert hilbert_check(hp, f, g, tol=1e-11).converged is False
+    # the norm of exp_decay(0.0) converges by level 4 (the bump's needs
+    # level 7), so with it only the left side can fail, and a zero f skips
+    # the left side
+    zero, g0 = exp_decay(0.0, amplitude=0.0), exp_decay(0.0)
+    assert hilbert_bilinear(hp, f, g0, tol=1e-11).converged is False
+    assert hilbert_bilinear(hp, zero, g0, tol=1e-11).converged

@@ -431,18 +431,22 @@ def _new_and_former_worst(a, c, zs):
 @pytest.mark.parametrize("a", [0.3, 1.0, 2.5, 5.0, 10.0])
 def test_kummer_arr_accuracy_not_worse_than_former_rule(a):
     # against 50-digit mpmath, per (a, c), over w = -z from 1e-3 to 1e4
-    # and the nodes next to every cut the rule has used.  Near c - a = -1
-    # both rules are off by up to ~8e-11: the amplitude's log-gamma loses
-    # digits next to the pole of Gamma(c - a), so the bound there is only
-    # the relative one
+    # and the nodes next to every cut the rule has used, c - a next to the
+    # poles of Gamma(c - a) at -1 and -2 included
     for d in (0.3, 1.0, 2.5, 4.0, -0.5, 1e-6, -1.0 + 1e-6, -2.0 + 1e-3):
         c = a + d
         if c <= 0.0:
             continue  # the confluent kernel needs c > 0
         new, old = _new_and_former_worst(a, c, _ACC_ZS)
         assert new <= 1.1 * old, (a, c, new, old)
-        if abs(d - round(d)) > 1e-2 or d > 0.0:
-            assert new <= 2e-14, (a, c, new)
+        assert new <= 2e-14, (a, c, new)
+
+
+@pytest.mark.parametrize("a, c", [(10.0, 9.000001), (2.5, 1.500001)])
+def test_kummer_amplitude_next_to_a_pole_matches_mpmath(a, c):
+    with mpmath.workdps(40):
+        want = mpmath.gamma(c) / mpmath.gamma(c - a)
+        assert abs((_kummer_amplitude(a, c) - want) / want) <= 1e-13
 
 
 @pytest.mark.parametrize("a,c", [(1.0, 30.0), (1.0, 60.0), (2.0, 40.0),

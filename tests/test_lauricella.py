@@ -12,7 +12,7 @@ import pytest
 
 import oracles
 from test_hyp import _sum_per_term
-from exthyp import appell, extbeta, lauricella
+from exthyp import appell, lauricella, quadrature
 from exthyp.appell import (
     AppellParams,
     f1_eval,
@@ -349,8 +349,7 @@ def test_non_finite_input_is_rejected_before_any_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a ladder or a quadrature started")
 
-    for module in (extbeta, lauricella):
-        monkeypatch.setattr(module, "_refine", no_work)
+    monkeypatch.setattr(quadrature, "_refine", no_work)
     monkeypatch.setattr(lauricella, "_ratio_ladder", no_work)
     nan, inf = math.nan, math.inf
     p2 = AppellParams(0.8, 1.1, 0.7, 2.4, 2.1, R0, EXP_KERNEL)
@@ -379,8 +378,7 @@ def test_unknown_method_is_rejected_before_any_work(monkeypatch, method):
     def no_work(*args, **kwargs):
         raise AssertionError("a ladder or a quadrature started")
 
-    for module in (extbeta, lauricella):
-        monkeypatch.setattr(module, "_refine", no_work)
+    monkeypatch.setattr(quadrature, "_refine", no_work)
     for name in ("_ratio_ladder", "_CoeffLadder"):
         monkeypatch.setattr(lauricella, name, no_work)
     p = AppellParams(0.8, 1.1, 0.7, 2.4, 2.1, R0, EXP_KERNEL)
@@ -476,8 +474,7 @@ def test_out_of_range_normalisations_raise_before_quadrature(monkeypatch):
     def no_quadrature(*args, **kwargs):
         raise AssertionError("quadrature ran")
 
-    monkeypatch.setattr(lauricella, "_refine", no_quadrature)
-    monkeypatch.setattr(extbeta, "_refine", no_quadrature)
+    monkeypatch.setattr(quadrature, "_refine", no_quadrature)
     with pytest.raises(DomainError, match="normalisation"):
         fd_integral(LauricellaParams(600.0, (0.5,), (1400.0,), (0.2,)))
     with pytest.raises(DomainError, match="normalisation"):

