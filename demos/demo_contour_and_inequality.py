@@ -39,16 +39,16 @@ print()
 print("classical bilinear bound: kernel 1/(x+y), constant pi")
 hp = classical_point()
 print(f"  constant = {hilbert_constant(hp):.12f}   (pi = {math.pi:.12f})")
-rep = hilbert_check(hp, exp_decay(0.0), exp_decay(0.0))
-print(f"  lhs = {rep.lhs:.12f}  rhs = {rep.rhs:.12f}  margin = "
-      f"{rep.margin:.12f}")
+bil, _ = hilbert_check(hp, exp_decay(0.0), exp_decay(0.0))
+print(f"  lhs = {bil.lhs:.12f}  rhs = {bil.rhs:.12f}  margin = "
+      f"{bil.margin:.12f}")
 print()
 
 print("regularized generic point with a compact bump on one side:")
 hp = midpoint_params(1.8, 2.2, 0.6, 0.6, 1.0, 1.5, 0.2, 0.2)
-rep = hilbert_check(hp, exp_decay(1.0), bump(1.0, 2.0))
-print(f"  constant = {rep.constant:.12f}")
-print(f"  bilinear     lhs = {rep.lhs:.10f}  <=  rhs = {rep.rhs:.10f}  "
-      f"({'holds' if rep.holds else 'violated'})")
-print(f"  equivalent   lhs = {rep.lhs_equiv:.10f}  <=  rhs = "
-      f"{rep.rhs_equiv:.10f}  ({'holds' if rep.holds_equiv else 'violated'})")
+bil, equiv = hilbert_check(hp, exp_decay(1.0), bump(1.0, 2.0))
+print(f"  constant = {bil.constant:.12f}")
+print(f"  bilinear     lhs = {bil.lhs:.10f}  <=  rhs = {bil.rhs:.10f}  "
+      f"({'holds' if bil.holds else 'violated'})")
+print(f"  equivalent   lhs = {equiv.lhs:.10f}  <=  rhs = "
+      f"{equiv.rhs:.10f}  ({'holds' if equiv.holds else 'violated'})")

@@ -76,7 +76,6 @@ from .mellin import ContourSpec, default_contour, mb_eval
 from .ineq import (
     HilbertForm,
     HilbertParams,
-    HilbertReport,
     TestFunction,
     bump,
     classical_point,
@@ -105,7 +104,6 @@ from .quadrature import (
     integrate_unit_batch,
 )
 from .results import (
-    ConvergenceError,
     DomainError,
     EvalResult,
     KernelMismatchError,

@@ -37,8 +37,8 @@ _LANCZOS_C = (
     0.36899182659531622704e-5,
 )
 
-SERIES_EPS = 1e-15
-SERIES_CAP = 10_000
+_KUMMER_EPS = 1e-15
+_KUMMER_TERM_CAP = 30_000
 # kummer_1f1_arr: its algebraic branch starts at w0(a, c) <= _KUMMER_CUT_MAX,
 # and the first blocks of its series and of its algebraic expansion hold
 # this many terms a node.
@@ -128,22 +128,6 @@ def beta_classical(a: float, b: float) -> float:
     return math.exp(gammaln_real(a) + gammaln_real(b) - gammaln_real(a + b))
 
 
-def beta_signed(a: float, b: float) -> float:
-    """Gamma-quotient beta continued to negative non-integer arguments.
-
-    Used as the series normalizer when domain checks are relaxed.
-    """
-    if a > 0.0 and b > 0.0:
-        return beta_classical(a, b)
-    if _is_nonpositive_int(a) or _is_nonpositive_int(b):
-        raise DomainError(f"beta pole at ({a}, {b})")
-    if _is_nonpositive_int(a + b):
-        return 0.0
-    v = np.exp(complex(ln_gamma(complex(a)) + ln_gamma(complex(b))
-                       - ln_gamma(complex(a + b))))
-    return float(v.real)
-
-
 @functools.lru_cache(maxsize=128)
 def _kummer_amplitude(a: float, c: float) -> float:
     """Gamma(c)/Gamma(c-a), the amplitude of the algebraic branch of 1F1."""
@@ -192,25 +176,24 @@ def _block_sum(ratio, x: np.ndarray, asymptotic: bool = False) -> np.ndarray:
     A (nodes x width) block takes the running product of ratio(m) x (m a
     float index array) and then the running sum along each row, so a node's
     bits depend on its x alone.  A row stops at a zero term, a non-finite
-    sum or a third term in a row below SERIES_EPS of its sum; the rest go
+    sum or a third term in a row below _KUMMER_EPS of its sum; the rest go
     again twice as wide, with the same bits, up to a last sum at
-    SERIES_CAP * 3 terms.  An ``asymptotic`` row whose sum turns non-finite
+    _KUMMER_TERM_CAP terms.  An ``asymptotic`` row whose sum turns non-finite
     diverges: it is cut off at its last smallest term before that (a term
     below both neighbours, or t_0), where a divergent expansion is closest.
     """
     out = np.empty_like(x)
     todo = np.arange(x.size)
     width = _ALGEBRAIC_TERMS if asymptotic else _SERIES_TERMS
-    cap = SERIES_CAP * 3
     while todo.size:
-        width = min(width, cap)
+        width = min(width, _KUMMER_TERM_CAP)
         terms = np.cumprod(x[todo, None] * ratio(np.arange(width, dtype=float)),
                            axis=1)
         sums = 1.0 + np.cumsum(terms, axis=1)
-        tiny = np.abs(terms) < SERIES_EPS * np.abs(sums)
+        tiny = np.abs(terms) < _KUMMER_EPS * np.abs(sums)
         stop = (terms == 0.0) | ~np.isfinite(sums)
         stop[:, 2:] |= tiny[:, 2:] & tiny[:, 1:-1] & tiny[:, :-2]
-        stop[:, -1] |= width == cap
+        stop[:, -1] |= width == _KUMMER_TERM_CAP
         first = stop.argmax(axis=1)
         rows = np.arange(todo.size)
         out[todo] = sums[rows, first]  # final where the row stopped

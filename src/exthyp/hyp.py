@@ -22,11 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corefn import _is_nonpositive_int, beta_signed, gammaln_real, pochhammer
+from .corefn import (
+    _is_nonpositive_int,
+    beta_classical,
+    gammaln_real,
+    pochhammer,
+)
 from .extbeta import (
     RegPair,
     _kernel_integral,
-    check_beta_domain,
     ext_beta_shifted_batch_arrays,
 )
 from .kernel import EXP_VARIANT, KernelSpec
@@ -66,17 +70,11 @@ class PfqSpec:
         return max(self.q - self.p, 0)
 
     def pairs(self) -> list[tuple[float, int, float]]:
-        """Branch-dependent (alpha, k, beta - alpha) pairing list."""
-        p, q = self.p, self.q
-        if p == q + 1:
-            return [(self.upper[j + 1][0], self.upper[j + 1][1],
-                     self.lower[j] - self.upper[j + 1][0]) for j in range(q)]
-        if p == q:
-            return [(self.upper[j][0], self.upper[j][1],
-                     self.lower[j] - self.upper[j][0]) for j in range(q)]
-        r = self.surplus
-        return [(self.upper[j][0], self.upper[j][1],
-                 self.lower[r + j] - self.upper[j][0]) for j in range(p)]
+        """(alpha, k, beta - alpha) list: the last n = min(p, q) upper
+        parameters paired with the last n lower ones."""
+        n = min(self.p, self.q)
+        return [(a, k, b - a) for (a, k), b
+                in zip(self.upper[self.p - n:], self.lower[self.q - n:])]
 
     def poch_head(self) -> tuple[float, int] | None:
         """(alpha_1, k_1) Pochhammer weight, present only when p = q+1."""
@@ -86,7 +84,7 @@ class PfqSpec:
         head = self.poch_head()
         return head is not None and head[1] >= 1 and _is_nonpositive_int(head[0])
 
-    def validate(self, strict: bool = True) -> None:
+    def validate(self) -> None:
         p, q = self.p, self.q
         if p > q + 1:
             raise DomainError(f"p = {p} exceeds q + 1 = {q + 1}")
@@ -104,13 +102,10 @@ class PfqSpec:
                     f"surplus lower parameter {self.lower[j]} is a "
                     f"nonpositive integer")
         for alpha, _k, width in self.pairs():
-            if strict:
-                if not (alpha > 0.0 and width > 0.0):
-                    raise DomainError(
-                        f"pairing constraint violated: need beta > alpha > 0, "
-                        f"got alpha={alpha}, beta={alpha + width}")
-            else:
-                check_beta_domain(self.kernel, alpha, width, self.reg)
+            if not (alpha > 0.0 and width > 0.0):
+                raise DomainError(
+                    f"pairing constraint violated: need beta > alpha > 0, "
+                    f"got alpha={alpha}, beta={alpha + width}")
 
     def shifted(self, n: int) -> "PfqSpec":
         return PfqSpec(tuple((a + n, k) for a, k in self.upper),
@@ -164,7 +159,7 @@ class _CoeffLadder:
     def __init__(self, spec: PfqSpec):
         self.spec = spec
         self.pairs = spec.pairs()
-        self.norms = [beta_signed(a, w) for a, _k, w in self.pairs]
+        self.norms = [beta_classical(a, w) for a, _k, w in self.pairs]
         self.tols = [max(1e-13 * n, 5e-17) for n in self.norms]
         self.coeffs = np.ones(0)
         self.cerrs = np.zeros(0)
@@ -188,10 +183,11 @@ class _CoeffLadder:
             self.cerrs = np.concatenate([self.cerrs, perr])
 
 
-def pfq_series(spec: PfqSpec, z: float, tol: float = 1e-10,
-               strict: bool = True) -> EvalResult:
+def pfq_series(spec: PfqSpec, z: float, tol: float = 1e-10) -> EvalResult:
     """Direct summation of the extended series: the engine on one column."""
-    spec.validate(strict)
+    if not math.isfinite(z):
+        raise DomainError(f"argument must be finite, got z={z}")
+    spec.validate()
     if spec.p == spec.q + 1 and abs(z) >= 1.0 and not spec.terminating():
         raise DomainError(f"series diverges for |z| = {abs(z)} >= 1")
     ladder = _CoeffLadder(spec)
@@ -346,8 +342,8 @@ def _one_f0_vector(alpha: float, k1: int, w: np.ndarray) -> np.ndarray:
     raise DomainError("non-terminating leading shift multiplier > 1")
 
 
-def euler_step_integral(spec: PfqSpec, z: float, tol: float = 1e-10,
-                        strict: bool = True) -> EvalResult:
+def euler_step_integral(spec: PfqSpec, z: float,
+                        tol: float = 1e-10) -> EvalResult:
     """One Euler step: the function as a weighted integral of its inner
     lower-order companion at argument z * t**k.
 
@@ -355,7 +351,9 @@ def euler_step_integral(spec: PfqSpec, z: float, tol: float = 1e-10,
     levels.  A ladder's coefficients depend only on the spec and the block
     index, so the values are those of a fresh ladder per level.
     """
-    spec.validate(strict)
+    if not math.isfinite(z):
+        raise DomainError(f"argument must be finite, got z={z}")
+    spec.validate()
     inner, a_p, k_p, b_q = spec.peel_last()
     if not (b_q > a_p > 0.0):
         raise DomainError(
@@ -408,35 +406,34 @@ def euler_step_integral(spec: PfqSpec, z: float, tol: float = 1e-10,
 
 
 def ext_pfq(spec: PfqSpec, z: float, tol: float = 1e-10,
-            method: str = "auto", strict: bool = True) -> EvalResult:
+            method: str = "auto") -> EvalResult:
     """Evaluate the extended generalized hypergeometric function.
 
-    Each path validates the spec itself, so it is validated once per call.
+    Each path checks the argument and validates the spec itself, so both
+    happen once per call.
     """
-    if not math.isfinite(z):
-        raise DomainError(f"argument must be finite, got z={z}")
     if method == "series":
-        return pfq_series(spec, z, tol, strict)
+        return pfq_series(spec, z, tol)
     if method == "integral":
-        return euler_step_integral(spec, z, tol, strict)
+        return euler_step_integral(spec, z, tol)
     if method != "auto":
         raise DomainError(f"unknown method {method!r}")
     if (spec.p == spec.q + 1 and not spec.terminating()
             and (z < 0.0 or abs(z) > _EULER_CUT)):
         if spec.p == 2 or abs(z) <= _EULER_CUT:
-            return euler_step_integral(spec, z, tol, strict)
-        spec.validate(strict)
+            return euler_step_integral(spec, z, tol)
+        spec.validate()
         raise DomainError(
             f"argument {z} outside the series domain and the Euler path")
-    return pfq_series(spec, z, tol, strict)
+    return pfq_series(spec, z, tol)
 
 
 def ext_2f1(kernel: KernelSpec, a1: float, a2: float, b1: float, z: float,
             reg: RegPair = RegPair(), tol: float = 1e-10,
-            method: str = "auto", strict: bool = True) -> EvalResult:
+            method: str = "auto") -> EvalResult:
     """Extended Gauss hypergeometric function."""
     spec = pfq_spec(kernel, (a1, a2), (b1,), reg)
-    return ext_pfq(spec, z, tol, method, strict)
+    return ext_pfq(spec, z, tol, method)
 
 
 def derivative(spec: PfqSpec, z: float, n: int, tol: float = 1e-10) -> EvalResult:

@@ -174,7 +174,7 @@ def weight_norm_g(hp: HilbertParams, ptilde: float, qtilde: float,
 
 def weight_F(hp: HilbertParams, x: float, tol: float = 1e-10) -> EvalResult:
     """Closed form of the x-side weight: power law times its normalization."""
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError("needs x > 0")
     qp = hp.qprime
     norm = weight_norm_f(hp, hp.ptilde, hp.qtilde, tol)
@@ -185,7 +185,7 @@ def weight_F(hp: HilbertParams, x: float, tol: float = 1e-10) -> EvalResult:
 
 def weight_G(hp: HilbertParams, y: float, tol: float = 1e-10) -> EvalResult:
     """Closed form of the y-side weight."""
-    if y <= 0.0:
+    if not y > 0.0:
         raise DomainError("needs y > 0")
     pp = hp.pprime
     norm = weight_norm_g(hp, hp.ptilde, hp.qtilde, tol)
@@ -310,18 +310,20 @@ class TestFunction:
 
 
 def exp_decay(k: float, amplitude: float = 1.0) -> TestFunction:
+    if not math.isfinite(k):
+        raise DomainError("needs a finite k")
     return TestFunction("exp_decay", (float(k),), amplitude)
 
 
 def bump(a: float, b: float, amplitude: float = 1.0) -> TestFunction:
-    if not 0.0 <= a < b:
-        raise DomainError("needs 0 <= a < b")
+    if not 0.0 <= a < b < math.inf:
+        raise DomainError("needs 0 <= a < b < inf")
     return TestFunction("bump", (float(a), float(b)), amplitude)
 
 
 def power_cut(sigma: float, top: float, amplitude: float = 1.0) -> TestFunction:
-    if top <= 0.0 or sigma < 0.0:
-        raise DomainError("needs top > 0 and sigma >= 0")
+    if not (0.0 < top < math.inf and 0.0 <= sigma < math.inf):
+        raise DomainError("needs 0 < top < inf and 0 <= sigma < inf")
     return TestFunction("power_cut", (float(sigma), float(top)), amplitude)
 
 
@@ -333,7 +335,10 @@ def parse_test_function(text: str) -> TestFunction:
     if ":" not in text:
         raise DomainError(f"bad test-function syntax {text!r}")
     tag, rest = text.split(":", 1)
-    vals = [float(v) for v in rest.split(",")]
+    try:
+        vals = [float(v) for v in rest.split(",")]
+    except ValueError:
+        raise DomainError(f"bad test-function syntax {text!r}") from None
     if tag == "exp_decay" and len(vals) == 1:
         return exp_decay(vals[0])
     if tag == "bump" and len(vals) == 2:
@@ -370,20 +375,6 @@ def _weighted_norm(h: TestFunction, exponent: float,
 
     value, _, _, ok = _refine_grid(grid_sum, 1e-11, rel=True)
     return abs(h.amplitude) * value ** (1.0 / power), ok
-
-
-@dataclass(frozen=True)
-class HilbertReport:
-    constant: float
-    lhs: float
-    rhs: float
-    margin: float
-    holds: bool
-    lhs_equiv: float
-    rhs_equiv: float
-    margin_equiv: float
-    holds_equiv: bool
-    converged: bool
 
 
 def _kernel_log_rows(hp: HilbertParams, x: np.ndarray, lx: np.ndarray,
@@ -503,20 +494,7 @@ def hilbert_equivalent(hp: HilbertParams, f: TestFunction,
 
 
 def hilbert_check(hp: HilbertParams, f: TestFunction, g: TestFunction,
-                  tol: float = 1e-8) -> HilbertReport:
-    """Evaluate both inequalities on a test pair (see ``hilbert_bilinear``
-    and ``hilbert_equivalent``)."""
-    bil = hilbert_bilinear(hp, f, g, tol)
-    equiv = hilbert_equivalent(hp, f, tol)
-    return HilbertReport(
-        constant=bil.constant,
-        lhs=bil.lhs,
-        rhs=bil.rhs,
-        margin=bil.margin,
-        holds=bil.holds,
-        lhs_equiv=equiv.lhs,
-        rhs_equiv=equiv.rhs,
-        margin_equiv=equiv.margin,
-        holds_equiv=equiv.holds,
-        converged=bil.converged and equiv.converged,
-    )
+                  tol: float = 1e-8) -> tuple[HilbertForm, HilbertForm]:
+    """Both forms of the inequality on a test pair: (``hilbert_bilinear``,
+    ``hilbert_equivalent``)."""
+    return hilbert_bilinear(hp, f, g, tol), hilbert_equivalent(hp, f, tol)

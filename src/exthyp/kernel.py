@@ -32,19 +32,9 @@ class KernelSpec:
         if self.variant not in (EXP_VARIANT, KUMMER_VARIANT):
             raise DomainError(f"unknown kernel variant {self.variant!r}")
         if self.variant == KUMMER_VARIANT:
-            if not (self.a > 0.0 and self.c > 0.0):
-                raise DomainError("confluent kernel needs a > 0 and c > 0")
-
-    @property
-    def asymptotic_amplitude(self) -> float:
-        """M0 in the large-argument law M0 * z**omega * exp(z)."""
-        if self.variant == EXP_VARIANT:
-            return 1.0
-        return math.exp(corefn.gammaln_real(self.c) - corefn.gammaln_real(self.a))
-
-    @property
-    def asymptotic_exponent(self) -> float:
-        return 0.0 if self.variant == EXP_VARIANT else self.a - self.c
+            if not (0.0 < self.a < math.inf and 0.0 < self.c < math.inf):
+                raise DomainError("confluent kernel needs finite a > 0 and "
+                                  "c > 0")
 
     @property
     def decay_order(self) -> float:
@@ -74,9 +64,12 @@ def parse_kernel(text: str) -> KernelSpec:
         return EXP_KERNEL
     if text.startswith("kummer:"):
         parts = text[len("kummer:"):].split(",")
-        if len(parts) != 2:
-            raise DomainError(f"bad kernel syntax {text!r}; want kummer:a,c")
-        return kummer_kernel(float(parts[0]), float(parts[1]))
+        try:
+            a, c = map(float, parts)
+        except ValueError:
+            raise DomainError(f"bad kernel syntax {text!r}; "
+                              f"want kummer:a,c") from None
+        return kummer_kernel(a, c)
     raise DomainError(f"bad kernel syntax {text!r}; want 'exp' or 'kummer:a,c'")
 
 

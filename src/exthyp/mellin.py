@@ -41,6 +41,10 @@ class ContourSpec:
     step: float = 0.05
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.abscissa, self.half_height,
+                                       self.step))):
+            raise DomainError("contour needs a finite abscissa, height "
+                              "and step")
         if not (self.half_height > 0.0 and self.step > 0.0):
             raise DomainError("contour needs positive height and step")
         ratio = self.half_height / self.step

@@ -21,10 +21,6 @@ class NonFiniteSampleError(DomainError):
     """
 
 
-class ConvergenceError(RuntimeError):
-    """Iteration ran out of budget before meeting the tolerance."""
-
-
 @dataclass(frozen=True)
 class EvalResult:
     """Value of a function evaluation plus accuracy diagnostics.
@@ -38,15 +34,6 @@ class EvalResult:
     terms_or_nodes: int
     converged: bool
     method: str
-
-    def expect(self) -> float | complex:
-        """Return the value, raising if the evaluation did not converge."""
-        if not self.converged:
-            raise ConvergenceError(
-                f"evaluation did not converge (method={self.method}, "
-                f"err~{self.abs_err_est:.3g})"
-            )
-        return self.value
 
     def scaled(self, c: float) -> "EvalResult":
         """This result times a prefactor c: value * c, error * |c|.

@@ -371,6 +371,14 @@ _FA = ["--func", "fa", "--r", "2", "--params", "0.8,1.1,0.7,2.4,2.1",
     _FD[:-1] + ["nan,0.2"],
     ["--func", "2f1", "--params", "1,1,2", "--z", "-0.5", "--method",
      "mellin", "--contour", "0.2,40,0.05,7"],
+    ["--func", "2f1", "--params", "1,1,2", "--z", "-0.5", "--method",
+     "mellin", "--contour", "nan"],
+    ["--func", "2f1", "--params", "1,1,2", "--z", "-0.5", "--method",
+     "mellin", "--contour", "0.25,inf,0.05"],
+    ["--func", "2f1", "--kernel", "kummer:1,x", "--params", "1,1,2", "--z",
+     "0.3"],
+    ["--func", "2f1", "--kernel", "kummer:inf,2", "--params", "1,1,2",
+     "--z", "0.3", "--b", "0.1"],
     ["--func", "pfq", "--params", "1,1:2", "--z", "0.3", "--kshifts",
      "1.5,1"],
     _F1 + ["--method", "mellin"],
@@ -388,7 +396,8 @@ _FA = ["--func", "fa", "--r", "2", "--params", "0.8,1.1,0.7,2.4,2.1",
     # the series terms overflow: the value is out of double range
     ["--func", "2f1", "--params", "800,1,2", "--z", "0.8", "--b", "0.1",
      "--d", "0.1"],
-], ids=["f2-nan", "fd-nan", "contour-4", "kshift-1.5", "f1-mellin",
+], ids=["f2-nan", "fd-nan", "contour-4", "contour-nan", "contour-inf",
+        "kernel-syntax", "kernel-inf", "kshift-1.5", "f1-mellin",
         "f2-mellin", "fd-mellin", "fa-mellin", "extbeta-series",
         "fd-overflow", "fd-r0", "fd-norm-overflow", "2f1-overflow"])
 def test_cli_eval_bad_input_exit_2(argv, capsys):
@@ -469,6 +478,18 @@ def test_cli_hilbert_invalid_params_exit_2():
     r = _cli("hilbert", "--p", "0.5", "--q", "2", "--s1", "1", "--s2", "0",
              "--a1", "1", "--a2", "1", "--A1", "0.25", "--A2", "0.25")
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("f", ["bump:1,x", "exp_decay:nan",
+                               "power_cut:0.5,inf", "bump:1,inf"])
+def test_cli_hilbert_bad_test_function_exit_2(f, capsys):
+    argv = ["hilbert", "--p", "2", "--q", "2", "--s1", "1", "--s2", "0",
+            "--a1", "1", "--a2", "1", "--A1", "0.25", "--A2", "0.25",
+            "--f", f]
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("domain error: ")
 
 
 def test_cli_conformance_subset(tmp_path):

@@ -363,18 +363,20 @@ def test_series_domain_guard():
 @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
 def test_ext_pfq_non_finite_argument_is_domain_error(z):
     for spec in (pfq_spec(EXP_KERNEL, (0.5, 0.7), (1.9,)),
+                 pfq_spec(EXP_KERNEL, (0.7, 1.2), (2.5,), RegPair(0.1, 0.2)),
                  pfq_spec(EXP_KERNEL, (0.8, 1.1, 1.4), (2.2, 2.9))):
         with pytest.raises(DomainError):
             ext_pfq(spec, z)
+        # each engine checks its argument before any series term or
+        # quadrature level, also when called directly
+        for engine in (pfq_series, euler_step_integral):
+            with pytest.raises(DomainError, match="argument must be finite"):
+                engine(spec, z)
 
 
 def test_pairing_validation():
     with pytest.raises(DomainError):
         ext_2f1(EXP_KERNEL, 1.0, 2.0, 1.5, 0.3)  # b1 < a2
-    # override allowed when regularization keeps the integrand integrable
-    got = pfq_series(pfq_spec(EXP_KERNEL, (1.0, 2.0), (1.5,),
-                              RegPair(0.5, 0.5)), 0.3, strict=False)
-    assert got.converged
 
 
 def test_kummer_kernel_2f1_dual_route():

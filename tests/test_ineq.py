@@ -91,7 +91,7 @@ def test_weight_rows_fail_when_their_2f1_does_not_converge(monkeypatch):
 
 def test_hilbert_forms_carry_the_constant_flags(monkeypatch):
     f = g = exp_decay(0.0)
-    assert hilbert_check(GENERIC, f, g).converged
+    assert all(form.converged for form in hilbert_check(GENERIC, f, g))
     real = ineq.ext_2f1
 
     def unconverged(*args, **kwargs):
@@ -102,7 +102,7 @@ def test_hilbert_forms_carry_the_constant_flags(monkeypatch):
     monkeypatch.setattr(ineq, "ext_2f1", unconverged)
     assert not hilbert_bilinear(GENERIC, f, g).converged
     assert not hilbert_equivalent(GENERIC, f).converged
-    assert not hilbert_check(GENERIC, f, g).converged
+    assert not any(form.converged for form in hilbert_check(GENERIC, f, g))
     assert isinstance(hilbert_constant(GENERIC), float)
 
 
@@ -140,28 +140,29 @@ def test_constant_positive_generic():
 
 
 def test_classical_hilbert_inequality_strict():
-    rep = hilbert_check(classical_point(), exp_decay(0.0), exp_decay(0.0))
-    assert rep.holds and rep.margin > 0.0
-    assert rep.holds_equiv and rep.margin_equiv > 0.0
+    bil, equiv = hilbert_check(classical_point(), exp_decay(0.0),
+                               exp_decay(0.0))
+    assert bil.holds and bil.margin > 0.0
+    assert equiv.holds and equiv.margin > 0.0
     # both sides against the textbook numbers: lhs = int e^-x e^-y/(x+y),
     # rhs = pi * ||f||_2 ||g||_2 = pi * 1/2
-    assert abs(rep.rhs - math.pi * 0.5) <= 1e-8
-    assert rep.lhs < rep.rhs
+    assert abs(bil.rhs - math.pi * 0.5) <= 1e-8
+    assert bil.lhs < bil.rhs
 
 
 def test_zero_function_equality_exact():
-    rep = hilbert_check(classical_point(), exp_decay(0.0, amplitude=0.0),
-                        exp_decay(1.0))
-    assert rep.lhs == 0.0 and rep.rhs == 0.0
-    assert rep.margin == 0.0 and rep.holds
-    assert rep.lhs_equiv == 0.0 and rep.rhs_equiv == 0.0
+    bil, equiv = hilbert_check(classical_point(),
+                               exp_decay(0.0, amplitude=0.0), exp_decay(1.0))
+    assert bil.lhs == 0.0 and bil.rhs == 0.0
+    assert bil.margin == 0.0 and bil.holds
+    assert equiv.lhs == 0.0 and equiv.rhs == 0.0
 
 
 def test_scaling_consistency():
     hp = GENERIC
     f, g = exp_decay(1.0), bump(1.0, 2.0)
-    base = hilbert_check(hp, f, g)
-    scaled = hilbert_check(hp, exp_decay(1.0, amplitude=3.0), g)
+    base, _ = hilbert_check(hp, f, g)
+    scaled, _ = hilbert_check(hp, exp_decay(1.0, amplitude=3.0), g)
     assert abs(scaled.lhs - 3.0 * base.lhs) <= 1e-10 * (1 + abs(scaled.lhs))
     assert abs(scaled.rhs - 3.0 * base.rhs) <= 1e-10 * (1 + abs(scaled.rhs))
 
@@ -182,10 +183,10 @@ def test_inequalities_hold_across_pairs(hp):
         (exp_decay(2.0), power_cut(0.5, 2.0)),
     ]
     for f, g in pairs:
-        rep = hilbert_check(hp, f, g)
-        assert rep.holds, (hp, f, g, rep)
-        assert rep.margin >= -1e-9 * abs(rep.rhs)
-        assert rep.holds_equiv, (hp, f, g, rep)
+        bil, equiv = hilbert_check(hp, f, g)
+        assert bil.holds, (hp, f, g, bil)
+        assert bil.margin >= -1e-9 * abs(bil.rhs)
+        assert equiv.holds, (hp, f, g, equiv)
 
 
 _HILBERT_POINTS = [
@@ -202,17 +203,31 @@ def _bits(x):
 def test_hilbert_check_is_the_two_forms(pt):
     hp = _hp_from_point(pt)
     f, g = parse_test_function(pt["f"]), parse_test_function(pt["g"])
-    rep = hilbert_check(hp, f, g)
-    bil = hilbert_bilinear(hp, f, g)
-    equiv = hilbert_equivalent(hp, f)
-    for got, want in [(rep.constant, bil.constant), (rep.lhs, bil.lhs),
-                      (rep.rhs, bil.rhs), (rep.margin, bil.margin),
-                      (rep.constant, equiv.constant),
-                      (rep.lhs_equiv, equiv.lhs), (rep.rhs_equiv, equiv.rhs),
-                      (rep.margin_equiv, equiv.margin)]:
-        assert _bits(got) == _bits(want)
-    assert rep.holds == bil.holds and rep.holds_equiv == equiv.holds
-    assert rep.converged is (bil.converged and equiv.converged) is True
+    got = hilbert_check(hp, f, g)
+    want = (hilbert_bilinear(hp, f, g), hilbert_equivalent(hp, f))
+    assert _bits(got[0].constant) == _bits(got[1].constant)
+    for form, ref in zip(got, want):
+        for field in ("constant", "lhs", "rhs", "margin"):
+            assert _bits(getattr(form, field)) == _bits(getattr(ref, field))
+        assert form.holds == ref.holds
+        assert form.converged is ref.converged is True
+
+
+@pytest.mark.parametrize("weight", [weight_F, weight_G])
+@pytest.mark.parametrize("x", [0.0, -1.0, math.nan])
+def test_weight_needs_a_positive_argument(weight, x):
+    with pytest.raises(DomainError):
+        weight(classical_point(), x)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: exp_decay(math.nan), lambda: exp_decay(math.inf),
+    lambda: bump(1.0, math.inf), lambda: bump(math.nan, 2.0),
+    lambda: power_cut(0.5, math.inf), lambda: power_cut(math.nan, 2.0),
+])
+def test_test_functions_need_finite_parameters(make):
+    with pytest.raises(DomainError):
+        make()
 
 
 def test_parse_test_function():
@@ -222,6 +237,8 @@ def test_parse_test_function():
     assert parse_test_function("zero").amplitude == 0.0
     with pytest.raises(DomainError):
         parse_test_function("spike:1")
+    with pytest.raises(DomainError, match="bad test-function syntax"):
+        parse_test_function("bump:1,x")
 
 
 def test_param_validation():
@@ -249,7 +266,8 @@ def test_forms_report_unconverged_refinement(monkeypatch):
     monkeypatch.setattr(quadrature, "GRID_LEVELS", (2, 4, 4))
     assert hilbert_bilinear(hp, f, g, tol=1e-11).converged is False
     assert hilbert_equivalent(hp, f, tol=1e-11).converged is False
-    assert hilbert_check(hp, f, g, tol=1e-11).converged is False
+    bil, equiv = hilbert_check(hp, f, g, tol=1e-11)
+    assert bil.converged is False and equiv.converged is False
     # the norm of exp_decay(0.0) converges by level 4 (the bump's needs
     # level 7), so with it only the left side can fail, and a zero f skips
     # the left side

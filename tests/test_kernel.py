@@ -19,8 +19,8 @@ from exthyp.kernel import (
     theta_eval_arr,
 )
 from exthyp.corefn import (
-    SERIES_CAP,
-    SERIES_EPS,
+    _KUMMER_EPS,
+    _KUMMER_TERM_CAP,
     _is_nonpositive_int,
     _kummer_amplitude,
     _kummer_cut,
@@ -90,20 +90,12 @@ def test_taylor_sum_converges(k):
         assert abs(acc - want) <= 1e-10 * (1 + abs(want))
 
 
-def test_asymptotic_constants():
-    assert EXP_KERNEL.asymptotic_amplitude == 1.0
-    assert EXP_KERNEL.asymptotic_exponent == 0.0
-    k = kummer_kernel(1.5, 2.0)
-    want = math.exp(gammaln_real(2.0) - gammaln_real(1.5))
-    assert abs(k.asymptotic_amplitude - want) < 1e-13
-    assert k.asymptotic_exponent == -0.5
-
-
 def test_kummer_large_argument_amplitude():
-    # Theta(z) ~ M0 * z^omega * e^z as z -> +inf
+    # Theta(z) ~ Gamma(c)/Gamma(a) * z^(a-c) * e^z as z -> +inf
     k = KUM2
     z = 80.0
-    approx = k.asymptotic_amplitude * z ** k.asymptotic_exponent * math.exp(z)
+    amplitude = math.exp(gammaln_real(k.c) - gammaln_real(k.a))
+    approx = amplitude * z ** (k.a - k.c) * math.exp(z)
     got = _theta(k, z)
     assert abs(got - approx) <= 2e-2 * abs(got)
 
@@ -116,6 +108,9 @@ def test_parse_kernel():
         parse_kernel("kummer:1.5")
     with pytest.raises(DomainError):
         parse_kernel("gauss")
+    for bad in ("kummer:1,x", "kummer:1,2,3", "kummer:inf,2", "kummer:1,nan"):
+        with pytest.raises(DomainError):
+            parse_kernel(bad)
     with pytest.raises(DomainError):
         kummer_kernel(-1.0, 2.0)
 
@@ -150,7 +145,7 @@ def _lockstep_sum(ratio, x, asymptotic=False):
     mag = np.ones_like(x)
     fell = np.zeros(x.shape, dtype=bool)
     best = np.ones_like(x)
-    for m in range(SERIES_CAP * 3):
+    for m in range(_KUMMER_TERM_CAP):
         if not active.any():
             break
         term = term * (ratio(float(m)) * x)
@@ -160,7 +155,7 @@ def _lockstep_sum(ratio, x, asymptotic=False):
         mag = np.abs(term)
         acc = np.where(active, acc + term, acc)
         s = 1.0 + acc
-        tiny = np.abs(term) < SERIES_EPS * np.abs(s)
+        tiny = np.abs(term) < _KUMMER_EPS * np.abs(s)
         small = np.where(tiny, small + 1, 0)
         active &= (small < 3) & (term != 0.0) & np.isfinite(s)
     if asymptotic:
@@ -295,7 +290,7 @@ def test_kummer_arr_diverging_expansion_is_cut_at_its_smallest_term(
     # kummer:50.5,1 has no w <= 200 where the algebraic expansion reaches
     # 2^-56, so w0 is capped there; near w = 200 its terms grow until they
     # overflow.  The sum is cut off at its last smallest term, after a few
-    # blocks, not at SERIES_CAP * 3 terms a node
+    # blocks, not at _KUMMER_TERM_CAP terms a node
     widths = []
     cumprod = np.cumprod
 
@@ -329,7 +324,7 @@ def test_kummer_arr_non_finite_bit_identical_to_lockstep():
 def test_kummer_node_at_plus_inf_returns_at_once(monkeypatch):
     # the +inf limit is taken before any series: a node summed to this cap
     # would take seconds
-    monkeypatch.setattr(corefn, "SERIES_CAP", 10**7)
+    monkeypatch.setattr(corefn, "_KUMMER_TERM_CAP", 3 * 10**7)
     start = time.perf_counter()
     got = kummer_1f1_arr(1.5, 2.0, np.array([np.inf]))
     elapsed = time.perf_counter() - start
@@ -388,10 +383,10 @@ def _former_kummer_1f1_arr(a, c, z):
         term = np.ones_like(w)
         active = np.ones_like(w, dtype=bool)
         small = np.zeros_like(w, dtype=int)
-        for m in range(SERIES_CAP * 3):
+        for m in range(_KUMMER_TERM_CAP):
             term = term * (aa + m) / (c + m) * w / (m + 1)
             s = s + np.where(active, term, 0.0)
-            tiny = np.abs(term) < SERIES_EPS * np.abs(s)
+            tiny = np.abs(term) < _KUMMER_EPS * np.abs(s)
             small = np.where(tiny, small + 1, 0)
             active = active & (small < 3) & (term != 0.0)
             if not np.any(active):

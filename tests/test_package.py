@@ -1,6 +1,7 @@
 """Package-wide guards: removed names stay removed, refinement depth and the
-series cap stay constants, mpmath stays a test dependency, and the span
-recorder of the traced benchmark still binds."""
+series cap stay constants, no function has a relaxed-validation mode, mpmath
+stays a test dependency, and the span recorder of the traced benchmark still
+binds."""
 
 import ast
 import os
@@ -15,12 +16,17 @@ REPO = SRC.parent.parent
 
 # classical reference code and one-line wrappers that nothing in the library
 # called; the tests take their references from mpmath (tests/oracles.py).
-# ext_2f1_integral was ext_2f1(..., method="integral")
+# ext_2f1_integral was ext_2f1(..., method="integral").  Public surface that
+# no caller reached: the normaliser of the relaxed-pairing mode, the
+# raising accessor of EvalResult and its exception, the kernel's asymptotic
+# constants, and the field-copying report of hilbert_check
 REMOVED = {
     "ClassicalPfqSpec", "_series_sum", "_kummer_direct",
     "_kummer_asymptotic_neg", "kummer_1f1", "_pfq_series",
     "_classical_2f1_integral", "classical_pfq", "classical_2f1",
     "theta_eval", "integrate_unit", "ext_beta_complex", "ext_2f1_integral",
+    "beta_signed", "ConvergenceError", "expect", "asymptotic_amplitude",
+    "asymptotic_exponent", "HilbertReport",
 }
 # per module: the former shared_coefficients() scope, which the block cache
 # hyp._coeff_block replaced, the memo dicts that functools caches replaced,
@@ -64,6 +70,20 @@ def test_shared_scope_and_memo_dicts_stay_removed():
         assert not _names(trees[name]) & removed, name
 
 
+def _params(fn) -> set[str]:
+    a = fn.args
+    return {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}
+
+
+def test_no_function_takes_strict():
+    # every spec is validated under the pairing rule beta > alpha > 0; there
+    # is no relaxed mode to switch to
+    for name, tree in _trees():
+        for n in ast.walk(tree):
+            if isinstance(n, (ast.FunctionDef, ast.Lambda)):
+                assert "strict" not in _params(n), (name, n.lineno)
+
+
 def _called(call: ast.Call) -> str:
     f = call.func
     return f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
@@ -78,9 +98,7 @@ def test_refinement_depth_and_series_cap_are_not_parameters():
     for name, tree in _trees():
         for n in ast.walk(tree):
             if isinstance(n, (ast.FunctionDef, ast.Lambda)):
-                a = n.args
-                params = {x.arg
-                          for x in a.posonlyargs + a.args + a.kwonlyargs}
+                params = _params(n)
                 assert "max_level" not in params, (name, n.lineno)
                 if "cap" in params:
                     takes_cap.append((name, getattr(n, "name", "lambda")))
