@@ -2,9 +2,10 @@
 
 Subcommands: eval (single values as JSON), table (argument sweeps as CSV),
 hilbert (inequality checker), conformance (identity suite with CSV report).
-Exit codes: 0 success, 1 malformed flags, 2 domain error, 3 non-convergence,
-4 conformance failure.  Output formatting is fixed at 17 significant digits
-so identical invocations produce byte-identical output.
+Exit codes: 0 success, 1 malformed flags, 2 domain error or a report path
+that cannot be written, 3 non-convergence, 4 conformance failure.  Output
+formatting is fixed at 17 significant digits so identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -12,10 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import stat
 import sys
 
 from .appell import AppellParams, f1_eval, f2_eval
-from .conformance import exit_code, fmt17, run_conformance, summary_lines, write_report_csv
+from .conformance import (SUITES, exit_code, fmt17, report_csv,
+                          run_conformance, summary_lines)
 from .extbeta import BetaArgs, RegPair, ext_beta, ext_gamma
 from .hyp import ext_pfq, pfq_spec
 from .ineq import hilbert_bilinear, HilbertParams, parse_test_function
@@ -167,10 +171,56 @@ def cmd_eval(args) -> int:
     return _print_result(res)
 
 
+def _with_report(path: str, run) -> int:
+    """Exit code of ``run(write)``, where ``write(text)`` rewrites the report
+    at ``path`` (None when there is no path).
+
+    The path is opened before ``run`` starts, so one that cannot be written
+    exits 2 before any work.  It is never opened with O_TRUNC: ext4 flushes
+    the delayed-allocation blocks of a file truncated to zero when it is
+    closed (``auto_da_alloc``), and for a repeated conformance report that
+    flush cost more than the numerics.  ``write`` puts the new bytes over the
+    old ones and then cuts a regular file to their length; a device or FIFO
+    is not cut.  Until it is called the old report stays as it was, and a
+    file that the run created is removed again.
+    """
+    if not path:
+        return run(None)
+    new = not os.path.lexists(path)
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    except OSError as exc:
+        print(f"error: cannot write report {path}: {exc.strerror}",
+              file=sys.stderr)
+        return EXIT_DOMAIN
+
+    def write(text: str) -> None:
+        nonlocal new
+        data = memoryview(text.encode("utf-8"))
+        size = len(data)
+        while data:
+            data = data[os.write(fd, data):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, size)
+        new = False
+
+    try:
+        return run(write)
+    finally:
+        os.close(fd)
+        if new:
+            os.unlink(path)
+
+
 def cmd_table(args) -> int:
     if args.steps < 1:
         print("error: --steps must be >= 1", file=sys.stderr)
         return EXIT_USAGE
+    return _with_report(args.report,
+                        lambda write: _table(args, write or sys.stdout.write))
+
+
+def _table(args, write) -> int:
     rows = ["argument,value,err_est"]
     code = EXIT_OK
     for i in range(args.steps + 1):
@@ -194,12 +244,7 @@ def cmd_table(args) -> int:
                  else res.value)
         rows.append(",".join([fmt17(zi), fmt17(float(value)),
                               fmt17(float(res.abs_err_est))]))
-    text = "\n".join(rows) + "\n"
-    if args.report:
-        with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    write("\n".join(rows) + "\n")
     return code
 
 
@@ -224,16 +269,17 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_conformance(args) -> int:
-    if not args.suite:
-        print("error: empty suite name", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        report = run_conformance(args.suite, args.grid, args.tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.report:
-        write_report_csv(report, args.report)
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        print(f"domain error: tolerance must be finite and > 0, got "
+              f"{args.tol}", file=sys.stderr)
+        return EXIT_DOMAIN
+    return _with_report(args.report, lambda write: _conformance(args, write))
+
+
+def _conformance(args, write) -> int:
+    report = run_conformance(args.suite, args.grid, args.tol)
+    if write:
+        write(report_csv(report))
     for line in summary_lines(report):
         print(line)
     print(f"wall_clock={report.wall_clock:.2f}s", file=sys.stderr)
@@ -294,7 +340,7 @@ def build_parser() -> _Parser:
     ph.set_defaults(run=cmd_hilbert)
 
     pc = sub.add_parser("conformance", help="identity suite")
-    pc.add_argument("--suite", default="all")
+    pc.add_argument("--suite", default="all", choices=["all", *SUITES])
     pc.add_argument("--grid", default="small", choices=["small", "full"])
     pc.add_argument("--tol", type=float, default=1e-8)
     pc.add_argument("--report", default="")

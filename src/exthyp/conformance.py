@@ -645,7 +645,8 @@ def exit_code(report: ConformanceReport) -> int:
     return 0 if all(a["ok"] for a in report.aggregates) else 4
 
 
-def write_report_csv(report: ConformanceReport, path: str) -> None:
+def report_csv(report: ConformanceReport) -> str:
+    """The report's CSV text: a header and one row per case."""
     lines = ["identity_id,variant,point_index,params,lhs,rhs,residual,status"]
     for c in report.cases:
         lines.append(",".join([
@@ -653,8 +654,7 @@ def write_report_csv(report: ConformanceReport, path: str) -> None:
             '"' + c.params + '"', fmt17(c.lhs), fmt17(c.rhs),
             fmt17(c.residual), c.status,
         ]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def summary_lines(report: ConformanceReport) -> list[str]:

@@ -48,15 +48,15 @@ _COMPLEX_BLOCK_ROWS = 256
 
 @dataclass(frozen=True)
 class RegPair:
-    """Nonnegative regularization parameters (b, d)."""
+    """Finite nonnegative regularization parameters (b, d)."""
 
     b: float = 0.0
     d: float = 0.0
 
     def __post_init__(self):
-        if not (self.b >= 0.0 and self.d >= 0.0):
-            raise DomainError(f"regularization parameters must be >= 0, "
-                              f"got ({self.b}, {self.d})")
+        if not (0.0 <= self.b < math.inf and 0.0 <= self.d < math.inf):
+            raise DomainError(f"regularization parameters must be finite "
+                              f"and >= 0, got ({self.b}, {self.d})")
 
     @property
     def is_zero(self) -> bool:

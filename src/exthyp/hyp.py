@@ -57,6 +57,12 @@ class PfqSpec:
     reg: RegPair = RegPair()
     kernel: KernelSpec = KernelSpec(EXP_VARIANT)
 
+    def __post_init__(self):
+        if not all(map(math.isfinite,
+                       [a for a, _k in self.upper] + list(self.lower))):
+            raise DomainError(f"parameters must be finite, got {self.upper} "
+                              f"and {self.lower}")
+
     @property
     def p(self) -> int:
         return len(self.upper)

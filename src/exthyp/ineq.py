@@ -53,8 +53,10 @@ class HilbertParams:
             raise DomainError("needs positive scale pair")
         if not 0.5 < self.alpha1 / self.alpha2 < 2.0:
             raise DomainError("needs 1/2 < alpha1/alpha2 < 2")
-        if not (self.ptilde >= 0.0 and self.qtilde >= 0.0):
-            raise DomainError("needs nonnegative regularization offsets")
+        if not (0.0 <= self.ptilde < math.inf
+                and 0.0 <= self.qtilde < math.inf):
+            raise DomainError(
+                "needs finite nonnegative regularization offsets")
         lo1 = (1.0 - self.s1 - self.s2) / self.pprime
         lo2 = (1.0 - self.s1 - self.s2) / self.qprime
         if not lo1 < self.A1 < 1.0 / self.pprime:

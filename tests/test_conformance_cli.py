@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -15,8 +16,8 @@ from exthyp.conformance import (
     build_catalog,
     exit_code,
     fmt17,
+    report_csv,
     run_conformance,
-    write_report_csv,
 )
 from exthyp.extbeta import RegPair
 from exthyp.hyp import ext_pfq, pfq_spec
@@ -144,11 +145,9 @@ def test_catalog_entries_are_data_with_one_call_each():
     assert "catalog_identity_ids" not in names
 
 
-def test_report_csv_schema(tmp_path):
+def test_report_csv_schema():
     report = run_conformance("mellin", "small", 1e-8)
-    path = tmp_path / "report.csv"
-    write_report_csv(report, str(path))
-    lines = path.read_text().splitlines()
+    lines = report_csv(report).splitlines()
     assert lines[0] == ("identity_id,variant,point_index,params,lhs,rhs,"
                         "residual,status")
     assert len(lines) == 1 + len(report.cases)
@@ -157,11 +156,9 @@ def test_report_csv_schema(tmp_path):
     assert row[-1] in ("pass", "fail", "skipped-domain")
 
 
-def test_determinism_two_runs_byte_identical(tmp_path):
-    p1, p2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
-    write_report_csv(run_conformance("all", "small", 1e-8), str(p1))
-    write_report_csv(run_conformance("all", "small", 1e-8), str(p2))
-    assert p1.read_bytes() == p2.read_bytes()
+def test_determinism_two_runs_byte_identical():
+    assert (report_csv(run_conformance("all", "small", 1e-8))
+            == report_csv(run_conformance("all", "small", 1e-8)))
 
 
 def test_cli_eval_log_case():
@@ -396,10 +393,16 @@ _FA = ["--func", "fa", "--r", "2", "--params", "0.8,1.1,0.7,2.4,2.1",
     # the series terms overflow: the value is out of double range
     ["--func", "2f1", "--params", "800,1,2", "--z", "0.8", "--b", "0.1",
      "--d", "0.1"],
+    # an infinite b gave value 0 with converged: true
+    ["--func", "extbeta", "--params", "2,3", "--b", "inf"],
+    ["--func", "2f1", "--params", "1,1,2", "--z", "0.3", "--b", "inf"],
+    # round(-inf) in the surplus-parameter check raised OverflowError
+    ["--func", "pfq", "--params", "3:-inf,-1e308", "--z", "0.381"],
 ], ids=["f2-nan", "fd-nan", "contour-4", "contour-nan", "contour-inf",
         "kernel-syntax", "kernel-inf", "kshift-1.5", "f1-mellin",
         "f2-mellin", "fd-mellin", "fa-mellin", "extbeta-series",
-        "fd-overflow", "fd-r0", "fd-norm-overflow", "2f1-overflow"])
+        "fd-overflow", "fd-r0", "fd-norm-overflow", "2f1-overflow",
+        "extbeta-b-inf", "2f1-b-inf", "pfq-inf"])
 def test_cli_eval_bad_input_exit_2(argv, capsys):
     assert cli.main(["eval", *argv]) == 2
     out = capsys.readouterr()
@@ -480,6 +483,14 @@ def test_cli_hilbert_invalid_params_exit_2():
     assert r.returncode == 2
 
 
+def test_cli_hilbert_infinite_offset_exit_2(capsys):
+    argv = ["hilbert", "--p", "2", "--q", "2", "--s1", "1", "--s2", "0",
+            "--a1", "1", "--a2", "1", "--A1", "0.25", "--A2", "0.25",
+            "--pt", "inf"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("domain error: ")
+
+
 @pytest.mark.parametrize("f", ["bump:1,x", "exp_decay:nan",
                                "power_cut:0.5,inf", "bump:1,inf"])
 def test_cli_hilbert_bad_test_function_exit_2(f, capsys):
@@ -500,6 +511,110 @@ def test_cli_conformance_subset(tmp_path):
     assert out.exists()
     assert "halfline-rational-exp-integral-a" in out.read_text()
     assert "wall_clock" in r.stderr  # timing kept out of the report file
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-8"])
+def test_cli_conformance_bad_tol_exit_2_before_any_case(tol, monkeypatch,
+                                                        capsys):
+    monkeypatch.setattr(cli, "run_conformance", _no_work)
+    assert cli.main(["conformance", f"--tol={tol}"]) == 2
+    assert capsys.readouterr().err.startswith("domain error: tolerance")
+
+
+# --report is opened once the flags are checked and before any work, without
+# O_TRUNC, and rewritten in place when the work is done
+_REPORT_RUNS = {
+    "table": ["table", "--func", "2f1", "--params", "1,1,2", "--from", "0",
+              "--to", "0.5", "--steps", "2"],
+    "conformance": ["conformance", "--suite", "ineq", "--grid", "small"],
+}
+
+
+def _report_text(cmd, capsys):
+    if cmd == "table":
+        assert cli.main(_REPORT_RUNS[cmd]) == 0
+        return capsys.readouterr().out
+    return report_csv(run_conformance("ineq", "small", 1e-8))
+
+
+@pytest.mark.parametrize("cmd", sorted(_REPORT_RUNS))
+def test_report_is_rewritten_in_place(cmd, tmp_path, monkeypatch, capsys):
+    want = _report_text(cmd, capsys).encode()
+    path = tmp_path / "report.csv"
+    path.write_bytes(b"old row\n" * (len(want) // 4))  # longer than want
+    path.chmod(0o640)
+    before = path.stat()
+    flags = []
+    real_open = os.open
+
+    def spy(file, mode, *args, **kwargs):
+        flags.append(mode)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    assert cli.main(_REPORT_RUNS[cmd] + ["--report", str(path)]) == 0
+    assert path.read_bytes() == want
+    after = path.stat()
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    # opening with O_TRUNC makes ext4 flush the file when it is closed
+    assert len(flags) == 1 and not flags[0] & os.O_TRUNC
+
+
+@pytest.mark.parametrize("cmd", sorted(_REPORT_RUNS))
+def test_report_to_devnull(cmd, capsys):
+    assert cli.main(_REPORT_RUNS[cmd] + ["--report", os.devnull]) == 0
+
+
+def test_report_through_a_symlink(tmp_path, capsys):
+    target = tmp_path / "target.csv"
+    target.write_text("old\n" * 100)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert cli.main(_REPORT_RUNS["table"] + ["--report", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_text() == _report_text("table", capsys)
+
+
+@pytest.mark.parametrize("cmd", sorted(_REPORT_RUNS))
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_report_exit_2_before_any_work(cmd, where, tmp_path,
+                                                  monkeypatch, capsys):
+    path = tmp_path / "missing" / "x.csv" if where == "missing-dir" \
+        else tmp_path
+    monkeypatch.setattr(cli, "run_conformance", _no_work)
+    monkeypatch.setattr(cli, "_eval_func", _no_work)
+    assert cli.main(_REPORT_RUNS[cmd] + ["--report", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    reason = "No such file or directory" if where == "missing-dir" \
+        else "Is a directory"
+    assert out.err == f"error: cannot write report {path}: {reason}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unknown_suite_refused_before_the_report_opens(tmp_path, capsys):
+    path = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["conformance", "--suite", "nosuch", "--report", str(path)])
+    assert exc.value.code == 1
+    assert "invalid choice: 'nosuch'" in capsys.readouterr().err
+    assert not path.exists()
+
+
+def test_failed_table_keeps_the_old_report(tmp_path, capsys):
+    # the series refuses z = 1, the third argument of the sweep
+    argv = ["table", "--func", "2f1", "--params", "1,1,2", "--from", "0",
+            "--to", "1.5", "--steps", "3", "--method", "series"]
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_bytes(b"old report\n")
+    assert cli.main(argv + ["--report", str(old)]) == 2
+    assert cli.main(argv + ["--report", str(new)]) == 2
+    assert old.read_bytes() == b"old report\n"
+    assert not new.exists()
 
 
 def test_cli_config_file(tmp_path):

@@ -343,6 +343,14 @@ def test_reg_pair_validation():
         RegPair(-0.1, 0.0)
 
 
+@pytest.mark.parametrize("b, d", [(math.inf, 0.0), (0.0, math.inf),
+                                  (math.nan, 0.1)])
+def test_reg_pair_needs_finite_values(b, d):
+    # an infinite b gave ext_beta the value 0 with converged=True
+    with pytest.raises(DomainError):
+        RegPair(b, d)
+
+
 def test_theta_cache_is_bounded_and_read_only():
     reg = RegPair(0.25, 0.5)
     for i in range(_THETA_CACHE_SIZE + 20):

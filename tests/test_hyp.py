@@ -374,6 +374,17 @@ def test_ext_pfq_non_finite_argument_is_domain_error(z):
                 engine(spec, z)
 
 
+@pytest.mark.parametrize("upper, lower", [
+    ((3.0,), (-math.inf, -1e308)),  # -inf was rounded by the surplus check
+    ((-math.inf, 1.0), (2.0,)),     # and by the terminating check
+    ((math.nan, 1.0), (2.0,)),
+    ((0.5, 0.7), (math.inf,)),
+])
+def test_pfq_spec_needs_finite_parameters(upper, lower):
+    with pytest.raises(DomainError, match="parameters must be finite"):
+        pfq_spec(EXP_KERNEL, upper, lower)
+
+
 def test_pairing_validation():
     with pytest.raises(DomainError):
         ext_2f1(EXP_KERNEL, 1.0, 2.0, 1.5, 0.3)  # b1 < a2

@@ -220,6 +220,14 @@ def test_weight_needs_a_positive_argument(weight, x):
         weight(classical_point(), x)
 
 
+@pytest.mark.parametrize("offsets", [(math.inf, 0.0), (0.0, math.inf),
+                                     (math.nan, 0.0), (-0.1, 0.0)])
+def test_hilbert_params_need_finite_offsets(offsets):
+    # an infinite offset ended in ZeroDivisionError inside the weight norms
+    with pytest.raises(DomainError, match="regularization offsets"):
+        HilbertParams(2.0, 2.0, 1.0, 0.0, 1.0, 1.0, 0.25, 0.25, *offsets)
+
+
 @pytest.mark.parametrize("make", [
     lambda: exp_decay(math.nan), lambda: exp_decay(math.inf),
     lambda: bump(1.0, math.inf), lambda: bump(math.nan, 2.0),

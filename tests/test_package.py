@@ -19,14 +19,15 @@ REPO = SRC.parent.parent
 # ext_2f1_integral was ext_2f1(..., method="integral").  Public surface that
 # no caller reached: the normaliser of the relaxed-pairing mode, the
 # raising accessor of EvalResult and its exception, the kernel's asymptotic
-# constants, and the field-copying report of hilbert_check
+# constants, and the field-copying report of hilbert_check.  The conformance
+# report is formatted by report_csv and written by the CLI's one writer
 REMOVED = {
     "ClassicalPfqSpec", "_series_sum", "_kummer_direct",
     "_kummer_asymptotic_neg", "kummer_1f1", "_pfq_series",
     "_classical_2f1_integral", "classical_pfq", "classical_2f1",
     "theta_eval", "integrate_unit", "ext_beta_complex", "ext_2f1_integral",
     "beta_signed", "ConvergenceError", "expect", "asymptotic_amplitude",
-    "asymptotic_exponent", "HilbertReport",
+    "asymptotic_exponent", "HilbertReport", "write_report_csv",
 }
 # per module: the former shared_coefficients() scope, which the block cache
 # hyp._coeff_block replaced, the memo dicts that functools caches replaced,
@@ -114,6 +115,21 @@ def test_refinement_depth_and_series_cap_are_not_parameters():
                 caps.add(ast.unparse(cap))
     assert takes_cap == [("hyp.py", "_pfq_sum")]
     assert caps == {"SERIES_CAP", "diag.size"}
+
+
+def test_no_file_is_opened_with_truncation():
+    # reports are rewritten in place (cli._with_report): on ext4 a file
+    # opened with O_TRUNC, as open(path, "w") does, is flushed when closed
+    for name, tree in _trees():
+        for n in ast.walk(tree):
+            assert not (isinstance(n, ast.Attribute)
+                        and n.attr == "O_TRUNC"), (name, n.lineno)
+            if isinstance(n, ast.Call) and _called(n) == "open":
+                modes = n.args[1:2] + [k.value for k in n.keywords
+                                       if k.arg == "mode"]
+                assert not any(isinstance(m, ast.Constant)
+                               and "w" in str(m.value)
+                               for m in modes), (name, n.lineno)
 
 
 def test_library_does_not_import_mpmath():
