@@ -15,6 +15,9 @@ import numpy as np
 from .results import DomainError
 
 _LOG_SQRT_2PI = 0.9189385332046727417803297364
+# (x - 0.5) log(x + g - 0.5) in the Lanczos log-gamma overflows from
+# x = 2.6e305 on.
+_LN_GAMMA_MAX_ARG = 1e305
 
 # Lanczos coefficients (g = 607/128, 15 terms); relative error below 1e-14
 # on the right half-plane.
@@ -122,9 +125,16 @@ def pochhammer(a: float, m: int) -> float:
 
 
 def beta_classical(a: float, b: float) -> float:
-    """Euler beta for positive arguments, via the gamma quotient."""
+    """Euler beta for positive arguments, via the gamma quotient.
+
+    Arguments whose sum exceeds ``_LN_GAMMA_MAX_ARG``, where the log-gamma
+    overflows, are a DomainError, raised before any work.
+    """
     if a <= 0.0 or b <= 0.0:
         raise DomainError(f"beta_classical needs a,b > 0, got ({a}, {b})")
+    if not a + b <= _LN_GAMMA_MAX_ARG:
+        raise DomainError(f"Euler beta B({a}, {b}): log-gamma overflows "
+                          f"for a + b > {_LN_GAMMA_MAX_ARG:g}")
     return math.exp(gammaln_real(a) + gammaln_real(b) - gammaln_real(a + b))
 
 

@@ -44,6 +44,10 @@ _BIG_EXPONENT = 600.0
 _FAR_TAIL_ARG = -200.0
 # First arguments per complex sample block of ext_beta_complex_many.
 _COMPLEX_BLOCK_ROWS = 256
+# exp(x) rounds to 0.0 for every x below log(2**-1075) = -745.13 (half the
+# smallest subnormal), so a complex sample whose real exponent is below this
+# cut is exactly zero.
+_EXP_ZERO_CUT = -750.0
 
 
 @dataclass(frozen=True)
@@ -324,6 +328,18 @@ def ext_beta_complex_many(k: KernelSpec, alphas: np.ndarray, beta: float,
     value Theta == 0 (the confluent kernel underflows at the extreme nodes
     when b or d > 0) is a zero sample: its log is -inf and its exp is 0.
     Only Theta < 0 is refused.
+
+    Next to the endpoints the kernel term drives the real exponent below
+    ``_EXP_ZERO_CUT`` in every row, so those samples are exact zeros.  The
+    real exponent of a node is at most (Re alpha - 1) log t + base at the
+    largest or the smallest Re alpha (rounding is monotone), and only the
+    span from the first to the last node where that bound reaches the cut
+    (or is NaN) is exponentiated.  A slot outside it holds
+    +0 + i 0 (Im alpha log t).  That is exp's zero 0 cos y + i 0 sin y,
+    y = Im alpha log t, up to signs of zero, and a zero's sign can move a
+    sum's bits only in a row whose every sample is zero.  Rows are summed
+    over every node, zeros included, so the pairwise sum groups its terms
+    as before.
     """
     alphas = np.asarray(alphas, dtype=complex)
     if not (np.all(np.isfinite(alphas)) and np.isfinite(beta)):
@@ -332,6 +348,7 @@ def ext_beta_complex_many(k: KernelSpec, alphas: np.ndarray, beta: float,
     check_beta_domain(k, float(alphas.real.min()), beta, reg)
     re_m1 = (alphas.real - 1.0)[:, None]
     im = alphas.imag[:, None]
+    re_lo, re_hi = re_m1.min(), re_m1.max()
 
     def contrib(level):
         t, _, w = unit_new_nodes(level)
@@ -347,16 +364,23 @@ def ext_beta_complex_many(k: KernelSpec, alphas: np.ndarray, beta: float,
                                   "complex-batch path needs c > a")
             else:
                 base = base + np.log(theta)
+            top = np.maximum(re_lo * lt, re_hi * lt) + base
+            live = np.flatnonzero(~(top < _EXP_ZERO_CUT))
+            j0, j1 = (live[0], live[-1] + 1) if live.size else (0, t.size)
             s = np.empty(alphas.shape, dtype=complex)
             x = np.empty((min(alphas.size, _COMPLEX_BLOCK_ROWS), t.size),
                          dtype=complex)
             for i0 in range(0, alphas.size, _COMPLEX_BLOCK_ROWS):
                 i1 = min(i0 + _COMPLEX_BLOCK_ROWS, alphas.size)
                 blk = x[:i1 - i0]
-                np.multiply(re_m1[i0:i1], lt, out=blk.real)
-                blk.real += base
+                span = blk[:, j0:j1]
+                np.multiply(re_m1[i0:i1], lt[j0:j1], out=span.real)
+                span.real += base[j0:j1]
                 np.multiply(im[i0:i1], lt, out=blk.imag)
-                np.exp(blk, out=blk)
+                np.exp(span, out=span)
+                for dead in (blk[:, :j0], blk[:, j1:]):
+                    dead.real = 0.0
+                    dead.imag *= 0.0
                 blk.sum(axis=1, out=s[i0:i1])
         return s, t.size
 

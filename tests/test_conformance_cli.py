@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import difflib
 import json
 import os
 import pathlib
@@ -159,6 +160,25 @@ def test_report_csv_schema():
 def test_determinism_two_runs_byte_identical():
     assert (report_csv(run_conformance("all", "small", 1e-8))
             == report_csv(run_conformance("all", "small", 1e-8)))
+
+
+FULL_REPORT = (pathlib.Path(__file__).parent / "data"
+               / "conformance_full_1e-8.csv")
+
+
+def test_full_grid_report_is_byte_identical(tmp_path, capsys):
+    # the committed report pins every value, residual and verdict of the
+    # full grid; a change that moves them must update the file and show
+    # the rows it moved
+    report = tmp_path / "full.csv"
+    cli.main(["conformance", "--suite", "all", "--grid", "full", "--tol",
+              "1e-8", "--report", str(report)])
+    capsys.readouterr()
+    got, want = report.read_bytes(), FULL_REPORT.read_bytes()
+    moved = difflib.unified_diff(want.decode().splitlines(),
+                                 got.decode().splitlines(), FULL_REPORT.name,
+                                 "this run", n=0, lineterm="")
+    assert got == want, "\n".join(moved)
 
 
 def test_cli_eval_log_case():
@@ -398,11 +418,17 @@ _FA = ["--func", "fa", "--r", "2", "--params", "0.8,1.1,0.7,2.4,2.1",
     ["--func", "2f1", "--params", "1,1,2", "--z", "0.3", "--b", "inf"],
     # round(-inf) in the surplus-parameter check raised OverflowError
     ["--func", "pfq", "--params", "3:-inf,-1e308", "--z", "0.381"],
+    # the log-gammas of the beta normaliser overflowed to inf - inf = NaN
+    ["--func", "f1", "--params", "0.5,0.6,0.7,1e308", "--x", "0.1", "--y",
+     "0.1"],
+    ["--func", "fd", "--r", "1", "--xs", "0", "--params",
+     "0.86,-2.324,1e308"],
 ], ids=["f2-nan", "fd-nan", "contour-4", "contour-nan", "contour-inf",
         "kernel-syntax", "kernel-inf", "kshift-1.5", "f1-mellin",
         "f2-mellin", "fd-mellin", "fa-mellin", "extbeta-series",
         "fd-overflow", "fd-r0", "fd-norm-overflow", "2f1-overflow",
-        "extbeta-b-inf", "2f1-b-inf", "pfq-inf"])
+        "extbeta-b-inf", "2f1-b-inf", "pfq-inf", "f1-huge-gamma",
+        "fd-huge-gamma"])
 def test_cli_eval_bad_input_exit_2(argv, capsys):
     assert cli.main(["eval", *argv]) == 2
     out = capsys.readouterr()

@@ -102,6 +102,14 @@ def test_beta_classical_values():
     assert abs(beta_classical(0.5, 0.5) - math.pi) < 1e-13
 
 
+@pytest.mark.parametrize("a, b", [(0.5, 1e308), (1e306, 1.0),
+                                  (1e308, 1e308)])
+def test_beta_classical_out_of_range_is_domain_error(a, b):
+    # the log-gammas overflowed, and inf - inf gave a NaN with two warnings
+    with pytest.raises(DomainError, match="log-gamma overflows"):
+        beta_classical(a, b)
+
+
 @given(st.floats(0.05, 30.0), st.floats(0.05, 30.0))
 @settings(max_examples=60, derandomize=True)
 def test_beta_symmetry(a, b):

@@ -40,6 +40,7 @@ from exthyp.quadrature import (
     unit_new_nodes,
 )
 from exthyp.lauricella import LauricellaParams, fd_integral
+from exthyp.mellin import default_contour
 from exthyp.results import DomainError, NonFiniteSampleError
 
 mpmath.mp.dps = 30
@@ -245,7 +246,9 @@ def test_complex_confluent_kernel_zero_samples():
 def _complex_many_reference(k, alphas, beta, reg=RegPair(), tol=1e-12,
                             max_level=MAX_LEVEL):
     """Reference: the former complex beta, with its own level loop and the
-    exponent built in complex arithmetic from broadcast real rows."""
+    exponent built in complex arithmetic from broadcast real rows, every
+    sample exponentiated.  A kernel value Theta == 0 is a zero sample, as
+    in ``ext_beta_complex_many``; only Theta < 0 is refused."""
     alphas = np.asarray(alphas, dtype=complex)
     for a in (alphas.real.min(), alphas.real.max()):
         check_beta_domain(k, float(a), beta, reg)
@@ -258,16 +261,17 @@ def _complex_many_reference(k, alphas, beta, reg=RegPair(), tol=1e-12,
     for level in range(max_level + 1):
         t, tc, w = unit_new_nodes(level)
         lt, ltc = _unit_logs(level)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore",
+                         divide="ignore"):
             arg = -(reg.b / t + reg.d / tc)
             base = np.log(w) + (beta - 1.0) * ltc
             if k.variant == EXP_VARIANT:
                 base = base + arg
             else:
                 theta = _unit_theta(k, reg, level)
-                if np.any(theta <= 0.0):
+                if np.any(theta < 0.0):
                     raise DomainError(
-                        "confluent kernel not positive on the grid; "
+                        "confluent kernel negative on the grid; "
                         "complex-batch path needs c > a")
                 base = base + np.log(theta)
             s = np.zeros(alphas.shape, dtype=complex)
@@ -293,6 +297,12 @@ _COMPLEX_CASES = [
     (EXP_KERNEL, RegPair(0.0, 0.7)),
     (EXP_KERNEL, RegPair(1.0, 0.0)),
     (kummer_kernel(1.5, 2.5), RegPair(0.0, 0.0)),
+    # Theta underflows to 0 at the extreme nodes: log Theta = -inf there
+    (kummer_kernel(1.5, 2.5), RegPair(0.2, 0.3)),
+    # most node columns underflow in every row
+    (EXP_KERNEL, RegPair(3.0, 4.0)),
+    # no live column at any level: every sample underflows, the value is 0
+    (EXP_KERNEL, RegPair(400.0, 400.0)),
 ]
 
 
@@ -336,6 +346,34 @@ def test_complex_many_contour_sized_batch_bit_identical(mixed):
         _assert_same_complex_many(
             ext_beta_complex_many(k, alphas, 1.6, reg, tol),
             _complex_many_reference(k, alphas, 1.6, reg, tol))
+
+
+def test_complex_many_exponentiates_only_the_live_span(monkeypatch):
+    # the contour's batch at catalog point 3 of mellin-barnes-contour, as
+    # a --tol 1e-8 conformance pass runs it: next to the endpoints the
+    # kernel term drives every row's exponent below exp's underflow
+    reg = RegPair(0.2, 0.3)
+    spec = pfq_spec(EXP_KERNEL, (0.8, 1.1), (2.4,), reg)
+    (a, _k, width), = spec.pairs()
+    contour = default_contour(spec)
+    n = int(round(contour.half_height / contour.step))
+    alphas = a - (contour.abscissa
+                  + 1j * (np.arange(2 * n + 1) * (contour.step / 2.0)))
+    exponentiated = []
+    exp = np.exp
+
+    def spy(x, *args, **kwargs):
+        if np.iscomplexobj(x):
+            exponentiated.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", spy)
+    got = ext_beta_complex_many(EXP_KERNEL, alphas, width, reg, 1e-11)
+    monkeypatch.undo()
+    assert (alphas.size, got[2]) == (1601, 1549)
+    assert sum(exponentiated) <= 0.3 * alphas.size * got[2]
+    _assert_same_complex_many(
+        got, _complex_many_reference(EXP_KERNEL, alphas, width, reg, 1e-11))
 
 
 def test_reg_pair_validation():
@@ -443,15 +481,17 @@ _OVERFLOWING = {
 def test_kernel_integral_stops_at_the_first_non_finite_sample(monkeypatch,
                                                               evaluate):
     levels = []
-    nested = quadrature._nested
+    refine = extbeta._refine_nested
 
-    def spy(contrib):
+    def spy(contrib, tol):
         def counted(level):
             levels.append(level)
             return contrib(level)
-        return nested(counted)
+        return refine(counted, tol)
 
-    monkeypatch.setattr(quadrature, "_nested", spy)
+    # the outer integral's levels only: a coefficient ladder refines its
+    # batch integrals in quadrature, which a cold block cache runs here
+    monkeypatch.setattr(extbeta, "_refine_nested", spy)
     # the node prints as a plain float
     with pytest.raises(NonFiniteSampleError, match=r"near t=0\.\d+$"):
         evaluate()
