@@ -35,14 +35,15 @@ from .lauricella import (
     _fd_series,
     _use_series,
 )
-from .results import DomainError, EvalResult
+from .results import DomainError, EvalResult, refuse_non_finite
 
 
 @dataclass(frozen=True)
 class AppellParams:
     """Parameters shared by both two-variable functions.
 
-    ``gamma2`` is ignored by the first-kind function.
+    ``gamma2`` is ignored by the first-kind function, so it may stay NaN;
+    the second kind checks it in the type A parameters it builds.
     """
 
     alpha: float
@@ -52,6 +53,10 @@ class AppellParams:
     gamma2: float = math.nan
     reg: RegPair = RegPair()
     kernel: KernelSpec = KernelSpec(EXP_VARIANT)
+
+    def __post_init__(self):
+        refuse_non_finite("parameters", self.alpha, self.beta1, self.beta2,
+                          self.gamma1)
 
     def validate_f1(self) -> None:
         if not (self.gamma1 > self.alpha > 0.0):
@@ -108,11 +113,9 @@ def f1_transform(p: AppellParams, x: float, y: float, tol: float = 1e-10,
 
     The right side carries (1-x)^-beta1 (1-y)^-beta2 and the swapped reg
     pair.  The proof-derived variant replaces the first parameter by
-    gamma1 - alpha; the printed variant keeps it.
+    gamma1 - alpha; the printed variant keeps it.  Outside x, y < 1 the
+    left side's integral refuses the arguments.
     """
-    p.validate_f1()
-    if not (x < 1.0 and y < 1.0):
-        raise DomainError("transform needs x < 1 and y < 1")
     if variant == "proof":
         alpha = p.gamma1 - p.alpha
     elif variant == "printed":
@@ -187,7 +190,6 @@ def f2_transform(p: AppellParams, x: float, y: float, which: str,
     """
     if which not in _F2_TRANSFORMS:
         raise DomainError(f"unknown transformation {which!r}")
-    p.validate_f2()
     if which in ("x", "y", "xy") and p.reg.b != p.reg.d:
         raise DomainError("this form needs equal regularization parameters")
     lhs = f2_eval(p, x, y, tol)
@@ -272,8 +274,6 @@ def f1_finite_sum(kernel: KernelSpec, s: int, t: int, x: float, y: float,
     """
     if x == y:
         raise DomainError("degenerate for x == y")
-    if not (abs(x) < 1.0 and abs(y) < 1.0):
-        raise DomainError("needs |x| < 1 and |y| < 1")
     if s < 0 or t < 0:
         raise DomainError("needs s, t >= 0")
     p = AppellParams(1.0, s + 1.0, t + 1.0, 2.0, math.nan, reg, kernel)

@@ -111,8 +111,6 @@ def _eval_func(args) -> EvalResult:
     func, method = args.func, args.method
     params = _floats(args.params) if args.params and func != "pfq" else []
     tol = args.tol
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tolerance must be finite and > 0, got {tol}")
     if method not in _METHODS[func]:
         raise DomainError(f"{func} has no method {method!r}")
     if func in ("2f1", "pfq"):
@@ -162,13 +160,15 @@ def _eval_func(args) -> EvalResult:
     return ext_gamma(kernel, params[0], args.b, tol)
 
 
+def _check_tol(tol: float) -> None:
+    """The --tol rule of eval, table and conformance."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tolerance must be finite and > 0, got {tol}")
+
+
 def cmd_eval(args) -> int:
-    try:
-        res = _eval_func(args)
-    except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    return _print_result(res)
+    _check_tol(args.tol)
+    return _print_result(_eval_func(args))
 
 
 def _with_report(path: str, run) -> int:
@@ -216,6 +216,7 @@ def cmd_table(args) -> int:
     if args.steps < 1:
         print("error: --steps must be >= 1", file=sys.stderr)
         return EXIT_USAGE
+    _check_tol(args.tol)
     return _with_report(args.report,
                         lambda write: _table(args, write or sys.stdout.write))
 
@@ -235,9 +236,7 @@ def _table(args, write) -> int:
         try:
             res = _eval_func(sub)
         except DomainError as exc:
-            print(f"domain error at argument {fmt17(zi)}: {exc}",
-                  file=sys.stderr)
-            return EXIT_DOMAIN
+            raise DomainError(f"at argument {fmt17(zi)}: {exc}") from None
         if not res.converged:
             code = EXIT_NO_CONVERGENCE
         value = (res.value.real if isinstance(res.value, complex)
@@ -249,15 +248,10 @@ def _table(args, write) -> int:
 
 
 def cmd_hilbert(args) -> int:
-    try:
-        hp = HilbertParams(args.p, args.q, args.s1, args.s2, args.a1,
-                           args.a2, args.A1, args.A2, args.pt, args.qt)
-        f = parse_test_function(args.f)
-        g = parse_test_function(args.g)
-        form = hilbert_bilinear(hp, f, g)
-    except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    hp = HilbertParams(args.p, args.q, args.s1, args.s2, args.a1, args.a2,
+                       args.A1, args.A2, args.pt, args.qt)
+    form = hilbert_bilinear(hp, parse_test_function(args.f),
+                            parse_test_function(args.g))
     print(_json_line([
         ("K", float(form.constant)),
         ("lhs", float(form.lhs)),
@@ -269,10 +263,7 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_conformance(args) -> int:
-    if not (math.isfinite(args.tol) and args.tol > 0.0):
-        print(f"domain error: tolerance must be finite and > 0, got "
-              f"{args.tol}", file=sys.stderr)
-        return EXIT_DOMAIN
+    _check_tol(args.tol)
     return _with_report(args.report, lambda write: _conformance(args, write))
 
 
@@ -383,7 +374,11 @@ def main(argv: list[str] | None = None) -> int:
     argv = _apply_config(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.run(args)
+    try:
+        return args.run(args)
+    except DomainError as exc:
+        print(f"domain error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

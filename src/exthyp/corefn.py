@@ -108,9 +108,11 @@ def ln_gamma_arr(z: np.ndarray) -> np.ndarray:
 
 
 def gammaln_real(x: float) -> float:
-    """log Gamma on the positive real axis."""
-    if x <= 0.0:
-        raise DomainError(f"gammaln_real needs x > 0, got {x}")
+    """log Gamma on (0, ``_LN_GAMMA_MAX_ARG``]; any other x (NaN too) is a
+    DomainError, so the Lanczos sum never overflows."""
+    if not 0.0 < x <= _LN_GAMMA_MAX_ARG:
+        raise DomainError(f"gammaln_real needs 0 < x <= {_LN_GAMMA_MAX_ARG:g}"
+                          f" (log-gamma overflows above), got {x}")
     return _ln_gamma_right(complex(x)).real if x > 0.5 else ln_gamma(x).real
 
 
@@ -127,14 +129,9 @@ def pochhammer(a: float, m: int) -> float:
 def beta_classical(a: float, b: float) -> float:
     """Euler beta for positive arguments, via the gamma quotient.
 
-    Arguments whose sum exceeds ``_LN_GAMMA_MAX_ARG``, where the log-gamma
-    overflows, are a DomainError, raised before any work.
+    Arguments that are not positive, or whose sum exceeds
+    ``_LN_GAMMA_MAX_ARG``, are refused by ``gammaln_real``.
     """
-    if a <= 0.0 or b <= 0.0:
-        raise DomainError(f"beta_classical needs a,b > 0, got ({a}, {b})")
-    if not a + b <= _LN_GAMMA_MAX_ARG:
-        raise DomainError(f"Euler beta B({a}, {b}): log-gamma overflows "
-                          f"for a + b > {_LN_GAMMA_MAX_ARG:g}")
     return math.exp(gammaln_real(a) + gammaln_real(b) - gammaln_real(a + b))
 
 

@@ -36,7 +36,7 @@ from .quadrature import (
     unit_level_span,
     unit_new_nodes,
 )
-from .results import DomainError, EvalResult
+from .results import DomainError, EvalResult, refuse_non_finite
 
 _BIG_EXPONENT = 600.0
 # kernel.log_theta_neg_asym holds only at kernel arguments at or below this,
@@ -58,9 +58,10 @@ class RegPair:
     d: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 <= self.b < math.inf and 0.0 <= self.d < math.inf):
-            raise DomainError(f"regularization parameters must be finite "
-                              f"and >= 0, got ({self.b}, {self.d})")
+        refuse_non_finite("regularization parameters", self.b, self.d)
+        if not (self.b >= 0.0 and self.d >= 0.0):
+            raise DomainError(f"regularization parameters must be >= 0, "
+                              f"got ({self.b}, {self.d})")
 
     @property
     def is_zero(self) -> bool:
@@ -74,6 +75,9 @@ class RegPair:
 class BetaArgs:
     alpha: float
     beta: float
+
+    def __post_init__(self):
+        refuse_non_finite("beta arguments", self.alpha, self.beta)
 
 
 @functools.cache
@@ -111,7 +115,7 @@ def _unit_theta(k: KernelSpec, reg: RegPair, level: int) -> np.ndarray:
     """
     if 0 <= level <= MIN_LEVEL:
         return _unit_theta(k, reg, -1)[unit_level_span(level)]
-    with np.errstate(over="ignore", under="ignore"):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         theta = kernelmod.theta_eval_arr(k, _unit_arg(reg, level))
     theta.flags.writeable = False
     return theta
@@ -156,9 +160,8 @@ def _min_exponent(k: KernelSpec, reg_component: float) -> float:
 
 def check_beta_domain(k: KernelSpec, alpha: float, beta: float,
                       reg: RegPair) -> None:
-    if not (math.isfinite(alpha) and math.isfinite(beta)):
-        raise DomainError(f"beta arguments must be finite, got "
-                          f"({alpha}, {beta})")
+    """``BetaArgs``'s rule, then the exponent bounds of the kernel and b, d."""
+    BetaArgs(alpha, beta)
     if not alpha > _min_exponent(k, reg.b):
         raise DomainError(
             f"first argument {alpha} out of range for b={reg.b} "
@@ -289,8 +292,7 @@ def ext_beta_shifted_batch(k: KernelSpec, alpha0: float, count: int,
 def ext_gamma(k: KernelSpec, z: float, b: float = 0.0,
               tol: float = 1e-12) -> EvalResult:
     """Regularized gamma value by half-line quadrature."""
-    if b < 0.0:
-        raise DomainError("regularization parameter must be >= 0")
+    RegPair(b)  # b follows the rule of a regularization parameter
     lo = 0.0 if b == 0.0 else -k.decay_order
     if not z > lo:
         raise DomainError(f"argument {z} too small for b={b}")
@@ -342,9 +344,9 @@ def ext_beta_complex_many(k: KernelSpec, alphas: np.ndarray, beta: float,
     as before.
     """
     alphas = np.asarray(alphas, dtype=complex)
-    if not (np.all(np.isfinite(alphas)) and np.isfinite(beta)):
+    if not np.all(np.isfinite(alphas)):
         raise DomainError("complex-beta arguments must be finite")
-    # the arguments are finite, so only the smallest real part can fail
+    # the first arguments are finite, so only the smallest real part can fail
     check_beta_domain(k, float(alphas.real.min()), beta, reg)
     re_m1 = (alphas.real - 1.0)[:, None]
     im = alphas.imag[:, None]
@@ -382,6 +384,8 @@ def ext_beta_complex_many(k: KernelSpec, alphas: np.ndarray, beta: float,
                     dead.real = 0.0
                     dead.imag *= 0.0
                 blk.sum(axis=1, out=s[i0:i1])
+        if not np.isfinite(s).all():
+            raise DomainError("complex-beta sum out of double range")
         return s, t.size
 
     values, err, nodes, converged = _refine_nested(contrib, tol)

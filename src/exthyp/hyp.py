@@ -16,6 +16,7 @@ refinement serves a whole stretch of series terms.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -35,7 +36,8 @@ from .extbeta import (
 )
 from .kernel import EXP_VARIANT, KernelSpec
 from .quadrature import _read_only, _running
-from .results import DomainError, EvalResult, KernelMismatchError
+from .results import (DomainError, EvalResult, KernelMismatchError,
+                      refuse_non_finite)
 
 SERIES_CAP = 4096
 SERIES_SMALL = 1e-16  # a small term, relative to 1 + the largest partial sum
@@ -58,10 +60,8 @@ class PfqSpec:
     kernel: KernelSpec = KernelSpec(EXP_VARIANT)
 
     def __post_init__(self):
-        if not all(map(math.isfinite,
-                       [a for a, _k in self.upper] + list(self.lower))):
-            raise DomainError(f"parameters must be finite, got {self.upper} "
-                              f"and {self.lower}")
+        refuse_non_finite("parameters", *itertools.chain(*self.upper),
+                          *self.lower)
 
     @property
     def p(self) -> int:
@@ -118,9 +118,10 @@ class PfqSpec:
                        tuple(b + n for b in self.lower), self.reg, self.kernel)
 
     def peel_last(self) -> tuple["PfqSpec", float, int, float]:
-        """Split off the last paired parameter for the Euler-integral step."""
-        if self.q == 0:
-            raise DomainError("nothing to peel from a 1F0-type function")
+        """Split off the last pair, checked by ``validate``, for the Euler
+        step."""
+        if min(self.p, self.q) == 0:
+            raise DomainError("no paired parameter to peel off")
         a_p, k_p = self.upper[-1]
         b_q = self.lower[-1]
         inner = PfqSpec(self.upper[:-1], self.lower[:-1], self.reg, self.kernel)
@@ -197,9 +198,8 @@ def pfq_series(spec: PfqSpec, z: float, tol: float = 1e-10) -> EvalResult:
     if spec.p == spec.q + 1 and abs(z) >= 1.0 and not spec.terminating():
         raise DomainError(f"series diverges for |z| = {abs(z)} >= 1")
     ladder = _CoeffLadder(spec)
-    with np.errstate(over="ignore", invalid="ignore"):
-        s, err, rows, done = _pfq_sum(spec, np.array([float(z)]), ladder,
-                                      SERIES_CAP)
+    s, err, rows, done = _pfq_sum(spec, np.array([float(z)]), ladder,
+                                  SERIES_CAP)
     if not math.isfinite(s[0]):
         raise DomainError("series value out of double range")
     return EvalResult(float(s[0]), err, rows, done and ladder.ok, "series")
@@ -225,6 +225,7 @@ def pfq_series_vector(spec: PfqSpec, w: np.ndarray,
     return s.reshape(w.shape), err
 
 
+@np.errstate(over="ignore", invalid="ignore")  # callers judge the sums
 def _pfq_sum(spec: PfqSpec, w: np.ndarray, ladder: _CoeffLadder, cap: int,
              heads: np.ndarray | None = None,
              weights: np.ndarray | None = None,
@@ -337,6 +338,8 @@ def _one_f0_vector(alpha: float, k1: int, w: np.ndarray) -> np.ndarray:
     """Closed forms of the innermost 1F0-type factor."""
     if _is_nonpositive_int(alpha) and k1 >= 1:
         n = int(round(-alpha))
+        if n // k1 > 170:  # m! leaves double range from m = 171 on
+            raise DomainError(f"terminating factor of degree {n // k1} > 170")
         s = np.zeros_like(w)
         for m in range(n // k1 + 1):
             s += pochhammer(alpha, k1 * m) * w ** m / math.factorial(m)
@@ -361,10 +364,6 @@ def euler_step_integral(spec: PfqSpec, z: float,
         raise DomainError(f"argument must be finite, got z={z}")
     spec.validate()
     inner, a_p, k_p, b_q = spec.peel_last()
-    if not (b_q > a_p > 0.0):
-        raise DomainError(
-            f"Euler step needs last pairing beta > alpha > 0, got "
-            f"({a_p}, {b_q})")
     if z > 1.0:
         raise DomainError("Euler integral needs argument <= 1")
     if z == 1.0:
@@ -660,11 +659,8 @@ def summation_thm(kernel: KernelSpec, a1: float, a2: float, b1: float,
 
     Left side: the doubled-ladder function at z = 1 through its integral;
     right side: gamma quotient times the plain function at argument -1.
+    The Euler step refuses parameters outside b1 > a2 > 0, b1 - a2 - a1 > 0.
     """
-    if not (b1 > a2 > 0.0):
-        raise DomainError("needs b1 > a2 > 0")
-    if not (b1 - a2 - a1 > 0.0):
-        raise DomainError("needs b1 - a2 - a1 > 0")
     spec = PfqSpec(((a1, 1), (a2, 2)), (b1,), reg, kernel)
     lhs = euler_step_integral(spec, 1.0, tol)
     quot = math.exp(gammaln_real(b1) + gammaln_real(b1 - a2 - a1)

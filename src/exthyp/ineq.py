@@ -24,7 +24,7 @@ from .hyp import ext_2f1
 from .kernel import EXP_KERNEL
 from .quadrature import (_refine_grid, halfline_grid, integrate_halfline,
                          unit_grid)
-from .results import DomainError, EvalResult
+from .results import DomainError, EvalResult, refuse_non_finite
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,9 @@ class HilbertParams:
     qtilde: float = 0.0
 
     def __post_init__(self):
+        refuse_non_finite("parameters and regularization offsets", self.p,
+                          self.q, self.s1, self.s2, self.alpha1, self.alpha2,
+                          self.A1, self.A2, self.ptilde, self.qtilde)
         if not (self.p > 1.0 and self.q > 1.0):
             raise DomainError("needs p > 1 and q > 1")
         if 1.0 / self.p + 1.0 / self.q < 1.0 - 1e-12:
@@ -53,10 +56,8 @@ class HilbertParams:
             raise DomainError("needs positive scale pair")
         if not 0.5 < self.alpha1 / self.alpha2 < 2.0:
             raise DomainError("needs 1/2 < alpha1/alpha2 < 2")
-        if not (0.0 <= self.ptilde < math.inf
-                and 0.0 <= self.qtilde < math.inf):
-            raise DomainError(
-                "needs finite nonnegative regularization offsets")
+        if not (self.ptilde >= 0.0 and self.qtilde >= 0.0):
+            raise DomainError("needs nonnegative regularization offsets")
         lo1 = (1.0 - self.s1 - self.s2) / self.pprime
         lo2 = (1.0 - self.s1 - self.s2) / self.qprime
         if not lo1 < self.A1 < 1.0 / self.pprime:
@@ -108,8 +109,7 @@ def lemma2_identity(which: str, a: float, b_par: float, c: float,
         raise DomainError("needs a + c > b > 0")
     if not (alpha > 0.0 and gamma > 0.0):
         raise DomainError("needs positive scale parameters")
-    if not (ptilde >= 0.0 and qtilde >= 0.0):
-        raise DomainError("needs nonnegative offsets")
+    reg = RegPair(ptilde, qtilde)  # the offsets follow its rule
     scale = gamma if which == "a" else alpha
 
     def f(x):
@@ -129,19 +129,21 @@ def lemma2_identity(which: str, a: float, b_par: float, c: float,
             * beta_classical(b_par, c + a - b_par))
     if which == "a":
         fval = ext_2f1(EXP_KERNEL, a, b_par, c + a, (gamma - alpha) / gamma,
-                       RegPair(ptilde, qtilde), tol)
+                       reg, tol)
     else:
         fval = ext_2f1(EXP_KERNEL, c, b_par, c + a, (alpha - gamma) / alpha,
-                       RegPair(ptilde, qtilde), tol)
+                       reg, tol)
     return lhs, fval.scaled(pref)
 
 
 def _proportional(value: float, f: EvalResult,
                   power: float = 1.0) -> EvalResult:
     """A value proportional to f.value ** (1/power), with f's error carried
-    through that power, |value| err_f / (power |f|), and f's flag."""
+    through that power, |value| err_f / (power |f|) (inf at f = 0), and
+    f's flag."""
     return EvalResult(value,
-                      abs(value) * f.abs_err_est / (power * abs(f.value)),
+                      abs(value) * f.abs_err_est / (power * abs(f.value))
+                      if f.value else math.inf,
                       f.terms_or_nodes, f.converged, f.method)
 
 
@@ -253,27 +255,38 @@ def _hilbert_constant(hp: HilbertParams,
     return nf.value * ng.value, nf.converged and ng.converged
 
 
+_ARITY = {"exp_decay": 1, "bump": 2, "power_cut": 2}  # parameters per tag
+
+
 @dataclass(frozen=True)
 class TestFunction:
     """Closed nonnegative family with analytically known decay.
 
     exp_decay(k): x^k e^-x on (0, inf); bump(a, b): smooth compact bump on
-    [a, b]; power_cut(sigma, X): x^sigma on (0, X].  The amplitude scales
-    the whole function (zero amplitude gives the identically-zero case).
+    [a, b] with 0 <= a < b; power_cut(sigma, X): x^sigma on (0, X], with
+    sigma >= 0 and X > 0.  The amplitude scales the whole function (zero
+    amplitude gives the identically-zero case; the norms take its absolute
+    value).  Every number is finite.
     """
 
     tag: str
     params: tuple[float, ...] = ()
     amplitude: float = 1.0
 
+    def __post_init__(self):
+        if _ARITY.get(self.tag) != len(self.params):
+            raise DomainError(f"no test function {self.tag!r} with "
+                              f"{len(self.params)} parameters")
+        refuse_non_finite("test-function parameters and amplitude",
+                          *self.params, self.amplitude)
+        if self.tag == "bump" and not 0.0 <= self.params[0] < self.params[1]:
+            raise DomainError("bump needs 0 <= a < b")
+        if self.tag == "power_cut" and not (self.params[0] >= 0.0
+                                            and self.params[1] > 0.0):
+            raise DomainError("power_cut needs sigma >= 0 and X > 0")
+
     def support_top(self) -> float:
-        if self.tag == "exp_decay":
-            return math.inf
-        if self.tag == "bump":
-            return self.params[1]
-        if self.tag == "power_cut":
-            return self.params[1]
-        raise DomainError(f"unknown test function {self.tag!r}")
+        return math.inf if self.tag == "exp_decay" else self.params[1]
 
     def log_values(self, x: np.ndarray) -> np.ndarray:
         """log f(x) with -inf outside the support (amplitude excluded)."""
@@ -291,11 +304,8 @@ class TestFunction:
                 uu = u[inside]
                 out[inside] = 4.0 - 1.0 / (uu * (1.0 - uu))
                 return out
-            if self.tag == "power_cut":
-                sigma, top = self.params
-                out = np.where(x <= top, sigma * np.log(x), -math.inf)
-                return out
-        raise DomainError(f"unknown test function {self.tag!r}")
+            sigma, top = self.params  # power_cut
+            return np.where(x <= top, sigma * np.log(x), -math.inf)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if self.amplitude == 0.0:
@@ -303,29 +313,20 @@ class TestFunction:
         return self.amplitude * np.exp(self.log_values(x))
 
     def norm_exponent_at_zero(self, power: float) -> float:
-        """Exponent of f(x)^power near x = 0 (for norm-finiteness checks)."""
-        if self.tag == "exp_decay":
-            return self.params[0] * power
-        if self.tag == "power_cut":
-            return self.params[0] * power
-        return 0.0  # bump vanishes to all orders at its support edges
+        """Exponent of f(x)^power near x = 0 (for norm-finiteness checks);
+        a bump vanishes to all orders at its support edges."""
+        return 0.0 if self.tag == "bump" else self.params[0] * power
 
 
 def exp_decay(k: float, amplitude: float = 1.0) -> TestFunction:
-    if not math.isfinite(k):
-        raise DomainError("needs a finite k")
     return TestFunction("exp_decay", (float(k),), amplitude)
 
 
 def bump(a: float, b: float, amplitude: float = 1.0) -> TestFunction:
-    if not 0.0 <= a < b < math.inf:
-        raise DomainError("needs 0 <= a < b < inf")
     return TestFunction("bump", (float(a), float(b)), amplitude)
 
 
 def power_cut(sigma: float, top: float, amplitude: float = 1.0) -> TestFunction:
-    if not (0.0 < top < math.inf and 0.0 <= sigma < math.inf):
-        raise DomainError("needs 0 < top < inf and 0 <= sigma < inf")
     return TestFunction("power_cut", (float(sigma), float(top)), amplitude)
 
 
@@ -341,17 +342,12 @@ def parse_test_function(text: str) -> TestFunction:
         vals = [float(v) for v in rest.split(",")]
     except ValueError:
         raise DomainError(f"bad test-function syntax {text!r}") from None
-    if tag == "exp_decay" and len(vals) == 1:
-        return exp_decay(vals[0])
-    if tag == "bump" and len(vals) == 2:
-        return bump(vals[0], vals[1])
-    if tag == "power_cut" and len(vals) == 2:
-        return power_cut(vals[0], vals[1])
-    raise DomainError(f"bad test-function syntax {text!r}")
+    return TestFunction(tag, tuple(vals))
 
 
 def _axis_nodes(level: int, top: float):
-    """(nodes, log-weights) for a support (0, top)."""
+    """(nodes, log-weights) for a support (0, top); call it under
+    np.errstate(divide="ignore"), as a weight can underflow to zero."""
     if math.isinf(top):
         g = halfline_grid(level)
         return g.nodes, np.log(g.weights)
@@ -370,8 +366,8 @@ def _weighted_norm(h: TestFunction, exponent: float,
     top = h.support_top()
 
     def grid_sum(level):
-        x, logw = _axis_nodes(level, top)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
+            x, logw = _axis_nodes(level, top)
             e = logw + exponent * np.log(x) + power * h.log_values(x)
             return float(np.exp(e).sum()), x.size
 
@@ -386,7 +382,7 @@ def _kernel_log_rows(hp: HilbertParams, x: np.ndarray, lx: np.ndarray,
     acoef = hp.alpha1 * hp.qtilde + hp.alpha2 * hp.ptilde
     bcoef = acoef / (hp.alpha1 * hp.alpha2)
     out = np.empty(y.size)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):  # rows without a finite max end as -inf
         for j0 in range(0, y.size, 256):
             blk = slice(j0, min(j0 + 256, y.size))
             yb = y[blk]
@@ -417,6 +413,8 @@ class HilbertForm:
 
 def _form(const: float, lhs: float, rhs: float,
           converged: bool) -> HilbertForm:
+    if converged:
+        refuse_non_finite("converged form sides", lhs, rhs)
     return HilbertForm(constant=const, lhs=lhs, rhs=rhs, margin=rhs - lhs,
                        holds=lhs <= rhs * (1.0 + 1e-9), converged=converged)
 
@@ -444,10 +442,9 @@ def hilbert_bilinear(hp: HilbertParams, f: TestFunction, g: TestFunction,
     lhs, ok = 0.0, True
     if f.amplitude != 0.0 and g.amplitude != 0.0:
         def grid_sum(level):
-            x, logwx = _axis_nodes(level, f.support_top())
-            y, logwy = _axis_nodes(level, g.support_top())
-            with np.errstate(over="ignore", under="ignore",
-                             invalid="ignore"):
+            with np.errstate(all="ignore"):
+                x, logwx = _axis_nodes(level, f.support_top())
+                y, logwy = _axis_nodes(level, g.support_top())
                 lx = logwx + f.log_values(x)
                 log_rows = _kernel_log_rows(hp, x, lx, y)
                 total = float(np.exp(logwy + g.log_values(y)
@@ -478,10 +475,9 @@ def hilbert_equivalent(hp: HilbertParams, f: TestFunction,
     lhs, ok = 0.0, True
     if f.amplitude != 0.0:
         def grid_sum(level):
-            x, logwx = _axis_nodes(level, f.support_top())
-            y, logwy = _axis_nodes(level, math.inf)
-            with np.errstate(over="ignore", under="ignore",
-                             invalid="ignore"):
+            with np.errstate(all="ignore"):
+                x, logwx = _axis_nodes(level, f.support_top())
+                y, logwy = _axis_nodes(level, math.inf)
                 lx = logwx + f.log_values(x)
                 log_rows = _kernel_log_rows(hp, x, lx, y)
                 inner_tot = float(np.exp(logwy + vexp * np.log(y)

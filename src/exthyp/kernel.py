@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import corefn
-from .results import DomainError
+from .results import DomainError, refuse_non_finite
 
 EXP_VARIANT = "exp"
 KUMMER_VARIANT = "kummer"
@@ -32,9 +32,10 @@ class KernelSpec:
         if self.variant not in (EXP_VARIANT, KUMMER_VARIANT):
             raise DomainError(f"unknown kernel variant {self.variant!r}")
         if self.variant == KUMMER_VARIANT:
-            if not (0.0 < self.a < math.inf and 0.0 < self.c < math.inf):
-                raise DomainError("confluent kernel needs finite a > 0 and "
-                                  "c > 0")
+            refuse_non_finite("confluent kernel parameters", self.a, self.c)
+            top = corefn._LN_GAMMA_MAX_ARG  # for the log-gammas of c, c - a
+            if not (0.0 < self.a <= top and 0.0 < self.c <= top):
+                raise DomainError(f"confluent kernel needs 0 < a, c <= {top:g}")
 
     @property
     def decay_order(self) -> float:

@@ -18,6 +18,7 @@ Type B/C analogues admit no such extension and are out of scope.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -46,7 +47,7 @@ from .hyp import (
 )
 from .kernel import EXP_VARIANT, KernelSpec
 from .quadrature import _refine_grid, halfline_grid, unit_grid
-from .results import DomainError, EvalResult
+from .results import DomainError, EvalResult, refuse_non_finite
 
 MAX_VARIABLES = 4  # series cap; iterated integrals are checked for r <= 2
 # max_j |x_j| (type D) or sum_j |x_j| (type A) below which auto uses the series
@@ -75,21 +76,23 @@ class LauricellaParams:
     reg: RegPair = RegPair()
     kernel: KernelSpec = KernelSpec(EXP_VARIANT)
 
+    def __post_init__(self):
+        refuse_non_finite("parameters and arguments", self.alpha,
+                          *self.betas, *self.gammas, *self.xs)
+        if not 1 <= self.r <= MAX_VARIABLES:
+            raise DomainError(f"need 1 <= r <= {MAX_VARIABLES}")
+
     @property
     def r(self) -> int:
         return len(self.betas)
 
     def validate_fd(self) -> None:
-        if self.r < 1 or self.r > MAX_VARIABLES:
-            raise DomainError(f"need 1 <= r <= {MAX_VARIABLES}")
         if len(self.gammas) != 1 or len(self.xs) != self.r:
             raise DomainError("type D needs one gamma and r arguments")
         if not (self.gammas[0] > self.alpha > 0.0):
             raise DomainError("type D needs gamma > alpha > 0")
 
     def validate_fa(self) -> None:
-        if self.r < 1 or self.r > MAX_VARIABLES:
-            raise DomainError(f"need 1 <= r <= {MAX_VARIABLES}")
         if len(self.gammas) != self.r or len(self.xs) != self.r:
             raise DomainError("type A needs r gammas and r arguments")
         for b, g in zip(self.betas, self.gammas):
@@ -101,13 +104,6 @@ def _ratio_ladder(kernel: KernelSpec, reg: RegPair, alpha: float,
                   gamma: float) -> _CoeffLadder:
     """Beta-ratio coefficients B*(alpha+N, gamma-alpha)/B(alpha, gamma-alpha)."""
     return _CoeffLadder(PfqSpec(((alpha, 1),), (gamma,), reg, kernel))
-
-
-def _require_finite(p: LauricellaParams) -> None:
-    """Reject a non-finite parameter or argument before any ladder or grid."""
-    if not all(math.isfinite(v)
-               for v in (p.alpha, *p.betas, *p.gammas, *p.xs)):
-        raise DomainError("parameters and arguments must be finite")
 
 
 def fd_series(p: LauricellaParams, tol: float = 1e-10) -> EvalResult:
@@ -125,12 +121,13 @@ def _fd_series(p: LauricellaParams, tol: float) -> EvalResult:
 
     The tail, in the error only, is the largest of the last three terms (a
     diagonal can vanish) carried by ``_geometric_tail``."""
-    _require_finite(p)
     big, rho, diag = _fd_diagonals(p)
     ladder = _ratio_ladder(p.kernel, p.reg, p.alpha, p.gammas[0])
     s, err, rows, done = _pfq_sum(pfq_spec(p.kernel, (big,), ()),
                                   np.array([rho]), ladder, diag.size,
                                   row_weights=diag)
+    if not math.isfinite(s[0]):
+        raise DomainError("type D series value out of double range")
     last = np.abs(diag[rows - 3:rows] * ladder.coeffs[rows - 3:rows]).max()
     err += float(_geometric_tail(last, big, rows, rho))
     return EvalResult(float(s[0]), err, rows, done and ladder.ok, "series")
@@ -188,7 +185,6 @@ def fd_integral(p: LauricellaParams, tol: float = 1e-10) -> EvalResult:
 
 
 def _fd_integral(p: LauricellaParams, tol: float) -> EvalResult:
-    _require_finite(p)
     if any(x > 1.0 for x in p.xs):
         raise DomainError("integral needs every x_j <= 1")
     reg, kern = p.reg, p.kernel
@@ -224,10 +220,7 @@ def fd_summation_unit(p: LauricellaParams,
     """Type D at all-unit arguments against the closed regularized-beta form."""
     p.validate_fd()
     gamma = p.gammas[0]
-    width = gamma - p.alpha - sum(p.betas)
-    if width <= 0.0 and p.reg.is_zero:
-        raise DomainError("unit-argument sum needs gamma - alpha - sum(betas) "
-                          "> 0 at zero regularization")
+    width = gamma - p.alpha - sum(p.betas)  # fd_integral checks its range
     unit = LauricellaParams(p.alpha, p.betas, p.gammas, (1.0,) * p.r,
                             p.reg, p.kernel)
     lhs = fd_integral(unit, tol)
@@ -244,7 +237,6 @@ def fd_equal_arguments(p: LauricellaParams,
     The summed numerator parameters land in the Pochhammer slot and alpha in
     the beta-ladder slot (the bracket ordering matters for the extension).
     """
-    p.validate_fd()
     xs = set(p.xs)
     if len(xs) != 1:
         raise DomainError("needs all arguments equal")
@@ -270,7 +262,10 @@ class IntervalProductParams:
     reg: RegPair = RegPair()
     kernel: KernelSpec = KernelSpec(EXP_VARIANT)
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        refuse_non_finite("interval product parameters", self.a_lo,
+                          self.b_hi, self.alpha, self.beta,
+                          *itertools.chain(*self.factors))
         if not self.a_lo < self.b_hi:
             raise DomainError("needs a_lo < b_hi")
         if not (self.alpha > 0.0 and self.beta > 0.0):
@@ -291,7 +286,6 @@ def interval_product_integral(tp: IntervalProductParams,
     The closed form carries the span**(alpha+beta-1) factor the derivation
     produces (the bare statement omits it).
     """
-    tp.validate()
     span = tp.b_hi - tp.a_lo
     kern = tp.kernel
     scaled = RegPair(tp.reg.b / span, tp.reg.d / span)
@@ -302,17 +296,21 @@ def interval_product_integral(tp: IntervalProductParams,
             out = out + lam * np.log(fj * (tp.a_lo + span * t) + gj)
         return out
 
-    pref = span ** (tp.alpha + tp.beta - 1.0)
-    lhs = _kernel_integral(kern, scaled, powexp, tol / pref,
+    try:  # a float power or quotient out of double range raises
+        pref = span ** (tp.alpha + tp.beta - 1.0)
+        lhs_tol = tol / pref
+        const = pref * beta_classical(tp.alpha, tp.beta)
+        for fj, gj, lam in tp.factors:
+            const *= (tp.a_lo * fj + gj) ** lam
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError("prefactor out of double range") from None
+    lhs = _kernel_integral(kern, scaled, powexp, lhs_tol,
                            method="quadrature").scaled(pref)
 
     xs = tuple(-span * fj / (tp.a_lo * fj + gj) for fj, gj, _ in tp.factors)
     lams = tuple(-lam for _f, _g, lam in tp.factors)
     fd = fd_eval(LauricellaParams(tp.alpha, lams, (tp.alpha + tp.beta,), xs,
                                   scaled, kern), tol)
-    const = pref * beta_classical(tp.alpha, tp.beta)
-    for fj, gj, lam in tp.factors:
-        const *= (tp.a_lo * fj + gj) ** lam
     return lhs, fd.scaled(const)
 
 
@@ -390,7 +388,6 @@ def _fa_series(p: LauricellaParams, tol: float) -> EvalResult:
     Terms out of double range are formed silently, and a value that is not
     finite is a ``DomainError``.
     """
-    _require_finite(p)
     with np.errstate(over="ignore", invalid="ignore"):
         degrees, leaves, err, done = _outer_terms(p)
         weights = np.bincount(degrees, leaves)
@@ -488,7 +485,6 @@ def fa_integral(p: LauricellaParams, tol: float = 1e-10,
 
 
 def _fa_integral(p: LauricellaParams, tol: float, variant: str) -> EvalResult:
-    _require_finite(p)
     if p.r > 2:
         raise DomainError("iterated integral implemented for r <= 2")
     if sum(max(x, 0.0) for x in p.xs) >= 1.0:
@@ -582,7 +578,6 @@ def fa_partial_series(p: LauricellaParams,
     Each leaf of the outer (r-1)-fold sum multiplies the Gauss-level value
     whose Pochhammer slot is shifted by its total degree, summed leaf by
     leaf (one engine column per degree)."""
-    p.validate_fa()
     if p.r < 2:
         raise DomainError("partial series needs r >= 2")
     lhs = fa_series(p, tol)

@@ -27,7 +27,7 @@ import numpy as np
 from .corefn import beta_classical, ln_gamma, ln_gamma_arr
 from .extbeta import ext_beta_complex_many
 from .hyp import PfqSpec
-from .results import DomainError, EvalResult
+from .results import DomainError, EvalResult, refuse_non_finite
 
 _POLE_GAP = 1e-3
 
@@ -41,13 +41,12 @@ class ContourSpec:
     step: float = 0.05
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.abscissa, self.half_height,
-                                       self.step))):
-            raise DomainError("contour needs a finite abscissa, height "
-                              "and step")
+        refuse_non_finite("contour abscissa, height and step", self.abscissa,
+                          self.half_height, self.step)
         if not (self.half_height > 0.0 and self.step > 0.0):
             raise DomainError("contour needs positive height and step")
-        ratio = self.half_height / self.step
+        ratio = self.half_height / self.step  # only once the step is > 0
+        refuse_non_finite("half_height/step", ratio)
         if abs(ratio - round(ratio)) > 1e-9 or ratio < 100:
             raise DomainError("half_height/step must be an integer >= 100")
 
@@ -83,6 +82,7 @@ def _pole_distance(spec: PfqSpec, c0: float) -> float:
     return min(dists)
 
 
+@np.errstate(all="ignore")  # mb_eval refuses a non-finite value
 def _contour_integrand(spec: PfqSpec, s: np.ndarray, lognz: float,
                        tol: float) -> np.ndarray:
     """Integrand of the vertical-line integral at the points ``s``.
@@ -158,6 +158,8 @@ def mb_eval(spec: PfqSpec, z: float, contour: ContourSpec | None = None,
     for _widen in range(4):
         n = int(round(T / h))
         phi = _strip_values(spec, c0, n, h, lognz, tol)
+        if not np.isfinite(phi).all():
+            raise DomainError("contour integrand out of double range")
         tail_mag = float(np.max(np.abs(phi[[0, -1]])))
         if tail_mag <= tol * 1e-3:
             break

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
 class DomainError(ValueError):
     """Arguments violate a function's domain of definition/convergence."""
+
+
+def refuse_non_finite(what: str, *values: float) -> None:
+    """The finiteness rule of the records, called once from each one's
+    ``__post_init__``: a DomainError naming ``what`` for a NaN or an inf."""
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"{what} must be finite, got {values}")
 
 
 class KernelMismatchError(DomainError):
@@ -26,7 +34,8 @@ class EvalResult:
     """Value of a function evaluation plus accuracy diagnostics.
 
     ``abs_err_est`` is an absolute error estimate; ``terms_or_nodes`` counts
-    series terms or quadrature nodes depending on ``method``.
+    series terms or quadrature nodes depending on ``method``.  A converged
+    result out of double range cannot be built: it is a DomainError.
     """
 
     value: float | complex
@@ -34,6 +43,11 @@ class EvalResult:
     terms_or_nodes: int
     converged: bool
     method: str
+
+    def __post_init__(self):
+        if self.converged:
+            refuse_non_finite(f"{self.method} value and estimate",
+                              abs(self.value), self.abs_err_est)
 
     def scaled(self, c: float) -> "EvalResult":
         """This result times a prefactor c: value * c, error * |c|.

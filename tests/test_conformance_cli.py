@@ -423,12 +423,31 @@ _FA = ["--func", "fa", "--r", "2", "--params", "0.8,1.1,0.7,2.4,2.1",
      "0.1"],
     ["--func", "fd", "--r", "1", "--xs", "0", "--params",
      "0.86,-2.324,1e308"],
+    # gammaln_real(1e308) overflowed with a warning, and the normalisation
+    # was exp(nan)
+    ["--func=f1", "--params=0.5,0,-1e308,1e308", "--x=-1", "--y=0"],
+    ["--func=pfq", "--params=0.5,2:1e308", "--z=-1e308"],
+    # round(inf) of the ratio T/h raised OverflowError
+    ["--func=2f1", "--method=mellin", "--params=0.8,1.1,2.4", "--z=-0.4",
+     "--contour=2,1e308,0.5"],
+    ["--func=2f1", "--method=mellin", "--params=0.8,1.1,2.4", "--z=-0.4",
+     "--contour=2,1e308,0"],
+    # a spec with no upper parameter had no pair to peel: IndexError
+    ["--func=pfq", "--params=:2", "--z=0.3", "--method=integral"],
+    # math.lgamma(c - a) overflowed in the kernel's cut
+    ["--func=extgamma", "--kernel=kummer:2.2,1e308", "--b=1",
+     "--params=1.4"],
+    # the type D sum was NaN, with an invalid-value warning
+    ["--func=fd", "--r=3", "--b=0.1", "--xs=0.58,-0.5,-0.58",
+     "--params=1.66,-1e308,1.7,2.2e-308,2.3"],
 ], ids=["f2-nan", "fd-nan", "contour-4", "contour-nan", "contour-inf",
         "kernel-syntax", "kernel-inf", "kshift-1.5", "f1-mellin",
         "f2-mellin", "fd-mellin", "fa-mellin", "extbeta-series",
         "fd-overflow", "fd-r0", "fd-norm-overflow", "2f1-overflow",
         "extbeta-b-inf", "2f1-b-inf", "pfq-inf", "f1-huge-gamma",
-        "fd-huge-gamma"])
+        "fd-huge-gamma", "f1-lgamma-overflow", "pfq-lgamma-overflow",
+        "contour-ratio-inf", "contour-step-0", "pfq-peel-p0",
+        "kummer-c-huge", "fd-sum-out-of-range"])
 def test_cli_eval_bad_input_exit_2(argv, capsys):
     assert cli.main(["eval", *argv]) == 2
     out = capsys.readouterr()
@@ -513,6 +532,14 @@ def test_cli_hilbert_infinite_offset_exit_2(capsys):
     argv = ["hilbert", "--p", "2", "--q", "2", "--s1", "1", "--s2", "0",
             "--a1", "1", "--a2", "1", "--A1", "0.25", "--A2", "0.25",
             "--pt", "inf"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("domain error: ")
+
+
+def test_cli_hilbert_infinite_exponent_exit_2(capsys):
+    # s1 = inf warned in the kernel rows and failed only deep in the grid
+    argv = ["hilbert", "--p=2", "--q=2", "--s1=inf", "--s2=0", "--a1=1",
+            "--a2=1", "--A1=0.25", "--A2=0.25"]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("domain error: ")
 

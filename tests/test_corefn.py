@@ -150,3 +150,15 @@ def test_kummer_reflection_identity_grid(a, c):
 def test_kummer_large_negative_matches_mpmath(z):
     want = oracles.hyp1f1(0.8, 2.1, z)
     assert abs(_kummer(0.8, 2.1, z) - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("x", [math.nan, -math.inf, 0.0, -1.0, 2e305,
+                               math.inf])
+def test_gammaln_real_refuses_x_outside_its_range(x):
+    # 1e308 warned (overflow in the Lanczos sum) and gave inf
+    with pytest.raises(DomainError):
+        gammaln_real(x)
+
+
+def test_gammaln_real_keeps_its_largest_argument():
+    assert math.isfinite(gammaln_real(1e305))

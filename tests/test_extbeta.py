@@ -496,3 +496,14 @@ def test_kernel_integral_stops_at_the_first_non_finite_sample(monkeypatch,
     with pytest.raises(NonFiniteSampleError, match=r"near t=0\.\d+$"):
         evaluate()
     assert levels == [0]
+
+
+@pytest.mark.parametrize("b", [math.nan, math.inf, -1.0])
+def test_ext_gamma_refuses_a_bad_b_before_quadrature(monkeypatch, b):
+    # a NaN b failed late, as a non-finite sample; inf gave value 0
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(extbeta, "integrate_halfline", no_quadrature)
+    with pytest.raises(DomainError, match="regularization parameters"):
+        ext_gamma(EXP_KERNEL, 1.5, b)

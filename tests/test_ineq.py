@@ -282,3 +282,43 @@ def test_forms_report_unconverged_refinement(monkeypatch):
     zero, g0 = exp_decay(0.0, amplitude=0.0), exp_decay(0.0)
     assert hilbert_bilinear(hp, f, g0, tol=1e-11).converged is False
     assert hilbert_bilinear(hp, zero, g0, tol=1e-11).converged
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ineq.TestFunction("bump", (2.0, 1.0)),   # warned in the norms
+    lambda: ineq.TestFunction("bump", (1.0,)),       # ended in IndexError
+    lambda: ineq.TestFunction("spike", (1.0,)),
+    lambda: ineq.TestFunction("exp_decay", ()),
+    lambda: ineq.TestFunction("power_cut", (-0.5, 2.0)),
+    lambda: ineq.TestFunction("power_cut", (0.5, 0.0)),
+    lambda: exp_decay(1.0, amplitude=math.inf),
+    lambda: bump(0.0, 1.0, amplitude=math.nan),
+])
+def test_test_function_validates_itself(make):
+    with pytest.raises(DomainError):
+        make()
+
+
+def test_negative_amplitude_stays_allowed():
+    # the norms take |amplitude|, so the right side is that of amplitude 2
+    hp = classical_point()
+    neg = hilbert_bilinear(hp, exp_decay(0.0, -2.0), exp_decay(0.0))
+    pos = hilbert_bilinear(hp, exp_decay(0.0, 2.0), exp_decay(0.0))
+    assert (neg.lhs, neg.rhs) == (-pos.lhs, pos.rhs)
+
+
+def test_forms_out_of_double_range_are_domain_errors():
+    # an infinite amplitude gave converged=True with lhs = inf and a NaN
+    # margin; amplitudes of 1e308 overflow their product the same way
+    with pytest.raises(DomainError):
+        hilbert_check(classical_point(), exp_decay(1.0, amplitude=math.inf),
+                      exp_decay(0.0))
+    big = exp_decay(0.0, amplitude=1e308)
+    with pytest.raises(DomainError, match="form sides"):
+        hilbert_bilinear(classical_point(), big, big)
+
+
+def test_hilbert_params_need_finite_exponents():
+    # s1 = inf warned in _kernel_log_rows and failed only deep in the grid
+    with pytest.raises(DomainError):
+        HilbertParams(2.0, 2.0, math.inf, 0.0, 1.0, 1.0, 0.25, 0.25)

@@ -353,7 +353,10 @@ def test_non_finite_input_is_rejected_before_any_work(monkeypatch):
     monkeypatch.setattr(lauricella, "_ratio_ladder", no_work)
     nan, inf = math.nan, math.inf
     p2 = AppellParams(0.8, 1.1, 0.7, 2.4, 2.1, R0, EXP_KERNEL)
-    p1_inf = AppellParams(0.8, 1.1, 0.7, inf, nan, R0, EXP_KERNEL)
+
+    def p1_inf():  # refused when it is built, inside each call below
+        return AppellParams(0.8, 1.1, 0.7, inf, nan, R0, EXP_KERNEL)
+
     calls = [
         lambda: f2_eval(p2, 0.2, nan),
         lambda: f2_integral(p2, 0.2, nan),
@@ -363,8 +366,8 @@ def test_non_finite_input_is_rejected_before_any_work(monkeypatch):
         lambda: fd_series(PD(0.8, [1.1, 0.7], 2.4, [0.2, nan])),
         lambda: fd_series(PD(0.8, [1.1, inf], 2.4, [0.2, 0.3])),
         lambda: fd_integral(PD(0.8, [1.1, 0.7], 2.4, [0.2, nan])),
-        lambda: f1_eval(p1_inf, 0.2, 0.3),
-        lambda: f1_eval(p1_inf, 0.96, 0.3),
+        lambda: f1_eval(p1_inf(), 0.2, 0.3),
+        lambda: f1_eval(p1_inf(), 0.96, 0.3),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -495,3 +498,30 @@ def test_type_a_series_out_of_double_range_is_a_domain_error(alpha, xs):
         with pytest.raises(DomainError, match="out of double range"):
             f2_series(AppellParams(alpha, 0.6, 0.6, 1.7, 1.7,
                                    RegPair(0.1, 0.1)), *xs)
+
+
+@pytest.mark.parametrize("factor", [(0.2, math.nan, -0.9), (math.inf, 0.5,
+                                                            -0.9)])
+def test_interval_product_params_refuse_non_finite_numbers(factor):
+    # a NaN factor failed late, as a non-finite quadrature sample
+    with pytest.raises(DomainError, match="must be finite"):
+        IntervalProductParams(1.0, 3.0, 0.8, 1.3, (factor,))
+
+
+@pytest.mark.parametrize("tp", [
+    IntervalProductParams(0.2, 2.2, 2.3, 1e308, ((0.0, 0.3, 0.8),)),
+    IntervalProductParams(-0.5, 5e-324, 2.5, 1e308, ((0.2, 1.8, 2.7),)),
+    IntervalProductParams(0.0, 1.0, 0.7, 0.9, ((0.0, 2.6, 1e308),)),
+], ids=["span-power-overflows", "span-power-underflows",
+        "factor-power-overflows"])
+def test_interval_product_prefactor_out_of_range_is_a_domain_error(tp):
+    # Python's float power raised OverflowError, and a zero prefactor
+    # ZeroDivisionError
+    with pytest.raises(DomainError, match="prefactor"):
+        interval_product_integral(tp)
+
+
+def test_lauricella_params_need_1_to_max_variables():
+    for r in (0, lauricella.MAX_VARIABLES + 1):
+        with pytest.raises(DomainError, match="1 <= r"):
+            LauricellaParams(0.8, (0.5,) * r, (2.4,), (0.1,) * r)

@@ -1,7 +1,7 @@
 """Package-wide guards: removed names stay removed, refinement depth and the
-series cap stay constants, no function has a relaxed-validation mode, mpmath
-stays a test dependency, and the span recorder of the traced benchmark still
-binds."""
+series cap stay constants, no function has a relaxed-validation mode, every
+record refuses a non-finite number through one helper, mpmath stays a test
+dependency, and the span recorder of the traced benchmark still binds."""
 
 import ast
 import os
@@ -20,7 +20,8 @@ REPO = SRC.parent.parent
 # no caller reached: the normaliser of the relaxed-pairing mode, the
 # raising accessor of EvalResult and its exception, the kernel's asymptotic
 # constants, and the field-copying report of hilbert_check.  The conformance
-# report is formatted by report_csv and written by the CLI's one writer
+# report is formatted by report_csv and written by the CLI's one writer.
+# The records check their own numbers, so lauricella's per-engine check went
 REMOVED = {
     "ClassicalPfqSpec", "_series_sum", "_kummer_direct",
     "_kummer_asymptotic_neg", "kummer_1f1", "_pfq_series",
@@ -28,6 +29,7 @@ REMOVED = {
     "theta_eval", "integrate_unit", "ext_beta_complex", "ext_2f1_integral",
     "beta_signed", "ConvergenceError", "expect", "asymptotic_amplitude",
     "asymptotic_exponent", "HilbertReport", "write_report_csv",
+    "_require_finite",
 }
 # per module: the former shared_coefficients() scope, which the block cache
 # hyp._coeff_block replaced, the memo dicts that functools caches replaced,
@@ -153,3 +155,70 @@ def test_span_recorder_installs():
     r = subprocess.run([sys.executable, "-c", code, str(REPO / "perfbench")],
                        capture_output=True, text=True, env=env, timeout=120)
     assert r.returncode == 0, r.stderr
+
+
+# Every record that holds numbers refuses a NaN or an inf once, when it is
+# built, through results.refuse_non_finite; EvalResult applies the same rule
+# to a converged value.
+RECORDS = {
+    "extbeta.py": {"RegPair", "BetaArgs"}, "kernel.py": {"KernelSpec"},
+    "hyp.py": {"PfqSpec"}, "appell.py": {"AppellParams"},
+    "lauricella.py": {"LauricellaParams", "IntervalProductParams"},
+    "ineq.py": {"HilbertParams", "TestFunction"},
+    "mellin.py": {"ContourSpec"}, "results.py": {"EvalResult"},
+}
+# Where a finiteness test may still stand outside the helper: a scalar
+# argument's one check per entry point, and the checks of an output
+FINITE_CHECKS = {
+    ("results.py", "refuse_non_finite"),
+    ("hyp.py", "pfq_series"), ("hyp.py", "euler_step_integral"),
+    ("hyp.py", "frac_deriv"), ("lauricella.py", "_fd_series"),
+    ("lauricella.py", "_fa_series"), ("cli.py", "_check_tol"),
+}
+
+
+def test_every_record_checks_its_numbers_in_post_init():
+    trees = dict(_trees())
+    for name, records in RECORDS.items():
+        found = set()
+        for cls in ast.walk(trees[name]):
+            if not (isinstance(cls, ast.ClassDef) and cls.name in records):
+                continue
+            post = [f for f in cls.body if isinstance(f, ast.FunctionDef)
+                    and f.name == "__post_init__"]
+            assert post, cls.name
+            assert any(isinstance(n, ast.Call)
+                       and _called(n) == "refuse_non_finite"
+                       for n in ast.walk(post[0])), cls.name
+            found.add(cls.name)
+        assert found == records, name
+
+
+def _is_math_inf(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "inf"
+            and isinstance(node.value, ast.Name) and node.value.id == "math")
+
+
+def _finite_tests(tree):
+    """(function, line) of each math.isfinite call and each ordering
+    against math.inf, by the innermost enclosing function."""
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else where
+            if isinstance(child, ast.Attribute) and child.attr == "isfinite" \
+                    and isinstance(child.value, ast.Name) \
+                    and child.value.id == "math":
+                yield where, child.lineno
+            if isinstance(child, ast.Compare) and any(
+                    isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
+                    for op in child.ops) and any(
+                    map(_is_math_inf, [child.left, *child.comparators])):
+                yield where, child.lineno
+            yield from walk(child, inner)
+    return walk(tree, None)
+
+
+def test_finiteness_is_tested_only_by_the_helper_and_listed_checks():
+    for name, tree in _trees():
+        for where, line in _finite_tests(tree):
+            assert (name, where) in FINITE_CHECKS, (name, where, line)
