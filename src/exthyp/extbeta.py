@@ -30,9 +30,9 @@ from .quadrature import (
     _check_finite,
     _read_only,
     _refine_nested,
+    grid_order,
     integrate_halfline,
     integrate_unit_batch,
-    unit_grid_order,
     unit_level_span,
     unit_new_nodes,
 )
@@ -143,7 +143,7 @@ def unit_grid_kernel(k: KernelSpec, reg: RegPair,
     each value is the one computed at that node on its own.  Call it under
     np.errstate(over="ignore"), like ``unit_kernel``.
     """
-    order = unit_grid_order(level)
+    order = grid_order(unit_new_nodes, level)
     pieces = [unit_kernel(k, reg, lv) for lv in range(level + 1)]
     arg = np.concatenate([a for a, _ in pieces])[order]
     if k.variant == EXP_VARIANT:

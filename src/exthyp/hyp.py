@@ -44,6 +44,9 @@ SERIES_SMALL = 1e-16  # a small term, relative to 1 + the largest partial sum
 _BLOCK = 64
 # Entries per block of the series engine `_pfq_sum` (512 KiB of float64).
 _SERIES_BLOCK_FLOATS = 1 << 16
+# `_pfq_sum` drops the columns of weight 0 from its blocks once they are
+# 1/_RETIRE_SHARE of the columns left: dropping copies every column's state.
+_RETIRE_SHARE = 16
 _EULER_CUT = 0.85  # |z| beyond which the series gives way to the integral
 
 
@@ -256,25 +259,35 @@ def _pfq_sum(spec: PfqSpec, w: np.ndarray, ladder: _CoeffLadder, cap: int,
     of the term-by-term loop that ``tests/test_hyp.py`` keeps as the
     reference, in the same order, and the row maxima equal that loop's (see
     ``_max_abs`` and the term maxima below), so the output bits are the
-    loop's.
+    loop's.  Columns of weight exactly 0 leave the blocks, their sums
+    frozen, once they are 1/``_RETIRE_SHARE`` of the columns left and the
+    ladder holds finite coefficients only: every later term of theirs is 0
+    times finite factors (w is finite; ``validate`` refuses a surplus lower
+    parameter at a pole), which leaves a sum that starts at +0.0 as it is.
     """
-    height = max(1, min(_BLOCK, _SERIES_BLOCK_FLOATS // max(w.size, 1)))
     head = spec.poch_head()
-    if head is not None and heads is not None:
-        head = (heads, head[1])
+    own = head is not None and heads is not None  # per-column heads
+    a0 = heads if own else (head[0] if head else None)
     lowers = spec.lower[:spec.surplus]
 
-    def steps_at(idx, out):
-        """The step factors of term index ``idx`` (an array of them)."""
-        np.divide(w, idx + 1.0, out=out)
+    def steps_at(idx, x, a1, out):
+        """The step factors of term index ``idx`` (an array of them) at the
+        arguments ``x`` with first upper parameters ``a1``."""
+        np.divide(x, idx + 1.0, out=out)
         if head is not None:
-            a1, k1 = head
-            for i in range(k1):
-                out *= a1 + k1 * idx + i
+            for i in range(head[1]):
+                out *= a1 + head[1] * idx + i
         for b in lowers:
             out /= b + idx
         return out
 
+    def block(cols):  # term rows and the row carried into the next block
+        return np.empty((max(1, min(_BLOCK, _SERIES_BLOCK_FLOATS
+                                    // max(cols, 1))) + 1, cols))
+
+    # Shared parameters give each w the same roundings, so |step factor| grows
+    # with |w|: the past-the-peak test reads the extreme arguments only.
+    peak = w if own or w.size <= 2 else np.array([w.max(), w.min()])
     # Row 0 of the block carries in the weight of the block's first term.
     # Rows 1 to ``rows`` take the step factors; the running product turns
     # rows 0 to rows - 1 into the block's weights and row ``rows`` into the
@@ -282,18 +295,35 @@ def _pfq_sum(spec: PfqSpec, w: np.ndarray, ladder: _CoeffLadder, cap: int,
     # terms and, by a running sum from ``s``, the partial sums, in place.
     # Only a row whose terms are small needs its step factors again, to
     # tell whether every column is past its peak; they are recomputed.
-    blk = np.empty((height + 1, w.size))
+    live, x, a1 = slice(None), w, a0  # the columns in the blocks
+    blk = block(w.size)
     blk[0] = 1.0 if weights is None else weights
-    s = np.zeros_like(w)  # partial sums before the block's first term
+    s = np.zeros_like(w)  # their partial sums before the block's first term
+    out = np.zeros_like(w)  # every column's sum, once it has left
+    top = 0.0  # the largest |sum| of the columns that left
     err = 0.0
     small = 0
     m = 0
     while m < cap:
         ladder.ensure(m + 1)
-        hi = min(m + height, ladder.coeffs.size, cap)
+        # 0 times a non-finite coefficient is NaN: every column comes back
+        back = x.size < w.size and not np.isfinite(ladder.coeffs[m:]).all()
+        gone = blk[0] == 0.0
+        if back or (x.size > 1 and gone.any() and x.size // _RETIRE_SHARE
+                    <= np.count_nonzero(gone) < x.size):
+            live = np.arange(w.size)[live]
+            out[live] = s
+            carry = np.zeros_like(w)
+            carry[live] = blk[0]
+            top = 0.0 if back else np.maximum(top, np.abs(s[gone]).max())
+            live = np.arange(w.size) if back else live[~gone]
+            x, s, a1 = w[live], out[live], heads[live] if own else a0
+            blk = block(x.size)
+            blk[0] = carry[live]
+        hi = min(m + blk.shape[0] - 1, ladder.coeffs.size, cap)
         rows = hi - m
         if row_weights is None:
-            steps_at(np.arange(m, hi)[:, None], blk[1:rows + 1])
+            steps_at(np.arange(m, hi)[:, None], x, a1, blk[1:rows + 1])
             _running(np.multiply, blk[:rows + 1])
         else:
             blk[:rows, 0] = row_weights[m:hi]
@@ -306,16 +336,18 @@ def _pfq_sum(spec: PfqSpec, w: np.ndarray, ladder: _CoeffLadder, cap: int,
         tmax = wmax * np.abs(coeffs)
         np.add(s, part[0], out=part[0])
         _running(np.add, part)
-        tiny = (tmax <= SERIES_SMALL * (1.0 + _max_abs(part))).tolist()
+        big = np.maximum(_max_abs(part), top)
+        tiny = (tmax <= SERIES_SMALL * (1.0 + big)).tolist()
         tmax, wmax = tmax.tolist(), wmax.tolist()
         cerrs = ladder.cerrs[m:hi].tolist()
         for i in range(rows):
             err += wmax[i] * cerrs[i]
             ends = wmax[i] == 0.0 and row_weights is None
-            if tiny[i] and (ends or _max_abs(
-                    steps_at(m + i, np.empty((1, w.size))))[0] < 1.0):
+            if tiny[i] and (ends or _max_abs(steps_at(
+                    m + i, peak, a0, np.empty((1, peak.size))))[0] < 1.0):
                 if small == 2 or ends:
-                    return part[i].copy(), err + tmax[i], m + i + 1, True
+                    out[live] = part[i]
+                    return out, err + tmax[i], m + i + 1, True
                 small += 1
             else:
                 small = 0
@@ -323,7 +355,8 @@ def _pfq_sum(spec: PfqSpec, w: np.ndarray, ladder: _CoeffLadder, cap: int,
         last = tmax[-1]
         blk[0] = blk[rows]
         m = hi
-    return s, err + (last if m else 0.0), m, False
+    out[live] = s
+    return out, err + (last if m else 0.0), m, False
 
 
 def _max_abs(blk: np.ndarray) -> np.ndarray:

@@ -446,9 +446,12 @@ def hilbert_bilinear(hp: HilbertParams, f: TestFunction, g: TestFunction,
                 x, logwx = _axis_nodes(level, f.support_top())
                 y, logwy = _axis_nodes(level, g.support_top())
                 lx = logwx + f.log_values(x)
-                log_rows = _kernel_log_rows(hp, x, lx, y)
-                total = float(np.exp(logwy + g.log_values(y)
-                                     + log_rows).sum())
+                ly = logwy + g.log_values(y)
+                # a row where g is zero adds exp(-inf) = 0, computed or not
+                live = ly > -math.inf
+                log_rows = np.full(y.size, -math.inf)
+                log_rows[live] = _kernel_log_rows(hp, x, lx, y[live])
+                total = float(np.exp(ly + log_rows).sum())
             return total, x.size * y.size
 
         lhs, _, _, ok = _refine_grid(grid_sum, tol, rel=True)

@@ -9,8 +9,10 @@ and the origin-ladder poles on its left.
 
 Only negative real arguments are evaluated (single-valued power on the real
 branch).  The trapezoid refines by step halving and widens the strip when
-the tail has not decayed.  Surplus lower parameters contribute reciprocal
-gamma factors that cancel the exponential decay along the line, so the
+the tail has not decayed (it decays like exp(-pi |Im s|) for p = q+1 and
+exp(-pi |Im s| / 2) for p = q; the default half-height 20 serves every
+catalog point).  Surplus lower parameters contribute reciprocal gamma
+factors that cancel the exponential decay along the line, so the
 vertical-line trapezoid covers the p = q and p = q+1 branches; the p < q
 branch fails its tail test honestly.  Multi-contour analogues for the two-
 and r-variable functions exist on paper but are documented only; this
@@ -37,7 +39,7 @@ class ContourSpec:
     """Vertical path Re(s) = c0, |Im(s)| <= T, trapezoid step h."""
 
     abscissa: float
-    half_height: float = 40.0
+    half_height: float = 20.0
     step: float = 0.05
 
     def __post_init__(self):
@@ -136,7 +138,7 @@ def mb_eval(spec: PfqSpec, z: float, contour: ContourSpec | None = None,
 
     All shift multipliers must be 1.  The error estimate combines the
     step-halving difference with the integrand magnitude at the strip ends;
-    the strip is doubled (up to three times) while the tail test fails.
+    the strip is doubled (up to four times) while the tail test fails.
     The integrand is evaluated on the upper half of the strip only and
     mirrored, which is exact because it is real on the real axis (see
     ``_strip_values``).
@@ -155,7 +157,7 @@ def mb_eval(spec: PfqSpec, z: float, contour: ContourSpec | None = None,
     lognz = math.log(-z)
     T, h = contour.half_height, contour.step
     tail_mag = math.inf
-    for _widen in range(4):
+    for _widen in range(5):
         n = int(round(T / h))
         phi = _strip_values(spec, c0, n, h, lognz, tol)
         if not np.isfinite(phi).all():

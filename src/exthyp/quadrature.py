@@ -26,10 +26,11 @@ from .results import DomainError, NonFiniteSampleError
 # run levels 0 to MAX_LEVEL and may stop from MIN_LEVEL.  Full-grid sums
 # form every node of a level afresh, so they run the shorter range
 # GRID_LEVELS: (first level, first level that may stop, last level); none
-# of them has been seen to need a level past 7.
+# of them has been seen to need a level past 7.  The first level only forms
+# the error of the first that may stop; an earlier one would go unread.
 MAX_LEVEL = 12
 MIN_LEVEL = 3
-GRID_LEVELS = (2, 4, 8)
+GRID_LEVELS = (3, 4, 8)
 
 # Powers per table block of integrate_unit_batch (512 KiB of float64), and
 # rows per block at most (the coefficient ladder's block of first arguments).
@@ -132,11 +133,11 @@ def halfline_new_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def unit_grid_order(level: int) -> np.ndarray:
-    """The permutation that sorts the new nodes of levels 0..level, laid end
-    to end, into the order of unit_grid(level) (cached, read-only)."""
+def grid_order(new_nodes, level: int) -> np.ndarray:
+    """The permutation that sorts the nodes t = new_nodes(k)[0] of levels
+    0..level, laid end to end, into increasing order (cached, read-only)."""
     order, = _read_only(np.argsort(np.concatenate(
-        [unit_new_nodes(k)[0] for k in range(level + 1)])))
+        [new_nodes(k)[0] for k in range(level + 1)])))
     return order
 
 
@@ -147,7 +148,7 @@ def unit_grid(level: int) -> QuadGrid:
     t = np.concatenate([a[0] for a in ts])
     tc = np.concatenate([a[1] for a in ts])
     w = np.concatenate([a[2] * h for a in ts])
-    order = unit_grid_order(level)
+    order = grid_order(unit_new_nodes, level)
     return QuadGrid(t[order], w[order], tc[order])
 
 
@@ -156,7 +157,7 @@ def halfline_grid(level: int) -> QuadGrid:
     ts = [halfline_new_nodes(k) for k in range(level + 1)]
     t = np.concatenate([a[0] for a in ts])
     w = np.concatenate([a[1] * h for a in ts])
-    order = np.argsort(t)
+    order = grid_order(halfline_new_nodes, level)
     return QuadGrid(t[order], w[order])
 
 

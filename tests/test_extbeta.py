@@ -370,7 +370,7 @@ def test_complex_many_exponentiates_only_the_live_span(monkeypatch):
     monkeypatch.setattr(np, "exp", spy)
     got = ext_beta_complex_many(EXP_KERNEL, alphas, width, reg, 1e-11)
     monkeypatch.undo()
-    assert (alphas.size, got[2]) == (1601, 1549)
+    assert (alphas.size, got[2]) == (801, 775)
     assert sum(exponentiated) <= 0.3 * alphas.size * got[2]
     _assert_same_complex_many(
         got, _complex_many_reference(EXP_KERNEL, alphas, width, reg, 1e-11))

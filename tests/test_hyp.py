@@ -557,6 +557,76 @@ def test_engine_per_column_heads_and_weights_match_per_term(size):
         assert got_ladder.coeffs.size == want_ladder.coeffs.size
 
 
+@pytest.mark.parametrize("size", [7, 65, 300])
+def test_engine_retires_zero_weight_columns_bit_identically(size):
+    # the type A layout with every third degree at weight 0: those columns
+    # retire after the first block, the others run on with their own heads
+    spec = PfqSpec(((0.9, 1), (0.7, 1)), (2.1,), _R12)
+    w = np.full(size, 0.658)
+    heads = 0.9 + np.arange(size)
+    weights = np.cos(np.arange(size)) * 0.6 ** np.arange(size)
+    weights[::3] = 0.0
+    got = hyp._pfq_sum(spec, w, _CoeffLadder(spec), SERIES_CAP, heads,
+                       weights)
+    want = _sum_per_term(spec, w, _CoeffLadder(spec), SERIES_CAP, heads,
+                         weights)
+    _same_sums(got, want)
+    assert got[3] and np.all(got[0][::3] == 0.0)
+
+
+def test_engine_ends_a_terminating_sum_at_a_block_boundary():
+    # (-63)_m vanishes from m = 64, the first row of the second block: the
+    # zero column has left by then, and the others all reach weight 0
+    # together, which ends the sum instead of leaving no column to sum
+    spec = PfqSpec(((-63.0, 1), (1.3, 1)), (2.1,), _R12)
+    w = np.array([0.0, 2.0, 2.5, 3.0])
+    got = hyp._pfq_sum(spec, w, _CoeffLadder(spec), SERIES_CAP)
+    want = _sum_per_term(spec, w, _CoeffLadder(spec))
+    _same_sums(got, want)
+    assert got[2:] == (hyp._BLOCK + 1, True)
+
+
+def test_engine_keeps_a_nan_column_nan():
+    # a NaN weight is never zero, so its column never retires, while the
+    # zero arguments beside it do; the sum runs to the cap unfinished
+    spec = PfqSpec(((0.7, 1), (1.3, 1)), (2.1,), _R12)
+    w = np.linspace(-0.8, 0.8, 65)
+    w[::4] = 0.0
+    w[5] = np.nan
+    got = hyp._pfq_sum(spec, w, _CoeffLadder(spec), 200)
+    want = _sum_per_term(spec, w, _CoeffLadder(spec), 200)
+    _same_sums(got, want)
+    assert np.isnan(got[0][5]) and np.isfinite(np.delete(got[0], 5)).all()
+    assert got[2:] == (200, False)
+
+
+class _FixedLadder:
+    """A ladder whose coefficients are given (every one is present)."""
+
+    def __init__(self, coeffs):
+        self.coeffs = np.asarray(coeffs, dtype=float)
+        self.cerrs = np.zeros_like(self.coeffs)
+        self.ok = True
+
+    def ensure(self, hi):
+        pass
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_engine_takes_retired_columns_back_at_a_non_finite_coefficient(bad):
+    # 0 * inf is NaN, not 0: a column retired at w = 0 must turn NaN at the
+    # first non-finite coefficient, as the term-by-term loop's does
+    spec = pfq_spec(EXP_KERNEL, (1.0,), ())
+    w = np.array([0.0, 0.97, -0.5, 0.0])
+    coeffs = np.ones(SERIES_CAP)
+    coeffs[150] = bad
+    got = hyp._pfq_sum(spec, w, _FixedLadder(coeffs), 400)
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = _sum_per_term(spec, w, _FixedLadder(coeffs), 400)
+    _same_sums(got, want)
+    assert np.isnan(got[0][0]) and np.isnan(got[0][3])
+
+
 def test_engine_sums_a_column_past_its_peak():
     # 2F1(300, 0.7; 2.1; 0.658) scaled by 1e-30: its first terms are far
     # below 1e-16 of the sum, but each is larger than the one before

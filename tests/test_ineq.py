@@ -266,6 +266,46 @@ def test_bump_is_smooth_compact():
     assert v[2] == 1.0  # normalized peak at the midpoint
 
 
+def _bilinear_lhs_every_row(hp, f, g, tol=1e-8):
+    """Reference: the bilinear left side with a kernel row for every y."""
+    def grid_sum(level):
+        with np.errstate(all="ignore"):
+            x, logwx = ineq._axis_nodes(level, f.support_top())
+            y, logwy = ineq._axis_nodes(level, g.support_top())
+            log_rows = ineq._kernel_log_rows(hp, x, logwx + f.log_values(x),
+                                             y)
+            return float(np.exp(logwy + g.log_values(y)
+                                + log_rows).sum()), x.size * y.size
+
+    lhs, _, _, ok = quadrature._refine_grid(grid_sum, tol, rel=True)
+    return lhs * f.amplitude * g.amplitude, ok
+
+
+@pytest.mark.parametrize("g", ["bump:1,2", "bump:0,0.5", "power_cut:0.5,2",
+                               "exp_decay:1"])
+def test_bilinear_skips_rows_where_g_is_zero_bit_identically(g, monkeypatch):
+    # the catalog's bump point: tanh-sinh nodes near y = 2 round to u = 1.0,
+    # so most rows lie outside the bump; only the others reach the kernel
+    hp, f = _hp_from_point(dict(p=1.8, q=2.2, s1=0.6, s2=0.6, al1=1.0,
+                                al2=1.5, pt=0.2, qt=0.2)), exp_decay(1.0)
+    g = parse_test_function(g)
+    want, want_ok = _bilinear_lhs_every_row(hp, f, g)
+    rows, pairs = [], [0]
+    kernel_log_rows = ineq._kernel_log_rows
+
+    def spy(hp, x, lx, y):
+        rows.append(y)
+        pairs[0] += x.size * y.size
+        return kernel_log_rows(hp, x, lx, y)
+
+    monkeypatch.setattr(ineq, "_kernel_log_rows", spy)
+    got = hilbert_bilinear(hp, f, g)
+    assert want_ok and got.lhs.hex() == want.hex()
+    assert rows and all((g.log_values(y) > -math.inf).all() for y in rows)
+    if g.tag == "bump" and g.params == (1.0, 2.0):
+        assert pairs[0] <= 231_000
+
+
 def test_forms_report_unconverged_refinement(monkeypatch):
     hp, f, g = GENERIC, exp_decay(1.0), bump(1.0, 2.0)
     assert hilbert_bilinear(hp, f, g).converged is True

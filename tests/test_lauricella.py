@@ -12,7 +12,7 @@ import pytest
 
 import oracles
 from test_hyp import _sum_per_term
-from exthyp import appell, lauricella, quadrature
+from exthyp import appell, hyp, lauricella, quadrature
 from exthyp.appell import (
     AppellParams,
     f1_eval,
@@ -162,6 +162,51 @@ def test_fd_laplace_product_r2():
     p = PD(0.8, [0.9, 1.2], 2.5, [0.15, 0.2], RegPair(0.1, 0.1))
     lhs, rhs = fd_laplace_product(p)
     assert abs(lhs.value - rhs.value) <= 1e-6 * (1 + abs(lhs.value))
+
+
+def _fd_laplace_arguments(level):
+    """The confluent factor's arguments on the level's product grid at the
+    r = 2 conformance point, as fd_laplace_product forms them."""
+    xs = (0.15, 0.2)
+    t = quadrature.halfline_grid(level).nodes
+    t = t[t < min(750.0 / (1.0 - max(xs)), 700.0 / sum(xs))]
+    return (xs[0] * t[:, None] + xs[1] * t[None, :]).ravel()
+
+
+def _counting_entries(monkeypatch):
+    """Count the term entries that the series engine forms (one running
+    sum per block)."""
+    count = [0]
+    running = hyp._running
+
+    def spy(op, blk):
+        if op is np.add:
+            count[0] += blk.size
+        return running(op, blk)
+
+    monkeypatch.setattr(hyp, "_running", spy)
+    return count
+
+
+def test_series_retirement_is_bit_identical_on_the_laplace_grid(monkeypatch):
+    # arguments from 1.7e-292 to 229: the small ones reach weight 0 after a
+    # few terms and retire while the large ones still need hundreds of rows
+    spec = pfq_spec(EXP_KERNEL, (0.8,), (2.5,), RegPair(0.1, 0.1))
+    w = _fd_laplace_arguments(4)
+    assert w.size == 143 ** 2 and w.min() < 1e-291 and w.max() > 228.0
+    count = _counting_entries(monkeypatch)
+    got = hyp._pfq_sum(spec, w, hyp._CoeffLadder(spec), SERIES_CAP)
+    want = _sum_per_term(spec, w, hyp._CoeffLadder(spec))
+    assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
+    assert got[1:] == want[1:] and got[3]
+    assert count[0] < 0.5 * got[2] * w.size
+
+
+def test_fd_laplace_product_r2_forms_at_most_4m_series_entries(monkeypatch):
+    count = _counting_entries(monkeypatch)
+    fd_laplace_product(PD(0.8, [0.9, 1.2], 2.5, [0.15, 0.2],
+                          RegPair(0.1, 0.1)), 1e-8)
+    assert count[0] <= 4_000_000
 
 
 def test_multinomial_exponential_identity():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from exthyp import mellin
 from exthyp.conformance import build_catalog
 from exthyp.extbeta import RegPair
 from exthyp.hyp import ext_2f1, ext_pfq, pfq_spec
@@ -93,12 +94,40 @@ def test_step_refinement_within_estimate():
     assert abs(coarse.value - fine.value) <= max(coarse.abs_err_est, 1e-13)
 
 
-def test_surplus_lower_branch_tail_guard():
+def test_surplus_lower_branch_tail_guard(monkeypatch):
     # reciprocal gammas of surplus lower parameters cancel the exponential
-    # decay along the line; the tail test must refuse rather than mis-sum
+    # decay along the line; the tail test must refuse rather than mis-sum,
+    # and only once the strip has doubled from 20 to 320
     spec = pfq_spec(EXP_KERNEL, (0.9,), (1.7, 2.1))
-    with pytest.raises(DomainError):
+    heights = []
+
+    def spy(spec, c0, n, h, *rest):
+        heights.append(n * h)
+        return _strip_values(spec, c0, n, h, *rest)
+
+    monkeypatch.setattr(mellin, "_strip_values", spy)
+    with pytest.raises(DomainError, match="tail did not decay"):
         mb_eval(spec, -0.6)
+    assert heights == [20.0, 40.0, 80.0, 160.0, 320.0]
+
+
+def test_tail_that_fails_at_the_default_height_keeps_the_former_strip():
+    # the p = q catalog point: its integrand decays like exp(-pi |Im s|/2),
+    # so at tol 1e-13 the tail test fails at |Im s| = 20 and the strip
+    # doubles to 40, with the very samples of an explicit height of 40
+    spec = pfq_spec(EXP_KERNEL, (0.9,), (2.1,))
+    base = default_contour(spec)
+    assert (base.half_height, base.step) == (20.0, 0.05)
+    got = mb_eval(spec, -1.0, tol=1e-13)
+    want = mb_eval(spec, -1.0, ContourSpec(base.abscissa, 40.0, 0.05),
+                   tol=1e-13)
+    assert got.terms_or_nodes == 4 * 800 + 1
+
+    def bits(r):
+        return (r.value.hex(), r.abs_err_est.hex(), r.terms_or_nodes,
+                r.converged, r.method)
+
+    assert bits(got) == bits(want)
 
 
 def test_guards():

@@ -33,11 +33,13 @@ REMOVED = {
 }
 # per module: the former shared_coefficients() scope, which the block cache
 # hyp._coeff_block replaced, the memo dicts that functools caches replaced,
+# the unit grid's own sorting permutation (grid_order serves both grids),
 # and the twin of check_beta_domain
 REMOVED_FROM = {
     "hyp.py": {"shared_coefficients", "_shared_blocks", "contextvars",
                "contextlib"},
-    "quadrature.py": {"_unit_cache", "_half_cache", "_unit_order_cache"},
+    "quadrature.py": {"_unit_cache", "_half_cache", "_unit_order_cache",
+                      "unit_grid_order"},
     "extbeta.py": {"_log_cache", "check_beta_domain_complex"},
 }
 
@@ -117,6 +119,15 @@ def test_refinement_depth_and_series_cap_are_not_parameters():
                 caps.add(ast.unparse(cap))
     assert takes_cap == [("hyp.py", "_pfq_sum")]
     assert caps == {"SERIES_CAP", "diag.size"}
+
+
+def test_full_grids_start_one_level_before_the_first_that_may_stop():
+    # _refine reads its first level only to form the next level's error,
+    # so an earlier full-grid level would be summed and never read
+    from exthyp.quadrature import GRID_LEVELS
+
+    first, least, _last = GRID_LEVELS
+    assert first == least - 1
 
 
 def test_no_file_is_opened_with_truncation():

@@ -28,7 +28,7 @@ from exthyp.lauricella import (
     fd_integral,
     interval_product_integral,
 )
-from exthyp.quadrature import MIN_LEVEL, unit_grid, unit_new_nodes
+from exthyp.quadrature import GRID_LEVELS, MIN_LEVEL, unit_grid, unit_new_nodes
 from exthyp.results import DomainError
 
 _REGS = (RegPair(0.2, 0.3), RegPair(0.0, 0.7), RegPair(1.0, 0.0))
@@ -119,7 +119,7 @@ def _per_call_sizes(top: int) -> list[int]:
 def _final_grid_level(nodes: int, r: int) -> int:
     """The last level of a product grid that used ``nodes`` points."""
     total = 0
-    for level in range(2, 10):
+    for level in range(GRID_LEVELS[0], 10):
         total += unit_grid(level).nodes.size ** r
         if total == nodes:
             return level
