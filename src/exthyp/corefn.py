@@ -40,6 +40,10 @@ _LANCZOS_C = (
     0.36899182659531622704e-5,
 )
 
+# Euler betas kept by ``beta_classical``.  A full conformance pass asks for
+# 84 distinct argument pairs (336 calls), so a repeated pass finds them all.
+_BETA_CACHE_SIZE = 128
+
 _KUMMER_EPS = 1e-15
 _KUMMER_TERM_CAP = 30_000
 # kummer_1f1_arr: its algebraic branch starts at w0(a, c) <= _KUMMER_CUT_MAX,
@@ -126,8 +130,9 @@ def pochhammer(a: float, m: int) -> float:
     return out
 
 
+@functools.lru_cache(maxsize=_BETA_CACHE_SIZE)
 def beta_classical(a: float, b: float) -> float:
-    """Euler beta for positive arguments, via the gamma quotient.
+    """Euler beta for positive arguments, via the gamma quotient (cached).
 
     Arguments that are not positive, or whose sum exceeds
     ``_LN_GAMMA_MAX_ARG``, are refused by ``gammaln_real``.

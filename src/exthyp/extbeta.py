@@ -26,7 +26,7 @@ import numpy as np
 from . import kernel as kernelmod
 from .kernel import EXP_VARIANT, KernelSpec
 from .quadrature import (
-    MIN_LEVEL,
+    FIRST_PASS_LEVEL,
     _check_finite,
     _read_only,
     _refine_nested,
@@ -87,11 +87,14 @@ def _unit_logs(level: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(np.log(t), np.log(tc))
 
 
-# One entry per (kernel, (b, d), level), plus one for levels 0..MIN_LEVEL,
-# shared by the coefficient ladders and every kernel-weighted integrand: a
-# call with fresh parameters evaluates the kernel once per node and keeps at
-# most 8 entries in a mixed stream of independent calls (11 for a product
-# grid run to its last level, 9).  A conformance pass uses 7.
+# One entry per (kernel, (b, d), level), plus one for the first pass (levels
+# 0..FIRST_PASS_LEVEL), shared by the coefficient ladders and every
+# kernel-weighted integrand: a call with fresh parameters evaluates the
+# kernel once per node.  The nested sums read the first pass whole and each
+# later level on its own; the product grids and the complex path read every
+# level on its own.  So a (kernel, (b, d)) keeps 1 entry in most of a mixed
+# stream of independent calls and at most 8 (10 for a product grid run to
+# its last level, 8).  A conformance pass uses 1.
 _THETA_CACHE_SIZE = 128
 
 
@@ -109,11 +112,12 @@ def _unit_arg(reg: RegPair, level: int) -> np.ndarray:
 def _unit_theta(k: KernelSpec, reg: RegPair, level: int) -> np.ndarray:
     """Confluent-kernel values on the level's new unit nodes (cached).
 
-    Every refinement visits levels 0..MIN_LEVEL: one kernel call over their
-    nodes laid end to end (level -1) serves them all, with the bits of one
-    call per level.  The cached array is shared, so it is read-only.
+    Every refinement's first pass covers levels 0..FIRST_PASS_LEVEL: one
+    kernel call over their nodes laid end to end (level -1) serves them all,
+    with the bits of one call per level.  The cached array is shared, so it
+    is read-only.
     """
-    if 0 <= level <= MIN_LEVEL:
+    if 0 <= level <= FIRST_PASS_LEVEL:
         return _unit_theta(k, reg, -1)[unit_level_span(level)]
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         theta = kernelmod.theta_eval_arr(k, _unit_arg(reg, level))
@@ -217,19 +221,35 @@ def _kernel_integral(k: KernelSpec, reg: RegPair, powexp, tol: float,
     returns (g(t), its error), for an inner series or closed form; g = 1
     without it.  The refinement stops at the absolute ``tol`` on the scaled
     value.  A norm out of range raises ``DomainError`` before any node, and
-    a non-finite sample ``NonFiniteSampleError``.  The error is the norm
-    times the last level difference plus the largest factor error.
+    a non-finite sample ``NonFiniteSampleError`` once the refinement reads
+    its level.  The error is the norm times the last level difference plus
+    the largest factor error.
+
+    The weighted samples w exp(powexp) Theta of levels 0..FIRST_PASS_LEVEL
+    are formed in one pass over their nodes laid end to end (level -1) and
+    sliced per level; each is a function of its node alone.  ``factor`` is
+    called per level, when the refinement reads it.
     """
     norm = _exp_norm(lognorm)
     factor_err = 0.0
+    first = []  # the samples of levels 0..FIRST_PASS_LEVEL
+
+    def samples(level):
+        t, tc, w = unit_new_nodes(level)
+        lt, ltc = _unit_logs(level)
+        return w * safe_theta_product(k, powexp(t, tc, lt, ltc),
+                                      *unit_kernel(k, reg, level))
 
     def contrib(level):
         nonlocal factor_err
-        t, tc, w = unit_new_nodes(level)
-        lt, ltc = _unit_logs(level)
+        t = unit_new_nodes(level)[0]
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            vals = w * safe_theta_product(k, powexp(t, tc, lt, ltc),
-                                          *unit_kernel(k, reg, level))
+            if level > FIRST_PASS_LEVEL:
+                vals = samples(level)
+            else:
+                if not first:
+                    first.append(samples(-1))
+                vals = first[0][unit_level_span(level)]
             if factor is not None:
                 fv, ferr = factor(t)
                 factor_err = max(factor_err, ferr)
@@ -265,9 +285,9 @@ def ext_beta_shifted_batch_arrays(k: KernelSpec, alpha0: float, count: int,
     if kstep < 0:
         raise DomainError("batch stride must be >= 0")
 
-    # the batch's first call covers levels 0..MIN_LEVEL (level -1), then one
-    # level per call
-    levels = itertools.chain([-1], itertools.count(MIN_LEVEL + 1))
+    # the batch's first call covers levels 0..FIRST_PASS_LEVEL (level -1),
+    # then one level per call
+    levels = itertools.chain([-1], itertools.count(FIRST_PASS_LEVEL + 1))
 
     def f0(t, tc):
         level = next(levels)

@@ -170,6 +170,11 @@ class _CoeffLadder:
         self.spec = spec
         self.pairs = spec.pairs()
         self.norms = [beta_classical(a, w) for a, _k, w in self.pairs]
+        for (a, _k, w), norm in zip(self.pairs, self.norms):
+            if norm == 0.0:
+                raise DomainError(
+                    f"beta normalisation B({a:g}, {w:g}) underflows to 0, "
+                    f"so every coefficient ratio would be inf")
         self.tols = [max(1e-13 * n, 5e-17) for n in self.norms]
         self.coeffs = np.ones(0)
         self.cerrs = np.zeros(0)

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from exthyp import cli, conformance, hyp
+from exthyp import cli, conformance, corefn, hyp
 from exthyp.conformance import (
     build_catalog,
     exit_code,
@@ -204,6 +204,16 @@ def test_cli_eval_domain_error_exit_2():
     assert r.returncode == 2
 
 
+def test_cli_eval_underflowed_beta_normalisation_exit_2():
+    # B(600, 800) underflows to 0.0; the series was blamed for its value
+    r = _cli("eval", "--func", "2f1", "--params", "1,600,1400", "--z", "0.3")
+    assert r.returncode == 2
+    assert r.stderr == ("domain error: beta normalisation B(600, 800) "
+                        "underflows to 0, so every coefficient ratio would "
+                        "be inf\n")
+    assert r.stdout == ""
+
+
 def test_cli_eval_non_finite_sample_is_domain_error():
     # t**-3 * Theta(-b/t) overflows near t = 0 for b this small: the
     # integral itself is about b**-2 = 1e400, beyond double range
@@ -315,13 +325,17 @@ def test_second_full_pass_builds_no_coefficient_block(monkeypatch):
 
     monkeypatch.setattr(hyp, "ext_beta_shifted_batch_arrays", counting)
     hyp._coeff_block.cache_clear()
+    corefn.beta_classical.cache_clear()
     first = run_conformance("all", "full", 1e-8)
     assert built
     assert hyp._coeff_block.cache_info().currsize <= hyp._BLOCK_CACHE_SIZE
+    betas = corefn.beta_classical.cache_info().misses
     del built[:]
     second = run_conformance("all", "full", 1e-8)
     assert built == []
     assert hyp._coeff_block.cache_info().currsize <= hyp._BLOCK_CACHE_SIZE
+    # nor any Euler beta: the normalisations of a pass all fit the cache
+    assert corefn.beta_classical.cache_info().misses == betas
     assert repr(second.cases) == repr(first.cases)
 
 

@@ -88,6 +88,22 @@ def test_series_value_out_of_double_range_is_domain_error(a1, a2, b1, z):
             ext_2f1(EXP_KERNEL, a1, a2, b1, z, RegPair(0.1, 0.1))
 
 
+def test_underflowed_beta_normalisation_is_refused_before_any_block(
+        monkeypatch):
+    # B(600, 800) underflows to 0.0, which made every coefficient ratio inf:
+    # the series summed rows of inf/NaN and blamed convergence
+    def no_block(*args, **kwargs):
+        raise AssertionError("a coefficient block was computed")
+
+    monkeypatch.setattr(hyp, "ext_beta_shifted_batch_arrays", no_block)
+    hyp._coeff_block.cache_clear()
+    spec = pfq_spec(EXP_KERNEL, (1.0, 600.0, 0.5), (1400.0, 2.0),
+                    RegPair(0.1, 0.1))
+    with pytest.raises(DomainError,
+                       match=r"normalisation B\(600, 800\) underflows"):
+        ext_pfq(spec, -0.5)
+
+
 def test_ext_pfq_kummer_level_closed_form():
     got = ext_pfq(pfq_spec(EXP_KERNEL, (1.0,), (2.0,)), 1.0)
     assert abs(got.value - (math.e - 1.0)) < 1e-10

@@ -121,6 +121,69 @@ def test_refinement_depth_and_series_cap_are_not_parameters():
     assert caps == {"SERIES_CAP", "diag.size"}
 
 
+# the functions whose argument is a refinement level (or, for unit_new_nodes
+# and what reads it, -1: the first pass)
+_LEVEL_TAKERS = {
+    "unit_new_nodes", "unit_level_span", "halfline_new_nodes", "unit_grid",
+    "halfline_grid", "grid_order", "_unit_logs", "_unit_arg", "_unit_theta",
+    "unit_kernel", "unit_grid_kernel", "_axis_nodes",
+}
+
+
+def _is_level(node) -> bool:
+    return isinstance(node, ast.Name) and ("level" in node.id
+                                           or node.id == "lv")
+
+
+def _int_literals(node) -> list[int]:
+    """The int literals that are values of ``node`` itself: the node, the
+    items of a list or tuple, the arguments of a call, but no operand of
+    arithmetic (the 1 of level + 1 is a step, not a level)."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return [-v for v in _int_literals(node.operand)]
+    if isinstance(node, ast.Constant):
+        return [node.value] if type(node.value) is int else []
+    parts = (node.elts if isinstance(node, (ast.List, ast.Tuple))
+             else node.args if isinstance(node, ast.Call) else [])
+    return [v for part in parts for v in _int_literals(part)]
+
+
+def test_level_numbers_are_named_once_in_quadrature():
+    # quadrature names the level ranges and the first pass's span
+    # (FIRST_PASS_LEVEL) once; every other module takes its levels from
+    # those names and spells out no level number: at most 0, the first
+    # level, and -1, the first pass itself
+    named, spelled = [], []
+    for name, tree in _trees():
+        for n in ast.walk(tree):
+            if isinstance(n, (ast.Assign, ast.AnnAssign)):
+                targets = n.targets if isinstance(n, ast.Assign) else [n.target]
+                named += [(name, t.id) for t in targets
+                          if isinstance(t, ast.Name)
+                          and t.id.endswith(("LEVEL", "LEVELS"))]
+            if name == "quadrature.py":
+                continue
+            values = []
+            if isinstance(n, ast.Compare):
+                operands = [n.left, *n.comparators]
+                if any(map(_is_level, operands)):
+                    values = operands
+            elif isinstance(n, ast.Call) and _called(n) in _LEVEL_TAKERS:
+                values = n.args
+            elif isinstance(n, (ast.Assign, ast.For)):
+                targets = n.targets if isinstance(n, ast.Assign) else [n.target]
+                if any(map(_is_level, targets)):
+                    values = [n.value if isinstance(n, ast.Assign) else n.iter]
+            literals = [v for value in values for v in _int_literals(value)]
+            spelled += [(name, n.lineno, v) for v in literals
+                        if v not in (0, -1)]
+    assert sorted(named) == [("quadrature.py", "FIRST_PASS_LEVEL"),
+                             ("quadrature.py", "GRID_LEVELS"),
+                             ("quadrature.py", "MAX_LEVEL"),
+                             ("quadrature.py", "MIN_LEVEL")]
+    assert spelled == []
+
+
 def test_full_grids_start_one_level_before_the_first_that_may_stop():
     # _refine reads its first level only to form the next level's error,
     # so an earlier full-grid level would be summed and never read

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +10,12 @@ import pytest
 
 import exthyp
 from exthyp import quadrature
-from exthyp.extbeta import RegPair, ext_beta_complex_many
+from exthyp.extbeta import RegPair, _kernel_integral, ext_beta_complex_many
 from exthyp.kernel import EXP_KERNEL
 from exthyp.quadrature import (
     _BATCH_BLOCK_FLOATS,
     _DOT_COLUMNS,
+    FIRST_PASS_LEVEL,
     MAX_LEVEL,
     MIN_LEVEL,
     _member_sums,
@@ -209,12 +211,13 @@ def test_batch_first_levels_in_one_pass_equal_one_level_at_a_time(kstep,
 
     integrate_unit_batch(f0, count, 1e-6, kstep)
     per_level = [unit_new_nodes(lv)[0].size
-                 for lv in range(MIN_LEVEL + len(sizes))]
-    # one call over levels 0..MIN_LEVEL, then one per level
-    first = sum(per_level[:MIN_LEVEL + 1])
-    assert sizes == [first] + per_level[MIN_LEVEL + 1:]
+                 for lv in range(FIRST_PASS_LEVEL + len(sizes))]
+    # one call over levels 0..FIRST_PASS_LEVEL, then one per level
+    first = sum(per_level[:FIRST_PASS_LEVEL + 1])
+    assert len(sizes) > 1
+    assert sizes == [first] + per_level[FIRST_PASS_LEVEL + 1:]
     t, tc, w = unit_new_nodes(-1)
-    spans = [unit_level_span(lv) for lv in range(MIN_LEVEL + 1)]
+    spans = [unit_level_span(lv) for lv in range(FIRST_PASS_LEVEL + 1)]
     merged = _member_sums(-1, kstep, count, w * _kinked(t, tc), spans)
     for lv, span in enumerate(spans):
         t, tc, w = unit_new_nodes(lv)
@@ -222,6 +225,44 @@ def test_batch_first_levels_in_one_pass_equal_one_level_at_a_time(kstep,
         alone = _member_sums(lv, kstep, count, w * _kinked(t, tc),
                              [slice(0, t.size)])
         assert _same_bits(merged[lv], alone[0])
+
+
+def _nan_on_level(level):
+    """|t - 1/3|, NaN on exactly the new nodes of ``level``: a node is the
+    pair (t, 1-t), since t alone saturates to 1.0 at the right end."""
+    t_bad, tc_bad, _ = unit_new_nodes(level)
+
+    def f(t, tc):
+        bad = np.isin(t, t_bad) & np.isin(tc, tc_bad)
+        return np.where(bad, np.nan, np.abs(t - 1.0 / 3.0))
+
+    return f
+
+
+def test_non_finite_sample_raises_only_on_a_level_that_is_read():
+    # the first pass forms levels 0..FIRST_PASS_LEVEL at once, but a NaN on
+    # the last of them counts only if the refinement reads that level
+    f = _nan_on_level(FIRST_PASS_LEVEL)
+    t, tc, _ = unit_new_nodes(-1)
+    assert np.array_equal(np.flatnonzero(np.isnan(f(t, tc))),
+                          np.arange(t.size)[unit_level_span(FIRST_PASS_LEVEL)])
+    runs = {
+        "integrate_unit_batch": lambda tol: integrate_unit_batch(f, 3, tol),
+        "_kernel_integral": lambda tol: _kernel_integral(
+            EXP_KERNEL, RegPair(),
+            lambda t, tc, lt, ltc: np.log(f(t, tc)), tol),
+    }
+    for name, run in runs.items():
+        # |t - 1/3| meets 1e-4 at the level before
+        out = run(1e-4)
+        nodes, ok = ((out[2], out[3]) if isinstance(out, tuple)
+                     else (out.terms_or_nodes, out.converged))
+        assert ok, name
+        assert nodes == unit_grid(FIRST_PASS_LEVEL - 1).nodes.size, name
+        with pytest.raises(NonFiniteSampleError) as exc:
+            run(1e-6)
+        where = float(re.search(r"t=(\S+)$", str(exc.value)).group(1))
+        assert where in unit_new_nodes(FIRST_PASS_LEVEL)[0], name
 
 
 def test_batch_non_finite_sample_raises():

@@ -19,7 +19,14 @@ from exthyp.appell import (
     f2_single_integral,
 )
 from exthyp.extbeta import BetaArgs, RegPair, _unit_theta, ext_beta
-from exthyp.hyp import euler_step_integral, ext_pfq, frac_deriv, pfq_spec
+from exthyp.hyp import (
+    _coeff_block,
+    euler_step_integral,
+    ext_2f1,
+    ext_pfq,
+    frac_deriv,
+    pfq_spec,
+)
 from exthyp.kernel import EXP_KERNEL, EXP_VARIANT, kummer_kernel, theta_eval_arr
 from exthyp.lauricella import (
     IntervalProductParams,
@@ -28,7 +35,12 @@ from exthyp.lauricella import (
     fd_integral,
     interval_product_integral,
 )
-from exthyp.quadrature import GRID_LEVELS, MIN_LEVEL, unit_grid, unit_new_nodes
+from exthyp.quadrature import (
+    FIRST_PASS_LEVEL,
+    GRID_LEVELS,
+    unit_grid,
+    unit_new_nodes,
+)
 from exthyp.results import DomainError
 
 _REGS = (RegPair(0.2, 0.3), RegPair(0.0, 0.7), RegPair(1.0, 0.0))
@@ -110,10 +122,12 @@ def _count_theta_nodes(monkeypatch):
 
 
 def _per_call_sizes(top: int) -> list[int]:
-    """Kernel nodes per call for levels 0..top: the levels up to MIN_LEVEL
-    in one call, then one call per level."""
-    sizes = [unit_new_nodes(lv)[0].size for lv in range(top + 1)]
-    return [sum(sizes[:MIN_LEVEL + 1])] + sizes[MIN_LEVEL + 1:]
+    """Kernel nodes per call for levels 0..top: the first pass, levels
+    0..FIRST_PASS_LEVEL, in one call, whatever ``top``, then one call per
+    level."""
+    sizes = [unit_new_nodes(lv)[0].size
+             for lv in range(max(top, FIRST_PASS_LEVEL) + 1)]
+    return [sum(sizes[:FIRST_PASS_LEVEL + 1])] + sizes[FIRST_PASS_LEVEL + 1:]
 
 
 def _final_grid_level(nodes: int, r: int) -> int:
@@ -139,9 +153,10 @@ def test_product_grid_evaluates_each_node_once(monkeypatch, which):
                                            (0.3, 0.35), reg, k), 1e-8)
     level = _final_grid_level(res.terms_or_nodes, 2)
     assert level >= 4
-    # one evaluation per level's new nodes, not one per axis and grid level
+    # one evaluation per level's new nodes, not one per axis and grid level;
+    # the first pass evaluates levels 0..FIRST_PASS_LEVEL in any case
     assert sizes == _per_call_sizes(level)
-    assert sum(sizes) == unit_grid(level).nodes.size
+    assert sum(sizes) == unit_grid(max(level, FIRST_PASS_LEVEL)).nodes.size
 
 
 def test_euler_step_and_ladder_share_the_kernel_values(monkeypatch):
@@ -153,9 +168,21 @@ def test_euler_step_and_ladder_share_the_kernel_values(monkeypatch):
     _unit_theta.cache_clear()
     res = ext_pfq(spec, -0.5)
     assert res.method == "euler_integral"
-    top = len(sizes) + MIN_LEVEL - 1
-    assert top >= MIN_LEVEL
+    top = len(sizes) + FIRST_PASS_LEVEL - 1
     assert sizes == _per_call_sizes(top)
     # the integrand read only levels the ladder had already evaluated, or
     # evaluated them itself
     assert res.terms_or_nodes <= sum(sizes)
+
+
+def test_fresh_series_call_evaluates_the_kernel_in_one_call(monkeypatch):
+    # the coefficient ladder's batches stop at FIRST_PASS_LEVEL or later, so
+    # the first pass's one kernel call over levels 0..FIRST_PASS_LEVEL is
+    # the only one: 13 + 12 + 24 + 48 + 96 + 194 = 387 nodes
+    k, reg = kummer_kernel(1.5, 2.5), RegPair(0.2, 0.3)
+    sizes = _count_theta_nodes(monkeypatch)
+    _unit_theta.cache_clear()
+    _coeff_block.cache_clear()
+    res = ext_2f1(k, 0.8, 1.1, 2.4, 0.3, reg)
+    assert res.method == "series" and res.converged
+    assert sizes == [unit_new_nodes(-1)[0].size] == [387]
