@@ -35,7 +35,7 @@ from .lauricella import (
     _fd_series,
     _use_series,
 )
-from .results import DomainError, EvalResult, refuse_non_finite
+from .results import DomainError, EvalResult, memoized, refuse_non_finite
 
 
 @dataclass(frozen=True)
@@ -84,6 +84,7 @@ def _as_fa(p: AppellParams, x: float, y: float) -> LauricellaParams:
                             (p.gamma1, p.gamma2), (x, y), p.reg, p.kernel)
 
 
+@memoized
 def f1_series(p: AppellParams, x: float, y: float,
               tol: float = 1e-10) -> EvalResult:
     """Double series of the first-kind function, truncated by total degree."""
@@ -99,6 +100,7 @@ def f1_integral(p: AppellParams, x: float, y: float,
     return _fd_integral(q, tol)
 
 
+@memoized
 def f1_eval(p: AppellParams, x: float, y: float, tol: float = 1e-10,
             method: str = "auto") -> EvalResult:
     """Series inside the polydisk, integral elsewhere left of 1."""
@@ -142,6 +144,7 @@ def f2_integral(p: AppellParams, x: float, y: float,
     return _fa_integral(_as_fa(p, x, y), tol, "proof")
 
 
+@memoized
 def f2_eval(p: AppellParams, x: float, y: float, tol: float = 1e-10,
             method: str = "auto") -> EvalResult:
     if _use_series(method, abs(x) + abs(y) < _SERIES_EDGE):

@@ -26,7 +26,7 @@ from .ineq import hilbert_bilinear, HilbertParams, parse_test_function
 from .kernel import parse_kernel
 from .lauricella import LauricellaParams, fa_eval, fd_eval
 from .mellin import ContourSpec, mb_eval
-from .results import DomainError, EvalResult
+from .results import DomainError, EvalResult, check_tol
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -160,14 +160,8 @@ def _eval_func(args) -> EvalResult:
     return ext_gamma(kernel, params[0], args.b, tol)
 
 
-def _check_tol(tol: float) -> None:
-    """The --tol rule of eval, table and conformance."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tolerance must be finite and > 0, got {tol}")
-
-
 def cmd_eval(args) -> int:
-    _check_tol(args.tol)
+    check_tol(args.tol)
     return _print_result(_eval_func(args))
 
 
@@ -216,7 +210,7 @@ def cmd_table(args) -> int:
     if args.steps < 1:
         print("error: --steps must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    _check_tol(args.tol)
+    check_tol(args.tol)
     return _with_report(args.report,
                         lambda write: _table(args, write or sys.stdout.write))
 
@@ -263,7 +257,7 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_conformance(args) -> int:
-    _check_tol(args.tol)
+    check_tol(args.tol)
     return _with_report(args.report, lambda write: _conformance(args, write))
 
 
@@ -273,7 +267,9 @@ def _conformance(args, write) -> int:
         write(report_csv(report))
     for line in summary_lines(report):
         print(line)
-    print(f"wall_clock={report.wall_clock:.2f}s", file=sys.stderr)
+    print(f"wall_clock={report.wall_clock:.2f}s "
+          f"memo_hits={report.memo_hits}/{report.memo_calls}",
+          file=sys.stderr)
     return exit_code(report)
 
 

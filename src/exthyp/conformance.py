@@ -81,7 +81,7 @@ from .lauricella import (
     multinomial_exponential_identity,
 )
 from .mellin import mb_eval
-from .results import DomainError, EvalResult
+from .results import DomainError, EvalResult, check_tol, pass_memo
 
 SUITES = ("hyp", "appell", "lauricella", "mellin", "ineq")
 
@@ -120,6 +120,8 @@ class ConformanceReport:
     cases: list
     aggregates: list
     wall_clock: float
+    memo_hits: int  # evaluator calls the pass's memo served
+    memo_calls: int  # memoized evaluator calls the pass made
 
 
 def fmt17(x: float) -> str:
@@ -559,11 +561,29 @@ def build_catalog() -> list[IdentityDef]:
 
 def run_conformance(suite: str = "all", grid: str = "small",
                     tol: float = 1e-8) -> ConformanceReport:
+    """One pass over the catalog.  An unknown suite or grid, or a
+    tolerance that is not finite and > 0, is a DomainError before any case.
+
+    The pass is one ``results.pass_memo`` scope: an evaluator call that an
+    earlier case of the same pass made with the same arguments (the shared
+    side of a two-variant identity, the shifted Gauss values of the
+    recurrences and transforms) returns that case's result.
+    """
     if suite != "all" and suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}")
+        raise DomainError(f"unknown suite {suite!r}")
     if grid not in ("small", "full"):
-        raise ValueError(f"unknown grid {grid!r}")
+        raise DomainError(f"unknown grid {grid!r}")
+    check_tol(tol)
     t0 = time.perf_counter()
+    with pass_memo() as memo:
+        cases, aggregates = _run_catalog(suite, grid, tol)
+    wall = time.perf_counter() - t0
+    return ConformanceReport(suite, grid, tol, __version__, cases, aggregates,
+                             wall, memo.hits, memo.calls)
+
+
+def _run_catalog(suite: str, grid: str, tol: float) -> tuple[list, list]:
+    """The sorted cases and aggregates of the selected identities."""
     cases = []
     aggregates = []
     for ident in build_catalog():
@@ -620,9 +640,7 @@ def run_conformance(suite: str = "all", grid: str = "small",
         })
     cases.sort(key=lambda c: (c.identity_id, c.variant, c.point_index))
     aggregates.sort(key=lambda a: a["identity_id"])
-    wall = time.perf_counter() - t0
-    return ConformanceReport(suite, grid, tol, __version__, cases, aggregates,
-                             wall)
+    return cases, aggregates
 
 
 def _adjudicate(variants, per_variant) -> str:

@@ -37,7 +37,7 @@ from .extbeta import (
 from .kernel import EXP_VARIANT, KernelSpec
 from .quadrature import _read_only, _running
 from .results import (DomainError, EvalResult, KernelMismatchError,
-                      refuse_non_finite)
+                      memoized, refuse_non_finite)
 
 SERIES_CAP = 4096
 SERIES_SMALL = 1e-16  # a small term, relative to 1 + the largest partial sum
@@ -448,6 +448,7 @@ def euler_step_integral(spec: PfqSpec, z: float,
     return _kernel_integral(k, reg, powexp, tol, lognorm, factor)
 
 
+@memoized
 def ext_pfq(spec: PfqSpec, z: float, tol: float = 1e-10,
             method: str = "auto") -> EvalResult:
     """Evaluate the extended generalized hypergeometric function.

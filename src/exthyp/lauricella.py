@@ -47,7 +47,7 @@ from .hyp import (
 )
 from .kernel import EXP_VARIANT, KernelSpec
 from .quadrature import _refine_grid, halfline_grid, unit_grid
-from .results import DomainError, EvalResult, refuse_non_finite
+from .results import DomainError, EvalResult, memoized, refuse_non_finite
 
 MAX_VARIABLES = 4  # series cap; iterated integrals are checked for r <= 2
 # max_j |x_j| (type D) or sum_j |x_j| (type A) below which auto uses the series
@@ -375,6 +375,7 @@ def multinomial_exponential_identity(xs, terms: int = 24) -> tuple[float, float]
     return float(total.sum()), math.exp(sum(xs))
 
 
+@memoized
 def fa_series(p: LauricellaParams, tol: float = 1e-10) -> EvalResult:
     """Type A series with per-axis batched beta ratios."""
     p.validate_fa()

@@ -1,24 +1,28 @@
 """Conformance runner, catalog completeness, CSV schema, CLI contract."""
 
 import ast
+import collections
 import dataclasses
 import difflib
+import importlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from exthyp import cli, conformance, corefn, hyp
+from exthyp import cli, conformance, corefn, hyp, results
 from exthyp.conformance import (
     build_catalog,
     exit_code,
     fmt17,
     report_csv,
     run_conformance,
+    summary_lines,
 )
 from exthyp.extbeta import RegPair
 from exthyp.hyp import ext_pfq, pfq_spec
@@ -179,6 +183,62 @@ def test_full_grid_report_is_byte_identical(tmp_path, capsys):
                                  got.decode().splitlines(), FULL_REPORT.name,
                                  "this run", n=0, lineterm="")
     assert got == want, "\n".join(moved)
+
+
+def _memoized_evaluators():
+    """(module, name) of every library function decorated @memoized."""
+    found = []
+    for path in sorted(pathlib.Path(conformance.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(d, ast.Name) and d.id == "memoized"
+                    for d in node.decorator_list):
+                found.append((path.stem, node.name))
+    return found
+
+
+def test_each_memoized_body_runs_once_per_distinct_call_in_a_pass(
+        monkeypatch):
+    # the memo is scoped to one pass: within it every distinct call runs
+    # once, and a second pass in the same process runs them all again
+    runs = collections.Counter()
+    modules = [m for name, m in list(sys.modules.items())
+               if name == "exthyp" or name.startswith("exthyp.")]
+    evaluators = _memoized_evaluators()
+    assert len(evaluators) >= 5
+    for modname, name in evaluators:
+        wrapper = getattr(importlib.import_module(f"exthyp.{modname}"), name)
+
+        def spy(*args, _body=wrapper.__wrapped__, _name=name, **kwargs):
+            runs[_name, args, tuple(kwargs.items())] += 1
+            return _body(*args, **kwargs)
+
+        spied = results.memoized(spy)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is wrapper:
+                    monkeypatch.setattr(module, attr, spied)
+    report = run_conformance("all", "full", 1e-8)
+    assert set(runs.values()) == {1}
+    assert report.memo_calls - report.memo_hits == len(runs)
+    assert report.memo_hits > 0
+    again = run_conformance("all", "full", 1e-8)
+    assert set(runs.values()) == {2}
+    assert (again.memo_hits, again.memo_calls) == (report.memo_hits,
+                                                   report.memo_calls)
+    assert report_csv(again) == report_csv(report)
+
+
+def test_cli_conformance_prints_memo_hits_on_stderr(capsys):
+    report = run_conformance("hyp", "small", 1e-8)
+    assert cli.main(["conformance", "--suite", "hyp", "--grid", "small"]) == 0
+    out = capsys.readouterr()
+    assert out.out == "\n".join(summary_lines(report)) + "\n"
+    assert re.fullmatch(r"wall_clock=\d+\.\d\ds memo_hits=(\d+)/(\d+)\n",
+                        out.err)
+    hits, calls = map(int, re.findall(r"\d+", out.err.split()[1]))
+    assert (hits, calls) == (report.memo_hits, report.memo_calls)
+    assert 0 < hits < calls
 
 
 def test_cli_eval_log_case():
@@ -582,6 +642,18 @@ def test_cli_conformance_subset(tmp_path):
 
 def _no_work(*args, **kwargs):
     raise AssertionError("work started")
+
+
+@pytest.mark.parametrize("suite, grid, tol", [
+    ("hypergeometric", "small", 1e-8), ("all", "large", 1e-8),
+    ("all", "small", float("nan")), ("all", "small", float("inf")),
+    ("all", "small", 0.0), ("all", "small", -1e-8),
+])
+def test_run_conformance_refuses_bad_input_before_any_case(suite, grid, tol,
+                                                           monkeypatch):
+    monkeypatch.setattr(conformance, "build_catalog", _no_work)
+    with pytest.raises(DomainError):
+        run_conformance(suite, grid, tol)
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-8"])

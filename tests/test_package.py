@@ -1,10 +1,12 @@
 """Package-wide guards: removed names stay removed, refinement depth and the
 series cap stay constants, no function has a relaxed-validation mode, every
 record refuses a non-finite number through one helper, mpmath stays a test
-dependency, and the span recorder of the traced benchmark still binds."""
+dependency, the span recorder of the traced benchmark still binds, and the
+evaluator memo stays scoped to one conformance pass."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -247,7 +249,7 @@ FINITE_CHECKS = {
     ("results.py", "refuse_non_finite"),
     ("hyp.py", "pfq_series"), ("hyp.py", "euler_step_integral"),
     ("hyp.py", "frac_deriv"), ("lauricella.py", "_fd_series"),
-    ("lauricella.py", "_fa_series"), ("cli.py", "_check_tol"),
+    ("lauricella.py", "_fa_series"), ("results.py", "check_tol"),
 }
 
 
@@ -296,3 +298,55 @@ def test_finiteness_is_tested_only_by_the_helper_and_listed_checks():
     for name, tree in _trees():
         for where, line in _finite_tests(tree):
             assert (name, where) in FINITE_CHECKS, (name, where, line)
+
+
+def _enclosing_calls(tree, callee: str):
+    """The innermost enclosing function of each call of ``callee``."""
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else where
+            if isinstance(child, ast.Call) and _called(child) == callee:
+                yield where
+            yield from walk(child, inner)
+    return list(walk(tree, None))
+
+
+def test_only_the_conformance_runner_opens_the_pass_memo():
+    # a scope anywhere else, or a store that outlives the pass, would serve
+    # one pass (a benchmark's timed one) from another (its warm-up)
+    opened = []
+    for name, tree in _trees():
+        opened += [(name, where) for where in _enclosing_calls(tree,
+                                                               "pass_memo")]
+        if name != "results.py":
+            assert "_MEMO" not in {n.id for n in ast.walk(tree)
+                                   if isinstance(n, ast.Name)}, name
+    assert opened == [("conformance.py", "run_conformance")]
+
+
+def test_memoized_evaluators_return_eval_results():
+    # a hit hands every caller the same object, so only frozen results
+    # (never None, the memo's miss) may be stored
+    found = []
+    for name, tree in _trees():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.FunctionDef) and any(
+                    isinstance(d, ast.Name) and d.id == "memoized"
+                    for d in n.decorator_list):
+                found.append(n.name)
+                returns = ast.unparse(n.returns) if n.returns else ""
+                assert re.fullmatch(
+                    r"EvalResult|tuple\[EvalResult(, EvalResult)*\]",
+                    returns), (name, n.name, returns)
+    assert len(found) >= 5
+
+
+def test_library_reads_no_environment_variable():
+    # the memo and every other behaviour have no switch outside the code
+    for name, tree in _trees():
+        for n in ast.walk(tree):
+            assert not (isinstance(n, ast.Attribute)
+                        and n.attr in ("environ", "environb", "getenv")), (
+                name, n.lineno)
+            assert not (isinstance(n, ast.Name)
+                        and n.id in ("environ", "getenv")), (name, n.lineno)
