@@ -58,6 +58,11 @@ def _is_nonpositive_int(x: float, tol: float = 1e-12) -> bool:
     return x <= tol and abs(x - round(x)) < tol
 
 
+def _is_polynomial(x: float, c: float) -> bool:
+    """Whether x is within 1e-12 min(c, 1) of a nonpositive integer."""
+    return _is_nonpositive_int(x, 1e-12 * min(abs(c), 1.0))
+
+
 def _ln_gamma_right(z):
     """Lanczos sum; valid for Re(z) > 0.5 (scalar or ndarray, complex)."""
     zm1 = z - 1.0
@@ -78,7 +83,7 @@ def ln_gamma(z: complex) -> complex:
     Raises DomainError at the poles (nonpositive integers).
     """
     z = complex(z)
-    if z.imag == 0.0 and _is_nonpositive_int(z.real):
+    if z.imag == 0.0 and z.real <= 0.0 and _is_nonpositive_int(z.real):
         raise DomainError(f"log-gamma pole at z={z.real}")
     if z.real > 0.5:
         return complex(_ln_gamma_right(z))
@@ -154,7 +159,7 @@ def _kummer_cut(a: float, c: float) -> float:
     exponential piece it drops, |Gamma(c-a)/Gamma(a)| e^-w w^(2a-c), are
     below 2^-56 of its first (DLMF 13.7); 200 if none; inf where c - a is a
     nonpositive integer."""
-    if _is_nonpositive_int(c - a):
+    if _is_polynomial(c - a, c):
         return math.inf
     ulp = -56.0 * math.log(2.0)
     k = np.arange(1.0, 2.0 * _KUMMER_CUT_MAX + 1.0)
@@ -165,7 +170,7 @@ def _kummer_cut(a: float, c: float) -> float:
     bad = np.log(w) <= np.min((logt - ulp) / k)
     # |t_k / t_(k-1)| = (a+k-1) |a-c+k| / (k w) <= max(a, 1) (c-a-1) / w
     bad |= w < 3.0 * max(a, 1.0) * (c - a - 1.0)
-    if not _is_nonpositive_int(a):
+    if not _is_polynomial(a, c):
         bad |= (math.lgamma(c - a) - math.lgamma(a) - w
                 + (2.0 * a - c) * np.log(w)) >= ulp
     return min(w[bad].max(initial=0.0) + 1.0, _KUMMER_CUT_MAX)
@@ -175,9 +180,9 @@ def _kummer_at_inf(a: float, c: float, z: float) -> float:
     """1F1(a; c; +-inf): the limit of Gamma(c)/Gamma(a) e^z z^(a-c), of e^z
     times a polynomial, or of Gamma(c)/Gamma(c-a) (-z)^-a, which is also
     the top term of a polynomial 1F1(-n; c; z)."""
-    if z > 0.0 and not _is_nonpositive_int(a):
+    if z > 0.0 and not _is_polynomial(a, c):
         return _kummer_amplitude(c - a, c) * math.inf
-    if z < 0.0 and _is_nonpositive_int(c - a):
+    if z < 0.0 and _is_polynomial(c - a, c):
         return 0.0
     return _kummer_amplitude(a, c) * (-z) ** (-a if z < 0.0 else round(-a))
 

@@ -40,13 +40,10 @@ from .results import (DomainError, EvalResult, KernelMismatchError,
                       memoized, refuse_non_finite)
 
 SERIES_CAP = 4096
-SERIES_SMALL = 1e-16  # a small term, relative to 1 + the largest partial sum
+SERIES_SMALL = 1e-16  # a small tail, relative to 1 + |the partial sum|
 _BLOCK = 64
-# Entries per block of the series engine `_pfq_sum` (512 KiB of float64).
-_SERIES_BLOCK_FLOATS = 1 << 16
-# `_pfq_sum` drops the columns of weight 0 from its blocks once they are
-# 1/_RETIRE_SHARE of the columns left: dropping copies every column's state.
-_RETIRE_SHARE = 16
+# Entries per block of the series engine `_pfq_sum` (256 KiB of float64).
+_SERIES_BLOCK_FLOATS = 1 << 15
 _EULER_CUT = 0.85  # |z| beyond which the series gives way to the integral
 
 
@@ -193,6 +190,10 @@ class _CoeffLadder:
                 ratios = vals / norm
                 perr = perr * np.abs(ratios) + np.abs(prod) * (errs / norm)
                 prod = prod * ratios
+                if not np.isfinite(prod).all():
+                    raise DomainError(f"non-finite coefficient in the block "
+                                      f"at first argument {alpha + k * lo:g}"
+                                      f", width {width:g}, stride {k}")
                 self.ok = self.ok and okj
             self.coeffs = np.concatenate([self.coeffs, prod])
             self.cerrs = np.concatenate([self.cerrs, perr])
@@ -206,11 +207,12 @@ def pfq_series(spec: PfqSpec, z: float, tol: float = 1e-10) -> EvalResult:
     if spec.p == spec.q + 1 and abs(z) >= 1.0 and not spec.terminating():
         raise DomainError(f"series diverges for |z| = {abs(z)} >= 1")
     ladder = _CoeffLadder(spec)
-    s, err, rows, done = _pfq_sum(spec, np.array([float(z)]), ladder,
-                                  SERIES_CAP)
+    s, errs, rows, done = _pfq_sum(spec, np.array([float(z)]), ladder,
+                                   SERIES_CAP)
     if not math.isfinite(s[0]):
         raise DomainError("series value out of double range")
-    return EvalResult(float(s[0]), err, rows, done and ladder.ok, "series")
+    return EvalResult(float(s[0]), float(errs[0]), rows, done and ladder.ok,
+                      "series")
 
 
 def pfq_series_vector(spec: PfqSpec, w: np.ndarray,
@@ -226,58 +228,43 @@ def pfq_series_vector(spec: PfqSpec, w: np.ndarray,
     w = np.asarray(w, dtype=float)
     if ladder is None:
         ladder = _CoeffLadder(spec)
-    s, err, _rows, done = _pfq_sum(spec, w.reshape(-1), ladder, SERIES_CAP)
+    s, errs, _rows, done = _pfq_sum(spec, w.reshape(-1), ladder, SERIES_CAP)
     if not done:
         raise DomainError(f"series did not converge within {SERIES_CAP} "
                           f"terms (max |argument| = {np.max(np.abs(w)):.3g})")
-    return s.reshape(w.shape), err
+    return s.reshape(w.shape), float(errs.max())
 
 
 @np.errstate(over="ignore", invalid="ignore")  # callers judge the sums
 def _pfq_sum(spec: PfqSpec, w: np.ndarray, ladder: _CoeffLadder, cap: int,
              heads: np.ndarray | None = None,
-             weights: np.ndarray | None = None,
-             row_weights: np.ndarray | None = None):
-    """The series engine: one column per entry of the flat array ``w``.
+             weights: np.ndarray | None = None):
+    """The series engine: one column per entry of the flat array ``w``,
+    with its own first upper parameter from ``heads`` (a p = q+1 spec) and
+    term-0 weight from ``weights`` (1 by default) if given.  Returns (sums,
+    errs, rows, done): each column's partial sum and error bound (its
+    weights' moduli times the coefficient errors, plus its tail), the rows
+    summed (the longest column's), and whether all stopped before ``cap``.
 
-    Returns (sums, err, rows, done): each column's partial sum; an error
-    bound that holds in every column (the coefficient errors times the
-    largest weight of each row, plus the largest last term); the number of
-    term rows summed; and whether the stopping rule ended the sum before
-    ``cap`` rows.  ``heads`` gives each column its own first upper
-    parameter in place of the spec's (a p = q+1 spec); ``weights`` gives
-    each column's term-0 weight, 1 by default.  ``row_weights`` gives a
-    single column's weights row by row (at least ``cap``), the type D
-    diagonal weights: the step factors of the spec at ``w`` then only tell
-    whether the column is past its peak, and must be those of a majorant.
+    A column stops at its first row whose ``_geometric_tail`` is small, q
+    bounding the later step factors: the 1F0 ``_majorant_step`` of head
+    |alpha_1| (head shift 1); |w| / (m + 1) over the surplus lowers b + m,
+    once all are > 0; inf (head shift > 1).  A weight 0 stays 0, tail 0,
+    so a terminating series ends at any |w|; a NaN column never stops.
+    Columns with ``weights`` are parts of one sum and share the rule's 1.
 
-    A row is small when its largest term is at most ``SERIES_SMALL`` (1 +
-    the largest partial sum) and every column is past its peak: each step
-    factor, the multiplier taking a weight to the next, is below 1 in
-    modulus.  Three small rows in a row end the sum, and so does a row of
-    zero weights (a terminating series: every later weight is zero too),
-    except for ``row_weights``.
-
-    The terms are formed a block of rows at a time, one row per term index,
-    at most ``_SERIES_BLOCK_FLOATS`` entries and never past the
-    coefficients the ladder holds.  Every entry goes through the operations
-    of the term-by-term loop that ``tests/test_hyp.py`` keeps as the
-    reference, in the same order, and the row maxima equal that loop's (see
-    ``_max_abs`` and the term maxima below), so the output bits are the
-    loop's.  Columns of weight exactly 0 leave the blocks, their sums
-    frozen, once they are 1/``_RETIRE_SHARE`` of the columns left and the
-    ladder holds finite coefficients only: every later term of theirs is 0
-    times finite factors (w is finite; ``validate`` refuses a surplus lower
-    parameter at a pole), which leaves a sum that starts at +0.0 as it is.
+    The terms are formed a block of rows at a time (one row per term
+    index, at most ``_SERIES_BLOCK_FLOATS`` entries, never past the
+    ladder's coefficients); a column that stops leaves the blocks.  Every
+    entry goes through the operations, in order, of the term-by-term
+    reference loop in ``tests/test_hyp.py``, so the bits are the loop's.
     """
     head = spec.poch_head()
     own = head is not None and heads is not None  # per-column heads
     a0 = heads if own else (head[0] if head else None)
     lowers = spec.lower[:spec.surplus]
 
-    def steps_at(idx, x, a1, out):
-        """The step factors of term index ``idx`` (an array of them) at the
-        arguments ``x`` with first upper parameters ``a1``."""
+    def steps_at(idx, x, a1, out):  # the step factors of term index idx
         np.divide(x, idx + 1.0, out=out)
         if head is not None:
             for i in range(head[1]):
@@ -286,90 +273,98 @@ def _pfq_sum(spec: PfqSpec, w: np.ndarray, ladder: _CoeffLadder, cap: int,
             out /= b + idx
         return out
 
+    def bounds_at(idx, ax, a1):  # q of term index idx at |arguments| ax
+        if head is not None and head[1] > 1:
+            return np.full((idx.size, ax.size), math.inf)
+        if head is not None and head[1] == 1:
+            return _majorant_step(np.abs(a1), idx, ax)
+        q = ax / (idx + 1.0)
+        for b in lowers:
+            q = np.where(b + idx > 0.0, q / (b + idx), math.inf)
+        return q
+
     def block(cols):  # term rows and the row carried into the next block
         return np.empty((max(1, min(_BLOCK, _SERIES_BLOCK_FLOATS
                                     // max(cols, 1))) + 1, cols))
 
-    # Shared parameters give each w the same roundings, so |step factor| grows
-    # with |w|: the past-the-peak test reads the extreme arguments only.
-    peak = w if own or w.size <= 2 else np.array([w.max(), w.min()])
-    # Row 0 of the block carries in the weight of the block's first term.
-    # Rows 1 to ``rows`` take the step factors; the running product turns
-    # rows 0 to rows - 1 into the block's weights and row ``rows`` into the
-    # weight that the next block carries in.  The weights then become the
-    # terms and, by a running sum from ``s``, the partial sums, in place.
-    # Only a row whose terms are small needs its step factors again, to
-    # tell whether every column is past its peak; they are recomputed.
-    live, x, a1 = slice(None), w, a0  # the columns in the blocks
+    # Row 0 of a block carries in its first weight; a running product of
+    # step factors makes the weights (and the one carried on), then terms
+    # and partial sums from ``s``, in place; error sums run from ``e``.
+    live, x, a1 = np.arange(w.size), w, a0  # the columns in the blocks
+    scale = 1.0 if weights is None else 1.0 / max(w.size, 1)
     blk = block(w.size)
     blk[0] = 1.0 if weights is None else weights
-    s = np.zeros_like(w)  # their partial sums before the block's first term
-    out = np.zeros_like(w)  # every column's sum, once it has left
-    top = 0.0  # the largest |sum| of the columns that left
-    err = 0.0
-    small = 0
-    m = 0
-    while m < cap:
+    # their partial sums and error sums before the block, tails at its last
+    # row, and every column's sum and error once it has stopped
+    s, e, out, errs = (np.zeros_like(w) for _ in range(4))
+    tail = np.full_like(w, math.inf)
+    rows = m = 0
+    while m < cap and live.size:
         ladder.ensure(m + 1)
-        # 0 times a non-finite coefficient is NaN: every column comes back
-        back = x.size < w.size and not np.isfinite(ladder.coeffs[m:]).all()
-        gone = blk[0] == 0.0
-        if back or (x.size > 1 and gone.any() and x.size // _RETIRE_SHARE
-                    <= np.count_nonzero(gone) < x.size):
-            live = np.arange(w.size)[live]
-            out[live] = s
-            carry = np.zeros_like(w)
-            carry[live] = blk[0]
-            top = 0.0 if back else np.maximum(top, np.abs(s[gone]).max())
-            live = np.arange(w.size) if back else live[~gone]
-            x, s, a1 = w[live], out[live], heads[live] if own else a0
-            blk = block(x.size)
-            blk[0] = carry[live]
         hi = min(m + blk.shape[0] - 1, ladder.coeffs.size, cap)
-        rows = hi - m
-        if row_weights is None:
-            steps_at(np.arange(m, hi)[:, None], x, a1, blk[1:rows + 1])
-            _running(np.multiply, blk[:rows + 1])
-        else:
-            blk[:rows, 0] = row_weights[m:hi]
-        part = blk[:rows]
-        wmax = _max_abs(part)
-        coeffs = ladder.coeffs[m:hi]
-        part *= coeffs[:, None]
-        # max |w * c| is max |w| * |c|: rounding is symmetric in sign and
-        # monotonic, so the largest product comes from the largest factor.
-        tmax = wmax * np.abs(coeffs)
-        np.add(s, part[0], out=part[0])
+        idx = np.arange(m, hi)[:, None]
+        steps_at(idx, x, a1, blk[1:hi - m + 1])
+        _running(np.multiply, blk[:hi - m + 1])
+        part = blk[:hi - m]
+        ebk = np.abs(part)
+        ebk *= ladder.cerrs[m:hi, None]
+        ebk[0] += e
+        _running(np.add, ebk)
+        part *= ladder.coeffs[m:hi, None]
+        last = np.abs(part)
+        part[0] += s
         _running(np.add, part)
-        big = np.maximum(_max_abs(part), top)
-        tiny = (tmax <= SERIES_SMALL * (1.0 + big)).tolist()
-        tmax, wmax = tmax.tolist(), wmax.tolist()
-        cerrs = ladder.cerrs[m:hi].tolist()
-        for i in range(rows):
-            err += wmax[i] * cerrs[i]
-            ends = wmax[i] == 0.0 and row_weights is None
-            if tiny[i] and (ends or _max_abs(steps_at(
-                    m + i, peak, a0, np.empty((1, peak.size))))[0] < 1.0):
-                if small == 2 or ends:
-                    out[live] = part[i]
-                    return out, err + tmax[i], m + i + 1, True
-                small += 1
-            else:
-                small = 0
-        s = part[-1].copy()
-        last = tmax[-1]
-        blk[0] = blk[rows]
+        tails, small = _geometric_tail(last, bounds_at(idx, np.abs(x), a1),
+                                       part, scale)
+        ends = small.any(axis=0)
+        if ends.any():
+            cut, col = small.argmax(axis=0)[ends], np.flatnonzero(ends)
+            out[live[ends]] = part[cut, col]
+            errs[live[ends]] = ebk[cut, col] + tails[cut, col]
+            rows = max(rows, m + int(cut.max()) + 1)
+            keep = ~ends
+            live, x = live[keep], x[keep]
+            a1 = a1[keep] if own else a0
+            carry, s, e = blk[hi - m][keep], part[-1][keep], ebk[-1][keep]
+            tail = tails[-1][keep]
+            blk = block(live.size)
+            blk[0] = carry
+        else:
+            s, e, tail = part[-1].copy(), ebk[-1], tails[-1]
+            blk[0] = blk[hi - m]
         m = hi
     out[live] = s
-    return out, err + (last if m else 0.0), m, False
+    errs[live] = e + tail
+    return out, errs, m if live.size else rows, not live.size
 
 
-def _max_abs(blk: np.ndarray) -> np.ndarray:
-    """Row maxima of |blk|, read without forming |blk|.  A NaN row gives
-    NaN, as np.abs would, and never ends the series; only the sign of a
-    zero can differ, and a zero adds nothing to a sum that starts at +0.0.
-    """
-    return np.maximum(blk.max(axis=1), -blk.min(axis=1))
+def _majorant_step(head, m, x):
+    """max((head + m) x / (m + 1), x): for head, x >= 0 a bound on the
+    1F0 majorant's step factors (head + n) x / (n + 1), n >= m."""
+    q = (head + m) * x
+    q /= m + 1
+    return np.maximum(q, x, out=q)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # inf and NaN are not small
+def _geometric_tail(last, q, total, scale=1.0):
+    """(tail, small), elementwise: the one stopping rule of the series.
+    tail = last q / (1 - q) bounds the moduli of the terms after one of
+    modulus ``last`` if each is at most q times the one before (inf while
+    q >= 1, 0 after a term 0); small: tail <= SERIES_SMALL (scale +
+    |total|), total the partial sum, scale 1 or a part's share of it.  q
+    bounds the weights' steps, so the tail bounds the terms if the
+    coefficients do not grow, 0 < c_n <= c_m <= 1 for n >= m (Johansson,
+    ACM TOMS 2019, sec. 5), as for a kernel in [0, 1] on (-inf, 0]: exp,
+    or confluent with c > a.  Else it bounds the weights times c_m."""
+    below = q < 1.0
+    tail = last * q
+    np.divide(tail, 1.0 - q, out=tail, where=below)
+    tail[~below] = math.inf
+    tail[last == 0.0] = 0.0
+    size = np.abs(total)
+    size += scale
+    return tail, tail <= SERIES_SMALL * size
 
 
 def _one_f0_vector(alpha: float, k1: int, w: np.ndarray) -> np.ndarray:

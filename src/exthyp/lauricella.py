@@ -37,9 +37,11 @@ from .extbeta import (
 )
 from .hyp import (
     SERIES_CAP,
-    SERIES_SMALL,
+    _BLOCK,
     PfqSpec,
     _CoeffLadder,
+    _geometric_tail,
+    _majorant_step,
     _pfq_sum,
     ext_2f1,
     pfq_series_vector,
@@ -117,51 +119,46 @@ def fd_series(p: LauricellaParams, tol: float = 1e-10) -> EvalResult:
 
 
 def _fd_series(p: LauricellaParams, tol: float) -> EvalResult:
-    """Sum over total degrees N of coeff(N) * weight(N): one engine column.
-
-    The tail, in the error only, is the largest of the last three terms (a
-    diagonal can vanish) carried by ``_geometric_tail``."""
-    big, rho, diag = _fd_diagonals(p)
+    """Sum of weight(N) coeff(N) up to the first N where the majorant's
+    ``_geometric_tail`` times coeff(N) is small, a coefficient block at a
+    time; the error adds |weight(N)| coefficient errors, and that tail."""
+    diag, majorant, steps = _fd_diagonals(p)
     ladder = _ratio_ladder(p.kernel, p.reg, p.alpha, p.gammas[0])
-    s, err, rows, done = _pfq_sum(pfq_spec(p.kernel, (big,), ()),
-                                  np.array([rho]), ladder, diag.size,
-                                  row_weights=diag)
-    if not math.isfinite(s[0]):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for hi in range(_BLOCK, diag.size + _BLOCK, _BLOCK):
+            ladder.ensure(hi)
+            coeffs = ladder.coeffs[:diag.size]
+            sums = np.cumsum(diag[:coeffs.size] * coeffs)
+            tails, small = _geometric_tail(majorant[:coeffs.size] * coeffs,
+                                           steps[:coeffs.size], sums)
+            if small.any():
+                break
+        rows = int(small.argmax()) + 1 if small.any() else coeffs.size
+        err = np.cumsum(np.abs(diag[:rows]) * ladder.cerrs[:rows])[-1]
+    if not math.isfinite(sums[rows - 1]):
         raise DomainError("type D series value out of double range")
-    last = np.abs(diag[rows - 3:rows] * ladder.coeffs[rows - 3:rows]).max()
-    err += float(_geometric_tail(last, big, rows, rho))
-    return EvalResult(float(s[0]), err, rows, done and ladder.ok, "series")
-
-
-def _geometric_tail(last, head, m, x):
-    """last * q / (1 - q), or inf while q >= 1, elementwise: what follows a
-    term ``last`` of a series whose step factors from index m on are at
-    most q = max((head + m) x / (m + 1), x), as those of the 1F0 majorant
-    with head ``head`` at x are (Darboux's method)."""
-    q = np.maximum((head + m) * x / (m + 1), x)
-    return np.divide(last * q, 1.0 - q, out=np.full(np.shape(q), math.inf),
-                     where=q < 1.0)
+    return EvalResult(float(sums[rows - 1]), float(err + tails[rows - 1]),
+                      rows, bool(small.any()) and ladder.ok, "series")
 
 
 def _fd_diagonals(p: LauricellaParams):
-    """(big, rho, weights): the type D weights by total degree N, the t^N
-    coefficients of prod_j (1 - x_j t)^-beta_j, and their majorant.
-
-    |weight N| <= (big)_N rho^N / N!, the 1F0 series with head big at rho
-    = max_j |x_j|, where big = sum_j |beta_j|.  The beta ratios lie in
-    (0, 1], so every term is small from the first majorant coefficient at
-    most ``SERIES_SMALL`` on (past the peak, being below the first): three
-    rows from there end the sum; the weights stop there, or at SERIES_CAP.
-    """
+    """(weights, majorant, steps): the type D weights by total degree N,
+    the t^N coefficients of prod_j (1 - x_j t)^-beta_j, with their majorant
+    (big)_N rho^N / N! (big = sum_j |beta_j|, rho = max_j |x_j|) and its
+    ``_majorant_step``s.  The beta ratios lie in (0, 1], so the weights
+    stop at the first N where the majorant's ``_geometric_tail`` is small
+    against 1, or at ``SERIES_CAP``."""
     rho = max(abs(x) for x in p.xs)
     if rho >= 1.0:
         raise DomainError("series needs max_j |x_j| < 1")
     big = sum(abs(b) for b in p.betas)
-    n = np.arange(SERIES_CAP - 1.0)
-    with np.errstate(divide="ignore"):  # logs of coefficients 1, 2, ...
-        bound = np.cumsum(np.log((big + n) * rho / (n + 1.0)))
-    below = np.flatnonzero(bound <= math.log(SERIES_SMALL))
-    rows = min(int(below[0]) + 4, SERIES_CAP) if below.size else SERIES_CAP
+    n = np.arange(SERIES_CAP, dtype=float)
+    with np.errstate(over="ignore"):
+        majorant = np.cumprod(np.concatenate(
+            ([1.0], (big + n[:-1]) * rho / n[1:])))
+    steps = _majorant_step(big, n, rho)
+    small = _geometric_tail(majorant, steps, 0.0)[1]
+    rows = int(small.argmax()) + 1 if small.any() else SERIES_CAP
     n, diag = n[:rows - 1], np.ones(1)
     with np.errstate(over="ignore", invalid="ignore"):
         for b, x in zip(p.betas, p.xs):
@@ -170,7 +167,8 @@ def _fd_diagonals(p: LauricellaParams):
             # follows cannot reach the sum, and subnormal products are slow
             cut = np.argmax(np.abs(axis) < np.finfo(float).tiny) or None
             diag = np.convolve(diag, axis[:cut])[:rows]
-    return big, rho, np.concatenate([diag, np.zeros(rows - diag.size)])
+    return (np.concatenate([diag, np.zeros(rows - diag.size)]),
+            majorant[:rows], steps[:rows])
 
 
 def fd_integral(p: LauricellaParams, tol: float = 1e-10) -> EvalResult:
@@ -392,11 +390,11 @@ def _fa_series(p: LauricellaParams, tol: float) -> EvalResult:
     with np.errstate(over="ignore", invalid="ignore"):
         degrees, leaves, err, done = _outer_terms(p)
         weights = np.bincount(degrees, leaves)
-        cols, col_err, rows, cols_done = _last_axis_sum(p, weights)
+        cols, col_errs, rows, cols_done = _last_axis_sum(p, weights)
         value = float(cols.sum())
     if not math.isfinite(value):
         raise DomainError("type A series value out of double range")
-    return EvalResult(value, err + weights.size * col_err,
+    return EvalResult(value, err + float(col_errs.sum()),
                       rows * weights.size, done and cols_done, "series")
 
 
@@ -412,11 +410,11 @@ def _outer_terms(p: LauricellaParams):
     The axes after j multiply term m of a row from degree N by at most
     (1 - rest)^-(|alpha| + N + m), rest being the sum of their |x_i| (the
     beta ratios lie in (0, 1]); that bound is formed in logs, and the rest
-    of the row is at most its ``_geometric_tail`` with head |alpha| + N at
-    |x_j| / (1 - rest).  A row is cut at its first term whose tail is at
-    most ``SERIES_SMALL`` (1 + |sum of its terms so far|); a block that
-    leaves a row uncut goes again twice as wide, up to ``SERIES_CAP``.  The
-    error takes the bounds times the coefficient errors, and the tails.
+    of the row is at most its ``_geometric_tail`` with q the
+    ``_majorant_step`` of head |alpha| + N at |x_j| / (1 - rest).  A row is
+    cut at its first term whose tail is small; a block that leaves a row
+    uncut goes again twice as wide, up to ``SERIES_CAP``.  The error takes
+    the bounds times the coefficient errors, and the tails.
     """
     if sum(abs(x) for x in p.xs) >= 1.0:
         raise DomainError("series needs sum_j |x_j| < 1")
@@ -439,9 +437,10 @@ def _outer_terms(p: LauricellaParams):
             coeffs = ladder.coeffs[:width]
             with np.errstate(divide="ignore", over="ignore"):
                 bound = np.exp(np.log(np.abs(row)) + (head + m) * lgrow)
-                tail = _geometric_tail(bound * np.abs(coeffs), head, m, xg)
             row *= coeffs
-            small = tail <= SERIES_SMALL * (1.0 + np.abs(np.cumsum(row, 1)))
+            tail, small = _geometric_tail(bound * np.abs(coeffs),
+                                          _majorant_step(head, m, xg),
+                                          np.cumsum(row, 1))
             ends = small.any(axis=1)
             if ends.all() or width == SERIES_CAP:
                 break
@@ -458,13 +457,13 @@ def _outer_terms(p: LauricellaParams):
 def _last_axis_sum(p: LauricellaParams, weights: np.ndarray):
     """The engine on the last axis: column N is the Gauss-level series with
     first parameter alpha + N and term-0 weight weights[N].  Returns the
-    engine's (sums, err, rows, done), done also requiring the ladder."""
+    engine's (sums, errs, rows, done), done also requiring the ladder."""
     spec = pfq_spec(p.kernel, (p.alpha, p.betas[-1]), (p.gammas[-1],), p.reg)
     ladder = _ratio_ladder(p.kernel, p.reg, p.betas[-1], p.gammas[-1])
-    cols, err, rows, done = _pfq_sum(
+    cols, errs, rows, done = _pfq_sum(
         spec, np.full(weights.size, float(p.xs[-1])), ladder, SERIES_CAP,
         heads=p.alpha + np.arange(weights.size), weights=weights)
-    return cols, err, rows, done and ladder.ok
+    return cols, errs, rows, done and ladder.ok
 
 
 def fa_eval(p: LauricellaParams, tol: float = 1e-10,
@@ -583,9 +582,9 @@ def fa_partial_series(p: LauricellaParams,
         raise DomainError("partial series needs r >= 2")
     lhs = fa_series(p, tol)
     degrees, leaves, err, done = _outer_terms(p)
-    gauss, gauss_err, _rows, gauss_done = _last_axis_sum(
+    gauss, gauss_errs, _rows, gauss_done = _last_axis_sum(
         p, np.ones(degrees.max() + 1))
     total = float((leaves * gauss[degrees]).sum())
-    err += gauss_err * float(np.abs(leaves).sum())
+    err += float((np.abs(leaves) * gauss_errs[degrees]).sum())
     rhs = EvalResult(total, err, leaves.size, done and gauss_done, "series")
     return lhs, rhs

@@ -292,7 +292,8 @@ def _type_a_per_term(alpha, ladders, xs, last_spec, cap):
     Axis by axis, every leaf (degree, term) is extended by its row one term
     at a time, with the same bound, tail and cut (or all ``cap`` terms);
     the weights are collected per total degree, then each degree's column
-    summed one term at a time by the engine reference of ``test_hyp``.  The
+    summed one term at a time by the engine reference of ``test_hyp``, to
+    its own cut, and their errors added.  The
     error sums of each axis are numpy sums over the same values in the
     same order as the engine's.
     """
@@ -314,7 +315,8 @@ def _type_a_per_term(alpha, ladders, xs, last_spec, cap):
                     bound = np.exp(np.log(abs(w)) + (head + m) * lgrow)
                 last = bound * abs(c)
                 q = max((head + m) * xg / (m + 1), xg)
-                tail = last * q / (1.0 - q) if q < 1.0 else math.inf
+                tail = (0.0 if last == 0.0 else
+                        last * q / (1.0 - q) if q < 1.0 else math.inf)
                 grown.append((n + m, w * c))
                 bounds.append(bound * e)
                 s = s + w * c
@@ -330,10 +332,10 @@ def _type_a_per_term(alpha, ladders, xs, last_spec, cap):
     for n, term in leaves:
         weights[n] = weights.get(n, 0.0) + term
     n = max(weights) + 1
-    cols, col_err, rows, cols_done = _sum_per_term(
+    cols, col_errs, rows, cols_done = _sum_per_term(
         last_spec, np.full(n, float(xs[-1])), ladders[-1], cap,
         alpha + np.arange(n), np.array([weights.get(i, 0.0) for i in range(n)]))
-    return EvalResult(float(cols.sum()), err + n * col_err,
+    return EvalResult(float(cols.sum()), err + float(col_errs.sum()),
                       rows * n, done and cols_done, "series")
 
 

@@ -432,58 +432,62 @@ def test_extended_gauss_against_external_quadrature():
     assert abs(got.value - want) <= 1e-12 * (1 + abs(want))
 
 
-def _sum_per_term(spec, w, ladder, cap=SERIES_CAP, heads=None, weights=None,
-                  row_weights=None):
-    """Reference: the series engine ``hyp._pfq_sum``, one term at a time.
+def _sum_per_term(spec, w, ladder, cap=SERIES_CAP, heads=None, weights=None):
+    """Reference: the series engine ``hyp._pfq_sum``, one column and one term
+    at a time.
 
-    With ``row_weights`` the weight of term m is row_weights[m], and the
-    step factors only tell whether the column is past its peak."""
+    A column stops at its first term whose geometric tail |term| q / (1 - q)
+    is at most 1e-16 (unit + |partial sum|): q bounds every later step
+    factor, the tail is inf while q >= 1 and 0 after a term 0, and the unit
+    is 1, or 1/n for n columns with ``weights`` (parts of one sum)."""
     w = np.asarray(w, dtype=float)
-    s = np.zeros_like(w)
-    wgt = np.ones_like(w) if weights is None else np.array(weights, float)
     head = spec.poch_head()
-    if head is not None and heads is not None:
-        head = (np.asarray(heads, dtype=float), head[1])
-    errsum = 0.0
-    mx = 0.0
-    small = 0
-    m = 0
-    while m < cap:
-        ladder.ensure(m + 1)
-        if row_weights is not None:
-            wgt = np.full_like(w, row_weights[m])
-        term = wgt * ladder.coeffs[m]
-        s += term
-        wmax = float(np.max(np.abs(wgt)))
-        errsum += wmax * ladder.cerrs[m]
-        mx = float(np.max(np.abs(term)))
-        f = w / (m + 1.0)
-        if head is not None:
-            a1, k1 = head
-            for i in range(k1):
-                f = f * (a1 + k1 * m + i)
-        for j in range(spec.surplus):
-            f = f / (spec.lower[j] + m)
-        past = float(np.max(np.abs(f))) < 1.0
-        wgt = wgt * f
-        m += 1
-        # a zero row ends a series of step factors, not of given weights
-        ends = wmax == 0.0 and row_weights is None
-        if (mx <= 1e-16 * (1.0 + float(np.max(np.abs(s))))
-                and (past or ends)):
-            if small == 2 or ends:
-                return s, errsum + mx, m, True
-            small += 1
+    lowers = spec.lower[:spec.surplus]
+    unit = 1.0 if weights is None else 1.0 / max(w.size, 1)
+    out, errs = np.zeros_like(w), np.zeros_like(w)
+    rows, done = 0, True
+    for j, x in enumerate(w):
+        a1 = None if head is None else (
+            head[0] if heads is None else heads[j])
+        wgt = 1.0 if weights is None else weights[j]
+        s, e, tail, m = 0.0, 0.0, math.inf, 0
+        while m < cap:
+            ladder.ensure(m + 1)
+            e = e + abs(wgt) * ladder.cerrs[m]
+            term = wgt * ladder.coeffs[m]
+            s = s + term
+            if head is not None and head[1] > 1:
+                q = math.inf
+            elif head is not None and head[1] == 1:
+                q = max((abs(a1) + m) * abs(x) / (m + 1), abs(x))
+            else:
+                q = abs(x) / (m + 1.0)
+                for b in lowers:
+                    q = q / (b + m) if b + m > 0.0 else math.inf
+            last = abs(term)
+            tail = (0.0 if last == 0.0 else
+                    last * q / (1.0 - q) if q < 1.0 else math.inf)
+            f = x / (m + 1.0)
+            if head is not None:
+                for i in range(head[1]):
+                    f = f * (a1 + head[1] * m + i)
+            for b in lowers:
+                f = f / (b + m)
+            wgt = wgt * f
+            m += 1
+            if tail <= 1e-16 * (unit + abs(s)):
+                break
         else:
-            small = 0
-    return s, errsum + mx, m, False
+            done = False
+        out[j], errs[j], rows = s, e + tail, max(rows, m)
+    return out, errs, rows if done else cap, done
 
 
 def _series_vector_per_term(spec, w, ladder):
     """pfq_series_vector's (values, bound) from the per-term reference."""
-    s, err, _rows, done = _sum_per_term(spec, w, ladder)
+    s, errs, _rows, done = _sum_per_term(spec, w, ladder)
     assert done
-    return s, err
+    return s, np.max(errs)
 
 
 def _bits(x):
@@ -543,7 +547,7 @@ def test_series_vector_empty_and_cap_match_per_term(monkeypatch):
     with pytest.raises(ValueError) as got:
         pfq_series_vector(spec, np.zeros(0))
     with pytest.raises(ValueError) as want:
-        _sum_per_term(spec, np.zeros(0), _CoeffLadder(spec))
+        _series_vector_per_term(spec, np.zeros(0), _CoeffLadder(spec))
     assert str(got.value) == str(want.value)
     w = np.linspace(-0.8, 0.8, 65)
     for cap in (0, 5, 70):
@@ -576,7 +580,8 @@ def test_engine_per_column_heads_and_weights_match_per_term(size):
 @pytest.mark.parametrize("size", [7, 65, 300])
 def test_engine_retires_zero_weight_columns_bit_identically(size):
     # the type A layout with every third degree at weight 0: those columns
-    # retire after the first block, the others run on with their own heads
+    # stop at their first term (tail 0), the others run on with their own
+    # heads
     spec = PfqSpec(((0.9, 1), (0.7, 1)), (2.1,), _R12)
     w = np.full(size, 0.658)
     heads = 0.9 + np.arange(size)
@@ -592,8 +597,8 @@ def test_engine_retires_zero_weight_columns_bit_identically(size):
 
 def test_engine_ends_a_terminating_sum_at_a_block_boundary():
     # (-63)_m vanishes from m = 64, the first row of the second block: the
-    # zero column has left by then, and the others all reach weight 0
-    # together, which ends the sum instead of leaving no column to sum
+    # zero column has left at its first term, and the others, whose q is
+    # at least 2 before, all stop at their first weight 0, tail 0
     spec = PfqSpec(((-63.0, 1), (1.3, 1)), (2.1,), _R12)
     w = np.array([0.0, 2.0, 2.5, 3.0])
     got = hyp._pfq_sum(spec, w, _CoeffLadder(spec), SERIES_CAP)
@@ -603,8 +608,8 @@ def test_engine_ends_a_terminating_sum_at_a_block_boundary():
 
 
 def test_engine_keeps_a_nan_column_nan():
-    # a NaN weight is never zero, so its column never retires, while the
-    # zero arguments beside it do; the sum runs to the cap unfinished
+    # a NaN tail is never small, so its column never stops, while the
+    # columns beside it do; the sum runs to the cap unfinished
     spec = PfqSpec(((0.7, 1), (1.3, 1)), (2.1,), _R12)
     w = np.linspace(-0.8, 0.8, 65)
     w[::4] = 0.0
@@ -616,31 +621,34 @@ def test_engine_keeps_a_nan_column_nan():
     assert got[2:] == (200, False)
 
 
-class _FixedLadder:
-    """A ladder whose coefficients are given (every one is present)."""
+def test_ladder_refuses_a_non_finite_coefficient_before_its_rows(
+        monkeypatch):
+    # an inf in the third coefficient block: the ladder raises, naming the
+    # block, before the engine forms any row of it
+    spec = PfqSpec(((0.7, 1), (1.3, 1)), (2.1,), _R12)
+    real = hyp._coeff_block
 
-    def __init__(self, coeffs):
-        self.coeffs = np.asarray(coeffs, dtype=float)
-        self.cerrs = np.zeros_like(self.coeffs)
-        self.ok = True
+    def bad_block(kernel, reg, alpha, width, k, ctol):
+        vals, errs, ok = real(kernel, reg, alpha, width, k, ctol)
+        if alpha == 1.3 + 2 * hyp._BLOCK:
+            vals = vals.copy()
+            vals[5] = math.inf
+        return vals, errs, ok
 
-    def ensure(self, hi):
-        pass
+    rows = [0]
+    tail = hyp._geometric_tail
 
+    def spy(last, *args):
+        rows[0] += last.shape[0]
+        return tail(last, *args)
 
-@pytest.mark.parametrize("bad", [np.inf, np.nan])
-def test_engine_takes_retired_columns_back_at_a_non_finite_coefficient(bad):
-    # 0 * inf is NaN, not 0: a column retired at w = 0 must turn NaN at the
-    # first non-finite coefficient, as the term-by-term loop's does
-    spec = pfq_spec(EXP_KERNEL, (1.0,), ())
-    w = np.array([0.0, 0.97, -0.5, 0.0])
-    coeffs = np.ones(SERIES_CAP)
-    coeffs[150] = bad
-    got = hyp._pfq_sum(spec, w, _FixedLadder(coeffs), 400)
-    with np.errstate(invalid="ignore", over="ignore"):
-        want = _sum_per_term(spec, w, _FixedLadder(coeffs), 400)
-    _same_sums(got, want)
-    assert np.isnan(got[0][0]) and np.isnan(got[0][3])
+    monkeypatch.setattr(hyp, "_coeff_block", bad_block)
+    monkeypatch.setattr(hyp, "_geometric_tail", spy)
+    with pytest.raises(DomainError, match=r"non-finite coefficient in the "
+                       r"block at first argument 129\.3, width 0\.8, "
+                       r"stride 1$"):
+        ext_pfq(spec, 0.97, method="series")
+    assert 0 < rows[0] <= 2 * hyp._BLOCK
 
 
 def test_engine_sums_a_column_past_its_peak():
@@ -806,12 +814,12 @@ def _functions(path):
 
 def test_one_series_engine_for_the_scalar_and_type_a_sums():
     # the scalar series and the type A series run no loop of their own:
-    # their terms go through hyp._pfq_sum
+    # their terms go through hyp._pfq_sum (the type D series sums its
+    # diagonal weights itself, a coefficient block at a time)
     src = Path(hyp.__file__).parent
     loops = (ast.For, ast.AsyncFor, ast.While, ast.comprehension)
     for module, name in (("hyp.py", "pfq_series"),
-                         ("lauricella.py", "_fa_series"),
-                         ("lauricella.py", "_fd_series")):
+                         ("lauricella.py", "_fa_series")):
         fn = _functions(src / module)[name]
         assert not any(isinstance(n, loops) for n in ast.walk(fn)), name
     defined = set()
@@ -826,8 +834,9 @@ def test_one_series_engine_for_the_scalar_and_type_a_sums():
     fd = _functions(src / "lauricella.py")["_fd_series"]
     consts = {n.value for n in ast.walk(fd) if isinstance(n, ast.Constant)}
     assert not consts & {1e-15, 0.97}
-    # nor does the type A series: no recursion, no outer cap, no 1e-17 cut,
-    # and both series take their tails from the one helper
+    # nor does the type A series: no recursion, no outer cap, no 1e-17 cut;
+    # the engine and both series take their cuts from the one tail helper,
+    # which hyp defines
     assert "_OUTER_CAP" not in names
     consts = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
     assert 1e-17 not in consts
@@ -843,7 +852,14 @@ def test_one_series_engine_for_the_scalar_and_type_a_sums():
                       if isinstance(n, ast.FunctionDef) and n is not fn}
             assert nested <= {"powexp", "grid_sum"}, fn.name
     assert "_geometric_tail" in called["_fd_series"]
+    assert "_geometric_tail" in called["_fd_diagonals"]
     assert "_geometric_tail" in called["_outer_terms"]
+    assert "_geometric_tail" in _functions(src / "hyp.py")
+    assert "_geometric_tail" not in _functions(src / "lauricella.py")
+    engine = _functions(src / "hyp.py")["_pfq_sum"]
+    assert "_geometric_tail" in {n.func.id for n in ast.walk(engine)
+                                 if isinstance(n, ast.Call)
+                                 and isinstance(n.func, ast.Name)}
 
 
 @pytest.mark.parametrize("which", ["a1_plus", "a1_minus", "b1_plus",

@@ -30,6 +30,7 @@ from exthyp.corefn import (
     ln_gamma,
 )
 from exthyp import corefn
+from exthyp.extbeta import BetaArgs, RegPair, ext_beta
 from exthyp.results import DomainError
 
 KUM = kummer_kernel(1.0, 2.0)
@@ -489,6 +490,26 @@ def test_kummer_cut_keeps_the_series_or_caps_at_200():
     # (c - a - 1), which is 174 here and 222 (capped) for (2, 40)
     assert _kummer_cut(1.0, 60.0) == 174.0
     assert _kummer_cut(2.0, 40.0) == 200.0
+
+
+def test_tiny_confluent_parameters_are_no_polynomial_case():
+    # a = 1e-20 and c - a = 2e-20 both lie within 1e-12 of 0, but not
+    # within 1e-12 of c: 1F1(a; c; -w) is about 2/3 + e^-w / 3, whose
+    # exponential piece the algebraic branch must wait out
+    a, c = 1e-20, 3e-20
+    assert 30.0 < _kummer_cut(a, c) < 200.0
+    w = np.array([0.5, 1.0, 5.0, 20.0, 50.0])
+    with mpmath.workdps(30):
+        want = [float(mpmath.hyp1f1(a, c, -x)) for x in w]
+    assert np.allclose(kummer_1f1_arr(a, c, -w), want, rtol=1e-14, atol=0)
+    got = ext_beta(kummer_kernel(a, c), BetaArgs(0.5, 0.8), RegPair(1.8, 0.5))
+    with mpmath.workdps(30):
+        want = mpmath.quad(
+            lambda t: (t ** -0.5 * (1 - t) ** mpmath.mpf(-0.2)
+                       * mpmath.hyp1f1(a, c, -1.8 / t - 0.5 / (1 - t))),
+            [0, 0.5, 1])
+    assert got.converged and math.isfinite(got.value)
+    assert abs(got.value - want) <= 1e-8
 
 
 def test_kummer_kernel_iterates_no_nodes_in_python():

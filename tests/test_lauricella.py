@@ -174,23 +174,22 @@ def _fd_laplace_arguments(level):
 
 
 def _counting_entries(monkeypatch):
-    """Count the term entries that the series engine forms (one running
-    sum per block)."""
+    """Count the term entries that the series engine forms (one tail per
+    entry)."""
     count = [0]
-    running = hyp._running
+    tail = hyp._geometric_tail
 
-    def spy(op, blk):
-        if op is np.add:
-            count[0] += blk.size
-        return running(op, blk)
+    def spy(last, *args):
+        count[0] += last.size
+        return tail(last, *args)
 
-    monkeypatch.setattr(hyp, "_running", spy)
+    monkeypatch.setattr(hyp, "_geometric_tail", spy)
     return count
 
 
 def test_series_retirement_is_bit_identical_on_the_laplace_grid(monkeypatch):
-    # arguments from 1.7e-292 to 229: the small ones reach weight 0 after a
-    # few terms and retire while the large ones still need hundreds of rows
+    # arguments from 1.7e-292 to 229: the small ones stop after a few
+    # terms while the large ones still need hundreds of rows
     spec = pfq_spec(EXP_KERNEL, (0.8,), (2.5,), RegPair(0.1, 0.1))
     w = _fd_laplace_arguments(4)
     assert w.size == 143 ** 2 and w.min() < 1e-291 and w.max() > 228.0
@@ -198,15 +197,16 @@ def test_series_retirement_is_bit_identical_on_the_laplace_grid(monkeypatch):
     got = hyp._pfq_sum(spec, w, hyp._CoeffLadder(spec), SERIES_CAP)
     want = _sum_per_term(spec, w, hyp._CoeffLadder(spec))
     assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
-    assert got[1:] == want[1:] and got[3]
+    assert np.array_equal(got[1].view(np.int64), want[1].view(np.int64))
+    assert got[2:] == want[2:] and got[3]
     assert count[0] < 0.5 * got[2] * w.size
 
 
-def test_fd_laplace_product_r2_forms_at_most_4m_series_entries(monkeypatch):
+def test_fd_laplace_product_r2_forms_at_most_1m_series_entries(monkeypatch):
     count = _counting_entries(monkeypatch)
     fd_laplace_product(PD(0.8, [0.9, 1.2], 2.5, [0.15, 0.2],
                           RegPair(0.1, 0.1)), 1e-8)
-    assert count[0] <= 4_000_000
+    assert count[0] <= 1_000_000
 
 
 def test_multinomial_exponential_identity():
@@ -476,34 +476,52 @@ _FD_CASES = [
                          ids=["exp", "kummer"])
 @pytest.mark.parametrize("case", range(len(_FD_CASES)))
 def test_fd_series_is_the_engine_on_the_diagonal_weights(case, kernel):
+    # term by term up to the first degree whose majorant tail, times the
+    # coefficient, is small: the error adds |weight| times the coefficient
+    # errors, then that tail
     alpha, betas, gamma, xs = _FD_CASES[case]
     reg = RegPair(0.1, 0.2)
     p = LauricellaParams(alpha, betas, (gamma,), xs, reg, kernel)
     got = fd_series(p)
-    big, rho, diag = lauricella._fd_diagonals(p)
+    diag = lauricella._fd_diagonals(p)[0]
+    big, rho = sum(abs(b) for b in betas), max(abs(x) for x in xs)
     ladder = lauricella._ratio_ladder(kernel, reg, alpha, gamma)
-    s, err, rows, done = _sum_per_term(pfq_spec(kernel, (big,), ()), [rho],
-                                       ladder, diag.size, row_weights=diag)
-    assert done and rows < diag.size <= SERIES_CAP
-    # the tail past the last row: the largest of its last three terms
-    # times the geometric sum of the majorant's step factor
-    last = np.max(np.abs(diag[rows - 3:rows] * ladder.coeffs[rows - 3:rows]))
-    step = max((big + rows) * rho / (rows + 1), rho)
-    want = EvalResult(float(s[0]), err + last * step / (1 - step), rows,
-                      True, "series")
+    s = err = 0.0
+    majorant = 1.0
+    for n, d in enumerate(diag):
+        ladder.ensure(n + 1)
+        c = ladder.coeffs[n]
+        s = s + d * c
+        err = err + abs(d) * ladder.cerrs[n]
+        step = max((big + n) * rho / (n + 1), rho)
+        last = majorant * c
+        tail = (0.0 if last == 0.0 else
+                last * step / (1 - step) if step < 1 else math.inf)
+        if tail <= 1e-16 * (1 + abs(s)):
+            break
+        majorant = majorant * ((big + n) * rho / (n + 1))
+    assert n + 1 < diag.size < SERIES_CAP
+    want = EvalResult(float(s), err + tail, n + 1, True, "series")
     assert _bits(got) == _bits(want)
 
 
 @pytest.mark.parametrize("case", range(len(_FD_CASES)))
 def test_fd_diagonal_weights_are_the_multinomial_sums(case):
     alpha, betas, gamma, xs = _FD_CASES[case]
-    big, rho, diag = lauricella._fd_diagonals(PD(alpha, betas, gamma, xs))
-    assert big == sum(abs(b) for b in betas)
-    assert rho == max(abs(x) for x in xs)
-    # the majorant (big)_N rho^N / N! bounds every weight
+    diag, majorant, steps = lauricella._fd_diagonals(
+        PD(alpha, betas, gamma, xs))
+    big, rho = sum(abs(b) for b in betas), max(abs(x) for x in xs)
+    # the majorant (big)_N rho^N / N! bounds every weight, and the weights
+    # stop at the first degree where its tail is at most 1e-16
     n = np.arange(diag.size - 1.0)
-    majorant = np.cumprod(np.concatenate(([1.0], (big + n) * rho / (n + 1))))
+    want = np.cumprod(np.concatenate(([1.0], (big + n) * rho / (n + 1))))
+    assert np.allclose(majorant, want, rtol=1e-13, atol=0)
     assert np.all(np.abs(diag) <= majorant * (1.0 + 1e-13))
+    n = np.arange(diag.size)
+    assert np.array_equal(steps, np.maximum((big + n) * rho / (n + 1), rho))
+    with np.errstate(divide="ignore"):
+        tails = np.where(steps < 1, majorant * steps / (1 - steps), np.inf)
+    assert tails[-1] <= 1e-16 < tails[:-1].min()
     for total in range(9):
         with mpmath.workdps(30):
             want = mpmath.fsum(

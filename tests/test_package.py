@@ -34,12 +34,14 @@ REMOVED = {
     "_require_finite",
 }
 # per module: the former shared_coefficients() scope, which the block cache
-# hyp._coeff_block replaced, the memo dicts that functools caches replaced,
+# hyp._coeff_block replaced, the series engine's retirement share and row
+# maxima, which the per-column tail replaced, the memo dicts that
+# functools caches replaced,
 # the unit grid's own sorting permutation (grid_order serves both grids),
 # and the twin of check_beta_domain
 REMOVED_FROM = {
     "hyp.py": {"shared_coefficients", "_shared_blocks", "contextvars",
-               "contextlib"},
+               "contextlib", "_RETIRE_SHARE", "_max_abs"},
     "quadrature.py": {"_unit_cache", "_half_cache", "_unit_order_cache",
                       "unit_grid_order"},
     "extbeta.py": {"_log_cache", "check_beta_domain_complex"},
@@ -99,8 +101,7 @@ def _called(call: ast.Call) -> str:
 def test_refinement_depth_and_series_cap_are_not_parameters():
     # quadrature names the two level ranges once (MIN_LEVEL to MAX_LEVEL
     # for nested sums, GRID_LEVELS for full grids) and is the only module
-    # that calls its engine _refine; the one series cap is hyp.SERIES_CAP,
-    # and the engine _pfq_sum also stops at the type D row count
+    # that calls its engine _refine; the one series cap is hyp.SERIES_CAP
     takes_cap, caps = [], set()
     for name, tree in _trees():
         for n in ast.walk(tree):
@@ -120,7 +121,7 @@ def test_refinement_depth_and_series_cap_are_not_parameters():
                     k.value for k in n.keywords if k.arg == "cap")
                 caps.add(ast.unparse(cap))
     assert takes_cap == [("hyp.py", "_pfq_sum")]
-    assert caps == {"SERIES_CAP", "diag.size"}
+    assert caps == {"SERIES_CAP"}
 
 
 # the functions whose argument is a refinement level (or, for unit_new_nodes
@@ -309,6 +310,32 @@ def _enclosing_calls(tree, callee: str):
                 yield where
             yield from walk(child, inner)
     return list(walk(tree, None))
+
+
+def _series_small_compares(tree):
+    """The innermost enclosing function of each comparison that involves
+    ``SERIES_SMALL``."""
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else where
+            if isinstance(child, ast.Compare) and any(
+                    getattr(n, "id", getattr(n, "attr", None))
+                    == "SERIES_SMALL" for n in ast.walk(child)):
+                yield where
+            yield from walk(child, inner)
+    return list(walk(tree, None))
+
+
+def test_one_series_stopping_rule():
+    # every ladder-backed series stops where hyp._geometric_tail says its
+    # tail is small: no other comparison involves SERIES_SMALL, and the
+    # engine takes no type D row weights with a stopping rule of their own
+    judged = {(name, where) for name, tree in _trees()
+              for where in _series_small_compares(tree)}
+    assert judged == {("hyp.py", "_geometric_tail")}
+    engine = next(n for n in ast.walk(dict(_trees())["hyp.py"])
+                  if isinstance(n, ast.FunctionDef) and n.name == "_pfq_sum")
+    assert "row_weights" not in _params(engine)
 
 
 def test_only_the_conformance_runner_opens_the_pass_memo():
