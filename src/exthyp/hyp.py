@@ -357,11 +357,8 @@ def _geometric_tail(last, q, total, scale=1.0):
     coefficients do not grow, 0 < c_n <= c_m <= 1 for n >= m (Johansson,
     ACM TOMS 2019, sec. 5), as for a kernel in [0, 1] on (-inf, 0]: exp,
     or confluent with c > a.  Else it bounds the weights times c_m."""
-    below = q < 1.0
-    tail = last * q
-    np.divide(tail, 1.0 - q, out=tail, where=below)
-    tail[~below] = math.inf
-    tail[last == 0.0] = 0.0
+    tail = np.where(last == 0.0, 0.0, math.inf)
+    np.divide(last * q, 1.0 - q, out=tail, where=q < 1.0)
     size = np.abs(total)
     size += scale
     return tail, tail <= SERIES_SMALL * size
