@@ -293,9 +293,8 @@ def _type_a_per_term(alpha, ladders, xs, last_spec, cap):
     at a time, with the same bound, tail and cut (or all ``cap`` terms);
     the weights are collected per total degree, then each degree's column
     summed one term at a time by the engine reference of ``test_hyp``, to
-    its own cut, and their errors added.  The
-    error sums of each axis are numpy sums over the same values in the
-    same order as the engine's.
+    its own cut, and their errors added.  The error sums of each axis are
+    numpy sums over the same values in the same order as the engine's.
     """
     r = len(xs)
     leaves, err, done = [(0, 1.0)], 0.0, True
