@@ -95,7 +95,6 @@ from .kernel import (
     KernelSpec,
     kummer_kernel,
     parse_kernel,
-    theta_coeff,
 )
 from .quadrature import (
     QuadGrid,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corefn import gammaln_real
+from .corefn import log_inv_beta
 from .extbeta import RegPair, _kernel_integral
 from .hyp import (
     _CoeffLadder,
@@ -168,8 +168,7 @@ def f2_single_integral(p: AppellParams, x: float, y: float,
     reg, kern = p.reg, p.kernel
     inner = pfq_spec(kern, (p.alpha, p.beta2), (p.gamma2,), reg)
     ladder = _CoeffLadder(inner)
-    lognorm = (gammaln_real(p.gamma1) - gammaln_real(p.beta1)
-               - gammaln_real(p.gamma1 - p.beta1))
+    lognorm = log_inv_beta(p.beta1, p.gamma1)
 
     def powexp(t, tc, lt, ltc):
         return ((p.beta1 - 1.0) * lt + (p.gamma1 - p.beta1 - 1.0) * ltc

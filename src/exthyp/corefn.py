@@ -135,6 +135,12 @@ def pochhammer(a: float, m: int) -> float:
     return out
 
 
+def log_inv_beta(a: float, c: float) -> float:
+    """log 1/B(a, c - a) = log Gamma(c) - log Gamma(a) - log Gamma(c - a),
+    the Euler integrals' normalisation (``gammaln_real`` checks the range)."""
+    return gammaln_real(c) - gammaln_real(a) - gammaln_real(c - a)
+
+
 @functools.lru_cache(maxsize=_BETA_CACHE_SIZE)
 def beta_classical(a: float, b: float) -> float:
     """Euler beta for positive arguments, via the gamma quotient (cached).

@@ -218,12 +218,12 @@ def _kernel_integral(k: KernelSpec, reg: RegPair, powexp, tol: float,
 
     ``powexp(t, tc, lt, ltc)`` returns the exponent on a level's new nodes t
     and complements tc = 1-t, with lt, ltc = log t, log tc.  ``factor(t)``
-    returns (g(t), its error), for an inner series or closed form; g = 1
-    without it.  The refinement stops at the absolute ``tol`` on the scaled
-    value.  A norm out of range raises ``DomainError`` before any node, and
-    a non-finite sample ``NonFiniteSampleError`` once the refinement reads
-    its level.  The error is the norm times the last level difference plus
-    the largest factor error.
+    returns (g(t), its errors per node, or one for all), for an inner series
+    or closed form; g = 1 without it.  The refinement stops at the absolute
+    ``tol`` on the scaled value.  A norm out of range raises ``DomainError``
+    before any node, and a non-finite sample ``NonFiniteSampleError`` once
+    the refinement reads its level.  The error is the norm times the last
+    level difference plus the largest factor error.
 
     The weighted samples w exp(powexp) Theta of levels 0..FIRST_PASS_LEVEL
     are formed in one pass over their nodes laid end to end (level -1) and
@@ -252,7 +252,7 @@ def _kernel_integral(k: KernelSpec, reg: RegPair, powexp, tol: float,
                 vals = first[0][unit_level_span(level)]
             if factor is not None:
                 fv, ferr = factor(t)
-                factor_err = max(factor_err, ferr)
+                factor_err = max(factor_err, float(np.max(ferr)))
                 vals = vals * fv
         _check_finite(vals, t)
         return vals.sum(), t.size

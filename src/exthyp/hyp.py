@@ -27,6 +27,7 @@ from .corefn import (
     _is_nonpositive_int,
     beta_classical,
     gammaln_real,
+    log_inv_beta,
     pochhammer,
 )
 from .extbeta import (
@@ -219,8 +220,8 @@ def pfq_series_vector(spec: PfqSpec, w: np.ndarray,
                       ladder: "_CoeffLadder" = None):
     """Series evaluated at an array of arguments with shared coefficients.
 
-    Returns (values, err_bound), the bound holding at every argument; a sum
-    not done within ``SERIES_CAP`` terms is a ``DomainError``.  Used by the
+    Returns (values, errs), an error bound per argument; a sum not done
+    within ``SERIES_CAP`` terms is a ``DomainError``.  Used by the
     integral representations that need the function on a whole quadrature
     grid; pass a ladder to reuse the fetched coefficients across repeated
     calls.
@@ -232,7 +233,7 @@ def pfq_series_vector(spec: PfqSpec, w: np.ndarray,
     if not done:
         raise DomainError(f"series did not converge within {SERIES_CAP} "
                           f"terms (max |argument| = {np.max(np.abs(w)):.3g})")
-    return s.reshape(w.shape), float(errs.max())
+    return s.reshape(w.shape), errs.reshape(w.shape)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # callers judge the sums
@@ -411,8 +412,7 @@ def euler_step_integral(spec: PfqSpec, z: float,
         raise DomainError("inner series needs |z| <= 0.85 beyond the "
                           "Gauss level")
 
-    lognorm = (gammaln_real(b_q) - gammaln_real(a_p)
-               - gammaln_real(b_q - a_p))
+    lognorm = log_inv_beta(a_p, b_q)
     factor = None
     if z == 1.0:
         def powexp(t, tc, lt, ltc):

@@ -74,15 +74,6 @@ def parse_kernel(text: str) -> KernelSpec:
     raise DomainError(f"bad kernel syntax {text!r}; want 'exp' or 'kummer:a,c'")
 
 
-def theta_coeff(k: KernelSpec, l: int) -> float:
-    """Taylor coefficient kappa_l of the kernel; kappa_0 = 1 always."""
-    if l < 0:
-        raise DomainError("coefficient index must be nonnegative")
-    if k.variant == EXP_VARIANT:
-        return 1.0
-    return corefn.pochhammer(k.a, l) / corefn.pochhammer(k.c, l)
-
-
 def theta_eval_arr(k: KernelSpec, z: np.ndarray) -> np.ndarray:
     """Vectorized kernel evaluation over a real array."""
     z = np.asarray(z, dtype=float)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corefn import beta_classical, gammaln_real
+from .corefn import beta_classical, gammaln_real, log_inv_beta
 from .extbeta import (
     BetaArgs,
     RegPair,
@@ -190,8 +190,7 @@ def _fd_integral(p: LauricellaParams, tol: float) -> EvalResult:
     width_eff = gamma - p.alpha - sum(b for b, x in zip(p.betas, p.xs)
                                       if x == 1.0)
     check_beta_domain(kern, p.alpha, width_eff, reg)
-    lognorm = (gammaln_real(gamma) - gammaln_real(p.alpha)
-               - gammaln_real(gamma - p.alpha))
+    lognorm = log_inv_beta(p.alpha, gamma)
 
     def powexp(t, tc, lt, ltc):
         out = (p.alpha - 1.0) * lt + (gamma - p.alpha - 1.0) * ltc
@@ -222,8 +221,7 @@ def fd_summation_unit(p: LauricellaParams,
     unit = LauricellaParams(p.alpha, p.betas, p.gammas, (1.0,) * p.r,
                             p.reg, p.kernel)
     lhs = fd_integral(unit, tol)
-    quot = math.exp(gammaln_real(gamma) - gammaln_real(p.alpha)
-                    - gammaln_real(gamma - p.alpha))
+    quot = math.exp(log_inv_beta(p.alpha, gamma))
     bb = ext_beta(p.kernel, BetaArgs(p.alpha, width), p.reg, tol=tol * 1e-2)
     return lhs, bb.scaled(quot)
 
@@ -330,7 +328,7 @@ def fd_laplace_product(p: LauricellaParams,
     # past the cut the e^-t weight is 0; stopping where the argument sum
     # reaches 700 also keeps the confluent factor finite (no 0 * inf)
     cut = min(750.0 / (1.0 - max(p.xs)), 700.0 / max(sum(p.xs), 1e-300))
-
+    # the inner errors times |outer weight| on the last level (the returned)
     inner_err = 0.0
 
     def grid_sum(level):
@@ -343,8 +341,9 @@ def fd_laplace_product(p: LauricellaParams,
             if p.r == 1:
                 wsum = p.xs[0] * t
                 fv, ierr = pfq_series_vector(inner, wsum, ladder=shared)
-                vals = wt * np.exp((p.betas[0] - 1.0) * np.log(t) - t) * fv
-                s = float(vals.sum())
+                outer = wt * np.exp((p.betas[0] - 1.0) * np.log(t) - t)
+                s = float((outer * fv).sum())
+                inner_err = float((np.abs(outer) * ierr).sum())
             else:
                 wa = wt * np.exp((p.betas[0] - 1.0) * np.log(t) - t)
                 wb = wt * np.exp((p.betas[1] - 1.0) * np.log(t) - t)
@@ -352,7 +351,8 @@ def fd_laplace_product(p: LauricellaParams,
                 fv, ierr = pfq_series_vector(inner, wsum.ravel(),
                                              ladder=shared)
                 s = float(wa @ fv.reshape(wsum.shape) @ wb)
-            inner_err = max(inner_err, ierr)
+                inner_err = float(np.abs(wa) @ ierr.reshape(wsum.shape)
+                                  @ np.abs(wb))
         return s, t.size ** p.r
 
     totals, err, nodes, converged = _refine_grid(grid_sum, tol)
@@ -388,8 +388,7 @@ def _fa_series(p: LauricellaParams, tol: float) -> EvalResult:
     finite is a ``DomainError``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        degrees, leaves, err, done = _outer_terms(p)
-        weights = np.bincount(degrees, leaves)
+        weights, err, done = _outer_terms(p)
         cols, col_errs, rows, cols_done = _last_axis_sum(p, weights)
         value = float(cols.sum())
     if not math.isfinite(value):
@@ -399,27 +398,30 @@ def _fa_series(p: LauricellaParams, tol: float) -> EvalResult:
 
 
 def _outer_terms(p: LauricellaParams):
-    """The leaves of the type A sum over its first r - 1 axes.
+    """The type A sum over its first r - 1 axes, one weight per total degree.
 
-    Returns (degrees, terms, err, done): per leaf its total degree N and
-    its term (alpha)_N prod_j c_j[m_j] x_j^m_j / m_j!; the error bound of
-    the leaves; and whether every row was cut before ``SERIES_CAP`` terms
-    and every ladder converged.  At r = 1 the one leaf is N = 0, term 1.
+    Returns (weights, err, done): weights[N] sums (alpha)_N prod_j c_j[m_j]
+    x_j^m_j / m_j! over the index vectors of total degree N; their error
+    bound; and whether every row was cut before ``SERIES_CAP`` terms and
+    every ladder converged.  At r = 1 it is weights = [1].
 
-    Axis j extends each leaf by a row, a running product from its term.
-    The axes after j multiply term m of a row from degree N by at most
-    (1 - rest)^-(|alpha| + N + m), rest being the sum of their |x_i| (the
-    beta ratios lie in (0, 1]); that bound is formed in logs, and the rest
-    of the row is at most its ``_geometric_tail`` with q the
-    ``_majorant_step`` of head |alpha| + N at |x_j| / (1 - rest).  A row is
-    cut at its first term whose tail is small; a block that leaves a row
-    uncut goes again twice as wide, up to ``SERIES_CAP``.  The error takes
-    the bounds times the coefficient errors, and the tails.
+    Axis j extends each weight by a row, a running product from it whose
+    factors depend on (N, m) alone, and adds the kept entries to the
+    weights of their new degrees.  The axes after j multiply term m of a
+    row from degree N by at most (1 - rest)^-(|alpha| + N + m), rest being
+    the sum of their |x_i| (the beta ratios lie in (0, 1]); that bound is
+    formed in logs, and the rest of the row is at most its
+    ``_geometric_tail`` with q the ``_majorant_step`` of head |alpha| + N
+    at |x_j| / (1 - rest).  A row is cut at its first term whose tail is
+    small; a block that leaves a row uncut goes again twice as wide, up to
+    ``SERIES_CAP``.  The error takes the bounds times the coefficient
+    errors, and the tails.
     """
     if sum(abs(x) for x in p.xs) >= 1.0:
         raise DomainError("series needs sum_j |x_j| < 1")
-    degrees, terms, err, done = np.zeros(1, dtype=int), np.ones(1), 0.0, True
+    weights, err, done = np.ones(1), 0.0, True
     for j in range(p.r - 1):
+        degrees = np.arange(weights.size)
         x = float(p.xs[j])
         grow = 1.0 / (1.0 - sum(abs(v) for v in p.xs[j + 1:]))
         lgrow, xg = math.log(grow), abs(x) * grow
@@ -430,8 +432,8 @@ def _outer_terms(p: LauricellaParams):
         while True:
             ladder.ensure(width)
             m = np.arange(width)
-            row = np.empty((terms.size, width))
-            row[:, 0] = terms
+            row = np.empty((weights.size, width))
+            row[:, 0] = weights
             row[:, 1:] = (p.alpha + degrees[:, None] + m[:-1]) * x / m[1:]
             np.cumprod(row, axis=1, out=row)
             coeffs = ladder.coeffs[:width]
@@ -450,8 +452,8 @@ def _outer_terms(p: LauricellaParams):
         err += float((bound * ladder.cerrs[:width])[keep].sum()
                      + tail[np.arange(cut.size), cut].sum())
         done = done and bool(ends.all()) and ladder.ok
-        degrees, terms = (degrees[:, None] + m)[keep], row[keep]
-    return degrees, terms, err, done
+        weights = np.bincount((degrees[:, None] + m)[keep], row[keep])
+    return weights, err, done
 
 
 def _last_axis_sum(p: LauricellaParams, weights: np.ndarray):
@@ -490,8 +492,7 @@ def _fa_integral(p: LauricellaParams, tol: float, variant: str) -> EvalResult:
     if sum(max(x, 0.0) for x in p.xs) >= 1.0:
         raise DomainError("integral needs positive parts to sum below 1")
     reg, kern = p.reg, p.kernel
-    lognorm = sum(gammaln_real(g) - gammaln_real(b) - gammaln_real(g - b)
-                  for b, g in zip(p.betas, p.gammas))
+    lognorm = sum(log_inv_beta(b, g) for b, g in zip(p.betas, p.gammas))
     if variant not in ("proof", "printed"):
         raise DomainError(f"unknown variant {variant!r}")
     norm = _exp_norm(lognorm if variant == "proof" else -lognorm)
@@ -542,7 +543,7 @@ def fa_single_integral(
     cut = min(750.0 / (1.0 - sum(max(x, 0.0) for x in p.xs)),
               700.0 / max(max(abs(x) for x in p.xs), 1e-300))
     norm = _exp_norm(-gammaln_real(p.alpha))
-
+    # as in fd_laplace_product: weighted inner errors of the last level
     inner_err = 0.0
 
     def grid_sum(level):
@@ -557,11 +558,15 @@ def fa_single_integral(
             t, wt = g.nodes * upper, g.weights * upper
         with np.errstate(over="ignore", under="ignore"):
             vals = wt * np.exp((p.alpha - 1.0) * np.log(t) - t)
+            # size |vals| prod|f_j|, spread |vals| prod(|f_j| + e_j) - size
+            size, spread = np.abs(vals), np.zeros_like(t)
             for spec, x, lad in zip(inners, p.xs, shared):
                 fv, ierr = pfq_series_vector(spec, x * t, ladder=lad)
-                inner_err = max(inner_err, ierr)
                 vals = vals * fv
+                spread = spread * (np.abs(fv) + ierr) + size * ierr
+                size = size * np.abs(fv)
             s = float(vals.sum())
+            inner_err = float(spread.sum())
         return s, t.size
 
     totals, err, nodes, converged = _refine_grid(grid_sum, tol / norm)
@@ -575,16 +580,16 @@ def fa_partial_series(p: LauricellaParams,
                       tol: float = 1e-10) -> tuple[EvalResult, EvalResult]:
     """Split off the last axis as a Gauss-level factor.
 
-    Each leaf of the outer (r-1)-fold sum multiplies the Gauss-level value
-    whose Pochhammer slot is shifted by its total degree, summed leaf by
-    leaf (one engine column per degree)."""
+    Each total degree's weight of the outer (r-1)-fold sum multiplies the
+    Gauss-level value whose Pochhammer slot is shifted by that degree (one
+    engine column per degree)."""
     if p.r < 2:
         raise DomainError("partial series needs r >= 2")
     lhs = fa_series(p, tol)
-    degrees, leaves, err, done = _outer_terms(p)
+    weights, err, done = _outer_terms(p)
     gauss, gauss_errs, _rows, gauss_done = _last_axis_sum(
-        p, np.ones(degrees.max() + 1))
-    total = float((leaves * gauss[degrees]).sum())
-    err += float((np.abs(leaves) * gauss_errs[degrees]).sum())
-    rhs = EvalResult(total, err, leaves.size, done and gauss_done, "series")
+        p, np.ones(weights.size))
+    total = float((weights * gauss).sum())
+    err += float((np.abs(weights) * gauss_errs).sum())
+    rhs = EvalResult(total, err, weights.size, done and gauss_done, "series")
     return lhs, rhs

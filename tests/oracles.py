@@ -89,6 +89,23 @@ def lauricella_fa(a, bs, cs, xs, terms=40):
     return float(s)
 
 
+def lauricella_fa_by_degree(a, bs, cs, xs, degrees):
+    """Classical type A summed by total degree N < ``degrees``: (a)_N times
+    the t^N coefficient of prod_j sum_m (b_j)_m/(c_j)_m (x_j t)^m / m!.
+    Returns (value, largest |term| of the last ten degrees), as mpf."""
+    poly = [mpmath.mpf(1)]
+    for b, c, x in zip(bs, cs, xs):
+        axis = [mpmath.mpf(1)]
+        for m in range(1, degrees):
+            axis.append(axis[-1] * (b + m - 1) / (c + m - 1) * x / m)
+        poly = [mpmath.fdot(poly[:n + 1], axis[n::-1]) for n in range(degrees)]
+    terms, rising = [], mpmath.mpf(1)
+    for n, p in enumerate(poly):
+        terms.append(rising * p)
+        rising *= a + n
+    return mpmath.fsum(terms), max(abs(t) for t in terms[-10:])
+
+
 def gauss_sum(a, b, c):
     """2F1 at unit argument via the gamma quotient."""
     g = mpmath.gamma

@@ -289,20 +289,21 @@ def test_lemma1_expansion_property(s, t, u, x, y):
 def _type_a_per_term(alpha, ladders, xs, last_spec, cap):
     """Reference: ``lauricella._fa_series`` as plain loops.
 
-    Axis by axis, every leaf (degree, term) is extended by its row one term
-    at a time, with the same bound, tail and cut (or all ``cap`` terms);
-    the weights are collected per total degree, then each degree's column
-    summed one term at a time by the engine reference of ``test_hyp``, to
-    its own cut, and their errors added.  The error sums of each axis are
-    numpy sums over the same values in the same order as the engine's.
+    Axis by axis, each total degree's weight is extended by its row one
+    term at a time, with the same bound, tail and cut (or all ``cap``
+    terms), and the kept terms are added to the weights of their new total
+    degrees, in row order; then each degree's column is summed one term at
+    a time by the engine reference of ``test_hyp``, to its own cut, and
+    their errors added.  The error sums of each axis are numpy sums over
+    the same values in the same order as the engine's.
     """
     r = len(xs)
-    leaves, err, done = [(0, 1.0)], 0.0, True
+    weights, err, done = [1.0], 0.0, True
     for j in range(r - 1):
         grow = 1.0 / (1.0 - sum(abs(x) for x in xs[j + 1:]))
         lgrow, xg = math.log(grow), abs(xs[j]) * grow
-        grown, bounds, tails = [], [], []
-        for n, acc in leaves:
+        grown, bounds, tails = {}, [], []
+        for n, acc in enumerate(weights):
             head = abs(alpha) + n
             w, s = acc, 0.0
             for m in range(cap):
@@ -316,7 +317,7 @@ def _type_a_per_term(alpha, ladders, xs, last_spec, cap):
                 q = max((head + m) * xg / (m + 1), xg)
                 tail = (0.0 if last == 0.0 else
                         last * q / (1.0 - q) if q < 1.0 else math.inf)
-                grown.append((n + m, w * c))
+                grown[n + m] = grown.get(n + m, 0.0) + w * c
                 bounds.append(bound * e)
                 s = s + w * c
                 if tail <= SERIES_SMALL * (1.0 + abs(s)):
@@ -326,14 +327,11 @@ def _type_a_per_term(alpha, ladders, xs, last_spec, cap):
             tails.append(tail)
         err += float(np.sum(np.array(bounds)) + np.sum(np.array(tails)))
         done = done and ladders[j].ok
-        leaves = grown
-    weights = {}
-    for n, term in leaves:
-        weights[n] = weights.get(n, 0.0) + term
-    n = max(weights) + 1
+        weights = [grown.get(i, 0.0) for i in range(max(grown) + 1)]
+    n = len(weights)
     cols, col_errs, rows, cols_done = _sum_per_term(
         last_spec, np.full(n, float(xs[-1])), ladders[-1], cap,
-        alpha + np.arange(n), np.array([weights.get(i, 0.0) for i in range(n)]))
+        alpha + np.arange(n), np.array(weights))
     return EvalResult(float(cols.sum()), err + float(col_errs.sum()),
                       rows * n, done and cols_done, "series")
 

@@ -7,9 +7,7 @@ ordinary values into the parameter records, the public evaluators and
 ``-inf`` as a flag).  Only ``DomainError`` may escape, no warning may be
 emitted, the CLI exits 0, 2, 3 or 4, and a converged result is finite.
 Work-size inputs stay bounded: T/h <= 4000 on a contour, ``--steps`` <= 5,
-r <= MAX_VARIABLES; the type A function is drawn at r <= 2, because its
-series at r >= 3 near the edge holds hundreds of MiB (ROADMAP item 1).
-The inputs that once escaped are fixed tests next to their modules' other
+r <= MAX_VARIABLES.  The inputs that once escaped are fixed tests next to their modules' other
 domain tests (``test_cli_eval_bad_input_exit_2`` for the CLI).
 """
 
@@ -124,7 +122,7 @@ API = {
     "fa": lambda draw: (lambda r: lambda: X.fa_eval(X.LauricellaParams(
         draw(NUMBERS), _numbers(draw, r), _numbers(draw, r),
         _numbers(draw, r), _reg(draw), _kernel(draw)), 1e-6,
-        draw(METHODS)))(draw(st.integers(1, 2))),
+        draw(METHODS)))(draw(st.integers(0, MAX_VARIABLES + 1))),
     "mb_eval": lambda draw: lambda: X.mb_eval(
         X.pfq_spec(_kernel(draw), _numbers(draw, 2), _numbers(draw, 1),
                    _reg(draw)), draw(NUMBERS),
@@ -169,7 +167,7 @@ def _argv(draw):
                  f"--steps={draw(st.integers(1, 5))}"]
     else:
         argv += [f"--z={num()}", f"--x={num()}", f"--y={num()}"]
-    r = draw(st.integers(1, MAX_VARIABLES if func == "fd" else 2))
+    r = draw(st.integers(1, MAX_VARIABLES if func in ("fd", "fa") else 2))
     params = {"2f1": nums(3), "pfq": f"{nums(2)}:{nums(1)}", "f1": nums(4),
               "f2": nums(5), "fd": nums(r + 2), "fa": nums(2 * r + 1),
               "extbeta": nums(2), "extgamma": nums(1)}[func]
@@ -197,6 +195,10 @@ def _run(argv) -> tuple[int, str, str]:
 # log of the kernel was once taken at kernel argument 0, which warned
 @example(["eval", "--func=2f1", "--kernel=kummer:1.5,2.5",
           "--params=0.8,1.4,1.46", "--z=0.3"])
+# the type A series at r = 4 near its edge, which random draws rarely reach
+@example(["eval", "--func=fa", "--kernel=exp", "--b=0.1", "--d=0.2",
+          "--params=1.2,0.5,0.9,0.7,0.6,1.4,2.1,1.6,1.5", "--r=4",
+          "--xs=0.3,-0.25,0.2,-0.19"])
 def test_cli_exits_0_2_3_or_4_and_prints_finite_values(argv):
     code, out, err = _run(argv)
     assert code in (0, 2, 3, 4), (argv, err)

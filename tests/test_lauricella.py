@@ -4,6 +4,8 @@ import ast
 import itertools
 import math
 import pathlib
+import time
+import tracemalloc
 import warnings
 
 import mpmath
@@ -240,6 +242,40 @@ def test_fa_classical_oracle():
     want4 = oracles.lauricella_fa_float(*args4, terms=44)
     assert got4.converged
     assert abs(got4.value - want4) <= 1e-13 * abs(want4)
+
+
+def test_fa_series_r4_holds_one_weight_per_degree():
+    # r = 4 near the series edge: the outer sum keeps one weight per total
+    # degree, so its traced peak stays small (457 MiB when every index
+    # vector of the first three axes was kept apart)
+    p = PA(1.2, [0.5, 0.9, 0.7, 0.6], [1.4, 2.1, 1.6, 1.5],
+           [0.3, -0.25, 0.2, -0.22], RegPair(0.1, 0.2))
+    tracemalloc.start()
+    try:
+        got = fa_series(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.converged
+    assert peak < 32 * 2 ** 20, peak / 2 ** 20
+
+
+@pytest.mark.parametrize("alpha, betas, gammas, xs, degrees", [
+    (5.0, [3.0] * 4, [3.5] * 4, [-0.2374, 0.2374, -0.2374, 0.2374], 300),
+    (1.2, [0.5, 0.9, 0.7, 0.6], [1.4, 2.1, 1.6, 1.5], [0.3, 0.25, 0.2, 0.2],
+     600),
+])
+def test_fa_series_r4_near_the_edge_matches_a_sum_by_degree(
+        alpha, betas, gammas, xs, degrees):
+    start = time.perf_counter()
+    got = fa_series(PA(alpha, betas, gammas, xs))
+    with mpmath.workdps(30):
+        want, last = oracles.lauricella_fa_by_degree(alpha, betas, gammas,
+                                                     xs, degrees)
+        assert last < 1e-20 * abs(want)  # the reference's own truncation
+    assert got.converged
+    assert abs(got.value - want) <= 1e-14 * abs(want)
+    assert time.perf_counter() - start <= 2.0
 
 
 def test_fa_permutation_symmetry():

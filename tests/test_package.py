@@ -31,7 +31,7 @@ REMOVED = {
     "theta_eval", "integrate_unit", "ext_beta_complex", "ext_2f1_integral",
     "beta_signed", "ConvergenceError", "expect", "asymptotic_amplitude",
     "asymptotic_exponent", "HilbertReport", "write_report_csv",
-    "_require_finite",
+    "_require_finite", "theta_coeff",
 }
 # per module: the former shared_coefficients() scope, which the block cache
 # hyp._coeff_block replaced, the series engine's retirement share and row

@@ -145,7 +145,7 @@ def test_tail_of_a_type_a_outer_row(kernel):
         gammas = tuple(b + rng.uniform(0.3, 2.0) for b in betas)
         x, y = rng.uniform(-0.45, 0.45, 2)
         p = LauricellaParams(alpha, betas, gammas, (x, y), _reg(rng), kernel)
-        degrees, _terms, tail, done = lauricella._outer_terms(p)
+        weights, tail, done = lauricella._outer_terms(p)
         assert done
         ladder = lauricella._ratio_ladder(kernel, p.reg, betas[0], gammas[0])
         with mpmath.workdps(30):
@@ -153,8 +153,8 @@ def test_tail_of_a_type_a_outer_row(kernel):
             weight = _weights(lambda m: (alpha + m) * mpmath.mpf(x) / (m + 1))
             omitted = _omitted(
                 lambda m: weight(m) * grow ** (abs(alpha) + m),
-                degrees.size, ladder, tail)
-        assert omitted <= tail, (degrees.size, float(omitted), tail)
+                weights.size, ladder, tail)
+        assert omitted <= tail, (weights.size, float(omitted), tail)
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=["exp", "kummer"])
