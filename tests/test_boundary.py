@@ -7,8 +7,9 @@ ordinary values into the parameter records, the public evaluators and
 ``-inf`` as a flag).  Only ``DomainError`` may escape, no warning may be
 emitted, the CLI exits 0, 2, 3 or 4, and a converged result is finite.
 Work-size inputs stay bounded: T/h <= 4000 on a contour, ``--steps`` <= 5,
-r <= MAX_VARIABLES.  The inputs that once escaped are fixed tests next to their modules' other
-domain tests (``test_cli_eval_bad_input_exit_2`` for the CLI).
+r <= MAX_VARIABLES.  The inputs that once escaped are fixed tests next to
+their modules' other domain tests (``test_cli_eval_bad_input_exit_2`` for
+the CLI).
 """
 
 import contextlib

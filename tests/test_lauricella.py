@@ -211,6 +211,25 @@ def test_fd_laplace_product_r2_forms_at_most_1m_series_entries(monkeypatch):
     assert count[0] <= 1_000_000
 
 
+@pytest.mark.parametrize("form, p", [
+    (fd_laplace_product, PD(0.9, [1.1], 2.3, [0.2], RegPair(0.1, 0.2))),
+    (fd_laplace_product, PD(0.8, [0.9, 1.2], 2.5, [0.15, 0.2],
+                            RegPair(0.1, 0.1))),
+    (fa_single_integral, PA(1.2, [0.5, 0.9], [1.4, 2.1], [0.3, 0.2],
+                            RegPair(0.1, 0.2))),
+])
+def test_laplace_forms_weight_their_inner_errors(form, p):
+    # each node's inner-series error counts times its outer weight, so the
+    # estimate is of the tolerance's size and still covers the series side
+    sides = form(p, 1e-8)
+    integral, = (s for s in sides if s.method == "euler_integral")
+    series, = (s for s in sides if s.method == "series")
+    assert integral.converged
+    assert integral.abs_err_est <= 1e-8
+    assert (abs(integral.value - series.value)
+            <= integral.abs_err_est + series.abs_err_est)
+
+
 def test_multinomial_exponential_identity():
     lhs, rhs = multinomial_exponential_identity((0.2, 0.3))
     assert abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs))
@@ -245,9 +264,8 @@ def test_fa_classical_oracle():
 
 
 def test_fa_series_r4_holds_one_weight_per_degree():
-    # r = 4 near the series edge: the outer sum keeps one weight per total
-    # degree, so its traced peak stays small (457 MiB when every index
-    # vector of the first three axes was kept apart)
+    # r = 4 near the series edge: with one weight per total degree of the
+    # outer axes, not one term per index vector, the traced peak is small
     p = PA(1.2, [0.5, 0.9, 0.7, 0.6], [1.4, 2.1, 1.6, 1.5],
            [0.3, -0.25, 0.2, -0.22], RegPair(0.1, 0.2))
     tracemalloc.start()
