@@ -43,7 +43,9 @@ class AppellParams:
     """Parameters shared by both two-variable functions.
 
     ``gamma2`` is ignored by the first-kind function, so it may stay NaN;
-    the second kind checks it in the type A parameters it builds.
+    the second kind checks it in the type A parameters it builds.  Each
+    kind is validated as the r = 2 record it builds (``_as_fd``,
+    ``_as_fa``).
     """
 
     alpha: float
@@ -58,30 +60,21 @@ class AppellParams:
         refuse_non_finite("parameters", self.alpha, self.beta1, self.beta2,
                           self.gamma1)
 
-    def validate_f1(self) -> None:
-        if not (self.gamma1 > self.alpha > 0.0):
-            raise DomainError(
-                f"first-kind function needs gamma1 > alpha > 0, got "
-                f"({self.alpha}, {self.gamma1})")
-
-    def validate_f2(self) -> None:
-        if not (self.gamma1 > self.beta1 > 0.0
-                and self.gamma2 > self.beta2 > 0.0):
-            raise DomainError("second-kind function needs gamma_j > beta_j > 0")
-
 
 def _as_fd(p: AppellParams, x: float, y: float) -> LauricellaParams:
-    """The first-kind function as the type D function at r = 2."""
-    p.validate_f1()
-    return LauricellaParams(p.alpha, (p.beta1, p.beta2), (p.gamma1,), (x, y),
-                            p.reg, p.kernel)
+    """The first-kind function as the type D function at r = 2, validated."""
+    q = LauricellaParams(p.alpha, (p.beta1, p.beta2), (p.gamma1,), (x, y),
+                         p.reg, p.kernel)
+    q.validate_fd()
+    return q
 
 
 def _as_fa(p: AppellParams, x: float, y: float) -> LauricellaParams:
-    """The second-kind function as the type A function at r = 2."""
-    p.validate_f2()
-    return LauricellaParams(p.alpha, (p.beta1, p.beta2),
-                            (p.gamma1, p.gamma2), (x, y), p.reg, p.kernel)
+    """The second-kind function as the type A function at r = 2, validated."""
+    q = LauricellaParams(p.alpha, (p.beta1, p.beta2), (p.gamma1, p.gamma2),
+                         (x, y), p.reg, p.kernel)
+    q.validate_fa()
+    return q
 
 
 @memoized
@@ -161,7 +154,7 @@ def f2_single_integral(p: AppellParams, x: float, y: float,
     levels; its coefficients do not depend on the level, so the values are
     those of a fresh ladder per level.
     """
-    p.validate_f2()
+    _as_fa(p, x, y)
     wmax = abs(y) / (1.0 - x) if x > 0.0 else abs(y)
     if not (x < 1.0 and wmax < 1.0):
         raise DomainError("inner argument y/(1-xt) leaves (-1, 1)")
@@ -229,7 +222,7 @@ def f2_recursion(p: AppellParams, n: int, which: str, x: float, y: float,
         raise DomainError(f"unknown recursion {which!r}")
     if n < 0:
         raise DomainError("shift order must be >= 0")
-    p.validate_f2()
+    _as_fa(p, x, y)
 
     def F2(b2, g2) -> EvalResult:
         q = AppellParams(p.alpha, p.beta1, b2, p.gamma1, g2, p.reg, p.kernel)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 import numpy as np
 
@@ -53,6 +53,7 @@ from .hyp import (
     weighted_derivative_lhs,
 )
 from .ineq import (
+    HilbertForm,
     classical_point,
     hilbert_bilinear,
     hilbert_equivalent,
@@ -103,11 +104,10 @@ class IdentityDef:
     identity_id: str
     suite: str
     variants: tuple[str, ...]
-    tol_scale: float
     points: tuple[dict, ...]
     extra_points: tuple[dict, ...]  # appended on the full grid
-    mode: str  # "eq" or "le"
-    # callable(point, variant, tol) -> (lhs, rhs), EvalResults or floats
+    # callable(point, variant, tol) -> (lhs, rhs), EvalResults or floats,
+    # or a HilbertForm for an inequality
     evaluate: object
 
 
@@ -149,9 +149,9 @@ def _residual(lhs: float, rhs: float) -> float:
 #
 # Each catalog entry's ``evaluate(point, variant, tol)`` is one call
 # expression that returns the two sides of its identity as the library gives
-# them: EvalResults, or plain floats from the oracles.  The runner unwraps
-# them.  Library functions are looked up in this module's globals when an
-# entry runs, never copied into a table.
+# them: EvalResults, or plain floats from the oracles, or the HilbertForm of
+# an inequality.  The runner unwraps them.  Library functions are looked up
+# in this module's globals when an entry runs, never copied into a table.
 
 def _regp(pt: dict) -> RegPair:
     return RegPair(pt.get("b", 0.0), pt.get("d", 0.0))
@@ -197,9 +197,6 @@ def _hp_from_point(pt):
                            pt["al2"], pt["pt"], pt["qt"])
 
 
-_form_sides = attrgetter("lhs", "rhs")  # a Hilbert form's sides, as floats
-
-
 def _frac_deriv_sides(pt, variant, tol):
     a1, a2, b1 = pt["a1"], pt["a2"], pt["b1"]
     c, z, k2 = pt["c"], pt["z"], pt["k2"]
@@ -230,9 +227,9 @@ def _mellin_sides(pt, variant, tol):
 # the catalog
 
 def _ident(identity_id, suite, evaluate, points, extra=(),
-           variants=("printed",), tol_scale=1.0, mode="eq"):
-    return IdentityDef(identity_id, suite, tuple(variants), tol_scale,
-                       tuple(points), tuple(extra), mode, evaluate)
+           variants=("printed",)):
+    return IdentityDef(identity_id, suite, tuple(variants), tuple(points),
+                       tuple(extra), evaluate)
 
 
 def build_catalog() -> list[IdentityDef]:
@@ -275,7 +272,7 @@ def build_catalog() -> list[IdentityDef]:
             dict(upper=(1.0, 1.3), lower=(2.6,), z=0.35, n=1, b=0.2, d=0.3),
             dict(upper=(1.0, 1.3), lower=(2.6,), z=0.35, n=2, b=0.2, d=0.3),
             dict(upper=(0.9,), lower=(2.1,), z=0.4, n=1, b=0.1, d=0.1),
-        ], tol_scale=100.0),
+        ]),
         _ident("weighted-derivative", "hyp",
                lambda pt, v, tol: (
                    weighted_derivative_lhs(*_g(pt), pt["z"], pt["n"],
@@ -284,7 +281,7 @@ def build_catalog() -> list[IdentityDef]:
                                        tol, v)), [
             dict(a1=1.0, a2=1.0, b1=2.0, z=0.4, n=1, b=0.1, d=0.15),
             dict(a1=1.0, a2=1.0, b1=2.0, z=0.4, n=2, b=0.1, d=0.15),
-        ], variants=("printed", "proof"), tol_scale=100.0),
+        ], variants=("printed", "proof")),
         _ident("pfaff-transform", "hyp",
                lambda pt, v, tol: (
                    ext_2f1(*_g(pt), pt["z"], _regp(pt), tol),
@@ -352,7 +349,7 @@ def build_catalog() -> list[IdentityDef]:
                         y=0.25, b=0.0, d=0.0),
                    dict(alpha=1.0, b1=0.5, b2=0.5, g1=1.5, g2=1.5, x=0.25,
                         y=0.25, b=0.2, d=0.2),
-               ], tol_scale=10.0),
+               ]),
         _ident("f1-pfaff-transform", "appell",
                lambda pt, v, tol: f1_transform(_ap(pt), pt["x"], pt["y"],
                                                tol, v), [
@@ -457,7 +454,7 @@ def build_catalog() -> list[IdentityDef]:
                  d=0.2),
             dict(alpha=0.8, betas=(0.9, 1.2), gamma=2.5, xs=(0.15, 0.2),
                  b=0.1, d=0.1),
-        ], tol_scale=100.0),
+        ]),
         _ident("multinomial-exponential-identity", "lauricella",
                lambda pt, v, tol: multinomial_exponential_identity(
                    tuple(pt["xs"])), [
@@ -471,7 +468,7 @@ def build_catalog() -> list[IdentityDef]:
                         b=0.2, d=0.3),
                    dict(alpha=1.0, betas=(0.6, 0.7), gammas=(1.8, 2.1),
                         xs=(0.2, 0.25), b=0.1, d=0.1),
-               ], variants=("printed", "proof"), tol_scale=10.0),
+               ], variants=("printed", "proof")),
         _ident("fa-kummer-product-integral", "lauricella",
                lambda pt, v, tol: fa_single_integral(
                    _lp(pt), tol, upper=math.inf if v == "proof" else 1.0), [
@@ -479,14 +476,14 @@ def build_catalog() -> list[IdentityDef]:
                         b=0.0, d=0.0),
                    dict(alpha=1.0, betas=(0.8, 0.7), gammas=(2.0, 2.2),
                         xs=(0.3, 0.2), b=0.1, d=0.2),
-               ], variants=("printed", "proof"), tol_scale=100.0),
+               ], variants=("printed", "proof")),
         _ident("fa-partial-series", "lauricella",
                lambda pt, v, tol: fa_partial_series(_lp(pt), tol), [
             dict(alpha=1.0, betas=(0.6, 0.7), gammas=(1.8, 2.1),
                  xs=(0.2, 0.25), b=0.1, d=0.1),
             dict(alpha=0.9, betas=(0.5, 0.6, 0.7), gammas=(1.7, 1.9, 2.2),
                  xs=(0.1, 0.15, 0.2), b=0.05, d=0.1),
-        ], tol_scale=10.0),
+        ]),
         # ---- contour ----
         _ident("mellin-barnes-contour", "mellin", _mellin_sides, [
             dict(upper=(1.0, 1.0), lower=(2.0,), z=-0.5, b=0.0, d=0.0),
@@ -494,7 +491,7 @@ def build_catalog() -> list[IdentityDef]:
             dict(upper=(0.8, 1.1), lower=(2.4,), z=-1.0, b=0.0, d=0.0),
             dict(upper=(0.8, 1.1), lower=(2.4,), z=-0.4, b=0.2, d=0.3),
             dict(upper=(0.9,), lower=(2.1,), z=-1.0, b=0.0, d=0.0),
-        ], tol_scale=100.0),
+        ]),
         # ---- inequalities ----
         _ident("halfline-rational-exp-integral-a", "ineq",
                lambda pt, v, tol: lemma2_identity(
@@ -525,7 +522,7 @@ def build_catalog() -> list[IdentityDef]:
                  qt=0.1, x=0.7),
             dict(p=3.0, q=1.5, s1=0.8, s2=0.3, al1=1.2, al2=0.9, pt=0.0,
                  qt=0.25, x=2.3),
-        ], tol_scale=10.0),
+        ]),
         _ident("weight-g-closed-form", "ineq",
                lambda pt, v, tol: (
                    weight_G(_hp_from_point(pt), pt["y"], tol),
@@ -533,25 +530,25 @@ def build_catalog() -> list[IdentityDef]:
             dict(classical=True, y=1.0),
             dict(p=1.8, q=2.2, s1=0.6, s2=0.6, al1=1.0, al2=1.5, pt=0.1,
                  qt=0.1, y=1.9),
-        ], tol_scale=10.0),
+        ]),
         _ident("hardy-hilbert-bilinear", "ineq",
-               lambda pt, v, tol: _form_sides(hilbert_bilinear(
+               lambda pt, v, tol: hilbert_bilinear(
                    _hp_from_point(pt), parse_test_function(pt["f"]),
-                   parse_test_function(pt["g"]))), [
+                   parse_test_function(pt["g"])), [
             dict(classical=True, f="exp_decay:0", g="exp_decay:0"),
             dict(classical=True, f="zero", g="exp_decay:1"),
             dict(p=1.8, q=2.2, s1=0.6, s2=0.6, al1=1.0, al2=1.5, pt=0.2,
                  qt=0.2, f="exp_decay:1", g="bump:1,2"),
             dict(p=2.0, q=2.0, s1=0.7, s2=0.5, al1=0.8, al2=1.1, pt=0.2,
                  qt=0.2, f="exp_decay:2", g="power_cut:0.5,2"),
-        ], mode="le"),
+        ]),
         _ident("hardy-hilbert-equivalent", "ineq",
-               lambda pt, v, tol: _form_sides(hilbert_equivalent(
-                   _hp_from_point(pt), parse_test_function(pt["f"]))), [
+               lambda pt, v, tol: hilbert_equivalent(
+                   _hp_from_point(pt), parse_test_function(pt["f"])), [
             dict(classical=True, f="exp_decay:0", g="exp_decay:0"),
             dict(p=1.8, q=2.2, s1=0.6, s2=0.6, al1=1.0, al2=1.5, pt=0.2,
                  qt=0.2, f="exp_decay:1", g="bump:1,2"),
-        ], mode="le"),
+        ]),
     ]
     return cat
 
@@ -604,16 +601,8 @@ def _run_catalog(suite: str, grid: str, tol: float) -> tuple[list, list]:
                         math.nan, math.nan, math.nan, "skipped-domain"))
                     n_skip += 1
                     continue
-                lhs, rhs = (s.value if isinstance(s, EvalResult) else s
-                            for s in sides)
+                lhs, rhs, ok = _verdict(sides, tol)
                 res = _residual(lhs, rhs)
-                if ident.mode == "le":
-                    ok = lhs <= rhs * (1.0 + 1e-9)
-                else:
-                    ok = res < tol * ident.tol_scale
-                # a side that did not converge never counts as a pass
-                ok = ok and all(s.converged for s in sides
-                                if isinstance(s, EvalResult))
                 cases.append(IdentityCase(ident.identity_id, variant, i,
                                           _point_str(pt), float(lhs),
                                           float(rhs), res,
@@ -641,6 +630,18 @@ def _run_catalog(suite: str, grid: str, tol: float) -> tuple[list, list]:
     cases.sort(key=lambda c: (c.identity_id, c.variant, c.point_index))
     aggregates.sort(key=lambda a: a["identity_id"])
     return cases, aggregates
+
+
+def _verdict(sides, tol: float) -> tuple[float, float, bool]:
+    """(lhs, rhs, passed) of one case.  A HilbertForm passes when it holds
+    and converged.  Two sides pass when their residual is below tol and
+    each EvalResult side converged; a float side is an oracle's value."""
+    if isinstance(sides, HilbertForm):
+        return sides.lhs, sides.rhs, sides.holds and sides.converged
+    lhs, rhs = (s.value if isinstance(s, EvalResult) else s for s in sides)
+    ok = _residual(lhs, rhs) < tol and all(
+        s.converged for s in sides if isinstance(s, EvalResult))
+    return lhs, rhs, ok
 
 
 def _adjudicate(variants, per_variant) -> str:

@@ -146,9 +146,14 @@ def beta_classical(a: float, b: float) -> float:
     """Euler beta for positive arguments, via the gamma quotient (cached).
 
     Arguments that are not positive, or whose sum exceeds
-    ``_LN_GAMMA_MAX_ARG``, are refused by ``gammaln_real``.
+    ``_LN_GAMMA_MAX_ARG``, are refused by ``gammaln_real``; a beta past the
+    double range (near a zero argument) is a DomainError too.
     """
-    return math.exp(gammaln_real(a) + gammaln_real(b) - gammaln_real(a + b))
+    try:
+        return math.exp(gammaln_real(a) + gammaln_real(b)
+                        - gammaln_real(a + b))
+    except OverflowError:
+        raise DomainError(f"B({a}, {b}) overflows") from None
 
 
 @functools.lru_cache(maxsize=128)

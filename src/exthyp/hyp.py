@@ -537,9 +537,16 @@ def _central_diff(g, z: float, n: int, h: float) -> float:
     raise DomainError("finite differences implemented for n <= 3")
 
 
-def _richardson_derivative(g, z: float, n: int, h: float = 1e-3) -> float:
-    d1 = _central_diff(g, z, n, h)
-    d2 = _central_diff(g, z, n, h / 2.0)
+# The finite-difference step.  One Richardson step leaves a truncation error
+# of order h^4, about 1e-12, but the differences divide the rounding of the
+# g values by h^n: about eps |g| / h^n, 2e-10 |g| at n = 2.  So these
+# derivatives cannot certify an identity below about 1e-9.
+_FD_STEP = 1e-3
+
+
+def _richardson_derivative(g, z: float, n: int) -> float:
+    d1 = _central_diff(g, z, n, _FD_STEP)
+    d2 = _central_diff(g, z, n, _FD_STEP / 2.0)
     return (4.0 * d2 - d1) / 3.0
 
 

@@ -80,6 +80,21 @@ def _test_function(draw):
                           draw(NUMBERS))
 
 
+def _type_a(draw):
+    """A valid type A record, so that its series and integrals are reached:
+    gamma_j > beta_j > 0, and signed x_j whose sum of |x_j| is a drawn
+    fraction below 0.99."""
+    r = draw(st.integers(1, MAX_VARIABLES))
+    betas = tuple(draw(ORDINARY) for _ in range(r))
+    gammas = tuple(b + draw(ORDINARY) for b in betas)
+    xs = [draw(st.floats(-1.0, 1.0)) for _ in range(r)]
+    size = sum(map(abs, xs)) or 1.0
+    frac = draw(st.floats(0.0, 0.99, exclude_max=True))
+    return X.LauricellaParams(draw(ORDINARY), betas, gammas,
+                              tuple(x * frac / size for x in xs), _reg(draw),
+                              _kernel(draw))
+
+
 def _contour(draw):
     """A contour from three drawn numbers, or from a drawn abscissa and
     step with an integer T/h; either way T/h <= 4000."""
@@ -124,6 +139,8 @@ API = {
         draw(NUMBERS), _numbers(draw, r), _numbers(draw, r),
         _numbers(draw, r), _reg(draw), _kernel(draw)), 1e-6,
         draw(METHODS)))(draw(st.integers(0, MAX_VARIABLES + 1))),
+    "fa_valid": lambda draw: lambda: X.fa_eval(_type_a(draw), 1e-6,
+                                               draw(METHODS)),
     "mb_eval": lambda draw: lambda: X.mb_eval(
         X.pfq_spec(_kernel(draw), _numbers(draw, 2), _numbers(draw, 1),
                    _reg(draw)), draw(NUMBERS),

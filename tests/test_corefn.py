@@ -110,6 +110,13 @@ def test_beta_classical_out_of_range_is_domain_error(a, b):
         beta_classical(a, b)
 
 
+@pytest.mark.parametrize("a, b", [(1.0, 5e-324), (1e-310, 2.0)])
+def test_beta_classical_past_double_range_is_domain_error(a, b):
+    # B(1, b) = 1/b: the exp of its log raised OverflowError
+    with pytest.raises(DomainError, match="overflows"):
+        beta_classical(a, b)
+
+
 @given(st.floats(0.05, 30.0), st.floats(0.05, 30.0))
 @settings(max_examples=60, derandomize=True)
 def test_beta_symmetry(a, b):

@@ -282,6 +282,9 @@ def test_fa_series_r4_holds_one_weight_per_degree():
     (5.0, [3.0] * 4, [3.5] * 4, [-0.2374, 0.2374, -0.2374, 0.2374], 300),
     (1.2, [0.5, 0.9, 0.7, 0.6], [1.4, 2.1, 1.6, 1.5], [0.3, 0.25, 0.2, 0.2],
      600),
+    # negative axes first: summed in this order, the degree weights cancel
+    (5.0, [3.0] * 4, [3.5] * 4, [-0.2374, -0.2374, 0.2374, 0.2374], 300),
+    (5.0, [3.0] * 3, [3.5] * 3, [-0.3, -0.3, 0.3], 300),
 ])
 def test_fa_series_r4_near_the_edge_matches_a_sum_by_degree(
         alpha, betas, gammas, xs, degrees):

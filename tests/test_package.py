@@ -23,7 +23,9 @@ REPO = SRC.parent.parent
 # raising accessor of EvalResult and its exception, the kernel's asymptotic
 # constants, and the field-copying report of hilbert_check.  The conformance
 # report is formatted by report_csv and written by the CLI's one writer.
-# The records check their own numbers, so lauricella's per-engine check went
+# The records check their own numbers, so lauricella's per-engine check went;
+# the two-variable functions check the type D and type A records they build,
+# so AppellParams' restated rules went.
 REMOVED = {
     "ClassicalPfqSpec", "_series_sum", "_kummer_direct",
     "_kummer_asymptotic_neg", "kummer_1f1", "_pfq_series",
@@ -31,7 +33,7 @@ REMOVED = {
     "theta_eval", "integrate_unit", "ext_beta_complex", "ext_2f1_integral",
     "beta_signed", "ConvergenceError", "expect", "asymptotic_amplitude",
     "asymptotic_exponent", "HilbertReport", "write_report_csv",
-    "_require_finite", "theta_coeff",
+    "_require_finite", "theta_coeff", "validate_f1", "validate_f2",
 }
 # per module: the former shared_coefficients() scope, which the block cache
 # hyp._coeff_block replaced, the series engine's retirement share and row
