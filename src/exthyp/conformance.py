@@ -633,9 +633,8 @@ def _run_catalog(suite: str, grid: str, tol: float) -> tuple[list, list]:
 
 
 def _verdict(sides, tol: float) -> tuple[float, float, bool]:
-    """(lhs, rhs, passed) of one case.  A HilbertForm passes when it holds
-    and converged.  Two sides pass when their residual is below tol and
-    each EvalResult side converged; a float side is an oracle's value."""
+    """(lhs, rhs, passed): a HilbertForm passes when it holds and converged,
+    two sides when their residual < tol and each EvalResult converged."""
     if isinstance(sides, HilbertForm):
         return sides.lhs, sides.rhs, sides.holds and sides.converged
     lhs, rhs = (s.value if isinstance(s, EvalResult) else s for s in sides)
