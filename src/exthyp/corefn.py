@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
+from .quadrature import _running
 from .results import DomainError
 
 _LOG_SQRT_2PI = 0.9189385332046727417803297364
@@ -44,14 +46,16 @@ _LANCZOS_C = (
 # 84 distinct argument pairs (336 calls), so a repeated pass finds them all.
 _BETA_CACHE_SIZE = 128
 
-_KUMMER_EPS = 1e-15
-_KUMMER_TERM_CAP = 30_000
-# kummer_1f1_arr: its algebraic branch starts at w0(a, c) <= _KUMMER_CUT_MAX,
-# and the first blocks of its series and of its algebraic expansion hold
-# this many terms a node.
+# kummer_1f1_arr: its algebraic branch starts at w0(a, c) <= _KUMMER_CUT_MAX.
 _KUMMER_CUT_MAX = 200.0
-_SERIES_TERMS = 128
-_ALGEBRAIC_TERMS = 16
+# The truncation bound of kummer_1f1_arr's coefficient tables, relative to
+# their first coefficient 1.
+_KUMMER_SMALL = 2.0 ** -56
+# The largest coefficient a table keeps: a few thousand of them times powers
+# <= 1 add up to a finite sum.
+_KUMMER_COEFF_MAX = 1e300
+# Terms per column block of kummer_1f1_arr's sums (512 KiB of float64).
+_KUMMER_BLOCK_FLOATS = 1 << 16
 
 
 def _is_nonpositive_int(x: float, tol: float = 1e-12) -> bool:
@@ -198,64 +202,175 @@ def _kummer_at_inf(a: float, c: float, z: float) -> float:
     return _kummer_amplitude(a, c) * (-z) ** (-a if z < 0.0 else round(-a))
 
 
-def _block_sum(ratio, x: np.ndarray, asymptotic: bool = False) -> np.ndarray:
-    """Per node, 1 + the sum of t_m = t_(m-1) ratio(m - 1) x over m >= 1.
+def _series_table(p: float, c: float, w0: float, scale: float,
+                  degree: int | None) -> np.ndarray | None:
+    """Taylor coefficients of 1F1(p; c; scale y) in y, c > 0, for the
+    nodes x = scale y in [0, w0).
 
-    A (nodes x width) block takes the running product of ratio(m) x (m a
-    float index array) and then the running sum along each row, so a node's
-    bits depend on its x alone.  A row stops at a zero term, a non-finite
-    sum or a third term in a row below _KUMMER_EPS of its sum; the rest go
-    again twice as wide, with the same bits, up to a last sum at
-    _KUMMER_TERM_CAP terms.  An ``asymptotic`` row whose sum turns non-finite
-    diverges: it is cut off at its last smallest term before that (a term
-    below both neighbours, or t_0), where a divergent expansion is closest.
+    A polynomial (``degree`` = n, p within ``_is_polynomial`` of -n) keeps
+    its n + 1 coefficients.  Else the table ends at the first term u_m of
+    the series at x = w0 whose geometric tail u_m q_m / (1 - q_m) is at most
+    _KUMMER_SMALL times u_0 + ... + u_m (Johansson, ACM TOMS 2019, sec. 5):
+    q_m = max(1, |p + m| / (c + m)) w0 / (m + 1) bounds every later ratio of
+    its terms.  The share of the moduli of the terms past the table grows
+    with x, so at every node x in [0, w0) the truncation is within
+    _KUMMER_SMALL sum |term|.  None if a kept coefficient leaves
+    [-_KUMMER_COEFF_MAX, _KUMMER_COEFF_MAX].
     """
-    out = np.empty_like(x)
-    todo = np.arange(x.size)
-    width = _ALGEBRAIC_TERMS if asymptotic else _SERIES_TERMS
-    while todo.size:
-        width = min(width, _KUMMER_TERM_CAP)
-        terms = np.cumprod(x[todo, None] * ratio(np.arange(width, dtype=float)),
-                           axis=1)
-        sums = 1.0 + np.cumsum(terms, axis=1)
-        tiny = np.abs(terms) < _KUMMER_EPS * np.abs(sums)
-        stop = (terms == 0.0) | ~np.isfinite(sums)
-        stop[:, 2:] |= tiny[:, 2:] & tiny[:, 1:-1] & tiny[:, :-2]
-        stop[:, -1] |= width == _KUMMER_TERM_CAP
-        first = stop.argmax(axis=1)
-        rows = np.arange(todo.size)
-        out[todo] = sums[rows, first]  # final where the row stopped
-        if asymptotic and not np.isfinite(out[todo]).all():
-            div = ~np.isfinite(out[todo])  # 1 + the terms up to t_last
-            fell = np.diff(np.abs(terms[div]), axis=1, prepend=1.0) < 0.0
-            low = np.arange(1, width) * (fell[:, :-1] & ~fell[:, 1:])
-            last = np.where(low <= first[div, None], low, 0).max(axis=1)
-            out[todo[div]] = np.where(last > 0, sums[div, last - 1], 1.0)
-        todo = todo[~stop[rows, first]]
-        width *= 2
+    size = int(3.0 * w0) + 32 if degree is None else min(degree, 256)
+    while True:
+        m = np.arange(float(size))
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = (p + m) / ((c + m) * (m + 1.0))
+            coef = np.cumprod(np.concatenate(([1.0], step * scale)))
+            if degree is None:
+                ratio = np.abs(step) * w0  # |u_(m+1) / u_m|
+                u = np.cumprod(np.concatenate(([1.0], ratio[:-1])))
+                q = np.maximum(ratio, w0 / (m + 1.0))
+                # u_m q_m / (1 - q_m) <= bound, written without a division
+                bound = _KUMMER_SMALL * np.cumsum(u)
+                small = q * (u + bound) <= bound
+        if size == degree or (degree is None and small.any()):
+            end = coef.size if degree is not None else int(small.argmax()) + 1
+            fits = np.abs(coef[:end]).max() <= _KUMMER_COEFF_MAX
+            return coef[:end] if fits else None
+        if not np.abs(coef).max() <= _KUMMER_COEFF_MAX:
+            return None
+        size = 2 * size if degree is None else min(2 * size, degree)
+
+
+def _algebraic_table(a: float, c: float,
+                     scale: float) -> tuple[np.ndarray, bool]:
+    """Coefficients of 2F0(a, a - c + 1;; y / scale), the algebraic series
+    of 1F1(a; c; -w) in y = scale / w (DLMF 13.7.2), and whether each node
+    stops at its own smallest term.
+
+    The table ends before its first coefficient of modulus at most
+    _KUMMER_SMALL (a zero one of a terminating series too), which w0(a, c)
+    puts within 2 _KUMMER_CUT_MAX terms.  Where there is none (w0 capped at
+    _KUMMER_CUT_MAX), it ends before its first coefficient out of
+    _KUMMER_COEFF_MAX, or at 2 _KUMMER_CUT_MAX + 1 terms, and each node's
+    sum stops at its own smallest term.
+    """
+    for size in (64, 2 * int(_KUMMER_CUT_MAX)):
+        k = np.arange(float(size))
+        with np.errstate(over="ignore", invalid="ignore"):
+            coef = np.cumprod(np.concatenate(
+                ([1.0], (a + k) * (a - c + 1.0 + k) / ((k + 1.0) * scale))))
+        mag = np.abs(coef)
+        small = mag <= _KUMMER_SMALL
+        ends = np.flatnonzero(small | ~(mag <= _KUMMER_COEFF_MAX))
+        if ends.size:
+            return coef[:ends[0]], not small[ends[0]]
+    return coef, True
+
+
+class _KummerTables(NamedTuple):
+    """What kummer_1f1_arr needs of one (a, c), for 1F1(a; c; -w)."""
+
+    w0: float  # the cut (``_kummer_cut``)
+    scale: float  # the series takes y = w / scale: 2^k >= w0, 1 (polynomial)
+    series: np.ndarray | None  # 1F1(c - a; c; scale y); None: overflows
+    algebraic: np.ndarray  # 2F0 in y = min(w0, _KUMMER_CUT_MAX) / w
+    smallest: bool  # each algebraic sum stops at its smallest term
+
+
+@functools.lru_cache(maxsize=128)
+def _kummer_tables(a: float, c: float) -> _KummerTables:
+    """The coefficient tables of 1F1(a; c; -w), built once per (a, c)."""
+    w0 = _kummer_cut(a, c)
+    degree = round(a - c) if math.isinf(w0) else None
+    # a power of 2, so that y = w / scale is exact
+    scale = 1.0 if degree is not None else 2.0 ** math.ceil(math.log2(w0))
+    return _KummerTables(w0, scale,
+                         _series_table(c - a, c, w0, scale, degree),
+                         *_algebraic_table(a, c, min(w0, _KUMMER_CUT_MAX)))
+
+
+def _power_sums(coef: np.ndarray | None, y: np.ndarray,
+                smallest: bool = False) -> np.ndarray:
+    """Per node, the sum of coef[m] y**m over the table (NaN if the table
+    is None), a block of at most _KUMMER_BLOCK_FLOATS terms at a time.
+
+    Column j of a block holds node j's powers y**m: up to m = h =
+    ceil((n - 1) / 2), each the one before times y (``quadrature._running``),
+    and past h, y**(h + i) = y**i y**h; then its terms.  They are added in
+    order down the column, so a node's bits depend on its y and the table
+    alone (a lone node is summed as one of two: numpy adds a single column
+    pairwise).  With ``smallest`` a node's terms after the smallest of its
+    terms that fell below the one before (t_0 if none; a smallest such term
+    is below both neighbours, where a divergent expansion is closest) are
+    dropped first.
+    """
+    if coef is None:
+        return np.full(y.shape, math.nan)
+    n = coef.size
+    half = n // 2
+    out = np.empty(y.shape)
+    cols = max(2, _KUMMER_BLOCK_FLOATS // n)
+    for start in range(0, y.size, cols):
+        part = y[start:start + cols]
+        terms = np.empty((n, max(part.size, 2)))
+        terms[0] = 1.0
+        terms[1:half + 1, :part.size] = part
+        terms[1:half + 1, part.size:] = 0.0
+        _running(np.multiply, terms[:half + 1])
+        np.multiply(terms[1:n - half], terms[half], out=terms[half + 1:])
+        terms *= coef[:, None]
+        if smallest:
+            mag = np.abs(terms)
+            fell = np.zeros(mag.shape, dtype=bool)
+            fell[1:] = mag[1:] < mag[:-1]
+            stop = np.where(fell, mag, math.inf).argmin(axis=0)
+            terms[np.arange(n)[:, None] > stop] = 0.0
+        out[start:start + cols] = terms.sum(axis=0)[:part.size]
     return out
 
 
 def kummer_algebraic_tail(a: float, c: float,
                           w: np.ndarray) -> tuple[float, np.ndarray]:
-    """Algebraic branch of 1F1(a; c; -w) for large w > 0.
+    """Algebraic branch of 1F1(a; c; -w) for w >= min(w0(a, c), 200).
 
     Returns the amplitude Gamma(c)/Gamma(c-a) and the sum of the expansion
     1F1(a; c; -w) ~ amplitude * w**-a * 2F0(a, a-c+1;; 1/w).
     """
-    return _kummer_amplitude(a, c), _block_sum(
-        lambda m: (a + m) * (a - c + 1.0 + m) / (m + 1.0),
-        1.0 / np.asarray(w, dtype=float), asymptotic=True)
+    amp = _kummer_amplitude(a, c)
+    tab = _kummer_tables(a, c)
+    y = min(tab.w0, _KUMMER_CUT_MAX) / np.asarray(w, dtype=float)
+    return amp, _power_sums(tab.algebraic, y, tab.smallest)
+
+
+def _kummer_half(a: float, c: float, w: np.ndarray,
+                 reflected: bool) -> np.ndarray:
+    """1F1(a; c; -w) at finite w >= 0 or, ``reflected``, exp(w) times it,
+    which is 1F1(c - a; c; w): the series of exp(w) 1F1(a; c; -w) =
+    1F1(c - a; c; w) (Kummer's transformation) below w0(a, c), and the
+    algebraic branch from w0 on, both from the tables of (a, c)."""
+    tab = _kummer_tables(a, c)
+    out = np.empty_like(w)
+    ser = w < tab.w0
+    if ser.any():
+        ws = w[ser]
+        s = _power_sums(tab.series, ws / tab.scale)
+        out[ser] = s if reflected else np.exp(-ws) * s
+    alg = ~ser
+    if alg.any():
+        wa = w[alg]
+        amp, s = kummer_algebraic_tail(a, c, wa)
+        v = amp * np.exp(-a * np.log(wa)) * s
+        out[alg] = np.exp(wa) * v if reflected else v
+    return out
 
 
 def kummer_1f1_arr(a: float, c: float, z: np.ndarray) -> np.ndarray:
     """Confluent hypergeometric 1F1(a; c; z) over a real array.
 
-    The algebraic branch serves z <= -w0(a, c) (``_kummer_cut``).  Above
-    it the series is summed, after Kummer's transformation
-    1F1(a; c; z) = exp(z) 1F1(c-a; c; -z) for z <= 0.  Both
-    are ``_block_sum``s, so a node's value depends on (a, c, z) alone.  An
-    infinite node takes the limit there, and a NaN node stays NaN.
+    z <= 0 takes the tables of (a, c) (``_kummer_half``): the series after
+    Kummer's transformation above -w0(a, c), the algebraic branch from
+    there down.  z > 0 takes those of (c - a, c), through
+    1F1(a; c; z) = exp(z) 1F1(c - a; c; -z).  A node's value depends on
+    (a, c, z) alone.  An infinite node takes the limit there, and a NaN
+    node stays NaN.
     """
     z = np.asarray(z, dtype=float)
     out = z.copy()  # a NaN node stays NaN
@@ -263,13 +378,10 @@ def kummer_1f1_arr(a: float, c: float, z: np.ndarray) -> np.ndarray:
     if not fin.all():
         out[z == math.inf] = _kummer_at_inf(a, c, math.inf)
         out[z == -math.inf] = _kummer_at_inf(a, c, -math.inf)
-    alg = fin & (z <= -_kummer_cut(a, c))
-    neg = fin & (z <= 0.0) & ~alg
+    neg = fin & (z <= 0.0)
     pos = fin & (z > 0.0)
-    out[neg] = np.exp(z[neg]) * _block_sum(
-        lambda m: (c - a + m) / ((c + m) * (m + 1.0)), -z[neg])
-    out[pos] = _block_sum(lambda m: (a + m) / ((c + m) * (m + 1.0)), z[pos])
-    if alg.any():
-        amp, s = kummer_algebraic_tail(a, c, -z[alg])
-        out[alg] = amp * np.exp(-a * np.log(-z[alg])) * s
+    if neg.any():
+        out[neg] = _kummer_half(a, c, -z[neg], False)
+    if pos.any():
+        out[pos] = _kummer_half(c - a, c, z[pos], True)
     return out

@@ -224,8 +224,11 @@ def pfq_series_vector(spec: PfqSpec, w: np.ndarray,
     within ``SERIES_CAP`` terms is a ``DomainError``.  Used by the
     integral representations that need the function on a whole quadrature
     grid; pass a ladder to reuse the fetched coefficients across repeated
-    calls.
+    calls.  A complex argument array is a ``DomainError``.
     """
+    if np.iscomplexobj(w):
+        raise DomainError("pfq_series_vector sums real arguments; got a "
+                          "complex array")
     w = np.asarray(w, dtype=float)
     if ladder is None:
         ladder = _CoeffLadder(spec)

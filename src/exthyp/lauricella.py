@@ -375,20 +375,25 @@ def multinomial_exponential_identity(xs, terms: int = 24) -> tuple[float, float]
 
 @memoized
 def fa_series(p: LauricellaParams, tol: float = 1e-10) -> EvalResult:
-    """Type A series with per-axis batched beta ratios.
-
-    At r >= 3 the axes with x_j >= 0 go first (the function is symmetric in
-    its (beta_j, gamma_j, x_j)): leading negative axes leave degree weights
-    of alternating sign, which a third axis's merge cancels (1e-12 relative
-    at alpha = 5, beta_j = 3, gamma_j = 3.5, x = (-0.3, -0.3, 0.3)).
-    """
+    """Type A series with per-axis batched beta ratios, its axes in
+    ``_axis_order``."""
     p.validate_fa()
-    if p.r >= 3:
-        order = sorted(range(p.r), key=lambda j: p.xs[j] < 0.0)
-        pick = lambda v: tuple(v[j] for j in order)
-        p = replace(p, betas=pick(p.betas), gammas=pick(p.gammas),
-                    xs=pick(p.xs))
-    return _fa_series(p, tol)
+    return _fa_series(_axis_order(p), tol)
+
+
+def _axis_order(p: LauricellaParams) -> LauricellaParams:
+    """The axis order of both type A sums (``fa_series`` and the right side
+    of ``fa_partial_series``): at r >= 3 the axes with x_j >= 0 go first, a
+    stable sort (the function is symmetric in its (beta_j, gamma_j, x_j)).
+    Leading negative axes leave degree weights of alternating sign, which a
+    later axis's merge cancels (1e-12 relative at alpha = 5, beta_j = 3,
+    gamma_j = 3.5, x = (-0.3, -0.3, 0.3))."""
+    if p.r < 3:
+        return p
+    order = sorted(range(p.r), key=lambda j: p.xs[j] < 0.0)
+    pick = lambda v: tuple(v[j] for j in order)
+    return replace(p, betas=pick(p.betas), gammas=pick(p.gammas),
+                   xs=pick(p.xs))
 
 
 def _fa_series(p: LauricellaParams, tol: float) -> EvalResult:
@@ -589,7 +594,7 @@ def fa_single_integral(
 
 def fa_partial_series(p: LauricellaParams,
                       tol: float = 1e-10) -> tuple[EvalResult, EvalResult]:
-    """Split off the last axis as a Gauss-level factor.
+    """Split off the last axis (in ``_axis_order``) as a Gauss-level factor.
 
     Each total degree's weight of the outer (r-1)-fold sum multiplies the
     Gauss-level value whose Pochhammer slot is shifted by that degree (one
@@ -597,6 +602,7 @@ def fa_partial_series(p: LauricellaParams,
     if p.r < 2:
         raise DomainError("partial series needs r >= 2")
     lhs = fa_series(p, tol)
+    p = _axis_order(p)
     weights, err, done = _outer_terms(p)
     gauss, gauss_errs, _rows, gauss_done = _last_axis_sum(
         p, np.ones(weights.size))

@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import exthyp as X
-from exthyp import cli
+from exthyp import cli, lauricella
 from exthyp.corefn import gammaln_real
 from exthyp.lauricella import MAX_VARIABLES
 from exthyp.results import DomainError
@@ -81,18 +81,23 @@ def _test_function(draw):
 
 
 def _type_a(draw):
-    """A valid type A record, so that its series and integrals are reached:
-    gamma_j > beta_j > 0, and signed x_j whose sum of |x_j| is a drawn
-    fraction below 0.99."""
+    """A valid type A record, so that its series is reached: gamma_j >
+    beta_j > 0, signed x_j whose sum of |x_j| is a drawn fraction below
+    0.95 (where "auto" takes the series), and a kernel and (b, d) of its
+    own, all valid: the exp kernel or kummer:a,c with c > a > 0, and
+    b, d in [0, 1]."""
     r = draw(st.integers(1, MAX_VARIABLES))
     betas = tuple(draw(ORDINARY) for _ in range(r))
     gammas = tuple(b + draw(ORDINARY) for b in betas)
     xs = [draw(st.floats(-1.0, 1.0)) for _ in range(r)]
     size = sum(map(abs, xs)) or 1.0
-    frac = draw(st.floats(0.0, 0.99, exclude_max=True))
+    frac = draw(st.floats(0.0, 0.95, exclude_max=True))
+    a = draw(ORDINARY)
+    kernel = draw(st.sampled_from([X.EXP_KERNEL, None])) or X.kummer_kernel(
+        a, a + draw(ORDINARY))
+    reg = X.RegPair(draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0)))
     return X.LauricellaParams(draw(ORDINARY), betas, gammas,
-                              tuple(x * frac / size for x in xs), _reg(draw),
-                              _kernel(draw))
+                              tuple(x * frac / size for x in xs), reg, kernel)
 
 
 def _contour(draw):
@@ -139,8 +144,8 @@ API = {
         draw(NUMBERS), _numbers(draw, r), _numbers(draw, r),
         _numbers(draw, r), _reg(draw), _kernel(draw)), 1e-6,
         draw(METHODS)))(draw(st.integers(0, MAX_VARIABLES + 1))),
-    "fa_valid": lambda draw: lambda: X.fa_eval(_type_a(draw), 1e-6,
-                                               draw(METHODS)),
+    "fa_valid": lambda draw: lambda: X.fa_eval(
+        _type_a(draw), 1e-6, draw(st.sampled_from(["auto", "series"]))),
     "mb_eval": lambda draw: lambda: X.mb_eval(
         X.pfq_spec(_kernel(draw), _numbers(draw, 2), _numbers(draw, 1),
                    _reg(draw)), draw(NUMBERS),
@@ -160,6 +165,30 @@ API = {
 def test_api_refuses_malformed_numbers_with_a_domain_error(data):
     name = data.draw(st.sampled_from(sorted(API)))
     _call(lambda: API[name](data.draw)())
+
+
+def test_valid_type_a_draws_reach_the_type_a_series(monkeypatch):
+    # at least three quarters of the valid type A draws sum the type A
+    # series (a spy on its outer sum), rather than stopping at a refusal
+    reached = []
+    outer = lauricella._outer_terms
+
+    def spy(p):
+        reached[-1] = True
+        return outer(p)
+
+    monkeypatch.setattr(lauricella, "_outer_terms", spy)
+
+    @settings(max_examples=60, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def draw_valid(data):
+        reached.append(False)
+        _call(lambda: API["fa_valid"](data.draw)())
+
+    draw_valid()
+    assert len(reached) >= 60
+    assert sum(reached) >= 0.75 * len(reached), (sum(reached), len(reached))
 
 
 @st.composite

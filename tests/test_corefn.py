@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from exthyp import corefn
 from exthyp.corefn import (
     beta_classical,
     gammaln_real,
@@ -151,6 +152,26 @@ def test_kummer_reflection_identity_grid(a, c):
         want = oracles.hyp1f1(a, c, z)
         assert abs(got - want) <= 1e-12 * abs(want)
         assert abs(refl - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("a,c", [(0.5, 1.5), (2.5, 1.0), (-2.0, 1.5)])
+def test_kummer_positive_side_takes_the_reflected_tables(a, c, monkeypatch):
+    # one engine: z > 0 is 1F1(a; c; z) = exp(z) 1F1(c - a; c; -z), summed
+    # from the tables of (c - a, c), whichever branch a node takes
+    asked = []
+    tables = corefn._kummer_tables
+
+    def spy(aa, cc):
+        asked.append((aa, cc))
+        return tables(aa, cc)
+
+    monkeypatch.setattr(corefn, "_kummer_tables", spy)
+    zs = np.array([0.5, 3.0, 20.0, 60.0])
+    got = kummer_1f1_arr(a, c, zs)
+    assert set(asked) == {(c - a, c)}
+    for z, v in zip(zs, got):
+        want = oracles.hyp1f1(a, c, float(z))
+        assert abs(v - want) <= 1e-13 * abs(want)
 
 
 @pytest.mark.parametrize("z", [-5.0, -50.0, -250.0, -4000.0])

@@ -559,6 +559,17 @@ def test_series_vector_empty_and_cap_match_per_term(monkeypatch):
             pfq_series_vector(spec, w)
 
 
+def test_series_vector_refuses_a_complex_argument():
+    # a complex array is refused, not cast to float (which warns, drops the
+    # imaginary part and sums 0.2244 at 0.3 + 0.2j)
+    spec = PfqSpec(((0.7, 1), (1.3, 1)), (2.1,), _R12)
+    for w in (np.array([0.3 + 0.2j]), np.array([0.3 + 0.0j]), [0.1, 0.3j]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="complex"):
+                pfq_series_vector(spec, w)
+
+
 @pytest.mark.parametrize("size", [1, 7, 65, 300])
 def test_engine_per_column_heads_and_weights_match_per_term(size):
     # the type A layout: one argument, first parameter alpha + N and a

@@ -2,7 +2,7 @@
 
 import ast
 import math
-import time
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -18,8 +18,8 @@ from exthyp.kernel import (
     theta_eval_arr,
 )
 from exthyp.corefn import (
-    _KUMMER_EPS,
-    _KUMMER_TERM_CAP,
+    _KUMMER_BLOCK_FLOATS,
+    _KUMMER_CUT_MAX,
     _is_nonpositive_int,
     _kummer_amplitude,
     _kummer_cut,
@@ -29,6 +29,7 @@ from exthyp.corefn import (
     ln_gamma,
 )
 from exthyp import corefn
+from exthyp import extbeta
 from exthyp.extbeta import BetaArgs, RegPair, ext_beta
 from exthyp.results import DomainError
 
@@ -132,35 +133,93 @@ def test_kummer_arr_matches_mpmath_where_c_far_exceeds_a():
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
-def _lockstep_sum(ratio, x, asymptotic=False):
-    """Reference for corefn._block_sum: every node stepped together, one
-    term a step, with a per-node stop mask; the sum is 1 plus the running
-    sum of the terms.  With ``asymptotic`` a sum that ends non-finite is
-    taken up to its last term below both neighbours (1 if none)."""
-    acc = np.zeros_like(x)
-    s = np.ones_like(x)
-    term = np.ones_like(x)
-    active = np.ones(x.shape, dtype=bool)
-    small = np.zeros(x.shape, dtype=int)
-    mag = np.ones_like(x)
-    fell = np.zeros(x.shape, dtype=bool)
-    best = np.ones_like(x)
-    for m in range(_KUMMER_TERM_CAP):
-        if not active.any():
-            break
-        term = term * (ratio(float(m)) * x)
-        # the previous term is a smallest one when it fell and this did not
-        best = np.where(active & fell & ~(np.abs(term) < mag), s, best)
-        fell = np.abs(term) < mag
-        mag = np.abs(term)
-        acc = np.where(active, acc + term, acc)
-        s = 1.0 + acc
-        tiny = np.abs(term) < _KUMMER_EPS * np.abs(s)
-        small = np.where(tiny, small + 1, 0)
-        active &= (small < 3) & (term != 0.0) & np.isfinite(s)
-    if asymptotic:
-        s = np.where(np.isfinite(s), s, best)
+_SMALL = 2.0 ** -56
+_COEFF_MAX = 1e300
+
+
+def _series_coeffs(p, c, w0, scale, degree):
+    """Reference for the series table of 1F1(p; c; scale y), one
+    coefficient a step: a polynomial keeps its degree + 1 coefficients;
+    else the table ends at the first term u_m of the series at x = w0 whose
+    geometric tail u_m q_m / (1 - q_m), q_m = max(|p + m| / (c + m), 1)
+    w0 / (m + 1), is at most 2^-56 (u_0 + ... + u_m); None if a kept
+    coefficient exceeds 1e300 in modulus."""
+    coef, u = [np.float64(1.0)], [np.float64(1.0)]
+    total = np.float64(1.0)  # u_0 + ... + u_m
+    m = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while m != degree:
+            step = (p + m) / ((c + m) * (m + 1.0))
+            if degree is None:
+                ratio = abs(step) * w0
+                q = max(ratio, w0 / (m + 1.0))
+                bound = _SMALL * total
+                if q * (u[m] + bound) <= bound:
+                    break
+            coef.append(coef[m] * (step * scale))
+            if degree is None:
+                u.append(u[m] * ratio)
+                total = total + u[m + 1]
+            m += 1
+    coef = np.array(coef)
+    return coef if (np.abs(coef) <= _COEFF_MAX).all() else None
+
+
+def _algebraic_coeffs(a, c, scale):
+    """Reference for the algebraic table: 2F0(a, a - c + 1;; y / scale)
+    up to its first coefficient of modulus <= 2^-56 (then False), else up
+    to its first coefficient beyond 1e300 or 401 terms (then True: each
+    node stops at its smallest term)."""
+    coef = [np.float64(1.0)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(int(2 * _KUMMER_CUT_MAX)):
+            nxt = coef[k] * ((a + k) * (a - c + 1.0 + k) / ((k + 1.0) * scale))
+            if abs(nxt) <= _SMALL:
+                return np.array(coef), False
+            if not abs(nxt) <= _COEFF_MAX:
+                break
+            coef.append(nxt)
+    return np.array(coef), True
+
+
+def _node_sum(coef, y, smallest=False):
+    """Reference for one node: its powers y**m, each the one before times y
+    up to m = h = n // 2 and y**(h + i) = y**i y**h past it; the terms
+    added in order, and with ``smallest`` only up to the smallest of the
+    terms below the one before (t_0 if there is none)."""
+    if coef is None:
+        return math.nan
+    n, h = coef.size, coef.size // 2
+    pw = [1.0]
+    for m in range(1, h + 1):
+        pw.append(pw[m - 1] * y)
+    for i in range(1, n - h):
+        pw.append(pw[i] * pw[h])
+    terms = [float(p * t) for p, t in zip(pw, coef)]
+    if smallest:
+        mag = [abs(t) for t in terms]
+        fell = [k for k in range(1, n) if mag[k] < mag[k - 1]]
+        stop = min(fell, key=lambda k: (mag[k], k)) if fell else 0
+        terms = terms[:stop + 1]
+    s = terms[0]
+    for t in terms[1:]:
+        s += t
     return s
+
+
+def _tables(a, c):
+    w0 = _kummer_cut(a, c)
+    degree = round(a - c) if math.isinf(w0) else None
+    scale = 1.0 if degree is not None else 2.0 ** math.ceil(math.log2(w0))
+    return (w0, scale, _series_coeffs(c - a, c, w0, scale, degree),
+            *_algebraic_coeffs(a, c, min(w0, _KUMMER_CUT_MAX)))
+
+
+def _lockstep_algebraic(a, c, w):
+    """Reference for the 2F0 sum of kummer_algebraic_tail, node by node."""
+    w0, _, _, alg, smallest = _tables(a, c)
+    y = min(w0, _KUMMER_CUT_MAX) / np.asarray(w, dtype=float)
+    return np.array([_node_sum(alg, v, smallest) for v in y.reshape(-1)])
 
 
 def _amplitude(a, c):
@@ -168,27 +227,32 @@ def _amplitude(a, c):
     return g.real
 
 
-def _algebraic_ratio(a, c):
-    return lambda m: (a + m) * (a - c + 1.0 + m) / (m + 1.0)
+def _half(a, c, w, reflected):
+    """Reference for 1F1(a; c; -w) (w >= 0), or exp(w) times it."""
+    w0, scale, series, alg, smallest = _tables(a, c)
+    out = np.empty_like(w)
+    for i, x in enumerate(w):
+        if x < w0:
+            s = _node_sum(series, x / scale)
+            out[i] = s if reflected else np.exp(-x) * s
+        else:
+            s = _node_sum(alg, min(w0, _KUMMER_CUT_MAX) / x, smallest)
+            v = _amplitude(a, c) * np.exp(-a * np.log(x)) * s
+            out[i] = np.exp(x) * v if reflected else v
+    return out
 
 
 def _lockstep_kummer_1f1_arr(a, c, z):
-    """Reference: the rule of kummer_1f1_arr on finite nodes, every node of
-    a branch stepped together."""
+    """Reference: the rule of kummer_1f1_arr on finite nodes, each node
+    alone: z <= 0 from the tables of (a, c), z > 0 from those of (c - a, c)
+    through Kummer's transformation."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    alg = z <= -_kummer_cut(a, c)
-    neg = (z <= 0.0) & ~alg
-    pos = z > 0.0
-    out[neg] = np.exp(z[neg]) * _lockstep_sum(
-        lambda m: (c - a + m) / ((c + m) * (m + 1.0)), -z[neg])
-    out[pos] = _lockstep_sum(lambda m: (a + m) / ((c + m) * (m + 1.0)),
-                             z[pos])
-    if alg.any():
-        w = -z[alg]
-        out[alg] = (_amplitude(a, c) * np.exp(-a * np.log(w))
-                    * _lockstep_sum(_algebraic_ratio(a, c), 1.0 / w, True))
-    return out
+    flat = z.reshape(-1)
+    out = np.empty_like(flat)
+    neg = flat <= 0.0
+    out[neg] = _half(a, c, -flat[neg], False)
+    out[~neg] = _half(c - a, c, flat[~neg], True)
+    return out.reshape(z.shape)
 
 
 _EDGE = -200.0
@@ -263,24 +327,19 @@ def test_kummer_arr_fast_path_edges_bit_identical_to_lockstep(a, c):
 
 
 def test_algebraic_tail_in_place_matches_former_expressions():
-    # the 2F0 sum of the algebraic branch against the lock-step reference,
-    # without floating-point warnings from w0 on; below w0 the expansion is
-    # not used, and at w of a few units its terms grow until they overflow,
-    # so both cut it off at its last smallest term
+    # the 2F0 sum of the algebraic branch against the node-by-node
+    # reference, without floating-point warnings, from min(w0, 200) on (the
+    # branch's range, and that of kernel.log_theta_neg_asym); at (50.5, 1),
+    # w0 capped at 200, each node stops at its own smallest term
     w = np.concatenate([np.geomspace(1.0, 1e12, 61), [np.inf, 250.5]])
-    for a, c in ((1.5, 2.5), (0.3, 4.7), (2.5, 1.0), (1.0, 2.0)):
-        above = w >= _kummer_cut(a, c)
+    for a, c in ((1.5, 2.5), (0.3, 4.7), (2.5, 1.0), (1.0, 2.0), (50.5, 1.0)):
+        above = w >= min(_kummer_cut(a, c), _KUMMER_CUT_MAX)
         amp, got = kummer_algebraic_tail(a, c, w[above])
-        with np.errstate(all="ignore"):
-            _, got_below = kummer_algebraic_tail(a, c, w[~above])
-            want = _lockstep_sum(_algebraic_ratio(a, c), 1.0 / w, True)
+        want = _lockstep_algebraic(a, c, w[above])
         assert np.float64(amp).view(np.int64) == np.float64(
             _amplitude(a, c)).view(np.int64)
-        assert np.array_equal(got.view(np.int64),
-                              want[above].view(np.int64))
-        assert np.array_equal(got_below.view(np.int64),
-                              want[~above].view(np.int64))
-        assert np.isfinite(got_below).all()
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert got[-2] == 1.0  # w = inf: the first term alone
         # the amplitude is computed once per (a, c)
         assert _kummer_amplitude(a, c) is amp
 
@@ -288,27 +347,68 @@ def test_algebraic_tail_in_place_matches_former_expressions():
 def test_kummer_arr_diverging_expansion_is_cut_at_its_smallest_term(
         monkeypatch):
     # kummer:50.5,1 has no w <= 200 where the algebraic expansion reaches
-    # 2^-56, so w0 is capped there; near w = 200 its terms grow until they
-    # overflow.  The sum is cut off at its last smallest term, after a few
-    # blocks, not at _KUMMER_TERM_CAP terms a node
-    widths = []
-    cumprod = np.cumprod
+    # 2^-56, so w0 is capped there; near w = 200 its terms grow for long.
+    # Each node's sum stops at its own smallest term of a table of at most
+    # 2 * 200 + 1 coefficients, and no power block holds more than
+    # _KUMMER_BLOCK_FLOATS entries
+    blocks = []
+    running = corefn._running
 
-    def spy(block, axis=None):
-        widths.append(block.shape[-1])
-        return cumprod(block, axis=axis)
+    def spy(op, blk):
+        blocks.append(blk.shape)  # the rows up to y**(n // 2) of a block
+        return running(op, blk)
 
-    monkeypatch.setattr(np, "cumprod", spy)
+    monkeypatch.setattr(corefn, "_running", spy)
     z = -np.linspace(200.0, 260.0, 61)
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = kummer_1f1_arr(50.5, 1.0, z)
-    assert max(widths) <= 2048
+    got = kummer_1f1_arr(50.5, 1.0, z)
+    tables = corefn._kummer_tables(50.5, 1.0)
+    assert tables.smallest
+    assert tables.algebraic.size <= 2 * _KUMMER_CUT_MAX + 1
+    assert blocks
+    assert max((2 * rows - 1) * cols for rows, cols in blocks) \
+        <= _KUMMER_BLOCK_FLOATS
     with mpmath.workdps(50):
         want = np.array([float(mpmath.hyp1f1(50.5, 1.0, x)) for x in z])
     rel = np.abs(got - want) / np.abs(want)
     # the expansion is only as close as its smallest term: 9% at w = 200
     assert rel.max() < 0.1
     assert rel[z <= -250.0].max() < 1e-8
+
+
+def test_kummer_arr_column_blocks_keep_each_nodes_bits():
+    # past _KUMMER_BLOCK_FLOATS powers the nodes go in column blocks; the
+    # last block here holds one node, which is summed as one of two
+    a, c = 1.5, 2.5
+    n = corefn._kummer_tables(a, c).series.size
+    cols = max(2, _KUMMER_BLOCK_FLOATS // n)
+    z = -np.linspace(0.0, _kummer_cut(a, c), 2 * cols + 1, endpoint=False)
+    got = kummer_1f1_arr(a, c, z)
+    want = _lockstep_kummer_1f1_arr(a, c, z)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    last = kummer_1f1_arr(a, c, z[-1:])
+    assert last.view(np.int64)[0] == got.view(np.int64)[-1]
+
+
+def test_kummer_arr_capped_cut_raises_no_floating_point_warning():
+    # kummer:50.5,1 (w0 capped at 200) at z = -200 and from -200 to -260,
+    # and eval-mix's (a, c) range on a first-pass grid, called outside any
+    # errstate: the tables neither overflow nor form a NaN
+    draws = np.random.default_rng(31).uniform(size=(24, 4))
+    with np.errstate(over="ignore"):  # as the library forms the arguments
+        grid = [extbeta._unit_arg(RegPair(b, d), -1)
+                for b, d in draws[:, 2:]]
+    cases = [(50.5, 1.0, np.array([-200.0])),
+             (50.5, 1.0, -np.linspace(200.0, 260.0, 61))]
+    cases += [(0.5 + 2.0 * u, 0.5 + 2.0 * u + 0.3 + 2.2 * v, z)
+              for (u, v, _, _), z in zip(draws, grid)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, c, z in cases:
+            got = kummer_1f1_arr(a, c, z)
+            tables = corefn._kummer_tables(a, c)
+            assert np.isfinite(tables.series).all()
+            assert np.isfinite(tables.algebraic).all()
+            assert np.isfinite(got[np.isfinite(z)]).all()
 
 
 def test_kummer_arr_non_finite_bit_identical_to_lockstep():
@@ -322,14 +422,14 @@ def test_kummer_arr_non_finite_bit_identical_to_lockstep():
 
 
 def test_kummer_node_at_plus_inf_returns_at_once(monkeypatch):
-    # the +inf limit is taken before any series: a node summed to this cap
-    # would take seconds
-    monkeypatch.setattr(corefn, "_KUMMER_TERM_CAP", 3 * 10**7)
-    start = time.perf_counter()
+    # the +inf limit is taken before any table or sum: no table holds the
+    # powers of an infinite node
+    def refuse(*args):
+        raise AssertionError("an infinite node reached the tables")
+
+    monkeypatch.setattr(corefn, "_kummer_tables", refuse)
     got = kummer_1f1_arr(1.5, 2.0, np.array([np.inf]))
-    elapsed = time.perf_counter() - start
     assert got[0] == math.inf
-    assert elapsed < 0.5
 
 
 def test_kummer_arr_nan_exit_keeps_lockstep_bits():
@@ -383,10 +483,10 @@ def _former_kummer_1f1_arr(a, c, z):
         term = np.ones_like(w)
         active = np.ones_like(w, dtype=bool)
         small = np.zeros_like(w, dtype=int)
-        for m in range(_KUMMER_TERM_CAP):
+        for m in range(30_000):  # the former cap on terms a node
             term = term * (aa + m) / (c + m) * w / (m + 1)
             s = s + np.where(active, term, 0.0)
-            tiny = np.abs(term) < _KUMMER_EPS * np.abs(s)
+            tiny = np.abs(term) < 1e-15 * np.abs(s)  # the former threshold
             small = np.where(tiny, small + 1, 0)
             active = active & (small < 3) & (term != 0.0)
             if not np.any(active):
@@ -512,18 +612,24 @@ def test_tiny_confluent_parameters_are_no_polynomial_case():
 
 
 def test_kummer_kernel_iterates_no_nodes_in_python():
-    # the confluent kernel is block sums over whole arrays: no per-node
-    # series, no loop or comprehension over nodes, no .tolist()
+    # the confluent kernel is table sums over whole arrays: no per-node
+    # series, no loop or comprehension over nodes, no .tolist(); the one
+    # loop of _power_sums steps over column blocks of the powers table
     tree = ast.parse(Path(corefn.__file__).read_text(encoding="utf-8"))
     fns = {n.name: n for n in ast.walk(tree)
            if isinstance(n, ast.FunctionDef)}
-    assert "_kummer_series_node" not in fns
-    for name in ("kummer_1f1_arr", "kummer_algebraic_tail", "_block_sum",
-                 "_kummer_cut", "_kummer_at_inf"):
+    assert "_kummer_series_node" not in fns and "_block_sum" not in fns
+    for name in ("kummer_1f1_arr", "kummer_algebraic_tail", "_kummer_half",
+                 "_power_sums", "_kummer_cut", "_kummer_at_inf"):
         nodes = list(ast.walk(fns[name]))
-        assert not any(isinstance(n, (ast.For, ast.AsyncFor,
-                                      ast.comprehension))
-                       for n in nodes), name
+        loops = [n for n in nodes
+                 if isinstance(n, (ast.For, ast.AsyncFor, ast.comprehension))]
+        if name == "_power_sums":
+            assert len(loops) == 1
+            step = loops[0].iter.args[2]
+            assert isinstance(step, ast.Name) and step.id == "cols"
+        else:
+            assert not loops, name
         assert not any(isinstance(n, ast.Attribute) and n.attr == "tolist"
                        for n in nodes), name
 

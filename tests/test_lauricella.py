@@ -362,6 +362,24 @@ def test_fa_partial_series():
     assert abs(lhs.value - rhs.value) <= 1e-7 * (1 + abs(lhs.value))
 
 
+@pytest.mark.parametrize("xs", [(-0.3, -0.3, 0.3),
+                                (-0.2374, -0.2374, 0.2374, 0.2374)])
+def test_fa_partial_series_right_side_sums_in_the_type_a_axis_order(xs):
+    # summed in the given order, the outer weights of the leading negative
+    # axes alternate and the split-off positive axis cancels them (1.7e-12
+    # and 5.8e-13 relative); both type A sums take the x_j >= 0 axes first
+    r = len(xs)
+    p = PA(5.0, [3.0] * r, [3.5] * r, list(xs))
+    lhs, rhs = fa_partial_series(p)
+    with mpmath.workdps(30):
+        want, last = oracles.lauricella_fa_by_degree(5.0, [3.0] * r,
+                                                     [3.5] * r, xs, 300)
+        assert last < 1e-20 * abs(want)
+    assert lhs.converged and rhs.converged
+    for side in (lhs, rhs):
+        assert abs(side.value - want) <= 1e-14 * abs(want)
+
+
 def test_fa_partial_series_zero_last_argument():
     r = RegPair(0.1, 0.1)
     p = PA(1.0, [0.6, 0.7], [1.8, 2.1], [0.2, 0.0], r)
