@@ -161,9 +161,10 @@ def beta_classical(a: float, b: float) -> float:
 
 
 @functools.lru_cache(maxsize=128)
-def _kummer_amplitude(a: float, c: float) -> float:
-    """Gamma(c)/Gamma(c-a), the amplitude of the algebraic branch of 1F1."""
-    g = np.exp(complex(ln_gamma(complex(c)) - ln_gamma(complex(c - a))))
+def _kummer_amplitude(c: float, p: float) -> float:
+    """Gamma(c)/Gamma(p): at p = c - a, the amplitude of the algebraic
+    branch of 1F1(a; c; -w)."""
+    g = np.exp(complex(ln_gamma(complex(c)) - ln_gamma(complex(p))))
     return g.real
 
 
@@ -196,10 +197,10 @@ def _kummer_at_inf(a: float, c: float, z: float) -> float:
     times a polynomial, or of Gamma(c)/Gamma(c-a) (-z)^-a, which is also
     the top term of a polynomial 1F1(-n; c; z)."""
     if z > 0.0 and not _is_polynomial(a, c):
-        return _kummer_amplitude(c - a, c) * math.inf
+        return _kummer_amplitude(c, a) * math.inf
     if z < 0.0 and _is_polynomial(c - a, c):
         return 0.0
-    return _kummer_amplitude(a, c) * (-z) ** (-a if z < 0.0 else round(-a))
+    return _kummer_amplitude(c, c - a) * (-z) ** (-a if z < 0.0 else round(-a))
 
 
 def _series_table(p: float, c: float, w0: float, scale: float,
@@ -239,11 +240,11 @@ def _series_table(p: float, c: float, w0: float, scale: float,
         size = 2 * size if degree is None else min(2 * size, degree)
 
 
-def _algebraic_table(a: float, c: float,
+def _algebraic_table(a: float, p: float,
                      scale: float) -> tuple[np.ndarray, bool]:
-    """Coefficients of 2F0(a, a - c + 1;; y / scale), the algebraic series
-    of 1F1(a; c; -w) in y = scale / w (DLMF 13.7.2), and whether each node
-    stops at its own smallest term.
+    """Coefficients of 2F0(a, 1 - p;; y / scale), the algebraic series of
+    1F1(a; c; -w) in y = scale / w, p = c - a (DLMF 13.7.2), and whether
+    each node stops at its own smallest term.
 
     The table ends before its first coefficient of modulus at most
     _KUMMER_SMALL (a zero one of a terminating series too), which w0(a, c)
@@ -256,7 +257,7 @@ def _algebraic_table(a: float, c: float,
         k = np.arange(float(size))
         with np.errstate(over="ignore", invalid="ignore"):
             coef = np.cumprod(np.concatenate(
-                ([1.0], (a + k) * (a - c + 1.0 + k) / ((k + 1.0) * scale))))
+                ([1.0], (a + k) * (1.0 - p + k) / ((k + 1.0) * scale))))
         mag = np.abs(coef)
         small = mag <= _KUMMER_SMALL
         ends = np.flatnonzero(small | ~(mag <= _KUMMER_COEFF_MAX))
@@ -266,25 +267,26 @@ def _algebraic_table(a: float, c: float,
 
 
 class _KummerTables(NamedTuple):
-    """What kummer_1f1_arr needs of one (a, c), for 1F1(a; c; -w)."""
+    """What kummer_1f1_arr needs of one (a, c - a, c), for 1F1(a; c; -w)."""
 
     w0: float  # the cut (``_kummer_cut``)
     scale: float  # the series takes y = w / scale: 2^k >= w0, 1 (polynomial)
-    series: np.ndarray | None  # 1F1(c - a; c; scale y); None: overflows
+    series: np.ndarray | None  # 1F1(p; c; scale y); None: overflows
     algebraic: np.ndarray  # 2F0 in y = min(w0, _KUMMER_CUT_MAX) / w
     smallest: bool  # each algebraic sum stops at its smallest term
 
 
 @functools.lru_cache(maxsize=128)
-def _kummer_tables(a: float, c: float) -> _KummerTables:
-    """The coefficient tables of 1F1(a; c; -w), built once per (a, c)."""
+def _kummer_tables(a: float, p: float, c: float) -> _KummerTables:
+    """The coefficient tables of 1F1(a; c; -w), p = c - a, built once per
+    (a, p, c).  p is passed, not formed from a and c, so that Kummer's
+    transformation can take the tables of (c - a, a, c) with a exact."""
     w0 = _kummer_cut(a, c)
-    degree = round(a - c) if math.isinf(w0) else None
+    degree = round(-p) if math.isinf(w0) else None
     # a power of 2, so that y = w / scale is exact
     scale = 1.0 if degree is not None else 2.0 ** math.ceil(math.log2(w0))
-    return _KummerTables(w0, scale,
-                         _series_table(c - a, c, w0, scale, degree),
-                         *_algebraic_table(a, c, min(w0, _KUMMER_CUT_MAX)))
+    return _KummerTables(w0, scale, _series_table(p, c, w0, scale, degree),
+                         *_algebraic_table(a, p, min(w0, _KUMMER_CUT_MAX)))
 
 
 def _power_sums(coef: np.ndarray | None, y: np.ndarray,
@@ -334,19 +336,25 @@ def kummer_algebraic_tail(a: float, c: float,
     Returns the amplitude Gamma(c)/Gamma(c-a) and the sum of the expansion
     1F1(a; c; -w) ~ amplitude * w**-a * 2F0(a, a-c+1;; 1/w).
     """
-    amp = _kummer_amplitude(a, c)
-    tab = _kummer_tables(a, c)
+    return _algebraic_tail(a, c - a, c, w)
+
+
+def _algebraic_tail(a: float, p: float, c: float, w: np.ndarray):
+    """``kummer_algebraic_tail`` with p = c - a given."""
+    tab = _kummer_tables(a, p, c)
     y = min(tab.w0, _KUMMER_CUT_MAX) / np.asarray(w, dtype=float)
-    return amp, _power_sums(tab.algebraic, y, tab.smallest)
+    return _kummer_amplitude(c, p), _power_sums(tab.algebraic, y,
+                                                 tab.smallest)
 
 
-def _kummer_half(a: float, c: float, w: np.ndarray,
+def _kummer_half(a: float, p: float, c: float, w: np.ndarray,
                  reflected: bool) -> np.ndarray:
-    """1F1(a; c; -w) at finite w >= 0 or, ``reflected``, exp(w) times it,
-    which is 1F1(c - a; c; w): the series of exp(w) 1F1(a; c; -w) =
-    1F1(c - a; c; w) (Kummer's transformation) below w0(a, c), and the
-    algebraic branch from w0 on, both from the tables of (a, c)."""
-    tab = _kummer_tables(a, c)
+    """1F1(a; c; -w), p = c - a, at finite w >= 0 or, ``reflected``,
+    exp(w) times it, which is 1F1(p; c; w): the series of
+    exp(w) 1F1(a; c; -w) = 1F1(p; c; w) (Kummer's transformation) below
+    w0(a, c), and the algebraic branch from w0 on, both from the tables of
+    (a, p, c)."""
+    tab = _kummer_tables(a, p, c)
     out = np.empty_like(w)
     ser = w < tab.w0
     if ser.any():
@@ -356,7 +364,7 @@ def _kummer_half(a: float, c: float, w: np.ndarray,
     alg = ~ser
     if alg.any():
         wa = w[alg]
-        amp, s = kummer_algebraic_tail(a, c, wa)
+        amp, s = _algebraic_tail(a, p, c, wa)
         v = amp * np.exp(-a * np.log(wa)) * s
         out[alg] = np.exp(wa) * v if reflected else v
     return out
@@ -367,10 +375,10 @@ def kummer_1f1_arr(a: float, c: float, z: np.ndarray) -> np.ndarray:
 
     z <= 0 takes the tables of (a, c) (``_kummer_half``): the series after
     Kummer's transformation above -w0(a, c), the algebraic branch from
-    there down.  z > 0 takes those of (c - a, c), through
-    1F1(a; c; z) = exp(z) 1F1(c - a; c; -z).  A node's value depends on
-    (a, c, z) alone.  An infinite node takes the limit there, and a NaN
-    node stays NaN.
+    there down.  z > 0 takes those of the pair (c - a, c), with a kept
+    exact, through 1F1(a; c; z) = exp(z) 1F1(c - a; c; -z).  A node's
+    value depends on (a, c, z) alone.  An infinite node takes the limit
+    there, and a NaN node stays NaN.
     """
     z = np.asarray(z, dtype=float)
     out = z.copy()  # a NaN node stays NaN
@@ -381,7 +389,7 @@ def kummer_1f1_arr(a: float, c: float, z: np.ndarray) -> np.ndarray:
     neg = fin & (z <= 0.0)
     pos = fin & (z > 0.0)
     if neg.any():
-        out[neg] = _kummer_half(a, c, -z[neg], False)
+        out[neg] = _kummer_half(a, c - a, c, -z[neg], False)
     if pos.any():
-        out[pos] = _kummer_half(c - a, c, z[pos], True)
+        out[pos] = _kummer_half(c - a, a, c, z[pos], True)
     return out

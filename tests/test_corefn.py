@@ -154,21 +154,23 @@ def test_kummer_reflection_identity_grid(a, c):
         assert abs(refl - want) <= 1e-12 * abs(want)
 
 
-@pytest.mark.parametrize("a,c", [(0.5, 1.5), (2.5, 1.0), (-2.0, 1.5)])
+@pytest.mark.parametrize("a,c", [(0.5, 1.5), (2.5, 1.0), (-2.0, 1.5),
+                                 (1e-10, 1.0)])
 def test_kummer_positive_side_takes_the_reflected_tables(a, c, monkeypatch):
     # one engine: z > 0 is 1F1(a; c; z) = exp(z) 1F1(c - a; c; -z), summed
-    # from the tables of (c - a, c), whichever branch a node takes
+    # from the tables of the pair (c - a, c), whichever branch a node takes;
+    # with c - (c - a) in place of a, a = 1e-10 was off by 8e-8 at z = 30
     asked = []
     tables = corefn._kummer_tables
 
-    def spy(aa, cc):
-        asked.append((aa, cc))
-        return tables(aa, cc)
+    def spy(*key):
+        asked.append(key)
+        return tables(*key)
 
     monkeypatch.setattr(corefn, "_kummer_tables", spy)
     zs = np.array([0.5, 3.0, 20.0, 60.0])
     got = kummer_1f1_arr(a, c, zs)
-    assert set(asked) == {(c - a, c)}
+    assert set(asked) == {(c - a, a, c)}  # a exact, not c - (c - a)
     for z, v in zip(zs, got):
         want = oracles.hyp1f1(a, c, float(z))
         assert abs(v - want) <= 1e-13 * abs(want)

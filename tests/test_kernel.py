@@ -165,15 +165,15 @@ def _series_coeffs(p, c, w0, scale, degree):
     return coef if (np.abs(coef) <= _COEFF_MAX).all() else None
 
 
-def _algebraic_coeffs(a, c, scale):
-    """Reference for the algebraic table: 2F0(a, a - c + 1;; y / scale)
+def _algebraic_coeffs(a, p, scale):
+    """Reference for the algebraic table: 2F0(a, 1 - p;; y / scale)
     up to its first coefficient of modulus <= 2^-56 (then False), else up
     to its first coefficient beyond 1e300 or 401 terms (then True: each
     node stops at its smallest term)."""
     coef = [np.float64(1.0)]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(int(2 * _KUMMER_CUT_MAX)):
-            nxt = coef[k] * ((a + k) * (a - c + 1.0 + k) / ((k + 1.0) * scale))
+            nxt = coef[k] * ((a + k) * (1.0 - p + k) / ((k + 1.0) * scale))
             if abs(nxt) <= _SMALL:
                 return np.array(coef), False
             if not abs(nxt) <= _COEFF_MAX:
@@ -207,29 +207,31 @@ def _node_sum(coef, y, smallest=False):
     return s
 
 
-def _tables(a, c):
+def _tables(a, p, c):
+    """Reference for the tables of 1F1(a; c; -w), p = c - a."""
     w0 = _kummer_cut(a, c)
-    degree = round(a - c) if math.isinf(w0) else None
+    degree = round(-p) if math.isinf(w0) else None
     scale = 1.0 if degree is not None else 2.0 ** math.ceil(math.log2(w0))
-    return (w0, scale, _series_coeffs(c - a, c, w0, scale, degree),
-            *_algebraic_coeffs(a, c, min(w0, _KUMMER_CUT_MAX)))
+    return (w0, scale, _series_coeffs(p, c, w0, scale, degree),
+            *_algebraic_coeffs(a, p, min(w0, _KUMMER_CUT_MAX)))
 
 
 def _lockstep_algebraic(a, c, w):
     """Reference for the 2F0 sum of kummer_algebraic_tail, node by node."""
-    w0, _, _, alg, smallest = _tables(a, c)
+    w0, _, _, alg, smallest = _tables(a, c - a, c)
     y = min(w0, _KUMMER_CUT_MAX) / np.asarray(w, dtype=float)
     return np.array([_node_sum(alg, v, smallest) for v in y.reshape(-1)])
 
 
-def _amplitude(a, c):
-    g = np.exp(complex(ln_gamma(complex(c)) - ln_gamma(complex(c - a))))
+def _amplitude(c, p):
+    g = np.exp(complex(ln_gamma(complex(c)) - ln_gamma(complex(p))))
     return g.real
 
 
-def _half(a, c, w, reflected):
-    """Reference for 1F1(a; c; -w) (w >= 0), or exp(w) times it."""
-    w0, scale, series, alg, smallest = _tables(a, c)
+def _half(a, p, c, w, reflected):
+    """Reference for 1F1(a; c; -w) (w >= 0, p = c - a), or exp(w) times
+    it."""
+    w0, scale, series, alg, smallest = _tables(a, p, c)
     out = np.empty_like(w)
     for i, x in enumerate(w):
         if x < w0:
@@ -237,21 +239,21 @@ def _half(a, c, w, reflected):
             out[i] = s if reflected else np.exp(-x) * s
         else:
             s = _node_sum(alg, min(w0, _KUMMER_CUT_MAX) / x, smallest)
-            v = _amplitude(a, c) * np.exp(-a * np.log(x)) * s
+            v = _amplitude(c, p) * np.exp(-a * np.log(x)) * s
             out[i] = np.exp(x) * v if reflected else v
     return out
 
 
 def _lockstep_kummer_1f1_arr(a, c, z):
     """Reference: the rule of kummer_1f1_arr on finite nodes, each node
-    alone: z <= 0 from the tables of (a, c), z > 0 from those of (c - a, c)
-    through Kummer's transformation."""
+    alone: z <= 0 from the tables of (a, c), z > 0 from those of the pair
+    (c - a, c), with a exact, through Kummer's transformation."""
     z = np.asarray(z, dtype=float)
     flat = z.reshape(-1)
     out = np.empty_like(flat)
     neg = flat <= 0.0
-    out[neg] = _half(a, c, -flat[neg], False)
-    out[~neg] = _half(c - a, c, flat[~neg], True)
+    out[neg] = _half(a, c - a, c, -flat[neg], False)
+    out[~neg] = _half(c - a, a, c, flat[~neg], True)
     return out.reshape(z.shape)
 
 
@@ -337,11 +339,11 @@ def test_algebraic_tail_in_place_matches_former_expressions():
         amp, got = kummer_algebraic_tail(a, c, w[above])
         want = _lockstep_algebraic(a, c, w[above])
         assert np.float64(amp).view(np.int64) == np.float64(
-            _amplitude(a, c)).view(np.int64)
+            _amplitude(c, c - a)).view(np.int64)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert got[-2] == 1.0  # w = inf: the first term alone
         # the amplitude is computed once per (a, c)
-        assert _kummer_amplitude(a, c) is amp
+        assert _kummer_amplitude(c, c - a) is amp
 
 
 def test_kummer_arr_diverging_expansion_is_cut_at_its_smallest_term(
@@ -361,7 +363,7 @@ def test_kummer_arr_diverging_expansion_is_cut_at_its_smallest_term(
     monkeypatch.setattr(corefn, "_running", spy)
     z = -np.linspace(200.0, 260.0, 61)
     got = kummer_1f1_arr(50.5, 1.0, z)
-    tables = corefn._kummer_tables(50.5, 1.0)
+    tables = corefn._kummer_tables(50.5, 1.0 - 50.5, 1.0)
     assert tables.smallest
     assert tables.algebraic.size <= 2 * _KUMMER_CUT_MAX + 1
     assert blocks
@@ -379,7 +381,7 @@ def test_kummer_arr_column_blocks_keep_each_nodes_bits():
     # past _KUMMER_BLOCK_FLOATS powers the nodes go in column blocks; the
     # last block here holds one node, which is summed as one of two
     a, c = 1.5, 2.5
-    n = corefn._kummer_tables(a, c).series.size
+    n = corefn._kummer_tables(a, c - a, c).series.size
     cols = max(2, _KUMMER_BLOCK_FLOATS // n)
     z = -np.linspace(0.0, _kummer_cut(a, c), 2 * cols + 1, endpoint=False)
     got = kummer_1f1_arr(a, c, z)
@@ -405,7 +407,7 @@ def test_kummer_arr_capped_cut_raises_no_floating_point_warning():
         warnings.simplefilter("error")
         for a, c, z in cases:
             got = kummer_1f1_arr(a, c, z)
-            tables = corefn._kummer_tables(a, c)
+            tables = corefn._kummer_tables(a, c - a, c)
             assert np.isfinite(tables.series).all()
             assert np.isfinite(tables.algebraic).all()
             assert np.isfinite(got[np.isfinite(z)]).all()
@@ -499,7 +501,7 @@ def _former_kummer_1f1_arr(a, c, z):
         for k in range(1, 25):
             term = term * (a + k - 1) * (a - c + k) / (k * w)
             s = s + term
-        out[neg_big] = _amplitude(a, c) * np.exp(-a * np.log(w)) * s
+        out[neg_big] = _amplitude(c, c - a) * np.exp(-a * np.log(w)) * s
     return out
 
 
@@ -541,7 +543,7 @@ def test_kummer_arr_accuracy_not_worse_than_former_rule(a):
 def test_kummer_amplitude_next_to_a_pole_matches_mpmath(a, c):
     with mpmath.workdps(40):
         want = mpmath.gamma(c) / mpmath.gamma(c - a)
-        assert abs((_kummer_amplitude(a, c) - want) / want) <= 1e-13
+        assert abs((_kummer_amplitude(c, c - a) - want) / want) <= 1e-13
 
 
 @pytest.mark.parametrize("a,c", [(1.0, 30.0), (1.0, 60.0), (2.0, 40.0),
