@@ -1,6 +1,7 @@
 """Classical building blocks against closed forms and mpmath."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -154,26 +155,66 @@ def test_kummer_reflection_identity_grid(a, c):
         assert abs(refl - want) <= 1e-12 * abs(want)
 
 
-@pytest.mark.parametrize("a,c", [(0.5, 1.5), (2.5, 1.0), (-2.0, 1.5),
-                                 (1e-10, 1.0)])
-def test_kummer_positive_side_takes_the_reflected_tables(a, c, monkeypatch):
-    # one engine: z > 0 is 1F1(a; c; z) = exp(z) 1F1(c - a; c; -z), summed
-    # from the tables of the pair (c - a, c), whichever branch a node takes;
-    # with c - (c - a) in place of a, a = 1e-10 was off by 8e-8 at z = 30
-    asked = []
-    tables = corefn._kummer_tables
+_POSITIVE_ZS = [0.5, 3.0, 20.0, 60.0]
 
-    def spy(*key):
-        asked.append(key)
-        return tables(*key)
 
-    monkeypatch.setattr(corefn, "_kummer_tables", spy)
-    zs = np.array([0.5, 3.0, 20.0, 60.0])
-    got = kummer_1f1_arr(a, c, zs)
-    assert set(asked) == {(c - a, a, c)}  # a exact, not c - (c - a)
+@pytest.mark.parametrize("a,c,zs,overflows", [
+    (0.5, 1.5, _POSITIVE_ZS, False),
+    (2.5, 1.0, _POSITIVE_ZS, False),
+    (-2.0, 1.5, _POSITIVE_ZS, False),
+    (1e-10, 1.0, _POSITIVE_ZS, False),
+    (1.0, 2.0, [300.0, 700.0, 710.0], True),
+    (1.0, 200.0, [5.0, 150.0, 250.0, 700.0, 1000.0], False),
+    (190.0, 200.0, [250.0, 700.0], True),
+])
+def test_kummer_positive_side_takes_the_series_of_a_itself(a, c, zs,
+                                                           overflows,
+                                                           monkeypatch):
+    # z > 0 sums the series of 1F1(a; c; z) from the tables of (a, c), a
+    # exact (with c - (c - a) in place of a, a = 1e-10 was off by 8e-8 at
+    # z = 30).  Where a node's table overflows (z = 700 here) it takes the
+    # algebraic tables of the pair (c - a, c) through Kummer's
+    # transformation, formed as one exponential: e^710 and Gamma(200)
+    # overflow alone, 1F1(1; 2; 710) = 3.1e305 does not.  The cut of
+    # (c - a, c) is not asked: capped at 200 for (1, 200), its algebraic
+    # branch was off by 4e-4 at z = 250
+    series, tables = [], []
+    series_table, kummer_tables = corefn._series_table, corefn._kummer_tables
+
+    def spy(store, f):
+        def call(*key):
+            store.append(key)
+            return f(*key)
+        return call
+
+    monkeypatch.setattr(corefn, "_series_table", spy(series, series_table))
+    monkeypatch.setattr(corefn, "_kummer_tables", spy(tables, kummer_tables))
+    zs = np.array(zs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kummer_1f1_arr(a, c, zs)
+    assert {key[:2] for key in series} == {(a, c)}
+    assert set(tables) <= {(c - a, a, c)}
+    assert bool(tables) == overflows
     for z, v in zip(zs, got):
         want = oracles.hyp1f1(a, c, float(z))
-        assert abs(v - want) <= 1e-13 * abs(want)
+        # the one exponential carries the rounding of its argument z
+        assert abs(v - want) <= max(1e-13, 3.0 * z * 2.0 ** -53) * abs(want)
+
+
+@pytest.mark.parametrize("a,c,z", [
+    (0.1 + 0.2, 0.3, -40.0),
+    (3.0 + 1e-13, 1.0, -40.0),
+    (-2.0 + 1e-13, 1.0, 40.0),
+])
+def test_kummer_near_polynomial_keeps_its_non_terminating_part(a, c, z):
+    # within 1e-12 of a polynomial (c - a, or a for z > 0, next to a
+    # nonpositive integer) the series is not cut at the degree: its
+    # delta-sized terms past it decide the value (they were dropped, 110%
+    # off at the first case and -23 for -1.03e7 at the last)
+    with mpmath.workdps(40):
+        want = float(mpmath.hyp1f1(a, c, z))
+    assert abs(_kummer(a, c, z) - want) <= 1e-14 * abs(want)
 
 
 @pytest.mark.parametrize("z", [-5.0, -50.0, -250.0, -4000.0])

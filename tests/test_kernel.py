@@ -18,7 +18,6 @@ from exthyp.kernel import (
     theta_eval_arr,
 )
 from exthyp.corefn import (
-    _KUMMER_BLOCK_FLOATS,
     _KUMMER_CUT_MAX,
     _is_nonpositive_int,
     _kummer_amplitude,
@@ -30,6 +29,7 @@ from exthyp.corefn import (
 )
 from exthyp import corefn
 from exthyp import extbeta
+from exthyp.quadrature import _BATCH_BLOCK_FLOATS
 from exthyp.extbeta import BetaArgs, RegPair, ext_beta
 from exthyp.results import DomainError
 
@@ -135,31 +135,32 @@ def test_kummer_arr_matches_mpmath_where_c_far_exceeds_a():
 
 _SMALL = 2.0 ** -56
 _COEFF_MAX = 1e300
+_SERIES_MAX = 2 ** 15
 
 
-def _series_coeffs(p, c, w0, scale, degree):
+def _series_coeffs(p, c, reach, scale):
     """Reference for the series table of 1F1(p; c; scale y), one
-    coefficient a step: a polynomial keeps its degree + 1 coefficients;
-    else the table ends at the first term u_m of the series at x = w0 whose
-    geometric tail u_m q_m / (1 - q_m), q_m = max(|p + m| / (c + m), 1)
-    w0 / (m + 1), is at most 2^-56 (u_0 + ... + u_m); None if a kept
-    coefficient exceeds 1e300 in modulus."""
+    coefficient a step: it ends at the first zero step p + m = 0 or at the
+    first term u_m of the series at x = reach whose geometric tail
+    u_m q_m / (1 - q_m), q_m = max(|p + m| / (c + m), 1) reach / (m + 1),
+    is at most 2^-56 (u_0 + ... + u_m); None if a kept coefficient exceeds
+    1e300 in modulus or the table would reach 2^15 coefficients."""
     coef, u = [np.float64(1.0)], [np.float64(1.0)]
     total = np.float64(1.0)  # u_0 + ... + u_m
     m = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        while m != degree:
+        while True:
+            if m == _SERIES_MAX - 1:
+                return None
             step = (p + m) / ((c + m) * (m + 1.0))
-            if degree is None:
-                ratio = abs(step) * w0
-                q = max(ratio, w0 / (m + 1.0))
-                bound = _SMALL * total
-                if q * (u[m] + bound) <= bound:
-                    break
+            ratio = abs(step) * reach
+            q = max(ratio, reach / (m + 1.0))
+            bound = _SMALL * total
+            if step == 0.0 or q * (u[m] + bound) <= bound:
+                break
             coef.append(coef[m] * (step * scale))
-            if degree is None:
-                u.append(u[m] * ratio)
-                total = total + u[m + 1]
+            u.append(u[m] * ratio)
+            total = total + u[m + 1]
             m += 1
     coef = np.array(coef)
     return coef if (np.abs(coef) <= _COEFF_MAX).all() else None
@@ -207,53 +208,67 @@ def _node_sum(coef, y, smallest=False):
     return s
 
 
-def _tables(a, p, c):
-    """Reference for the tables of 1F1(a; c; -w), p = c - a."""
-    w0 = _kummer_cut(a, c)
-    degree = round(-p) if math.isinf(w0) else None
-    scale = 1.0 if degree is not None else 2.0 ** math.ceil(math.log2(w0))
-    return (w0, scale, _series_coeffs(p, c, w0, scale, degree),
-            *_algebraic_coeffs(a, p, min(w0, _KUMMER_CUT_MAX)))
+def _series_node(p, c, w0, x):
+    """Reference for the series 1F1(p; c; x) at one node x < w0: the table
+    certified at w0, at the scale 2^k >= w0, or where w0 is infinite the
+    one certified at 2^k, k >= 0 the least with x < 2^k."""
+    if math.isfinite(w0):
+        reach = w0
+        scale = 2.0 ** math.ceil(math.log2(w0))
+    else:
+        reach = scale = 2.0 ** max(math.frexp(x)[1], 0)
+    return _node_sum(_series_coeffs(p, c, reach, scale), x / scale)
+
+
+def _algebraic_node(a, p, c, w):
+    """Reference for the 2F0 sum of the algebraic branch at one node."""
+    scale = min(_kummer_cut(a, c), _KUMMER_CUT_MAX)
+    alg, smallest = _algebraic_coeffs(a, p, scale)
+    return _node_sum(alg, scale / w, smallest)
 
 
 def _lockstep_algebraic(a, c, w):
     """Reference for the 2F0 sum of kummer_algebraic_tail, node by node."""
-    w0, _, _, alg, smallest = _tables(a, c - a, c)
-    y = min(w0, _KUMMER_CUT_MAX) / np.asarray(w, dtype=float)
-    return np.array([_node_sum(alg, v, smallest) for v in y.reshape(-1)])
+    w = np.asarray(w, dtype=float).reshape(-1)
+    return np.array([_algebraic_node(a, c - a, c, v) for v in w])
+
+
+def _log_amplitude(c, p):
+    return complex(ln_gamma(complex(c)) - ln_gamma(complex(p)))
 
 
 def _amplitude(c, p):
-    g = np.exp(complex(ln_gamma(complex(c)) - ln_gamma(complex(p))))
-    return g.real
+    return np.exp(_log_amplitude(c, p)).real
 
 
-def _half(a, p, c, w, reflected):
-    """Reference for 1F1(a; c; -w) (w >= 0, p = c - a), or exp(w) times
-    it."""
-    w0, scale, series, alg, smallest = _tables(a, p, c)
-    out = np.empty_like(w)
-    for i, x in enumerate(w):
+def _node(a, c, z):
+    """Reference for 1F1(a; c; z) at one finite node: for z <= 0 the series
+    of 1F1(c - a; c; -z) times e^z above -w0(a, c), the algebraic branch
+    from there down; for z > 0 the series, and where its table overflows
+    (a not near a nonpositive integer) the algebraic branch of the pair
+    (c - a, c) as one exponential."""
+    p = c - a
+    if z <= 0.0:
+        x = -z
+        w0 = _kummer_cut(a, c)
         if x < w0:
-            s = _node_sum(series, x / scale)
-            out[i] = s if reflected else np.exp(-x) * s
-        else:
-            s = _node_sum(alg, min(w0, _KUMMER_CUT_MAX) / x, smallest)
-            v = _amplitude(c, p) * np.exp(-a * np.log(x)) * s
-            out[i] = np.exp(x) * v if reflected else v
-    return out
+            return np.exp(-x) * _series_node(p, c, w0, x)
+        return (_amplitude(c, p) * np.exp(-a * np.log(x))
+                * _algebraic_node(a, p, c, x))
+    s = _series_node(a, c, math.inf, z)
+    if not math.isnan(s) or corefn._is_polynomial(a, c):
+        return s
+    x = np.float64(z)
+    with np.errstate(over="ignore"):
+        lead = np.exp(x - p * np.log(x) + _log_amplitude(c, a))
+    return lead.real * _algebraic_node(p, a, c, x)
 
 
 def _lockstep_kummer_1f1_arr(a, c, z):
     """Reference: the rule of kummer_1f1_arr on finite nodes, each node
-    alone: z <= 0 from the tables of (a, c), z > 0 from those of the pair
-    (c - a, c), with a exact, through Kummer's transformation."""
+    alone."""
     z = np.asarray(z, dtype=float)
-    flat = z.reshape(-1)
-    out = np.empty_like(flat)
-    neg = flat <= 0.0
-    out[neg] = _half(a, c - a, c, -flat[neg], False)
-    out[~neg] = _half(c - a, a, c, flat[~neg], True)
+    out = np.array([_node(a, c, float(v)) for v in z.reshape(-1)])
     return out.reshape(z.shape)
 
 
@@ -346,29 +361,42 @@ def test_algebraic_tail_in_place_matches_former_expressions():
         assert _kummer_amplitude(c, c - a) is amp
 
 
+def _term_blocks(monkeypatch):
+    """The shapes of the term blocks of _power_sums: a block of n rows
+    first takes the running products of its rows up to y**(n // 2)."""
+    blocks = []
+    running = corefn._running
+
+    def spy(op, blk):
+        rows, cols = blk.shape
+        blocks.append((2 * rows - 1, cols))
+        return running(op, blk)
+
+    monkeypatch.setattr(corefn, "_running", spy)
+    return blocks
+
+
+def _series_table_of(a, c):
+    """The series table of 1F1(a; c; -w) below a finite w0(a, c)."""
+    w0 = _kummer_cut(a, c)
+    return corefn._series_table(c - a, c, w0, 2.0 ** math.ceil(math.log2(w0)))
+
+
 def test_kummer_arr_diverging_expansion_is_cut_at_its_smallest_term(
         monkeypatch):
     # kummer:50.5,1 has no w <= 200 where the algebraic expansion reaches
     # 2^-56, so w0 is capped there; near w = 200 its terms grow for long.
     # Each node's sum stops at its own smallest term of a table of at most
-    # 2 * 200 + 1 coefficients, and no power block holds more than
-    # _KUMMER_BLOCK_FLOATS entries
-    blocks = []
-    running = corefn._running
-
-    def spy(op, blk):
-        blocks.append(blk.shape)  # the rows up to y**(n // 2) of a block
-        return running(op, blk)
-
-    monkeypatch.setattr(corefn, "_running", spy)
+    # 2 * 200 + 1 coefficients, and no term block holds more than
+    # _BATCH_BLOCK_FLOATS entries
+    blocks = _term_blocks(monkeypatch)
     z = -np.linspace(200.0, 260.0, 61)
     got = kummer_1f1_arr(50.5, 1.0, z)
     tables = corefn._kummer_tables(50.5, 1.0 - 50.5, 1.0)
     assert tables.smallest
     assert tables.algebraic.size <= 2 * _KUMMER_CUT_MAX + 1
     assert blocks
-    assert max((2 * rows - 1) * cols for rows, cols in blocks) \
-        <= _KUMMER_BLOCK_FLOATS
+    assert max(rows * cols for rows, cols in blocks) <= _BATCH_BLOCK_FLOATS
     with mpmath.workdps(50):
         want = np.array([float(mpmath.hyp1f1(50.5, 1.0, x)) for x in z])
     rel = np.abs(got - want) / np.abs(want)
@@ -378,17 +406,42 @@ def test_kummer_arr_diverging_expansion_is_cut_at_its_smallest_term(
 
 
 def test_kummer_arr_column_blocks_keep_each_nodes_bits():
-    # past _KUMMER_BLOCK_FLOATS powers the nodes go in column blocks; the
-    # last block here holds one node, which is summed as one of two
+    # past _BATCH_BLOCK_FLOATS terms the nodes go in column blocks; the
+    # last block here holds one node, which is summed alone
     a, c = 1.5, 2.5
-    n = corefn._kummer_tables(a, c - a, c).series.size
-    cols = max(2, _KUMMER_BLOCK_FLOATS // n)
+    cols = _BATCH_BLOCK_FLOATS // _series_table_of(a, c).size
     z = -np.linspace(0.0, _kummer_cut(a, c), 2 * cols + 1, endpoint=False)
     got = kummer_1f1_arr(a, c, z)
     want = _lockstep_kummer_1f1_arr(a, c, z)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     last = kummer_1f1_arr(a, c, z[-1:])
     assert last.view(np.int64)[0] == got.view(np.int64)[-1]
+
+
+def test_kummer_arr_polynomial_of_large_degree_stays_bounded(monkeypatch):
+    # kummer:2e9,1e9 (c - a = -1e9) and kummer:1000,500 (c - a = -500):
+    # 1F1(a; c; -w) is e^-w times a polynomial of that degree in w.  Each
+    # node takes the series table certified at its octave, which ends long
+    # before the degree, so the tables and term blocks stay small and no
+    # node's powers overflow against underflowed coefficients
+    blocks = _term_blocks(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = kummer_1f1_arr(2e9, 1e9, np.array([0.0, -5.0]))
+        z = -np.linspace(0.0, 100.0, 41)
+        mid = kummer_1f1_arr(1000.0, 500.0, z)
+    assert big[0] == 1.0
+    with mpmath.workdps(30):
+        want = float(mpmath.hyp1f1(2e9, 1e9, -5.0))
+    # the alternating terms of 1F1(-1e9; 1e9; 5) cancel about 4000-fold
+    assert abs(big[1] - want) <= 1e-12 * want
+    assert np.isfinite(mid).all()
+    # the series' terms cancel more and more: pinned up to z = -2.5 only
+    for x, v in zip(z[:2], mid[:2]):
+        want = oracles.hyp1f1(1000.0, 500.0, float(x))
+        assert abs(v - want) <= 1e-13 * abs(want)
+    assert max(rows * cols for rows, cols in blocks) <= _BATCH_BLOCK_FLOATS
+    assert max(rows for rows, _ in blocks) < 400
 
 
 def test_kummer_arr_capped_cut_raises_no_floating_point_warning():
@@ -407,9 +460,9 @@ def test_kummer_arr_capped_cut_raises_no_floating_point_warning():
         warnings.simplefilter("error")
         for a, c, z in cases:
             got = kummer_1f1_arr(a, c, z)
-            tables = corefn._kummer_tables(a, c - a, c)
-            assert np.isfinite(tables.series).all()
-            assert np.isfinite(tables.algebraic).all()
+            assert np.isfinite(_series_table_of(a, c)).all()
+            assert np.isfinite(
+                corefn._kummer_tables(a, c - a, c).algebraic).all()
             assert np.isfinite(got[np.isfinite(z)]).all()
 
 
@@ -430,6 +483,7 @@ def test_kummer_node_at_plus_inf_returns_at_once(monkeypatch):
         raise AssertionError("an infinite node reached the tables")
 
     monkeypatch.setattr(corefn, "_kummer_tables", refuse)
+    monkeypatch.setattr(corefn, "_series_table", refuse)
     got = kummer_1f1_arr(1.5, 2.0, np.array([np.inf]))
     assert got[0] == math.inf
 
@@ -616,12 +670,14 @@ def test_tiny_confluent_parameters_are_no_polynomial_case():
 def test_kummer_kernel_iterates_no_nodes_in_python():
     # the confluent kernel is table sums over whole arrays: no per-node
     # series, no loop or comprehension over nodes, no .tolist(); the one
-    # loop of _power_sums steps over column blocks of the powers table
+    # loop of _power_sums steps over column blocks of the powers table, and
+    # that of _series_sums over the distinct octaves of the nodes
     tree = ast.parse(Path(corefn.__file__).read_text(encoding="utf-8"))
     fns = {n.name: n for n in ast.walk(tree)
            if isinstance(n, ast.FunctionDef)}
     assert "_kummer_series_node" not in fns and "_block_sum" not in fns
-    for name in ("kummer_1f1_arr", "kummer_algebraic_tail", "_kummer_half",
+    for name in ("kummer_1f1_arr", "kummer_algebraic_tail", "_kummer_neg",
+                 "_kummer_pos", "_algebraic_sums", "_series_sums",
                  "_power_sums", "_kummer_cut", "_kummer_at_inf"):
         nodes = list(ast.walk(fns[name]))
         loops = [n for n in nodes
@@ -630,6 +686,11 @@ def test_kummer_kernel_iterates_no_nodes_in_python():
             assert len(loops) == 1
             step = loops[0].iter.args[2]
             assert isinstance(step, ast.Name) and step.id == "cols"
+        elif name == "_series_sums":
+            assert len(loops) == 1
+            octaves = loops[0].iter
+            assert isinstance(octaves, ast.Call)
+            assert ast.unparse(octaves.func) == "np.unique"
         else:
             assert not loops, name
         assert not any(isinstance(n, ast.Attribute) and n.attr == "tolist"
