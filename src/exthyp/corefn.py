@@ -57,6 +57,9 @@ _KUMMER_COEFF_MAX = 1e300
 # The longest series table: two columns of its powers fill a block of
 # _BATCH_BLOCK_FLOATS.
 _KUMMER_SERIES_MAX = _BATCH_BLOCK_FLOATS // 2
+# exp(x) rounds to 0.0 for every x below log(2**-1075) = -745.13 (half the
+# smallest subnormal); the margin covers the rounding of log-gamma sums.
+_EXP_ZERO_CUT = -750.0
 
 def _is_nonpositive_int(x: float, tol: float = 1e-12) -> bool:
     return x <= tol and abs(x - round(x)) < tol
@@ -122,11 +125,23 @@ def ln_gamma_arr(z: np.ndarray) -> np.ndarray:
 
 def gammaln_real(x: float) -> float:
     """log Gamma on (0, ``_LN_GAMMA_MAX_ARG``]; any other x (NaN too) is a
-    DomainError, so the Lanczos sum never overflows."""
+    DomainError, so the Lanczos sum never overflows.
+
+    The Lanczos sum of ``_ln_gamma_right`` in real arithmetic, with the
+    recurrence below 0.5: each term c / (x - 1 + k) is one division, where
+    the complex sum multiplies c by 1 / (x - 1 + k), so the two may differ
+    in the last bit.
+    """
     if not 0.0 < x <= _LN_GAMMA_MAX_ARG:
         raise DomainError(f"gammaln_real needs 0 < x <= {_LN_GAMMA_MAX_ARG:g}"
                           f" (log-gamma overflows above), got {x}")
-    return _ln_gamma_right(complex(x)).real if x > 0.5 else ln_gamma(x).real
+    shift = 0.0 if x > 0.5 else math.log(x)
+    xm1 = (x if x > 0.5 else x + 1.0) - 1.0
+    s = _LANCZOS_C[0]
+    for k, c in enumerate(_LANCZOS_C[1:], start=1):
+        s += c / (xm1 + k)
+    t = xm1 + _LANCZOS_G + 0.5
+    return _LOG_SQRT_2PI + (xm1 + 0.5) * math.log(t) - t + math.log(s) - shift
 
 
 def pochhammer(a: float, m: int) -> float:
@@ -372,16 +387,48 @@ def _algebraic_sums(a: float, p: float, c: float,
     return _power_sums(tab.algebraic, y, tab.smallest)
 
 
+def _polynomial_underflows(n: float, c: float, w: np.ndarray) -> np.ndarray:
+    """Whether e^-w sum_m |c_m| w^m, c_m the coefficients of the polynomial
+    1F1(-n; c; w), is below 2^-1075 at the nodes w > 0, so that e^-w
+    1F1(-n; c; w) rounds to 0.
+
+    The sum is at most n + 1 times its largest term, and in logs
+    log |c_m| w^m = log C(n, m) - log (c)_m + m log w is concave in m: the
+    terms grow while (n - m) w >= (m + 1)(c + m), that is up to m = r, the
+    root of that quadratic, so the largest is at floor(r) + 1 (clipped to
+    0..n).  Its three neighbours floor(r) .. floor(r) + 2 are all taken,
+    which covers the rounding of r.
+    """
+    # from w = n (c + n) on every term grows, r >= n - 1, and the square
+    # below stays finite
+    wq = np.minimum(w, n * (c + n))
+    half = c + 1.0 + wq
+    prod = n * wq - c
+    root = 2.0 * prod / (half + np.sqrt(half * half + 4.0 * prod))
+    m = np.clip(np.floor(root) + np.arange(3.0)[:, None], 0.0, n)
+    lg = ln_gamma_arr(np.stack([m + 1.0, n + 1.0 - m, c + m])).real
+    log_term = (gammaln_real(n + 1.0) + gammaln_real(c) - lg.sum(axis=0)
+                + m * np.log(w))
+    return (math.log(n + 1.0) + log_term.max(axis=0) - w) < _EXP_ZERO_CUT
+
+
 def _kummer_neg(a: float, p: float, c: float, w: np.ndarray) -> np.ndarray:
     """1F1(a; c; -w), p = c - a, at finite w >= 0: the series of
     exp(w) 1F1(a; c; -w) = 1F1(p; c; w) (Kummer's transformation) below
-    w0(a, c), and the algebraic branch from w0 on."""
+    w0(a, c), and the algebraic branch from w0 on.  Where p = -n is a
+    nonpositive integer, a node whose series leaves the double range takes
+    0 if ``_polynomial_underflows`` certifies it, the limit at -inf."""
     w0 = _kummer_tables(a, p, c).w0
     out = np.empty_like(w)
     ser = w < w0
     if ser.any():
         ws = w[ser]
-        out[ser] = np.exp(-ws) * _series_sums(p, c, w0, ws)
+        vals = np.exp(-ws) * _series_sums(p, c, w0, ws)
+        lost = ~np.isfinite(vals)
+        if p <= 0.0 and p == round(p) and lost.any():
+            vals[lost] = np.where(_polynomial_underflows(-p, c, ws[lost]),
+                                  0.0, vals[lost])
+        out[ser] = vals
     alg = ~ser
     if alg.any():
         wa = w[alg]

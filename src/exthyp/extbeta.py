@@ -24,9 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel as kernelmod
+from .corefn import _EXP_ZERO_CUT
 from .kernel import EXP_VARIANT, KernelSpec
 from .quadrature import (
     FIRST_PASS_LEVEL,
+    MIN_LEVEL,
     _check_finite,
     _read_only,
     _refine_nested,
@@ -44,10 +46,6 @@ _BIG_EXPONENT = 600.0
 _FAR_TAIL_ARG = -200.0
 # First arguments per complex sample block of ext_beta_complex_many.
 _COMPLEX_BLOCK_ROWS = 256
-# exp(x) rounds to 0.0 for every x below log(2**-1075) = -745.13 (half the
-# smallest subnormal), so a complex sample whose real exponent is below this
-# cut is exactly zero.
-_EXP_ZERO_CUT = -750.0
 
 
 @dataclass(frozen=True)
@@ -226,38 +224,48 @@ def _kernel_integral(k: KernelSpec, reg: RegPair, powexp, tol: float,
     level difference plus the largest factor error.
 
     The weighted samples w exp(powexp) Theta of levels 0..FIRST_PASS_LEVEL
-    are formed in one pass over their nodes laid end to end (level -1) and
-    sliced per level; each is a function of its node alone.  ``factor`` is
-    called per level, when the refinement reads it.
+    are formed in one pass over their nodes laid end to end (level -1);
+    each is a function of its node alone.  Levels 0..MIN_LEVEL, which every
+    refinement reads, go to it as one first estimate: their samples pass
+    one finiteness check, then ``factor`` is called once on their nodes.
+    Each later level is weighed on its own when the refinement reads it.
     """
     norm = _exp_norm(lognorm)
     factor_err = 0.0
-    first = []  # the samples of levels 0..FIRST_PASS_LEVEL
 
     def samples(level):
         t, tc, w = unit_new_nodes(level)
         lt, ltc = _unit_logs(level)
-        return w * safe_theta_product(k, powexp(t, tc, lt, ltc),
-                                      *unit_kernel(k, reg, level))
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            return w * safe_theta_product(k, powexp(t, tc, lt, ltc),
+                                          *unit_kernel(k, reg, level))
+
+    def weighed(vals, t):
+        nonlocal factor_err
+        _check_finite(vals, t)
+        if factor is None:
+            return vals
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            fv, ferr = factor(t)
+            factor_err = max(factor_err, float(np.max(ferr)))
+            vals = vals * fv
+        _check_finite(vals, t)
+        return vals
+
+    first = samples(-1)
+    spans = [unit_level_span(lv) for lv in range(MIN_LEVEL + 1)]
+    head = slice(0, spans[-1].stop)
+    vals = weighed(first[head], unit_new_nodes(-1)[0][head])
+    sums = np.array([vals[span].sum() for span in spans])
 
     def contrib(level):
-        nonlocal factor_err
         t = unit_new_nodes(level)[0]
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            if level > FIRST_PASS_LEVEL:
-                vals = samples(level)
-            else:
-                if not first:
-                    first.append(samples(-1))
-                vals = first[0][unit_level_span(level)]
-            if factor is not None:
-                fv, ferr = factor(t)
-                factor_err = max(factor_err, float(np.max(ferr)))
-                vals = vals * fv
-        _check_finite(vals, t)
-        return vals.sum(), t.size
+        if level <= FIRST_PASS_LEVEL:
+            return weighed(first[unit_level_span(level)], t).sum(), t.size
+        return weighed(samples(level), t).sum(), t.size
 
-    totals, err, nodes, converged = _refine_nested(contrib, tol / norm)
+    totals, err, nodes, converged = _refine_nested(
+        contrib, tol / norm, (sums, [span.stop for span in spans]))
     return EvalResult(float(norm * totals), float(norm * (err + factor_err)),
                       nodes, converged, method)
 

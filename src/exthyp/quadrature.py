@@ -9,11 +9,18 @@ are reused and the error estimate is the last successive-level difference.
 Unit-interval integrands receive the node t together with its complement
 1-t computed directly from the transform, so powers of (1-t) keep full
 precision arbitrarily close to the endpoint.
+
+One loop, ``_refine``, runs every refinement.  Levels that every nested
+refinement forms together (its first pass) may reach it as one first
+estimate, one row per level: their errors and stop tests are formed in one
+step, one finiteness check covers the levels read, and the loop goes on one
+level at a time after them, with the bits of one level at a time.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -32,12 +39,14 @@ MAX_LEVEL = 12
 MIN_LEVEL = 3
 GRID_LEVELS = (3, 4, 8)
 # Nested sums form levels 0 to FIRST_PASS_LEVEL in one pass, over their nodes
-# laid end to end (unit_new_nodes(-1)).  Coefficient-ladder batches stop at
-# this level in 1097 of 1149 cases over 1008 eval-mix calls (seed 1; 2 stop
-# at level 3, 2 at 4, 48 at 6), and in 143 of 148 cases of a cold full
-# conformance pass (the other 5 at 6).  A span of 4 or 6 levels was slower:
-# 1008 eval-mix calls (seed 7, 2-core host) took 333-338 or 351-354 ms in
-# process, against 308-314 ms.
+# laid end to end (unit_new_nodes(-1)).  The batch hands the whole pass to
+# _refine as one first estimate; the kernel integrals hand over levels 0 to
+# MIN_LEVEL, which every refinement reads.  Coefficient-ladder batches stop
+# at this level in 3417 of 3601 cases over 3024 eval-mix calls (seeds 1-3;
+# 11 stop at level 3, 19 at 4, 154 at 6), and in 143 of 148 cases of a cold
+# full conformance pass (the other 5 at 6).  A span of 4 or 6 levels was
+# slower: 1008 eval-mix calls (seed 7, 2-core host) took 333-338 or 351-354
+# ms in process, against 308-314 ms.
 FIRST_PASS_LEVEL = 5
 
 # Powers per table block of integrate_unit_batch (512 KiB of float64), and
@@ -199,7 +208,7 @@ def _running(op, blk: np.ndarray) -> None:
 
 
 def _refine(estimate, tol: float, levels: tuple[int, int, int],
-            rel: bool = False):
+            rel: bool = False, first=None, read=None):
     """The level-doubling loop shared by every integral.
 
     ``estimate(level)`` returns (estimate, nodes used) for the levels
@@ -210,12 +219,39 @@ def _refine(estimate, tol: float, levels: tuple[int, int, int],
     is <= tol, or <= tol * (1 + |estimate|) with ``rel``.  Returns
     (estimate, err, nodes, converged): the last level's estimate and error
     and the nodes of all levels.
+
+    ``first`` = (estimates, nodes) hands over the levels first, ...,
+    first + k - 1 at once, one row per level, with nodes[i] the nodes of
+    rows 0..i.  Their errors and stop tests are formed in one step;
+    ``read(j)``, if given, is called with the number j of those rows the
+    loop reads before any of them counts, and ``estimate`` is asked only
+    for the levels after them.
     """
-    first, least, last = levels
-    prev = None
+    first_level, least, last = levels
+    est = None
     err = math.inf
     nodes = 0
-    for level in range(first, last + 1):
+    start = first_level
+    if first is not None:
+        rows, ends = first
+        # a non-finite row cannot stop the loop; read refuses its level
+        with np.errstate(invalid="ignore"):
+            errs = np.abs(rows[1:] - rows[:-1])
+            bound = tol * (1.0 + np.abs(rows[1:])) if rel else tol
+            stops = np.all(errs <= bound, axis=tuple(range(1, rows.ndim)))
+        stops[:max(least - first_level - 1, 0)] = False
+        done = bool(stops.any())
+        count = int(stops.argmax()) + 2 if done else len(rows)
+        if read is not None:
+            read(count)
+        est, nodes = rows[count - 1], ends[count - 1]
+        if count > 1:
+            err = errs[count - 2]
+        if done:
+            return est, err, nodes, True
+        start += count
+    for level in range(start, last + 1):
+        prev = est
         est, n = estimate(level)
         nodes += n
         if prev is not None:
@@ -225,32 +261,53 @@ def _refine(estimate, tol: float, levels: tuple[int, int, int],
                                if isinstance(err, np.ndarray)
                                else err <= bound):
             return est, err, nodes, True
-        prev = est
     return est, err, nodes, False
 
 
-def _nested(contrib):
+def _nested_step(total, new):
+    """The nested trapezoid estimate of a level from the one before and
+    2^-level times the level's new-node sum."""
+    return new if total is None else 0.5 * total + new
+
+
+def _nested(contrib, total=None):
     """Wrap new-node sums as the nested trapezoid estimates of _refine.
 
     ``contrib(level)`` returns (sum of w*f over the level's new nodes, their
     count); level L's estimate is half of level L-1's plus 2^-L times it.
+    ``total`` is the estimate of the level before the first asked.
     """
-    total = None
 
     def estimate(level):
         nonlocal total
         s, n = contrib(level)
-        h = 2.0 ** -level if level else 1.0
-        total = h * s if total is None else 0.5 * total + h * s
+        total = _nested_step(total, (2.0 ** -level if level else 1.0) * s)
         return total, n
 
     return estimate
 
 
-def _refine_nested(contrib, tol: float):
+def _refine_nested(contrib, tol: float, first=None, read=None):
     """``_refine`` of the nested estimates of the new-node sums
-    ``contrib(level)`` (see ``_nested``), over levels 0 to MAX_LEVEL."""
-    return _refine(_nested(contrib), tol, (0, MIN_LEVEL, MAX_LEVEL))
+    ``contrib(level)`` (see ``_nested``), over levels 0 to MAX_LEVEL.
+
+    ``first`` = (sums, nodes) hands over the new-node sums of levels
+    0..k-1 at once, one row per level, with nodes[i] the nodes of levels
+    0..i; ``read`` is as for ``_refine``.  Their estimates are the running
+    nested totals of the rows, each formed with the operations of one
+    level at a time, so the bits do not depend on the split.
+    """
+    levels = (0, MIN_LEVEL, MAX_LEVEL)
+    if first is None:
+        return _refine(_nested(contrib), tol, levels)
+    sums, ends = first
+    steps = np.ldexp(1.0, -np.arange(len(sums)))  # 2^-level, exactly
+    steps = steps.reshape((-1,) + (1,) * (sums.ndim - 1))
+    with np.errstate(invalid="ignore"):  # as in _refine, for read to judge
+        totals = np.array(list(itertools.accumulate(steps * sums,
+                                                    _nested_step)))
+    return _refine(_nested(contrib, totals[-1]), tol, levels,
+                   first=(totals, ends), read=read)
 
 
 def _refine_grid(grid_sum, tol: float, rel: bool = False):
@@ -344,7 +401,8 @@ def integrate_unit_batch(f0, count: int, tol: float, kstep: int = 1):
     f0 is the m = 0 integrand, evaluated once per node and shared across the
     whole family, so one grid refinement serves every member.  Its first
     call covers levels 0..FIRST_PASS_LEVEL at once, on
-    ``unit_new_nodes(-1)``; each later call one level.  On a level the
+    ``unit_new_nodes(-1)``, and their member sums reach the refinement as
+    one first estimate; each later call covers one level.  On a level the
     member sums are the product of a power table (rows t**(kstep*m), a
     running product of t**kstep, cached per level and block; see
     ``_power_block``) with the weighted samples, one dot product per member
@@ -363,26 +421,23 @@ def integrate_unit_batch(f0, count: int, tol: float, kstep: int = 1):
             from None
     if count < 1:
         raise DomainError(f"batch count must be >= 1, got {count}")
-    first = []  # (sums, samples, t) of levels 0..FIRST_PASS_LEVEL
+    spans = [unit_level_span(lv) for lv in range(FIRST_PASS_LEVEL + 1)]
+    t, tc, w = unit_new_nodes(-1)
+    base = w * np.asarray(f0(t, tc), dtype=float)
+    # a non-finite sample raises only once its level is read (read, below)
+    with np.errstate(invalid="ignore"):
+        sums = _member_sums(-1, kstep, count, base, spans)
 
-    def level_sums(level, spans):
-        t, tc, w = unit_new_nodes(level)
-        base = w * np.asarray(f0(t, tc), dtype=float)
-        # a non-finite sample raises only once its level is read, below
-        with np.errstate(invalid="ignore"):
-            sums = _member_sums(level, kstep, count, base, spans)
-        return [(s, base[span], t[span]) for s, span in zip(sums, spans)]
+    def read(levels):
+        end = spans[levels - 1].stop
+        _check_finite(base[:end], t[:end])
 
     def contrib(level):
-        if level > FIRST_PASS_LEVEL:
-            nodes = unit_new_nodes(level)[0].size
-            sums, base, t = level_sums(level, [slice(0, nodes)])[0]
-        else:
-            if not first:
-                first.extend(level_sums(-1, [
-                    unit_level_span(lv) for lv in range(FIRST_PASS_LEVEL + 1)]))
-            sums, base, t = first[level]
+        t, tc, w = unit_new_nodes(level)
+        base = w * np.asarray(f0(t, tc), dtype=float)
         _check_finite(base, t)
-        return sums, t.size
+        return _member_sums(level, kstep, count, base,
+                            [slice(0, t.size)])[0], t.size
 
-    return _refine_nested(contrib, tol)
+    return _refine_nested(contrib, tol, (sums, [s.stop for s in spans]),
+                          read)

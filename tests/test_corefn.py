@@ -233,3 +233,25 @@ def test_gammaln_real_refuses_x_outside_its_range(x):
 
 def test_gammaln_real_keeps_its_largest_argument():
     assert math.isfinite(gammaln_real(1e305))
+
+
+def test_gammaln_real_sum_is_no_worse_than_the_complex_sum():
+    # the same Lanczos sum in real arithmetic: on a log-uniform grid over
+    # [0.5, 1e6] its worst error against 30-digit mpmath is the complex
+    # sum's, and the few draws where the two differ differ by one ulp
+    rng = np.random.default_rng(32)
+    xs = np.exp(rng.uniform(math.log(0.5), math.log(1e6), 20000))
+    real = np.array([gammaln_real(x) for x in xs])
+    cplx = np.array([corefn._ln_gamma_right(complex(x)).real for x in xs])
+    with mpmath.workdps(30):
+        want = [mpmath.loggamma(mpmath.mpf(float(x))) for x in xs]
+
+    def worst(got):
+        return max(float(abs(mpmath.mpf(float(g)) - w) / max(abs(w), 1))
+                   for g, w in zip(got, want))
+
+    assert worst(real) <= worst(cplx) < 2e-15
+    differ = np.flatnonzero(real != cplx)
+    assert differ.size <= 10
+    assert np.all(np.abs(real - cplx)[differ]
+                  == np.array([math.ulp(v) for v in cplx[differ]]))

@@ -35,8 +35,10 @@ from exthyp.kernel import (
 )
 from exthyp.quadrature import (
     MAX_LEVEL,
+    MIN_LEVEL,
     integrate_halfline,
     integrate_unit2,
+    unit_level_span,
     unit_new_nodes,
 )
 from exthyp.lauricella import LauricellaParams, fd_integral
@@ -480,22 +482,32 @@ _OVERFLOWING = {
                          ids=list(_OVERFLOWING))
 def test_kernel_integral_stops_at_the_first_non_finite_sample(monkeypatch,
                                                               evaluate):
-    levels = []
+    formed, levels = [], []
+    logs = extbeta._unit_logs
     refine = extbeta._refine_nested
 
-    def spy(contrib, tol):
+    def formed_spy(level):
+        formed.append(level)
+        return logs(level)
+
+    def spy(contrib, tol, *args):
         def counted(level):
             levels.append(level)
             return contrib(level)
-        return refine(counted, tol)
+        return refine(counted, tol, *args)
 
     # the outer integral's levels only: a coefficient ladder refines its
     # batch integrals in quadrature, which a cold block cache runs here
+    monkeypatch.setattr(extbeta, "_unit_logs", formed_spy)
     monkeypatch.setattr(extbeta, "_refine_nested", spy)
     # the node prints as a plain float
-    with pytest.raises(NonFiniteSampleError, match=r"near t=0\.\d+$"):
+    with pytest.raises(NonFiniteSampleError, match=r"near t=0\.\d+$") as exc:
         evaluate()
-    assert levels == [0]
+    # the samples of the first pass were formed, and no level after the
+    # first estimate (levels 0..MIN_LEVEL), which held the node
+    assert formed == [-1] and levels == []
+    where = float(str(exc.value).rsplit("t=", 1)[1])
+    assert where in unit_new_nodes(-1)[0][:unit_level_span(MIN_LEVEL).stop]
 
 
 @pytest.mark.parametrize("b", [math.nan, math.inf, -1.0])

@@ -444,6 +444,48 @@ def test_kummer_arr_polynomial_of_large_degree_stays_bounded(monkeypatch):
     assert max(rows for rows, _ in blocks) < 400
 
 
+@pytest.mark.parametrize("a, c", [(3.0, 1.0), (1000.0, 500.0), (2e9, 1e9)])
+def test_kummer_arr_polynomial_past_the_double_range_is_zero(a, c):
+    # 1F1(a; c; -w) with c - a = -n is e^-w times a polynomial of degree n;
+    # where its series leaves the double range, e^-w wins: 0, the limit at
+    # -inf, with no warning (NaN, as e^-w 0 times an overflowed sum, before)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kummer_1f1_arr(a, c, np.array([-1e160, -1e300]))
+    assert np.array_equal(got, [0.0, 0.0])
+    assert corefn._kummer_at_inf(a, c, -math.inf) == 0.0
+
+
+@pytest.mark.parametrize("a, c", [(3.0, 1.0), (40.5, 0.5), (1000.0, 500.0)])
+def test_kummer_polynomial_underflow_bound_is_sound(a, c):
+    # where _polynomial_underflows certifies a node, e^-w sum |c_m| w^m,
+    # summed in 50 digits, is below 2^-1075 indeed
+    n = a - c
+    w = np.geomspace(100.0, 1e5, 120)
+    sure = corefn._polynomial_underflows(n, c, w)
+    assert sure[-1] and not sure[0]
+    edge = np.flatnonzero(sure)[0]
+    with mpmath.workdps(50):
+        for x in w[edge:edge + 3]:
+            x = mpmath.mpf(float(x))
+            total = mpmath.fsum(mpmath.binomial(n, m) / mpmath.rf(c, m)
+                                * x ** m for m in range(int(n) + 1))
+            assert mpmath.exp(-x) * total < mpmath.mpf(2) ** -1075
+
+
+def test_polynomial_kernel_euler_integral_converges():
+    # the extreme nodes of b, d > 0 reach kernel arguments near -1.6e274,
+    # where the polynomial kernel's series overflows
+    got = ext_beta(kummer_kernel(3.0, 1.0), BetaArgs(2.0, 3.0),
+                   RegPair(0.1, 0.1), 1e-10)
+    with mpmath.workdps(30):
+        b = d = mpmath.mpf("0.1")
+        want = mpmath.quad(lambda t: t * (1 - t) ** 2 * mpmath.hyp1f1(
+            3, 1, -(b / t + d / (1 - t))), [0, 0.5, 1])
+    assert got.converged
+    assert abs(got.value - want) <= got.abs_err_est
+
+
 def test_kummer_arr_capped_cut_raises_no_floating_point_warning():
     # kummer:50.5,1 (w0 capped at 200) at z = -200 and from -200 to -260,
     # and eval-mix's (a, c) range on a first-pass grid, called outside any

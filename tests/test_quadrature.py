@@ -9,9 +9,15 @@ import numpy as np
 import pytest
 
 import exthyp
-from exthyp import quadrature
+from exthyp import extbeta, hyp, quadrature
 from exthyp.extbeta import RegPair, _kernel_integral, ext_beta_complex_many
-from exthyp.kernel import EXP_KERNEL
+from exthyp.hyp import (
+    _one_f0_vector,
+    euler_step_integral,
+    pfq_series_vector,
+    pfq_spec,
+)
+from exthyp.kernel import EXP_KERNEL, kummer_kernel
 from exthyp.quadrature import (
     _BATCH_BLOCK_FLOATS,
     _DOT_COLUMNS,
@@ -227,6 +233,124 @@ def test_batch_first_levels_in_one_pass_equal_one_level_at_a_time(kstep,
         assert _same_bits(merged[lv], alone[0])
 
 
+def _peaked(t, tc):
+    return np.exp(-0.1 / t - 0.1 / tc)
+
+
+def _stop_level(nodes):
+    """The level a nested refinement that used this many nodes stopped at."""
+    return next(lv for lv in range(MAX_LEVEL + 1)
+                if unit_grid(lv).nodes.size == nodes)
+
+
+@pytest.mark.parametrize("kstep, count", [(0, 3), (1, 64), (2, 5)])
+def test_batch_first_estimate_bit_identical_to_one_level_at_a_time(kstep,
+                                                                  count):
+    # the first pass goes to the refinement as one stacked estimate; the
+    # values, errors, node counts and verdict are those of the member loop
+    # that forms and judges one level at a time, wherever it stops
+    cases = [(_peaked, 1e-2), (_peaked, 1e-6), (_peaked, 1e-10),
+             (_kinked, 1e-5)]
+    stops = []
+    for f0, tol in cases:
+        got = integrate_unit_batch(f0, count, tol, kstep)
+        want = _loop_batch_reference(f0, count, tol, kstep)
+        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+        assert got[2:] == want[2:]
+        stops.append(_stop_level(got[2]))
+    assert stops[:3] == [MIN_LEVEL, 4, FIRST_PASS_LEVEL]
+    assert stops[3] > FIRST_PASS_LEVEL
+
+
+def _loop_kernel_reference(k, reg, powexp, tol, factor):
+    """Reference for _kernel_integral (lognorm 0): one level at a time, the
+    samples formed on the level's nodes, times the factor, then checked."""
+    total = prev = None
+    err, nodes, factor_err = math.inf, 0, 0.0
+    for level in range(MAX_LEVEL + 1):
+        t, tc, w = unit_new_nodes(level)
+        lt, ltc = extbeta._unit_logs(level)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            vals = w * extbeta.safe_theta_product(
+                k, powexp(t, tc, lt, ltc), *extbeta.unit_kernel(k, reg, level))
+            if factor is not None:
+                fv, ferr = factor(t)
+                factor_err = max(factor_err, float(np.max(ferr)))
+                vals = vals * fv
+        assert np.isfinite(vals).all()
+        nodes += t.size
+        h = 2.0 ** -level if level else 1.0
+        total = h * vals.sum() if total is None else 0.5 * total + h * vals.sum()
+        if prev is not None:
+            err = abs(total - prev)
+        if level >= MIN_LEVEL and err <= tol:
+            return total, err + factor_err, nodes, True
+        prev = total
+    return total, err + factor_err, nodes, False
+
+
+_INNER = pfq_spec(EXP_KERNEL, (0.7, 1.2), (2.1,), RegPair(0.1, 0.1))
+
+
+def _inner_factor(t):
+    return pfq_series_vector(_INNER, 0.6 * t)
+
+
+def _closed_factor(t):
+    return _one_f0_vector(0.7, 1, 0.6 * t), 0.0
+
+
+@pytest.mark.parametrize("factor", [None, _inner_factor, _closed_factor],
+                         ids=["none", "inner-series", "closed-form"])
+@pytest.mark.parametrize("k", [EXP_KERNEL, kummer_kernel(1.5, 2.5)],
+                         ids=["exp", "kummer"])
+def test_kernel_integral_first_estimate_bit_identical_to_one_level_at_a_time(
+        k, factor):
+    # levels 0..MIN_LEVEL go to the refinement as one stacked estimate,
+    # the factor called once on their nodes; the result is that of the
+    # loop that weighs and judges one level at a time
+    reg = RegPair(0.1, 0.1)
+
+    def powexp(t, tc, lt, ltc):
+        return -0.4 * lt + 0.7 * ltc
+
+    stops = []
+    for tol in (1e-2, 1e-6, 1e-10, 1e-14):
+        got = _kernel_integral(k, reg, powexp, tol, 0.0, factor)
+        value, err, nodes, ok = _loop_kernel_reference(k, reg, powexp, tol,
+                                                       factor)
+        assert _same_bits(got.value, value)
+        assert got.abs_err_est == float(err)
+        assert (got.terms_or_nodes, got.converged) == (nodes, ok)
+        stops.append(_stop_level(nodes))
+    assert stops[:3] == [MIN_LEVEL, 4, FIRST_PASS_LEVEL]
+    if k == EXP_KERNEL:
+        assert stops[3] > FIRST_PASS_LEVEL
+
+
+def test_euler_step_inner_series_runs_once_for_the_first_estimate(
+        monkeypatch):
+    # the inner 2F1 of a 3F2 Euler integral: one series call on the nodes
+    # of levels 0..MIN_LEVEL, then one per later level the refinement reads
+    sizes = []
+    series = hyp.pfq_series_vector
+
+    def spy(spec, w, ladder=None):
+        sizes.append(w.size)
+        return series(spec, w, ladder=ladder)
+
+    monkeypatch.setattr(hyp, "pfq_series_vector", spy)
+    spec = pfq_spec(EXP_KERNEL, (0.7, 1.2, 1.5), (2.1, 3.4), RegPair(0.1, 0.1))
+    stops = []
+    for tol in (1e-4, 1e-8, 1e-12):
+        sizes.clear()
+        stop = _stop_level(euler_step_integral(spec, 0.6, tol).terms_or_nodes)
+        assert sizes == [unit_level_span(MIN_LEVEL).stop] + [
+            unit_new_nodes(lv)[0].size for lv in range(MIN_LEVEL + 1, stop + 1)]
+        stops.append(stop)
+    assert stops == [MIN_LEVEL, 4, FIRST_PASS_LEVEL]
+
+
 def _nan_on_level(level):
     """|t - 1/3|, NaN on exactly the new nodes of ``level``: a node is the
     pair (t, 1-t), since t alone saturates to 1.0 at the right end."""
@@ -239,30 +363,60 @@ def _nan_on_level(level):
     return f
 
 
+def _first_pass_runs(f, sizes):
+    """The batch and the kernel integral of f; ``sizes`` logs the node
+    counts f is called on."""
+    def g(t, tc):
+        sizes.append(t.size)
+        return f(t, tc)
+
+    return {
+        "integrate_unit_batch": lambda tol: integrate_unit_batch(g, 3, tol),
+        "_kernel_integral": lambda tol: _kernel_integral(
+            EXP_KERNEL, RegPair(),
+            lambda t, tc, lt, ltc: np.log(g(t, tc)), tol),
+    }
+
+
 def test_non_finite_sample_raises_only_on_a_level_that_is_read():
     # the first pass forms levels 0..FIRST_PASS_LEVEL at once, but a NaN on
-    # the last of them counts only if the refinement reads that level
+    # the last of them counts only if the refinement reads that level; no
+    # level past the first pass is formed before it raises
     f = _nan_on_level(FIRST_PASS_LEVEL)
     t, tc, _ = unit_new_nodes(-1)
     assert np.array_equal(np.flatnonzero(np.isnan(f(t, tc))),
                           np.arange(t.size)[unit_level_span(FIRST_PASS_LEVEL)])
-    runs = {
-        "integrate_unit_batch": lambda tol: integrate_unit_batch(f, 3, tol),
-        "_kernel_integral": lambda tol: _kernel_integral(
-            EXP_KERNEL, RegPair(),
-            lambda t, tc, lt, ltc: np.log(f(t, tc)), tol),
-    }
-    for name, run in runs.items():
+    sizes = []
+    for name, run in _first_pass_runs(f, sizes).items():
         # |t - 1/3| meets 1e-4 at the level before
         out = run(1e-4)
         nodes, ok = ((out[2], out[3]) if isinstance(out, tuple)
                      else (out.terms_or_nodes, out.converged))
         assert ok, name
         assert nodes == unit_grid(FIRST_PASS_LEVEL - 1).nodes.size, name
+        sizes.clear()
         with pytest.raises(NonFiniteSampleError) as exc:
             run(1e-6)
+        assert sizes == [t.size], name
         where = float(re.search(r"t=(\S+)$", str(exc.value)).group(1))
         assert where in unit_new_nodes(FIRST_PASS_LEVEL)[0], name
+
+
+@pytest.mark.parametrize("level", [0, MIN_LEVEL])
+def test_non_finite_sample_in_the_first_estimate_raises_at_once(level):
+    # levels 0..MIN_LEVEL are read by every refinement: a NaN on one of
+    # them raises whatever the tolerance, naming its node, and the first
+    # pass is the only level formed
+    t = unit_new_nodes(-1)[0]
+    for tol in (1.0, 1e-6):
+        sizes = []
+        for name, run in _first_pass_runs(_nan_on_level(level), sizes).items():
+            sizes.clear()
+            with pytest.raises(NonFiniteSampleError) as exc:
+                run(tol)
+            assert sizes == [t.size], name
+            where = float(re.search(r"t=(\S+)$", str(exc.value)).group(1))
+            assert where in unit_new_nodes(level)[0], name
 
 
 def test_batch_non_finite_sample_raises():
@@ -408,6 +562,50 @@ def test_refine_unconverged_returns_last_level():
     est, asked = _scripted(levels, nodes=4)
     assert _refine(est, 1e-9, (0, MIN_LEVEL, 5)) == (-1.0, 2.0, 24, False)
     assert asked == list(range(6))
+
+
+_SCRIPTS = {
+    # stops at level 4, the first from MIN_LEVEL within tol
+    "scalar": ({0: 1.0, 1: 0.5, 2: 0.5, 3: 0.9, 4: 0.9 + 1e-12, 5: 0.9},
+               1e-9, NESTED, False),
+    # stops at level 2 on the relative bound only
+    "relative": ({0: 2000.0, 1: 1000.0, 2: 1000.0 + 1e-7, 3: 1000.0},
+                 1e-9, (0, 2, 3), True),
+    # member 2 settles only at level 4
+    "array": ({0: np.array([1.0, 2.0, 3.0]), 1: np.array([1.5, 2.5, 3.5]),
+               2: np.array([1.5, 2.5, 3.25]),
+               3: np.array([1.5, 2.5 + 1e-13, 3.0]),
+               4: np.array([1.5, 2.5, 3.0 + 1e-12]),
+               5: np.array([0.0, 0.0, 0.0])}, 1e-10, NESTED, False),
+    # never within tol: returns the last level
+    "unconverged": ({k: (-1.0) ** k for k in range(6)}, 1e-9,
+                    (0, MIN_LEVEL, 5), False),
+    # a first level past 0
+    "late-start": ({2: 3.0, 3: 2.0, 4: 2.0, 5: 1.0}, 1e-9, (2, 4, 6), False),
+}
+
+
+@pytest.mark.parametrize("script", list(_SCRIPTS))
+@pytest.mark.parametrize("rows", [1, 2, 3, 4])
+def test_refine_stacked_first_estimate_judges_like_one_level_at_a_time(
+        script, rows):
+    # the first rows handed over at once give the same estimate, error,
+    # nodes and verdict; read learns how many rows the loop read, and
+    # estimate is asked only for the levels after the rows
+    levels, tol, span, rel = _SCRIPTS[script]
+    first = span[0]
+    est, asked = _scripted(levels, nodes=7)
+    want = _refine(est, tol, span, rel)
+    stacked = np.array([levels[first + i] for i in range(rows)])
+    reads = []
+    est, asked_after = _scripted(levels, nodes=7)
+    got = _refine(est, tol, span, rel, first=(stacked, [7 * (i + 1)
+                                                     for i in range(rows)]),
+                  read=reads.append)
+    assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+    assert got[2:] == want[2:]
+    assert reads == [min(rows, len(asked))]
+    assert asked_after == [lv for lv in asked if lv >= first + rows]
 
 
 def _level_loops(tree):
