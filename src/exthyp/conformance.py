@@ -37,13 +37,13 @@ from .appell import (
 from .corefn import gammaln_real
 from .extbeta import RegPair
 from .hyp import (
+    cauchy_derivative,
     derivative,
     derivative_weighted,
     euler_step_integral,
     euler_transform,
     ext_2f1,
     ext_pfq,
-    finite_difference_derivative,
     frac_deriv,
     pfaff_transform,
     pfq_series,
@@ -266,8 +266,7 @@ def build_catalog() -> list[IdentityDef]:
                        b=0.2, d=0.2)]),
         _ident("pfq-derivative", "hyp",
                lambda pt, v, tol: (
-                   finite_difference_derivative(_spec(pt), pt["z"], pt["n"],
-                                                tol),
+                   cauchy_derivative(_spec(pt), pt["z"], pt["n"]),
                    derivative(_spec(pt), pt["z"], pt["n"], tol)), [
             dict(upper=(1.0, 1.3), lower=(2.6,), z=0.35, n=1, b=0.2, d=0.3),
             dict(upper=(1.0, 1.3), lower=(2.6,), z=0.35, n=2, b=0.2, d=0.3),
@@ -276,7 +275,7 @@ def build_catalog() -> list[IdentityDef]:
         _ident("weighted-derivative", "hyp",
                lambda pt, v, tol: (
                    weighted_derivative_lhs(*_g(pt), pt["z"], pt["n"],
-                                           _regp(pt), tol),
+                                           _regp(pt)),
                    derivative_weighted(*_g(pt), pt["z"], pt["n"], _regp(pt),
                                        tol, v)), [
             dict(a1=1.0, a2=1.0, b1=2.0, z=0.4, n=1, b=0.1, d=0.15),

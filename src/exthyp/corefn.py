@@ -215,13 +215,16 @@ def _kummer_cut(a: float, c: float) -> float:
 
 def _kummer_at_inf(a: float, c: float, z: float) -> float:
     """1F1(a; c; +-inf): the limit of Gamma(c)/Gamma(a) e^z z^(a-c), of e^z
-    times a polynomial, or of Gamma(c)/Gamma(c-a) (-z)^-a, which is also
-    the top term of a polynomial 1F1(-n; c; z)."""
-    if z > 0.0 and not _is_polynomial(a, c):
-        return _kummer_amplitude(c, a) * math.inf
+    times a polynomial, or of Gamma(c)/Gamma(c-a) (-z)^-a (also the top
+    term of a polynomial 1F1(-n; c; z)): 0, +-inf or 1, so only the sign
+    of the gamma ratio counts, read off its log."""
     if z < 0.0 and _is_polynomial(c - a, c):
         return 0.0
-    return _kummer_amplitude(c, c - a) * (-z) ** (-a if z < 0.0 else round(-a))
+    if z > 0.0 and not _is_polynomial(a, c):
+        p, power = a, math.inf
+    else:
+        p, power = c - a, (-z) ** (-a if z < 0.0 else round(-a))
+    return power * np.sign(math.cos(_kummer_log_amplitude(c, p).imag))
 
 
 @functools.lru_cache(maxsize=128)
@@ -471,8 +474,11 @@ def kummer_1f1_arr(a: float, c: float, z: np.ndarray) -> np.ndarray:
     out = z.copy()  # a NaN node stays NaN
     fin = np.isfinite(z)
     if not fin.all():
-        out[z == math.inf] = _kummer_at_inf(a, c, math.inf)
-        out[z == -math.inf] = _kummer_at_inf(a, c, -math.inf)
+        up, down = z == math.inf, z == -math.inf
+        if up.any():
+            out[up] = _kummer_at_inf(a, c, math.inf)
+        if down.any():
+            out[down] = _kummer_at_inf(a, c, -math.inf)
     neg = fin & (z <= 0.0)
     pos = fin & (z > 0.0)
     if neg.any():

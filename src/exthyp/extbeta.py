@@ -335,9 +335,7 @@ def ext_gamma(k: KernelSpec, z: float, b: float = 0.0,
             arg = -(t + b / t)
         return safe_theta_product(k, powexp, arg)
 
-    q = integrate_halfline(f, tol)
-    return EvalResult(q.value, q.abs_err_est, q.nodes_used, q.converged,
-                      "quadrature")
+    return integrate_halfline(f, tol).result()
 
 
 def ext_beta_complex_many(k: KernelSpec, alphas: np.ndarray, beta: float,

@@ -46,6 +46,7 @@ _BLOCK = 64
 # Entries per block of the series engine `_pfq_sum` (256 KiB of float64).
 _SERIES_BLOCK_FLOATS = 1 << 15
 _EULER_CUT = 0.85  # |z| beyond which the series gives way to the integral
+_CAUCHY_POINTS = 64  # trapezoid points on a derivative's circle
 
 
 @dataclass(frozen=True)
@@ -224,12 +225,9 @@ def pfq_series_vector(spec: PfqSpec, w: np.ndarray,
     within ``SERIES_CAP`` terms is a ``DomainError``.  Used by the
     integral representations that need the function on a whole quadrature
     grid; pass a ladder to reuse the fetched coefficients across repeated
-    calls.  A complex argument array is a ``DomainError``.
+    calls.  Complex arguments give complex values; errors are real.
     """
-    if np.iscomplexobj(w):
-        raise DomainError("pfq_series_vector sums real arguments; got a "
-                          "complex array")
-    w = np.asarray(w, dtype=float)
+    w = np.asarray(w, dtype=complex if np.iscomplexobj(w) else float)
     if ladder is None:
         ladder = _CoeffLadder(spec)
     s, errs, _rows, done = _pfq_sum(spec, w.reshape(-1), ladder, SERIES_CAP)
@@ -249,6 +247,7 @@ def _pfq_sum(spec: PfqSpec, w: np.ndarray, ladder: _CoeffLadder, cap: int,
     errs, rows, done): each column's partial sum and error bound (its
     weights' moduli times the coefficient errors, plus its tail), the rows
     summed (the longest column's), and whether all stopped before ``cap``.
+    A complex ``w`` gives complex terms and sums; errors stay real.
 
     A column stops at its first row whose ``_geometric_tail`` is small, q
     bounding the later step factors: the 1F0 ``_majorant_step`` of head
@@ -289,7 +288,7 @@ def _pfq_sum(spec: PfqSpec, w: np.ndarray, ladder: _CoeffLadder, cap: int,
 
     def block(cols):  # term rows and the row carried into the next block
         return np.empty((max(1, min(_BLOCK, _SERIES_BLOCK_FLOATS
-                                    // max(cols, 1))) + 1, cols))
+                                    // max(cols, 1))) + 1, cols), w.dtype)
 
     # Row 0 of a block carries in its first weight; a running product of
     # step factors makes the weights (and the one carried on), then terms
@@ -300,8 +299,9 @@ def _pfq_sum(spec: PfqSpec, w: np.ndarray, ladder: _CoeffLadder, cap: int,
     blk[0] = 1.0 if weights is None else weights
     # their partial sums and error sums before the block, tails at its last
     # row, and every column's sum and error once it has stopped
-    s, e, out, errs = (np.zeros_like(w) for _ in range(4))
-    tail = np.full_like(w, math.inf)
+    s, out = np.zeros_like(w), np.zeros_like(w)
+    e, errs = np.zeros(w.size), np.zeros(w.size)
+    tail = np.full(w.size, math.inf)
     rows = m = 0
     while m < cap and live.size:
         ladder.ensure(m + 1)
@@ -481,8 +481,6 @@ def derivative(spec: PfqSpec, z: float, n: int, tol: float = 1e-10) -> EvalResul
         raise DomainError("derivative order must be >= 0")
     if any(k != 1 for _a, k in spec.upper):
         raise DomainError("derivative formula needs all shift multipliers 1")
-    if n == 0:
-        return ext_pfq(spec, z, tol)
     pref = 1.0
     for a, _k in spec.upper:
         pref *= pochhammer(a, n)
@@ -514,52 +512,47 @@ def derivative_weighted(kernel: KernelSpec, a1: float, a2: float, b1: float,
 
 def weighted_derivative_lhs(kernel: KernelSpec, a1: float, a2: float,
                             b1: float, z: float, n: int,
-                            reg: RegPair = RegPair(),
-                            tol: float = 1e-10) -> float:
-    """Left side of the weighted derivative identity by finite differences.
-
-    Richardson-extrapolated central differences of z**(a1+n-1) * F.
-    """
-    def g(x: float) -> float:
-        return x ** (a1 + n - 1.0) * ext_2f1(kernel, a1, a2, b1, x, reg,
-                                             tol).value
-
-    return _richardson_derivative(g, z, n)
+                            reg: RegPair = RegPair()) -> EvalResult:
+    """Left side of the weighted derivative identity: ``_cauchy`` of
+    z**(a1+n-1) * F about z > 0, clear of the power's branch point at 0."""
+    return _cauchy(pfq_spec(kernel, (a1, a2), (b1,), reg), z, n, z,
+                   a1 + n - 1.0)
 
 
-def _central_diff(g, z: float, n: int, h: float) -> float:
-    if n == 0:
-        return g(z)
-    if n == 1:
-        return (g(z + h) - g(z - h)) / (2 * h)
-    if n == 2:
-        return (g(z + h) - 2 * g(z) + g(z - h)) / (h * h)
-    if n == 3:
-        return (g(z + 2 * h) - 2 * g(z + h) + 2 * g(z - h)
-                - g(z - 2 * h)) / (2 * h ** 3)
-    raise DomainError("finite differences implemented for n <= 3")
+def cauchy_derivative(spec: PfqSpec, z: float, n: int) -> EvalResult:
+    """Independent derivative oracle for the shift formula (``_cauchy``)."""
+    return _cauchy(spec, z, n)
 
 
-# The finite-difference step.  One Richardson step leaves a truncation error
-# of order h^4, about 1e-12, but the differences divide the rounding of the
-# g values by h^n: about eps |g| / h^n, 2e-10 |g| at n = 2.  So these
-# derivatives cannot certify an identity below about 1e-9.
-_FD_STEP = 1e-3
-
-
-def _richardson_derivative(g, z: float, n: int) -> float:
-    d1 = _central_diff(g, z, n, _FD_STEP)
-    d2 = _central_diff(g, z, n, _FD_STEP / 2.0)
-    return (4.0 * d2 - d1) / 3.0
-
-
-def finite_difference_derivative(spec: PfqSpec, z: float, n: int,
-                                 tol: float = 1e-10) -> float:
-    """Independent derivative oracle for the shift formula."""
-    def g(x: float) -> float:
-        return ext_pfq(spec, x, tol).value
-
-    return _richardson_derivative(g, z, n)
+def _cauchy(spec: PfqSpec, z: float, n: int, reach: float = 1.0,
+            power: float = 0.0) -> EvalResult:
+    """The n-th derivative at z of w**power * F(w), F the series of spec,
+    by the trapezoid rule of Cauchy's integral on the ``_CAUCHY_POINTS``
+    points z + r e**(i theta_j), r half the least of 1, reach and the room
+    1 - |z| in the disc of a non-terminating p = q+1 series.  The rule
+    converges geometrically and rounds like eps max|f| n!/r**n (Lyness and
+    Moler 1967, Bornemann 2011); the estimate is its distance to the rule
+    on the even points plus n!/r**n times the largest series error."""
+    if n < 0:
+        raise DomainError("derivative order must be >= 0")
+    refuse_non_finite("argument", z)
+    spec.validate()
+    if spec.p == spec.q + 1 and not spec.terminating():
+        reach = min(reach, 1.0 - abs(z))
+    if not reach > 0.0:
+        raise DomainError(f"no circle about z = {z} inside the domain")
+    ladder = _CoeffLadder(spec)
+    radius = min(reach, 1.0) / 2.0
+    theta = np.arange(_CAUCHY_POINTS) * (2.0 * math.pi / _CAUCHY_POINTS)
+    w = z + radius * np.exp(1j * theta)
+    vals, errs = pfq_series_vector(spec, w, ladder)
+    lift = w ** power
+    terms = lift * vals * np.exp(-1j * n * theta)
+    scale = math.factorial(n) / radius ** n
+    value, half = (scale * float(t.mean().real) for t in (terms, terms[::2]))
+    err = scale * float((np.abs(lift) * errs).max())
+    return EvalResult(value, abs(value - half) + err, _CAUCHY_POINTS,
+                      ladder.ok, "series")
 
 
 def pfaff_transform(kernel: KernelSpec, a1: float, a2: float, b1: float,

@@ -122,9 +122,7 @@ def lemma2_identity(which: str, a: float, b_par: float, c: float,
                 e = e - (ptilde / scale) / x
             return np.exp(e)
 
-    q = integrate_halfline(f, tol * 1e-2)
-    lhs = EvalResult(q.value, q.abs_err_est, q.nodes_used, q.converged,
-                     "quadrature")
+    lhs = integrate_halfline(f, tol * 1e-2).result()
     pref = (math.exp(ptilde + qtilde) * scale ** -b_par
             * beta_classical(b_par, c + a - b_par))
     if which == "a":
@@ -199,7 +197,7 @@ def weight_G(hp: HilbertParams, y: float, tol: float = 1e-10) -> EvalResult:
 
 
 def weight_F_quadrature(hp: HilbertParams, x: float,
-                        tol: float = 1e-10) -> float:
+                        tol: float = 1e-10) -> EvalResult:
     """Direct half-line evaluation of the x-side weight (verification path)."""
     qp = hp.qprime
 
@@ -214,12 +212,12 @@ def weight_F_quadrature(hp: HilbertParams, x: float,
                 e = e - (hp.ptilde / hp.alpha1) * x / y
             return np.exp(e)
 
-    q = integrate_halfline(f, tol)
-    return q.value ** (1.0 / qp)
+    q = integrate_halfline(f, tol).result()
+    return _proportional(q.value ** (1.0 / qp), q, qp)
 
 
 def weight_G_quadrature(hp: HilbertParams, y: float,
-                        tol: float = 1e-10) -> float:
+                        tol: float = 1e-10) -> EvalResult:
     """Direct half-line evaluation of the y-side weight.
 
     The x/y offset term carries alpha2 inverted and the y/x term alpha2
@@ -238,8 +236,8 @@ def weight_G_quadrature(hp: HilbertParams, y: float,
                 e = e - hp.ptilde * hp.alpha2 * y / x
             return np.exp(e)
 
-    q = integrate_halfline(f, tol)
-    return q.value ** (1.0 / pp)
+    q = integrate_halfline(f, tol).result()
+    return _proportional(q.value ** (1.0 / pp), q, pp)
 
 
 def hilbert_constant(hp: HilbertParams, tol: float = 1e-10) -> float:

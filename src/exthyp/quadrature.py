@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .results import DomainError, NonFiniteSampleError
+from .results import DomainError, EvalResult, NonFiniteSampleError
 
 # The two refinement forms and their level ranges.  Nested new-node sums
 # run levels 0 to MAX_LEVEL and may stop from MIN_LEVEL.  Full-grid sums
@@ -78,6 +78,10 @@ class QuadResult:
     abs_err_est: float
     nodes_used: int
     converged: bool
+
+    def result(self) -> EvalResult:  # of method "quadrature"
+        return EvalResult(self.value, self.abs_err_est, self.nodes_used,
+                          self.converged, "quadrature")
 
 
 @dataclass(frozen=True)
@@ -195,12 +199,12 @@ def _running(op, blk: np.ndarray) -> None:
     """Turn row i of ``blk`` into op(row i - 1, row i), down the rows, in
     place.
 
-    The result is the same either way; only the speed differs.  A ufunc
-    accumulate down axis 0 of a C-ordered block walks each column with a
-    row stride, so past ``_ACCUMULATE_MAX_WIDTH`` columns one contiguous
-    ufunc call per row is faster.
-    """
-    if blk.shape[1] <= _ACCUMULATE_MAX_WIDTH:
+    A ufunc accumulate down axis 0 of a C-ordered block walks each column
+    with a row stride, so past ``_ACCUMULATE_MAX_WIDTH`` columns one
+    contiguous ufunc call per row is faster, with the same bits; but not
+    for a complex product (numpy fuses its multiply-adds), so a complex
+    block always accumulates."""
+    if blk.shape[1] <= _ACCUMULATE_MAX_WIDTH or blk.dtype.kind == "c":
         op.accumulate(blk, axis=0, out=blk)
     else:
         for i in range(1, blk.shape[0]):

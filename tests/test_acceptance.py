@@ -362,9 +362,9 @@ def test_criterion_10_hardy_hilbert():
                midpoint_params(1.8, 2.2, 0.6, 0.6, 1.0, 1.5, 0.1, 0.1)):
         for x in (0.7, 1.0, 2.3):
             assert _rel(weight_F(hp, x).value,
-                        weight_F_quadrature(hp, x)) < 1e-7
+                        weight_F_quadrature(hp, x).value) < 1e-7
             assert _rel(weight_G(hp, x).value,
-                        weight_G_quadrature(hp, x)) < 1e-7
+                        weight_G_quadrature(hp, x).value) < 1e-7
     assert abs(hilbert_constant(classical_point()) - math.pi) <= 1e-8
     pairs = [(exp_decay(0.0), exp_decay(0.0)),
              (exp_decay(1.0), exp_decay(0.5)),

@@ -123,6 +123,19 @@ def test_impossible_tolerance_fails_honestly():
     assert exit_code(report) == 4
 
 
+@pytest.mark.parametrize("grid", ["small", "full"])
+def test_every_identity_certifies_at_1e_13(grid):
+    # the derivative left sides are Cauchy integrals of the series, so no
+    # identity is held back by its oracle, and every two-variant winner is
+    # the proof variant
+    report = run_conformance("all", grid, 1e-13)
+    assert exit_code(report) == 0
+    winners = {a["identity_id"]: a["winner"] for a in report.aggregates}
+    for ident in build_catalog():
+        if len(ident.variants) == 2:
+            assert winners[ident.identity_id] == "proof", ident.identity_id
+
+
 def test_loose_tolerance_still_adjudicates_every_discrepancy():
     # one tolerance for every identity: at 1e-2 no printed variant that
     # misses by a few percent passes, so no discrepancy is reported a tie

@@ -6,6 +6,7 @@ import math
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,13 +18,13 @@ from exthyp.hyp import (
     SERIES_CAP,
     PfqSpec,
     _CoeffLadder,
+    cauchy_derivative,
     derivative,
     derivative_weighted,
     euler_step_integral,
     euler_transform,
     ext_2f1,
     ext_pfq,
-    finite_difference_derivative,
     frac_deriv,
     pfaff_transform,
     pfq_series,
@@ -183,14 +184,70 @@ def test_twofold_iterated_euler_representation():
         assert abs(got - want.value) <= 1e-9 * (1 + abs(want.value))
 
 
-def test_derivative_formula_against_finite_differences():
+def test_derivative_formula_against_cauchy_derivative():
     r = RegPair(0.2, 0.3)
     spec = pfq_spec(EXP_KERNEL, (1.0, 1.3), (2.6,), r)
     for n in (0, 1, 2):
         got = derivative(spec, 0.35, n)
         want = (ext_pfq(spec, 0.35).value if n == 0
-                else finite_difference_derivative(spec, 0.35, n))
-        assert abs(got.value - want) <= 1e-6 * (1 + abs(want))
+                else cauchy_derivative(spec, 0.35, n).value)
+        assert abs(got.value - want) <= 1e-12 * (1 + abs(want))
+
+
+# (upper, lower) at b = d = 0, where the extended function is the classical
+# one: three Gauss sets and a 3F2
+_CLASSICAL_SETS = [((0.7, 1.3), (2.1,)), ((1.0, 1.0), (2.0,)),
+                   ((0.5, 2.2), (3.4,)), ((0.8, 1.1, 1.4), (2.2, 2.9))]
+
+
+def _mp_classical(upper, lower, z):
+    return mpmath.hyper(list(upper), list(lower), z)
+
+
+@pytest.mark.parametrize("upper,lower", _CLASSICAL_SETS)
+def test_cauchy_derivative_within_its_estimate_of_mpmath(upper, lower):
+    # orders past 3 and arguments on both sides of 0, against 40-digit
+    # derivatives of the classical function
+    spec = pfq_spec(EXP_KERNEL, upper, lower)
+    orders = (1, 2, 3, 4, 5) if len(upper) == 2 else (1, 2)
+    for z in (-0.6, -0.2, 0.3, 0.8):
+        for n in orders:
+            got = cauchy_derivative(spec, z, n)
+            with mpmath.workdps(40):
+                want = float(mpmath.diff(
+                    lambda x: _mp_classical(upper, lower, x), z, n))
+            assert got.converged and got.method == "series"
+            assert abs(got.value - want) <= got.abs_err_est, (z, n)
+            assert got.abs_err_est <= 1e-10 * (1 + abs(want)), (z, n)
+
+
+def test_weighted_derivative_lhs_within_its_estimate_of_mpmath():
+    # the circle about z keeps clear of the branch point of z**(a1+n-1)
+    a1, a2, b1 = 0.7, 1.3, 2.1
+    for z in (0.1, 0.4, 0.8):
+        for n in (1, 2, 4):
+            got = weighted_derivative_lhs(EXP_KERNEL, a1, a2, b1, z, n)
+            with mpmath.workdps(40):
+                want = float(mpmath.diff(
+                    lambda x: x ** (a1 + n - 1)
+                    * mpmath.hyp2f1(a1, a2, b1, x), z, n))
+            assert got.converged
+            assert abs(got.value - want) <= got.abs_err_est, (z, n)
+            assert got.abs_err_est <= 1e-10 * (1 + abs(want)), (z, n)
+
+
+def test_cauchy_derivatives_refuse_outside_their_domains():
+    spec = pfq_spec(EXP_KERNEL, (0.7, 1.3), (2.1,))
+    for z, n in ((1.0, 1), (-1.2, 1), (math.nan, 1), (math.inf, 1),
+                 (0.3, -1)):
+        with pytest.raises(DomainError):
+            cauchy_derivative(spec, z, n)
+    for z in (0.0, -0.3, 1.0, math.nan):
+        with pytest.raises(DomainError):
+            weighted_derivative_lhs(EXP_KERNEL, 0.7, 1.3, 2.1, z, 1)
+    # a series that converges everywhere takes a circle of radius 1/2
+    entire = pfq_spec(EXP_KERNEL, (0.9,), (2.1,))
+    assert cauchy_derivative(entire, 3.0, 2).converged
 
 
 def test_derivative_closed_form_log_case():
@@ -208,8 +265,8 @@ def test_weighted_derivative_proof_variant_wins():
                                     variant="proof")
         printed = derivative_weighted(EXP_KERNEL, 1.0, 1.0, 2.0, 0.4, n, r,
                                       variant="printed")
-        assert abs(lhs - proof.value) <= 1e-6 * (1 + abs(lhs))
-        assert abs(lhs - printed.value) > 1e-3
+        assert abs(lhs.value - proof.value) <= 1e-6 * (1 + abs(lhs.value))
+        assert abs(lhs.value - printed.value) > 1e-3
 
 
 @pytest.mark.parametrize("variant", ["prof", "Proof", "", "printed "])
@@ -415,8 +472,6 @@ def test_kummer_kernel_2f1_dual_route():
 
 def test_extended_gauss_against_external_quadrature():
     # fully external route: arbitrary-precision coefficient integrals
-    import mpmath
-
     mpmath.mp.dps = 25
     a1, a2, b1, z, b, d = 0.7, 1.2, 2.5, 0.45, 0.3, 0.6
 
@@ -439,12 +494,13 @@ def _sum_per_term(spec, w, ladder, cap=SERIES_CAP, heads=None, weights=None):
     A column stops at its first term whose geometric tail |term| q / (1 - q)
     is at most 1e-16 (unit + |partial sum|): q bounds every later step
     factor, the tail is inf while q >= 1 and 0 after a term 0, and the unit
-    is 1, or 1/n for n columns with ``weights`` (parts of one sum)."""
-    w = np.asarray(w, dtype=float)
+    is 1, or 1/n for n columns with ``weights`` (parts of one sum).  A
+    complex ``w`` keeps its dtype; moduli are ``np.abs``, as the engine's."""
+    w = np.asarray(w, dtype=complex if np.iscomplexobj(w) else float)
     head = spec.poch_head()
     lowers = spec.lower[:spec.surplus]
     unit = 1.0 if weights is None else 1.0 / max(w.size, 1)
-    out, errs = np.zeros_like(w), np.zeros_like(w)
+    out, errs = np.zeros_like(w), np.zeros(w.shape)
     rows, done = 0, True
     for j, x in enumerate(w):
         a1 = None if head is None else (
@@ -453,18 +509,18 @@ def _sum_per_term(spec, w, ladder, cap=SERIES_CAP, heads=None, weights=None):
         s, e, tail, m = 0.0, 0.0, math.inf, 0
         while m < cap:
             ladder.ensure(m + 1)
-            e = e + abs(wgt) * ladder.cerrs[m]
+            e = e + np.abs(wgt) * ladder.cerrs[m]
             term = wgt * ladder.coeffs[m]
             s = s + term
             if head is not None and head[1] > 1:
                 q = math.inf
             elif head is not None and head[1] == 1:
-                q = max((abs(a1) + m) * abs(x) / (m + 1), abs(x))
+                q = max((abs(a1) + m) * np.abs(x) / (m + 1), np.abs(x))
             else:
-                q = abs(x) / (m + 1.0)
+                q = np.abs(x) / (m + 1.0)
                 for b in lowers:
                     q = q / (b + m) if b + m > 0.0 else math.inf
-            last = abs(term)
+            last = np.abs(term)
             tail = (0.0 if last == 0.0 else
                     last * q / (1.0 - q) if q < 1.0 else math.inf)
             f = x / (m + 1.0)
@@ -475,7 +531,7 @@ def _sum_per_term(spec, w, ladder, cap=SERIES_CAP, heads=None, weights=None):
                 f = f / (b + m)
             wgt = wgt * f
             m += 1
-            if tail <= 1e-16 * (unit + abs(s)):
+            if tail <= 1e-16 * (unit + np.abs(s)):
                 break
         else:
             done = False
@@ -491,7 +547,7 @@ def _series_vector_per_term(spec, w, ladder):
 
 
 def _bits(x):
-    return np.asarray(x, dtype=float).view(np.int64)
+    return np.asarray(x).view(np.int64)  # a complex entry gives two
 
 
 _R12 = RegPair(0.1, 0.2)
@@ -509,20 +565,26 @@ _VECTOR_SPECS = [
 @pytest.mark.parametrize("size", [1, 31, 64, 65, 1296, 5184])
 @pytest.mark.parametrize("case", range(len(_VECTOR_SPECS)))
 def test_series_vector_bit_identical_to_per_term(size, case):
+    # real arguments across the range, and a complex circle about 0.3 wmax
+    # of radius 0.6 wmax, as a derivative's circle
     spec, wmax = _VECTOR_SPECS[case]
-    w = np.linspace(-wmax, wmax, size) if size > 1 else np.array([-wmax])
-    got_ladder, want_ladder = _CoeffLadder(spec), _CoeffLadder(spec)
-    got = pfq_series_vector(spec, w, ladder=got_ladder)
-    want = _series_vector_per_term(spec, w, want_ladder)
-    assert got[0].shape == want[0].shape
-    assert np.array_equal(_bits(got[0]), _bits(want[0]))
-    assert np.array_equal(_bits(got[1]), _bits(want[1]))
-    # the same ladder blocks were built
-    assert np.array_equal(_bits(got_ladder.coeffs), _bits(want_ladder.coeffs))
-    # a ladder already built past the end gives the same bits again
-    again = pfq_series_vector(spec, w, ladder=got_ladder)
-    assert np.array_equal(_bits(again[0]), _bits(want[0]))
-    assert np.array_equal(_bits(again[1]), _bits(want[1]))
+    line = np.linspace(-wmax, wmax, size) if size > 1 else np.array([-wmax])
+    circle = wmax * (0.3 + 0.6 * np.exp(2j * np.pi * np.arange(size) / size))
+    for w in (line, circle):
+        got_ladder, want_ladder = _CoeffLadder(spec), _CoeffLadder(spec)
+        got = pfq_series_vector(spec, w, ladder=got_ladder)
+        want = _series_vector_per_term(spec, w, want_ladder)
+        assert got[0].shape == want[0].shape
+        assert got[0].dtype == w.dtype and got[1].dtype == float
+        assert np.array_equal(_bits(got[0]), _bits(want[0]))
+        assert np.array_equal(_bits(got[1]), _bits(want[1]))
+        # the same ladder blocks were built
+        assert np.array_equal(_bits(got_ladder.coeffs),
+                              _bits(want_ladder.coeffs))
+        # a ladder already built past the end gives the same bits again
+        again = pfq_series_vector(spec, w, ladder=got_ladder)
+        assert np.array_equal(_bits(again[0]), _bits(want[0]))
+        assert np.array_equal(_bits(again[1]), _bits(want[1]))
 
 
 def test_series_vector_long_series_crosses_ladder_blocks():
@@ -559,15 +621,24 @@ def test_series_vector_empty_and_cap_match_per_term(monkeypatch):
             pfq_series_vector(spec, w)
 
 
-def test_series_vector_refuses_a_complex_argument():
-    # a complex array is refused, not cast to float (which warns, drops the
-    # imaginary part and sums 0.2244 at 0.3 + 0.2j)
-    spec = PfqSpec(((0.7, 1), (1.3, 1)), (2.1,), _R12)
-    for w in (np.array([0.3 + 0.2j]), np.array([0.3 + 0.0j]), [0.1, 0.3j]):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="complex"):
-                pfq_series_vector(spec, w)
+@pytest.mark.parametrize("upper,lower", _CLASSICAL_SETS)
+def test_series_vector_complex_arguments_within_estimates_of_mpmath(upper,
+                                                                    lower):
+    # a complex array is summed as it is, with no cast: complex values and
+    # real errors.  The estimate is the tail and the coefficient errors, 0 at
+    # b = d = 0, with no rounding floor yet (ROADMAP item 2), so 16 ulps are
+    # allowed; 0.3 + 0j, on the real axis, needs 8 of them
+    spec = pfq_spec(EXP_KERNEL, upper, lower)
+    w = [0.3 + 0.2j, -0.5 + 0.6j, 0.7j, 0.3 + 0.0j, -0.8 - 0.1j]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, errs = pfq_series_vector(spec, w)
+    assert vals.dtype == complex and errs.dtype == float
+    for x, v, e in zip(w, vals, errs):
+        with mpmath.workdps(40):
+            want = complex(_mp_classical(upper, lower, x))
+        assert abs(v - want) <= e + 16 * 2.0 ** -52 * abs(want), x
+        assert e <= 1e-15 * (1 + abs(want)), x
 
 
 @pytest.mark.parametrize("size", [1, 7, 65, 300])

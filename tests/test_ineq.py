@@ -122,11 +122,11 @@ def test_weight_closed_forms_vs_quadrature():
                midpoint_params(3.0, 1.5, 0.8, 0.3, 1.2, 0.9, 0.0, 0.25)):
         for x in (0.7, 1.0, 2.3):
             closed = weight_F(hp, x).value
-            direct = weight_F_quadrature(hp, x)
+            direct = weight_F_quadrature(hp, x).value
             assert abs(closed - direct) <= 1e-7 * (1 + abs(direct))
         for y in (0.8, 1.9):
             closed = weight_G(hp, y).value
-            direct = weight_G_quadrature(hp, y)
+            direct = weight_G_quadrature(hp, y).value
             assert abs(closed - direct) <= 1e-7 * (1 + abs(direct))
 
 

@@ -552,6 +552,27 @@ def test_kummer_arr_takes_the_limit_at_infinity(a, c, z, limit):
     assert kummer_1f1_arr(a, c, np.array([z, -2.0]))[0] == limit
 
 
+def test_kummer_arr_forms_only_the_limits_its_nodes_ask_for():
+    # (1000, 500): Gamma(500)/Gamma(1000) underflows, so the +inf limit
+    # takes only that ratio's sign, and a -inf node forms no +inf limit.
+    # (-200.5, 1.5): at +inf Gamma(1.5)/Gamma(-200.5) overflows, negative,
+    # and at -inf Gamma(1.5)/Gamma(202) underflows.  No warning, and the
+    # finite nodes keep their bits
+    finite = np.array([-3.0, 0.5])
+    for a, c, limits in ((1000.0, 500.0, (math.inf, 0.0)),
+                         (-200.5, 1.5, (-math.inf, math.inf))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone = kummer_1f1_arr(a, c, finite)
+            for z, limit in zip((np.inf, -np.inf), limits):
+                assert kummer_1f1_arr(a, c, np.array([z]))[0] == limit
+            got = kummer_1f1_arr(a, c, np.array([np.inf, -3.0, -np.inf,
+                                                 0.5]))
+        assert got[0] == limits[0] and got[2] == limits[1]
+        assert np.array_equal(got[[1, 3]].view(np.int64),
+                              alone.view(np.int64))
+
+
 def test_kummer_arr_matches_mpmath():
     zs = np.array([-199.5, -80.0, -25.0, -3.0, -0.5, 0.0, 0.7, 12.0, 55.0])
     for a, c in ((1.5, 2.0), (0.3, 4.7), (2.5, 1.0)):

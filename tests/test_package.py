@@ -34,6 +34,8 @@ REMOVED = {
     "beta_signed", "ConvergenceError", "expect", "asymptotic_amplitude",
     "asymptotic_exponent", "HilbertReport", "write_report_csv",
     "_require_finite", "theta_coeff", "validate_f1", "validate_f2",
+    "_central_diff", "_richardson_derivative", "_FD_STEP",
+    "finite_difference_derivative",
 }
 # per module: the former shared_coefficients() scope, which the block cache
 # hyp._coeff_block replaced, the series engine's retirement share and row
