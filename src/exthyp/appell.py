@@ -96,8 +96,8 @@ def f1_integral(p: AppellParams, x: float, y: float,
 @memoized
 def f1_eval(p: AppellParams, x: float, y: float, tol: float = 1e-10,
             method: str = "auto") -> EvalResult:
-    """Series inside the polydisk, integral elsewhere left of 1."""
-    if _use_series(method, max(abs(x), abs(y)) < _SERIES_EDGE):
+    """The single Euler integral; the series only for method "series"."""
+    if _use_series(method):
         return f1_series(p, x, y, tol)
     return f1_integral(p, x, y, tol)
 

@@ -46,6 +46,8 @@ _BIG_EXPONENT = 600.0
 _FAR_TAIL_ARG = -200.0
 # First arguments per complex sample block of ext_beta_complex_many.
 _COMPLEX_BLOCK_ROWS = 256
+# The unit of the quadratures' rounding floors.
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -221,7 +223,9 @@ def _kernel_integral(k: KernelSpec, reg: RegPair, powexp, tol: float,
     ``tol`` on the scaled value.  A norm out of range raises ``DomainError``
     before any node, and a non-finite sample ``NonFiniteSampleError`` once
     the refinement reads its level.  The error is the norm times the last
-    level difference plus the largest factor error.
+    level difference, plus the largest factor error, plus the rounding
+    floor eps times the last level's sum of w |f|; the floor joins after
+    the refinement, so no stop depends on it.
 
     The weighted samples w exp(powexp) Theta of levels 0..FIRST_PASS_LEVEL
     are formed in one pass over their nodes laid end to end (level -1);
@@ -257,17 +261,27 @@ def _kernel_integral(k: KernelSpec, reg: RegPair, powexp, tol: float,
     head = slice(0, spans[-1].stop)
     vals = weighed(first[head], unit_new_nodes(-1)[0][head])
     sums = np.array([vals[span].sum() for span in spans])
+    # the sum of |w f| over the nodes of the levels read, and the last one
+    modulus, last = np.abs(vals).sum(), MIN_LEVEL
 
     def contrib(level):
+        nonlocal modulus, last
         t = unit_new_nodes(level)[0]
         if level <= FIRST_PASS_LEVEL:
-            return weighed(first[unit_level_span(level)], t).sum(), t.size
-        return weighed(samples(level), t).sum(), t.size
+            vals = weighed(first[unit_level_span(level)], t)
+        else:
+            vals = weighed(samples(level), t)
+        modulus, last = modulus + np.abs(vals).sum(), level
+        return vals.sum(), t.size
 
     totals, err, nodes, converged = _refine_nested(
         contrib, tol / norm, (sums, [span.stop for span in spans]))
-    return EvalResult(float(norm * totals), float(norm * (err + factor_err)),
-                      nodes, converged, method)
+    # the rounding floor: eps times the nested trapezoid sum of w |f| at the
+    # last level, the recursive-summation bound of the quadrature sum
+    # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2)
+    err = err + factor_err + _EPS * math.ldexp(modulus, -last)
+    return EvalResult(float(norm * totals), float(norm * err), nodes,
+                      converged, method)
 
 
 def ext_beta(k: KernelSpec, args: BetaArgs, reg: RegPair = RegPair(),

@@ -26,6 +26,7 @@ import numpy as np
 
 from .corefn import beta_classical, gammaln_real, log_inv_beta
 from .extbeta import (
+    _EPS,
     BetaArgs,
     RegPair,
     _exp_norm,
@@ -52,13 +53,15 @@ from .quadrature import _refine_grid, halfline_grid, unit_grid
 from .results import DomainError, EvalResult, memoized, refuse_non_finite
 
 MAX_VARIABLES = 4  # series cap; iterated integrals are checked for r <= 2
-# max_j |x_j| (type D) or sum_j |x_j| (type A) below which auto uses the series
+# sum_j |x_j| below which auto sums the type A series
 _SERIES_EDGE = 0.95
 
 
-def _use_series(method: str, inside: bool) -> bool:
+def _use_series(method: str, inside: bool = False) -> bool:
     """Whether an evaluator sums its series: for method "series", or for
-    "auto" when the arguments lie ``inside`` the series edge."""
+    "auto" when the arguments lie ``inside`` the series edge.  Type D
+    passes no edge: its single Euler integral admits every input its
+    series admits, and costs less than the coefficient ladder alone."""
     if method not in ("auto", "series", "integral"):
         raise DomainError(f"unknown method {method!r}")
     return method == "series" or (method == "auto" and inside)
@@ -206,8 +209,8 @@ def _fd_integral(p: LauricellaParams, tol: float) -> EvalResult:
 
 def fd_eval(p: LauricellaParams, tol: float = 1e-10,
             method: str = "auto") -> EvalResult:
-    if _use_series(method,
-                   max(map(abs, p.xs), default=0.0) < _SERIES_EDGE):
+    """The single Euler integral; the series only for method "series"."""
+    if _use_series(method):
         return fd_series(p, tol)
     return fd_integral(p, tol)
 
@@ -512,8 +515,11 @@ def _fa_integral(p: LauricellaParams, tol: float, variant: str) -> EvalResult:
     if variant not in ("proof", "printed"):
         raise DomainError(f"unknown variant {variant!r}")
     norm = _exp_norm(lognorm if variant == "proof" else -lognorm)
+    # the sum of w |f| over the last grid, for the rounding floor
+    modulus = 0.0
 
     def grid_sum(level):
+        nonlocal modulus
         g = unit_grid(level)
         t, tc, wt = g.nodes, g.complements, g.weights
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -523,21 +529,31 @@ def _fa_integral(p: LauricellaParams, tol: float, variant: str) -> EvalResult:
                 powexp = ((b - 1.0) * np.log(t)
                           + (gam - b - 1.0) * np.log(tc))
                 axes.append(wt * safe_theta_product(kern, powexp, arg, theta))
+            # the factor m is > 0, so the sum of w |f| is |s| unless a kernel
+            # value is negative; only then is it summed from |axes|
+            moduli = ([np.abs(a) for a in axes]
+                      if any((a < 0.0).any() for a in axes) else None)
+            s = modulus = 0.0
             if p.r == 1:
-                s = float(axes[0] @ np.exp(
-                    -p.alpha * np.log1p(-p.xs[0] * t)))
+                m = np.exp(-p.alpha * np.log1p(-p.xs[0] * t))
+                s = float(axes[0] @ m)
+                if moduli:
+                    modulus = float(moduli[0] @ m)
             else:
-                s = 0.0
                 for i0 in range(0, t.size, 512):
                     blk = slice(i0, min(i0 + 512, t.size))
                     m = np.exp(-p.alpha * np.log1p(
                         -(p.xs[0] * t[blk][:, None] + p.xs[1] * t[None, :])))
                     s += float(axes[0][blk] @ m @ axes[1])
+                    if moduli:
+                        modulus += float(moduli[0][blk] @ m @ moduli[1])
+            if moduli is None:
+                modulus = abs(s)
         return s, t.size ** p.r
 
     totals, err, nodes, converged = _refine_grid(grid_sum, tol / norm)
-    return EvalResult(norm * totals, norm * err, nodes, converged,
-                      "euler_integral")
+    return EvalResult(norm * totals, norm * (err + _EPS * modulus), nodes,
+                      converged, "euler_integral")
 
 
 def fa_single_integral(

@@ -563,7 +563,7 @@ _FA = ["--func", "fa", "--r", "2", "--params", "0.8,1.1,0.7,2.4,2.1",
      "--params=1.4"],
     # the type D sum was NaN, with an invalid-value warning
     ["--func=fd", "--r=3", "--b=0.1", "--xs=0.58,-0.5,-0.58",
-     "--params=1.66,-1e308,1.7,2.2e-308,2.3"],
+     "--params=1.66,-1e308,1.7,2.2e-308,2.3", "--method=series"],
 ], ids=["f2-nan", "fd-nan", "contour-4", "contour-nan", "contour-inf",
         "kernel-syntax", "kernel-inf", "kshift-1.5", "f1-mellin",
         "f2-mellin", "fd-mellin", "fa-mellin", "extbeta-series",
@@ -577,6 +577,18 @@ def test_cli_eval_bad_input_exit_2(argv, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("domain error: ")
+
+
+def test_cli_eval_fd_auto_integrates_where_the_series_overflows(capsys):
+    # the fd-sum-out-of-range input above: the series' sum leaves the double
+    # range, while auto's Euler integral converges to 0.0 (the true value is
+    # about 1e-511); a RuntimeWarning would fail the test (pyproject)
+    argv = ["eval", "--func=fd", "--r=3", "--b=0.1", "--xs=0.58,-0.5,-0.58",
+            "--params=1.66,-1e308,1.7,2.2e-308,2.3"]
+    assert cli.main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["method"] == "euler_integral" and out["converged"]
+    assert np.isfinite(out["value"]) and abs(out["value"]) < 1e-300
 
 
 def test_cli_fa_integral_method(capsys):

@@ -472,7 +472,6 @@ def test_kummer_kernel_2f1_dual_route():
 
 def test_extended_gauss_against_external_quadrature():
     # fully external route: arbitrary-precision coefficient integrals
-    mpmath.mp.dps = 25
     a1, a2, b1, z, b, d = 0.7, 1.2, 2.5, 0.45, 0.3, 0.6
 
     def coeff(n):
@@ -480,9 +479,10 @@ def test_extended_gauss_against_external_quadrature():
                        * mpmath.exp(-b / t - d / (1 - t)))
         return mpmath.quad(f, [0, 0.5, 1])
 
-    B = mpmath.beta(a2, b1 - a2)
-    want = float(sum(mpmath.rf(a1, n) * coeff(n) / B * mpmath.mpf(z) ** n
-                     / mpmath.factorial(n) for n in range(45)))
+    with mpmath.workdps(25):
+        B = mpmath.beta(a2, b1 - a2)
+        want = float(sum(mpmath.rf(a1, n) * coeff(n) / B * mpmath.mpf(z) ** n
+                         / mpmath.factorial(n) for n in range(45)))
     got = ext_2f1(EXP_KERNEL, a1, a2, b1, z, RegPair(b, d))
     assert abs(got.value - want) <= 1e-12 * (1 + abs(want))
 

@@ -455,6 +455,58 @@ def test_appell_functions_are_the_r2_engines(kernel, tol):
             fa_integral(as_fa(x, y), tol))
 
 
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+@pytest.mark.parametrize("kernel", [EXP_KERNEL, kummer_kernel(1.5, 2.5)],
+                         ids=["exp", "kummer"])
+def test_type_d_auto_is_the_euler_integral_inside_the_polydisk(kernel, tol):
+    # auto reads only the method: F1 and FD (r = 2, 3, 4) take the single
+    # Euler integral at every argument, and agree with the explicit series
+    rng = np.random.default_rng(35)
+    for func, r in (("f1", 2), ("fd", 2), ("fd", 3), ("fd", 4)) * 4:
+        alpha = rng.uniform(0.3, 2.0)
+        gamma = alpha + rng.uniform(0.3, 2.0)
+        betas = tuple(rng.uniform(-0.5, 2.0, r))
+        xs = tuple(rng.uniform(-0.9, 0.9, r))
+        reg = RegPair(*rng.uniform(0.0, 0.4, 2))
+        if func == "f1":
+            q = AppellParams(alpha, *betas, gamma, math.nan, reg, kernel)
+            run = lambda method: f1_eval(q, *xs, tol, method)
+        else:
+            p = LauricellaParams(alpha, betas, (gamma,), xs, reg, kernel)
+            run = lambda method: fd_eval(p, tol, method)
+        got, ref = run("auto"), run("series")
+        assert got.method == "euler_integral" and got.converged
+        assert ref.method == "series" and ref.converged
+        assert abs(got.value - ref.value) <= 10 * tol * (1 + abs(ref.value))
+
+
+def test_integral_estimates_carry_a_rounding_floor():
+    # at b = d = 0 a converged level difference can be exactly 0.0; the
+    # estimate still adds eps times the sum of |w f| over the last level
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        a = rng.uniform(0.2, 3.0)
+        b1, b2 = rng.uniform(0.2, 2.0, 2)
+        g = a + rng.uniform(0.3, 3.0)
+        x, y = rng.uniform(-0.95, 0.95, 2)
+        res = f1_integral(AppellParams(a, b1, b2, g), x, y, 1e-10)
+        assert res.converged and res.value != 0.0 and res.abs_err_est > 0.0
+    # the product grid: 0.0 at tol 1e-7 and 1e-10 without the floor, for
+    # an error of 7.8e-16 against mpmath.appellf2
+    for tol in (1e-7, 1e-10):
+        res = f2_integral(AppellParams(0.9, 0.6, 0.7, 1.9, 2.1), -0.5, 0.3,
+                          tol)
+        assert res.converged and res.abs_err_est > 1e-16
+    # a kernel of both signs (1F1(3; 1; -w) < 0 on w in (0.59, 3.41)), whose
+    # floor is summed from the moduli: the estimate covers the series' gap
+    p = AppellParams(0.9, 0.6, 0.7, 1.9, 2.1, RegPair(0.5, 0.5),
+                     kummer_kernel(3.0, 1.0))
+    res, ref = f2_integral(p, -0.5, 0.3, 1e-9), f2_series(p, -0.5, 0.3, 1e-9)
+    assert res.converged and ref.converged
+    assert (abs(res.value - ref.value)
+            <= res.abs_err_est + ref.abs_err_est)
+
+
 def test_appell_imports_the_engines_and_runs_no_loop_of_its_own():
     src = pathlib.Path(lauricella.__file__).parent
     for node in ast.walk(ast.parse((src / "lauricella.py").read_text())):

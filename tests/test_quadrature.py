@@ -264,9 +264,11 @@ def test_batch_first_estimate_bit_identical_to_one_level_at_a_time(kstep,
 
 def _loop_kernel_reference(k, reg, powexp, tol, factor):
     """Reference for _kernel_integral (lognorm 0): one level at a time, the
-    samples formed on the level's nodes, times the factor, then checked."""
+    samples formed on the level's nodes, times the factor, then checked.
+    The estimate adds eps times the last level's nested sum of |w f|, whose
+    levels 0..MIN_LEVEL are summed as one array."""
     total = prev = None
-    err, nodes, factor_err = math.inf, 0, 0.0
+    err, nodes, factor_err, head, moduli = math.inf, 0, 0.0, [], 0.0
     for level in range(MAX_LEVEL + 1):
         t, tc, w = unit_new_nodes(level)
         lt, ltc = extbeta._unit_logs(level)
@@ -281,12 +283,19 @@ def _loop_kernel_reference(k, reg, powexp, tol, factor):
         nodes += t.size
         h = 2.0 ** -level if level else 1.0
         total = h * vals.sum() if total is None else 0.5 * total + h * vals.sum()
+        if level < MIN_LEVEL:
+            head.append(vals)
+        elif level == MIN_LEVEL:
+            moduli = np.abs(np.concatenate(head + [vals])).sum()
+        else:
+            moduli += np.abs(vals).sum()
+        floor = np.finfo(float).eps * math.ldexp(moduli, -level)
         if prev is not None:
             err = abs(total - prev)
         if level >= MIN_LEVEL and err <= tol:
-            return total, err + factor_err, nodes, True
+            return total, err + factor_err + floor, nodes, True
         prev = total
-    return total, err + factor_err, nodes, False
+    return total, err + factor_err + floor, nodes, False
 
 
 _INNER = pfq_spec(EXP_KERNEL, (0.7, 1.2), (2.1,), RegPair(0.1, 0.1))
