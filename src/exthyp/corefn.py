@@ -409,7 +409,8 @@ def _polynomial_underflows(n: float, c: float, w: np.ndarray) -> np.ndarray:
     prod = n * wq - c
     root = 2.0 * prod / (half + np.sqrt(half * half + 4.0 * prod))
     m = np.clip(np.floor(root) + np.arange(3.0)[:, None], 0.0, n)
-    lg = ln_gamma_arr(np.stack([m + 1.0, n + 1.0 - m, c + m])).real
+    # (n - m) + 1 stays >= 1 where n + 1 rounds to n (n >= 2**53)
+    lg = ln_gamma_arr(np.stack([m + 1.0, (n - m) + 1.0, c + m])).real
     log_term = (gammaln_real(n + 1.0) + gammaln_real(c) - lg.sum(axis=0)
                 + m * np.log(w))
     return (math.log(n + 1.0) + log_term.max(axis=0) - w) < _EXP_ZERO_CUT

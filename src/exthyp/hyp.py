@@ -7,8 +7,9 @@ divide as Pochhammer factors in the p < q branch.  Integer shift multipliers
 k_j stretch the beta-argument ladder (k_j = 1 recovers the plain
 definition).
 
-Evaluation dispatch: series inside the unit disk, the kernel-weighted Euler
-integral for negative arguments and near the disk boundary.  Coefficients
+Evaluation dispatch: the kernel-weighted Euler integral only where its
+inner factor has a closed form (2F1 at z < 0 or z > 0.85, inner 1F0; 1F1 at
+z < 0, inner 0F0 = exp), the series everywhere else.  Coefficients
 are fetched in blocks through the shared-grid beta batch, so one quadrature
 refinement serves a whole stretch of series terms.
 """
@@ -45,7 +46,9 @@ SERIES_SMALL = 1e-16  # a small tail, relative to 1 + |the partial sum|
 _BLOCK = 64
 # Entries per block of the series engine `_pfq_sum` (256 KiB of float64).
 _SERIES_BLOCK_FLOATS = 1 << 15
-_EULER_CUT = 0.85  # |z| beyond which the series gives way to the integral
+# z beyond which the 2F1 series gives way to its Euler integral under auto;
+# also the |z| an Euler step's inner p = q+1 series is summed within
+_EULER_CUT = 0.85
 _CAUCHY_POINTS = 64  # trapezoid points on a derivative's circle
 
 
@@ -409,7 +412,7 @@ def euler_step_integral(spec: PfqSpec, z: float,
             raise DomainError("unit-argument Euler step needs "
                               "beta - alpha - alpha_1 > 0")
     reg, k = spec.reg, spec.kernel
-    inner_closed = inner.p == 1 and inner.q == 0
+    inner_closed = inner.p <= 1 and inner.q == 0
     if (not inner_closed and inner.p == inner.q + 1
             and abs(z) > _EULER_CUT):
         raise DomainError("inner series needs |z| <= 0.85 beyond the "
@@ -429,11 +432,11 @@ def euler_step_integral(spec: PfqSpec, z: float,
         def powexp(t, tc, lt, ltc):
             return (a_p - 1.0) * lt + (b_q - a_p - 1.0) * ltc
 
-        if inner_closed:
-            a1, k1 = inner.upper[0]
-
+        if inner_closed:  # 0F0 = exp, or 1F0
             def factor(t):
-                return _one_f0_vector(a1, k1, z * t ** k_p), 0.0
+                w = z * t ** k_p
+                return (np.exp(w) if inner.p == 0
+                        else _one_f0_vector(*inner.upper[0], w)), 0.0
         else:
             ladder = _CoeffLadder(inner)
 
@@ -457,13 +460,12 @@ def ext_pfq(spec: PfqSpec, z: float, tol: float = 1e-10,
         return euler_step_integral(spec, z, tol)
     if method != "auto":
         raise DomainError(f"unknown method {method!r}")
-    if (spec.p == spec.q + 1 and not spec.terminating()
-            and (z < 0.0 or abs(z) > _EULER_CUT)):
-        if spec.p == 2 or abs(z) <= _EULER_CUT:
-            return euler_step_integral(spec, z, tol)
-        spec.validate()
-        raise DomainError(
-            f"argument {z} outside the series domain and the Euler path")
+    # the Euler step where its inner factor is closed: 2F1 (1F0 inner) at
+    # z < 0 or z > _EULER_CUT, 1F1 (0F0 inner) at z < 0, whose series
+    # cancels about e**|z|-fold; the series everywhere else
+    if (spec.q == 1 and spec.p in (1, 2) and not spec.terminating()
+            and (z < 0.0 or (spec.p == 2 and z > _EULER_CUT))):
+        return euler_step_integral(spec, z, tol)
     return pfq_series(spec, z, tol)
 
 

@@ -215,7 +215,10 @@ def _argv(draw):
     else:
         argv += [f"--z={num()}", f"--x={num()}", f"--y={num()}"]
     r = draw(st.integers(1, MAX_VARIABLES if func in ("fd", "fa") else 2))
-    params = {"2f1": nums(3), "pfq": f"{nums(2)}:{nums(1)}", "f1": nums(4),
+    # pFq with p in {1, 2, 3} and q in {p - 1, p}: both sides of auto's rule
+    p = draw(st.integers(1, 3))
+    q = p - draw(st.integers(0, 1))
+    params = {"2f1": nums(3), "pfq": f"{nums(p)}:{nums(q)}", "f1": nums(4),
               "f2": nums(5), "fd": nums(r + 2), "fa": nums(2 * r + 1),
               "extbeta": nums(2), "extgamma": nums(1)}[func]
     argv += [f"--params={params}", f"--r={r}", f"--xs={nums(r)}"]
@@ -246,6 +249,10 @@ def _run(argv) -> tuple[int, str, str]:
 @example(["eval", "--func=fa", "--kernel=exp", "--b=0.1", "--d=0.2",
           "--params=1.2,0.5,0.9,0.7,0.6,1.4,2.1,1.6,1.5", "--r=4",
           "--xs=0.3,-0.25,0.2,-0.19"])
+# the 1F1 Euler step at a large negative argument, where the series cancels
+@example(["eval", "--func=pfq", "--params=0.7:1.9", "--z=-60"])
+# the 3F2 series beyond the former 0.85 cut
+@example(["eval", "--func=pfq", "--params=0.5,0.7,1.2:1.5,2.8", "--z=0.95"])
 def test_cli_exits_0_2_3_or_4_and_prints_finite_values(argv):
     code, out, err = _run(argv)
     assert code in (0, 2, 3, 4), (argv, err)

@@ -433,6 +433,78 @@ def test_series_domain_guard():
         ext_2f1(EXP_KERNEL, 1.0, 1.0, 2.0, 1.5)
 
 
+# auto's rule: the Euler step only where its inner factor is closed (2F1 at
+# z < 0 or z > 0.85, 1F1 at z < 0); the series everywhere else, which
+# refuses a non-terminating p = q+1 series at |z| >= 1
+_DISPATCH_Z = (-60.0, -2.0, -0.5, 0.5, 0.9, 0.95)
+_E, _S, _X = "euler_integral", "series", None  # _X: the series refuses
+_DISPATCH = [
+    (((), (1.7,)), (_S, _S, _S, _S, _S, _S)),                    # 0F1
+    (((0.7,), (1.9,)), (_E, _E, _E, _S, _S, _S)),                # 1F1
+    (((0.7,), (1.3, 1.9)), (_S, _S, _S, _S, _S, _S)),            # 1F2
+    (((0.5, 0.7), (1.9,)), (_E, _E, _E, _S, _E, _E)),            # 2F1
+    (((0.7, 1.1), (1.9, 2.5)), (_S, _S, _S, _S, _S, _S)),        # 2F2
+    (((0.5, 0.7, 1.2), (1.5, 2.8)), (_X, _X, _S, _S, _S, _S)),   # 3F2
+]
+
+
+@pytest.mark.parametrize("shape, methods", _DISPATCH)
+def test_ext_pfq_auto_dispatch_table(shape, methods):
+    spec = pfq_spec(EXP_KERNEL, *shape, _R12)
+    for z, method in zip(_DISPATCH_Z, methods):
+        if method is None:
+            with pytest.raises(DomainError, match="series diverges"):
+                ext_pfq(spec, z)
+        else:
+            assert ext_pfq(spec, z).method == method, (shape, z)
+
+
+@pytest.mark.parametrize("z", [-0.99, -0.95, -0.9, 0.9, 0.95, 0.99])
+def test_3f2_series_near_the_unit_circle_against_mpmath(z):
+    upper, lower = (0.5, 0.7, 1.2), (1.5, 2.8)
+    got = ext_pfq(pfq_spec(EXP_KERNEL, upper, lower), z)
+    want = float(mpmath.hyp3f2(*upper, *lower, z))
+    assert got.method == "series" and got.converged
+    # the value only: the estimate (3.5e-16 at z = 0.99) lies below the
+    # error (3.1e-15), because the series estimate has no rounding floor
+    assert abs(got.value - want) <= 1e-14, (z, got, want)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+@pytest.mark.parametrize("kind", ["exp", "kummer"])
+def test_3f2_auto_series_agrees_with_the_euler_step_at_negative_z(kind, tol):
+    # the former auto route, the nested Euler step, is the reference; the
+    # bound is the benchmark's check, 10 tol (1 + |ref|)
+    rng = np.random.default_rng(36 + (kind == "kummer"))
+    for _ in range(6):
+        a = rng.uniform(0.5, 2.5)
+        kern = (kummer_kernel(a, a + rng.uniform(0.3, 2.5))
+                if kind == "kummer" else EXP_KERNEL)
+        upper = rng.uniform(0.2, 2.5, 3)
+        lower = upper[1:] + rng.uniform(0.3, 2.5, 2)
+        reg = RegPair(*rng.uniform(0.0, 1.0, 2))
+        spec = pfq_spec(kern, upper, lower, reg)
+        z = rng.uniform(-0.85, 0.0)
+        got = ext_pfq(spec, z, tol)
+        ref = ext_pfq(spec, z, tol, "integral")
+        assert got.method == "series" and got.converged and ref.converged
+        assert abs(got.value - ref.value) <= 10 * tol * (1 + abs(ref.value)), (
+            spec, z, got, ref)
+
+
+def test_1f1_euler_step_at_large_negative_arguments_against_mpmath():
+    # the series cancels about e**|z|-fold here; the Euler step's integrand
+    # is positive, its 0F0 inner the closed form exp
+    spec = pfq_spec(EXP_KERNEL, (0.7,), (1.9,))
+    for z in (-0.4, -1.5, -30.0, -60.0, -300.0):
+        got = ext_pfq(spec, z)
+        want = float(mpmath.hyp1f1(0.7, 1.9, z))
+        assert got.method == "euler_integral" and got.converged
+        # plus the reference's own rounding to a double
+        assert abs(got.value - want) <= (got.abs_err_est
+                                         + 2.0 ** -53 * abs(want)), (z, got)
+
+
 @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
 def test_ext_pfq_non_finite_argument_is_domain_error(z):
     for spec in (pfq_spec(EXP_KERNEL, (0.5, 0.7), (1.9,)),

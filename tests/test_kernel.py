@@ -444,11 +444,14 @@ def test_kummer_arr_polynomial_of_large_degree_stays_bounded(monkeypatch):
     assert max(rows for rows, _ in blocks) < 400
 
 
-@pytest.mark.parametrize("a, c", [(3.0, 1.0), (1000.0, 500.0), (2e9, 1e9)])
+@pytest.mark.parametrize("a, c", [(3.0, 1.0), (1000.0, 500.0), (2e9, 1e9),
+                                  (2.0 ** 53 + 2.0, 1.0)])
 def test_kummer_arr_polynomial_past_the_double_range_is_zero(a, c):
     # 1F1(a; c; -w) with c - a = -n is e^-w times a polynomial of degree n;
     # where its series leaves the double range, e^-w wins: 0, the limit at
-    # -inf, with no warning (NaN, as e^-w 0 times an overflowed sum, before)
+    # -inf, with no warning (NaN, as e^-w 0 times an overflowed sum, before;
+    # at n = 2**53 the underflow bound took log-gamma at its pole 0, as
+    # n + 1 - n rounded to 0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = kummer_1f1_arr(a, c, np.array([-1e160, -1e300]))

@@ -161,12 +161,13 @@ def test_product_grid_evaluates_each_node_once(monkeypatch, which):
 
 def test_euler_step_and_ladder_share_the_kernel_values(monkeypatch):
     # the 3F2 Euler step sums an inner 2F1 series from a coefficient ladder
-    # whose beta batches read the same levels as the integrand
+    # whose beta batches read the same levels as the integrand; auto sums
+    # the 3F2 series instead, so the step is asked for by name
     k, reg = kummer_kernel(1.5, 2.5), RegPair(0.2, 0.3)
     spec = pfq_spec(k, (0.8, 1.1, 0.7), (2.4, 1.9), reg)
     sizes = _count_theta_nodes(monkeypatch)
     _unit_theta.cache_clear()
-    res = ext_pfq(spec, -0.5)
+    res = ext_pfq(spec, -0.5, method="integral")
     assert res.method == "euler_integral"
     top = len(sizes) + FIRST_PASS_LEVEL - 1
     assert sizes == _per_call_sizes(top)
