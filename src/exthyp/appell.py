@@ -6,7 +6,9 @@ are one call each to the type D and type A engines of ``lauricella``.  This
 module adds what is particular to two variables: argument transformations
 with printed/proof variant pairs, parameter-shift recursions, the
 single-integral reduction of the second kind, and the finite-sum expansion
-into Gauss-level values.
+into Gauss-level values.  Under "auto" both kinds integrate at every
+argument, the first by its single Euler integral and the second by its
+product grid; the series run for method "series" and in the checks.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .hyp import (
 )
 from .kernel import EXP_VARIANT, KernelSpec
 from .lauricella import (
-    _SERIES_EDGE,
     LauricellaParams,
     _fa_integral,
     _fa_series,
@@ -140,7 +141,9 @@ def f2_integral(p: AppellParams, x: float, y: float,
 @memoized
 def f2_eval(p: AppellParams, x: float, y: float, tol: float = 1e-10,
             method: str = "auto") -> EvalResult:
-    if _use_series(method, abs(x) + abs(y) < _SERIES_EDGE):
+    """The product-grid double integral; the series only for method
+    "series"."""
+    if _use_series(method):
         return f2_series(p, x, y, tol)
     return f2_integral(p, x, y, tol)
 

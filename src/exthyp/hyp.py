@@ -205,7 +205,11 @@ class _CoeffLadder:
 
 
 def pfq_series(spec: PfqSpec, z: float, tol: float = 1e-10) -> EvalResult:
-    """Direct summation of the extended series: the engine on one column."""
+    """Direct summation of the extended series: the engine on one column.
+
+    It has converged where the engine stopped, the ladder converged, and
+    the estimate is within tol on the series' relative scale, tol (1 + |s|);
+    a sum whose terms cancel far below their size fails the last."""
     if not math.isfinite(z):
         raise DomainError(f"argument must be finite, got z={z}")
     spec.validate()
@@ -216,8 +220,9 @@ def pfq_series(spec: PfqSpec, z: float, tol: float = 1e-10) -> EvalResult:
                                    SERIES_CAP)
     if not math.isfinite(s[0]):
         raise DomainError("series value out of double range")
-    return EvalResult(float(s[0]), float(errs[0]), rows, done and ladder.ok,
-                      "series")
+    value, err = float(s[0]), float(errs[0])
+    return EvalResult(value, err, rows, done and ladder.ok
+                      and err <= tol * (1.0 + abs(value)), "series")
 
 
 def pfq_series_vector(spec: PfqSpec, w: np.ndarray,

@@ -9,6 +9,9 @@ product integral for type A, unit-argument and equal-argument reductions, a
 weighted product integral over an arbitrary interval, a Laplace-type
 product representation, the single-integral form whose integrand is a
 product of confluent-level factors, and the partial-series split.
+Under "auto" type D takes its single Euler integral, and type A at r <= 2
+its product grid, at every argument; type A at r >= 3 has no grid and sums
+its series inside the series edge.
 
 The multi-contour Mellin-Barnes representations of these functions are
 recorded here for reference only and are not evaluated numerically; the
@@ -53,15 +56,16 @@ from .quadrature import _refine_grid, halfline_grid, unit_grid
 from .results import DomainError, EvalResult, memoized, refuse_non_finite
 
 MAX_VARIABLES = 4  # series cap; iterated integrals are checked for r <= 2
-# sum_j |x_j| below which auto sums the type A series
+# sum_j |x_j| below which auto sums the type A series at r >= 3, which has
+# no product grid
 _SERIES_EDGE = 0.95
 
 
 def _use_series(method: str, inside: bool = False) -> bool:
     """Whether an evaluator sums its series: for method "series", or for
-    "auto" when the arguments lie ``inside`` the series edge.  Type D
-    passes no edge: its single Euler integral admits every input its
-    series admits, and costs less than the coefficient ladder alone."""
+    "auto" when the arguments lie ``inside`` the series edge.  Type D, and
+    type A at r <= 2, pass no edge: the single Euler integral and the
+    product grid admit every input their series admits, and cost less."""
     if method not in ("auto", "series", "integral"):
         raise DomainError(f"unknown method {method!r}")
     return method == "series" or (method == "auto" and inside)
@@ -489,7 +493,9 @@ def _last_axis_sum(p: LauricellaParams, weights: np.ndarray):
 
 def fa_eval(p: LauricellaParams, tol: float = 1e-10,
             method: str = "auto") -> EvalResult:
-    if _use_series(method, sum(map(abs, p.xs)) < _SERIES_EDGE):
+    """The product grid at r <= 2; at r >= 3 the series inside the series
+    edge, and the grid's refusal past it; the series for method "series"."""
+    if _use_series(method, p.r > 2 and sum(map(abs, p.xs)) < _SERIES_EDGE):
         return fa_series(p, tol)
     return fa_integral(p, tol)
 
@@ -540,10 +546,25 @@ def _fa_integral(p: LauricellaParams, tol: float, variant: str) -> EvalResult:
                 if moduli:
                     modulus = float(moduli[0] @ m)
             else:
+                # the factor is formed only on the rows of a block from its
+                # first to its last nonzero axis-0 weight (a kernel that
+                # underflows leaves most rows 0), and is 1 on the others:
+                # 0 times a finite factor is 0, so every sum keeps its bits
+                ty = p.xs[1] * t[None, :]
+                buf = np.empty((min(512, t.size), t.size))
                 for i0 in range(0, t.size, 512):
                     blk = slice(i0, min(i0 + 512, t.size))
-                    m = np.exp(-p.alpha * np.log1p(
-                        -(p.xs[0] * t[blk][:, None] + p.xs[1] * t[None, :])))
+                    m = buf[:blk.stop - i0]
+                    live = np.flatnonzero(axes[0][blk])
+                    lo, hi = (live[0], live[-1] + 1) if live.size else (0, 0)
+                    m[:lo] = 1.0
+                    m[hi:] = 1.0
+                    f = m[lo:hi]
+                    np.add(p.xs[0] * t[blk][lo:hi, None], ty, out=f)
+                    np.negative(f, out=f)
+                    np.log1p(f, out=f)
+                    np.multiply(-p.alpha, f, out=f)
+                    np.exp(f, out=f)
                     s += float(axes[0][blk] @ m @ axes[1])
                     if moduli:
                         modulus += float(moduli[0][blk] @ m @ moduli[1])

@@ -83,9 +83,10 @@ def _test_function(draw):
 def _type_a(draw):
     """A valid type A record, so that its series is reached: gamma_j >
     beta_j > 0, signed x_j whose sum of |x_j| is a drawn fraction below
-    0.95 (where "auto" takes the series), and a kernel and (b, d) of its
-    own, all valid: the exp kernel or kummer:a,c with c > a > 0, and
-    b, d in [0, 1]."""
+    0.95 (where "auto" sums the series at r >= 3, and every method but
+    "integral" admits the arguments), and a kernel and (b, d) of its own,
+    all valid: the exp kernel or kummer:a,c with c > a > 0, and b, d in
+    [0, 1]."""
     r = draw(st.integers(1, MAX_VARIABLES))
     betas = tuple(draw(ORDINARY) for _ in range(r))
     gammas = tuple(b + draw(ORDINARY) for b in betas)
@@ -168,8 +169,9 @@ def test_api_refuses_malformed_numbers_with_a_domain_error(data):
 
 
 def test_valid_type_a_draws_reach_the_type_a_series(monkeypatch):
-    # at least three quarters of the valid type A draws sum the type A
-    # series (a spy on its outer sum), rather than stopping at a refusal
+    # at least three quarters of the valid type A draws, summed by method
+    # "series", reach the type A series (a spy on its outer sum), rather
+    # than stopping at a refusal
     reached = []
     outer = lauricella._outer_terms
 
@@ -184,7 +186,7 @@ def test_valid_type_a_draws_reach_the_type_a_series(monkeypatch):
     @given(st.data())
     def draw_valid(data):
         reached.append(False)
-        _call(lambda: API["fa_valid"](data.draw)())
+        _call(lambda: X.fa_eval(_type_a(data.draw), 1e-6, "series"))
 
     draw_valid()
     assert len(reached) >= 60

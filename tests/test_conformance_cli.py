@@ -457,6 +457,16 @@ def test_cli_eval_non_convergence_exit_3():
     assert json.loads(r.stdout)["converged"] is False
 
 
+def test_cli_eval_cancelling_2f2_series_is_not_converged():
+    # its terms cancel about e**40-fold: the estimate (0.020) is far above
+    # tol (1 + |value|), so the series does not call itself converged
+    r = _cli("eval", "--func", "pfq", "--params", "0.7,1.1:1.9,2.5",
+             "--z=-40")
+    assert r.returncode == 3
+    out = json.loads(r.stdout)
+    assert out["converged"] is False and out["method"] == "series"
+
+
 def test_cli_eval_determinism():
     args = ("eval", "--func", "2f1", "--params", "0.8,1.1,2.4", "--z",
             "-0.4", "--b", "0.2", "--d", "0.3")
@@ -595,10 +605,13 @@ def test_cli_fa_integral_method(capsys):
     argv = ["eval", *_FA, "--tol", "1e-7"]
     assert cli.main(argv + ["--method", "integral"]) == 0
     integral = json.loads(capsys.readouterr().out)
-    assert cli.main(argv) == 0
+    assert cli.main(argv + ["--method", "series"]) == 0
     series = json.loads(capsys.readouterr().out)
+    assert cli.main(argv) == 0
+    auto = json.loads(capsys.readouterr().out)
     assert integral["method"] == "euler_integral"
     assert series["method"] == "series"
+    assert auto["method"] == "euler_integral"
     assert abs(integral["value"] - series["value"]) < 1e-6
 
 

@@ -505,6 +505,20 @@ def test_1f1_euler_step_at_large_negative_arguments_against_mpmath():
                                          + 2.0 ** -53 * abs(want)), (z, got)
 
 
+def test_pfq_series_converges_only_within_tol_of_its_value():
+    # 2F2 at z < 0: the series' terms cancel about e**|z|-fold, and its
+    # flag holds only while the estimate is within tol (1 + |value|)
+    spec = pfq_spec(EXP_KERNEL, (0.7, 1.1), (1.9, 2.5))
+    for z, converged in ((-10.0, True), (-20.0, True), (-40.0, False)):
+        got = ext_pfq(spec, z)
+        want = float(mpmath.hyper([0.7, 1.1], [1.9, 2.5], z))
+        assert got.method == "series" and got.converged is converged, z
+        assert (got.abs_err_est <= 1e-10 * (1 + abs(got.value))) is converged
+        # a converged value is within tol of mpmath, the other is not (the
+        # series estimate has no rounding floor yet, so it is not compared)
+        assert (abs(got.value - want) <= 1e-10 * (1 + abs(want))) is converged
+
+
 @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
 def test_ext_pfq_non_finite_argument_is_domain_error(z):
     for spec in (pfq_spec(EXP_KERNEL, (0.5, 0.7), (1.9,)),

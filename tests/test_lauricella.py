@@ -24,13 +24,22 @@ from exthyp.appell import (
     f2_integral,
     f2_series,
 )
-from exthyp.corefn import beta_classical
-from exthyp.extbeta import BetaArgs, RegPair, ext_beta
+from exthyp.corefn import beta_classical, log_inv_beta
+from exthyp.extbeta import (
+    _EPS,
+    BetaArgs,
+    RegPair,
+    _exp_norm,
+    ext_beta,
+    safe_theta_product,
+    unit_grid_kernel,
+)
 from exthyp.hyp import SERIES_CAP, ext_2f1, pfq_spec
 from exthyp.kernel import EXP_KERNEL, kummer_kernel
 from exthyp.lauricella import (
     IntervalProductParams,
     LauricellaParams,
+    fa_eval,
     fa_integral,
     fa_partial_series,
     fa_series,
@@ -478,6 +487,124 @@ def test_type_d_auto_is_the_euler_integral_inside_the_polydisk(kernel, tol):
         assert got.method == "euler_integral" and got.converged
         assert ref.method == "series" and ref.converged
         assert abs(got.value - ref.value) <= 10 * tol * (1 + abs(ref.value))
+
+
+@pytest.mark.parametrize("size", [0.3, 0.9, 0.96])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_type_a_auto_dispatch_table(r, size):
+    # auto takes the product grid at every r <= 2 argument (F2 too); at
+    # r >= 3 it sums the series inside sum_j |x_j| < 0.95, and past it the
+    # grid refuses, as it has no r >= 3 path
+    xs = tuple(size / r * (-1.0) ** j for j in range(r))
+    p = LauricellaParams(0.8, (1.1, 0.7, 0.9, 0.6)[:r],
+                         (2.4, 2.1, 1.9, 1.7)[:r], xs, RegPair(0.2, 0.3),
+                         EXP_KERNEL)
+    if r <= 2:
+        assert fa_eval(p, 1e-8).method == "euler_integral"
+    if r == 2:
+        q = AppellParams(0.8, 1.1, 0.7, 2.4, 2.1, p.reg, p.kernel)
+        assert f2_eval(q, *xs, 1e-8).method == "euler_integral"
+    if r >= 3 and size < 0.95:
+        assert fa_eval(p, 1e-8).method == "series"
+    if r >= 3 and size > 0.95:
+        with pytest.raises(DomainError, match="implemented for r <= 2"):
+            fa_eval(p, 1e-8)
+
+
+def _fa_full_grid(p, tol):
+    """The type A product grid as formed before it skipped the rows of
+    zero axis-0 weight: the factor on every row of each block."""
+    norm = _exp_norm(sum(log_inv_beta(b, g)
+                         for b, g in zip(p.betas, p.gammas)))
+    modulus = 0.0
+
+    def grid_sum(level):
+        nonlocal modulus
+        g = quadrature.unit_grid(level)
+        t, tc, wt = g.nodes, g.complements, g.weights
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            arg, theta = unit_grid_kernel(p.kernel, p.reg, level)
+            axes = [wt * safe_theta_product(
+                p.kernel, (b - 1.0) * np.log(t) + (gam - b - 1.0)
+                * np.log(tc), arg, theta)
+                for b, gam in zip(p.betas, p.gammas)]
+            moduli = ([np.abs(a) for a in axes]
+                      if any((a < 0.0).any() for a in axes) else None)
+            s = modulus = 0.0
+            if p.r == 1:
+                m = np.exp(-p.alpha * np.log1p(-p.xs[0] * t))
+                s = float(axes[0] @ m)
+                if moduli:
+                    modulus = float(moduli[0] @ m)
+            else:
+                for i0 in range(0, t.size, 512):
+                    blk = slice(i0, min(i0 + 512, t.size))
+                    m = np.exp(-p.alpha * np.log1p(
+                        -(p.xs[0] * t[blk][:, None] + p.xs[1] * t[None, :])))
+                    s += float(axes[0][blk] @ m @ axes[1])
+                    if moduli:
+                        modulus += float(moduli[0][blk] @ m @ moduli[1])
+            if moduli is None:
+                modulus = abs(s)
+        return s, t.size ** p.r
+
+    totals, err, nodes, ok = quadrature._refine_grid(grid_sum, tol / norm)
+    return EvalResult(norm * totals, norm * (err + _EPS * modulus), nodes,
+                      ok, "euler_integral")
+
+
+@pytest.mark.parametrize("kernel", [EXP_KERNEL, kummer_kernel(1.3, 2.1),
+                                    kummer_kernel(3.0, 1.0)],
+                         ids=["exp", "kummer", "kummer-signed"])
+def test_type_a_grid_on_live_rows_keeps_the_full_grid_bits(kernel):
+    # value, estimate, node count and flag equal the full-grid formula's,
+    # at r = 1 and 2, with b and d each zero or not
+    rng = np.random.default_rng(37)
+    for r, b, d in itertools.product((1, 2), (0.0, 0.4), (0.0, 0.15)):
+        for tol in (1e-6, 1e-10):
+            betas = tuple(rng.uniform(0.2, 2.0, r))
+            gammas = tuple(bj + rng.uniform(0.2, 2.0) for bj in betas)
+            xs = tuple(rng.uniform(-1.0, 1.0, r) * rng.uniform(0.0, 0.97) / r)
+            p = LauricellaParams(rng.uniform(0.2, 3.0), betas, gammas, xs,
+                                 RegPair(b, d), kernel)
+            assert _bits(fa_integral(p, tol)) == _bits(_fa_full_grid(p, tol))
+
+
+def test_type_a_grid_forms_its_factor_on_live_rows_only(monkeypatch):
+    # with the exp kernel at b, d > 0 the axis-0 weights underflow to 0
+    # near both ends; log1p runs on the rows of each 512-row block from its
+    # first to its last nonzero weight, times the n columns, and on no other
+    p = PA(0.9, [0.7, 1.1], [2.0, 2.3], [0.3, -0.4], RegPair(0.5, 0.4))
+    entries = {}
+    log1p = np.log1p
+
+    def spy(x, *args, **kwargs):
+        entries[x.shape[1]] = entries.get(x.shape[1], 0) + x.size
+        return log1p(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "log1p", spy)
+    fa_integral(p, 1e-10)
+    monkeypatch.undo()
+    assert entries
+    formed, full = sum(entries.values()), 0
+    for level in range(quadrature.GRID_LEVELS[-1] + 1):
+        g = quadrature.unit_grid(level)
+        n = g.nodes.size
+        if n not in entries:
+            continue
+        with np.errstate(under="ignore", divide="ignore"):
+            w = g.weights * np.exp(
+                (0.7 - 1.0) * np.log(g.nodes) + (2.0 - 0.7 - 1.0)
+                * np.log(g.complements) - 0.5 / g.nodes
+                - 0.4 / g.complements)
+        live = 0
+        for i0 in range(0, n, 512):
+            nz = np.flatnonzero(w[i0:i0 + 512])
+            live += nz[-1] - nz[0] + 1 if nz.size else 0
+        assert entries.pop(n) == live * n
+        full += n * n
+    assert not entries
+    assert formed < 0.6 * full, (formed, full)
 
 
 def test_integral_estimates_carry_a_rounding_floor():
