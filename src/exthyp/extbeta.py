@@ -30,6 +30,7 @@ from .quadrature import (
     FIRST_PASS_LEVEL,
     MIN_LEVEL,
     _check_finite,
+    _first_pass_spans,
     _read_only,
     _refine_nested,
     grid_order,
@@ -257,8 +258,8 @@ def _kernel_integral(k: KernelSpec, reg: RegPair, powexp, tol: float,
         return vals
 
     first = samples(-1)
-    spans = [unit_level_span(lv) for lv in range(MIN_LEVEL + 1)]
-    head = slice(0, spans[-1].stop)
+    spans, ends = (x[:MIN_LEVEL + 1] for x in _first_pass_spans())
+    head = slice(0, ends[-1])
     vals = weighed(first[head], unit_new_nodes(-1)[0][head])
     sums = np.array([vals[span].sum() for span in spans])
     # the sum of |w f| over the nodes of the levels read, and the last one
@@ -275,7 +276,7 @@ def _kernel_integral(k: KernelSpec, reg: RegPair, powexp, tol: float,
         return vals.sum(), t.size
 
     totals, err, nodes, converged = _refine_nested(
-        contrib, tol / norm, (sums, [span.stop for span in spans]))
+        contrib, tol / norm, (sums, ends))
     # the rounding floor: eps times the nested trapezoid sum of w |f| at the
     # last level, the recursive-summation bound of the quadrature sum
     # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2)

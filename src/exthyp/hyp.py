@@ -200,8 +200,8 @@ class _CoeffLadder:
                                       f"at first argument {alpha + k * lo:g}"
                                       f", width {width:g}, stride {k}")
                 self.ok = self.ok and okj
-            self.coeffs = np.concatenate([self.coeffs, prod])
-            self.cerrs = np.concatenate([self.cerrs, perr])
+            self.coeffs = np.concatenate([self.coeffs, prod]) if lo else prod
+            self.cerrs = np.concatenate([self.cerrs, perr]) if lo else perr
 
 
 def pfq_series(spec: PfqSpec, z: float, tol: float = 1e-10) -> EvalResult:

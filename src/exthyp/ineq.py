@@ -137,8 +137,10 @@ def lemma2_identity(which: str, a: float, b_par: float, c: float,
 def _proportional(value: float, f: EvalResult,
                   power: float = 1.0) -> EvalResult:
     """A value proportional to f.value ** (1/power), with f's error carried
-    through that power, |value| err_f / (power |f|) (inf at f = 0), and
-    f's flag."""
+    through that power, |value| err_f / (power |f|), and f's flag; at f = 0
+    the error is inf, and a converged f (underflowed) a DomainError."""
+    if f.converged and not f.value:
+        raise DomainError(f"{f.method} factor underflows to 0")
     return EvalResult(value,
                       abs(value) * f.abs_err_est / (power * abs(f.value))
                       if f.value else math.inf,
@@ -247,9 +249,14 @@ def hilbert_constant(hp: HilbertParams, tol: float = 1e-10) -> float:
 
 def _hilbert_constant(hp: HilbertParams,
                       tol: float = 1e-10) -> tuple[float, bool]:
-    """``hilbert_constant`` and whether both normalizations converged."""
-    nf = weight_norm_f(hp, hp.qprime * hp.ptilde, hp.qprime * hp.qtilde, tol)
-    ng = weight_norm_g(hp, hp.pprime * hp.ptilde, hp.pprime * hp.qtilde, tol)
+    """``hilbert_constant`` and both flags; its DomainErrors name it."""
+    qp, pp, pt, qt = hp.qprime, hp.pprime, hp.ptilde, hp.qtilde
+    try:
+        nf = weight_norm_f(hp, qp * pt, qp * qt, tol)
+        ng = weight_norm_g(hp, pp * pt, pp * qt, tol)
+    except DomainError as exc:
+        raise DomainError(f"Hardy-Hilbert constant at offsets p~ = {pt:g}, "
+                          f"q~ = {qt:g}: {exc}") from exc
     return nf.value * ng.value, nf.converged and ng.converged
 
 

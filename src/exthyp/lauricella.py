@@ -59,6 +59,9 @@ MAX_VARIABLES = 4  # series cap; iterated integrals are checked for r <= 2
 # sum_j |x_j| below which auto sums the type A series at r >= 3, which has
 # no product grid
 _SERIES_EDGE = 0.95
+# The product grid's rounding floor per unit of sum w |f|: at b = d = 0 the
+# value errs by up to 18.6 eps, its two-stage sum by 2 (1000 draws, mpmath).
+_GRID_FLOOR = 32 * _EPS
 
 
 def _use_series(method: str, inside: bool = False) -> bool:
@@ -573,8 +576,8 @@ def _fa_integral(p: LauricellaParams, tol: float, variant: str) -> EvalResult:
         return s, t.size ** p.r
 
     totals, err, nodes, converged = _refine_grid(grid_sum, tol / norm)
-    return EvalResult(norm * totals, norm * (err + _EPS * modulus), nodes,
-                      converged, "euler_integral")
+    return EvalResult(norm * totals, norm * (err + _GRID_FLOOR * modulus),
+                      nodes, converged, "euler_integral")
 
 
 def fa_single_integral(

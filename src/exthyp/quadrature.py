@@ -20,9 +20,9 @@ level at a time after them, with the bits of one level at a time.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,12 +42,15 @@ GRID_LEVELS = (3, 4, 8)
 # laid end to end (unit_new_nodes(-1)).  The batch hands the whole pass to
 # _refine as one first estimate; the kernel integrals hand over levels 0 to
 # MIN_LEVEL, which every refinement reads.  Coefficient-ladder batches stop
-# at this level in 3417 of 3601 cases over 3024 eval-mix calls (seeds 1-3;
-# 11 stop at level 3, 19 at 4, 154 at 6), and in 143 of 148 cases of a cold
-# full conformance pass (the other 5 at 6).  A span of 4 or 6 levels was
+# at this level in 2174 of 2289 cases over 3024 eval-mix calls (seeds 1-3;
+# 1 stops at level 3, 114 at 6), and in 99 of 103 of a cold full
+# conformance pass (the other 4 at 6).  A span of 4 or 6 levels was
 # slower: 1008 eval-mix calls (seed 7, 2-core host) took 333-338 or 351-354
 # ms in process, against 308-314 ms.
 FIRST_PASS_LEVEL = 5
+# Each level's nested step 2^-level, and where a running sum keeps its bits
+_LEVEL_STEPS = np.ldexp(1.0, -np.arange(MAX_LEVEL + 1))
+_NESTED_EXACT = (2.0 ** -960, sys.float_info.max)
 
 # Powers per table block of integrate_unit_batch (512 KiB of float64), and
 # rows per block at most (the coefficient ladder's block of first arguments).
@@ -148,6 +151,13 @@ def unit_level_span(level: int) -> slice:
 
 
 @functools.cache
+def _first_pass_spans() -> tuple[tuple[slice, ...], tuple[int, ...]]:
+    """(spans, ends) of levels 0..FIRST_PASS_LEVEL (cached)."""
+    spans = tuple(unit_level_span(lv) for lv in range(FIRST_PASS_LEVEL + 1))
+    return spans, tuple(span.stop for span in spans)
+
+
+@functools.cache
 def halfline_new_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     """(t, w) on (0, inf) for the nodes first appearing at this level
     (cached, read-only)."""
@@ -166,32 +176,29 @@ def grid_order(new_nodes, level: int) -> np.ndarray:
     return order
 
 
+def _grid(new_nodes, level: int) -> list[np.ndarray]:
+    """new_nodes(0..level) laid end to end in ``grid_order``, the weights
+    (last) times the final trapezoid step 2**-level."""
+    order = grid_order(new_nodes, level)
+    *nodes, w = (np.concatenate(a)[order]
+                 for a in zip(*map(new_nodes, range(level + 1))))
+    return [*nodes, w * 2.0 ** -level]
+
+
 def unit_grid(level: int) -> QuadGrid:
-    # every node carries the final trapezoid step 2**-level
-    h = 2.0 ** -level
-    ts = [unit_new_nodes(k) for k in range(level + 1)]
-    t = np.concatenate([a[0] for a in ts])
-    tc = np.concatenate([a[1] for a in ts])
-    w = np.concatenate([a[2] * h for a in ts])
-    order = grid_order(unit_new_nodes, level)
-    return QuadGrid(t[order], w[order], tc[order])
+    t, tc, w = _grid(unit_new_nodes, level)
+    return QuadGrid(t, w, tc)
 
 
 def halfline_grid(level: int) -> QuadGrid:
-    h = 2.0 ** -level
-    ts = [halfline_new_nodes(k) for k in range(level + 1)]
-    t = np.concatenate([a[0] for a in ts])
-    w = np.concatenate([a[1] * h for a in ts])
-    order = grid_order(halfline_new_nodes, level)
-    return QuadGrid(t[order], w[order])
+    return QuadGrid(*_grid(halfline_new_nodes, level))
 
 
 def _check_finite(contrib: np.ndarray, where: np.ndarray) -> None:
-    bad = ~np.isfinite(contrib)
-    if np.any(bad):
+    if not np.isfinite(contrib).all():
         raise NonFiniteSampleError(
             f"integrand produced a non-finite sample near "
-            f"t={float(where[bad][0])!r}"
+            f"t={float(where[~np.isfinite(contrib)][0])!r}"
         )
 
 
@@ -226,7 +233,8 @@ def _refine(estimate, tol: float, levels: tuple[int, int, int],
 
     ``first`` = (estimates, nodes) hands over the levels first, ...,
     first + k - 1 at once, one row per level, with nodes[i] the nodes of
-    rows 0..i.  Their errors and stop tests are formed in one step;
+    rows 0..i (a nested refinement's come from ``_nested_first``).  Their
+    errors and stop tests are a few array operations on all rows;
     ``read(j)``, if given, is called with the number j of those rows the
     loop reads before any of them counts, and ``estimate`` is asked only
     for the levels after them.
@@ -242,7 +250,7 @@ def _refine(estimate, tol: float, levels: tuple[int, int, int],
         with np.errstate(invalid="ignore"):
             errs = np.abs(rows[1:] - rows[:-1])
             bound = tol * (1.0 + np.abs(rows[1:])) if rel else tol
-            stops = np.all(errs <= bound, axis=tuple(range(1, rows.ndim)))
+            stops = (errs <= bound).reshape(len(errs), rows[0].size).all(1)
         stops[:max(least - first_level - 1, 0)] = False
         done = bool(stops.any())
         count = int(stops.argmax()) + 2 if done else len(rows)
@@ -268,50 +276,51 @@ def _refine(estimate, tol: float, levels: tuple[int, int, int],
     return est, err, nodes, False
 
 
-def _nested_step(total, new):
-    """The nested trapezoid estimate of a level from the one before and
-    2^-level times the level's new-node sum."""
-    return new if total is None else 0.5 * total + new
-
-
-def _nested(contrib, total=None):
-    """Wrap new-node sums as the nested trapezoid estimates of _refine.
-
-    ``contrib(level)`` returns (sum of w*f over the level's new nodes, their
-    count); level L's estimate is half of level L-1's plus 2^-L times it.
-    ``total`` is the estimate of the level before the first asked.
+def _nested_first(sums: np.ndarray) -> np.ndarray:
+    """The nested estimates of levels 0..k-1 from their new-node sums, one
+    row per level: 2^-L times the running sum of rows 0..L, with the bits of
+    ``_refine_nested``'s rule wherever every estimate's size lies in
+    ``_NESTED_EXACT`` (a power of two then scales each operand exactly, or
+    a level sum lies below a quarter ulp of the half estimate it joins, and
+    no partial sum overflows); elsewhere the rows take the rule one by one.
     """
+    steps = _LEVEL_STEPS[:len(sums)]
+    steps = steps[:, None] if sums.ndim > 1 else steps
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = np.add.accumulate(sums, 0)
+        totals *= steps
+        size = np.abs(totals)
+        lo, hi = _NESTED_EXACT
+        if not lo <= size.min() <= size.max() <= hi:
+            np.multiply(sums, steps, out=totals)
+            for i in range(1, len(totals)):
+                totals[i] = 0.5 * totals[i - 1] + totals[i]
+    return totals
+
+
+def _refine_nested(contrib, tol: float, first=None, read=None):
+    """``_refine`` of the nested trapezoid estimates over levels 0 to
+    MAX_LEVEL, by one rule: level L's estimate is half level L-1's plus
+    2^-L times its sum (level 0: the sum), where ``contrib(level)`` returns
+    (sum of w*f over the level's new nodes, their count).  ``first`` =
+    (sums, nodes) hands over the sums of levels 0..k-1 at once, one row per
+    level, nodes[i] the nodes of levels 0..i; ``_nested_first`` forms their
+    estimates with the rule's bits, and ``read`` is as for ``_refine``.
+    """
+    total = None
 
     def estimate(level):
         nonlocal total
         s, n = contrib(level)
-        total = _nested_step(total, (2.0 ** -level if level else 1.0) * s)
+        s = _LEVEL_STEPS[level] * s
+        total = s if total is None else 0.5 * total + s
         return total, n
 
-    return estimate
-
-
-def _refine_nested(contrib, tol: float, first=None, read=None):
-    """``_refine`` of the nested estimates of the new-node sums
-    ``contrib(level)`` (see ``_nested``), over levels 0 to MAX_LEVEL.
-
-    ``first`` = (sums, nodes) hands over the new-node sums of levels
-    0..k-1 at once, one row per level, with nodes[i] the nodes of levels
-    0..i; ``read`` is as for ``_refine``.  Their estimates are the running
-    nested totals of the rows, each formed with the operations of one
-    level at a time, so the bits do not depend on the split.
-    """
-    levels = (0, MIN_LEVEL, MAX_LEVEL)
-    if first is None:
-        return _refine(_nested(contrib), tol, levels)
-    sums, ends = first
-    steps = np.ldexp(1.0, -np.arange(len(sums)))  # 2^-level, exactly
-    steps = steps.reshape((-1,) + (1,) * (sums.ndim - 1))
-    with np.errstate(invalid="ignore"):  # as in _refine, for read to judge
-        totals = np.array(list(itertools.accumulate(steps * sums,
-                                                    _nested_step)))
-    return _refine(_nested(contrib, totals[-1]), tol, levels,
-                   first=(totals, ends), read=read)
+    if first is not None:
+        first = (_nested_first(first[0]), first[1])
+        total = first[0][-1]
+    return _refine(estimate, tol, (0, MIN_LEVEL, MAX_LEVEL), first=first,
+                   read=read)
 
 
 def _refine_grid(grid_sum, tol: float, rel: bool = False):
@@ -344,79 +353,58 @@ def integrate_halfline(f, tol: float) -> QuadResult:
     return _integrate_levels(halfline_new_nodes, f, tol)
 
 
-def _block_rows(nodes: int) -> int:
-    """Rows per power-table block of a level with this many nodes."""
-    return max(1, min(_BATCH_BLOCK_ROWS, _BATCH_BLOCK_FLOATS // nodes))
-
-
-def _power_block(level: int, kstep: int, block: int,
-                 prev: np.ndarray | None) -> np.ndarray:
-    """Rows t**(kstep*m) on the level's new nodes t, for the m of a block.
-
-    Block j holds the rows m = j*R, ..., j*R + R - 1, R = _block_rows(nodes).
-    Row m is the running product of t**kstep from ones at m = 0, so block
-    j > 0 starts from ``prev``, the last row of block j - 1.  Blocks are
-    cached read-only, at most _POWER_CACHE_FLOATS powers in all, the least
-    recently used dropped first; a rebuilt block has the same bits.
-    """
-    key = (level, kstep, block)
-    table = _power_cache.pop(key, None)
-    if table is None:
-        t = unit_new_nodes(level)[0]
-        ratio = t ** kstep
-        table = np.empty((_block_rows(t.size), t.size))
-        table[0] = 1.0 if prev is None else prev * ratio
-        table[1:] = ratio
-        _running(np.multiply, table)
-        table.flags.writeable = False
-    _power_cache[key] = table
-    while sum(a.size for a in _power_cache.values()) > _POWER_CACHE_FLOATS:
-        del _power_cache[next(iter(_power_cache))]
-    return table
-
-
 def _member_sums(level: int, kstep: int, count: int, base: np.ndarray,
-                 spans: list[slice]) -> np.ndarray:
+                 spans) -> np.ndarray:
     """Row i: for m < count, the dot product of t**(kstep*m) with ``base``
-    over the columns of spans[i].
+    over the columns of spans[i], a run of at most _DOT_COLUMNS columns.
 
-    Each member is one ddot of its power row per run of at most _DOT_COLUMNS
-    columns, the runs added in order, so its bits depend on neither the
-    block it falls in nor the BLAS thread count (a matrix-vector product
-    rounds a row by where it sits in the matrix).
+    Table j of R rows (at most _BATCH_BLOCK_ROWS and _BATCH_BLOCK_FLOATS
+    powers) holds m = j*R, ..., j*R + R - 1: a running product of t**kstep
+    from ones or from table j - 1's last row, cached read-only in
+    ``_power_cache`` (least recently used dropped first); a rebuilt table
+    has the same bits.  One ddot per member and run: a matrix-vector
+    product would round a row by where it sits in the matrix, and OpenBLAS
+    splits a longer ddot across its threads.
     """
-    out = np.zeros((len(spans), count))
-    rows = _block_rows(base.size)
-    prev = None
+    t = unit_new_nodes(level)[0]
+    rows = max(1, min(_BATCH_BLOCK_ROWS, _BATCH_BLOCK_FLOATS // t.size))
+    out = np.empty((len(spans), count))
+    table = None
     for block, m0 in enumerate(range(0, count, rows)):
-        table = _power_block(level, kstep, block, prev)
-        m1 = min(m0 + rows, count)
-        for i, span in enumerate(spans):
-            for c0 in range(span.start, span.stop, _DOT_COLUMNS):
-                cols = slice(c0, min(c0 + _DOT_COLUMNS, span.stop))
-                out[i, m0:m1] += np.vecdot(table[:m1 - m0, cols], base[cols])
-        prev = table[-1]
+        prev, table = table, _power_cache.pop((level, kstep, block), None)
+        if table is None:
+            ratio = t ** kstep
+            table = np.empty((rows, t.size))
+            table[0] = 1.0 if prev is None else prev[-1] * ratio
+            table[1:] = ratio
+            _running(np.multiply, table)
+            table.flags.writeable = False
+            while _power_cache and table.size + sum(
+                    map(np.size, _power_cache.values())) > _POWER_CACHE_FLOATS:
+                del _power_cache[next(iter(_power_cache))]
+        _power_cache[level, kstep, block] = table
+        part = table[:count - m0]
+        for dst, span in zip(out[:, m0:m0 + rows], spans):
+            np.vecdot(part[:, span], base[span], out=dst)
     return out
 
 
 def integrate_unit_batch(f0, count: int, tol: float, kstep: int = 1):
     """Integrate the power family t**(kstep*m) * f0(t, 1-t) for m=0..count-1.
 
-    f0 is the m = 0 integrand, evaluated once per node and shared across the
-    whole family, so one grid refinement serves every member.  Its first
-    call covers levels 0..FIRST_PASS_LEVEL at once, on
-    ``unit_new_nodes(-1)``, and their member sums reach the refinement as
-    one first estimate; each later call covers one level.  On a level the
-    member sums are the product of a power table (rows t**(kstep*m), a
-    running product of t**kstep, cached per level and block; see
-    ``_power_block``) with the weighted samples, one dot product per member
-    and level (``_member_sums``), so a member's bits do not depend on the
-    cache, on ``count`` or on the other levels of the first call.  A
+    f0 is the m = 0 integrand, evaluated once per node and shared by the
+    whole family.  Its first call covers levels 0..FIRST_PASS_LEVEL at once,
+    on ``unit_new_nodes(-1)``, and their member sums reach
+    ``_refine_nested`` as one first estimate; each later call covers one
+    level.  A member's level sum is one dot product of its power-table row
+    with the weighted samples per run of _DOT_COLUMNS columns, the runs
+    added in order (``_member_sums``), so its bits depend neither on the
+    cache, on ``count`` nor on the other levels of the first call.  A
     non-finite sample raises ``NonFiniteSampleError`` when the refinement
     reads its level, and not at all on a level of the first call that it
     never reads.  Returns (values, errs, nodes_used, converged) with
-    per-member error estimates from the last refinement step.  A count that
-    is not an integer >= 1 is a DomainError, raised before any node.
+    per-member errors from the last refinement step.  A count that is not
+    an integer >= 1 is a DomainError, raised before any node.
     """
     try:
         count = operator.index(count)
@@ -425,7 +413,7 @@ def integrate_unit_batch(f0, count: int, tol: float, kstep: int = 1):
             from None
     if count < 1:
         raise DomainError(f"batch count must be >= 1, got {count}")
-    spans = [unit_level_span(lv) for lv in range(FIRST_PASS_LEVEL + 1)]
+    spans, ends = _first_pass_spans()
     t, tc, w = unit_new_nodes(-1)
     base = w * np.asarray(f0(t, tc), dtype=float)
     # a non-finite sample raises only once its level is read (read, below)
@@ -433,15 +421,16 @@ def integrate_unit_batch(f0, count: int, tol: float, kstep: int = 1):
         sums = _member_sums(-1, kstep, count, base, spans)
 
     def read(levels):
-        end = spans[levels - 1].stop
-        _check_finite(base[:end], t[:end])
+        _check_finite(base[:ends[levels - 1]], t[:ends[levels - 1]])
 
     def contrib(level):
         t, tc, w = unit_new_nodes(level)
         base = w * np.asarray(f0(t, tc), dtype=float)
         _check_finite(base, t)
-        return _member_sums(level, kstep, count, base,
-                            [slice(0, t.size)])[0], t.size
+        # the sums of the level's runs of columns, added in order
+        cuts = range(0, t.size, _DOT_COLUMNS)
+        runs = _member_sums(level, kstep, count, base,
+                            [slice(c, c + _DOT_COLUMNS) for c in cuts])
+        return functools.reduce(operator.add, runs), t.size
 
-    return _refine_nested(contrib, tol, (sums, [s.stop for s in spans]),
-                          read)
+    return _refine_nested(contrib, tol, (sums, ends), read)

@@ -685,6 +685,19 @@ def test_cli_hilbert_infinite_offset_exit_2(capsys):
     assert capsys.readouterr().err.startswith("domain error: ")
 
 
+@pytest.mark.parametrize("pt", ["400", "800"])
+def test_cli_hilbert_underflowed_constant_exit_2(pt, capsys):
+    # the constant's Gauss factors underflow to 0 at these offsets; the
+    # refusal names the constant, not a non-finite record
+    argv = ["hilbert", "--p=2", "--q=2", "--s1=1", "--s2=0", "--a1=1",
+            "--a2=1", "--A1=0.25", "--A2=0.25", f"--pt={pt}"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"domain error: Hardy-Hilbert constant at offsets "
+                          f"p~ = {pt}, q~ = 0: "), err
+    assert "underflows to 0" in err
+
+
 def test_cli_hilbert_infinite_exponent_exit_2(capsys):
     # s1 = inf warned in the kernel rows and failed only deep in the grid
     argv = ["hilbert", "--p=2", "--q=2", "--s1=inf", "--s2=0", "--a1=1",

@@ -35,6 +35,7 @@ from exthyp.hyp import (
     weighted_derivative_lhs,
 )
 from exthyp.kernel import EXP_KERNEL, kummer_kernel
+from exthyp.lauricella import LauricellaParams, fa_series
 from exthyp.quadrature import unit_new_nodes
 from exthyp.results import DomainError, EvalResult, KernelMismatchError
 
@@ -1069,3 +1070,43 @@ def test_shift_sums_carry_their_pieces_flags():
         lhs, rhs = hyp._shift_sums(lambda a, c: F(a, c, bad), 1.1, 3.2, 2,
                                    which, "proof")
         assert lhs.converged and not rhs.converged
+
+
+_FRESH_LADDER_CALLS = {
+    "2f1-series": lambda k: ext_pfq(pfq_spec(k, (0.7, 1.2), (2.1,),
+                                             RegPair(0.003, 0.8)),
+                                    0.9, 1e-12, "series"),
+    "3f2": lambda k: ext_pfq(pfq_spec(k, (0.5, 0.7, 1.2), (1.5, 2.8),
+                                      RegPair(0.01, 0.02)), 0.6, 1e-10),
+    "fa-r2": lambda k: fa_series(LauricellaParams(
+        0.9, (0.7, 1.1), (2.0, 2.3), (0.3, -0.4), RegPair(0.5, 0.4), k),
+        1e-10),
+}
+# The stop level of each coefficient block a fresh call builds, in build
+# order: 387 nodes at level 5 (the first pass), 775 at level 6.
+_LADDER_WORK = {
+    ("2f1-series", "exp"): [6, 5, 5], ("2f1-series", "kummer"): [5, 5, 5, 5],
+    ("3f2", "exp"): [6, 6], ("3f2", "kummer"): [6, 6],
+    ("fa-r2", "exp"): [5, 5], ("fa-r2", "kummer"): [5, 5],
+}
+
+
+@pytest.mark.parametrize("call, kernel", list(_LADDER_WORK))
+def test_fresh_series_calls_build_the_pinned_coefficient_blocks(
+        monkeypatch, call, kernel):
+    # the blocks a fresh call builds, each one's nodes and its stop level:
+    # a cheaper block shows as time, never as fewer or shorter blocks
+    hyp._coeff_block.cache_clear()
+    nodes = []
+    batch = hyp.ext_beta_shifted_batch_arrays
+
+    def spy(*args, **kwargs):
+        out = batch(*args, **kwargs)
+        nodes.append(out[2])
+        return out
+
+    monkeypatch.setattr(hyp, "ext_beta_shifted_batch_arrays", spy)
+    k = EXP_KERNEL if kernel == "exp" else kummer_kernel(1.3, 2.1)
+    assert _FRESH_LADDER_CALLS[call](k).method == "series"
+    levels = _LADDER_WORK[call, kernel]
+    assert nodes == [quadrature.unit_grid(lv).nodes.size for lv in levels]

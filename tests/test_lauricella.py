@@ -37,6 +37,7 @@ from exthyp.extbeta import (
 from exthyp.hyp import SERIES_CAP, ext_2f1, pfq_spec
 from exthyp.kernel import EXP_KERNEL, kummer_kernel
 from exthyp.lauricella import (
+    _GRID_FLOOR,
     IntervalProductParams,
     LauricellaParams,
     fa_eval,
@@ -549,8 +550,8 @@ def _fa_full_grid(p, tol):
         return s, t.size ** p.r
 
     totals, err, nodes, ok = quadrature._refine_grid(grid_sum, tol / norm)
-    return EvalResult(norm * totals, norm * (err + _EPS * modulus), nodes,
-                      ok, "euler_integral")
+    return EvalResult(norm * totals, norm * (err + _GRID_FLOOR * modulus),
+                      nodes, ok, "euler_integral")
 
 
 @pytest.mark.parametrize("kernel", [EXP_KERNEL, kummer_kernel(1.3, 2.1),
@@ -632,6 +633,31 @@ def test_integral_estimates_carry_a_rounding_floor():
     assert res.converged and ref.converged
     assert (abs(res.value - ref.value)
             <= res.abs_err_est + ref.abs_err_est)
+
+
+def test_product_grid_estimates_cover_their_error_at_b_d_zero():
+    # the catalog's f2-transform-x printed 1 read 8.4e-16 from its 30-digit
+    # value with an estimate of 2.5e-16 under a floor of eps sum w |f|
+    res = f2_eval(AppellParams(0.9, 0.7, 0.5, 2.0, 1.9), 0.15, 0.3)
+    assert res.method == "euler_integral" and res.converged
+    assert abs(res.value - 1.14618686433595890551350071609) <= res.abs_err_est
+    # F2 and F_A at r = 1 over eval-mix's ranges, against mpmath
+    rng = np.random.default_rng(38)
+    for i in range(60):
+        a, b1, b2 = rng.uniform(0.2, 2.5), *rng.uniform(0.2, 2.0, 2)
+        g1, g2 = b1 + rng.uniform(0.3, 2.5), b2 + rng.uniform(0.3, 2.5)
+        x = rng.uniform(-0.95, 0.95)
+        y = rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 0.95 - abs(x))
+        tol = (1e-6, 1e-10, 1e-14)[i % 3]
+        with mpmath.workdps(20):
+            if i % 4:
+                res = f2_eval(AppellParams(a, b1, b2, g1, g2), x, y, tol)
+                ref = mpmath.appellf2(a, b1, b2, g1, g2, x, y)
+            else:
+                res = fa_eval(LauricellaParams(a, (b1,), (g1,), (x,)), tol)
+                ref = mpmath.hyp2f1(a, b1, g1, x)
+        assert res.converged
+        assert abs(res.value - float(ref)) <= res.abs_err_est, (i, res)
 
 
 def test_appell_imports_the_engines_and_runs_no_loop_of_its_own():

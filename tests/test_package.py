@@ -47,7 +47,8 @@ REMOVED_FROM = {
     "hyp.py": {"shared_coefficients", "_shared_blocks", "contextvars",
                "contextlib", "_RETIRE_SHARE", "_max_abs"},
     "quadrature.py": {"_unit_cache", "_half_cache", "_unit_order_cache",
-                      "unit_grid_order"},
+                      "unit_grid_order", "_nested", "_nested_step",
+                      "_power_block", "_block_rows", "itertools"},
     "extbeta.py": {"_log_cache", "check_beta_domain_complex"},
 }
 

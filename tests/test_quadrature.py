@@ -617,6 +617,68 @@ def test_refine_stacked_first_estimate_judges_like_one_level_at_a_time(
     assert asked_after == [lv for lv in asked if lv >= first + rows]
 
 
+def _step_nested(sums):
+    """Reference: the nested estimates one level at a time, half the one
+    before plus 2^-level times the level's sum (level 0: its sum)."""
+    out, total = np.empty_like(sums), None
+    for lv, s in enumerate(sums):
+        new = (2.0 ** -lv if lv else 1.0) * s
+        total = new if total is None else 0.5 * total + new
+        out[lv] = total
+    return out
+
+
+_TINY = 5e-324  # the least subnormal
+_LEVEL_SUMS = {
+    "normal": [[0.3, -2.5e3], [0.7, 1e-5], [1.1, -4.0], [2.3, 8.0],
+               [4.9, 1e300], [9.5, -7e-300]],
+    "signed-zeros": [[0.0, -0.0], [-0.0, -0.0], [0.0, 1.0], [-0.0, -1.0],
+                     [0.0, 1.0], [-0.0, 0.0]],
+    # 2^-L times an odd multiple of the least subnormal rounds
+    "subnormal": [[3 * _TINY, 2.0 ** -1022], [5 * _TINY, -7 * _TINY],
+                  [7 * _TINY, 2.0 ** -1070], [-_TINY, 3 * _TINY],
+                  [11 * _TINY, 0.0], [13 * _TINY, -2.0 ** -1060]],
+    # estimates just above 2^-960, with level sums far below their ulp
+    "near-floor": [[2.0 ** -950, -(2.0 ** -952)], [3 * _TINY, -_TINY],
+                   [-5 * _TINY, 2.0 ** -1050], [2.0 ** -1020, 7 * _TINY],
+                   [_TINY, -(2.0 ** -1000)], [2.0 ** -1000, 3 * _TINY]],
+    # the step rounds 2^-5 times the last sum to the midpoint of two
+    # doubles, where 2^-5 times the running sum lies just past it
+    "rounding-tie": [[2.0 ** -967, 1.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0],
+                     [0.0, 1.0], [2.0 ** -1020 + 2.0 ** -1072, 1.0]],
+    # each is finite, but a running sum of two overflows
+    "near-overflow": [[1.5e308, -1.7e308], [1.7e308, -1.5e308],
+                      [1.6e308, 1e308], [-1.7e308, -1.6e308],
+                      [1.79e308, 1.7e308], [1.7e308, -1e308]],
+    "non-finite": [[1.0, np.nan], [np.inf, 2.0], [-np.inf, 3.0],
+                   [4.0, -np.inf], [5.0, np.inf], [np.nan, 6.0]],
+}
+
+
+@pytest.mark.parametrize("case", list(_LEVEL_SUMS))
+def test_nested_first_has_the_step_forms_bits(case):
+    # the stacked first pass takes 2^-L times the running sum where that
+    # has the step form's bits, and keeps the step form's bits elsewhere
+    sums = np.array(_LEVEL_SUMS[case])
+    with np.errstate(all="ignore"):
+        for rows in (sums, sums[:, 0], sums[:, 1], sums[:3]):
+            want = _step_nested(rows)
+            assert _same_bits(quadrature._nested_first(rows.copy()), want)
+
+
+def test_nested_first_has_the_step_forms_bits_over_every_exponent():
+    rng = np.random.default_rng(38)
+    for trial in range(2000):
+        k, n = int(rng.integers(1, MAX_LEVEL + 2)), int(rng.integers(1, 4))
+        top = (-930, 1024, -900)[trial % 3]
+        sums = np.ldexp(rng.uniform(1.0, 2.0, (k, n)),
+                        rng.integers(-1075, top, (k, n)))
+        sums *= rng.choice([-1.0, 1.0, 0.0], (k, n), p=[0.3, 0.65, 0.05])
+        with np.errstate(all="ignore"):
+            want = _step_nested(sums)
+            assert _same_bits(quadrature._nested_first(sums), want), sums
+
+
 def _level_loops(tree):
     """The for loops whose target binds the name ``level``."""
     return [node for node in ast.walk(tree)
@@ -659,7 +721,7 @@ def test_one_kernel_weighted_unit_integrand_in_the_package():
     for path in sorted(src.glob("*.py")):
         for name in _names(ast.parse(path.read_text(encoding="utf-8"))):
             named.setdefault(name, set()).add(path.name)
-    for name in ("unit_new_nodes", "_nested", "unit_kernel"):
+    for name in ("unit_new_nodes", "_refine_nested", "unit_kernel"):
         assert named[name] <= {"quadrature.py", "extbeta.py"}, name
     assert "_kernel_integral" in named
     assert "integrate_unit_levels" not in named
