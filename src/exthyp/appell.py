@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corefn import log_inv_beta
 from .extbeta import RegPair, _kernel_integral
 from .hyp import (
     _CoeffLadder,
@@ -164,7 +163,6 @@ def f2_single_integral(p: AppellParams, x: float, y: float,
     reg, kern = p.reg, p.kernel
     inner = pfq_spec(kern, (p.alpha, p.beta2), (p.gamma2,), reg)
     ladder = _CoeffLadder(inner)
-    lognorm = log_inv_beta(p.beta1, p.gamma1)
 
     def powexp(t, tc, lt, ltc):
         return ((p.beta1 - 1.0) * lt + (p.gamma1 - p.beta1 - 1.0) * ltc
@@ -173,7 +171,8 @@ def f2_single_integral(p: AppellParams, x: float, y: float,
     def factor(t):
         return pfq_series_vector(inner, y / (1.0 - x * t), ladder=ladder)
 
-    return _kernel_integral(kern, reg, powexp, tol, lognorm, factor)
+    return _kernel_integral(kern, reg, powexp, tol, ((p.beta1, p.gamma1),),
+                            factor)
 
 
 _F2_TRANSFORMS = ("x", "y", "xy", "xy_general")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel as kernelmod
-from .corefn import _EXP_ZERO_CUT
+from .corefn import _EXP_ZERO_CUT, log_inv_beta
 from .kernel import EXP_VARIANT, KernelSpec
 from .quadrature import (
     FIRST_PASS_LEVEL,
@@ -211,11 +211,24 @@ def _exp_norm(lognorm: float) -> float:
     return math.exp(lognorm)
 
 
+def _beta_norm(pairs: tuple, sign: float = 1.0) -> tuple[float, float]:
+    """(exp(sign * the sum of log 1/B(a, c - a) over the pairs (a, c)), a
+    bound on its relative error): the Euler integrals' normalisation, out
+    of range a DomainError (``_exp_norm``).  gammaln_real errs by up to
+    5.5 eps (1 + |log Gamma(x)|) (8000 draws on (0, 170] against 40-digit
+    mpmath; the 1 covers its zeros at 1 and 2), so the bound is 8 eps times
+    that sum over x = a, c, c - a: it grows with the parameters."""
+    norm = _exp_norm(sign * sum(log_inv_beta(a, c) for a, c in pairs))
+    size = sum(1.0 + abs(math.lgamma(x)) for a, c in pairs
+               for x in (a, c, c - a))
+    return norm, 8 * _EPS * size
+
+
 def _kernel_integral(k: KernelSpec, reg: RegPair, powexp, tol: float,
-                     lognorm: float = 0.0, factor=None,
+                     betas=(), factor=None,
                      method: str = "euler_integral") -> EvalResult:
-    """exp(lognorm) times the kernel-weighted Euler integral over (0, 1) of
-    exp(powexp) Theta(-b/t - d/(1-t)) g(t).
+    """The Euler integral over (0, 1) of exp(powexp) Theta(-b/t - d/(1-t))
+    g(t), times the ``_beta_norm`` of the (a, c) pairs ``betas`` (or 1).
 
     ``powexp(t, tc, lt, ltc)`` returns the exponent on a level's new nodes t
     and complements tc = 1-t, with lt, ltc = log t, log tc.  ``factor(t)``
@@ -225,8 +238,8 @@ def _kernel_integral(k: KernelSpec, reg: RegPair, powexp, tol: float,
     before any node, and a non-finite sample ``NonFiniteSampleError`` once
     the refinement reads its level.  The error is the norm times the last
     level difference, plus the largest factor error, plus the rounding
-    floor eps times the last level's sum of w |f|; the floor joins after
-    the refinement, so no stop depends on it.
+    floor eps times the last level's sum of w |f|, plus the norm's error;
+    the last two join after the refinement, so no stop depends on them.
 
     The weighted samples w exp(powexp) Theta of levels 0..FIRST_PASS_LEVEL
     are formed in one pass over their nodes laid end to end (level -1);
@@ -235,7 +248,7 @@ def _kernel_integral(k: KernelSpec, reg: RegPair, powexp, tol: float,
     one finiteness check, then ``factor`` is called once on their nodes.
     Each later level is weighed on its own when the refinement reads it.
     """
-    norm = _exp_norm(lognorm)
+    norm, norm_err = _beta_norm(betas)
     factor_err = 0.0
 
     def samples(level):
@@ -281,8 +294,9 @@ def _kernel_integral(k: KernelSpec, reg: RegPair, powexp, tol: float,
     # last level, the recursive-summation bound of the quadrature sum
     # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2)
     err = err + factor_err + _EPS * math.ldexp(modulus, -last)
-    return EvalResult(float(norm * totals), float(norm * err), nodes,
-                      converged, method)
+    value = float(norm * totals)
+    return EvalResult(value, float(norm * err) + abs(value) * norm_err,
+                      nodes, converged, method)
 
 
 def ext_beta(k: KernelSpec, args: BetaArgs, reg: RegPair = RegPair(),

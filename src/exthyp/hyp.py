@@ -28,7 +28,6 @@ from .corefn import (
     _is_nonpositive_int,
     beta_classical,
     gammaln_real,
-    log_inv_beta,
     pochhammer,
 )
 from .extbeta import (
@@ -200,8 +199,8 @@ class _CoeffLadder:
                                       f"at first argument {alpha + k * lo:g}"
                                       f", width {width:g}, stride {k}")
                 self.ok = self.ok and okj
-            self.coeffs = np.concatenate([self.coeffs, prod]) if lo else prod
-            self.cerrs = np.concatenate([self.cerrs, perr]) if lo else perr
+            self.coeffs = np.concatenate([self.coeffs, prod])
+            self.cerrs = np.concatenate([self.cerrs, perr])
 
 
 def pfq_series(spec: PfqSpec, z: float, tol: float = 1e-10) -> EvalResult:
@@ -423,7 +422,6 @@ def euler_step_integral(spec: PfqSpec, z: float,
         raise DomainError("inner series needs |z| <= 0.85 beyond the "
                           "Gauss level")
 
-    lognorm = log_inv_beta(a_p, b_q)
     factor = None
     if z == 1.0:
         def powexp(t, tc, lt, ltc):
@@ -448,7 +446,7 @@ def euler_step_integral(spec: PfqSpec, z: float,
             def factor(t):
                 return pfq_series_vector(inner, z * t ** k_p, ladder=ladder)
 
-    return _kernel_integral(k, reg, powexp, tol, lognorm, factor)
+    return _kernel_integral(k, reg, powexp, tol, ((a_p, b_q),), factor)
 
 
 @memoized

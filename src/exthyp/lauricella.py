@@ -32,6 +32,7 @@ from .extbeta import (
     _EPS,
     BetaArgs,
     RegPair,
+    _beta_norm,
     _exp_norm,
     _kernel_integral,
     check_beta_domain,
@@ -59,9 +60,6 @@ MAX_VARIABLES = 4  # series cap; iterated integrals are checked for r <= 2
 # sum_j |x_j| below which auto sums the type A series at r >= 3, which has
 # no product grid
 _SERIES_EDGE = 0.95
-# The product grid's rounding floor per unit of sum w |f|: at b = d = 0 the
-# value errs by up to 18.6 eps, its two-stage sum by 2 (1000 draws, mpmath).
-_GRID_FLOOR = 32 * _EPS
 
 
 def _use_series(method: str, inside: bool = False) -> bool:
@@ -200,7 +198,6 @@ def _fd_integral(p: LauricellaParams, tol: float) -> EvalResult:
     width_eff = gamma - p.alpha - sum(b for b, x in zip(p.betas, p.xs)
                                       if x == 1.0)
     check_beta_domain(kern, p.alpha, width_eff, reg)
-    lognorm = log_inv_beta(p.alpha, gamma)
 
     def powexp(t, tc, lt, ltc):
         out = (p.alpha - 1.0) * lt + (gamma - p.alpha - 1.0) * ltc
@@ -211,7 +208,7 @@ def _fd_integral(p: LauricellaParams, tol: float) -> EvalResult:
                 out = out - b * np.log1p(-x * t)
         return out
 
-    return _kernel_integral(kern, reg, powexp, tol, lognorm)
+    return _kernel_integral(kern, reg, powexp, tol, ((p.alpha, gamma),))
 
 
 def fd_eval(p: LauricellaParams, tol: float = 1e-10,
@@ -520,11 +517,12 @@ def _fa_integral(p: LauricellaParams, tol: float, variant: str) -> EvalResult:
     if sum(max(x, 0.0) for x in p.xs) >= 1.0:
         raise DomainError("integral needs positive parts to sum below 1")
     reg, kern = p.reg, p.kernel
-    lognorm = sum(log_inv_beta(b, g) for b, g in zip(p.betas, p.gammas))
     if variant not in ("proof", "printed"):
         raise DomainError(f"unknown variant {variant!r}")
-    norm = _exp_norm(lognorm if variant == "proof" else -lognorm)
-    # the sum of w |f| over the last grid, for the rounding floor
+    norm, norm_err = _beta_norm(tuple(zip(p.betas, p.gammas)),
+                                1.0 if variant == "proof" else -1.0)
+    # the sum of w |f| over the last grid: the two-stage sum errs by up to 2
+    # eps of it (1000 draws at b = d = 0 against mpmath), the rounding floor
     modulus = 0.0
 
     def grid_sum(level):
@@ -576,8 +574,10 @@ def _fa_integral(p: LauricellaParams, tol: float, variant: str) -> EvalResult:
         return s, t.size ** p.r
 
     totals, err, nodes, converged = _refine_grid(grid_sum, tol / norm)
-    return EvalResult(norm * totals, norm * (err + _GRID_FLOOR * modulus),
-                      nodes, converged, "euler_integral")
+    value = norm * totals
+    return EvalResult(value, norm * (err + 2 * _EPS * modulus)
+                      + abs(value) * norm_err, nodes, converged,
+                      "euler_integral")
 
 
 def fa_single_integral(

@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +47,8 @@ GRID_LEVELS = (3, 4, 8)
 # slower: 1008 eval-mix calls (seed 7, 2-core host) took 333-338 or 351-354
 # ms in process, against 308-314 ms.
 FIRST_PASS_LEVEL = 5
-# Each level's nested step 2^-level, and where a running sum keeps its bits
+# Each level's nested step 2^-level, exactly
 _LEVEL_STEPS = np.ldexp(1.0, -np.arange(MAX_LEVEL + 1))
-_NESTED_EXACT = (2.0 ** -960, sys.float_info.max)
 
 # Powers per table block of integrate_unit_batch (512 KiB of float64), and
 # rows per block at most (the coefficient ladder's block of first arguments).
@@ -233,8 +231,7 @@ def _refine(estimate, tol: float, levels: tuple[int, int, int],
 
     ``first`` = (estimates, nodes) hands over the levels first, ...,
     first + k - 1 at once, one row per level, with nodes[i] the nodes of
-    rows 0..i (a nested refinement's come from ``_nested_first``).  Their
-    errors and stop tests are a few array operations on all rows;
+    rows 0..i.  Their errors and stop tests are array operations;
     ``read(j)``, if given, is called with the number j of those rows the
     loop reads before any of them counts, and ``estimate`` is asked only
     for the levels after them.
@@ -278,23 +275,12 @@ def _refine(estimate, tol: float, levels: tuple[int, int, int],
 
 def _nested_first(sums: np.ndarray) -> np.ndarray:
     """The nested estimates of levels 0..k-1 from their new-node sums, one
-    row per level: 2^-L times the running sum of rows 0..L, with the bits of
-    ``_refine_nested``'s rule wherever every estimate's size lies in
-    ``_NESTED_EXACT`` (a power of two then scales each operand exactly, or
-    a level sum lies below a quarter ulp of the half estimate it joins, and
-    no partial sum overflows); elsewhere the rows take the rule one by one.
-    """
+    row per level, by ``_refine_nested``'s rule taken row by row."""
     steps = _LEVEL_STEPS[:len(sums)]
-    steps = steps[:, None] if sums.ndim > 1 else steps
-    with np.errstate(over="ignore", invalid="ignore"):
-        totals = np.add.accumulate(sums, 0)
-        totals *= steps
-        size = np.abs(totals)
-        lo, hi = _NESTED_EXACT
-        if not lo <= size.min() <= size.max() <= hi:
-            np.multiply(sums, steps, out=totals)
-            for i in range(1, len(totals)):
-                totals[i] = 0.5 * totals[i - 1] + totals[i]
+    totals = sums * (steps[:, None] if sums.ndim > 1 else steps)
+    with np.errstate(invalid="ignore"):  # as in _refine, for read to judge
+        for i in range(1, len(totals)):
+            totals[i] = 0.5 * totals[i - 1] + totals[i]
     return totals
 
 
@@ -356,15 +342,16 @@ def integrate_halfline(f, tol: float) -> QuadResult:
 def _member_sums(level: int, kstep: int, count: int, base: np.ndarray,
                  spans) -> np.ndarray:
     """Row i: for m < count, the dot product of t**(kstep*m) with ``base``
-    over the columns of spans[i], a run of at most _DOT_COLUMNS columns.
+    over the columns of spans[i].
 
     Table j of R rows (at most _BATCH_BLOCK_ROWS and _BATCH_BLOCK_FLOATS
     powers) holds m = j*R, ..., j*R + R - 1: a running product of t**kstep
     from ones or from table j - 1's last row, cached read-only in
     ``_power_cache`` (least recently used dropped first); a rebuilt table
-    has the same bits.  One ddot per member and run: a matrix-vector
-    product would round a row by where it sits in the matrix, and OpenBLAS
-    splits a longer ddot across its threads.
+    has the same bits.  A member's sum is one ddot per run of at most
+    _DOT_COLUMNS columns, the runs added in order: a matrix-vector product
+    would round a row by where it sits in the matrix, and OpenBLAS splits a
+    longer ddot across its threads.
     """
     t = unit_new_nodes(level)[0]
     rows = max(1, min(_BATCH_BLOCK_ROWS, _BATCH_BLOCK_FLOATS // t.size))
@@ -385,7 +372,12 @@ def _member_sums(level: int, kstep: int, count: int, base: np.ndarray,
         _power_cache[level, kstep, block] = table
         part = table[:count - m0]
         for dst, span in zip(out[:, m0:m0 + rows], spans):
-            np.vecdot(part[:, span], base[span], out=dst)
+            c0, end = span.start, span.stop
+            cut = min(c0 + _DOT_COLUMNS, end)
+            np.vecdot(part[:, c0:cut], base[c0:cut], out=dst)
+            for c in range(cut, end, _DOT_COLUMNS):
+                cols = slice(c, min(c + _DOT_COLUMNS, end))
+                dst += np.vecdot(part[:, cols], base[cols])
     return out
 
 
@@ -427,10 +419,7 @@ def integrate_unit_batch(f0, count: int, tol: float, kstep: int = 1):
         t, tc, w = unit_new_nodes(level)
         base = w * np.asarray(f0(t, tc), dtype=float)
         _check_finite(base, t)
-        # the sums of the level's runs of columns, added in order
-        cuts = range(0, t.size, _DOT_COLUMNS)
-        runs = _member_sums(level, kstep, count, base,
-                            [slice(c, c + _DOT_COLUMNS) for c in cuts])
-        return functools.reduce(operator.add, runs), t.size
+        return _member_sums(level, kstep, count, base,
+                            [slice(0, t.size)])[0], t.size
 
     return _refine_nested(contrib, tol, (sums, ends), read)

@@ -24,12 +24,12 @@ from exthyp.appell import (
     f2_integral,
     f2_series,
 )
-from exthyp.corefn import beta_classical, log_inv_beta
+from exthyp.corefn import beta_classical
 from exthyp.extbeta import (
     _EPS,
     BetaArgs,
     RegPair,
-    _exp_norm,
+    _beta_norm,
     ext_beta,
     safe_theta_product,
     unit_grid_kernel,
@@ -37,7 +37,6 @@ from exthyp.extbeta import (
 from exthyp.hyp import SERIES_CAP, ext_2f1, pfq_spec
 from exthyp.kernel import EXP_KERNEL, kummer_kernel
 from exthyp.lauricella import (
-    _GRID_FLOOR,
     IntervalProductParams,
     LauricellaParams,
     fa_eval,
@@ -515,8 +514,7 @@ def test_type_a_auto_dispatch_table(r, size):
 def _fa_full_grid(p, tol):
     """The type A product grid as formed before it skipped the rows of
     zero axis-0 weight: the factor on every row of each block."""
-    norm = _exp_norm(sum(log_inv_beta(b, g)
-                         for b, g in zip(p.betas, p.gammas)))
+    norm, norm_err = _beta_norm(tuple(zip(p.betas, p.gammas)))
     modulus = 0.0
 
     def grid_sum(level):
@@ -550,8 +548,9 @@ def _fa_full_grid(p, tol):
         return s, t.size ** p.r
 
     totals, err, nodes, ok = quadrature._refine_grid(grid_sum, tol / norm)
-    return EvalResult(norm * totals, norm * (err + _GRID_FLOOR * modulus),
-                      nodes, ok, "euler_integral")
+    value = norm * totals
+    return EvalResult(value, norm * (err + 2 * _EPS * modulus)
+                      + abs(value) * norm_err, nodes, ok, "euler_integral")
 
 
 @pytest.mark.parametrize("kernel", [EXP_KERNEL, kummer_kernel(1.3, 2.1),
@@ -635,28 +634,36 @@ def test_integral_estimates_carry_a_rounding_floor():
             <= res.abs_err_est + ref.abs_err_est)
 
 
-def test_product_grid_estimates_cover_their_error_at_b_d_zero():
+def test_euler_estimates_cover_their_error_at_b_d_zero():
     # the catalog's f2-transform-x printed 1 read 8.4e-16 from its 30-digit
-    # value with an estimate of 2.5e-16 under a floor of eps sum w |f|
+    # value with an estimate of 2.5e-16, before the estimate took in the
+    # error of its normalisation exp(log-gamma terms)
     res = f2_eval(AppellParams(0.9, 0.7, 0.5, 2.0, 1.9), 0.15, 0.3)
     assert res.method == "euler_integral" and res.converged
     assert abs(res.value - 1.14618686433595890551350071609) <= res.abs_err_est
-    # F2 and F_A at r = 1 over eval-mix's ranges, against mpmath
+    # the product grid (F2, F_A at r = 1) and the kernel integral (F1) over
+    # eval-mix's ranges, and with betas and gammas in the tens, where the
+    # log-gamma terms are about 100, against mpmath
     rng = np.random.default_rng(38)
     for i in range(60):
-        a, b1, b2 = rng.uniform(0.2, 2.5), *rng.uniform(0.2, 2.0, 2)
-        g1, g2 = b1 + rng.uniform(0.3, 2.5), b2 + rng.uniform(0.3, 2.5)
-        x = rng.uniform(-0.95, 0.95)
-        y = rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 0.95 - abs(x))
-        tol = (1e-6, 1e-10, 1e-14)[i % 3]
-        with mpmath.workdps(20):
-            if i % 4:
+        hi, edge = (40.0, 0.3) if i % 2 else (2.0, 0.95)
+        a, b1, b2 = rng.uniform(0.2, 2.5), *rng.uniform(0.1, hi, 2)
+        g1, g2 = b1 + rng.uniform(0.3, hi), b2 + rng.uniform(0.3, hi)
+        x = rng.uniform(-edge, edge)
+        y = rng.choice([-1.0, 1.0]) * rng.uniform(0.0, edge - abs(x))
+        tol = (1e-10, 1e-14, 1e-6)[i // 3 % 3]
+        with mpmath.workdps(25):
+            if i % 3 == 0:
+                c = a + g2 - b2
+                res = f1_eval(AppellParams(a, b1, b2, c), x, y, tol)
+                ref = mpmath.appellf1(a, b1, b2, c, x, y)
+            elif i % 4:
                 res = f2_eval(AppellParams(a, b1, b2, g1, g2), x, y, tol)
                 ref = mpmath.appellf2(a, b1, b2, g1, g2, x, y)
             else:
                 res = fa_eval(LauricellaParams(a, (b1,), (g1,), (x,)), tol)
                 ref = mpmath.hyp2f1(a, b1, g1, x)
-        assert res.converged
+        assert res.method == "euler_integral" and res.converged
         assert abs(res.value - float(ref)) <= res.abs_err_est, (i, res)
 
 
