@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quadrature import _BATCH_BLOCK_FLOATS, _running
+from .quadrature import _BATCH_BLOCK_FLOATS, _read_only, _running
 from .results import DomainError
 
 _LOG_SQRT_2PI = 0.9189385332046727417803297364
@@ -60,6 +60,10 @@ _KUMMER_SERIES_MAX = _BATCH_BLOCK_FLOATS // 2
 # exp(x) rounds to 0.0 for every x below log(2**-1075) = -745.13 (half the
 # smallest subnormal); the margin covers the rounding of log-gamma sums.
 _EXP_ZERO_CUT = -750.0
+# The cut and the tables slice k and k + 1 from 0, 1, ..., _KUMMER_SERIES_MAX,
+# and the cut takes log w, w = 1, ..., 200, from here.
+_COUNT, _LOG_W = _read_only(np.arange(_KUMMER_SERIES_MAX + 1.0),
+                            np.log(np.arange(1.0, _KUMMER_CUT_MAX + 1.0)))
 
 def _is_nonpositive_int(x: float, tol: float = 1e-12) -> bool:
     return x <= tol and abs(x - round(x)) < tol
@@ -73,7 +77,7 @@ def _is_polynomial(x: float, c: float) -> bool:
 def _ln_gamma_right(z):
     """Lanczos sum; valid for Re(z) > 0.5 (scalar or ndarray, complex)."""
     zm1 = z - 1.0
-    s = np.full_like(np.asarray(z, dtype=complex), _LANCZOS_C[0])
+    s = _LANCZOS_C[0]  # becomes an array, or for a scalar z a Python complex
     for k, c in enumerate(_LANCZOS_C[1:], start=1):
         s = s + c / (zm1 + k)
     t = zm1 + _LANCZOS_G + 0.5
@@ -175,21 +179,12 @@ def beta_classical(a: float, b: float) -> float:
         raise DomainError(f"B({a}, {b}) overflows") from None
 
 
-@functools.lru_cache(maxsize=128)
-def _kummer_log_amplitude(c: float, p: float) -> complex:
-    """log Gamma(c) - log Gamma(p), whose exponential is
-    ``_kummer_amplitude``."""
-    return complex(ln_gamma(complex(c)) - ln_gamma(complex(p)))
+def _gamma_ratio(c: float, p: float) -> tuple[float, complex]:
+    """Gamma(c)/Gamma(p) and its log: the amplitude at p = c - a."""
+    log = complex(ln_gamma(complex(c)) - ln_gamma(complex(p)))
+    return np.exp(log).real, log
 
 
-@functools.lru_cache(maxsize=128)
-def _kummer_amplitude(c: float, p: float) -> float:
-    """Gamma(c)/Gamma(p): at p = c - a, the amplitude of the algebraic
-    branch of 1F1(a; c; -w)."""
-    return np.exp(_kummer_log_amplitude(c, p)).real
-
-
-@functools.lru_cache(maxsize=128)
 def _kummer_cut(a: float, c: float) -> float:
     """w0: the smallest w in 1, ..., 200 from which on the algebraic series
     of 1F1(a; c; -w) falls at least like 3^-k, and its smallest term and the
@@ -199,18 +194,24 @@ def _kummer_cut(a: float, c: float) -> float:
     if _is_polynomial(c - a, c):
         return math.inf
     ulp = -56.0 * math.log(2.0)
-    k = np.arange(1.0, 2.0 * _KUMMER_CUT_MAX + 1.0)
-    with np.errstate(divide="ignore"):
-        logt = np.cumsum(np.log(np.abs((a + k - 1.0) * (a - c + k) / k)))
-    w = np.arange(1.0, _KUMMER_CUT_MAX + 1.0)
-    # term k is below 2^-56 once log w > (log|coefficient| + 56 ln 2) / k
-    bad = np.log(w) <= np.min((logt - ulp) / k)
+    w = _COUNT[1:int(_KUMMER_CUT_MAX) + 1]
     # |t_k / t_(k-1)| = (a+k-1) |a-c+k| / (k w) <= max(a, 1) (c-a-1) / w
-    bad |= w < 3.0 * max(a, 1.0) * (c - a - 1.0)
+    bad = w < 3.0 * max(a, 1.0) * (c - a - 1.0)
     if not _is_polynomial(a, c):
         bad |= (math.lgamma(c - a) - math.lgamma(a) - w
-                + (2.0 * a - c) * np.log(w)) >= ulp
-    return min(w[bad].max(initial=0.0) + 1.0, _KUMMER_CUT_MAX)
+                + (2.0 * a - c) * _LOG_W) >= ulp
+    top = w[bad].max(initial=0.0)
+    # term k is below 2^-56 once log w > (log|t_k| + 56 ln 2) / k: 64 k first
+    for n in (64, 2 * int(_KUMMER_CUT_MAX)) if top < _KUMMER_CUT_MAX else ():
+        k = _COUNT[1:n + 1]
+        with np.errstate(divide="ignore"):
+            logt = np.add.accumulate(
+                np.log(np.abs((a + k - 1.0) * (a - c + k) / k)))
+        low = ((logt - ulp) / k).min()
+        if low < _LOG_W[int(top)]:
+            break  # and so is the minimum over all k: no w past top
+        top = max(top, np.count_nonzero(_LOG_W <= low)) if n > 64 else top
+    return min(top + 1.0, _KUMMER_CUT_MAX)
 
 
 def _kummer_at_inf(a: float, c: float, z: float) -> float:
@@ -224,7 +225,7 @@ def _kummer_at_inf(a: float, c: float, z: float) -> float:
         p, power = a, math.inf
     else:
         p, power = c - a, (-z) ** (-a if z < 0.0 else round(-a))
-    return power * np.sign(math.cos(_kummer_log_amplitude(c, p).imag))
+    return power * np.sign(math.cos((ln_gamma(c) - ln_gamma(p)).imag))
 
 
 @functools.lru_cache(maxsize=128)
@@ -242,23 +243,25 @@ def _series_table(p: float, c: float, reach: float,
     with x, so at every node x in [0, reach] the truncation is within
     _KUMMER_SMALL sum |term|.  None if a kept coefficient leaves
     [-_KUMMER_COEFF_MAX, _KUMMER_COEFF_MAX] or the table would pass
-    _KUMMER_SERIES_MAX coefficients.
+    _KUMMER_SERIES_MAX coefficients.  Cached for the octave tables.
     """
     size = min(int(3.0 * reach) + 32, _KUMMER_SERIES_MAX - 1)
     while True:
-        m = np.arange(float(size))
-        with np.errstate(over="ignore", invalid="ignore"):
-            step = (p + m) / ((c + m) * (m + 1.0))
-            coef = np.cumprod(np.concatenate(([1.0], step * scale)))
-            ratio = np.abs(step) * reach  # |u_(m+1) / u_m|
-            u = np.cumprod(np.concatenate(([1.0], ratio[:-1])))
-            q = np.maximum(ratio, reach / (m + 1.0))
-            # u_m q_m / (1 - q_m) <= bound, written without a division
-            bound = _KUMMER_SMALL * np.cumsum(u)
-            small = q * (u + bound) <= bound
-        ends = np.flatnonzero(small | (step == 0.0))
-        if ends.size:
-            coef = coef[:ends[0] + 1]
+        m, m1 = _COUNT[:size], _COUNT[1:size + 1]
+        step = (p + m) / ((c + m) * m1)
+        coef = np.ones(size + 1)
+        np.multiply(step, scale, out=coef[1:])
+        np.multiply.accumulate(coef, out=coef)
+        rat = np.ones(size + 1)  # 1, then |u_(m+1) / u_m|
+        ratio = np.multiply(np.abs(step), reach, out=rat[1:])
+        u = np.multiply.accumulate(rat[:-1])
+        q = np.maximum(ratio, reach / m1)
+        # u_m q_m / (1 - q_m) <= bound, written without a division
+        bound = _KUMMER_SMALL * np.add.accumulate(u)
+        small = (q * (u + bound) <= bound) | (step == 0.0)
+        end = small.argmax()
+        if small[end]:
+            coef = coef[:end + 1]
             return coef if np.abs(coef).max() <= _KUMMER_COEFF_MAX else None
         if not np.abs(coef).max() <= _KUMMER_COEFF_MAX \
                 or size == _KUMMER_SERIES_MAX - 1:
@@ -280,35 +283,45 @@ def _algebraic_table(a: float, p: float,
     sum stops at its own smallest term.
     """
     for size in (64, 2 * int(_KUMMER_CUT_MAX)):
-        k = np.arange(float(size))
-        with np.errstate(over="ignore", invalid="ignore"):
-            coef = np.cumprod(np.concatenate(
-                ([1.0], (a + k) * (1.0 - p + k) / ((k + 1.0) * scale))))
+        k = _COUNT[:size]
+        coef = np.ones(size + 1)
+        np.divide((a + k) * (1.0 - p + k), _COUNT[1:size + 1] * scale,
+                  out=coef[1:])
+        np.multiply.accumulate(coef, out=coef)
         mag = np.abs(coef)
-        small = mag <= _KUMMER_SMALL
-        ends = np.flatnonzero(small | ~(mag <= _KUMMER_COEFF_MAX))
-        if ends.size:
-            return coef[:ends[0]], not small[ends[0]]
+        kept = (mag > _KUMMER_SMALL) & (mag <= _KUMMER_COEFF_MAX)
+        end = kept.argmin()
+        if not kept[end]:
+            return coef[:end], not mag[end] <= _KUMMER_SMALL
     return coef, True
 
 
-class _KummerTables(NamedTuple):
-    """The cut and the algebraic table of one (a, c - a, c), for
-    1F1(a; c; -w)."""
+class _KummerSetup(NamedTuple):
+    """What 1F1(a; c; -w) takes of one (a, p = c - a, c) before a node."""
 
     w0: float  # the cut (``_kummer_cut``)
+    series: np.ndarray | None  # 1F1(p; c; 2^k y) at a finite w0 <= 2^k
     algebraic: np.ndarray  # 2F0 in y = min(w0, _KUMMER_CUT_MAX) / w
     smallest: bool  # each algebraic sum stops at its smallest term
+    gamma: tuple[float, complex] | None  # ``_gamma_ratio``, None at a pole
 
 
 @functools.lru_cache(maxsize=128)
-def _kummer_tables(a: float, p: float, c: float) -> _KummerTables:
-    """The cut and the algebraic table of 1F1(a; c; -w), p = c - a, built
-    once per (a, p, c).  p is passed, not formed from a and c, so that
-    Kummer's transformation can take the tables of (c - a, a, c) with a
-    exact."""
+def _kummer_setup(a: float, p: float, c: float, series: bool) -> _KummerSetup:
+    """The cut, the tables and the amplitude of 1F1(a; c; -w), p = c - a,
+    built once per (a, p, c), ignoring over and invalid.  p is passed, not
+    formed from a and c, so that Kummer's transformation can take the
+    algebraic part of (c - a, a, c) with a exact (``series`` False)."""
     w0 = _kummer_cut(a, c)
-    return _KummerTables(w0, *_algebraic_table(a, p, min(w0, _KUMMER_CUT_MAX)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = (_series_table.__wrapped__(p, c, w0, 2.0 ** math.ceil(
+            math.log2(w0))) if series and not math.isinf(w0) else None)
+        try:  # at a pole there is none, and the readers raise
+            gamma = _gamma_ratio(c, p)
+        except DomainError:
+            gamma = None
+        return _KummerSetup(w0, table, *_algebraic_table(
+            a, p, min(w0, _KUMMER_CUT_MAX)), gamma)
 
 
 def _power_sums(coef: np.ndarray | None, y: np.ndarray,
@@ -353,22 +366,24 @@ def _power_sums(coef: np.ndarray | None, y: np.ndarray,
     return out
 
 
-def _series_sums(p: float, c: float, w0: float, x: np.ndarray) -> np.ndarray:
+def _series_sums(p: float, c: float, w0: float, x: np.ndarray,
+                 table: np.ndarray | None = None) -> np.ndarray:
     """1F1(p; c; x) at the nodes 0 <= x < w0 from the series tables: one
-    certified at w0, at the scale 2^k >= w0, serves all; where w0 is
-    infinite (a polynomial or near one, and the series of z > 0), each node
-    x < 2^k, k >= 0 the least, takes the table certified at 2^k, so no
-    table has to reach the largest node."""
+    certified at w0, at the scale 2^k >= w0, serves all (``table``, from
+    the setup); where w0 is infinite (a polynomial or near one, and the
+    series of z > 0), each node x < 2^k, k >= 0 the least, takes the table
+    certified at 2^k, so no table has to reach the largest node."""
     if not math.isinf(w0):
         scale = 2.0 ** math.ceil(math.log2(w0))  # so y = x / scale is exact
-        return _power_sums(_series_table(p, c, w0, scale), x / scale)
+        return _power_sums(table, x / scale)
     octave = np.maximum(np.frexp(x)[1], 0)
     out = np.empty_like(x)
     for k in np.unique(octave):
         at = octave == k
         scale = math.ldexp(1.0, int(k))
-        out[at] = _power_sums(_series_table(p, c, scale, scale),
-                              x[at] / scale)
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = _series_table(p, c, scale, scale)
+        out[at] = _power_sums(table, x[at] / scale)
     return out
 
 
@@ -379,13 +394,12 @@ def kummer_algebraic_tail(a: float, c: float,
     Returns the amplitude Gamma(c)/Gamma(c-a) and the sum of the expansion
     1F1(a; c; -w) ~ amplitude * w**-a * 2F0(a, a-c+1;; 1/w).
     """
-    return _kummer_amplitude(c, c - a), _algebraic_sums(a, c - a, c, w)
+    tab = _kummer_setup(a, c - a, c, True)
+    return (tab.gamma or _gamma_ratio(c, c - a))[0], _algebraic_sums(tab, w)
 
 
-def _algebraic_sums(a: float, p: float, c: float,
-                    w: np.ndarray) -> np.ndarray:
-    """The 2F0 sums of ``kummer_algebraic_tail`` with p = c - a given."""
-    tab = _kummer_tables(a, p, c)
+def _algebraic_sums(tab: _KummerSetup, w: np.ndarray) -> np.ndarray:
+    """The 2F0 sums of the algebraic branch from the setup's table."""
     y = min(tab.w0, _KUMMER_CUT_MAX) / np.asarray(w, dtype=float)
     return _power_sums(tab.algebraic, y, tab.smallest)
 
@@ -422,22 +436,22 @@ def _kummer_neg(a: float, p: float, c: float, w: np.ndarray) -> np.ndarray:
     w0(a, c), and the algebraic branch from w0 on.  Where p = -n is a
     nonpositive integer, a node whose series leaves the double range takes
     0 if ``_polynomial_underflows`` certifies it, the limit at -inf."""
-    w0 = _kummer_tables(a, p, c).w0
+    tab = _kummer_setup(a, p, c, True)
     out = np.empty_like(w)
-    ser = w < w0
+    ser = w < tab.w0
     if ser.any():
         ws = w[ser]
-        vals = np.exp(-ws) * _series_sums(p, c, w0, ws)
-        lost = ~np.isfinite(vals)
-        if p <= 0.0 and p == round(p) and lost.any():
+        vals = np.exp(-ws) * _series_sums(p, c, tab.w0, ws, tab.series)
+        if p <= 0.0 and p == round(p) and not np.isfinite(vals).all():
+            lost = ~np.isfinite(vals)
             vals[lost] = np.where(_polynomial_underflows(-p, c, ws[lost]),
                                   0.0, vals[lost])
         out[ser] = vals
     alg = ~ser
     if alg.any():
         wa = w[alg]
-        out[alg] = (_kummer_amplitude(c, p) * np.exp(-a * np.log(wa))
-                    * _algebraic_sums(a, p, c, wa))
+        amp = (tab.gamma or _gamma_ratio(c, p))[0]
+        out[alg] = amp * np.exp(-a * np.log(wa)) * _algebraic_sums(tab, wa)
     return out
 
 
@@ -454,10 +468,11 @@ def _kummer_pos(a: float, c: float, x: np.ndarray) -> np.ndarray:
     lost = np.isnan(out)  # the table of the node's octave overflowed
     if lost.any() and not _is_polynomial(a, c):
         xl = x[lost]
+        tab = _kummer_setup(c - a, a, c, False)
         with np.errstate(over="ignore"):  # past the double range: inf
             lead = np.exp(xl - (c - a) * np.log(xl)
-                          + _kummer_log_amplitude(c, a))
-        out[lost] = lead.real * _algebraic_sums(c - a, a, c, xl)
+                          + (tab.gamma or _gamma_ratio(c, a))[1])
+        out[lost] = lead.real * _algebraic_sums(tab, xl)
     return out
 
 

@@ -179,7 +179,7 @@ def test_kummer_positive_side_takes_the_series_of_a_itself(a, c, zs,
     # (c - a, c) is not asked: capped at 200 for (1, 200), its algebraic
     # branch was off by 4e-4 at z = 250
     series, tables = [], []
-    series_table, kummer_tables = corefn._series_table, corefn._kummer_tables
+    series_table, kummer_setup = corefn._series_table, corefn._kummer_setup
 
     def spy(store, f):
         def call(*key):
@@ -188,13 +188,13 @@ def test_kummer_positive_side_takes_the_series_of_a_itself(a, c, zs,
         return call
 
     monkeypatch.setattr(corefn, "_series_table", spy(series, series_table))
-    monkeypatch.setattr(corefn, "_kummer_tables", spy(tables, kummer_tables))
+    monkeypatch.setattr(corefn, "_kummer_setup", spy(tables, kummer_setup))
     zs = np.array(zs)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = kummer_1f1_arr(a, c, zs)
     assert {key[:2] for key in series} == {(a, c)}
-    assert set(tables) <= {(c - a, a, c)}
+    assert set(tables) <= {(c - a, a, c, False)}  # no series table
     assert bool(tables) == overflows
     for z, v in zip(zs, got):
         want = oracles.hyp1f1(a, c, float(z))

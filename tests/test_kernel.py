@@ -20,7 +20,6 @@ from exthyp.kernel import (
 from exthyp.corefn import (
     _KUMMER_CUT_MAX,
     _is_nonpositive_int,
-    _kummer_amplitude,
     _kummer_cut,
     gammaln_real,
     kummer_1f1_arr,
@@ -343,6 +342,202 @@ def test_kummer_arr_fast_path_edges_bit_identical_to_lockstep(a, c):
     assert np.array_equal(alone.view(np.int64), got.view(np.int64))
 
 
+# The per-piece builders of the confluent kernel as they were before its
+# setup was one cached build (``corefn._kummer_setup``), kept as references
+# of that build: its cut, its tables and its amplitude have their bits.
+
+def _former_ln_gamma_right(z):
+    zm1 = z - 1.0
+    s = np.full_like(np.asarray(z, dtype=complex), corefn._LANCZOS_C[0])
+    for k, c in enumerate(corefn._LANCZOS_C[1:], start=1):
+        s = s + c / (zm1 + k)
+    t = zm1 + corefn._LANCZOS_G + 0.5
+    return (corefn._LOG_SQRT_2PI + (zm1 + 0.5) * np.log(t) - t
+            + np.log(s))
+
+
+def _former_ln_gamma(z):
+    z = complex(z)
+    if z.imag == 0.0 and z.real <= 0.0 and _is_nonpositive_int(z.real):
+        raise DomainError(f"log-gamma pole at z={z.real}")
+    if z.real > 0.5:
+        return complex(_former_ln_gamma_right(z))
+    if z.real > 0.0:
+        return complex(_former_ln_gamma_right(z + 1.0) - np.log(z))
+    n = round(z.real)
+    sin = np.sin(math.pi * (z - n))
+    refl = math.log(math.pi) - np.log(-sin if n % 2 else sin)
+    return complex(refl - _former_ln_gamma(1.0 - z))
+
+
+def _former_gamma(c, p):
+    """(Gamma(c)/Gamma(p), its log), or None at a pole."""
+    try:
+        log = complex(_former_ln_gamma(complex(c))
+                      - _former_ln_gamma(complex(p)))
+    except DomainError:
+        return None
+    with np.errstate(over="ignore"):
+        return np.exp(log).real, log
+
+
+def _former_kummer_cut(a, c):
+    if corefn._is_polynomial(c - a, c):
+        return math.inf
+    ulp = -56.0 * math.log(2.0)
+    k = np.arange(1.0, 2.0 * _KUMMER_CUT_MAX + 1.0)
+    with np.errstate(divide="ignore"):
+        logt = np.cumsum(np.log(np.abs((a + k - 1.0) * (a - c + k) / k)))
+    w = np.arange(1.0, _KUMMER_CUT_MAX + 1.0)
+    bad = np.log(w) <= np.min((logt - ulp) / k)
+    bad |= w < 3.0 * max(a, 1.0) * (c - a - 1.0)
+    if not corefn._is_polynomial(a, c):
+        bad |= (math.lgamma(c - a) - math.lgamma(a) - w
+                + (2.0 * a - c) * np.log(w)) >= ulp
+    return min(w[bad].max(initial=0.0) + 1.0, _KUMMER_CUT_MAX)
+
+
+def _former_series_table(p, c, reach, scale):
+    size = min(int(3.0 * reach) + 32, _SERIES_MAX - 1)
+    while True:
+        m = np.arange(float(size))
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = (p + m) / ((c + m) * (m + 1.0))
+            coef = np.cumprod(np.concatenate(([1.0], step * scale)))
+            ratio = np.abs(step) * reach
+            u = np.cumprod(np.concatenate(([1.0], ratio[:-1])))
+            q = np.maximum(ratio, reach / (m + 1.0))
+            bound = _SMALL * np.cumsum(u)
+            small = q * (u + bound) <= bound
+        ends = np.flatnonzero(small | (step == 0.0))
+        if ends.size:
+            coef = coef[:ends[0] + 1]
+            return coef if np.abs(coef).max() <= _COEFF_MAX else None
+        if not np.abs(coef).max() <= _COEFF_MAX or size == _SERIES_MAX - 1:
+            return None
+        size = min(2 * size, _SERIES_MAX - 1)
+
+
+def _former_algebraic_table(a, p, scale):
+    for size in (64, 2 * int(_KUMMER_CUT_MAX)):
+        k = np.arange(float(size))
+        with np.errstate(over="ignore", invalid="ignore"):
+            coef = np.cumprod(np.concatenate(
+                ([1.0], (a + k) * (1.0 - p + k) / ((k + 1.0) * scale))))
+        mag = np.abs(coef)
+        small = mag <= _SMALL
+        ends = np.flatnonzero(small | ~(mag <= _COEFF_MAX))
+        if ends.size:
+            return coef[:ends[0]], not small[ends[0]]
+    return coef, True
+
+
+def _same_bits(x, y):
+    if x is None or y is None:
+        return x is None and y is None
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape \
+        and x.tobytes() == y.tobytes()
+
+
+def _assert_setup_is_the_former_one(a, p, c, series):
+    setup = corefn._kummer_setup(a, p, c, series)
+    w0 = _former_kummer_cut(a, c)
+    assert setup.w0 == w0
+    if series and math.isfinite(w0):
+        scale = 2.0 ** math.ceil(math.log2(w0))
+        assert _same_bits(setup.series, _former_series_table(p, c, w0, scale))
+    else:
+        assert setup.series is None
+    alg, smallest = _former_algebraic_table(a, p, min(w0, _KUMMER_CUT_MAX))
+    assert _same_bits(setup.algebraic, alg) and setup.smallest == smallest
+    gamma = _former_gamma(c, p)
+    assert (setup.gamma is None) == (gamma is None)
+    if gamma is not None:
+        assert _same_bits(setup.gamma[0], gamma[0])
+        assert _same_bits(np.complex128(setup.gamma[1]),
+                          np.complex128(gamma[1]))
+
+
+_LOCKSTEP_PAIRS = [(1.0, 2.0), (1.5, 2.0), (2.5, 1.0), (0.3, 4.7), (3.0, 1.0),
+                   (2.0, 2.0), (-3.0, 1.5), (-1.0, 0.25), (1.5, 2.5),
+                   (4.0, 1.5), (0.5, 1e300), (5e-324, 2.0)]
+
+
+def _eval_mix_draws():
+    """24 seeded (a, c, b, d) over eval-mix's ranges: a in [0.5, 2.5],
+    c - a in [0.3, 2.5], b and d in [0, 1]."""
+    u = np.random.default_rng(39).uniform(size=(24, 4))
+    a = 0.5 + 2.0 * u[:, 0]
+    return [(float(x), float(x + 0.3 + 2.2 * v), float(b), float(d))
+            for x, v, b, d in zip(a, u[:, 1], u[:, 2], u[:, 3])]
+
+
+def test_kummer_arr_on_first_pass_grids_bit_identical_to_lockstep():
+    # the traffic the kernel's setup serves: a fresh (a, c) per call on the
+    # first-pass kernel arguments -(b/t + d/(1-t)) of levels
+    # 0..FIRST_PASS_LEVEL end to end, and the lockstep edge pairs on the
+    # grid of the first draw.  Where the series of a polynomial kernel
+    # (c - a = -n) leaves the double range, the reference has no value and
+    # the kernel takes the limit at -inf, 0
+    draws = _eval_mix_draws()
+    b0, d0 = draws[0][2:]
+    cases = draws + [(a, c, b0, d0) for a, c in _LOCKSTEP_PAIRS]
+    for a, c, b, d in cases:
+        # as the library forms the arguments and takes the kernel's values
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            z = extbeta._unit_arg(RegPair(b, d), -1)
+            got = kummer_1f1_arr(a, c, z)
+        assert np.isfinite(z).all()
+        with np.errstate(all="ignore"):  # lock-step terms run past stops
+            want = _lockstep_kummer_1f1_arr(a, c, z)
+        same = got.view(np.int64) == want.view(np.int64)
+        limit = ~np.isfinite(want) & (got == 0.0) & _is_nonpositive_int(c - a)
+        assert (same | limit).all(), (a, c, b, d)
+
+
+def test_kummer_setup_has_the_bits_of_the_former_builders():
+    # w0, both tables, the smallest flag and the amplitude of the one
+    # cached build against the former per-piece builders, on the same
+    # draws and edge pairs, with the pair (c - a, a, c) of the z > 0
+    # overflow path (its algebraic part alone).  At (1e-13, 0.5) the
+    # smallest term sets w0 = 8, which its first 64 k cannot settle; at
+    # (50.5, 1) its minimum lies at k = 194
+    pairs = [(a, c) for a, c, _, _ in _eval_mix_draws()] + _LOCKSTEP_PAIRS
+    pairs += [(1e-13, 0.5), (50.5, 1.0)]
+    for a, c in pairs:
+        _assert_setup_is_the_former_one(a, c - a, c, True)
+        _assert_setup_is_the_former_one(c - a, a, c, False)
+
+
+def test_one_setup_per_fresh_confluent_kernel(monkeypatch):
+    # a fresh (a, c) builds its setup once: the ext_beta call that first
+    # meets it, not its repeat (with the kernel values cached or not), and
+    # not the far-tail log of the same kernel.  Each build takes its cut
+    # first, so the spy counts builds
+    builds = []
+    cut = corefn._kummer_cut
+
+    def spy(a, c):
+        builds.append((a, c))
+        return cut(a, c)
+
+    monkeypatch.setattr(corefn, "_kummer_cut", spy)
+    a, c = 1.2345678, 3.0123456
+    k = kummer_kernel(a, c)
+
+    def call():
+        return ext_beta(k, BetaArgs(1.3, 2.1), RegPair(0.4, 0.7), 1e-10)
+
+    first = call()
+    assert builds == [(a, c)]
+    assert call().value == first.value
+    extbeta._unit_theta.cache_clear()
+    assert call().value == first.value
+    log_theta_neg_asym(k, np.array([-250.0, -1e4]))
+    assert builds == [(a, c)]
+
+
 def test_algebraic_tail_in_place_matches_former_expressions():
     # the 2F0 sum of the algebraic branch against the node-by-node
     # reference, without floating-point warnings, from min(w0, 200) on (the
@@ -357,8 +552,8 @@ def test_algebraic_tail_in_place_matches_former_expressions():
             _amplitude(c, c - a)).view(np.int64)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert got[-2] == 1.0  # w = inf: the first term alone
-        # the amplitude is computed once per (a, c)
-        assert _kummer_amplitude(c, c - a) is amp
+        # the amplitude is computed once per (a, c), with its setup
+        assert corefn._kummer_setup(a, c - a, c, True).gamma[0] is amp
 
 
 def _term_blocks(monkeypatch):
@@ -378,8 +573,7 @@ def _term_blocks(monkeypatch):
 
 def _series_table_of(a, c):
     """The series table of 1F1(a; c; -w) below a finite w0(a, c)."""
-    w0 = _kummer_cut(a, c)
-    return corefn._series_table(c - a, c, w0, 2.0 ** math.ceil(math.log2(w0)))
+    return corefn._kummer_setup(a, c - a, c, True).series
 
 
 def test_kummer_arr_diverging_expansion_is_cut_at_its_smallest_term(
@@ -392,7 +586,7 @@ def test_kummer_arr_diverging_expansion_is_cut_at_its_smallest_term(
     blocks = _term_blocks(monkeypatch)
     z = -np.linspace(200.0, 260.0, 61)
     got = kummer_1f1_arr(50.5, 1.0, z)
-    tables = corefn._kummer_tables(50.5, 1.0 - 50.5, 1.0)
+    tables = corefn._kummer_setup(50.5, 1.0 - 50.5, 1.0, True)
     assert tables.smallest
     assert tables.algebraic.size <= 2 * _KUMMER_CUT_MAX + 1
     assert blocks
@@ -507,7 +701,7 @@ def test_kummer_arr_capped_cut_raises_no_floating_point_warning():
             got = kummer_1f1_arr(a, c, z)
             assert np.isfinite(_series_table_of(a, c)).all()
             assert np.isfinite(
-                corefn._kummer_tables(a, c - a, c).algebraic).all()
+                corefn._kummer_setup(a, c - a, c, True).algebraic).all()
             assert np.isfinite(got[np.isfinite(z)]).all()
 
 
@@ -527,7 +721,7 @@ def test_kummer_node_at_plus_inf_returns_at_once(monkeypatch):
     def refuse(*args):
         raise AssertionError("an infinite node reached the tables")
 
-    monkeypatch.setattr(corefn, "_kummer_tables", refuse)
+    monkeypatch.setattr(corefn, "_kummer_setup", refuse)
     monkeypatch.setattr(corefn, "_series_table", refuse)
     got = kummer_1f1_arr(1.5, 2.0, np.array([np.inf]))
     assert got[0] == math.inf
@@ -663,7 +857,8 @@ def test_kummer_arr_accuracy_not_worse_than_former_rule(a):
 def test_kummer_amplitude_next_to_a_pole_matches_mpmath(a, c):
     with mpmath.workdps(40):
         want = mpmath.gamma(c) / mpmath.gamma(c - a)
-        assert abs((_kummer_amplitude(c, c - a) - want) / want) <= 1e-13
+        amp = corefn._kummer_setup(a, c - a, c, True).gamma[0]
+        assert abs((amp - want) / want) <= 1e-13
 
 
 @pytest.mark.parametrize("a,c", [(1.0, 30.0), (1.0, 60.0), (2.0, 40.0),
@@ -700,7 +895,9 @@ def test_kummer_cut_is_where_both_dropped_pieces_are_below_2_pow_56(a, c):
     # the cut is the smallest such w, up to the unit step of the scan that
     # finds the exponential piece's
     assert _dropped_pieces(a, c, w0 - 1.0) >= 2.0 ** -56
-    assert _kummer_cut(a, c) is w0  # computed once per (a, c)
+    # computed once per (a, c), with the rest of its setup
+    setup = corefn._kummer_setup(a, c - a, c, True)
+    assert setup.w0 == w0 and corefn._kummer_setup(a, c - a, c, True) is setup
 
 
 def test_kummer_cut_keeps_the_series_or_caps_at_200():
@@ -744,7 +941,7 @@ def test_kummer_kernel_iterates_no_nodes_in_python():
     assert "_kummer_series_node" not in fns and "_block_sum" not in fns
     for name in ("kummer_1f1_arr", "kummer_algebraic_tail", "_kummer_neg",
                  "_kummer_pos", "_algebraic_sums", "_series_sums",
-                 "_power_sums", "_kummer_cut", "_kummer_at_inf"):
+                 "_power_sums", "_kummer_at_inf"):
         nodes = list(ast.walk(fns[name]))
         loops = [n for n in nodes
                  if isinstance(n, (ast.For, ast.AsyncFor, ast.comprehension))]
@@ -759,6 +956,25 @@ def test_kummer_kernel_iterates_no_nodes_in_python():
             assert ast.unparse(octaves.func) == "np.unique"
         else:
             assert not loops, name
+        assert not any(isinstance(n, ast.Attribute) and n.attr == "tolist"
+                       for n in nodes), name
+    # nor does the setup of an (a, c): its only loops step over the lengths
+    # of a scan, literal tuples of them or a doubling size, never over k, w
+    # or the coefficients of a table
+    for name in ("_kummer_setup", "_kummer_cut", "_series_table",
+                 "_algebraic_table", "_gamma_ratio"):
+        nodes = list(ast.walk(fns[name]))
+        for loop in nodes:
+            if isinstance(loop, ast.For):
+                it = loop.iter
+                sizes = [it.body, it.orelse] if isinstance(it, ast.IfExp) \
+                    else [it]
+                assert all(isinstance(x, ast.Tuple) for x in sizes), name
+            elif isinstance(loop, ast.While):
+                assert name == "_series_table"
+                assert "size = min(2 * size" in ast.unparse(loop)
+            else:
+                assert not isinstance(loop, (ast.AsyncFor, ast.comprehension))
         assert not any(isinstance(n, ast.Attribute) and n.attr == "tolist"
                        for n in nodes), name
 

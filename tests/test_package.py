@@ -50,6 +50,8 @@ REMOVED_FROM = {
                       "unit_grid_order", "_nested", "_nested_step",
                       "_power_block", "_block_rows", "itertools"},
     "extbeta.py": {"_log_cache", "check_beta_domain_complex"},
+    "corefn.py": {"_kummer_tables", "_KummerTables", "_kummer_amplitude",
+                  "_kummer_log_amplitude"},
 }
 
 
