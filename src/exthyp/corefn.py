@@ -179,10 +179,9 @@ def beta_classical(a: float, b: float) -> float:
         raise DomainError(f"B({a}, {b}) overflows") from None
 
 
-def _gamma_ratio(c: float, p: float) -> tuple[float, complex]:
-    """Gamma(c)/Gamma(p) and its log: the amplitude at p = c - a."""
-    log = complex(ln_gamma(complex(c)) - ln_gamma(complex(p)))
-    return np.exp(log).real, log
+def _gamma_ratio(c: float, p: float) -> float:
+    """Gamma(c)/Gamma(p): the amplitude at p = c - a."""
+    return np.exp(complex(ln_gamma(complex(c)) - ln_gamma(complex(p)))).real
 
 
 def _kummer_cut(a: float, c: float) -> float:
@@ -214,18 +213,14 @@ def _kummer_cut(a: float, c: float) -> float:
     return min(top + 1.0, _KUMMER_CUT_MAX)
 
 
-def _kummer_at_inf(a: float, c: float, z: float) -> float:
-    """1F1(a; c; +-inf): the limit of Gamma(c)/Gamma(a) e^z z^(a-c), of e^z
-    times a polynomial, or of Gamma(c)/Gamma(c-a) (-z)^-a (also the top
-    term of a polynomial 1F1(-n; c; z)): 0, +-inf or 1, so only the sign
-    of the gamma ratio counts, read off its log."""
-    if z < 0.0 and _is_polynomial(c - a, c):
+def _kummer_at_inf(a: float, c: float) -> float:
+    """1F1(a; c; -inf): 0 for e^z times a polynomial, else the limit of
+    Gamma(c)/Gamma(c-a) (-z)^-a: 0, +-inf or 1, so only the sign of the
+    gamma ratio counts, read off its log."""
+    if _is_polynomial(c - a, c):
         return 0.0
-    if z > 0.0 and not _is_polynomial(a, c):
-        p, power = a, math.inf
-    else:
-        p, power = c - a, (-z) ** (-a if z < 0.0 else round(-a))
-    return power * np.sign(math.cos((ln_gamma(c) - ln_gamma(p)).imag))
+    sign = np.sign(math.cos((ln_gamma(c) - ln_gamma(c - a)).imag))
+    return math.inf ** -a * sign
 
 
 @functools.lru_cache(maxsize=128)
@@ -297,25 +292,23 @@ def _algebraic_table(a: float, p: float,
 
 
 class _KummerSetup(NamedTuple):
-    """What 1F1(a; c; -w) takes of one (a, p = c - a, c) before a node."""
+    """What 1F1(a; c; -w) takes of one (a, c) before a node."""
 
     w0: float  # the cut (``_kummer_cut``)
     series: np.ndarray | None  # 1F1(p; c; 2^k y) at a finite w0 <= 2^k
     algebraic: np.ndarray  # 2F0 in y = min(w0, _KUMMER_CUT_MAX) / w
     smallest: bool  # each algebraic sum stops at its smallest term
-    gamma: tuple[float, complex] | None  # ``_gamma_ratio``, None at a pole
+    gamma: float | None  # ``_gamma_ratio(c, c - a)``, None at a pole
 
 
 @functools.lru_cache(maxsize=128)
-def _kummer_setup(a: float, p: float, c: float, series: bool) -> _KummerSetup:
-    """The cut, the tables and the amplitude of 1F1(a; c; -w), p = c - a,
-    built once per (a, p, c), ignoring over and invalid.  p is passed, not
-    formed from a and c, so that Kummer's transformation can take the
-    algebraic part of (c - a, a, c) with a exact (``series`` False)."""
+def _kummer_setup(a: float, c: float) -> _KummerSetup:
+    """The cut, tables and amplitude of 1F1(a; c; -w); over/invalid ignored."""
+    p = c - a
     w0 = _kummer_cut(a, c)
     with np.errstate(over="ignore", invalid="ignore"):
-        table = (_series_table.__wrapped__(p, c, w0, 2.0 ** math.ceil(
-            math.log2(w0))) if series and not math.isinf(w0) else None)
+        table = (None if math.isinf(w0) else _series_table.__wrapped__(
+            p, c, w0, 2.0 ** math.ceil(math.log2(w0))))
         try:  # at a pole there is none, and the readers raise
             gamma = _gamma_ratio(c, p)
         except DomainError:
@@ -367,12 +360,12 @@ def _power_sums(coef: np.ndarray | None, y: np.ndarray,
 
 
 def _series_sums(p: float, c: float, w0: float, x: np.ndarray,
-                 table: np.ndarray | None = None) -> np.ndarray:
-    """1F1(p; c; x) at the nodes 0 <= x < w0 from the series tables: one
-    certified at w0, at the scale 2^k >= w0, serves all (``table``, from
-    the setup); where w0 is infinite (a polynomial or near one, and the
-    series of z > 0), each node x < 2^k, k >= 0 the least, takes the table
-    certified at 2^k, so no table has to reach the largest node."""
+                 table: np.ndarray | None) -> np.ndarray:
+    """1F1(p; c; x) at the nodes 0 <= x < w0, x = -z, from the series
+    tables: one certified at w0, at the scale 2^k >= w0, serves all
+    (``table``, from the setup); where w0 is infinite (p = c - a at or near
+    a nonpositive integer), each node x < 2^k, k >= 0 the least, takes the
+    table certified at 2^k, so no table has to reach the largest node."""
     if not math.isinf(w0):
         scale = 2.0 ** math.ceil(math.log2(w0))  # so y = x / scale is exact
         return _power_sums(table, x / scale)
@@ -394,8 +387,9 @@ def kummer_algebraic_tail(a: float, c: float,
     Returns the amplitude Gamma(c)/Gamma(c-a) and the sum of the expansion
     1F1(a; c; -w) ~ amplitude * w**-a * 2F0(a, a-c+1;; 1/w).
     """
-    tab = _kummer_setup(a, c - a, c, True)
-    return (tab.gamma or _gamma_ratio(c, c - a))[0], _algebraic_sums(tab, w)
+    tab = _kummer_setup(a, c)
+    amp = tab.gamma if tab.gamma is not None else _gamma_ratio(c, c - a)
+    return amp, _algebraic_sums(tab, w)
 
 
 def _algebraic_sums(tab: _KummerSetup, w: np.ndarray) -> np.ndarray:
@@ -430,13 +424,14 @@ def _polynomial_underflows(n: float, c: float, w: np.ndarray) -> np.ndarray:
     return (math.log(n + 1.0) + log_term.max(axis=0) - w) < _EXP_ZERO_CUT
 
 
-def _kummer_neg(a: float, p: float, c: float, w: np.ndarray) -> np.ndarray:
-    """1F1(a; c; -w), p = c - a, at finite w >= 0: the series of
-    exp(w) 1F1(a; c; -w) = 1F1(p; c; w) (Kummer's transformation) below
-    w0(a, c), and the algebraic branch from w0 on.  Where p = -n is a
-    nonpositive integer, a node whose series leaves the double range takes
-    0 if ``_polynomial_underflows`` certifies it, the limit at -inf."""
-    tab = _kummer_setup(a, p, c, True)
+def _kummer_neg(a: float, c: float, w: np.ndarray) -> np.ndarray:
+    """1F1(a; c; -w) at finite w >= 0: the series of exp(w) 1F1(a; c; -w)
+    = 1F1(p; c; w), p = c - a (Kummer's transformation), below w0(a, c),
+    and the algebraic branch from w0 on.  Where p = -n is a nonpositive
+    integer, a node whose series leaves the double range takes 0 if
+    ``_polynomial_underflows`` certifies it, the limit at -inf."""
+    p = c - a
+    tab = _kummer_setup(a, c)
     out = np.empty_like(w)
     ser = w < tab.w0
     if ser.any():
@@ -450,55 +445,30 @@ def _kummer_neg(a: float, p: float, c: float, w: np.ndarray) -> np.ndarray:
     alg = ~ser
     if alg.any():
         wa = w[alg]
-        amp = (tab.gamma or _gamma_ratio(c, p))[0]
+        amp = tab.gamma if tab.gamma is not None else _gamma_ratio(c, p)
         out[alg] = amp * np.exp(-a * np.log(wa)) * _algebraic_sums(tab, wa)
     return out
 
 
-def _kummer_pos(a: float, c: float, x: np.ndarray) -> np.ndarray:
-    """1F1(a; c; x) at finite x > 0: the series, whose terms keep one sign
-    past the first |a|, from the tables by octave.  Where an octave's table
-    overflows, and a is not within ``_is_polynomial`` of a nonpositive
-    integer, the algebraic branch of exp(x) 1F1(c - a; c; -x) (Kummer's
-    transformation), exp(x) Gamma(c)/Gamma(a) x^(a - c) 2F0, with the
-    tables of (c - a, a, c) and a exact; it is formed as one exponential,
-    so that neither e^x nor the amplitude overflows alone; a value past
-    the double range is inf."""
-    out = _series_sums(a, c, math.inf, x)
-    lost = np.isnan(out)  # the table of the node's octave overflowed
-    if lost.any() and not _is_polynomial(a, c):
-        xl = x[lost]
-        tab = _kummer_setup(c - a, a, c, False)
-        with np.errstate(over="ignore"):  # past the double range: inf
-            lead = np.exp(xl - (c - a) * np.log(xl)
-                          + (tab.gamma or _gamma_ratio(c, a))[1])
-        out[lost] = lead.real * _algebraic_sums(tab, xl)
-    return out
-
-
 def kummer_1f1_arr(a: float, c: float, z: np.ndarray) -> np.ndarray:
-    """Confluent hypergeometric 1F1(a; c; z) over a real array.
+    """Confluent hypergeometric 1F1(a; c; z) over a real array of z <= 0,
+    the kernel's arguments -b/t - d/(1 - t) and -t - b/t.
 
-    z <= 0 takes the series after Kummer's transformation above -w0(a, c)
-    and the algebraic branch from there down (``_kummer_neg``); z > 0 takes
-    the series, and where it overflows the algebraic branch of the pair
-    (c - a, c) (``_kummer_pos``).  Both sum from the same cached tables
-    (``_power_sums``).  A node's value depends on (a, c, z) alone.  An infinite node takes the limit
-    there, and a NaN node stays NaN.
+    A finite node takes the series after Kummer's transformation above
+    -w0(a, c) and the algebraic branch below (``_kummer_neg``), from the
+    cached tables of (a, c); its value depends on (a, c, z) alone.  -inf
+    takes the limit, NaN stays NaN, and z > 0 (+inf too) is a DomainError
+    before any table is built.
     """
     z = np.asarray(z, dtype=float)
+    if (z > 0.0).any():
+        raise DomainError("the confluent kernel takes z <= 0 only")
     out = z.copy()  # a NaN node stays NaN
     fin = np.isfinite(z)
     if not fin.all():
-        up, down = z == math.inf, z == -math.inf
-        if up.any():
-            out[up] = _kummer_at_inf(a, c, math.inf)
+        down = z == -math.inf
         if down.any():
-            out[down] = _kummer_at_inf(a, c, -math.inf)
-    neg = fin & (z <= 0.0)
-    pos = fin & (z > 0.0)
-    if neg.any():
-        out[neg] = _kummer_neg(a, c - a, c, -z[neg])
-    if pos.any():
-        out[pos] = _kummer_pos(a, c, z[pos])
+            out[down] = _kummer_at_inf(a, c)
+    if fin.any():
+        out[fin] = _kummer_neg(a, c, -z[fin])
     return out

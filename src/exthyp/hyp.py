@@ -376,7 +376,9 @@ def _geometric_tail(last, q, total, scale=1.0):
 
 
 def _one_f0_vector(alpha: float, k1: int, w: np.ndarray) -> np.ndarray:
-    """Closed forms of the innermost 1F0-type factor."""
+    """Closed forms of the innermost 1F0-type factor: a terminating head,
+    or a head of shift 0 (exp) or 1 ((1 - w)^-alpha), the only others
+    ``PfqSpec.validate`` lets through."""
     if _is_nonpositive_int(alpha) and k1 >= 1:
         n = int(round(-alpha))
         if n // k1 > 170:  # m! leaves double range from m = 171 on
@@ -387,9 +389,7 @@ def _one_f0_vector(alpha: float, k1: int, w: np.ndarray) -> np.ndarray:
         return s
     if k1 == 0:
         return np.exp(w)
-    if k1 == 1:
-        return np.exp(-alpha * np.log1p(-w))
-    raise DomainError("non-terminating leading shift multiplier > 1")
+    return np.exp(-alpha * np.log1p(-w))
 
 
 def euler_step_integral(spec: PfqSpec, z: float,

@@ -75,7 +75,9 @@ def parse_kernel(text: str) -> KernelSpec:
 
 
 def theta_eval_arr(k: KernelSpec, z: np.ndarray) -> np.ndarray:
-    """Vectorized kernel evaluation over a real array."""
+    """Vectorized kernel evaluation over a real array of z <= 0, the Euler
+    integrals' kernel arguments: the confluent kernel refuses z > 0
+    (``corefn.kummer_1f1_arr``)."""
     z = np.asarray(z, dtype=float)
     if k.variant == EXP_VARIANT:
         return np.exp(z)

@@ -9,20 +9,25 @@ emitted, the CLI exits 0, 2, 3 or 4, and a converged result is finite.
 Work-size inputs stay bounded: T/h <= 4000 on a contour, ``--steps`` <= 5,
 r <= MAX_VARIABLES.  The inputs that once escaped are fixed tests next to
 their modules' other domain tests (``test_cli_eval_bad_input_exit_2`` for
-the CLI).
+the CLI), and each refusal of a public entry point is matched by its message
+in ``test_public_refusals_name_their_rule``.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
+import re
 import warnings
 
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import exthyp as X
-from exthyp import cli, lauricella
+from exthyp import cli, ineq, lauricella
 from exthyp.corefn import gammaln_real
 from exthyp.lauricella import MAX_VARIABLES
 from exthyp.results import DomainError
@@ -191,6 +196,185 @@ def test_valid_type_a_draws_reach_the_type_a_series(monkeypatch):
     draw_valid()
     assert len(reached) >= 60
     assert sum(reached) >= 0.75 * len(reached), (sum(reached), len(reached))
+
+
+_SPEC = X.pfq_spec(X.EXP_KERNEL, (0.8, 1.1), (2.4,))
+_SPEC_K12 = X.pfq_spec(X.EXP_KERNEL, (0.8, 1.1), (2.4,), ks=(1, 2))
+_SPEC_3F2 = X.pfq_spec(X.EXP_KERNEL, (0.5, 0.7, 1.2), (1.5, 2.8))
+_APPELL = X.AppellParams(0.8, 0.5, 0.6, 2.1, 2.2)
+_FD2 = X.LauricellaParams(0.8, (0.5, 0.6), (2.1,), (0.1, 0.2))
+_FD3 = X.LauricellaParams(0.8, (0.5, 0.6, 0.7), (2.1,), (0.1, 0.2, 0.3))
+_FA2 = X.LauricellaParams(0.8, (0.5, 0.6), (2.1, 2.2), (0.1, 0.2))
+_FA3 = X.LauricellaParams(0.8, (0.5, 0.6, 0.7), (2.1, 2.2, 2.3),
+                          (0.1, 0.2, 0.3))
+
+
+def _hilbert(**changes):
+    return dataclasses.replace(X.classical_point(), **changes)
+
+
+def _refusal(id, call, message):
+    return pytest.param(call, message, id=id)
+
+
+@pytest.mark.parametrize("call, message", [
+    # hyp
+    _refusal("derivative-order", lambda: X.derivative(_SPEC, 0.3, -1),
+             "derivative order must be >= 0"),
+    _refusal("derivative-shifts", lambda: X.derivative(_SPEC_K12, 0.3, 1),
+             "derivative formula needs all shift multipliers 1"),
+    _refusal("derivative-weighted-variant", lambda: X.derivative_weighted(
+        X.EXP_KERNEL, 0.8, 1.1, 2.4, 0.3, 1, variant="other"),
+        "unknown variant 'other'"),
+    _refusal("derivative-weighted-a1", lambda: X.derivative_weighted(
+        X.EXP_KERNEL, -0.5, 1.1, 2.4, 0.3, 1), "needs a1 > 0"),
+    _refusal("derivative-weighted-z", lambda: X.derivative_weighted(
+        X.EXP_KERNEL, 0.8, 1.1, 2.4, -0.3, 1), "evaluated for z > 0"),
+    _refusal("pfaff-z", lambda: X.pfaff_transform(
+        X.EXP_KERNEL, 0.8, 1.1, 2.4, 1.0), "transform needs z < 1"),
+    _refusal("pfaff-variant", lambda: X.pfaff_transform(
+        X.EXP_KERNEL, 0.8, 1.1, 2.4, 0.3, variant="other"),
+        "unknown variant 'other'"),
+    _refusal("euler-transform-kernel", lambda: X.euler_transform(
+        X.kummer_kernel(1.5, 2.5), 0.8, 1.1, 2.4, 0.3),
+        "stated for the exponential kernel"),
+    _refusal("euler-transform-z", lambda: X.euler_transform(
+        X.EXP_KERNEL, 0.8, 1.1, 2.4, 1.5), "transform needs z < 1"),
+    _refusal("euler-transform-variant", lambda: X.euler_transform(
+        X.EXP_KERNEL, 0.8, 1.1, 2.4, 0.3, variant="other"),
+        "unknown variant 'other'"),
+    _refusal("recurrence-which", lambda: X.recurrence_eval(
+        "other", X.EXP_KERNEL, 0.8, 1.1, 2.4, 1, 0.3),
+        "unknown recurrence 'other'"),
+    _refusal("recurrence-order", lambda: X.recurrence_eval(
+        "a1_plus", X.EXP_KERNEL, 0.8, 1.1, 2.4, -1, 0.3),
+        "shift order must be >= 0"),
+    _refusal("recurrence-printed-upper", lambda: X.recurrence_eval(
+        "a2_plus", X.EXP_KERNEL, 0.8, 1.1, 2.4, 2, 0.3, variant="printed"),
+        "printed upper shift needs c - a - n > 0"),
+    _refusal("recurrence-variant", lambda: X.recurrence_eval(
+        "a2_plus", X.EXP_KERNEL, 0.8, 1.1, 2.4, 1, 0.3, variant="other"),
+        "unknown variant 'other'"),
+    _refusal("frac-deriv-order", lambda: X.frac_deriv(
+        X.EXP_KERNEL, 0.5, X.RegPair(0.1, 0.1), np.exp, 0.5),
+        "only the mu < 0 branch is implemented"),
+    _refusal("frac-deriv-z", lambda: X.frac_deriv(
+        X.EXP_KERNEL, -0.5, X.RegPair(0.1, 0.1), np.exp, 0.0),
+        "needs z > 0"),
+    _refusal("frac-deriv-prefactor", lambda: X.frac_deriv(
+        X.EXP_KERNEL, -200.0, X.RegPair(0.1, 0.1), np.exp, 0.5),
+        "out of double range at z = 0.5"),
+    _refusal("ext-pfq-method", lambda: X.ext_pfq(_SPEC, 0.3, method="other"),
+             "unknown method 'other'"),
+    _refusal("euler-step-z", lambda: X.euler_step_integral(_SPEC, 1.5),
+             "Euler integral needs argument <= 1"),
+    _refusal("euler-step-unit-gauss-only", lambda: X.euler_step_integral(
+        _SPEC_3F2, 1.0), "implemented for the Gauss-level case only"),
+    _refusal("euler-step-unit-width", lambda: X.euler_step_integral(
+        X.pfq_spec(X.EXP_KERNEL, (0.8, 1.1), (1.5,)), 1.0),
+        "needs beta - alpha - alpha_1 > 0"),
+    _refusal("euler-step-inner-reach", lambda: X.euler_step_integral(
+        _SPEC_3F2, 0.9), "inner series needs |z| <= 0.85"),
+    _refusal("pfq-shift-integer", lambda: X.pfq_spec(
+        X.EXP_KERNEL, (0.8, 1.1), (2.4,), ks=(1, -1)).validate(),
+        "shift multipliers must be integers >= 0"),
+    _refusal("pfq-head-shift", lambda: X.euler_step_integral(X.pfq_spec(
+        X.EXP_KERNEL, (0.7, 1.3), (2.6,), ks=(2, 1)), 0.4),
+        "shift multiplier > 1 on the leading upper parameter"),
+    # appell
+    _refusal("f1-integral", lambda: X.f1_integral(_APPELL, 1.2, 0.1),
+             "integral needs x < 1 and y < 1"),
+    _refusal("f2-transform-which", lambda: X.f2_transform(
+        _APPELL, 0.1, 0.2, "other"), "unknown transformation 'other'"),
+    _refusal("f2-transform-reg", lambda: X.f2_transform(
+        dataclasses.replace(_APPELL, reg=X.RegPair(0.1, 0.2)), 0.1, 0.2,
+        "x"), "needs equal regularization parameters"),
+    _refusal("f2-recursion-which", lambda: X.f2_recursion(
+        _APPELL, 1, "other", 0.1, 0.2), "unknown recursion 'other'"),
+    _refusal("f2-recursion-order", lambda: X.f2_recursion(
+        _APPELL, -1, "beta2_shift", 0.1, 0.2), "shift order must be >= 0"),
+    _refusal("lemma1-order", lambda: X.lemma1_expand(0, 1, 0.5, 0.1, 0.2),
+             "expansion needs s, t >= 1"),
+    _refusal("lemma1-degenerate", lambda: X.lemma1_expand(
+        1, 1, 0.5, 0.2, 0.2), "degenerate for x == y"),
+    _refusal("f1-finite-sum-degenerate", lambda: X.f1_finite_sum(
+        X.EXP_KERNEL, 1, 1, 0.2, 0.2), "degenerate for x == y"),
+    _refusal("f1-finite-sum-order", lambda: X.f1_finite_sum(
+        X.EXP_KERNEL, -1, 1, 0.1, 0.2), "needs s, t >= 0"),
+    # lauricella
+    _refusal("fd-shape", lambda: X.fd_eval(_FA2),
+             "type D needs one gamma and r arguments"),
+    _refusal("fd-gamma", lambda: X.fd_eval(dataclasses.replace(
+        _FD2, gammas=(0.5,))), "type D needs gamma > alpha > 0"),
+    _refusal("fa-shape", lambda: X.fa_series(_FD2),
+             "type A needs r gammas and r arguments"),
+    _refusal("fa-gamma", lambda: X.fa_series(dataclasses.replace(
+        _FA2, gammas=(0.4, 2.2))), "type A needs gamma_j > beta_j > 0"),
+    _refusal("fd-integral", lambda: X.fd_integral(dataclasses.replace(
+        _FD2, xs=(1.2, 0.2))), "integral needs every x_j <= 1"),
+    _refusal("fd-equal-arguments", lambda: X.fd_equal_arguments(_FD2),
+             "needs all arguments equal"),
+    _refusal("fd-laplace-r", lambda: X.fd_laplace_product(_FD3),
+             "implemented for r <= 2"),
+    _refusal("fd-laplace-x", lambda: X.fd_laplace_product(
+        dataclasses.replace(_FD2, xs=(-0.1, 0.2))),
+        "needs 0 <= x_j < 1 for integrability"),
+    _refusal("fa-integral-r", lambda: X.fa_integral(_FA3),
+             "iterated integral implemented for r <= 2"),
+    _refusal("fa-integral-x", lambda: X.fa_integral(dataclasses.replace(
+        _FA2, xs=(0.6, 0.5))), "positive parts to sum below 1"),
+    _refusal("fa-integral-variant", lambda: X.fa_integral(
+        _FA2, variant="other"), "unknown variant 'other'"),
+    _refusal("fa-single-integral", lambda: X.fa_single_integral(
+        dataclasses.replace(_FA2, xs=(0.6, -0.5))), "needs sum_j |x_j| < 1"),
+    _refusal("fa-partial-series", lambda: X.fa_partial_series(
+        X.LauricellaParams(0.8, (0.5,), (2.1,), (0.1,))),
+        "partial series needs r >= 2"),
+    # ineq
+    _refusal("hilbert-p", lambda: _hilbert(p=1.0),
+             "needs p > 1 and q > 1"),
+    _refusal("hilbert-conjugate", lambda: _hilbert(p=3.0, q=3.0),
+             "needs 1/p + 1/q >= 1"),
+    _refusal("hilbert-s", lambda: _hilbert(s1=0.0), "needs s1 + s2 > 0"),
+    _refusal("hilbert-scale", lambda: _hilbert(alpha1=-1.0),
+             "needs positive scale pair"),
+    _refusal("hilbert-scale-ratio", lambda: _hilbert(alpha1=3.0),
+             "needs 1/2 < alpha1/alpha2 < 2"),
+    _refusal("hilbert-offsets", lambda: _hilbert(ptilde=-1.0),
+             "needs nonnegative regularization offsets"),
+    _refusal("hilbert-A1", lambda: _hilbert(A1=0.75), "A1 must lie in"),
+    _refusal("hilbert-A2", lambda: _hilbert(A2=0.75), "A2 must lie in"),
+    _refusal("lemma2-which", lambda: X.lemma2_identity(
+        "other", 0.5, 0.8, 0.9, 1.0, 1.0, 0.1, 0.1),
+        "unknown identity 'other'"),
+    _refusal("lemma2-parameters", lambda: X.lemma2_identity(
+        "a", 0.5, 2.0, 0.5, 1.0, 1.0, 0.1, 0.1), "needs a + c > b > 0"),
+    _refusal("lemma2-scales", lambda: X.lemma2_identity(
+        "a", 0.5, 0.8, 0.9, -1.0, 1.0, 0.1, 0.1),
+        "needs positive scale parameters"),
+    _refusal("test-function-syntax", lambda: ineq.parse_test_function(
+        "exp_decay"), "bad test-function syntax 'exp_decay'"),
+    _refusal("test-function-number", lambda: ineq.parse_test_function(
+        "bump:1,x"), "bad test-function syntax 'bump:1,x'"),
+    _refusal("weighted-norm", lambda: ineq._weighted_norm(
+        X.exp_decay(-0.5), 0.0, 2.0), "weighted norm diverges at the origin"),
+    # mellin
+    _refusal("mb-eval-shifts", lambda: X.mb_eval(_SPEC_K12, -0.5),
+             "contour path needs all shift multipliers 1"),
+    _refusal("default-contour", lambda: X.default_contour(X.pfq_spec(
+        X.EXP_KERNEL, (-0.5, 1.1), (2.4,))),
+        "no admissible abscissa for these parameters"),
+    # corefn
+    _refusal("pochhammer", lambda: X.pochhammer(1.0, -1),
+             "pochhammer needs m >= 0"),
+])
+def test_public_refusals_name_their_rule(call, message):
+    # each refusal of a public entry point (and of the private helper that
+    # holds it) is a DomainError with its own message, and warns nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=re.escape(message)):
+            call()
 
 
 @st.composite

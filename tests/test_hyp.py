@@ -135,6 +135,46 @@ def test_ext_pfq_terminating_is_exact_polynomial():
     assert abs(got.value - total) <= 1e-11 * (1 + abs(total))
 
 
+@pytest.mark.parametrize("a1, ks", [
+    (-2.0, (1, 1)),  # terminating head: the polynomial 1F0(-2;; w)
+    (-4.0, (2, 1)),  # terminating head of shift 2, degree 2
+    (-2.0, (0, 1)),  # head of shift 0: the factor is exp(w)
+])
+def test_euler_step_closed_inner_factor_matches_the_series(a1, ks,
+                                                           monkeypatch):
+    # the Euler step of 2F1 takes its inner 1F0 in closed form
+    # (hyp._one_f0_vector); the terminating and the shift-0 forms agree
+    # with the series within both estimates
+    seen = []
+    closed = hyp._one_f0_vector
+
+    def spy(alpha, k1, w):
+        seen.append((alpha, k1))
+        return closed(alpha, k1, w)
+
+    monkeypatch.setattr(hyp, "_one_f0_vector", spy)
+    spec = pfq_spec(EXP_KERNEL, (a1, 1.3), (2.6,), RegPair(0.2, 0.3), ks=ks)
+    got = ext_pfq(spec, 0.4, method="integral")
+    want = ext_pfq(spec, 0.4, method="series")
+    assert set(seen) == {(a1, ks[0])}
+    assert got.converged and want.converged
+    assert abs(got.value - want.value) <= got.abs_err_est + want.abs_err_est
+
+
+def test_euler_step_refuses_a_diverging_head_before_any_node(monkeypatch):
+    # a non-terminating head of shift > 1 is refused by the spec's
+    # validation, so no closed inner factor is ever asked for it
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Euler step ran")
+
+    monkeypatch.setattr(hyp, "_kernel_integral", refuse)
+    monkeypatch.setattr(hyp, "_one_f0_vector", refuse)
+    spec = pfq_spec(EXP_KERNEL, (0.7, 1.3), (2.6,), RegPair(0.2, 0.3),
+                    ks=(2, 1))
+    with pytest.raises(DomainError, match="shift multiplier > 1"):
+        ext_pfq(spec, 0.4, method="integral")
+
+
 def test_euler_step_reduces_to_gauss_integral():
     r = RegPair(0.1, 0.2)
     spec = pfq_spec(EXP_KERNEL, (0.5, 1.5), (3.0,), r)

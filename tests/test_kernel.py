@@ -21,7 +21,6 @@ from exthyp.corefn import (
     _KUMMER_CUT_MAX,
     _is_nonpositive_int,
     _kummer_cut,
-    gammaln_real,
     kummer_1f1_arr,
     kummer_algebraic_tail,
     ln_gamma,
@@ -79,7 +78,7 @@ def test_taylor_sum_converges(k):
             return 1.0
         return corefn.pochhammer(k.a, l) / corefn.pochhammer(k.c, l)
 
-    for z in (-0.8, 0.5, 0.95):
+    for z in (-0.95, -0.8, -0.5):
         acc = 0.0
         fact = 1.0
         for l in range(31):
@@ -88,16 +87,6 @@ def test_taylor_sum_converges(k):
             acc += coeff(l) * z ** l / fact
         want = _theta(k, z)
         assert abs(acc - want) <= 1e-10 * (1 + abs(want))
-
-
-def test_kummer_large_argument_amplitude():
-    # Theta(z) ~ Gamma(c)/Gamma(a) * z^(a-c) * e^z as z -> +inf
-    k = KUM2
-    z = 80.0
-    amplitude = math.exp(gammaln_real(k.c) - gammaln_real(k.a))
-    approx = amplitude * z ** (k.a - k.c) * math.exp(z)
-    got = _theta(k, z)
-    assert abs(got - approx) <= 2e-2 * abs(got)
 
 
 def test_parse_kernel():
@@ -116,7 +105,7 @@ def test_parse_kernel():
 
 
 def test_vectorized_matches_scalar_across_regimes():
-    zs = np.array([-1e6, -500.0, -150.0, -20.0, -0.5, 0.0, 3.0])
+    zs = np.array([-1e6, -500.0, -150.0, -20.0, -0.5, 0.0])
     vals = theta_eval_arr(KUM2, zs)
     for z, v in zip(zs, vals):
         want = oracles.hyp1f1(KUM2.a, KUM2.c, float(z))
@@ -232,35 +221,20 @@ def _lockstep_algebraic(a, c, w):
     return np.array([_algebraic_node(a, c - a, c, v) for v in w])
 
 
-def _log_amplitude(c, p):
-    return complex(ln_gamma(complex(c)) - ln_gamma(complex(p)))
-
-
 def _amplitude(c, p):
-    return np.exp(_log_amplitude(c, p)).real
+    return np.exp(complex(ln_gamma(complex(c)) - ln_gamma(complex(p)))).real
 
 
 def _node(a, c, z):
-    """Reference for 1F1(a; c; z) at one finite node: for z <= 0 the series
-    of 1F1(c - a; c; -z) times e^z above -w0(a, c), the algebraic branch
-    from there down; for z > 0 the series, and where its table overflows
-    (a not near a nonpositive integer) the algebraic branch of the pair
-    (c - a, c) as one exponential."""
-    p = c - a
-    if z <= 0.0:
-        x = -z
-        w0 = _kummer_cut(a, c)
-        if x < w0:
-            return np.exp(-x) * _series_node(p, c, w0, x)
-        return (_amplitude(c, p) * np.exp(-a * np.log(x))
-                * _algebraic_node(a, p, c, x))
-    s = _series_node(a, c, math.inf, z)
-    if not math.isnan(s) or corefn._is_polynomial(a, c):
-        return s
-    x = np.float64(z)
-    with np.errstate(over="ignore"):
-        lead = np.exp(x - p * np.log(x) + _log_amplitude(c, a))
-    return lead.real * _algebraic_node(p, a, c, x)
+    """Reference for 1F1(a; c; z) at one finite node z <= 0: the series of
+    1F1(c - a; c; -z) times e^z above -w0(a, c), the algebraic branch from
+    there down."""
+    p, x = c - a, -z
+    w0 = _kummer_cut(a, c)
+    if x < w0:
+        return np.exp(-x) * _series_node(p, c, w0, x)
+    return (_amplitude(c, p) * np.exp(-a * np.log(x))
+            * _algebraic_node(a, p, c, x))
 
 
 def _lockstep_kummer_1f1_arr(a, c, z):
@@ -272,11 +246,12 @@ def _lockstep_kummer_1f1_arr(a, c, z):
 
 
 _EDGE = -200.0
+_OFF_GRID = np.linspace(-250.0, 60.0, 97) + 0.37
 _KUMMER_ZS = np.concatenate([
-    np.linspace(-250.0, 60.0, 311),
-    np.linspace(-250.0, 60.0, 97) + 0.37,
+    np.linspace(-250.0, 0.0, 251),
+    _OFF_GRID[_OFF_GRID <= 0.0],
     [np.nextafter(_EDGE, -np.inf), _EDGE, np.nextafter(_EDGE, np.inf),
-     0.0, -0.0, 1e-300, -1e-300],
+     0.0, -0.0, -1e-300],
 ])
 
 
@@ -301,7 +276,7 @@ def _around_cut(a, c):
 ])
 def test_kummer_arr_bit_identical_to_lockstep(a, c):
     zs = np.concatenate([_KUMMER_ZS, _around_cut(a, c)])
-    for z in (zs, np.empty(0), np.full(3, -0.0), np.array([[-1.0, 2.0]])):
+    for z in (zs, np.empty(0), np.full(3, -0.0), np.array([[-1.0, -2.0]])):
         got = kummer_1f1_arr(a, c, z)
         want = _lockstep_kummer_1f1_arr(a, c, z)
         assert got.shape == want.shape
@@ -314,15 +289,15 @@ def test_kummer_arr_bit_identical_to_lockstep(a, c):
     (4.0, 1.5),
     (2.0, 2.0),      # c - a = 0
     (0.5, 1e300),    # terms underflow to 0 after the first
-    (5e-324, 2.0),   # aa = 5e-324 on the direct side
+    (5e-324, 2.0),   # a = 5e-324
 ])
 def test_kummer_arr_fast_path_edges_bit_identical_to_lockstep(a, c):
     # edge arguments and parameters of the block sum, each node alone and
     # all together: a node's bits never depend on the other nodes, and the
     # library raises no floating-point warning on them
     below = np.nextafter(200.0, 0.0)
-    z = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-160,
-                  -1e-160, -below, below, -199.0, 199.0, -0.5, 0.5, 30.0])
+    z = np.array([0.0, -0.0, -5e-324, -1e-300, -1e-160, -below, -199.0,
+                  -0.5, -30.0])
     got = kummer_1f1_arr(a, c, z)
     alone = np.array([kummer_1f1_arr(a, c, z[i:i + 1])[0]
                       for i in range(z.size)])
@@ -440,11 +415,11 @@ def _same_bits(x, y):
         and x.tobytes() == y.tobytes()
 
 
-def _assert_setup_is_the_former_one(a, p, c, series):
-    setup = corefn._kummer_setup(a, p, c, series)
+def _assert_setup_is_the_former_one(a, c):
+    setup, p = corefn._kummer_setup(a, c), c - a
     w0 = _former_kummer_cut(a, c)
     assert setup.w0 == w0
-    if series and math.isfinite(w0):
+    if math.isfinite(w0):
         scale = 2.0 ** math.ceil(math.log2(w0))
         assert _same_bits(setup.series, _former_series_table(p, c, w0, scale))
     else:
@@ -454,9 +429,7 @@ def _assert_setup_is_the_former_one(a, p, c, series):
     gamma = _former_gamma(c, p)
     assert (setup.gamma is None) == (gamma is None)
     if gamma is not None:
-        assert _same_bits(setup.gamma[0], gamma[0])
-        assert _same_bits(np.complex128(setup.gamma[1]),
-                          np.complex128(gamma[1]))
+        assert _same_bits(setup.gamma, gamma[0])
 
 
 _LOCKSTEP_PAIRS = [(1.0, 2.0), (1.5, 2.0), (2.5, 1.0), (0.3, 4.7), (3.0, 1.0),
@@ -498,16 +471,14 @@ def test_kummer_arr_on_first_pass_grids_bit_identical_to_lockstep():
 
 def test_kummer_setup_has_the_bits_of_the_former_builders():
     # w0, both tables, the smallest flag and the amplitude of the one
-    # cached build against the former per-piece builders, on the same
-    # draws and edge pairs, with the pair (c - a, a, c) of the z > 0
-    # overflow path (its algebraic part alone).  At (1e-13, 0.5) the
-    # smallest term sets w0 = 8, which its first 64 k cannot settle; at
-    # (50.5, 1) its minimum lies at k = 194
+    # cached build per (a, c) against the former per-piece builders, on the
+    # same draws and edge pairs.  At (1e-13, 0.5) the smallest term sets
+    # w0 = 8, which its first 64 k cannot settle; at (50.5, 1) its minimum
+    # lies at k = 194
     pairs = [(a, c) for a, c, _, _ in _eval_mix_draws()] + _LOCKSTEP_PAIRS
     pairs += [(1e-13, 0.5), (50.5, 1.0)]
     for a, c in pairs:
-        _assert_setup_is_the_former_one(a, c - a, c, True)
-        _assert_setup_is_the_former_one(c - a, a, c, False)
+        _assert_setup_is_the_former_one(a, c)
 
 
 def test_one_setup_per_fresh_confluent_kernel(monkeypatch):
@@ -553,7 +524,10 @@ def test_algebraic_tail_in_place_matches_former_expressions():
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert got[-2] == 1.0  # w = inf: the first term alone
         # the amplitude is computed once per (a, c), with its setup
-        assert corefn._kummer_setup(a, c - a, c, True).gamma[0] is amp
+        assert corefn._kummer_setup(a, c).gamma is amp
+    # so is a zero one: Gamma(500)/Gamma(1000) underflows
+    amp, _ = kummer_algebraic_tail(-500.0, 500.0, np.array([250.0]))
+    assert amp == 0.0 and corefn._kummer_setup(-500.0, 500.0).gamma is amp
 
 
 def _term_blocks(monkeypatch):
@@ -573,7 +547,7 @@ def _term_blocks(monkeypatch):
 
 def _series_table_of(a, c):
     """The series table of 1F1(a; c; -w) below a finite w0(a, c)."""
-    return corefn._kummer_setup(a, c - a, c, True).series
+    return corefn._kummer_setup(a, c).series
 
 
 def test_kummer_arr_diverging_expansion_is_cut_at_its_smallest_term(
@@ -586,7 +560,7 @@ def test_kummer_arr_diverging_expansion_is_cut_at_its_smallest_term(
     blocks = _term_blocks(monkeypatch)
     z = -np.linspace(200.0, 260.0, 61)
     got = kummer_1f1_arr(50.5, 1.0, z)
-    tables = corefn._kummer_setup(50.5, 1.0 - 50.5, 1.0, True)
+    tables = corefn._kummer_setup(50.5, 1.0)
     assert tables.smallest
     assert tables.algebraic.size <= 2 * _KUMMER_CUT_MAX + 1
     assert blocks
@@ -650,7 +624,7 @@ def test_kummer_arr_polynomial_past_the_double_range_is_zero(a, c):
         warnings.simplefilter("error")
         got = kummer_1f1_arr(a, c, np.array([-1e160, -1e300]))
     assert np.array_equal(got, [0.0, 0.0])
-    assert corefn._kummer_at_inf(a, c, -math.inf) == 0.0
+    assert corefn._kummer_at_inf(a, c) == 0.0
 
 
 @pytest.mark.parametrize("a, c", [(3.0, 1.0), (40.5, 0.5), (1000.0, 500.0)])
@@ -701,47 +675,33 @@ def test_kummer_arr_capped_cut_raises_no_floating_point_warning():
             got = kummer_1f1_arr(a, c, z)
             assert np.isfinite(_series_table_of(a, c)).all()
             assert np.isfinite(
-                corefn._kummer_setup(a, c - a, c, True).algebraic).all()
+                corefn._kummer_setup(a, c).algebraic).all()
             assert np.isfinite(got[np.isfinite(z)]).all()
 
 
 def test_kummer_arr_non_finite_bit_identical_to_lockstep():
-    # non-finite nodes take their limits up front: NaN stays NaN, +inf
-    # grows like e^z, -inf decays like |z|^-a; finite nodes are unaffected
-    z = np.array([np.nan, np.inf, -np.inf, -3.0])
+    # non-finite nodes take their limits up front: NaN stays NaN, -inf
+    # decays like |z|^-a; finite nodes are unaffected
+    z = np.array([np.nan, -np.inf, -3.0])
     got = kummer_1f1_arr(1.5, 2.0, z)
-    assert np.isnan(got[0]) and got[1] == math.inf and got[2] == 0.0
-    want = _lockstep_kummer_1f1_arr(1.5, 2.0, z[3:])
-    assert np.array_equal(got[3:].view(np.int64), want.view(np.int64))
-
-
-def test_kummer_node_at_plus_inf_returns_at_once(monkeypatch):
-    # the +inf limit is taken before any table or sum: no table holds the
-    # powers of an infinite node
-    def refuse(*args):
-        raise AssertionError("an infinite node reached the tables")
-
-    monkeypatch.setattr(corefn, "_kummer_setup", refuse)
-    monkeypatch.setattr(corefn, "_series_table", refuse)
-    got = kummer_1f1_arr(1.5, 2.0, np.array([np.inf]))
-    assert got[0] == math.inf
+    assert np.isnan(got[0]) and got[1] == 0.0
+    want = _lockstep_kummer_1f1_arr(1.5, 2.0, z[2:])
+    assert np.array_equal(got[2:].view(np.int64), want.view(np.int64))
 
 
 def test_kummer_arr_nan_exit_keeps_lockstep_bits():
-    # a NaN node stays NaN; at +inf the polynomials 1 - z/2.5 (a = -1) and
-    # 1F1(-2; 2.5; z) (a = -2) take the limits of their leading terms
-    z = np.array([np.inf, np.nan, -np.nan])
-    for a, limit in ((-1.0, -math.inf), (-2.0, math.inf)):
+    # a NaN node stays NaN; at -inf the polynomials 1 + w/2.5 (a = -1) and
+    # 1F1(-2; 2.5; -w) (a = -2) take the limits of their leading terms
+    z = np.array([-np.inf, np.nan, -np.nan])
+    for a in (-1.0, -2.0):
         got = kummer_1f1_arr(a, 2.5, z)
-        assert got[0] == limit
+        assert got[0] == math.inf
         assert np.isnan(got[1:]).all()
 
 
 @pytest.mark.parametrize("a,c,z,limit", [
     (3.0, 1.0, -math.inf, 0.0),      # e^z times a polynomial
-    (-1.0, 2.5, math.inf, -math.inf),
     (-1.0, 2.5, -math.inf, math.inf),
-    (2.5, 1.0, math.inf, math.inf),
     (2.5, 1.0, -math.inf, 0.0),
     (0.0, 1.5, -math.inf, 1.0),
 ])
@@ -749,29 +709,45 @@ def test_kummer_arr_takes_the_limit_at_infinity(a, c, z, limit):
     assert kummer_1f1_arr(a, c, np.array([z, -2.0]))[0] == limit
 
 
+@pytest.mark.parametrize("z", [0.5, 5e-324, 1e300, np.inf])
+def test_kummer_arr_refuses_z_above_0_before_any_setup(z, monkeypatch):
+    # the kernel is evaluated at z <= 0 only: a node z > 0, +inf too, is a
+    # DomainError before any table is built, whatever the other nodes
+    builds = []
+    setup = corefn._kummer_setup
+
+    def spy(*key):
+        builds.append(key)
+        return setup(*key)
+
+    monkeypatch.setattr(corefn, "_kummer_setup", spy)
+    for nodes in ([z], [-3.0, z, -np.inf, np.nan]):
+        with pytest.raises(DomainError, match="z <= 0 only"):
+            kummer_1f1_arr(1.5, 2.0, np.array(nodes))
+        with pytest.raises(DomainError, match="z <= 0 only"):
+            theta_eval_arr(KUM2, np.array(nodes))
+    assert builds == []
+
+
 def test_kummer_arr_forms_only_the_limits_its_nodes_ask_for():
-    # (1000, 500): Gamma(500)/Gamma(1000) underflows, so the +inf limit
-    # takes only that ratio's sign, and a -inf node forms no +inf limit.
-    # (-200.5, 1.5): at +inf Gamma(1.5)/Gamma(-200.5) overflows, negative,
-    # and at -inf Gamma(1.5)/Gamma(202) underflows.  No warning, and the
-    # finite nodes keep their bits
-    finite = np.array([-3.0, 0.5])
-    for a, c, limits in ((1000.0, 500.0, (math.inf, 0.0)),
-                         (-200.5, 1.5, (-math.inf, math.inf))):
+    # (1000, 500): c - a = -500, so the -inf limit is 0 with no gamma
+    # ratio.  (-200.5, 1.5): at -inf Gamma(1.5)/Gamma(202) underflows, and
+    # the limit takes only its sign.  No warning, and the finite nodes keep
+    # their bits
+    finite = np.array([-3.0, -0.5])
+    for a, c, limit in ((1000.0, 500.0, 0.0), (-200.5, 1.5, math.inf)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             alone = kummer_1f1_arr(a, c, finite)
-            for z, limit in zip((np.inf, -np.inf), limits):
-                assert kummer_1f1_arr(a, c, np.array([z]))[0] == limit
-            got = kummer_1f1_arr(a, c, np.array([np.inf, -3.0, -np.inf,
-                                                 0.5]))
-        assert got[0] == limits[0] and got[2] == limits[1]
-        assert np.array_equal(got[[1, 3]].view(np.int64),
+            assert kummer_1f1_arr(a, c, np.array([-np.inf]))[0] == limit
+            got = kummer_1f1_arr(a, c, np.array([-3.0, -np.inf, -0.5]))
+        assert got[1] == limit
+        assert np.array_equal(got[[0, 2]].view(np.int64),
                               alone.view(np.int64))
 
 
 def test_kummer_arr_matches_mpmath():
-    zs = np.array([-199.5, -80.0, -25.0, -3.0, -0.5, 0.0, 0.7, 12.0, 55.0])
+    zs = np.array([-199.5, -80.0, -25.0, -3.0, -0.5, 0.0])
     for a, c in ((1.5, 2.0), (0.3, 4.7), (2.5, 1.0)):
         got = kummer_1f1_arr(a, c, zs)
         for z, v in zip(zs, got):
@@ -821,7 +797,7 @@ def _former_kummer_1f1_arr(a, c, z):
 
 _ACC_WS = np.concatenate([np.geomspace(1e-3, 1e4, 57),
                           [25.0, 33.0, 40.0, 47.0, 60.0, 120.0, 199.0, 201.0]])
-_ACC_ZS = np.concatenate([-_ACC_WS, [1e-3, 0.1, 1.0, 5.0, 20.0, 50.0]])
+_ACC_ZS = -_ACC_WS
 
 
 def _worst_rel_error(vals, want):
@@ -857,7 +833,7 @@ def test_kummer_arr_accuracy_not_worse_than_former_rule(a):
 def test_kummer_amplitude_next_to_a_pole_matches_mpmath(a, c):
     with mpmath.workdps(40):
         want = mpmath.gamma(c) / mpmath.gamma(c - a)
-        amp = corefn._kummer_setup(a, c - a, c, True).gamma[0]
+        amp = corefn._kummer_setup(a, c).gamma
         assert abs((amp - want) / want) <= 1e-13
 
 
@@ -896,8 +872,8 @@ def test_kummer_cut_is_where_both_dropped_pieces_are_below_2_pow_56(a, c):
     # finds the exponential piece's
     assert _dropped_pieces(a, c, w0 - 1.0) >= 2.0 ** -56
     # computed once per (a, c), with the rest of its setup
-    setup = corefn._kummer_setup(a, c - a, c, True)
-    assert setup.w0 == w0 and corefn._kummer_setup(a, c - a, c, True) is setup
+    setup = corefn._kummer_setup(a, c)
+    assert setup.w0 == w0 and corefn._kummer_setup(a, c) is setup
 
 
 def test_kummer_cut_keeps_the_series_or_caps_at_200():
@@ -940,8 +916,8 @@ def test_kummer_kernel_iterates_no_nodes_in_python():
            if isinstance(n, ast.FunctionDef)}
     assert "_kummer_series_node" not in fns and "_block_sum" not in fns
     for name in ("kummer_1f1_arr", "kummer_algebraic_tail", "_kummer_neg",
-                 "_kummer_pos", "_algebraic_sums", "_series_sums",
-                 "_power_sums", "_kummer_at_inf"):
+                 "_algebraic_sums", "_series_sums", "_power_sums",
+                 "_kummer_at_inf"):
         nodes = list(ast.walk(fns[name]))
         loops = [n for n in nodes
                  if isinstance(n, (ast.For, ast.AsyncFor, ast.comprehension))]

@@ -51,7 +51,7 @@ REMOVED_FROM = {
                       "_power_block", "_block_rows", "itertools"},
     "extbeta.py": {"_log_cache", "check_beta_domain_complex"},
     "corefn.py": {"_kummer_tables", "_KummerTables", "_kummer_amplitude",
-                  "_kummer_log_amplitude"},
+                  "_kummer_log_amplitude", "_kummer_pos"},
 }
 
 
