@@ -36,6 +36,7 @@ from .quadrature import (
     grid_order,
     integrate_halfline,
     integrate_unit_batch,
+    unit_grid,
     unit_level_span,
     unit_new_nodes,
 )
@@ -144,16 +145,18 @@ def unit_grid_kernel(k: KernelSpec, reg: RegPair,
                      level: int) -> tuple[np.ndarray, np.ndarray | None]:
     """``unit_kernel`` on the nodes of ``unit_grid(level)``, in its order.
 
-    The per-level pieces are laid end to end and permuted like the grid, so
-    each value is the one computed at that node on its own.  Call it under
-    np.errstate(over="ignore"), like ``unit_kernel``.
+    arg is formed on the grid itself, with each node's bits; the confluent
+    kernel's per-level cached pieces are laid end to end and permuted like
+    the grid, so each value is the one computed at that node on its own.
+    Call it under np.errstate(over="ignore"), like ``unit_kernel``.
     """
-    order = grid_order(unit_new_nodes, level)
-    pieces = [unit_kernel(k, reg, lv) for lv in range(level + 1)]
-    arg = np.concatenate([a for a, _ in pieces])[order]
+    g = unit_grid(level)
+    arg = -(reg.b / g.nodes + reg.d / g.complements)
     if k.variant == EXP_VARIANT:
         return arg, None
-    return arg, np.concatenate([th for _, th in pieces])[order]
+    order = grid_order(unit_new_nodes, level)
+    return arg, np.concatenate(
+        [_unit_theta(k, reg, lv) for lv in range(level + 1)])[order]
 
 
 def _min_exponent(k: KernelSpec, reg_component: float) -> float:

@@ -351,13 +351,17 @@ def parse_test_function(text: str) -> TestFunction:
 
 
 def _axis_nodes(level: int, top: float):
-    """(nodes, log-weights) for a support (0, top); call it under
-    np.errstate(divide="ignore"), as a weight can underflow to zero."""
+    """(nodes, log-weights, coarse) for a support (0, top), coarse the
+    grid's coarse weights over its weights: 2 on the nodes of the level
+    before, 0 on the new ones.  Call it under np.errstate(divide="ignore"),
+    as a weight can underflow to zero."""
     if math.isinf(top):
         g = halfline_grid(level)
-        return g.nodes, np.log(g.weights)
-    g = unit_grid(level)
-    return g.nodes * top, np.log(g.weights * top)
+        x, logw = g.nodes, np.log(g.weights)
+    else:
+        g = unit_grid(level)
+        x, logw = g.nodes * top, np.log(g.weights * top)
+    return x, logw, g.coarse / g.weights
 
 
 def _weighted_norm(h: TestFunction, exponent: float,
@@ -370,23 +374,28 @@ def _weighted_norm(h: TestFunction, exponent: float,
         raise DomainError("weighted norm diverges at the origin")
     top = h.support_top()
 
-    def grid_sum(level):
+    def grid_sum(level, coarse=False):
         with np.errstate(all="ignore"):
-            x, logw = _axis_nodes(level, top)
-            e = logw + exponent * np.log(x) + power * h.log_values(x)
-            return float(np.exp(e).sum()), x.size
+            x, logw, cx = _axis_nodes(level, top)
+            v = np.exp(logw + exponent * np.log(x) + power * h.log_values(x))
+            s = float(v.sum())
+            return ((float(v @ cx), s) if coarse else s), x.size
 
     value, _, _, ok = _refine_grid(grid_sum, 1e-11, rel=True)
     return abs(h.amplitude) * value ** (1.0 / power), ok
 
 
 def _kernel_log_rows(hp: HilbertParams, x: np.ndarray, lx: np.ndarray,
-                     y: np.ndarray) -> np.ndarray:
-    """log of the row sums int K(x, y_j) f(x) dx (blocked, shift-stabilized)."""
+                     y: np.ndarray, coarse: np.ndarray | None = None):
+    """log of the row sums int K(x, y_j) f(x) dx (blocked, shift-stabilized),
+    and with ``coarse`` (factors of the x weights, ``_axis_nodes``) the log
+    of the row sums reweighted by them, from the same exponentials; else
+    None."""
     lam = hp.lam
     acoef = hp.alpha1 * hp.qtilde + hp.alpha2 * hp.ptilde
     bcoef = acoef / (hp.alpha1 * hp.alpha2)
     out = np.empty(y.size)
+    cout = None if coarse is None else np.empty(y.size)
     with np.errstate(all="ignore"):  # rows without a finite max end as -inf
         for j0 in range(0, y.size, 256):
             blk = slice(j0, min(j0 + 256, y.size))
@@ -399,9 +408,12 @@ def _kernel_log_rows(hp: HilbertParams, x: np.ndarray, lx: np.ndarray,
                            + bcoef * x[None, :] / yb[:, None])
             m = ek.max(axis=1)
             safe = np.isfinite(m)
-            sums = np.exp(ek - np.where(safe, m, 0.0)[:, None]).sum(axis=1)
-            out[blk] = np.where(safe, m + np.log(sums), -math.inf)
-    return out
+            ek -= np.where(safe, m, 0.0)[:, None]
+            np.exp(ek, out=ek)
+            out[blk] = np.where(safe, m + np.log(ek.sum(axis=1)), -math.inf)
+            if coarse is not None:
+                cout[blk] = np.where(safe, m + np.log(ek @ coarse), -math.inf)
+    return out, cout
 
 
 @dataclass(frozen=True)
@@ -446,17 +458,21 @@ def hilbert_bilinear(hp: HilbertParams, f: TestFunction, g: TestFunction,
     """
     lhs, ok = 0.0, True
     if f.amplitude != 0.0 and g.amplitude != 0.0:
-        def grid_sum(level):
+        def grid_sum(level, coarse=False):
             with np.errstate(all="ignore"):
-                x, logwx = _axis_nodes(level, f.support_top())
-                y, logwy = _axis_nodes(level, g.support_top())
+                x, logwx, cx = _axis_nodes(level, f.support_top())
+                y, logwy, cy = _axis_nodes(level, g.support_top())
                 lx = logwx + f.log_values(x)
                 ly = logwy + g.log_values(y)
                 # a row where g is zero adds exp(-inf) = 0, computed or not
                 live = ly > -math.inf
                 log_rows = np.full(y.size, -math.inf)
-                log_rows[live] = _kernel_log_rows(hp, x, lx, y[live])
+                log_rows[live], crows = _kernel_log_rows(
+                    hp, x, lx, y[live], cx if coarse else None)
                 total = float(np.exp(ly + log_rows).sum())
+                if coarse:
+                    log_rows[live] = crows
+                    total = float(np.exp(ly + log_rows) @ cy), total
             return total, x.size * y.size
 
         lhs, _, _, ok = _refine_grid(grid_sum, tol, rel=True)
@@ -482,14 +498,17 @@ def hilbert_equivalent(hp: HilbertParams, f: TestFunction,
 
     lhs, ok = 0.0, True
     if f.amplitude != 0.0:
-        def grid_sum(level):
+        def grid_sum(level, coarse=False):
             with np.errstate(all="ignore"):
-                x, logwx = _axis_nodes(level, f.support_top())
-                y, logwy = _axis_nodes(level, math.inf)
+                x, logwx, cx = _axis_nodes(level, f.support_top())
+                y, logwy, cy = _axis_nodes(level, math.inf)
                 lx = logwx + f.log_values(x)
-                log_rows = _kernel_log_rows(hp, x, lx, y)
-                inner_tot = float(np.exp(logwy + vexp * np.log(y)
-                                         + qp * log_rows).sum())
+                log_rows, crows = _kernel_log_rows(hp, x, lx, y,
+                                                   cx if coarse else None)
+                ly = logwy + vexp * np.log(y)
+                inner_tot = float(np.exp(ly + qp * log_rows).sum())
+                if coarse:
+                    inner_tot = float(np.exp(ly + qp * crows) @ cy), inner_tot
             return inner_tot, x.size * y.size
 
         lhs, _, _, ok = _refine_grid(grid_sum, tol, rel=True)

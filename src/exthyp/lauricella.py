@@ -330,6 +330,10 @@ def fd_laplace_product(p: LauricellaParams,
         raise DomainError("iterated half-line check implemented for r <= 2")
     if any(not 0.0 <= x < 1.0 for x in p.xs):
         raise DomainError("needs 0 <= x_j < 1 for integrability")
+    # the right side takes Gamma(beta_j); a beta_j <= 0 also leaves the
+    # outer weight t^(beta_j - 1) not integrable at 0
+    if not all(b > 0.0 for b in p.betas):
+        raise DomainError("Laplace product needs beta_j > 0")
     inner = pfq_spec(p.kernel, (p.alpha,), (p.gammas[0],), p.reg)
     shared = _CoeffLadder(inner)
     # past the cut the e^-t weight is 0; stopping where the argument sum
@@ -338,29 +342,36 @@ def fd_laplace_product(p: LauricellaParams,
     # the inner errors times |outer weight| on the last level (the returned)
     inner_err = 0.0
 
-    def grid_sum(level):
+    def grid_sum(level, coarse=False):
         nonlocal inner_err
         g = halfline_grid(level)
-        t, wt = g.nodes, g.weights
-        keep = t < cut
-        t, wt = t[keep], wt[keep]
+        keep = g.nodes < cut
+        t, wt = g.nodes[keep], g.weights[keep]
         with np.errstate(over="ignore", under="ignore"):
+            ea = np.exp((p.betas[0] - 1.0) * np.log(t) - t)
             if p.r == 1:
                 wsum = p.xs[0] * t
                 fv, ierr = pfq_series_vector(inner, wsum, ladder=shared)
-                outer = wt * np.exp((p.betas[0] - 1.0) * np.log(t) - t)
+                outer = wt * ea
                 s = float((outer * fv).sum())
                 inner_err = float((np.abs(outer) * ierr).sum())
             else:
-                wa = wt * np.exp((p.betas[0] - 1.0) * np.log(t) - t)
-                wb = wt * np.exp((p.betas[1] - 1.0) * np.log(t) - t)
+                eb = np.exp((p.betas[1] - 1.0) * np.log(t) - t)
+                wa, wb = wt * ea, wt * eb
                 wsum = p.xs[0] * t[:, None] + p.xs[1] * t[None, :]
                 fv, ierr = pfq_series_vector(inner, wsum.ravel(),
                                              ladder=shared)
-                s = float(wa @ fv.reshape(wsum.shape) @ wb)
+                fv = fv.reshape(wsum.shape)
+                s = float(wa @ fv @ wb)
                 inner_err = float(np.abs(wa) @ ierr.reshape(wsum.shape)
                                   @ np.abs(wb))
-        return s, t.size ** p.r
+            if not coarse:
+                return s, t.size ** p.r
+            cw = g.coarse[keep]
+            cs = (cw * ea) @ fv
+            if p.r == 2:
+                cs = cs @ (cw * eb)
+        return (float(cs), s), t.size ** p.r
 
     totals, err, nodes, converged = _refine_grid(grid_sum, tol)
     lhs = EvalResult(totals, err + inner_err, nodes, converged,
@@ -525,25 +536,28 @@ def _fa_integral(p: LauricellaParams, tol: float, variant: str) -> EvalResult:
     # eps of it (1000 draws at b = d = 0 against mpmath), the rounding floor
     modulus = 0.0
 
-    def grid_sum(level):
+    def grid_sum(level, coarse=False):
         nonlocal modulus
         g = unit_grid(level)
-        t, tc, wt = g.nodes, g.complements, g.weights
+        t = g.nodes
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             arg, theta = unit_grid_kernel(kern, reg, level)
-            axes = []
-            for b, gam in zip(p.betas, p.gammas):
-                powexp = ((b - 1.0) * np.log(t)
-                          + (gam - b - 1.0) * np.log(tc))
-                axes.append(wt * safe_theta_product(kern, powexp, arg, theta))
+            lt, ltc = np.log(t), np.log(g.complements)
+            factors = [safe_theta_product(
+                kern, (b - 1.0) * lt + (gam - b - 1.0) * ltc, arg, theta)
+                for b, gam in zip(p.betas, p.gammas)]
+            axes = [g.weights * f for f in factors]
+            caxes = [g.coarse * f for f in factors] if coarse else None
             # the factor m is > 0, so the sum of w |f| is |s| unless a kernel
             # value is negative; only then is it summed from |axes|
             moduli = ([np.abs(a) for a in axes]
                       if any((a < 0.0).any() for a in axes) else None)
-            s = modulus = 0.0
+            s = cs = modulus = 0.0
             if p.r == 1:
                 m = np.exp(-p.alpha * np.log1p(-p.xs[0] * t))
                 s = float(axes[0] @ m)
+                if coarse:
+                    cs = float(caxes[0] @ m)
                 if moduli:
                     modulus = float(moduli[0] @ m)
             else:
@@ -567,11 +581,13 @@ def _fa_integral(p: LauricellaParams, tol: float, variant: str) -> EvalResult:
                     np.multiply(-p.alpha, f, out=f)
                     np.exp(f, out=f)
                     s += float(axes[0][blk] @ m @ axes[1])
+                    if coarse:
+                        cs += float(caxes[0][blk] @ m @ caxes[1])
                     if moduli:
                         modulus += float(moduli[0][blk] @ m @ moduli[1])
             if moduli is None:
                 modulus = abs(s)
-        return s, t.size ** p.r
+        return ((cs, s) if coarse else s), t.size ** p.r
 
     totals, err, nodes, converged = _refine_grid(grid_sum, tol / norm)
     value = norm * totals
@@ -602,15 +618,14 @@ def fa_single_integral(
     # as in fd_laplace_product: weighted inner errors of the last level
     inner_err = 0.0
 
-    def grid_sum(level):
+    def grid_sum(level, coarse=False):
         nonlocal inner_err
         if math.isinf(upper):
             g = halfline_grid(level)
-            t, wt = g.nodes, g.weights
-            keep = t < cut
-            t, wt = t[keep], wt[keep]
+            keep = g.nodes < cut
+            t, wt = g.nodes[keep], g.weights[keep]
         else:
-            g = unit_grid(level)
+            g, keep = unit_grid(level), slice(None)
             t, wt = g.nodes * upper, g.weights * upper
         with np.errstate(over="ignore", under="ignore"):
             vals = wt * np.exp((p.alpha - 1.0) * np.log(t) - t)
@@ -623,7 +638,12 @@ def fa_single_integral(
                 size = size * np.abs(fv)
             s = float(vals.sum())
             inner_err = float(spread.sum())
-        return s, t.size
+            if not coarse:
+                return s, t.size
+            # vals holds the weights as a factor; the coarse weights are 2
+            # or 0 times them
+            cs = float(vals @ (g.coarse[keep] / g.weights[keep]))
+        return (cs, s), t.size
 
     totals, err, nodes, converged = _refine_grid(grid_sum, tol / norm)
     integral = EvalResult(norm * totals, norm * (err + inner_err), nodes,

@@ -14,7 +14,11 @@ One loop, ``_refine``, runs every refinement.  Levels that every nested
 refinement forms together (its first pass) may reach it as one first
 estimate, one row per level: their errors and stop tests are formed in one
 step, one finiteness check covers the levels read, and the loop goes on one
-level at a time after them, with the bits of one level at a time.
+level at a time after them, with the bits of one level at a time.  A
+full-grid refinement's first estimate is its first two levels read off one
+grid: the grid of the first level that may stop carries the previous
+level's weights on the same nodes, so that level's sum needs no grid or
+samples of its own.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ from .results import DomainError, EvalResult, NonFiniteSampleError
 # form every node of a level afresh, so they run the shorter range
 # GRID_LEVELS: (first level, first level that may stop, last level); none
 # of them has been seen to need a level past 7.  The first level only forms
-# the error of the first that may stop; an earlier one would go unread.
+# the error of the first that may stop, and is summed on that level's grid
+# with its coarse weights (an earlier one would go unread).
 MAX_LEVEL = 12
 MIN_LEVEL = 3
 GRID_LEVELS = (3, 4, 8)
@@ -93,10 +98,15 @@ class QuadGrid:
     complements = 1 - nodes computed from the transform directly, because
     the node itself saturates to 1.0 in floating point deep in the right
     endpoint region.  Integrands should consume the pair.
+
+    ``coarse`` holds the previous level's weights on the same nodes: twice
+    the weights on the nodes it shares, 0 on the nodes new at this level
+    (all 0 at level 0), so one set of samples gives both levels' sums.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
+    coarse: np.ndarray
     complements: np.ndarray | None = None
 
 
@@ -174,22 +184,30 @@ def grid_order(new_nodes, level: int) -> np.ndarray:
     return order
 
 
-def _grid(new_nodes, level: int) -> list[np.ndarray]:
+def _grid(new_nodes, level: int) -> tuple[np.ndarray, ...]:
     """new_nodes(0..level) laid end to end in ``grid_order``, the weights
-    (last) times the final trapezoid step 2**-level."""
+    times the final trapezoid step 2**-level, then the coarse weights
+    (``QuadGrid.coarse``), read-only."""
     order = grid_order(new_nodes, level)
     *nodes, w = (np.concatenate(a)[order]
                  for a in zip(*map(new_nodes, range(level + 1))))
-    return [*nodes, w * 2.0 ** -level]
+    w = w * 2.0 ** -level
+    old = order < order.size - new_nodes(level)[0].size
+    return _read_only(*nodes, w, np.where(old, 2.0 * w, 0.0))
 
 
+@functools.cache
 def unit_grid(level: int) -> QuadGrid:
-    t, tc, w = _grid(unit_new_nodes, level)
-    return QuadGrid(t, w, tc)
+    """The unit-interval grid of levels 0..level (cached, read-only)."""
+    t, tc, w, coarse = _grid(unit_new_nodes, level)
+    return QuadGrid(t, w, coarse, tc)
 
 
+@functools.cache
 def halfline_grid(level: int) -> QuadGrid:
-    return QuadGrid(*_grid(halfline_new_nodes, level))
+    """The half-line grid of levels 0..level (cached, read-only)."""
+    t, w, coarse = _grid(halfline_new_nodes, level)
+    return QuadGrid(t, w, coarse)
 
 
 def _check_finite(contrib: np.ndarray, where: np.ndarray) -> None:
@@ -310,9 +328,20 @@ def _refine_nested(contrib, tol: float, first=None, read=None):
 
 
 def _refine_grid(grid_sum, tol: float, rel: bool = False):
-    """``_refine`` of the full-grid sums ``grid_sum(level)``, over the
-    levels of GRID_LEVELS."""
-    return _refine(grid_sum, tol, GRID_LEVELS, rel)
+    """``_refine`` of the full-grid sums over the levels of GRID_LEVELS,
+    returned as floats.
+
+    ``grid_sum(level)`` returns (sum, nodes) on the level's grid.  The first
+    call is ``grid_sum(level, coarse=True)`` at the first level that may
+    stop, and returns ((coarse sum, sum), nodes): the coarse sum is the
+    first level's, over the same samples with the grid's coarse weights.
+    Both reach ``_refine`` as one first estimate, so a result's node count
+    counts each node once.
+    """
+    sums, nodes = grid_sum(GRID_LEVELS[1], coarse=True)
+    value, err, nodes, ok = _refine(grid_sum, tol, GRID_LEVELS, rel,
+                                    first=(np.array(sums), (nodes, nodes)))
+    return float(value), float(err), nodes, ok
 
 
 def _integrate_levels(new_nodes, f, tol: float) -> QuadResult:

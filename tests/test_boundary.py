@@ -319,6 +319,9 @@ def _refusal(id, call, message):
     _refusal("fd-laplace-x", lambda: X.fd_laplace_product(
         dataclasses.replace(_FD2, xs=(-0.1, 0.2))),
         "needs 0 <= x_j < 1 for integrability"),
+    _refusal("fd-laplace-beta", lambda: X.fd_laplace_product(
+        dataclasses.replace(_FD2, betas=(-1.0, 0.5))),
+        "Laplace product needs beta_j > 0"),
     _refusal("fa-integral-r", lambda: X.fa_integral(_FA3),
              "iterated integral implemented for r <= 2"),
     _refusal("fa-integral-x", lambda: X.fa_integral(dataclasses.replace(

@@ -517,22 +517,24 @@ def _fa_full_grid(p, tol):
     norm, norm_err = _beta_norm(tuple(zip(p.betas, p.gammas)))
     modulus = 0.0
 
-    def grid_sum(level):
+    def grid_sum(level, coarse=False):
         nonlocal modulus
         g = quadrature.unit_grid(level)
         t, tc, wt = g.nodes, g.complements, g.weights
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             arg, theta = unit_grid_kernel(p.kernel, p.reg, level)
-            axes = [wt * safe_theta_product(
+            factors = [safe_theta_product(
                 p.kernel, (b - 1.0) * np.log(t) + (gam - b - 1.0)
                 * np.log(tc), arg, theta)
                 for b, gam in zip(p.betas, p.gammas)]
+            axes = [wt * f for f in factors]
+            caxes = [g.coarse * f for f in factors]
             moduli = ([np.abs(a) for a in axes]
                       if any((a < 0.0).any() for a in axes) else None)
-            s = modulus = 0.0
+            s = cs = modulus = 0.0
             if p.r == 1:
                 m = np.exp(-p.alpha * np.log1p(-p.xs[0] * t))
-                s = float(axes[0] @ m)
+                s, cs = float(axes[0] @ m), float(caxes[0] @ m)
                 if moduli:
                     modulus = float(moduli[0] @ m)
             else:
@@ -541,11 +543,12 @@ def _fa_full_grid(p, tol):
                     m = np.exp(-p.alpha * np.log1p(
                         -(p.xs[0] * t[blk][:, None] + p.xs[1] * t[None, :])))
                     s += float(axes[0][blk] @ m @ axes[1])
+                    cs += float(caxes[0][blk] @ m @ caxes[1])
                     if moduli:
                         modulus += float(moduli[0][blk] @ m @ moduli[1])
             if moduli is None:
                 modulus = abs(s)
-        return s, t.size ** p.r
+        return ((cs, s) if coarse else s), t.size ** p.r
 
     totals, err, nodes, ok = quadrature._refine_grid(grid_sum, tol / norm)
     value = norm * totals

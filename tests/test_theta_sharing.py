@@ -131,9 +131,11 @@ def _per_call_sizes(top: int) -> list[int]:
 
 
 def _final_grid_level(nodes: int, r: int) -> int:
-    """The last level of a product grid that used ``nodes`` points."""
+    """The last level of a product grid that used ``nodes`` points: its
+    first grid is that of the first level that may stop, which also gives
+    the level before it."""
     total = 0
-    for level in range(GRID_LEVELS[0], 10):
+    for level in range(GRID_LEVELS[1], 10):
         total += unit_grid(level).nodes.size ** r
         if total == nodes:
             return level
