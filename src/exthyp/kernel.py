@@ -45,6 +45,13 @@ class KernelSpec:
         """
         return math.inf if self.variant == EXP_VARIANT else self.a
 
+    @property
+    def unit_range(self) -> bool:
+        """Whether Theta maps (-inf, 0] into [0, 1]: the exponential kernel,
+        and the confluent kernel with c >= a > 0, whose 1F1(a; c; -w) is
+        then a mean of e^(-w s) over a beta density in s (or e^-w)."""
+        return self.variant == EXP_VARIANT or self.c >= self.a
+
     def label(self) -> str:
         if self.variant == EXP_VARIANT:
             return "exp"

@@ -53,13 +53,15 @@ from .hyp import (
     pfq_spec,
 )
 from .kernel import EXP_VARIANT, KernelSpec
-from .quadrature import _refine_grid, halfline_grid, unit_grid
+from .quadrature import GRID_LEVELS, _refine_grid, halfline_grid, unit_grid
 from .results import DomainError, EvalResult, memoized, refuse_non_finite
 
 MAX_VARIABLES = 4  # series cap; iterated integrals are checked for r <= 2
 # sum_j |x_j| below which auto sums the type A series at r >= 3, which has
 # no product grid
 _SERIES_EDGE = 0.95
+# the share of a half-line refinement's tol that its cut may drop
+_CUT_SHARE = 2.0 ** -10
 
 
 def _use_series(method: str, inside: bool = False) -> bool:
@@ -155,17 +157,25 @@ def _fd_diagonals(p: LauricellaParams):
     (big)_N rho^N / N! (big = sum_j |beta_j|, rho = max_j |x_j|) and its
     ``_majorant_step``s.  The beta ratios lie in (0, 1], so the weights
     stop at the first N where the majorant's ``_geometric_tail`` is small
-    against 1, or at ``SERIES_CAP``."""
+    against 1, or at ``SERIES_CAP``.  The majorant is formed on _BLOCK
+    rows, twice as many while none is small: its running product, steps
+    and tails are elementwise, so each row has the bits of a full-length
+    form."""
     rho = max(abs(x) for x in p.xs)
     if rho >= 1.0:
         raise DomainError("series needs max_j |x_j| < 1")
     big = sum(abs(b) for b in p.betas)
-    n = np.arange(SERIES_CAP, dtype=float)
-    with np.errstate(over="ignore"):
-        majorant = np.cumprod(np.concatenate(
-            ([1.0], (big + n[:-1]) * rho / n[1:])))
-    steps = _majorant_step(big, n, rho)
-    small = _geometric_tail(majorant, steps, 0.0)[1]
+    size = _BLOCK
+    while True:
+        n = np.arange(size, dtype=float)
+        with np.errstate(over="ignore"):
+            majorant = np.cumprod(np.concatenate(
+                ([1.0], (big + n[:-1]) * rho / n[1:])))
+        steps = _majorant_step(big, n, rho)
+        small = _geometric_tail(majorant, steps, 0.0)[1]
+        if small.any() or size == SERIES_CAP:
+            break
+        size = min(2 * size, SERIES_CAP)
     rows = int(small.argmax()) + 1 if small.any() else SERIES_CAP
     n, diag = n[:rows - 1], np.ones(1)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -317,6 +327,66 @@ def interval_product_integral(tp: IntervalProductParams,
     return lhs, fd.scaled(const)
 
 
+def _majorant_tails(g, powers, rates) -> list[np.ndarray]:
+    """Axis j's weighted majorant w t^powers[j] e^(-rates[j] t) on the
+    half-line grid ``g``, summed over each node and the ones after it."""
+    with np.errstate(over="ignore", under="ignore"):
+        lt = np.log(g.nodes)
+        return [np.cumsum((g.weights * np.exp(pw * lt - rate * g.nodes))
+                          [::-1])[::-1] for pw, rate in zip(powers, rates)]
+
+
+def _others(tails, j: int) -> float:
+    """The product of the full majorant sums of the axes other than j."""
+    return math.prod(float(tail[0]) for i, tail in enumerate(tails) if i != j)
+
+
+def _halfline_ends(kern: KernelSpec, majorant, budget: float, cut: float):
+    """(ends, majorant): the point where each axis of a product integrand
+    on the half line ends, and the majorant that bounds what it drops, or
+    None.
+
+    ``majorant`` = (powers, rates) bounds the integrand by the product
+    over the axes j of t^powers[j] e^(-rates[j] t).  That holds for the
+    Laplace forms when the kernel maps (-inf, 0] into [0, 1]
+    (``KernelSpec.unit_range``): the beta ratios then lie in [0, 1] and the
+    Pochhammer ratios of ``validate_fd`` and ``validate_fa`` are at most 1,
+    so a confluent factor at w is at most e^|w|.  Axis j then ends at the
+    first node of the grid of the first level that may stop where the
+    weighted majorant's sum over that node and the later ones, times the
+    other axes' full sums, is at most budget / r; fixed there, the first
+    estimate's coarse sum is the level before's own.  No axis ends past
+    ``cut``, the overflow cut, and any other kernel ends every axis there,
+    with no majorant.
+    """
+    ends = [cut] * len(majorant[0])
+    if not kern.unit_range:
+        return ends, None
+    g = halfline_grid(GRID_LEVELS[1])
+    tails = _majorant_tails(g, *majorant)
+    for j, tail in enumerate(tails):
+        k = np.count_nonzero(tail * _others(tails, j) > budget / len(tails))
+        if k < tail.size:
+            ends[j] = min(float(g.nodes[k]), cut)
+    return ends, majorant
+
+
+def _halfline_cut(level: int, ends, majorant):
+    """(grid, counts, bound): the half-line grid of ``level``, the number
+    of its nodes before each axis's end (``_halfline_ends``), and a bound
+    on the trapezoid sum of the products they drop, the majorant's (0
+    without one).  On a finer level than the ends' own the bound is not
+    larger where the transformed majorant decreases past the ends."""
+    g = halfline_grid(level)
+    counts = tuple(int(np.searchsorted(g.nodes, e)) for e in ends)
+    if majorant is None:
+        return g, counts, 0.0
+    tails = _majorant_tails(g, *majorant)
+    return g, counts, sum((_others(tails, j) * float(tail[k])
+                           for j, (tail, k) in enumerate(zip(tails, counts))
+                           if k < tail.size), 0.0)
+
+
 def fd_laplace_product(p: LauricellaParams,
                        tol: float = 1e-8) -> tuple[EvalResult, EvalResult]:
     """Laplace-type product integral against the type D series (r <= 2).
@@ -339,42 +409,47 @@ def fd_laplace_product(p: LauricellaParams,
     # past the cut the e^-t weight is 0; stopping where the argument sum
     # reaches 700 also keeps the confluent factor finite (no 0 * inf)
     cut = min(750.0 / (1.0 - max(p.xs)), 700.0 / max(sum(p.xs), 1e-300))
-    # the inner errors times |outer weight| on the last level (the returned)
-    inner_err = 0.0
+    # the integrand is at most prod_j t^(beta_j - 1) e^-((1 - x_j) t), as
+    # |Phi(w)| <= e^|w| (``_halfline_ends``)
+    ends, majorant = _halfline_ends(
+        p.kernel, ([b - 1.0 for b in p.betas], [1.0 - x for x in p.xs]),
+        _CUT_SHARE * tol, cut)
+    # the inner errors times |outer weight| and the bound on what the
+    # half-line cut drops, on the last level (the returned)
+    inner_err = dropped = 0.0
 
     def grid_sum(level, coarse=False):
-        nonlocal inner_err
-        g = halfline_grid(level)
-        keep = g.nodes < cut
-        t, wt = g.nodes[keep], g.weights[keep]
+        nonlocal inner_err, dropped
+        g, counts, dropped = _halfline_cut(level, ends, majorant)
+        ts = [g.nodes[:k] for k in counts]
         with np.errstate(over="ignore", under="ignore"):
-            ea = np.exp((p.betas[0] - 1.0) * np.log(t) - t)
+            es = [np.exp((b - 1.0) * np.log(t) - t)
+                  for b, t in zip(p.betas, ts)]
+            outers = [g.weights[:k] * e for k, e in zip(counts, es)]
             if p.r == 1:
-                wsum = p.xs[0] * t
-                fv, ierr = pfq_series_vector(inner, wsum, ladder=shared)
-                outer = wt * ea
-                s = float((outer * fv).sum())
-                inner_err = float((np.abs(outer) * ierr).sum())
+                fv, ierr = pfq_series_vector(inner, p.xs[0] * ts[0],
+                                             ladder=shared)
+                s = float((outers[0] * fv).sum())
+                inner_err = float((np.abs(outers[0]) * ierr).sum())
             else:
-                eb = np.exp((p.betas[1] - 1.0) * np.log(t) - t)
-                wa, wb = wt * ea, wt * eb
-                wsum = p.xs[0] * t[:, None] + p.xs[1] * t[None, :]
+                wa, wb = outers
+                wsum = p.xs[0] * ts[0][:, None] + p.xs[1] * ts[1][None, :]
                 fv, ierr = pfq_series_vector(inner, wsum.ravel(),
                                              ladder=shared)
                 fv = fv.reshape(wsum.shape)
                 s = float(wa @ fv @ wb)
                 inner_err = float(np.abs(wa) @ ierr.reshape(wsum.shape)
                                   @ np.abs(wb))
+            nodes = math.prod(counts)
             if not coarse:
-                return s, t.size ** p.r
-            cw = g.coarse[keep]
-            cs = (cw * ea) @ fv
+                return s, nodes
+            cs = (g.coarse[:counts[0]] * es[0]) @ fv
             if p.r == 2:
-                cs = cs @ (cw * eb)
-        return (float(cs), s), t.size ** p.r
+                cs = cs @ (g.coarse[:counts[1]] * es[1])
+        return (float(cs), s), nodes
 
     totals, err, nodes, converged = _refine_grid(grid_sum, tol)
-    lhs = EvalResult(totals, err + inner_err, nodes, converged,
+    lhs = EvalResult(totals, err + inner_err + dropped, nodes, converged,
                      "euler_integral")
     pref = math.exp(sum(gammaln_real(b) for b in p.betas))
     return lhs, fd_series(p, tol).scaled(pref)
@@ -561,20 +636,30 @@ def _fa_integral(p: LauricellaParams, tol: float, variant: str) -> EvalResult:
                 if moduli:
                     modulus = float(moduli[0] @ m)
             else:
-                # the factor is formed only on the rows of a block from its
-                # first to its last nonzero axis-0 weight (a kernel that
-                # underflows leaves most rows 0), and is 1 on the others:
-                # 0 times a finite factor is 0, so every sum keeps its bits
-                ty = p.xs[1] * t[None, :]
+                # the factor is formed only on the window of a block from
+                # its first to its last nonzero axis-0 weight, and from the
+                # first to the last nonzero axis-1 factor (a kernel that
+                # underflows leaves most rows and columns 0), and is 1
+                # elsewhere: 0 times a finite factor is 0, so every sum
+                # keeps its bits.  The ufuncs take about 1.5 times as long
+                # per entry on a column window as on whole rows (512 rows of
+                # 1200), so a window wider than half the columns takes them
+                # all: the exp kernel's span is 24-32% of the columns in the
+                # eval-mix F2 calls of seeds 1-2, the confluent one's 84-100%
+                c0, c1 = _live_span(factors[1])
+                if 2 * (c1 - c0) > t.size:
+                    c0, c1 = 0, t.size
+                ty = p.xs[1] * t[None, c0:c1]
                 buf = np.empty((min(512, t.size), t.size))
                 for i0 in range(0, t.size, 512):
                     blk = slice(i0, min(i0 + 512, t.size))
                     m = buf[:blk.stop - i0]
-                    live = np.flatnonzero(axes[0][blk])
-                    lo, hi = (live[0], live[-1] + 1) if live.size else (0, 0)
+                    lo, hi = _live_span(axes[0][blk])
                     m[:lo] = 1.0
                     m[hi:] = 1.0
-                    f = m[lo:hi]
+                    m[lo:hi, :c0] = 1.0
+                    m[lo:hi, c1:] = 1.0
+                    f = m[lo:hi, c0:c1]
                     np.add(p.xs[0] * t[blk][lo:hi, None], ty, out=f)
                     np.negative(f, out=f)
                     np.log1p(f, out=f)
@@ -596,6 +681,13 @@ def _fa_integral(p: LauricellaParams, tol: float, variant: str) -> EvalResult:
                       "euler_integral")
 
 
+def _live_span(v: np.ndarray) -> tuple[int, int]:
+    """(lo, hi): the entries of ``v`` from its first to its last nonzero,
+    (0, 0) if it has none."""
+    live = np.flatnonzero(v)
+    return (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
+
+
 def fa_single_integral(
         p: LauricellaParams, tol: float = 1e-8,
         upper: float = math.inf) -> tuple[EvalResult, EvalResult]:
@@ -611,18 +703,25 @@ def fa_single_integral(
     inners = [pfq_spec(p.kernel, (b,), (g,), p.reg)
               for b, g in zip(p.betas, p.gammas)]
     shared = [_CoeffLadder(spec) for spec in inners]
-    # as in fd_laplace_product: each confluent factor stays finite
+    # as in fd_laplace_product: the outer cut keeps each confluent factor
+    # finite
     cut = min(750.0 / (1.0 - sum(max(x, 0.0) for x in p.xs)),
               700.0 / max(max(abs(x) for x in p.xs), 1e-300))
     norm = _exp_norm(-gammaln_real(p.alpha))
-    # as in fd_laplace_product: weighted inner errors of the last level
-    inner_err = 0.0
+    # the integrand is at most t^(alpha - 1) e^-((1 - sum_j |x_j|) t), as
+    # each |Phi_j(x_j t)| <= e^(|x_j| t)
+    ends, majorant = _halfline_ends(
+        p.kernel, ([p.alpha - 1.0], [1.0 - sum(abs(x) for x in p.xs)]),
+        _CUT_SHARE * tol / norm, cut)
+    # as in fd_laplace_product: weighted inner errors and the cut's bound
+    # of the last level
+    inner_err = dropped = 0.0
 
     def grid_sum(level, coarse=False):
-        nonlocal inner_err
+        nonlocal inner_err, dropped
         if math.isinf(upper):
-            g = halfline_grid(level)
-            keep = g.nodes < cut
+            g, (k,), dropped = _halfline_cut(level, ends, majorant)
+            keep = slice(k)
             t, wt = g.nodes[keep], g.weights[keep]
         else:
             g, keep = unit_grid(level), slice(None)
@@ -646,8 +745,8 @@ def fa_single_integral(
         return (cs, s), t.size
 
     totals, err, nodes, converged = _refine_grid(grid_sum, tol / norm)
-    integral = EvalResult(norm * totals, norm * (err + inner_err), nodes,
-                          converged, "euler_integral")
+    integral = EvalResult(norm * totals, norm * (err + inner_err + dropped),
+                          nodes, converged, "euler_integral")
     series = fa_series(p, tol)
     return series, integral
 

@@ -9,12 +9,14 @@ and the origin-ladder poles on its left.
 
 Only negative real arguments are evaluated (single-valued power on the real
 branch).  The trapezoid refines by step halving and widens the strip when
-the tail has not decayed (it decays like exp(-pi |Im s|) for p = q+1 and
-exp(-pi |Im s| / 2) for p = q; the default half-height 20 serves every
-catalog point).  Surplus lower parameters contribute reciprocal gamma
-factors that cancel the exponential decay along the line, so the
-vertical-line trapezoid covers the p = q and p = q+1 branches; the p < q
-branch fails its tail test honestly.  Multi-contour analogues for the two-
+the tail has not decayed.  The integrand decays like exp(-pi |Im s|) for
+p = q+1 and exp(-pi |Im s| / 2) for p = q, so the default strip ends where
+that rate, with a measured margin, leaves the tail test's bound tol * 1e-3
+(``default_contour``); no catalog point widens it.  Surplus lower
+parameters contribute reciprocal gamma factors that cancel the exponential
+decay along the line, so the vertical-line trapezoid covers the p = q and
+p = q+1 branches; the p < q branch starts at half-height 20 and fails its
+tail test honestly.  Multi-contour analogues for the two-
 and r-variable functions exist on paper but are documented only; this
 module is their one-dimensional numeric stand-in.
 """
@@ -29,9 +31,15 @@ import numpy as np
 from .corefn import beta_classical, ln_gamma, ln_gamma_arr
 from .extbeta import ext_beta_complex_many
 from .hyp import PfqSpec
-from .results import DomainError, EvalResult, refuse_non_finite
+from .results import DomainError, EvalResult, check_tol, refuse_non_finite
 
 _POLE_GAP = 1e-3
+# The default strip's half-height is this margin times the height where the
+# decay rate alone meets the tail bound.  At tol 1e-6 to 1e-13 the catalog
+# points need 0.87 to 1.01 times that height, and eight probes (confluent
+# kernels, z from -0.05 to -5, leading upper parameter up to 3.8) 0.62 to
+# 1.09; the tail test still doubles a strip that falls short.
+_DECAY_MARGIN = 1.25
 
 
 @dataclass(frozen=True)
@@ -63,12 +71,24 @@ def _pole_ladders(spec: PfqSpec) -> list[float]:
     return ladders
 
 
-def default_contour(spec: PfqSpec) -> ContourSpec:
-    """Abscissa 0.25 * min(leading upper, 1), clamped under every pole."""
+def default_contour(spec: PfqSpec, tol: float = 1e-6) -> ContourSpec:
+    """Abscissa 0.25 * min(leading upper, 1), clamped under every pole, and
+    step 0.05.  The half-height is the least whole number of steps, at
+    least 100, above _DECAY_MARGIN kappa ln(1e3 / tol) / pi, where the
+    decay bound exp(-pi |Im s| / kappa) meets the tail test's tol * 1e-3:
+    kappa is 1 for p = q+1 and 2 for p = q.  For p < q the integrand does
+    not decay, and the strip starts at half-height 20."""
+    check_tol(tol)
     c0 = 0.25 * min([1.0, *_pole_ladders(spec)])
     if c0 <= 0.0:
         raise DomainError("no admissible abscissa for these parameters")
-    return ContourSpec(c0)
+    if spec.p < spec.q:
+        return ContourSpec(c0)
+    step = ContourSpec.step
+    kappa = 1.0 if spec.p == spec.q + 1 else 2.0
+    height = (_DECAY_MARGIN * kappa * (math.log(1e3) - math.log(tol))
+              / math.pi)
+    return ContourSpec(c0, max(100, math.ceil(height / step)) * step, step)
 
 
 def _pole_distance(spec: PfqSpec, c0: float) -> float:
@@ -139,6 +159,7 @@ def mb_eval(spec: PfqSpec, z: float, contour: ContourSpec | None = None,
     All shift multipliers must be 1.  The error estimate combines the
     step-halving difference with the integrand magnitude at the strip ends;
     the strip is doubled (up to four times) while the tail test fails.
+    Without ``contour`` the strip is ``default_contour(spec, tol)``.
     The integrand is evaluated on the upper half of the strip only and
     mirrored, which is exact because it is real on the real axis (see
     ``_strip_values``).
@@ -149,7 +170,7 @@ def mb_eval(spec: PfqSpec, z: float, contour: ContourSpec | None = None,
         raise DomainError("contour path needs all shift multipliers 1")
     spec.validate()
     if contour is None:
-        contour = default_contour(spec)
+        contour = default_contour(spec, tol)
     c0 = contour.abscissa
     if _pole_distance(spec, c0) < _POLE_GAP:
         raise DomainError(f"abscissa {c0} within {_POLE_GAP} of a pole")

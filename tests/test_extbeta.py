@@ -357,7 +357,7 @@ def test_complex_many_exponentiates_only_the_live_span(monkeypatch):
     reg = RegPair(0.2, 0.3)
     spec = pfq_spec(EXP_KERNEL, (0.8, 1.1), (2.4,), reg)
     (a, _k, width), = spec.pairs()
-    contour = default_contour(spec)
+    contour = default_contour(spec, 1e-8)
     n = int(round(contour.half_height / contour.step))
     alphas = a - (contour.abscissa
                   + 1j * (np.arange(2 * n + 1) * (contour.step / 2.0)))
@@ -372,7 +372,7 @@ def test_complex_many_exponentiates_only_the_live_span(monkeypatch):
     monkeypatch.setattr(np, "exp", spy)
     got = ext_beta_complex_many(EXP_KERNEL, alphas, width, reg, 1e-11)
     monkeypatch.undo()
-    assert (alphas.size, got[2]) == (801, 775)
+    assert (alphas.size, got[2]) == (405, 775)
     assert sum(exponentiated) <= 0.3 * alphas.size * got[2]
     _assert_same_complex_many(
         got, _complex_many_reference(EXP_KERNEL, alphas, width, reg, 1e-11))

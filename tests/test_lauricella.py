@@ -7,6 +7,7 @@ import pathlib
 import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -214,10 +215,12 @@ def test_series_retirement_is_bit_identical_on_the_laplace_grid(monkeypatch):
 
 
 def test_fd_laplace_product_r2_forms_at_most_1m_series_entries(monkeypatch):
+    # the half-line cut leaves 212,522 entries, the right side's series
+    # included (459,910 with the overflow cut alone)
     count = _counting_entries(monkeypatch)
     fd_laplace_product(PD(0.8, [0.9, 1.2], 2.5, [0.15, 0.2],
                           RegPair(0.1, 0.1)), 1e-8)
-    assert count[0] <= 1_000_000
+    assert count[0] <= 220_000
 
 
 @pytest.mark.parametrize("form, p", [
@@ -574,9 +577,11 @@ def test_type_a_grid_on_live_rows_keeps_the_full_grid_bits(kernel):
 
 
 def test_type_a_grid_forms_its_factor_on_live_rows_only(monkeypatch):
-    # with the exp kernel at b, d > 0 the axis-0 weights underflow to 0
-    # near both ends; log1p runs on the rows of each 512-row block from its
-    # first to its last nonzero weight, times the n columns, and on no other
+    # with the exp kernel at b, d > 0 the axis-0 weights and the axis-1
+    # kernel factors underflow to 0 near both ends; log1p runs on the rows
+    # of each 512-row block from its first to its last nonzero weight,
+    # times the columns from the first to the last nonzero axis-1 factor
+    # (at most half of them here), and on no other
     p = PA(0.9, [0.7, 1.1], [2.0, 2.3], [0.3, -0.4], RegPair(0.5, 0.4))
     entries = {}
     log1p = np.log1p
@@ -593,21 +598,36 @@ def test_type_a_grid_forms_its_factor_on_live_rows_only(monkeypatch):
     for level in range(quadrature.GRID_LEVELS[-1] + 1):
         g = quadrature.unit_grid(level)
         n = g.nodes.size
-        if n not in entries:
+
+        def factor(b, gam):
+            with np.errstate(under="ignore", divide="ignore"):
+                return np.exp((b - 1.0) * np.log(g.nodes) + (gam - b - 1.0)
+                              * np.log(g.complements) - 0.5 / g.nodes
+                              - 0.4 / g.complements)
+
+        cols = np.flatnonzero(factor(1.1, 2.3))
+        cols = cols[-1] - cols[0] + 1
+        assert 2 * cols <= n  # else the window takes every column
+        if cols not in entries:
             continue
-        with np.errstate(under="ignore", divide="ignore"):
-            w = g.weights * np.exp(
-                (0.7 - 1.0) * np.log(g.nodes) + (2.0 - 0.7 - 1.0)
-                * np.log(g.complements) - 0.5 / g.nodes
-                - 0.4 / g.complements)
+        w = g.weights * factor(0.7, 2.0)
         live = 0
         for i0 in range(0, n, 512):
             nz = np.flatnonzero(w[i0:i0 + 512])
             live += nz[-1] - nz[0] + 1 if nz.size else 0
-        assert entries.pop(n) == live * n
+        assert entries.pop(cols) == live * cols
         full += n * n
     assert not entries
-    assert formed < 0.6 * full, (formed, full)
+    assert formed < 0.4 * full, (formed, full)
+    # the confluent kernel decays algebraically: its live span is wider
+    # than half the columns, and each block's factor takes whole rows
+    shapes = []
+    monkeypatch.setattr(np, "log1p", lambda x, *args, **kwargs: (
+        shapes.append(x.shape), log1p(x, *args, **kwargs))[1])
+    fa_integral(replace(p, kernel=kummer_kernel(1.3, 2.1)), 1e-10)
+    monkeypatch.undo()
+    sizes = {g.nodes.size for g in map(quadrature.unit_grid, range(9))}
+    assert shapes and all(cols in sizes for _rows, cols in shapes)
 
 
 def test_integral_estimates_carry_a_rounding_floor():
@@ -822,6 +842,48 @@ def test_fd_diagonal_weights_are_the_multinomial_sums(case):
                                             repeat=len(xs))
                 if sum(ms) == total)
         assert abs(diag[total] - want) <= 1e-14 * majorant[total], total
+
+
+def _fd_diagonals_full(p):
+    """Reference: ``lauricella._fd_diagonals`` with its majorant, steps and
+    tail test formed on all ``SERIES_CAP`` rows at once."""
+    rho = max(abs(x) for x in p.xs)
+    big = sum(abs(b) for b in p.betas)
+    n = np.arange(SERIES_CAP, dtype=float)
+    with np.errstate(over="ignore"):
+        majorant = np.cumprod(np.concatenate(
+            ([1.0], (big + n[:-1]) * rho / n[1:])))
+    steps = hyp._majorant_step(big, n, rho)
+    small = hyp._geometric_tail(majorant, steps, 0.0)[1]
+    rows = int(small.argmax()) + 1 if small.any() else SERIES_CAP
+    n, diag = n[:rows - 1], np.ones(1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b, x in zip(p.betas, p.xs):
+            axis = np.cumprod(np.concatenate(([1.0], (b + n) * x / (n + 1.0))))
+            cut = np.argmax(np.abs(axis) < np.finfo(float).tiny) or None
+            diag = np.convolve(diag, axis[:cut])[:rows]
+    return (np.concatenate([diag, np.zeros(rows - diag.size)]),
+            majorant[:rows], steps[:rows])
+
+
+def test_fd_diagonals_grown_by_doubling_keep_the_full_length_bits():
+    # the majorant grows from 64 rows by doubling; 400 seeded draws with
+    # r = 1 to 4, |x_j| up to 0.999 and beta_j up to 40 cut anywhere from
+    # the first block to SERIES_CAP
+    rng = np.random.default_rng(44)
+    rows = []
+    for _ in range(400):
+        r = int(rng.integers(1, 5))
+        betas = tuple(rng.uniform(-40.0, 40.0, r))
+        xs = tuple(rng.uniform(-1.0, 1.0, r) * rng.choice([0.3, 0.9, 0.999]))
+        p = PD(1.0, betas, 2.0, xs)
+        got, want = lauricella._fd_diagonals(p), _fd_diagonals_full(p)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert np.array_equal(g.view(np.int64), w.view(np.int64))
+        rows.append(got[0].size)
+    assert min(rows) < 64 < max(rows) and max(rows) > 1024, (min(rows),
+                                                             max(rows))
 
 
 def test_out_of_range_normalisations_raise_before_quadrature(monkeypatch):

@@ -111,23 +111,89 @@ def test_surplus_lower_branch_tail_guard(monkeypatch):
     assert heights == [20.0, 40.0, 80.0, 160.0, 320.0]
 
 
-def test_tail_that_fails_at_the_default_height_keeps_the_former_strip():
+def _bits(r):
+    return (r.value.hex(), r.abs_err_est.hex(), r.terms_or_nodes,
+            r.converged, r.method)
+
+
+def test_tail_that_fails_at_the_first_height_doubles_onto_the_wider_strip():
     # the p = q catalog point: its integrand decays like exp(-pi |Im s|/2),
-    # so at tol 1e-13 the tail test fails at |Im s| = 20 and the strip
-    # doubles to 40, with the very samples of an explicit height of 40
+    # so at tol 1e-13 the tail test fails at |Im s| = 12.5 and the strip
+    # doubles to 25, with the very samples of an explicit height of 25
     spec = pfq_spec(EXP_KERNEL, (0.9,), (2.1,))
-    base = default_contour(spec)
-    assert (base.half_height, base.step) == (20.0, 0.05)
+    c0 = default_contour(spec).abscissa
+    got = mb_eval(spec, -1.0, ContourSpec(c0, 12.5, 0.05), tol=1e-13)
+    want = mb_eval(spec, -1.0, ContourSpec(c0, 25.0, 0.05), tol=1e-13)
+    assert got.terms_or_nodes == 4 * 500 + 1
+    assert _bits(got) == _bits(want)
+    # the default strip at that tol is already past the height it needs
+    base = default_contour(spec, 1e-13)
+    assert (base.half_height, base.step) == (587 * 0.05, 0.05)
     got = mb_eval(spec, -1.0, tol=1e-13)
-    want = mb_eval(spec, -1.0, ContourSpec(base.abscissa, 40.0, 0.05),
-                   tol=1e-13)
-    assert got.terms_or_nodes == 4 * 800 + 1
+    assert got.terms_or_nodes == 4 * 587 + 1
+    assert _bits(got) == _bits(mb_eval(spec, -1.0, base, tol=1e-13))
 
-    def bits(r):
-        return (r.value.hex(), r.abs_err_est.hex(), r.terms_or_nodes,
-                r.converged, r.method)
 
-    assert bits(got) == bits(want)
+def _rule_height(spec, tol):
+    """The default half-height: the least whole number of 0.05 steps, at
+    least 100, above 1.25 kappa ln(1e3 / tol) / pi, kappa = 1 for p = q+1
+    and 2 for p = q."""
+    kappa = 1 if spec.p == spec.q + 1 else 2
+    steps = math.ceil(1.25 * kappa * math.log(1e3 / tol) / math.pi / 0.05)
+    return max(100, steps) * 0.05
+
+
+def _catalog_points():
+    ident = next(i for i in build_catalog()
+                 if i.identity_id == "mellin-barnes-contour")
+    return ident, [(pfq_spec(EXP_KERNEL, pt["upper"], pt["lower"],
+                             RegPair(pt["b"], pt["d"])), pt)
+                   for pt in ident.points]
+
+
+def _strip_spy(monkeypatch):
+    heights = []
+
+    def spy(spec, c0, n, h, *rest):
+        heights.append(n * h)
+        return _strip_values(spec, c0, n, h, *rest)
+
+    monkeypatch.setattr(mellin, "_strip_values", spy)
+    return heights
+
+
+def test_no_catalog_point_widens_its_strip_at_tol_1e_8(monkeypatch):
+    # the catalog's own call, as a --tol 1e-8 conformance pass makes it:
+    # one strip per point, of the rule's height (10.1 for p = q+1, 20.2
+    # for p = q)
+    ident, points = _catalog_points()
+    heights = _strip_spy(monkeypatch)
+    for spec, pt in points:
+        heights.clear()
+        got, _ = ident.evaluate(pt, "printed", 1e-8)
+        assert got.converged
+        assert heights == [pytest.approx(_rule_height(spec, 1e-8))]
+    assert {round(_rule_height(s, 1e-8), 9) for s, _ in points} == {10.1,
+                                                                    20.2}
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13])
+def test_first_height_follows_the_decay_rule(monkeypatch, tol):
+    _ident, points = _catalog_points()
+    heights = _strip_spy(monkeypatch)
+    for spec, pt in points:
+        contour = default_contour(spec, tol)
+        assert contour.step == 0.05
+        assert contour.half_height == pytest.approx(_rule_height(spec, tol))
+        heights.clear()
+        got = mb_eval(spec, pt["z"], tol=tol)
+        assert heights == [contour.half_height]
+    # a surplus lower parameter (p < q) has no decay to go by
+    spec = pfq_spec(EXP_KERNEL, (0.9,), (1.7, 2.1))
+    assert default_contour(spec, tol).half_height == 20.0
+    # T / h stays >= 100 however loose the tolerance
+    assert default_contour(pfq_spec(EXP_KERNEL, (0.8, 1.1), (2.4,)),
+                           0.5).half_height == 100 * 0.05
 
 
 def test_guards():
