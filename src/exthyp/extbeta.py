@@ -239,17 +239,18 @@ def _kernel_integral(k: KernelSpec, reg: RegPair, powexp, tol: float,
     or closed form; g = 1 without it.  The refinement stops at the absolute
     ``tol`` on the scaled value.  A norm out of range raises ``DomainError``
     before any node, and a non-finite sample ``NonFiniteSampleError`` once
-    the refinement reads its level.  The error is the norm times the last
+    the refinement asks for its level.  The error is the norm times the last
     level difference, plus the largest factor error, plus the rounding
     floor eps times the last level's sum of w |f|, plus the norm's error;
     the last two join after the refinement, so no stop depends on them.
 
     The weighted samples w exp(powexp) Theta of levels 0..FIRST_PASS_LEVEL
     are formed in one pass over their nodes laid end to end (level -1);
-    each is a function of its node alone.  Levels 0..MIN_LEVEL, which every
-    refinement reads, go to it as one first estimate: their samples pass
-    one finiteness check, then ``factor`` is called once on their nodes.
-    Each later level is weighed on its own when the refinement reads it.
+    each is a function of its node alone.  Levels 0..MIN_LEVEL, which the
+    refinement's first step asks for, are weighed at once: their samples
+    pass one finiteness check, ``factor`` is called once on their nodes,
+    and each level's sum is handed over when it is asked for.  Each later
+    level is weighed on its own when the refinement asks for it.
     """
     norm, norm_err = _beta_norm(betas)
     factor_err = 0.0
@@ -274,25 +275,26 @@ def _kernel_integral(k: KernelSpec, reg: RegPair, powexp, tol: float,
         return vals
 
     first = samples(-1)
-    spans, ends = (x[:MIN_LEVEL + 1] for x in _first_pass_spans())
-    head = slice(0, ends[-1])
+    spans = _first_pass_spans()
+    head = slice(0, spans[MIN_LEVEL].stop)
     vals = weighed(first[head], unit_new_nodes(-1)[0][head])
-    sums = np.array([vals[span].sum() for span in spans])
+    sums = [vals[span].sum() for span in spans[:MIN_LEVEL + 1]]
     # the sum of |w f| over the nodes of the levels read, and the last one
     modulus, last = np.abs(vals).sum(), MIN_LEVEL
 
     def contrib(level):
         nonlocal modulus, last
         t = unit_new_nodes(level)[0]
+        if level <= MIN_LEVEL:
+            return sums[level], t.size
         if level <= FIRST_PASS_LEVEL:
-            vals = weighed(first[unit_level_span(level)], t)
+            vals = weighed(first[spans[level]], t)
         else:
             vals = weighed(samples(level), t)
         modulus, last = modulus + np.abs(vals).sum(), level
         return vals.sum(), t.size
 
-    totals, err, nodes, converged = _refine_nested(
-        contrib, tol / norm, (sums, ends))
+    totals, err, nodes, converged = _refine_nested(contrib, tol / norm)
     # the rounding floor: eps times the nested trapezoid sum of w |f| at the
     # last level, the recursive-summation bound of the quadrature sum
     # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2)

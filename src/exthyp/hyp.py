@@ -215,8 +215,7 @@ def pfq_series(spec: PfqSpec, z: float, tol: float = 1e-10) -> EvalResult:
     if spec.p == spec.q + 1 and abs(z) >= 1.0 and not spec.terminating():
         raise DomainError(f"series diverges for |z| = {abs(z)} >= 1")
     ladder = _CoeffLadder(spec)
-    s, errs, rows, done = _pfq_sum(spec, np.array([float(z)]), ladder,
-                                   SERIES_CAP)
+    s, errs, rows, done = _pfq_sum(spec, np.array([float(z)]), ladder)
     if not math.isfinite(s[0]):
         raise DomainError("series value out of double range")
     value, err = float(s[0]), float(errs[0])
@@ -237,7 +236,7 @@ def pfq_series_vector(spec: PfqSpec, w: np.ndarray,
     w = np.asarray(w, dtype=complex if np.iscomplexobj(w) else float)
     if ladder is None:
         ladder = _CoeffLadder(spec)
-    s, errs, _rows, done = _pfq_sum(spec, w.reshape(-1), ladder, SERIES_CAP)
+    s, errs, _rows, done = _pfq_sum(spec, w.reshape(-1), ladder)
     if not done:
         raise DomainError(f"series did not converge within {SERIES_CAP} "
                           f"terms (max |argument| = {np.max(np.abs(w)):.3g})")
@@ -245,7 +244,7 @@ def pfq_series_vector(spec: PfqSpec, w: np.ndarray,
 
 
 @np.errstate(over="ignore", invalid="ignore")  # callers judge the sums
-def _pfq_sum(spec: PfqSpec, w: np.ndarray, ladder: _CoeffLadder, cap: int,
+def _pfq_sum(spec: PfqSpec, w: np.ndarray, ladder: _CoeffLadder,
              heads: np.ndarray | None = None,
              weights: np.ndarray | None = None):
     """The series engine: one column per entry of the flat array ``w``,
@@ -253,7 +252,8 @@ def _pfq_sum(spec: PfqSpec, w: np.ndarray, ladder: _CoeffLadder, cap: int,
     term-0 weight from ``weights`` (1 by default) if given.  Returns (sums,
     errs, rows, done): each column's partial sum and error bound (its
     weights' moduli times the coefficient errors, plus its tail), the rows
-    summed (the longest column's), and whether all stopped before ``cap``.
+    summed (the longest column's), and whether all stopped within
+    ``SERIES_CAP`` terms.
     A complex ``w`` gives complex terms and sums; errors stay real.
 
     A column stops at its first row whose ``_geometric_tail`` is small, q
@@ -310,9 +310,9 @@ def _pfq_sum(spec: PfqSpec, w: np.ndarray, ladder: _CoeffLadder, cap: int,
     e, errs = np.zeros(w.size), np.zeros(w.size)
     tail = np.full(w.size, math.inf)
     rows = m = 0
-    while m < cap and live.size:
+    while m < SERIES_CAP and live.size:
         ladder.ensure(m + 1)
-        hi = min(m + blk.shape[0] - 1, ladder.coeffs.size, cap)
+        hi = min(m + blk.shape[0] - 1, ladder.coeffs.size, SERIES_CAP)
         idx = np.arange(m, hi)[:, None]
         steps_at(idx, x, a1, blk[1:hi - m + 1])
         _running(np.multiply, blk[:hi - m + 1])

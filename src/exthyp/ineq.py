@@ -374,28 +374,26 @@ def _weighted_norm(h: TestFunction, exponent: float,
         raise DomainError("weighted norm diverges at the origin")
     top = h.support_top()
 
-    def grid_sum(level, coarse=False):
+    def grid_sum(level):
         with np.errstate(all="ignore"):
             x, logw, cx = _axis_nodes(level, top)
             v = np.exp(logw + exponent * np.log(x) + power * h.log_values(x))
-            s = float(v.sum())
-            return ((float(v @ cx), s) if coarse else s), x.size
+            return (float(v @ cx), float(v.sum())), x.size
 
     value, _, _, ok = _refine_grid(grid_sum, 1e-11, rel=True)
     return abs(h.amplitude) * value ** (1.0 / power), ok
 
 
 def _kernel_log_rows(hp: HilbertParams, x: np.ndarray, lx: np.ndarray,
-                     y: np.ndarray, coarse: np.ndarray | None = None):
+                     y: np.ndarray, cx: np.ndarray):
     """log of the row sums int K(x, y_j) f(x) dx (blocked, shift-stabilized),
-    and with ``coarse`` (factors of the x weights, ``_axis_nodes``) the log
-    of the row sums reweighted by them, from the same exponentials; else
-    None."""
+    and the log of the row sums reweighted by ``cx``, the coarse factors of
+    the x weights (``_axis_nodes``), from the same exponentials."""
     lam = hp.lam
     acoef = hp.alpha1 * hp.qtilde + hp.alpha2 * hp.ptilde
     bcoef = acoef / (hp.alpha1 * hp.alpha2)
     out = np.empty(y.size)
-    cout = None if coarse is None else np.empty(y.size)
+    cout = np.empty(y.size)
     with np.errstate(all="ignore"):  # rows without a finite max end as -inf
         for j0 in range(0, y.size, 256):
             blk = slice(j0, min(j0 + 256, y.size))
@@ -411,8 +409,7 @@ def _kernel_log_rows(hp: HilbertParams, x: np.ndarray, lx: np.ndarray,
             ek -= np.where(safe, m, 0.0)[:, None]
             np.exp(ek, out=ek)
             out[blk] = np.where(safe, m + np.log(ek.sum(axis=1)), -math.inf)
-            if coarse is not None:
-                cout[blk] = np.where(safe, m + np.log(ek @ coarse), -math.inf)
+            cout[blk] = np.where(safe, m + np.log(ek @ cx), -math.inf)
     return out, cout
 
 
@@ -458,7 +455,7 @@ def hilbert_bilinear(hp: HilbertParams, f: TestFunction, g: TestFunction,
     """
     lhs, ok = 0.0, True
     if f.amplitude != 0.0 and g.amplitude != 0.0:
-        def grid_sum(level, coarse=False):
+        def grid_sum(level):
             with np.errstate(all="ignore"):
                 x, logwx, cx = _axis_nodes(level, f.support_top())
                 y, logwy, cy = _axis_nodes(level, g.support_top())
@@ -467,13 +464,12 @@ def hilbert_bilinear(hp: HilbertParams, f: TestFunction, g: TestFunction,
                 # a row where g is zero adds exp(-inf) = 0, computed or not
                 live = ly > -math.inf
                 log_rows = np.full(y.size, -math.inf)
-                log_rows[live], crows = _kernel_log_rows(
-                    hp, x, lx, y[live], cx if coarse else None)
+                log_rows[live], crows = _kernel_log_rows(hp, x, lx, y[live],
+                                                         cx)
                 total = float(np.exp(ly + log_rows).sum())
-                if coarse:
-                    log_rows[live] = crows
-                    total = float(np.exp(ly + log_rows) @ cy), total
-            return total, x.size * y.size
+                log_rows[live] = crows
+                coarse = float(np.exp(ly + log_rows) @ cy)
+            return (coarse, total), x.size * y.size
 
         lhs, _, _, ok = _refine_grid(grid_sum, tol, rel=True)
         lhs *= f.amplitude * g.amplitude
@@ -498,18 +494,16 @@ def hilbert_equivalent(hp: HilbertParams, f: TestFunction,
 
     lhs, ok = 0.0, True
     if f.amplitude != 0.0:
-        def grid_sum(level, coarse=False):
+        def grid_sum(level):
             with np.errstate(all="ignore"):
                 x, logwx, cx = _axis_nodes(level, f.support_top())
                 y, logwy, cy = _axis_nodes(level, math.inf)
                 lx = logwx + f.log_values(x)
-                log_rows, crows = _kernel_log_rows(hp, x, lx, y,
-                                                   cx if coarse else None)
+                log_rows, crows = _kernel_log_rows(hp, x, lx, y, cx)
                 ly = logwy + vexp * np.log(y)
                 inner_tot = float(np.exp(ly + qp * log_rows).sum())
-                if coarse:
-                    inner_tot = float(np.exp(ly + qp * crows) @ cy), inner_tot
-            return inner_tot, x.size * y.size
+                coarse = float(np.exp(ly + qp * crows) @ cy)
+            return (coarse, inner_tot), x.size * y.size
 
         lhs, _, _, ok = _refine_grid(grid_sum, tol, rel=True)
         lhs = f.amplitude * lhs ** (1.0 / qp)

@@ -130,7 +130,7 @@ def fd_series(p: LauricellaParams, tol: float = 1e-10) -> EvalResult:
 
 def _fd_series(p: LauricellaParams, tol: float) -> EvalResult:
     """Sum of weight(N) coeff(N) up to the first N where the majorant's
-    ``_geometric_tail`` times coeff(N) is small, a coefficient block at a
+    ``_geometric_tail`` times |coeff(N)| is small, a coefficient block at a
     time; the error adds |weight(N)| coefficient errors, and that tail."""
     diag, majorant, steps = _fd_diagonals(p)
     ladder = _ratio_ladder(p.kernel, p.reg, p.alpha, p.gammas[0])
@@ -139,8 +139,9 @@ def _fd_series(p: LauricellaParams, tol: float) -> EvalResult:
             ladder.ensure(hi)
             coeffs = ladder.coeffs[:diag.size]
             sums = np.cumsum(diag[:coeffs.size] * coeffs)
-            tails, small = _geometric_tail(majorant[:coeffs.size] * coeffs,
-                                           steps[:coeffs.size], sums)
+            tails, small = _geometric_tail(
+                majorant[:coeffs.size] * np.abs(coeffs), steps[:coeffs.size],
+                sums)
             if small.any():
                 break
         rows = int(small.argmax()) + 1 if small.any() else coeffs.size
@@ -354,15 +355,15 @@ def _halfline_ends(kern: KernelSpec, majorant, budget: float, cut: float):
     so a confluent factor at w is at most e^|w|.  Axis j then ends at the
     first node of the grid of the first level that may stop where the
     weighted majorant's sum over that node and the later ones, times the
-    other axes' full sums, is at most budget / r; fixed there, the first
-    estimate's coarse sum is the level before's own.  No axis ends past
+    other axes' full sums, is at most budget / r; fixed there, each level's
+    coarse sum is the level before's own.  No axis ends past
     ``cut``, the overflow cut, and any other kernel ends every axis there,
     with no majorant.
     """
     ends = [cut] * len(majorant[0])
     if not kern.unit_range:
         return ends, None
-    g = halfline_grid(GRID_LEVELS[1])
+    g = halfline_grid(GRID_LEVELS[0])
     tails = _majorant_tails(g, *majorant)
     for j, tail in enumerate(tails):
         k = np.count_nonzero(tail * _others(tails, j) > budget / len(tails))
@@ -418,7 +419,7 @@ def fd_laplace_product(p: LauricellaParams,
     # half-line cut drops, on the last level (the returned)
     inner_err = dropped = 0.0
 
-    def grid_sum(level, coarse=False):
+    def grid_sum(level):
         nonlocal inner_err, dropped
         g, counts, dropped = _halfline_cut(level, ends, majorant)
         ts = [g.nodes[:k] for k in counts]
@@ -440,13 +441,10 @@ def fd_laplace_product(p: LauricellaParams,
                 s = float(wa @ fv @ wb)
                 inner_err = float(np.abs(wa) @ ierr.reshape(wsum.shape)
                                   @ np.abs(wb))
-            nodes = math.prod(counts)
-            if not coarse:
-                return s, nodes
             cs = (g.coarse[:counts[0]] * es[0]) @ fv
             if p.r == 2:
                 cs = cs @ (g.coarse[:counts[1]] * es[1])
-        return (float(cs), s), nodes
+        return (float(cs), s), math.prod(counts)
 
     totals, err, nodes, converged = _refine_grid(grid_sum, tol)
     lhs = EvalResult(totals, err + inner_err + dropped, nodes, converged,
@@ -572,7 +570,7 @@ def _last_axis_sum(p: LauricellaParams, weights: np.ndarray):
     spec = pfq_spec(p.kernel, (p.alpha, p.betas[-1]), (p.gammas[-1],), p.reg)
     ladder = _ratio_ladder(p.kernel, p.reg, p.betas[-1], p.gammas[-1])
     cols, errs, rows, done = _pfq_sum(
-        spec, np.full(weights.size, float(p.xs[-1])), ladder, SERIES_CAP,
+        spec, np.full(weights.size, float(p.xs[-1])), ladder,
         heads=p.alpha + np.arange(weights.size), weights=weights)
     return cols, errs, rows, done and ladder.ok
 
@@ -611,7 +609,7 @@ def _fa_integral(p: LauricellaParams, tol: float, variant: str) -> EvalResult:
     # eps of it (1000 draws at b = d = 0 against mpmath), the rounding floor
     modulus = 0.0
 
-    def grid_sum(level, coarse=False):
+    def grid_sum(level):
         nonlocal modulus
         g = unit_grid(level)
         t = g.nodes
@@ -622,7 +620,7 @@ def _fa_integral(p: LauricellaParams, tol: float, variant: str) -> EvalResult:
                 kern, (b - 1.0) * lt + (gam - b - 1.0) * ltc, arg, theta)
                 for b, gam in zip(p.betas, p.gammas)]
             axes = [g.weights * f for f in factors]
-            caxes = [g.coarse * f for f in factors] if coarse else None
+            caxes = [g.coarse * f for f in factors]
             # the factor m is > 0, so the sum of w |f| is |s| unless a kernel
             # value is negative; only then is it summed from |axes|
             moduli = ([np.abs(a) for a in axes]
@@ -631,8 +629,7 @@ def _fa_integral(p: LauricellaParams, tol: float, variant: str) -> EvalResult:
             if p.r == 1:
                 m = np.exp(-p.alpha * np.log1p(-p.xs[0] * t))
                 s = float(axes[0] @ m)
-                if coarse:
-                    cs = float(caxes[0] @ m)
+                cs = float(caxes[0] @ m)
                 if moduli:
                     modulus = float(moduli[0] @ m)
             else:
@@ -666,13 +663,12 @@ def _fa_integral(p: LauricellaParams, tol: float, variant: str) -> EvalResult:
                     np.multiply(-p.alpha, f, out=f)
                     np.exp(f, out=f)
                     s += float(axes[0][blk] @ m @ axes[1])
-                    if coarse:
-                        cs += float(caxes[0][blk] @ m @ caxes[1])
+                    cs += float(caxes[0][blk] @ m @ caxes[1])
                     if moduli:
                         modulus += float(moduli[0][blk] @ m @ moduli[1])
             if moduli is None:
                 modulus = abs(s)
-        return ((cs, s) if coarse else s), t.size ** p.r
+        return (cs, s), t.size ** p.r
 
     totals, err, nodes, converged = _refine_grid(grid_sum, tol / norm)
     value = norm * totals
@@ -717,7 +713,7 @@ def fa_single_integral(
     # of the last level
     inner_err = dropped = 0.0
 
-    def grid_sum(level, coarse=False):
+    def grid_sum(level):
         nonlocal inner_err, dropped
         if math.isinf(upper):
             g, (k,), dropped = _halfline_cut(level, ends, majorant)
@@ -737,8 +733,6 @@ def fa_single_integral(
                 size = size * np.abs(fv)
             s = float(vals.sum())
             inner_err = float(spread.sum())
-            if not coarse:
-                return s, t.size
             # vals holds the weights as a factor; the coarse weights are 2
             # or 0 times them
             cs = float(vals @ (g.coarse[keep] / g.weights[keep]))

@@ -10,15 +10,13 @@ Unit-interval integrands receive the node t together with its complement
 1-t computed directly from the transform, so powers of (1-t) keep full
 precision arbitrarily close to the endpoint.
 
-One loop, ``_refine``, runs every refinement.  Levels that every nested
-refinement forms together (its first pass) may reach it as one first
-estimate, one row per level: their errors and stop tests are formed in one
-step, one finiteness check covers the levels read, and the loop goes on one
-level at a time after them, with the bits of one level at a time.  A
-full-grid refinement's first estimate is its first two levels read off one
-grid: the grid of the first level that may stop carries the previous
-level's weights on the same nodes, so that level's sum needs no grid or
-samples of its own.
+One loop, ``_refine``, runs every refinement, one level per step: each
+level hands it its estimate and the previous level's, and their difference
+is the error.  A nested refinement keeps a running total, so its first
+step forms levels 0 to the first that may stop; a full grid carries the
+previous level's weights on the same nodes, so one set of samples gives
+both estimates.  Where the nested sums of several levels are formed in
+one pass (the first pass), each level is still handed over on its own.
 """
 
 from __future__ import annotations
@@ -35,17 +33,16 @@ from .results import DomainError, EvalResult, NonFiniteSampleError
 # The two refinement forms and their level ranges.  Nested new-node sums
 # run levels 0 to MAX_LEVEL and may stop from MIN_LEVEL.  Full-grid sums
 # form every node of a level afresh, so they run the shorter range
-# GRID_LEVELS: (first level, first level that may stop, last level); none
-# of them has been seen to need a level past 7.  The first level only forms
-# the error of the first that may stop, and is summed on that level's grid
-# with its coarse weights (an earlier one would go unread).
+# GRID_LEVELS = (first level that may stop, last level); none of them has
+# been seen to need a level past 7.  Each grid's previous level is its sum
+# with the coarse weights (``QuadGrid.coarse``), so no grid of an earlier
+# level is formed.
 MAX_LEVEL = 12
 MIN_LEVEL = 3
-GRID_LEVELS = (3, 4, 8)
+GRID_LEVELS = (4, 8)
 # Nested sums form levels 0 to FIRST_PASS_LEVEL in one pass, over their nodes
-# laid end to end (unit_new_nodes(-1)).  The batch hands the whole pass to
-# _refine as one first estimate; the kernel integrals hand over levels 0 to
-# MIN_LEVEL, which every refinement reads.  Coefficient-ladder batches stop
+# laid end to end (unit_new_nodes(-1)), and hand each level to the
+# refinement when it asks for it.  Coefficient-ladder batches stop
 # at this level in 2174 of 2289 cases over 3024 eval-mix calls (seeds 1-3;
 # 1 stops at level 3, 114 at 6), and in 99 of 103 of a cold full
 # conformance pass (the other 4 at 6).  A span of 4 or 6 levels was
@@ -159,10 +156,9 @@ def unit_level_span(level: int) -> slice:
 
 
 @functools.cache
-def _first_pass_spans() -> tuple[tuple[slice, ...], tuple[int, ...]]:
-    """(spans, ends) of levels 0..FIRST_PASS_LEVEL (cached)."""
-    spans = tuple(unit_level_span(lv) for lv in range(FIRST_PASS_LEVEL + 1))
-    return spans, tuple(span.stop for span in spans)
+def _first_pass_spans() -> tuple[slice, ...]:
+    """The ``unit_level_span`` of levels 0..FIRST_PASS_LEVEL (cached)."""
+    return tuple(unit_level_span(lv) for lv in range(FIRST_PASS_LEVEL + 1))
 
 
 @functools.cache
@@ -234,113 +230,59 @@ def _running(op, blk: np.ndarray) -> None:
             op(blk[i - 1], blk[i], out=blk[i])
 
 
-def _refine(estimate, tol: float, levels: tuple[int, int, int],
-            rel: bool = False, first=None, read=None):
+def _refine(estimate, tol: float, least: int, last: int, rel: bool = False):
     """The level-doubling loop shared by every integral.
 
-    ``estimate(level)`` returns (estimate, nodes used) for the levels
-    first, first + 1, ..., last of ``levels`` = (first, least, last); the
-    estimate is a scalar or an array (real or complex).  Its error is
-    |estimate - previous estimate|, elementwise, and inf at the first
-    level.  The loop stops at the first level >= least whose largest error
-    is <= tol, or <= tol * (1 + |estimate|) with ``rel``.  Returns
-    (estimate, err, nodes, converged): the last level's estimate and error
-    and the nodes of all levels.
-
-    ``first`` = (estimates, nodes) hands over the levels first, ...,
-    first + k - 1 at once, one row per level, with nodes[i] the nodes of
-    rows 0..i.  Their errors and stop tests are array operations;
-    ``read(j)``, if given, is called with the number j of those rows the
-    loop reads before any of them counts, and ``estimate`` is asked only
-    for the levels after them.
+    ``estimate(level)`` returns ((previous, estimate), nodes used) for the
+    levels least, least + 1, ..., last: the level's estimate and the
+    previous level's, each a scalar or an array (real or complex).  The
+    error is |estimate - previous|, elementwise; a non-finite one neither
+    warns nor stops the loop.  The loop stops at the first level whose
+    largest error is <= tol, or <= tol * (1 + |estimate|) with ``rel``.
+    Returns (estimate, err, nodes, converged): the last level's estimate
+    and error and the nodes of all levels.
     """
-    first_level, least, last = levels
-    est = None
-    err = math.inf
     nodes = 0
-    start = first_level
-    if first is not None:
-        rows, ends = first
-        # a non-finite row cannot stop the loop; read refuses its level
-        with np.errstate(invalid="ignore"):
-            errs = np.abs(rows[1:] - rows[:-1])
-            bound = tol * (1.0 + np.abs(rows[1:])) if rel else tol
-            stops = (errs <= bound).reshape(len(errs), rows[0].size).all(1)
-        stops[:max(least - first_level - 1, 0)] = False
-        done = bool(stops.any())
-        count = int(stops.argmax()) + 2 if done else len(rows)
-        if read is not None:
-            read(count)
-        est, nodes = rows[count - 1], ends[count - 1]
-        if count > 1:
-            err = errs[count - 2]
-        if done:
-            return est, err, nodes, True
-        start += count
-    for level in range(start, last + 1):
-        prev = est
-        est, n = estimate(level)
+    for level in range(least, last + 1):
+        (prev, est), n = estimate(level)
         nodes += n
-        if prev is not None:
+        with np.errstate(invalid="ignore"):
             err = abs(est - prev)
-        bound = tol * (1.0 + abs(est)) if rel else tol
-        if level >= least and ((err <= bound).all()
-                               if isinstance(err, np.ndarray)
-                               else err <= bound):
+            within = err <= (tol * (1.0 + abs(est)) if rel else tol)
+        if within.all() if isinstance(within, np.ndarray) else within:
             return est, err, nodes, True
     return est, err, nodes, False
 
 
-def _nested_first(sums: np.ndarray) -> np.ndarray:
-    """The nested estimates of levels 0..k-1 from their new-node sums, one
-    row per level, by ``_refine_nested``'s rule taken row by row."""
-    steps = _LEVEL_STEPS[:len(sums)]
-    totals = sums * (steps[:, None] if sums.ndim > 1 else steps)
-    with np.errstate(invalid="ignore"):  # as in _refine, for read to judge
-        for i in range(1, len(totals)):
-            totals[i] = 0.5 * totals[i - 1] + totals[i]
-    return totals
-
-
-def _refine_nested(contrib, tol: float, first=None, read=None):
+def _refine_nested(contrib, tol: float):
     """``_refine`` of the nested trapezoid estimates over levels 0 to
     MAX_LEVEL, by one rule: level L's estimate is half level L-1's plus
     2^-L times its sum (level 0: the sum), where ``contrib(level)`` returns
-    (sum of w*f over the level's new nodes, their count).  ``first`` =
-    (sums, nodes) hands over the sums of levels 0..k-1 at once, one row per
-    level, nodes[i] the nodes of levels 0..i; ``_nested_first`` forms their
-    estimates with the rule's bits, and ``read`` is as for ``_refine``.
+    (sum of w*f over the level's new nodes, their count).  The first step
+    asks ``contrib`` for levels 0..MIN_LEVEL in order, each later step for
+    its own level.
     """
     total = None
 
     def estimate(level):
         nonlocal total
-        s, n = contrib(level)
-        s = _LEVEL_STEPS[level] * s
-        total = s if total is None else 0.5 * total + s
-        return total, n
+        prev, nodes = total, 0
+        for lv in range(0 if total is None else level, level + 1):
+            s, n = contrib(lv)
+            s = _LEVEL_STEPS[lv] * s
+            prev, total = total, s if total is None else 0.5 * total + s
+            nodes += n
+        return (prev, total), nodes
 
-    if first is not None:
-        first = (_nested_first(first[0]), first[1])
-        total = first[0][-1]
-    return _refine(estimate, tol, (0, MIN_LEVEL, MAX_LEVEL), first=first,
-                   read=read)
+    return _refine(estimate, tol, MIN_LEVEL, MAX_LEVEL)
 
 
 def _refine_grid(grid_sum, tol: float, rel: bool = False):
     """``_refine`` of the full-grid sums over the levels of GRID_LEVELS,
-    returned as floats.
-
-    ``grid_sum(level)`` returns (sum, nodes) on the level's grid.  The first
-    call is ``grid_sum(level, coarse=True)`` at the first level that may
-    stop, and returns ((coarse sum, sum), nodes): the coarse sum is the
-    first level's, over the same samples with the grid's coarse weights.
-    Both reach ``_refine`` as one first estimate, so a result's node count
-    counts each node once.
-    """
-    sums, nodes = grid_sum(GRID_LEVELS[1], coarse=True)
-    value, err, nodes, ok = _refine(grid_sum, tol, GRID_LEVELS, rel,
-                                    first=(np.array(sums), (nodes, nodes)))
+    returned as floats.  ``grid_sum(level)`` returns ((coarse sum, sum),
+    nodes) on the level's grid: the coarse sum is the previous level's,
+    over the same samples with the grid's coarse weights."""
+    value, err, nodes, ok = _refine(grid_sum, tol, *GRID_LEVELS, rel)
     return float(value), float(err), nodes, ok
 
 
@@ -415,17 +357,18 @@ def integrate_unit_batch(f0, count: int, tol: float, kstep: int = 1):
 
     f0 is the m = 0 integrand, evaluated once per node and shared by the
     whole family.  Its first call covers levels 0..FIRST_PASS_LEVEL at once,
-    on ``unit_new_nodes(-1)``, and their member sums reach
-    ``_refine_nested`` as one first estimate; each later call covers one
-    level.  A member's level sum is one dot product of its power-table row
-    with the weighted samples per run of _DOT_COLUMNS columns, the runs
-    added in order (``_member_sums``), so its bits depend neither on the
-    cache, on ``count`` nor on the other levels of the first call.  A
-    non-finite sample raises ``NonFiniteSampleError`` when the refinement
-    reads its level, and not at all on a level of the first call that it
-    never reads.  Returns (values, errs, nodes_used, converged) with
-    per-member errors from the last refinement step.  A count that is not
-    an integer >= 1 is a DomainError, raised before any node.
+    on ``unit_new_nodes(-1)``, with one ``_member_sums`` call for all of
+    their member sums; each is handed to ``_refine_nested`` when it asks for
+    its level, and each later call of f0 covers one level.  A member's level
+    sum is one dot product of its power-table row with the weighted samples
+    per run of _DOT_COLUMNS columns, the runs added in order
+    (``_member_sums``), so its bits depend neither on the cache, on
+    ``count`` nor on the other levels of the first call.  A non-finite
+    sample raises ``NonFiniteSampleError`` when the refinement asks for its
+    level, and not at all on a level of the first call that it never asks
+    for.  Returns (values, errs, nodes_used, converged) with per-member
+    errors from the last refinement step.  A count that is not an integer
+    >= 1 is a DomainError, raised before any node.
     """
     try:
         count = operator.index(count)
@@ -434,21 +377,23 @@ def integrate_unit_batch(f0, count: int, tol: float, kstep: int = 1):
             from None
     if count < 1:
         raise DomainError(f"batch count must be >= 1, got {count}")
-    spans, ends = _first_pass_spans()
+    spans = _first_pass_spans()
     t, tc, w = unit_new_nodes(-1)
-    base = w * np.asarray(f0(t, tc), dtype=float)
-    # a non-finite sample raises only once its level is read (read, below)
+    first = w * np.asarray(f0(t, tc), dtype=float)
+    # a non-finite sample raises only once its level is asked for
+    finite = bool(np.isfinite(first).all())
     with np.errstate(invalid="ignore"):
-        sums = _member_sums(-1, kstep, count, base, spans)
-
-    def read(levels):
-        _check_finite(base[:ends[levels - 1]], t[:ends[levels - 1]])
+        sums = _member_sums(-1, kstep, count, first, spans)
 
     def contrib(level):
         t, tc, w = unit_new_nodes(level)
+        if level <= FIRST_PASS_LEVEL:
+            if not finite:
+                _check_finite(first[spans[level]], t)
+            return sums[level], t.size
         base = w * np.asarray(f0(t, tc), dtype=float)
         _check_finite(base, t)
         return _member_sums(level, kstep, count, base,
                             [slice(0, t.size)])[0], t.size
 
-    return _refine_nested(contrib, tol, (sums, ends), read)
+    return _refine_nested(contrib, tol)

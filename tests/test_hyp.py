@@ -739,11 +739,11 @@ def test_series_vector_empty_and_cap_match_per_term(monkeypatch):
     assert [a.shape for a in got + want] == [(0,)] * 4
     w = np.linspace(-0.8, 0.8, 65)
     for cap in (0, 5, 70):
-        got = hyp._pfq_sum(spec, w, _CoeffLadder(spec), cap)
+        monkeypatch.setattr(hyp, "SERIES_CAP", cap)
+        got = hyp._pfq_sum(spec, w, _CoeffLadder(spec))
         want = _sum_per_term(spec, w, _CoeffLadder(spec), cap)
         _same_sums(got, want)
         assert got[2:] == (cap, False)
-        monkeypatch.setattr(hyp, "SERIES_CAP", cap)
         with pytest.raises(DomainError, match=f"within {cap} terms"):
             pfq_series_vector(spec, w)
 
@@ -778,7 +778,7 @@ def test_engine_per_column_heads_and_weights_match_per_term(size):
     weights = np.cos(np.arange(size)) * 0.6 ** np.arange(size)
     for cols in ((heads, weights), (heads, None), (None, weights)):
         got_ladder, want_ladder = _CoeffLadder(spec), _CoeffLadder(spec)
-        got = hyp._pfq_sum(spec, w, got_ladder, SERIES_CAP, *cols)
+        got = hyp._pfq_sum(spec, w, got_ladder, *cols)
         want = _sum_per_term(spec, w, want_ladder, SERIES_CAP, *cols)
         _same_sums(got, want)
         assert got[3]
@@ -795,8 +795,7 @@ def test_engine_retires_zero_weight_columns_bit_identically(size):
     heads = 0.9 + np.arange(size)
     weights = np.cos(np.arange(size)) * 0.6 ** np.arange(size)
     weights[::3] = 0.0
-    got = hyp._pfq_sum(spec, w, _CoeffLadder(spec), SERIES_CAP, heads,
-                       weights)
+    got = hyp._pfq_sum(spec, w, _CoeffLadder(spec), heads, weights)
     want = _sum_per_term(spec, w, _CoeffLadder(spec), SERIES_CAP, heads,
                          weights)
     _same_sums(got, want)
@@ -809,20 +808,21 @@ def test_engine_ends_a_terminating_sum_at_a_block_boundary():
     # at least 2 before, all stop at their first weight 0, tail 0
     spec = PfqSpec(((-63.0, 1), (1.3, 1)), (2.1,), _R12)
     w = np.array([0.0, 2.0, 2.5, 3.0])
-    got = hyp._pfq_sum(spec, w, _CoeffLadder(spec), SERIES_CAP)
+    got = hyp._pfq_sum(spec, w, _CoeffLadder(spec))
     want = _sum_per_term(spec, w, _CoeffLadder(spec))
     _same_sums(got, want)
     assert got[2:] == (hyp._BLOCK + 1, True)
 
 
-def test_engine_keeps_a_nan_column_nan():
+def test_engine_keeps_a_nan_column_nan(monkeypatch):
     # a NaN tail is never small, so its column never stops, while the
     # columns beside it do; the sum runs to the cap unfinished
     spec = PfqSpec(((0.7, 1), (1.3, 1)), (2.1,), _R12)
     w = np.linspace(-0.8, 0.8, 65)
     w[::4] = 0.0
     w[5] = np.nan
-    got = hyp._pfq_sum(spec, w, _CoeffLadder(spec), 200)
+    monkeypatch.setattr(hyp, "SERIES_CAP", 200)
+    got = hyp._pfq_sum(spec, w, _CoeffLadder(spec))
     want = _sum_per_term(spec, w, _CoeffLadder(spec), 200)
     _same_sums(got, want)
     assert np.isnan(got[0][5]) and np.isfinite(np.delete(got[0], 5)).all()
@@ -864,7 +864,7 @@ def test_engine_sums_a_column_past_its_peak():
     # below 1e-16 of the sum, but each is larger than the one before
     spec = pfq_spec(EXP_KERNEL, (0.9, 0.7), (2.1,))
     got = hyp._pfq_sum(spec, np.array([0.658]), _CoeffLadder(spec),
-                       SERIES_CAP, np.array([300.0]), np.array([1e-30]))
+                       np.array([300.0]), np.array([1e-30]))
     want = 1e-30 * oracles.hyp2f1(300.0, 0.7, 2.1, 0.658)
     assert got[3] and got[2] > 500
     assert abs(got[0][0] - want) <= 1e-13 * abs(want)

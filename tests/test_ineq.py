@@ -268,17 +268,15 @@ def test_bump_is_smooth_compact():
 
 def _bilinear_lhs_every_row(hp, f, g, tol=1e-8):
     """Reference: the bilinear left side with a kernel row for every y."""
-    def grid_sum(level, coarse=False):
+    def grid_sum(level):
         with np.errstate(all="ignore"):
             x, logwx, cx = ineq._axis_nodes(level, f.support_top())
             y, logwy, cy = ineq._axis_nodes(level, g.support_top())
             ly = logwy + g.log_values(y)
             log_rows, crows = ineq._kernel_log_rows(
-                hp, x, logwx + f.log_values(x), y, cx if coarse else None)
+                hp, x, logwx + f.log_values(x), y, cx)
             total = float(np.exp(ly + log_rows).sum())
-            if coarse:
-                total = float(np.exp(ly + crows) @ cy), total
-            return total, x.size * y.size
+            return (float(np.exp(ly + crows) @ cy), total), x.size * y.size
 
     lhs, _, _, ok = quadrature._refine_grid(grid_sum, tol, rel=True)
     return lhs * f.amplitude * g.amplitude, ok
@@ -296,10 +294,10 @@ def test_bilinear_skips_rows_where_g_is_zero_bit_identically(g, monkeypatch):
     rows, pairs = [], [0]
     kernel_log_rows = ineq._kernel_log_rows
 
-    def spy(hp, x, lx, y, coarse=None):
+    def spy(hp, x, lx, y, cx):
         rows.append(y)
         pairs[0] += x.size * y.size
-        return kernel_log_rows(hp, x, lx, y, coarse)
+        return kernel_log_rows(hp, x, lx, y, cx)
 
     monkeypatch.setattr(ineq, "_kernel_log_rows", spy)
     got = hilbert_bilinear(hp, f, g)
@@ -314,7 +312,7 @@ def test_forms_report_unconverged_refinement(monkeypatch):
     assert hilbert_bilinear(hp, f, g).converged is True
     assert hilbert_equivalent(hp, f).converged is True
     # the full-grid refinements end at level 4, their first that may stop
-    monkeypatch.setattr(quadrature, "GRID_LEVELS", (3, 4, 4))
+    monkeypatch.setattr(quadrature, "GRID_LEVELS", (4, 4))
     assert hilbert_bilinear(hp, f, g, tol=1e-11).converged is False
     assert hilbert_equivalent(hp, f, tol=1e-11).converged is False
     bil, equiv = hilbert_check(hp, f, g, tol=1e-11)

@@ -116,6 +116,31 @@ def test_fd_series_vs_integral():
     assert abs(s3.value - i3.value) <= 1e-9 * (1 + abs(s3.value))
 
 
+@pytest.mark.parametrize("a, c", [(2.0, 1.0), (3.0, 1.5), (5.0, 1.0)])
+def test_fd_series_estimate_covers_kernels_with_c_below_a(a, c):
+    # with c < a the confluent kernel's beta ratios change sign; the tail
+    # takes their moduli, so no estimate is negative and each series value
+    # lies within the sum of its estimate and the Euler integral's
+    kern = kummer_kernel(a, c)
+    rng = np.random.default_rng(int(10 * a + c))
+    points = [LauricellaParams(0.8, (0.9, 1.2), (2.5,), (0.15, 0.2),
+                               RegPair(0.1, 0.1), kern)]
+    for _ in range(12):
+        r = int(rng.integers(1, 4))
+        alpha = rng.uniform(0.2, 2.0)
+        points.append(LauricellaParams(
+            alpha, tuple(rng.uniform(0.2, 2.0, r)),
+            (alpha + rng.uniform(0.3, 2.5),),
+            tuple(rng.uniform(-0.9, 0.9, r) / r),
+            RegPair(*rng.uniform(0.0, 0.5, 2)), kern))
+    for p in points:
+        for tol in (1e-8, 1e-12):
+            s, i = fd_series(p, tol), fd_integral(p, tol)
+            assert s.converged and s.abs_err_est >= 0.0, (p, tol)
+            assert (abs(s.value - i.value)
+                    <= s.abs_err_est + i.abs_err_est), (p, tol, s, i)
+
+
 def test_fd_constant_when_betas_vanish():
     r = RegPair(0.2, 0.4)
     got = fd_series(PD(1.0, [0.0, 0.0], 2.0, [0.3, 0.6], r))
@@ -206,7 +231,7 @@ def test_series_retirement_is_bit_identical_on_the_laplace_grid(monkeypatch):
     w = _fd_laplace_arguments(4)
     assert w.size == 143 ** 2 and w.min() < 1e-291 and w.max() > 228.0
     count = _counting_entries(monkeypatch)
-    got = hyp._pfq_sum(spec, w, hyp._CoeffLadder(spec), SERIES_CAP)
+    got = hyp._pfq_sum(spec, w, hyp._CoeffLadder(spec))
     want = _sum_per_term(spec, w, hyp._CoeffLadder(spec))
     assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
     assert np.array_equal(got[1].view(np.int64), want[1].view(np.int64))
@@ -520,7 +545,7 @@ def _fa_full_grid(p, tol):
     norm, norm_err = _beta_norm(tuple(zip(p.betas, p.gammas)))
     modulus = 0.0
 
-    def grid_sum(level, coarse=False):
+    def grid_sum(level):
         nonlocal modulus
         g = quadrature.unit_grid(level)
         t, tc, wt = g.nodes, g.complements, g.weights
@@ -551,7 +576,7 @@ def _fa_full_grid(p, tol):
                         modulus += float(moduli[0][blk] @ m @ moduli[1])
             if moduli is None:
                 modulus = abs(s)
-        return ((cs, s) if coarse else s), t.size ** p.r
+        return (cs, s), t.size ** p.r
 
     totals, err, nodes, ok = quadrature._refine_grid(grid_sum, tol / norm)
     value = norm * totals

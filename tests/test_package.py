@@ -11,7 +11,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import exthyp
+from exthyp.quadrature import GRID_LEVELS, halfline_grid, unit_grid
 
 SRC = Path(exthyp.__file__).parent
 REPO = SRC.parent.parent
@@ -42,13 +45,15 @@ REMOVED = {
 # maxima, which the per-column tail replaced, the memo dicts that
 # functools caches replaced,
 # the unit grid's own sorting permutation (grid_order serves both grids),
+# the stacked form of the nested rule (every level now takes the one step),
 # and the twin of check_beta_domain
 REMOVED_FROM = {
     "hyp.py": {"shared_coefficients", "_shared_blocks", "contextvars",
                "contextlib", "_RETIRE_SHARE", "_max_abs"},
     "quadrature.py": {"_unit_cache", "_half_cache", "_unit_order_cache",
                       "unit_grid_order", "_nested", "_nested_step",
-                      "_power_block", "_block_rows", "itertools"},
+                      "_power_block", "_block_rows", "itertools",
+                      "_nested_first"},
     "extbeta.py": {"_log_cache", "check_beta_domain_complex"},
     "corefn.py": {"_kummer_tables", "_KummerTables", "_kummer_amplitude",
                   "_kummer_log_amplitude", "_kummer_pos"},
@@ -108,15 +113,15 @@ def _called(call: ast.Call) -> str:
 def test_refinement_depth_and_series_cap_are_not_parameters():
     # quadrature names the two level ranges once (MIN_LEVEL to MAX_LEVEL
     # for nested sums, GRID_LEVELS for full grids) and is the only module
-    # that calls its engine _refine; the one series cap is hyp.SERIES_CAP
-    takes_cap, caps = [], set()
+    # that calls its engine _refine; the series engine reads the one cap,
+    # hyp.SERIES_CAP, itself
+    engine = None
     for name, tree in _trees():
         for n in ast.walk(tree):
             if isinstance(n, (ast.FunctionDef, ast.Lambda)):
-                params = _params(n)
-                assert "max_level" not in params, (name, n.lineno)
-                if "cap" in params:
-                    takes_cap.append((name, getattr(n, "name", "lambda")))
+                assert "max_level" not in _params(n), (name, n.lineno)
+                if getattr(n, "name", "") == "_pfq_sum":
+                    engine = n
             if not isinstance(n, ast.Call):
                 continue
             if name != "quadrature.py":
@@ -124,11 +129,35 @@ def test_refinement_depth_and_series_cap_are_not_parameters():
                 assert not {k.arg for k in n.keywords} & {
                     "max_level", "min_level", "first_level"}, (name, n.lineno)
             if _called(n) == "_pfq_sum":
-                cap = n.args[3] if len(n.args) > 3 else next(
-                    k.value for k in n.keywords if k.arg == "cap")
-                caps.add(ast.unparse(cap))
-    assert takes_cap == [("hyp.py", "_pfq_sum")]
-    assert caps == {"SERIES_CAP"}
+                assert "SERIES_CAP" not in ast.unparse(n), (name, n.lineno)
+    assert "SERIES_CAP" in {x.id for x in ast.walk(engine)
+                            if isinstance(x, ast.Name)}
+
+
+def test_no_function_takes_a_refinement_or_series_flag():
+    # every refinement level hands _refine its estimate and the previous
+    # level's (no stacked first estimate, no read-back of its rows, no
+    # coarse first call of a grid), and the series engine has one cap
+    for name, tree in _trees():
+        for n in ast.walk(tree):
+            if isinstance(n, (ast.FunctionDef, ast.Lambda)):
+                assert not _params(n) & {"first", "read", "coarse", "cap"}, \
+                    (name, getattr(n, "name", "lambda"), n.lineno)
+
+
+def test_refine_has_one_path():
+    # one loop over the levels, whose one branch is the stop test
+    tree = dict(_trees())["quadrature.py"]
+    refine, = (n for n in ast.walk(tree)
+               if isinstance(n, ast.FunctionDef) and n.name == "_refine")
+    assert _params(refine) == {"estimate", "tol", "least", "last", "rel"}
+    loops = [n for n in ast.walk(refine)
+             if isinstance(n, (ast.For, ast.While, ast.comprehension))]
+    assert len(loops) == 1 and isinstance(loops[0], ast.For)
+    branches = [n for n in ast.walk(refine) if isinstance(n, ast.If)]
+    assert len(branches) == 1
+    assert branches[0] in list(ast.walk(loops[0]))
+    assert isinstance(branches[0].body[-1], ast.Return)
 
 
 # the functions whose argument is a refinement level (or, for unit_new_nodes
@@ -195,12 +224,25 @@ def test_level_numbers_are_named_once_in_quadrature():
 
 
 def test_full_grids_start_one_level_before_the_first_that_may_stop():
-    # _refine reads its first level only to form the next level's error,
-    # so an earlier full-grid level would be summed and never read
-    from exthyp.quadrature import GRID_LEVELS
-
-    first, least, _last = GRID_LEVELS
-    assert first == least - 1
+    # a full grid's previous level is its sum with the coarse weights: the
+    # grid of the first level that may stop carries the level before it,
+    # so no grid of an earlier level is formed
+    assert len(GRID_LEVELS) == 2
+    least, last = GRID_LEVELS
+    assert 0 < least < last
+    for grid in (unit_grid, halfline_grid):
+        for level in range(least, last + 1):
+            g, before = grid(level), grid(level - 1)
+            old = g.coarse != 0.0
+            assert np.array_equal(g.coarse[old], 2.0 * g.weights[old])
+            # a node is told by its complement where it rounds to 1.0
+            key = g.nodes if g.complements is None else g.complements
+            was = (before.nodes if before.complements is None
+                   else before.complements)
+            mine, theirs = np.argsort(key[old]), np.argsort(was)
+            assert np.array_equal(key[old][mine], was[theirs])
+            assert np.array_equal(g.coarse[old][mine],
+                                  before.weights[theirs])
 
 
 def test_no_file_is_opened_with_truncation():

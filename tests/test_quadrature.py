@@ -504,13 +504,34 @@ def test_cumulative_grids_integrate():
     assert abs(float(h.weights @ np.exp(-h.nodes)) - 1.0) < 1e-12
 
 
+def _one_level_reference(estimate, tol, first, least, last, rel=False):
+    """Reference: the refinement as one loop over the levels first..last,
+    each level's estimate formed on its own by ``estimate(level)`` ->
+    (estimate, nodes); the error is |estimate - previous| from the second
+    level on (inf before), and the stop test runs from ``least``."""
+    prev, err, nodes = None, math.inf, 0
+    for level in range(first, last + 1):
+        est, n = estimate(level)
+        nodes += n
+        if prev is not None:
+            with np.errstate(invalid="ignore"):
+                err = abs(est - prev)
+        bound = tol * (1.0 + abs(est)) if rel else tol
+        if level >= least and np.all(err <= bound):
+            return est, err, nodes, True
+        prev = est
+    return est, err, nodes, False
+
+
 def _scripted(estimates, nodes=10):
-    """An estimate(level) replaying {level: estimate}; logs the levels asked."""
+    """An estimate(level) in ``_refine``'s form, replaying {level: estimate}
+    as (the level's estimate and the one before, nodes); logs the levels
+    asked."""
     asked = []
 
     def estimate(level):
         asked.append(level)
-        return estimates[level], nodes
+        return (estimates[level - 1], estimates[level]), nodes
 
     return estimate, asked
 
@@ -519,33 +540,34 @@ def test_refine_stops_at_first_level_from_min_level_within_tol():
     # level 2 is within tol but below min_level; level 3 is not; level 4 is
     est, asked = _scripted({0: 1.0, 1: 0.5, 2: 0.5, 3: 0.9, 4: 0.9 + 1e-12,
                             5: 0.9})
-    value, err, nodes, ok = _refine(est, 1e-9, NESTED)
-    assert asked == [0, 1, 2, 3, 4]
+    value, err, nodes, ok = _refine(est, 1e-9, MIN_LEVEL, MAX_LEVEL)
+    assert asked == [3, 4]
     assert ok and value == 0.9 + 1e-12
     assert err == abs((0.9 + 1e-12) - 0.9)
-    assert nodes == 50
+    assert nodes == 20
 
 
 def test_refine_first_level_requests_no_lower_level():
     est, asked = _scripted({2: 3.0, 3: 2.0, 4: 2.0, 5: 1.0})
-    value, err, nodes, ok = _refine(est, 1e-9, (2, 4, 6))
-    assert asked == [2, 3, 4]
-    assert ok and value == 2.0 and err == 0.0 and nodes == 30
-    # a single level has no error estimate
-    est, asked = _scripted({2: 3.0})
-    assert _refine(est, 1.0, (2, 2, 2)) == (
-        3.0, math.inf, 10, False)
-    assert asked == [2]
+    value, err, nodes, ok = _refine(est, 1e-9, 3, 6)
+    assert asked == [3, 4]
+    assert ok and value == 2.0 and err == 0.0 and nodes == 20
+    # a single level is judged on its own pair
+    est, asked = _scripted({2: 3.0, 3: 2.0})
+    assert _refine(est, 1.0, 3, 3) == (2.0, 1.0, 10, True)
+    est, asked = _scripted({2: 3.0, 3: 2.0})
+    assert _refine(est, 0.5, 3, 3) == (2.0, 1.0, 10, False)
+    assert asked == [3]
 
 
 def test_refine_rel_bound_scales_with_estimate():
     levels = {0: 2000.0, 1: 1000.0, 2: 1000.0 + 1e-7, 3: 1000.0}
     # |change| = 1e-7 > tol = 1e-9, but <= tol * (1 + 1000)
     est, asked = _scripted(levels)
-    assert not _refine(est, 1e-9, (0, 2, 3))[3]
+    assert not _refine(est, 1e-9, 2, 3)[3]
     est, asked = _scripted(levels)
-    value, err, _, ok = _refine(est, 1e-9, (0, 2, 3), rel=True)
-    assert ok and asked == [0, 1, 2] and value == 1000.0 + 1e-7
+    value, err, _, ok = _refine(est, 1e-9, 2, 3, rel=True)
+    assert ok and asked == [2] and value == 1000.0 + 1e-7
     assert err == abs((1000.0 + 1e-7) - 1000.0)
 
 
@@ -558,8 +580,8 @@ def test_refine_array_estimate_keeps_per_member_errors():
               4: np.array([1.5, 2.5, 3.0 + 1e-12]),
               5: np.array([0.0, 0.0, 0.0])}
     est, asked = _scripted(levels, nodes=7)
-    value, err, nodes, ok = _refine(est, 1e-10, NESTED)
-    assert ok and asked == [0, 1, 2, 3, 4] and nodes == 35
+    value, err, nodes, ok = _refine(est, 1e-10, MIN_LEVEL, MAX_LEVEL)
+    assert ok and asked == [3, 4] and nodes == 14
     assert value is not levels[3] and np.array_equal(value, levels[4])
     assert err.shape == (3,)
     assert np.array_equal(err, np.abs(levels[4] - levels[3]))
@@ -569,8 +591,20 @@ def test_refine_array_estimate_keeps_per_member_errors():
 def test_refine_unconverged_returns_last_level():
     levels = {k: (-1.0) ** k for k in range(6)}
     est, asked = _scripted(levels, nodes=4)
-    assert _refine(est, 1e-9, (0, MIN_LEVEL, 5)) == (-1.0, 2.0, 24, False)
-    assert asked == list(range(6))
+    assert _refine(est, 1e-9, MIN_LEVEL, 5) == (-1.0, 2.0, 12, False)
+    assert asked == [3, 4, 5]
+
+
+def test_refine_non_finite_error_neither_warns_nor_stops():
+    # inf - inf is NaN: no RuntimeWarning (an error in this suite), and a
+    # NaN error never passes the stop test
+    levels = {2: np.array([1.0, math.inf]), 3: np.array([1.0, math.inf]),
+              4: np.array([1.0, np.nan]), 5: np.array([1.0, 2.0]),
+              6: np.array([1.0, 2.0])}
+    est, asked = _scripted(levels)
+    value, err, nodes, ok = _refine(est, 1e-9, 3, 6)
+    assert ok and asked == [3, 4, 5, 6] and nodes == 40
+    assert np.array_equal(err, [0.0, 0.0])
 
 
 _SCRIPTS = {
@@ -598,23 +632,29 @@ _SCRIPTS = {
 @pytest.mark.parametrize("rows", [1, 2, 3, 4])
 def test_refine_stacked_first_estimate_judges_like_one_level_at_a_time(
         script, rows):
-    # the first rows handed over at once give the same estimate, error,
-    # nodes and verdict; read learns how many rows the loop read, and
-    # estimate is asked only for the levels after the rows
-    levels, tol, span, rel = _SCRIPTS[script]
-    first = span[0]
-    est, asked = _scripted(levels, nodes=7)
-    want = _refine(est, tol, span, rel)
-    stacked = np.array([levels[first + i] for i in range(rows)])
-    reads = []
-    est, asked_after = _scripted(levels, nodes=7)
-    got = _refine(est, tol, span, rel, first=(stacked, [7 * (i + 1)
-                                                     for i in range(rows)]),
-                  read=reads.append)
+    # levels formed together in one first pass, ``rows`` of them or up to
+    # the first level that may stop, as the batch forms its first pass:
+    # each is handed to _refine when asked for, with the level before, and
+    # the estimate, error, nodes and verdict are the one-level loop's
+    levels, tol, (first, least, last), rel = _SCRIPTS[script]
+    want = _one_level_reference(lambda lv: (levels[lv], 7), tol, first,
+                                least, last, rel)
+    stack, handed = {}, []
+
+    def stacked(level):
+        if not stack:
+            top = min(max(first + rows - 1, level), max(levels))
+            stack.update(zip(range(first, top + 1), np.array(
+                [levels[lv] for lv in range(first, top + 1)])))
+        stack.setdefault(level, levels[level])
+        n = 7 * (level - (handed[-1] if handed else first - 1))
+        handed.append(level)
+        return (stack[level - 1], stack[level]), n
+
+    got = _refine(stacked, tol, least, last, rel)
     assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
     assert got[2:] == want[2:]
-    assert reads == [min(rows, len(asked))]
-    assert asked_after == [lv for lv in asked if lv >= first + rows]
+    assert handed == list(range(least, handed[-1] + 1))
 
 
 def _step_nested(sums):
@@ -656,14 +696,142 @@ _LEVEL_SUMS = {
 
 
 @pytest.mark.parametrize("case", list(_LEVEL_SUMS))
-def test_nested_first_has_the_step_forms_bits(case):
-    # the stacked first pass has the bits of the rule taken one level at a
-    # time, on every kind of level sum and whatever the number of rows
+def test_nested_first_has_the_step_forms_bits(case, monkeypatch):
+    # the nested refinement's first step, levels 0..MIN_LEVEL, and each
+    # later one have the bits of the rule taken one level at a time, on
+    # every kind of level sum, for array members and for scalars: ending
+    # the refinement at each level in turn returns that level's estimate
+    # and its difference from the one before
     sums = np.array(_LEVEL_SUMS[case])
     with np.errstate(all="ignore"):
-        for rows in (sums, sums[:, 0], sums[:, 1], sums[:3]):
+        for rows in (sums, sums[:, 0], sums[:, 1]):
             want = _step_nested(rows)
-            assert _same_bits(quadrature._nested_first(rows.copy()), want)
+            for last in range(MIN_LEVEL, len(rows)):
+                asked = []
+
+                def contrib(level):
+                    asked.append(level)
+                    return rows[level], 1
+
+                monkeypatch.setattr(quadrature, "MAX_LEVEL", last)
+                value, err, nodes, ok = quadrature._refine_nested(contrib,
+                                                                  -1.0)
+                assert asked == list(range(last + 1))
+                assert _same_bits(value, want[last])
+                assert _same_bits(err, np.abs(want[last] - want[last - 1]))
+                assert (nodes, ok) == (last + 1, False)
+
+
+def _nested_reference(contrib, tol):
+    """Reference for ``_refine_nested``: the nested estimate formed from
+    level 0 one level at a time and judged by the one-level loop."""
+    total = None
+
+    def estimate(level):
+        nonlocal total
+        s, n = contrib(level)
+        s = (2.0 ** -level if level else 1.0) * s
+        total = s if total is None else 0.5 * total + s
+        return total, n
+
+    return _one_level_reference(estimate, tol, 0, MIN_LEVEL, MAX_LEVEL)
+
+
+def _level_contrib(new_nodes, f):
+    """The level sums of f on one level's new nodes, its samples checked."""
+    def contrib(level):
+        *ts, w = new_nodes(level)
+        vals = w * np.asarray(f(*ts), dtype=float)
+        quadrature._check_finite(vals, ts[0])
+        return vals.sum(), w.size
+
+    return contrib
+
+
+def _batch_contrib(f0, count, kstep):
+    """The batch's member sums of one level on its own nodes."""
+    def contrib(level):
+        t, tc, w = unit_new_nodes(level)
+        base = w * np.asarray(f0(t, tc), dtype=float)
+        quadrature._check_finite(base, t)
+        return _member_sums(level, kstep, count, base,
+                            [slice(0, t.size)])[0], t.size
+
+    return contrib
+
+
+def _outcome(run):
+    """A refinement's result, or the message of the NonFiniteSampleError
+    it raised."""
+    try:
+        return run()
+    except NonFiniteSampleError as exc:
+        return str(exc)
+
+
+def _same_outcome(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    if isinstance(got, quadrature.QuadResult):
+        got = got.value, got.abs_err_est, got.nodes_used, got.converged
+    assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+    assert got[2:] == want[2:]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_nested_refinements_match_the_one_level_reference(seed):
+    # seeded integrands on the unit interval and the half line, scalar and
+    # batched (array members), converged and not, clean or with a NaN on
+    # one level: the refinement matches the nested loop that forms and
+    # judges one level at a time from level 0, bit for bit, or raises
+    # the same NonFiniteSampleError
+    rng = np.random.default_rng(seed)
+    seen = set()
+    for _ in range(4):
+        a, b = rng.uniform(-0.6, 1.0, 2)
+        c = rng.uniform(0.1, 0.9)
+        count, kstep = int(rng.integers(1, 70)), int(rng.integers(0, 3))
+
+        def unit(t, tc, a=a, b=b, c=c):
+            return t ** a * tc ** b * np.abs(t - c)
+
+        def half(t, a=a, c=c):
+            return t ** a * np.exp(-t) * np.abs(t - 3 * c)
+
+        bad_level = int(rng.integers(MIN_LEVEL + 1, FIRST_PASS_LEVEL + 3))
+        nan = _nan_on_level(bad_level)
+
+        def unit_nan(t, tc, unit=unit, nan=nan):
+            return unit(t, tc) + 0.0 * nan(t, tc)
+
+        for tol in (1e-3, 1e-6, 1e-10, 1e-30):
+            runs = {
+                "unit": (lambda: integrate_unit2(unit, tol),
+                         _level_contrib(unit_new_nodes, unit)),
+                "halfline": (lambda: integrate_halfline(half, tol),
+                             _level_contrib(quadrature.halfline_new_nodes,
+                                            half)),
+                "unit-nan": (lambda: integrate_unit2(unit_nan, tol),
+                             _level_contrib(unit_new_nodes, unit_nan)),
+                "batch": (lambda: integrate_unit_batch(unit, count, tol,
+                                                       kstep),
+                          _batch_contrib(unit, count, kstep)),
+                "batch-nan": (lambda: integrate_unit_batch(unit_nan, count,
+                                                           tol, kstep),
+                              _batch_contrib(unit_nan, count, kstep)),
+            }
+            for name, (run, contrib) in runs.items():
+                got = _outcome(run)
+                want = _outcome(lambda: _nested_reference(contrib, tol))
+                _same_outcome(got, want)
+                seen.add((name.endswith("nan"), isinstance(want, str),
+                          not isinstance(want, str) and bool(want[3])))
+    # clean runs converge and not; NaN runs raise and finish without
+    # reading the NaN level
+    assert {(False, False, True), (False, False, False), (True, True, False),
+            (True, False, True)} <= seen
 
 
 def _level_loops(tree):

@@ -85,7 +85,7 @@ def test_tail_of_a_scalar_series_with_a_head(kernel):
                        _reg(rng), kernel)
         z = rng.uniform(-0.75, 0.75)
         ladder = _CoeffLadder(spec)
-        out = hyp._pfq_sum(spec, np.array([z]), ladder, SERIES_CAP)
+        out = hyp._pfq_sum(spec, np.array([z]), ladder)
         with mpmath.workdps(30):
             weight = _weights(lambda m: (a1 + m) * mpmath.mpf(z) / (m + 1))
             _check(out, weight, ladder)
@@ -103,7 +103,7 @@ def test_tail_with_surplus_lower_parameters(kernel):
                        _reg(rng), kernel)
         z = rng.uniform(-20.0, 20.0)
         ladder = _CoeffLadder(spec)
-        out = hyp._pfq_sum(spec, np.array([z]), ladder, SERIES_CAP)
+        out = hyp._pfq_sum(spec, np.array([z]), ladder)
         with mpmath.workdps(30):
             weight = _weights(lambda m: mpmath.mpf(z) / ((m + 1) * (b0 + m)))
             _check(out, weight, ladder)
@@ -125,8 +125,7 @@ def test_tail_of_type_a_last_axis_columns(kernel):
         j = int(rng.integers(n))
         only = np.where(np.arange(n) == j, weights, 0.0)
         ladder = _CoeffLadder(spec)
-        out = hyp._pfq_sum(spec, np.full(n, x), ladder, SERIES_CAP, heads,
-                           only)
+        out = hyp._pfq_sum(spec, np.full(n, x), ladder, heads, only)
         with mpmath.workdps(30):
             weight = _weights(
                 lambda m: (heads[j] + m) * mpmath.mpf(x) / (m + 1),

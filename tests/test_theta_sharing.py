@@ -135,7 +135,7 @@ def _final_grid_level(nodes: int, r: int) -> int:
     first grid is that of the first level that may stop, which also gives
     the level before it."""
     total = 0
-    for level in range(GRID_LEVELS[1], 10):
+    for level in range(GRID_LEVELS[0], 10):
         total += unit_grid(level).nodes.size ** r
         if total == nodes:
             return level
