@@ -6,9 +6,10 @@ product of two weight-function normalizations, each a regularized Gauss
 value by way of two half-line integral identities.  Verification is against
 a closed family of nonnegative test functions whose decay is known, so all
 truncation errors are boundable; the sharpness of the constant itself is
-not asserted.
-
-Everything here fixes the exponential kernel.
+not asserted.  The forms' left sides and the weighted norms take their
+axes and refinement from ``quadrature``'s product-grid engine, with
+shift-stabilized log-space sums of their own.  Everything here fixes the
+exponential kernel.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from .corefn import beta_classical
 from .extbeta import RegPair
 from .hyp import ext_2f1
 from .kernel import EXP_KERNEL
-from .quadrature import (_refine_grid, halfline_grid, integrate_halfline,
-                         unit_grid)
+from .quadrature import _refine_grid, grid_axis, integrate_halfline
 from .results import DomainError, EvalResult, refuse_non_finite
 
 
@@ -351,17 +351,12 @@ def parse_test_function(text: str) -> TestFunction:
 
 
 def _axis_nodes(level: int, top: float):
-    """(nodes, log-weights, coarse) for a support (0, top), coarse the
-    grid's coarse weights over its weights: 2 on the nodes of the level
-    before, 0 on the new ones.  Call it under np.errstate(divide="ignore"),
-    as a weight can underflow to zero."""
-    if math.isinf(top):
-        g = halfline_grid(level)
-        x, logw = g.nodes, np.log(g.weights)
-    else:
-        g = unit_grid(level)
-        x, logw = g.nodes * top, np.log(g.weights * top)
-    return x, logw, g.coarse / g.weights
+    """(nodes, log-weights, coarse) of the ``grid_axis`` of a support
+    (0, top), coarse its coarse weights over its weights: 2 on the nodes of
+    the level before, 0 on the new ones.  Call it under
+    np.errstate(divide="ignore"), as a weight can underflow to zero."""
+    x, w, c, _ = grid_axis(level, top)
+    return x, np.log(w), c / w
 
 
 def _weighted_norm(h: TestFunction, exponent: float,
@@ -378,7 +373,8 @@ def _weighted_norm(h: TestFunction, exponent: float,
         with np.errstate(all="ignore"):
             x, logw, cx = _axis_nodes(level, top)
             v = np.exp(logw + exponent * np.log(x) + power * h.log_values(x))
-            return (float(v @ cx), float(v.sum())), x.size
+            total = float(v.sum())
+            return (float(v @ cx), total), x.size, (total, 0.0)
 
     value, _, _, ok = _refine_grid(grid_sum, 1e-11, rel=True)
     return abs(h.amplitude) * value ** (1.0 / power), ok
@@ -469,7 +465,7 @@ def hilbert_bilinear(hp: HilbertParams, f: TestFunction, g: TestFunction,
                 total = float(np.exp(ly + log_rows).sum())
                 log_rows[live] = crows
                 coarse = float(np.exp(ly + log_rows) @ cy)
-            return (coarse, total), x.size * y.size
+            return (coarse, total), x.size * y.size, (total, 0.0)
 
         lhs, _, _, ok = _refine_grid(grid_sum, tol, rel=True)
         lhs *= f.amplitude * g.amplitude
@@ -503,7 +499,7 @@ def hilbert_equivalent(hp: HilbertParams, f: TestFunction,
                 ly = logwy + vexp * np.log(y)
                 inner_tot = float(np.exp(ly + qp * log_rows).sum())
                 coarse = float(np.exp(ly + qp * crows) @ cy)
-            return (coarse, inner_tot), x.size * y.size
+            return (coarse, inner_tot), x.size * y.size, (inner_tot, 0.0)
 
         lhs, _, _, ok = _refine_grid(grid_sum, tol, rel=True)
         lhs = f.amplitude * lhs ** (1.0 / qp)

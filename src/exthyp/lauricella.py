@@ -8,7 +8,9 @@ Alongside the series: the single Euler integral for type D, the r-fold
 product integral for type A, unit-argument and equal-argument reductions, a
 weighted product integral over an arbitrary interval, a Laplace-type
 product representation, the single-integral form whose integrand is a
-product of confluent-level factors, and the partial-series split.
+product of confluent-level factors, and the partial-series split.  The
+product integral and the last two forms are callers of the product-grid
+engine in ``quadrature``, at r = 1 and 2 alike.
 Under "auto" type D takes its single Euler integral, and type A at r <= 2
 its product grid, at every argument; type A at r >= 3 has no grid and sums
 its series inside the series edge.
@@ -28,8 +30,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .corefn import beta_classical, gammaln_real, log_inv_beta
+from . import hyp
 from .extbeta import (
-    _EPS,
     BetaArgs,
     RegPair,
     _beta_norm,
@@ -41,7 +43,6 @@ from .extbeta import (
     unit_grid_kernel,
 )
 from .hyp import (
-    SERIES_CAP,
     _BLOCK,
     PfqSpec,
     _CoeffLadder,
@@ -53,7 +54,7 @@ from .hyp import (
     pfq_spec,
 )
 from .kernel import EXP_VARIANT, KernelSpec
-from .quadrature import GRID_LEVELS, _refine_grid, halfline_grid, unit_grid
+from .quadrature import GRID_LEVELS, _refine_grid, grid_axis, grid_product
 from .results import DomainError, EvalResult, memoized, refuse_non_finite
 
 MAX_VARIABLES = 4  # series cap; iterated integrals are checked for r <= 2
@@ -158,7 +159,7 @@ def _fd_diagonals(p: LauricellaParams):
     (big)_N rho^N / N! (big = sum_j |beta_j|, rho = max_j |x_j|) and its
     ``_majorant_step``s.  The beta ratios lie in (0, 1], so the weights
     stop at the first N where the majorant's ``_geometric_tail`` is small
-    against 1, or at ``SERIES_CAP``.  The majorant is formed on _BLOCK
+    against 1, or at ``hyp.SERIES_CAP``.  The majorant is formed on _BLOCK
     rows, twice as many while none is small: its running product, steps
     and tails are elementwise, so each row has the bits of a full-length
     form."""
@@ -174,10 +175,10 @@ def _fd_diagonals(p: LauricellaParams):
                 ([1.0], (big + n[:-1]) * rho / n[1:])))
         steps = _majorant_step(big, n, rho)
         small = _geometric_tail(majorant, steps, 0.0)[1]
-        if small.any() or size == SERIES_CAP:
+        if small.any() or size == hyp.SERIES_CAP:
             break
-        size = min(2 * size, SERIES_CAP)
-    rows = int(small.argmax()) + 1 if small.any() else SERIES_CAP
+        size = min(2 * size, hyp.SERIES_CAP)
+    rows = int(small.argmax()) + 1 if small.any() else hyp.SERIES_CAP
     n, diag = n[:rows - 1], np.ones(1)
     with np.errstate(over="ignore", invalid="ignore"):
         for b, x in zip(p.betas, p.xs):
@@ -328,13 +329,14 @@ def interval_product_integral(tp: IntervalProductParams,
     return lhs, fd.scaled(const)
 
 
-def _majorant_tails(g, powers, rates) -> list[np.ndarray]:
+def _majorant_tails(t, w, powers, rates) -> list[np.ndarray]:
     """Axis j's weighted majorant w t^powers[j] e^(-rates[j] t) on the
-    half-line grid ``g``, summed over each node and the ones after it."""
+    half-line nodes t with weights w, summed over each node and the ones
+    after it."""
     with np.errstate(over="ignore", under="ignore"):
-        lt = np.log(g.nodes)
-        return [np.cumsum((g.weights * np.exp(pw * lt - rate * g.nodes))
-                          [::-1])[::-1] for pw, rate in zip(powers, rates)]
+        lt = np.log(t)
+        return [np.cumsum((w * np.exp(pw * lt - rate * t))[::-1])[::-1]
+                for pw, rate in zip(powers, rates)]
 
 
 def _others(tails, j: int) -> float:
@@ -343,49 +345,44 @@ def _others(tails, j: int) -> float:
 
 
 def _halfline_ends(kern: KernelSpec, majorant, budget: float, cut: float):
-    """(ends, majorant): the point where each axis of a product integrand
-    on the half line ends, and the majorant that bounds what it drops, or
-    None.
+    """(ends, majorant): where each half-line axis of a product integrand
+    ends, and the majorant that bounds what it drops, or None.
 
-    ``majorant`` = (powers, rates) bounds the integrand by the product
-    over the axes j of t^powers[j] e^(-rates[j] t).  That holds for the
-    Laplace forms when the kernel maps (-inf, 0] into [0, 1]
+    ``majorant`` = (powers, rates) bounds the integrand by prod_j
+    t^powers[j] e^(-rates[j] t) when the kernel maps (-inf, 0] into [0, 1]
     (``KernelSpec.unit_range``): the beta ratios then lie in [0, 1] and the
     Pochhammer ratios of ``validate_fd`` and ``validate_fa`` are at most 1,
-    so a confluent factor at w is at most e^|w|.  Axis j then ends at the
-    first node of the grid of the first level that may stop where the
-    weighted majorant's sum over that node and the later ones, times the
-    other axes' full sums, is at most budget / r; fixed there, each level's
-    coarse sum is the level before's own.  No axis ends past
-    ``cut``, the overflow cut, and any other kernel ends every axis there,
-    with no majorant.
+    so a confluent factor at w is at most e^|w|.  Axis j ends at the first
+    node of the first level that may stop where the weighted majorant's sum
+    from there, times the other axes' full sums, is at most budget / r;
+    fixed there, each level's coarse sum is the level before's own.  No
+    axis ends past the overflow ``cut``, where any other kernel ends them.
     """
     ends = [cut] * len(majorant[0])
     if not kern.unit_range:
         return ends, None
-    g = halfline_grid(GRID_LEVELS[0])
-    tails = _majorant_tails(g, *majorant)
+    t, w, _, _ = grid_axis(GRID_LEVELS[0], math.inf)
+    tails = _majorant_tails(t, w, *majorant)
     for j, tail in enumerate(tails):
         k = np.count_nonzero(tail * _others(tails, j) > budget / len(tails))
         if k < tail.size:
-            ends[j] = min(float(g.nodes[k]), cut)
+            ends[j] = min(float(t[k]), cut)
     return ends, majorant
 
 
-def _halfline_cut(level: int, ends, majorant):
-    """(grid, counts, bound): the half-line grid of ``level``, the number
-    of its nodes before each axis's end (``_halfline_ends``), and a bound
-    on the trapezoid sum of the products they drop, the majorant's (0
-    without one).  On a finer level than the ends' own the bound is not
-    larger where the transformed majorant decreases past the ends."""
-    g = halfline_grid(level)
-    counts = tuple(int(np.searchsorted(g.nodes, e)) for e in ends)
+def _halfline_cut(level: int, ends, majorant, top: float = math.inf):
+    """(axes, bound): the ``grid_axis`` of ``level`` before each end
+    (``_halfline_ends``; the unit grid on (0, top) for a finite top), and
+    the majorant's bound on the trapezoid sum of the products they drop, 0
+    without one, not larger on a finer level than the ends' own where the
+    transformed majorant decreases past the ends."""
+    axes = [grid_axis(level, top, e) for e in ends]
     if majorant is None:
-        return g, counts, 0.0
-    tails = _majorant_tails(g, *majorant)
-    return g, counts, sum((_others(tails, j) * float(tail[k])
-                           for j, (tail, k) in enumerate(zip(tails, counts))
-                           if k < tail.size), 0.0)
+        return axes, 0.0
+    tails = _majorant_tails(*grid_axis(level, math.inf)[:2], *majorant)
+    return axes, sum((_others(tails, j) * float(tail[axis[0].size])
+                      for j, (tail, axis) in enumerate(zip(tails, axes))
+                      if axis[0].size < tail.size), 0.0)
 
 
 def fd_laplace_product(p: LauricellaParams,
@@ -415,40 +412,24 @@ def fd_laplace_product(p: LauricellaParams,
     ends, majorant = _halfline_ends(
         p.kernel, ([b - 1.0 for b in p.betas], [1.0 - x for x in p.xs]),
         _CUT_SHARE * tol, cut)
-    # the inner errors times |outer weight| and the bound on what the
-    # half-line cut drops, on the last level (the returned)
-    inner_err = dropped = 0.0
+
+    def factor(w):
+        fv, ierr = pfq_series_vector(inner, w.ravel(), ladder=shared)
+        w[...] = fv.reshape(w.shape)
+        return ierr.reshape(w.shape)
 
     def grid_sum(level):
-        nonlocal inner_err, dropped
-        g, counts, dropped = _halfline_cut(level, ends, majorant)
-        ts = [g.nodes[:k] for k in counts]
+        axes, dropped = _halfline_cut(level, ends, majorant)
         with np.errstate(over="ignore", under="ignore"):
             es = [np.exp((b - 1.0) * np.log(t) - t)
-                  for b, t in zip(p.betas, ts)]
-            outers = [g.weights[:k] * e for k, e in zip(counts, es)]
-            if p.r == 1:
-                fv, ierr = pfq_series_vector(inner, p.xs[0] * ts[0],
-                                             ladder=shared)
-                s = float((outers[0] * fv).sum())
-                inner_err = float((np.abs(outers[0]) * ierr).sum())
-            else:
-                wa, wb = outers
-                wsum = p.xs[0] * ts[0][:, None] + p.xs[1] * ts[1][None, :]
-                fv, ierr = pfq_series_vector(inner, wsum.ravel(),
-                                             ladder=shared)
-                fv = fv.reshape(wsum.shape)
-                s = float(wa @ fv @ wb)
-                inner_err = float(np.abs(wa) @ ierr.reshape(wsum.shape)
-                                  @ np.abs(wb))
-            cs = (g.coarse[:counts[0]] * es[0]) @ fv
-            if p.r == 2:
-                cs = cs @ (g.coarse[:counts[1]] * es[1])
-        return (float(cs), s), math.prod(counts)
+                  for b, (t, *_) in zip(p.betas, axes)]
+            sums, nodes, (modulus, err) = grid_product(
+                [(t, w * e, c * e) for (t, w, c, _), e in zip(axes, es)],
+                p.xs, factor)
+        return sums, nodes, (modulus, err + dropped)
 
     totals, err, nodes, converged = _refine_grid(grid_sum, tol)
-    lhs = EvalResult(totals, err + inner_err + dropped, nodes, converged,
-                     "euler_integral")
+    lhs = EvalResult(totals, err, nodes, converged, "euler_integral")
     pref = math.exp(sum(gammaln_real(b) for b in p.betas))
     return lhs, fd_series(p, tol).scaled(pref)
 
@@ -509,7 +490,7 @@ def _outer_terms(p: LauricellaParams):
 
     Returns (weights, err, done): weights[N] sums (alpha)_N prod_j c_j[m_j]
     x_j^m_j / m_j! over the index vectors of total degree N; their error
-    bound; and whether every row was cut before ``SERIES_CAP`` terms and
+    bound; and whether every row was cut before ``hyp.SERIES_CAP`` terms and
     every ladder converged.  At r = 1 it is weights = [1].
 
     Axis j extends each weight by a row, a running product from it whose
@@ -521,7 +502,7 @@ def _outer_terms(p: LauricellaParams):
     ``_geometric_tail`` with q the ``_majorant_step`` of head |alpha| + N
     at |x_j| / (1 - rest).  A row is cut at its first term whose tail is
     small; a block that leaves a row uncut goes again twice as wide, up to
-    ``SERIES_CAP``.  The error takes the bounds times the coefficient
+    ``hyp.SERIES_CAP``.  The error takes the bounds times the coefficient
     errors, and the tails.
     """
     if sum(abs(x) for x in p.xs) >= 1.0:
@@ -534,7 +515,7 @@ def _outer_terms(p: LauricellaParams):
         lgrow, xg = math.log(grow), abs(x) * grow
         ladder = _ratio_ladder(p.kernel, p.reg, p.betas[j], p.gammas[j])
         ladder.ensure(1)
-        width = min(ladder.coeffs.size, SERIES_CAP)
+        width = min(ladder.coeffs.size, hyp.SERIES_CAP)
         head = abs(p.alpha) + degrees[:, None]
         while True:
             ladder.ensure(width)
@@ -551,9 +532,9 @@ def _outer_terms(p: LauricellaParams):
                                           _majorant_step(head, m, xg),
                                           np.cumsum(row, 1))
             ends = small.any(axis=1)
-            if ends.all() or width == SERIES_CAP:
+            if ends.all() or width == hyp.SERIES_CAP:
                 break
-            width = min(2 * width, SERIES_CAP)
+            width = min(2 * width, hyp.SERIES_CAP)
         cut = np.where(ends, small.argmax(axis=1), width - 1)
         keep = m <= cut[:, None]
         err += float((bound * ladder.cerrs[:width])[keep].sum()
@@ -605,83 +586,28 @@ def _fa_integral(p: LauricellaParams, tol: float, variant: str) -> EvalResult:
         raise DomainError(f"unknown variant {variant!r}")
     norm, norm_err = _beta_norm(tuple(zip(p.betas, p.gammas)),
                                 1.0 if variant == "proof" else -1.0)
-    # the sum of w |f| over the last grid: the two-stage sum errs by up to 2
-    # eps of it (1000 draws at b = d = 0 against mpmath), the rounding floor
-    modulus = 0.0
+
+    def factor(w):
+        np.negative(w, out=w)
+        np.log1p(w, out=w)
+        np.multiply(-p.alpha, w, out=w)
+        np.exp(w, out=w)
 
     def grid_sum(level):
-        nonlocal modulus
-        g = unit_grid(level)
-        t = g.nodes
+        t, w, c, tc = grid_axis(level)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             arg, theta = unit_grid_kernel(kern, reg, level)
-            lt, ltc = np.log(t), np.log(g.complements)
+            lt, ltc = np.log(t), np.log(tc)
             factors = [safe_theta_product(
                 kern, (b - 1.0) * lt + (gam - b - 1.0) * ltc, arg, theta)
                 for b, gam in zip(p.betas, p.gammas)]
-            axes = [g.weights * f for f in factors]
-            caxes = [g.coarse * f for f in factors]
-            # the factor m is > 0, so the sum of w |f| is |s| unless a kernel
-            # value is negative; only then is it summed from |axes|
-            moduli = ([np.abs(a) for a in axes]
-                      if any((a < 0.0).any() for a in axes) else None)
-            s = cs = modulus = 0.0
-            if p.r == 1:
-                m = np.exp(-p.alpha * np.log1p(-p.xs[0] * t))
-                s = float(axes[0] @ m)
-                cs = float(caxes[0] @ m)
-                if moduli:
-                    modulus = float(moduli[0] @ m)
-            else:
-                # the factor is formed only on the window of a block from
-                # its first to its last nonzero axis-0 weight, and from the
-                # first to the last nonzero axis-1 factor (a kernel that
-                # underflows leaves most rows and columns 0), and is 1
-                # elsewhere: 0 times a finite factor is 0, so every sum
-                # keeps its bits.  The ufuncs take about 1.5 times as long
-                # per entry on a column window as on whole rows (512 rows of
-                # 1200), so a window wider than half the columns takes them
-                # all: the exp kernel's span is 24-32% of the columns in the
-                # eval-mix F2 calls of seeds 1-2, the confluent one's 84-100%
-                c0, c1 = _live_span(factors[1])
-                if 2 * (c1 - c0) > t.size:
-                    c0, c1 = 0, t.size
-                ty = p.xs[1] * t[None, c0:c1]
-                buf = np.empty((min(512, t.size), t.size))
-                for i0 in range(0, t.size, 512):
-                    blk = slice(i0, min(i0 + 512, t.size))
-                    m = buf[:blk.stop - i0]
-                    lo, hi = _live_span(axes[0][blk])
-                    m[:lo] = 1.0
-                    m[hi:] = 1.0
-                    m[lo:hi, :c0] = 1.0
-                    m[lo:hi, c1:] = 1.0
-                    f = m[lo:hi, c0:c1]
-                    np.add(p.xs[0] * t[blk][lo:hi, None], ty, out=f)
-                    np.negative(f, out=f)
-                    np.log1p(f, out=f)
-                    np.multiply(-p.alpha, f, out=f)
-                    np.exp(f, out=f)
-                    s += float(axes[0][blk] @ m @ axes[1])
-                    cs += float(caxes[0][blk] @ m @ caxes[1])
-                    if moduli:
-                        modulus += float(moduli[0][blk] @ m @ moduli[1])
-            if moduli is None:
-                modulus = abs(s)
-        return (cs, s), t.size ** p.r
+            return grid_product([(t, w * f, c * f) for f in factors], p.xs,
+                                factor)
 
     totals, err, nodes, converged = _refine_grid(grid_sum, tol / norm)
     value = norm * totals
-    return EvalResult(value, norm * (err + 2 * _EPS * modulus)
-                      + abs(value) * norm_err, nodes, converged,
-                      "euler_integral")
-
-
-def _live_span(v: np.ndarray) -> tuple[int, int]:
-    """(lo, hi): the entries of ``v`` from its first to its last nonzero,
-    (0, 0) if it has none."""
-    live = np.flatnonzero(v)
-    return (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
+    return EvalResult(value, norm * err + abs(value) * norm_err, nodes,
+                      converged, "euler_integral")
 
 
 def fa_single_integral(
@@ -696,53 +622,43 @@ def fa_single_integral(
     p.validate_fa()
     if sum(abs(x) for x in p.xs) >= 1.0:
         raise DomainError("needs sum_j |x_j| < 1")
+    if not upper > 0.0:
+        raise DomainError(f"needs upper > 0, got {upper}")
     inners = [pfq_spec(p.kernel, (b,), (g,), p.reg)
               for b, g in zip(p.betas, p.gammas)]
     shared = [_CoeffLadder(spec) for spec in inners]
-    # as in fd_laplace_product: the outer cut keeps each confluent factor
-    # finite
+    # as in fd_laplace_product: the cut keeps each confluent factor finite
     cut = min(750.0 / (1.0 - sum(max(x, 0.0) for x in p.xs)),
               700.0 / max(max(abs(x) for x in p.xs), 1e-300))
     norm = _exp_norm(-gammaln_real(p.alpha))
     # the integrand is at most t^(alpha - 1) e^-((1 - sum_j |x_j|) t), as
-    # each |Phi_j(x_j t)| <= e^(|x_j| t)
+    # each |Phi_j(x_j t)| <= e^(|x_j| t); a finite upper limit is not cut
     ends, majorant = _halfline_ends(
         p.kernel, ([p.alpha - 1.0], [1.0 - sum(abs(x) for x in p.xs)]),
-        _CUT_SHARE * tol / norm, cut)
-    # as in fd_laplace_product: weighted inner errors and the cut's bound
-    # of the last level
-    inner_err = dropped = 0.0
+        _CUT_SHARE * tol / norm, cut) if math.isinf(upper) else ([upper], None)
+
+    def factor(w):
+        # prod_j Phi_j and its error prod_j (|Phi_j| + e_j) - prod_j |Phi_j|
+        t, vals, size, spread = w.ravel(), 1.0, 1.0, 0.0
+        for spec, x, lad in zip(inners, p.xs, shared):
+            fv, ierr = pfq_series_vector(spec, x * t, ladder=lad)
+            vals = vals * fv
+            spread = spread * (np.abs(fv) + ierr) + size * ierr
+            size = size * np.abs(fv)
+        w[...] = vals.reshape(w.shape)
+        return spread.reshape(w.shape)
 
     def grid_sum(level):
-        nonlocal inner_err, dropped
-        if math.isinf(upper):
-            g, (k,), dropped = _halfline_cut(level, ends, majorant)
-            keep = slice(k)
-            t, wt = g.nodes[keep], g.weights[keep]
-        else:
-            g, keep = unit_grid(level), slice(None)
-            t, wt = g.nodes * upper, g.weights * upper
+        ((t, w, c, _),), dropped = _halfline_cut(level, ends, majorant, upper)
         with np.errstate(over="ignore", under="ignore"):
-            vals = wt * np.exp((p.alpha - 1.0) * np.log(t) - t)
-            # size |vals| prod|f_j|, spread |vals| prod(|f_j| + e_j) - size
-            size, spread = np.abs(vals), np.zeros_like(t)
-            for spec, x, lad in zip(inners, p.xs, shared):
-                fv, ierr = pfq_series_vector(spec, x * t, ladder=lad)
-                vals = vals * fv
-                spread = spread * (np.abs(fv) + ierr) + size * ierr
-                size = size * np.abs(fv)
-            s = float(vals.sum())
-            inner_err = float(spread.sum())
-            # vals holds the weights as a factor; the coarse weights are 2
-            # or 0 times them
-            cs = float(vals @ (g.coarse[keep] / g.weights[keep]))
-        return (cs, s), t.size
+            e = np.exp((p.alpha - 1.0) * np.log(t) - t)
+            sums, nodes, (modulus, err) = grid_product(
+                [(t, w * e, c * e)], (1.0,), factor)
+        return sums, nodes, (modulus, err + dropped)
 
     totals, err, nodes, converged = _refine_grid(grid_sum, tol / norm)
-    integral = EvalResult(norm * totals, norm * (err + inner_err + dropped),
-                          nodes, converged, "euler_integral")
-    series = fa_series(p, tol)
-    return series, integral
+    return fa_series(p, tol), EvalResult(norm * totals, norm * err, nodes,
+                                         converged, "euler_integral")
 
 
 def fa_partial_series(p: LauricellaParams,

@@ -371,7 +371,6 @@ _TYPE_A_CASES = [
 def test_type_a_series_bit_identical_to_per_term(case, monkeypatch):
     alpha, axes, xs, cap = _TYPE_A_CASES[case]
     # the case's cap bounds every outer row and the last axis' rows
-    monkeypatch.setattr(lauricella, "SERIES_CAP", cap)
     monkeypatch.setattr(hyp, "SERIES_CAP", cap)
     p = LauricellaParams(alpha, tuple(b for b, _ in axes),
                          tuple(g for _, g in axes), tuple(xs), _R13,

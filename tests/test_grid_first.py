@@ -5,19 +5,22 @@ per level, from the first level that may stop, and reads the level before
 off the same samples with the grid's coarse weights.  For each of the six
 grid users the refinement must stop where, with the value, node count and
 flag, the refinement that forms one grid of its own per level stops, from
-the level before the first that may stop; its error is that refinement's
-error up to the rounding of the two sums of the level before, a few eps
-times the sum of w |f| (the integrands drawn here are positive, so that is
-the sum itself).
+the level before the first that may stop; its error, less the floor and
+the other error of the level returned, is that refinement's error up to
+the rounding of the two sums of the level before, a few eps times the sum
+of w |f| (the integrands drawn here are positive, so that is the sum
+itself).
 """
 
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from exthyp import ineq, lauricella, quadrature
+from exthyp.appell import AppellParams, f2_integral
 from exthyp.extbeta import RegPair
 from exthyp.ineq import (
     bump,
@@ -34,6 +37,7 @@ from exthyp.lauricella import (
     fa_single_integral,
     fd_laplace_product,
 )
+from exthyp.results import DomainError
 
 _EPS = sys.float_info.epsilon
 _KERNELS = {"exp": EXP_KERNEL, "kummer": kummer_kernel(1.3, 2.1)}
@@ -126,7 +130,7 @@ def _one_grid_per_level(grid_sum, tol, rel):
     least, last = quadrature.GRID_LEVELS
     prev, err, nodes = None, math.inf, 0
     for level in range(least - 1, last + 1):
-        (_, est), n = grid_sum(level)
+        (_, est), n, _ = grid_sum(level)
         nodes += n
         if prev is not None:
             err = abs(est - prev)
@@ -156,9 +160,11 @@ def _check_runs(spy, stops):
         assert want[3] == ok and stop == levels[-1]
         # the level before the first that may stop has no grid of its own
         assert nodes == want[2] - grid_sum(least - 1)[1]
-        (coarse, fine), _ = grid_sum(stop)
+        (coarse, fine), _, (modulus, other) = grid_sum(stop)
         assert coarse > 0.0 and fine > 0.0
-        assert abs(err - want[1]) <= _ROUNDING_EPS * _EPS * fine, \
+        assert modulus == fine and other >= 0.0
+        diff = err - 2 * _EPS * modulus - other
+        assert abs(diff - want[1]) <= _ROUNDING_EPS * _EPS * fine, \
             (err, want[1], fine)
         stops.append((levels[-1], ok, rel))
 
@@ -216,3 +222,43 @@ def test_weighted_norm_first_estimate(monkeypatch):
     assert all(rel for *_, rel in stops)
     assert max(lv for lv, *_ in stops) >= 7
 
+
+def _public_users():
+    """(name, call(tol)): each public entry point of a full-grid
+    refinement that takes a tolerance, at a conformance point."""
+    fa = LauricellaParams(1.0, (0.6, 0.7), (1.8, 2.1), (0.2, 0.25),
+                          RegPair(0.1, 0.1))
+    fd = LauricellaParams(0.8, (0.9, 1.2), (2.5,), (0.15, 0.2),
+                          RegPair(0.1, 0.1))
+    f2 = AppellParams(1.0, 0.5, 0.6, 1.9, 2.0, RegPair(0.1, 0.1))
+    hp, f, g = midpoint_params(1.8, 2.2, 0.6, 0.6, 1.0, 1.5, 0.2, 0.2), \
+        exp_decay(1.0), bump(1.0, 2.0)
+    return [("fa_integral", lambda tol: fa_integral(fa, tol)),
+            ("f2_integral", lambda tol: f2_integral(f2, 0.2, 0.3, tol)),
+            ("fd_laplace_product", lambda tol: fd_laplace_product(fd, tol)),
+            ("fa_single_integral", lambda tol: fa_single_integral(fa, tol)),
+            ("hilbert_bilinear", lambda tol: hilbert_bilinear(hp, f, g, tol)),
+            ("hilbert_equivalent", lambda tol: hilbert_equivalent(hp, f, tol))]
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+def test_grid_refinements_refuse_a_bad_tolerance_before_any_level(tol):
+    # the CLI's rule, in the engine: at tol -1 the type D Laplace form
+    # refined for 8.8 s over 7e6 nodes, and at inf it and the type A single
+    # integral returned 0.0 from 0 nodes, converged
+    for name, call in _public_users():
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match="tolerance"):
+            call(tol)
+        assert time.perf_counter() - t0 < 0.5, name
+
+
+@pytest.mark.parametrize("upper", [-1.0, 0.0, math.nan])
+def test_single_integral_refuses_an_upper_limit_not_above_0(upper):
+    # before: NaN unconverged after 6001 nodes at -1, NaN and log(0)
+    # warnings at 0, and a series failure after 71 ms at NaN
+    p = LauricellaParams(1.0, (0.8,), (2.0,), (0.3,))
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError, match="upper > 0"):
+        fa_single_integral(p, 1e-8, upper)
+    assert time.perf_counter() - t0 < 0.5

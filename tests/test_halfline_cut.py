@@ -76,9 +76,9 @@ def _spied_cuts(monkeypatch, zero=False):
     cut = lauricella._halfline_cut
 
     def spy(level, *args):
-        g, counts, bound = cut(level, *args)
-        calls.append((level, counts, bound))
-        return g, counts, 0.0 if zero else bound
+        axes, bound = cut(level, *args)
+        calls.append((level, tuple(a[0].size for a in axes), bound))
+        return axes, 0.0 if zero else bound
 
     monkeypatch.setattr(lauricella, "_halfline_cut", spy)
     return calls
@@ -140,15 +140,20 @@ def test_cut_ends_are_fixed_on_the_first_level_that_may_stop():
     assert got is majorant
 
     def at(level):
-        return lauricella._halfline_cut(level, ends, majorant)
+        """The level's half-line nodes, the nodes each axis keeps, the
+        bound; each axis is the grid's before its end."""
+        nodes = quadrature.halfline_grid(level).nodes
+        axes, bound = lauricella._halfline_cut(level, ends, majorant)
+        for t, w, c, tc in axes:
+            assert np.array_equal(t, nodes[:t.size]) and tc is None
+        return nodes, tuple(a[0].size for a in axes), bound
 
     first, last = quadrature.GRID_LEVELS
     g4, counts4, bound4 = at(first)
-    assert ends == [g4.nodes[k] for k in counts4]
+    assert ends == [g4[k] for k in counts4]
     for level in range(first - 1, last + 1):
         g, counts, bound = at(level)
-        assert counts == tuple(int(np.count_nonzero(g.nodes < e))
-                               for e in ends)
+        assert counts == tuple(int(np.count_nonzero(g < e)) for e in ends)
         if level > first:
             # finer levels drop no larger a majorant sum past the ends
             assert bound <= bound4
@@ -156,4 +161,4 @@ def test_cut_ends_are_fixed_on_the_first_level_that_may_stop():
     # the r = 2 conformance point keeps 133 and 134 of the 143 nodes
     # before the overflow cut
     assert counts4 == (133, 134)
-    assert np.count_nonzero(g4.nodes < 750.0 / 0.8) == 143
+    assert np.count_nonzero(g4 < 750.0 / 0.8) == 143

@@ -1058,7 +1058,7 @@ def test_one_series_engine_for_the_scalar_and_type_a_sums():
             # the only nested defs are integrands handed to the quadrature
             nested = {n.name for n in ast.walk(fn)
                       if isinstance(n, ast.FunctionDef) and n is not fn}
-            assert nested <= {"powexp", "grid_sum"}, fn.name
+            assert nested <= {"powexp", "grid_sum", "factor"}, fn.name
     assert "_geometric_tail" in called["_fd_series"]
     assert "_geometric_tail" in called["_fd_diagonals"]
     assert "_geometric_tail" in called["_outer_terms"]

@@ -276,7 +276,8 @@ def _bilinear_lhs_every_row(hp, f, g, tol=1e-8):
             log_rows, crows = ineq._kernel_log_rows(
                 hp, x, logwx + f.log_values(x), y, cx)
             total = float(np.exp(ly + log_rows).sum())
-            return (float(np.exp(ly + crows) @ cy), total), x.size * y.size
+            return ((float(np.exp(ly + crows) @ cy), total), x.size * y.size,
+                    (total, 0.0))
 
     lhs, _, _, ok = quadrature._refine_grid(grid_sum, tol, rel=True)
     return lhs * f.amplitude * g.amplitude, ok

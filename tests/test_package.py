@@ -1,8 +1,9 @@
 """Package-wide guards: removed names stay removed, refinement depth and the
-series cap stay constants, no function has a relaxed-validation mode, every
-record refuses a non-finite number through one helper, mpmath stays a test
-dependency, the span recorder of the traced benchmark still binds, and the
-evaluator memo stays scoped to one conformance pass."""
+series cap stay constants, the product grids are built in quadrature alone,
+no function has a relaxed-validation mode, every record refuses a
+non-finite number through one helper, mpmath stays a test dependency, the
+span recorder of the traced benchmark still binds, and the evaluator memo
+stays scoped to one conformance pass."""
 
 import ast
 import os
@@ -46,7 +47,8 @@ REMOVED = {
 # functools caches replaced,
 # the unit grid's own sorting permutation (grid_order serves both grids),
 # the stacked form of the nested rule (every level now takes the one step),
-# and the twin of check_beta_domain
+# the twin of check_beta_domain, and the type A grid's own live windows and
+# rounding floor (quadrature.grid_product and _refine_grid hold them)
 REMOVED_FROM = {
     "hyp.py": {"shared_coefficients", "_shared_blocks", "contextvars",
                "contextlib", "_RETIRE_SHARE", "_max_abs"},
@@ -55,6 +57,7 @@ REMOVED_FROM = {
                       "_power_block", "_block_rows", "itertools",
                       "_nested_first"},
     "extbeta.py": {"_log_cache", "check_beta_domain_complex"},
+    "lauricella.py": {"_live_span", "_EPS"},
     "corefn.py": {"_kummer_tables", "_KummerTables", "_kummer_amplitude",
                   "_kummer_log_amplitude", "_kummer_pos"},
 }
@@ -132,6 +135,9 @@ def test_refinement_depth_and_series_cap_are_not_parameters():
                 assert "SERIES_CAP" not in ast.unparse(n), (name, n.lineno)
     assert "SERIES_CAP" in {x.id for x in ast.walk(engine)
                             if isinstance(x, ast.Name)}
+    # one binding of the cap, so patching hyp.SERIES_CAP reaches every reader
+    for name, tree in _trees():
+        assert name == "hyp.py" or "SERIES_CAP" not in _names(tree), name
 
 
 def test_no_function_takes_a_refinement_or_series_flag():
@@ -165,7 +171,7 @@ def test_refine_has_one_path():
 _LEVEL_TAKERS = {
     "unit_new_nodes", "unit_level_span", "halfline_new_nodes", "unit_grid",
     "halfline_grid", "grid_order", "_unit_logs", "_unit_arg", "_unit_theta",
-    "unit_kernel", "unit_grid_kernel", "_axis_nodes",
+    "unit_kernel", "unit_grid_kernel", "_axis_nodes", "grid_axis",
 }
 
 
@@ -243,6 +249,35 @@ def test_full_grids_start_one_level_before_the_first_that_may_stop():
             assert np.array_equal(key[old][mine], was[theirs])
             assert np.array_equal(g.coarse[old][mine],
                                   before.weights[theirs])
+
+
+def test_product_grids_are_built_in_quadrature():
+    # every full-grid integral takes its axes from quadrature.grid_axis and
+    # its block sums from quadrature.grid_product; only the cached unit
+    # kernel reads the unit grid itself
+    for name, tree in _trees():
+        if name == "quadrature.py":
+            continue
+        for callee in ("unit_grid", "halfline_grid"):
+            assert set(_enclosing_calls(tree, callee)) <= (
+                {"unit_grid_kernel"} if name == "extbeta.py" else set()), \
+                (name, callee)
+    # no error passes out through a side channel, and the three type A and
+    # D grid forms have no branch on r: a point axis stands in at r = 1
+    tree = dict(_trees())["lauricella.py"]
+    assert not any(isinstance(n, ast.Nonlocal) for n in ast.walk(tree))
+    names = ("_fa_integral", "fd_laplace_product", "fa_single_integral")
+    forms = [n for n in ast.walk(tree)
+             if isinstance(n, ast.FunctionDef) and n.name in names]
+    assert len(forms) == 3
+    for fn in forms:
+        for n in ast.walk(fn):
+            if isinstance(n, ast.Compare):
+                test = ast.unparse(n)
+                assert not re.fullmatch(r"p\.r (==|!=) [12]", test), \
+                    (fn.name, n.lineno)
+        assert "grid_product" in {_called(n) for n in ast.walk(fn)
+                                  if isinstance(n, ast.Call)}, fn.name
 
 
 def test_no_file_is_opened_with_truncation():
