@@ -3,9 +3,9 @@
 ``perfbench.workloads.eval_ops(1)`` draws 84 calls, one of each (function,
 kernel, side of the cut, tol) combination, through the Python API, each
 checked against a second representation.  The fixture pins each call's and
-each reference's value bits, node or term count, flag and method, as the
-CSV fixture pins the conformance pass.  A change that moves them must
-rewrite the file, from the root of a checkout::
+each reference's value and estimate bits, node or term count, flag and
+method, as the CSV fixture pins the conformance pass.  A change that moves
+them must rewrite the file, from the root of a checkout::
 
     PYTHONPATH=src python tests/test_eval_mix_replay.py
 
@@ -26,8 +26,8 @@ from perfbench import workloads  # noqa: E402
 
 
 def _pinned(r):
-    return [complex(r.value).real.hex(), r.terms_or_nodes, r.converged,
-            r.method]
+    return [complex(r.value).real.hex(), float(r.abs_err_est).hex(),
+            r.terms_or_nodes, r.converged, r.method]
 
 
 def _replay():
