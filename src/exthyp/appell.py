@@ -276,39 +276,25 @@ def f1_finite_sum(kernel: KernelSpec, s: int, t: int, x: float, y: float,
     p = AppellParams(1.0, s + 1.0, t + 1.0, 2.0, math.nan, reg, kernel)
     direct = f1_series(p, x, y, tol)
 
-    pieces = []
-
-    def F(a: float, w: float) -> EvalResult:
-        pieces.append(ext_2f1(kernel, a, 1.0, 2.0, w, reg, tol))
-        return pieces[-1]
-
+    F = lambda a, w: ext_2f1(kernel, a, 1.0, 2.0, w, reg, tol)
     dyx = y - x
-    err = 0.0
-    common = 0.0
-    for j in range(t):
-        g = F(t - j + 1.0, y)
-        coef = math.comb(j + s, s) * y ** (s + 1) * (-x) ** j / dyx ** (j + s + 1)
-        common += coef * g.value
-        err += abs(coef) * g.abs_err_est
-    ksum_proof = 0.0
-    ksum_printed = 0.0
-    for k in range(s):
-        g = F(s - k + 1.0, x)
-        base = math.comb(k + t, t) * x ** (t + 1) * y ** k / dyx ** (k + t + 1)
-        ksum_proof += (-1.0) ** (t + 1) * base * g.value
-        ksum_printed += (-1.0) ** k * base * g.value
-        err += abs(base) * g.abs_err_est
-    fy = F(1.0, y)
-    fx = F(1.0, x)
-    converged = all(g.converged for g in pieces)
+    common = [(math.comb(j + s, s) * y ** (s + 1) * (-x) ** j
+               / dyx ** (j + s + 1), F(t - j + 1.0, y)) for j in range(t)]
+    ksum = [(math.comb(k + t, t) * x ** (t + 1) * y ** k / dyx ** (k + t + 1),
+             F(s - k + 1.0, x)) for k in range(s)]
+    fy, fx = F(1.0, y), F(1.0, x)
     brace_coef = (math.comb(s + t, s) * (-1.0) ** t * x ** t * y ** s
                   / dyx ** (s + t + 1))
-    err += abs(brace_coef) * (abs(y) * fy.abs_err_est + abs(x) * fx.abs_err_est)
-    proof_val = (common + ksum_proof
-                 + brace_coef * (y * fy.value - x * fx.value))
-    printed_val = (common + ksum_printed
-                   + brace_coef * (y * fy.value + x * fx.value))
-    mk = lambda v: EvalResult(v, err, direct.terms_or_nodes, converged,
-                              "series")
-    return {"direct": direct, "proof": mk(proof_val),
-            "printed": mk(printed_val)}
+    nodes = direct.terms_or_nodes
+
+    def finite_sum(ksign, xsign):  # the three sums, then their total
+        return EvalResult.combine([
+            (1.0, EvalResult.combine(common, nodes)),
+            (1.0, EvalResult.combine([(ksign(k) * c, g) for k, (c, g)
+                                      in enumerate(ksum)], nodes)),
+            (brace_coef, EvalResult.combine([(y, fy), (xsign * x, fx)],
+                                            nodes))], nodes)
+
+    return {"direct": direct,
+            "proof": finite_sum(lambda k: (-1.0) ** (t + 1), -1.0),
+            "printed": finite_sum(lambda k: (-1.0) ** k, 1.0)}

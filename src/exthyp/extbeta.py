@@ -239,10 +239,10 @@ def _kernel_integral(k: KernelSpec, reg: RegPair, powexp, tol: float,
     or closed form; g = 1 without it.  The refinement stops at the absolute
     ``tol`` on the scaled value.  A norm out of range raises ``DomainError``
     before any node, and a non-finite sample ``NonFiniteSampleError`` once
-    the refinement asks for its level.  The error is the norm times the last
-    level difference, plus the largest factor error, plus the rounding
-    floor eps times the last level's sum of w |f|, plus the norm's error;
-    the last two join after the refinement, so no stop depends on them.
+    the refinement asks for its level.  The parts: the norm times the last
+    level difference, the largest factor error (``inner``) and the floor eps
+    times the last level's sum of w |f| (``rounding``), and the norm's own
+    error; the last two join after the refinement and move no stop.
 
     The weighted samples w exp(powexp) Theta of levels 0..FIRST_PASS_LEVEL
     are formed in one pass over their nodes laid end to end (level -1);
@@ -298,10 +298,10 @@ def _kernel_integral(k: KernelSpec, reg: RegPair, powexp, tol: float,
     # the rounding floor: eps times the nested trapezoid sum of w |f| at the
     # last level, the recursive-summation bound of the quadrature sum
     # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2)
-    err = err + factor_err + _EPS * math.ldexp(modulus, -last)
-    value = float(norm * totals)
-    return EvalResult(value, float(norm * err) + abs(value) * norm_err,
-                      nodes, converged, method)
+    got = EvalResult.of(float(totals), nodes, method, converged,
+                        discretisation=err, inner=factor_err, rounding=_EPS
+                        * math.ldexp(modulus, -last)).scaled(norm)
+    return got.plus(normalisation=abs(got.value) * norm_err)
 
 
 def ext_beta(k: KernelSpec, args: BetaArgs, reg: RegPair = RegPair(),
@@ -347,7 +347,7 @@ def ext_beta_shifted_batch(k: KernelSpec, alpha0: float, count: int,
                            tol: float = 1e-13) -> list[EvalResult]:
     values, errs, nodes, ok = ext_beta_shifted_batch_arrays(
         k, alpha0, count, beta, reg, kstep, tol)
-    return [EvalResult(float(v), float(e), nodes, ok, "quadrature")
+    return [EvalResult.of(float(v), nodes, "quadrature", ok, discretisation=e)
             for v, e in zip(values, errs)]
 
 

@@ -38,7 +38,7 @@ from .extbeta import (
 from .kernel import EXP_VARIANT, KernelSpec
 from .quadrature import _read_only, _running
 from .results import (DomainError, EvalResult, KernelMismatchError,
-                      memoized, refuse_non_finite)
+                      check_tol, memoized, refuse_non_finite)
 
 SERIES_CAP = 4096
 SERIES_SMALL = 1e-16  # a small tail, relative to 1 + |the partial sum|
@@ -209,6 +209,7 @@ def pfq_series(spec: PfqSpec, z: float, tol: float = 1e-10) -> EvalResult:
     It has converged where the engine stopped, the ladder converged, and
     the estimate is within tol on the series' relative scale, tol (1 + |s|);
     a sum whose terms cancel far below their size fails the last."""
+    check_tol(tol)
     if not math.isfinite(z):
         raise DomainError(f"argument must be finite, got z={z}")
     spec.validate()
@@ -219,8 +220,8 @@ def pfq_series(spec: PfqSpec, z: float, tol: float = 1e-10) -> EvalResult:
     if not math.isfinite(s[0]):
         raise DomainError("series value out of double range")
     value, err = float(s[0]), float(errs[0])
-    return EvalResult(value, err, rows, done and ladder.ok
-                      and err <= tol * (1.0 + abs(value)), "series")
+    return EvalResult.of(value, rows, "series", done and ladder.ok
+                         and err <= tol * (1.0 + abs(value)), truncation=err)
 
 
 def pfq_series_vector(spec: PfqSpec, w: np.ndarray,
@@ -537,7 +538,8 @@ def _cauchy(spec: PfqSpec, z: float, n: int, reach: float = 1.0,
     1 - |z| in the disc of a non-terminating p = q+1 series.  The rule
     converges geometrically and rounds like eps max|f| n!/r**n (Lyness and
     Moler 1967, Bornemann 2011); the estimate is its distance to the rule
-    on the even points plus n!/r**n times the largest series error."""
+    on the even points (``discretisation``) plus n!/r**n times the largest
+    series error (``inner``)."""
     if n < 0:
         raise DomainError("derivative order must be >= 0")
     refuse_non_finite("argument", z)
@@ -555,9 +557,9 @@ def _cauchy(spec: PfqSpec, z: float, n: int, reach: float = 1.0,
     terms = lift * vals * np.exp(-1j * n * theta)
     scale = math.factorial(n) / radius ** n
     value, half = (scale * float(t.mean().real) for t in (terms, terms[::2]))
-    err = scale * float((np.abs(lift) * errs).max())
-    return EvalResult(value, abs(value - half) + err, _CAUCHY_POINTS,
-                      ladder.ok, "series")
+    return EvalResult.of(value, _CAUCHY_POINTS, "series", ladder.ok,
+                         discretisation=abs(value - half),
+                         inner=scale * float((np.abs(lift) * errs).max()))
 
 
 def pfaff_transform(kernel: KernelSpec, a1: float, a2: float, b1: float,
@@ -649,15 +651,7 @@ def _shift_sums(F, a: float, c: float, n: int, which: str,
         pairs = [(pochhammer(-n, i) * pochhammer(a, i + n)
                   / (pochhammer(c, i + n) * math.factorial(i)),
                   F(a + n + i, c + n + i)) for i in range(i_lo, n + 1)]
-    return lhs, _combine(pairs, lhs.terms_or_nodes).scaled(pref)
-
-
-def _combine(pairs, nodes: int) -> EvalResult:
-    """The sum of coef * piece over (coef, piece) pairs, in order: the
-    errors add in modulus, and the sum converged if every piece did."""
-    return EvalResult(sum(c * g.value for c, g in pairs),
-                      sum(abs(c) * g.abs_err_est for c, g in pairs), nodes,
-                      all(g.converged for _c, g in pairs), "series")
+    return lhs, EvalResult.combine(pairs, lhs.terms_or_nodes).scaled(pref)
 
 
 def recurrence_eval(which: str, kernel: KernelSpec, a1: float, a2: float,
@@ -688,7 +682,7 @@ def recurrence_eval(which: str, kernel: KernelSpec, a1: float, a2: float,
     c = a2 * z / b1
     pairs = [(1.0, F(a1, a2, b1))] + [
         (sign * c, F(top - kk + 1, a2 + 1, b1 + 1)) for kk in range(1, n + 1)]
-    return lhs, _combine(pairs, lhs.terms_or_nodes)
+    return lhs, EvalResult.combine(pairs, lhs.terms_or_nodes)
 
 
 def summation_thm(kernel: KernelSpec, a1: float, a2: float, b1: float,

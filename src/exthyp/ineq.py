@@ -134,19 +134,6 @@ def lemma2_identity(which: str, a: float, b_par: float, c: float,
     return lhs, fval.scaled(pref)
 
 
-def _proportional(value: float, f: EvalResult,
-                  power: float = 1.0) -> EvalResult:
-    """A value proportional to f.value ** (1/power), with f's error carried
-    through that power, |value| err_f / (power |f|), and f's flag; at f = 0
-    the error is inf, and a converged f (underflowed) a DomainError."""
-    if f.converged and not f.value:
-        raise DomainError(f"{f.method} factor underflows to 0")
-    return EvalResult(value,
-                      abs(value) * f.abs_err_est / (power * abs(f.value))
-                      if f.value else math.inf,
-                      f.terms_or_nodes, f.converged, f.method)
-
-
 def weight_norm_f(hp: HilbertParams, ptilde: float, qtilde: float,
                   tol: float = 1e-10) -> EvalResult:
     """Normalization constant of the x-side weight function."""
@@ -155,10 +142,10 @@ def weight_norm_f(hp: HilbertParams, ptilde: float, qtilde: float,
     f = ext_2f1(EXP_KERNEL, hp.s2, bb, hp.s1 + hp.s2,
                 (hp.alpha1 - hp.alpha2) / hp.alpha1,
                 RegPair(ptilde, qtilde), tol)
-    return _proportional(
+    return f.proportional(
         hp.alpha1 ** (hp.A2 - 1.0 / qp)
         * beta_classical(bb, hp.s1 + hp.s2 + qp * hp.A2 - 1.0) ** (1.0 / qp)
-        * f.value ** (1.0 / qp), f, qp)
+        * f.value ** (1.0 / qp), qp)
 
 
 def weight_norm_g(hp: HilbertParams, ptilde: float, qtilde: float,
@@ -169,11 +156,11 @@ def weight_norm_g(hp: HilbertParams, ptilde: float, qtilde: float,
     f = ext_2f1(EXP_KERNEL, hp.s1, bb, hp.s1 + hp.s2,
                 (hp.alpha1 - hp.alpha2) / hp.alpha1,
                 RegPair(ptilde, qtilde), tol)
-    return _proportional(
+    return f.proportional(
         hp.alpha1 ** (-hp.s1 / pp)
         * hp.alpha2 ** ((1.0 - hp.s2) / pp - hp.A1)
         * beta_classical(bb, hp.s1 + hp.s2 + pp * hp.A1 - 1.0) ** (1.0 / pp)
-        * f.value ** (1.0 / pp), f, pp)
+        * f.value ** (1.0 / pp), pp)
 
 
 def weight_F(hp: HilbertParams, x: float, tol: float = 1e-10) -> EvalResult:
@@ -184,7 +171,7 @@ def weight_F(hp: HilbertParams, x: float, tol: float = 1e-10) -> EvalResult:
     norm = weight_norm_f(hp, hp.ptilde, hp.qtilde, tol)
     v = (math.exp((hp.ptilde + hp.qtilde) / qp) * norm.value
          * x ** ((1.0 - hp.s1 - hp.s2) / qp - hp.A2))
-    return _proportional(v, norm)
+    return norm.proportional(v)
 
 
 def weight_G(hp: HilbertParams, y: float, tol: float = 1e-10) -> EvalResult:
@@ -195,7 +182,7 @@ def weight_G(hp: HilbertParams, y: float, tol: float = 1e-10) -> EvalResult:
     norm = weight_norm_g(hp, hp.ptilde, hp.qtilde, tol)
     v = (math.exp((hp.ptilde + hp.qtilde) / pp) * norm.value
          * y ** ((1.0 - hp.s1 - hp.s2) / pp - hp.A1))
-    return _proportional(v, norm)
+    return norm.proportional(v)
 
 
 def weight_F_quadrature(hp: HilbertParams, x: float,
@@ -215,7 +202,7 @@ def weight_F_quadrature(hp: HilbertParams, x: float,
             return np.exp(e)
 
     q = integrate_halfline(f, tol).result()
-    return _proportional(q.value ** (1.0 / qp), q, qp)
+    return q.proportional(q.value ** (1.0 / qp), qp)
 
 
 def weight_G_quadrature(hp: HilbertParams, y: float,
@@ -239,7 +226,7 @@ def weight_G_quadrature(hp: HilbertParams, y: float,
             return np.exp(e)
 
     q = integrate_halfline(f, tol).result()
-    return _proportional(q.value ** (1.0 / pp), q, pp)
+    return q.proportional(q.value ** (1.0 / pp), pp)
 
 
 def hilbert_constant(hp: HilbertParams, tol: float = 1e-10) -> float:
@@ -309,8 +296,9 @@ class TestFunction:
                 uu = u[inside]
                 out[inside] = 4.0 - 1.0 / (uu * (1.0 - uu))
                 return out
-            sigma, top = self.params  # power_cut
-            return np.where(x <= top, sigma * np.log(x), -math.inf)
+            sigma, top = self.params  # power_cut; x^0 is 1 at x = 0 too
+            return np.where(x <= top, sigma * np.log(x) if sigma else 0.0,
+                            -math.inf)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if self.amplitude == 0.0:
@@ -374,10 +362,10 @@ def _weighted_norm(h: TestFunction, exponent: float,
             x, logw, cx = _axis_nodes(level, top)
             v = np.exp(logw + exponent * np.log(x) + power * h.log_values(x))
             total = float(v.sum())
-            return (float(v @ cx), total), x.size, (total, 0.0)
+            return (float(v @ cx), total), x.size, (total, {})
 
-    value, _, _, ok = _refine_grid(grid_sum, 1e-11, rel=True)
-    return abs(h.amplitude) * value ** (1.0 / power), ok
+    norm = _refine_grid(grid_sum, 1e-11, rel=True)
+    return abs(h.amplitude) * norm.value ** (1.0 / power), norm.converged
 
 
 def _kernel_log_rows(hp: HilbertParams, x: np.ndarray, lx: np.ndarray,
@@ -465,10 +453,10 @@ def hilbert_bilinear(hp: HilbertParams, f: TestFunction, g: TestFunction,
                 total = float(np.exp(ly + log_rows).sum())
                 log_rows[live] = crows
                 coarse = float(np.exp(ly + log_rows) @ cy)
-            return (coarse, total), x.size * y.size, (total, 0.0)
+            return (coarse, total), x.size * y.size, (total, {})
 
-        lhs, _, _, ok = _refine_grid(grid_sum, tol, rel=True)
-        lhs *= f.amplitude * g.amplitude
+        grid = _refine_grid(grid_sum, tol, rel=True)
+        lhs, ok = grid.value * (f.amplitude * g.amplitude), grid.converged
 
     const, rhs_f, ok_f = _rhs_factors(hp, f)
     pp = hp.pprime
@@ -483,26 +471,33 @@ def hilbert_equivalent(hp: HilbertParams, f: TestFunction,
 
     The left side is computed by iterated double-exponential quadrature
     whose outer variable always runs over the whole half line; the right
-    side is the closed constant times the weighted norm of f.
+    side is the closed constant times the weighted norm of f.  K is jointly
+    homogeneous of degree -lam (s1 + s2) and regularised in y/x alone, so
+    for f on (0, s] the left side is s^kappa times that of f(s .): a finite
+    support is refined at unit support, the outer axis's scale.
     """
     qp, pp = hp.qprime, hp.pprime
     vexp = (qp / pp) * (hp.s1 + hp.s2 - 1.0) + qp * (hp.A1 - hp.A2)
+    top = f.support_top()
+    s = 1.0 if math.isinf(top) else top
+    kappa = ((1.0 - hp.lam * (hp.s1 + hp.s2)) * qp + vexp + 1.0) / qp
 
     lhs, ok = 0.0, True
     if f.amplitude != 0.0:
         def grid_sum(level):
             with np.errstate(all="ignore"):
-                x, logwx, cx = _axis_nodes(level, f.support_top())
+                x, logwx, cx = _axis_nodes(level, top / s)
                 y, logwy, cy = _axis_nodes(level, math.inf)
-                lx = logwx + f.log_values(x)
+                lx = logwx + f.log_values(s * x)
                 log_rows, crows = _kernel_log_rows(hp, x, lx, y, cx)
                 ly = logwy + vexp * np.log(y)
                 inner_tot = float(np.exp(ly + qp * log_rows).sum())
                 coarse = float(np.exp(ly + qp * crows) @ cy)
-            return (coarse, inner_tot), x.size * y.size, (inner_tot, 0.0)
+            return (coarse, inner_tot), x.size * y.size, (inner_tot, {})
 
-        lhs, _, _, ok = _refine_grid(grid_sum, tol, rel=True)
-        lhs = f.amplitude * lhs ** (1.0 / qp)
+        grid = _refine_grid(grid_sum, tol, rel=True)
+        lhs = f.amplitude * s ** kappa * grid.value ** (1.0 / qp)
+        ok = grid.converged
 
     const, rhs, ok_f = _rhs_factors(hp, f)
     return _form(const, lhs, rhs, ok and ok_f)

@@ -149,8 +149,9 @@ def _fd_series(p: LauricellaParams, tol: float) -> EvalResult:
         err = np.cumsum(np.abs(diag[:rows]) * ladder.cerrs[:rows])[-1]
     if not math.isfinite(sums[rows - 1]):
         raise DomainError("type D series value out of double range")
-    return EvalResult(float(sums[rows - 1]), float(err + tails[rows - 1]),
-                      rows, bool(small.any()) and ladder.ok, "series")
+    return EvalResult.of(float(sums[rows - 1]), rows, "series",
+                         bool(small.any()) and ladder.ok, coefficients=err,
+                         truncation=tails[rows - 1])
 
 
 def _fd_diagonals(p: LauricellaParams):
@@ -423,13 +424,12 @@ def fd_laplace_product(p: LauricellaParams,
         with np.errstate(over="ignore", under="ignore"):
             es = [np.exp((b - 1.0) * np.log(t) - t)
                   for b, (t, *_) in zip(p.betas, axes)]
-            sums, nodes, (modulus, err) = grid_product(
+            sums, nodes, (modulus, parts) = grid_product(
                 [(t, w * e, c * e) for (t, w, c, _), e in zip(axes, es)],
                 p.xs, factor)
-        return sums, nodes, (modulus, err + dropped)
+        return sums, nodes, (modulus, {**parts, "dropped": dropped})
 
-    totals, err, nodes, converged = _refine_grid(grid_sum, tol)
-    lhs = EvalResult(totals, err, nodes, converged, "euler_integral")
+    lhs = _refine_grid(grid_sum, tol)
     pref = math.exp(sum(gammaln_real(b) for b in p.betas))
     return lhs, fd_series(p, tol).scaled(pref)
 
@@ -481,8 +481,9 @@ def _fa_series(p: LauricellaParams, tol: float) -> EvalResult:
         value = float(cols.sum())
     if not math.isfinite(value):
         raise DomainError("type A series value out of double range")
-    return EvalResult(value, err + float(col_errs.sum()),
-                      rows * weights.size, done and cols_done, "series")
+    return EvalResult.of(value, rows * weights.size, "series",
+                         done and cols_done, truncation=err,
+                         inner=col_errs.sum())
 
 
 def _outer_terms(p: LauricellaParams):
@@ -604,10 +605,8 @@ def _fa_integral(p: LauricellaParams, tol: float, variant: str) -> EvalResult:
             return grid_product([(t, w * f, c * f) for f in factors], p.xs,
                                 factor)
 
-    totals, err, nodes, converged = _refine_grid(grid_sum, tol / norm)
-    value = norm * totals
-    return EvalResult(value, norm * err + abs(value) * norm_err, nodes,
-                      converged, "euler_integral")
+    grid = _refine_grid(grid_sum, tol / norm).scaled(norm)
+    return grid.plus(normalisation=abs(grid.value) * norm_err)
 
 
 def fa_single_integral(
@@ -652,13 +651,11 @@ def fa_single_integral(
         ((t, w, c, _),), dropped = _halfline_cut(level, ends, majorant, upper)
         with np.errstate(over="ignore", under="ignore"):
             e = np.exp((p.alpha - 1.0) * np.log(t) - t)
-            sums, nodes, (modulus, err) = grid_product(
+            sums, nodes, (modulus, parts) = grid_product(
                 [(t, w * e, c * e)], (1.0,), factor)
-        return sums, nodes, (modulus, err + dropped)
+        return sums, nodes, (modulus, {**parts, "dropped": dropped})
 
-    totals, err, nodes, converged = _refine_grid(grid_sum, tol / norm)
-    return fa_series(p, tol), EvalResult(norm * totals, norm * err, nodes,
-                                         converged, "euler_integral")
+    return fa_series(p, tol), _refine_grid(grid_sum, tol / norm).scaled(norm)
 
 
 def fa_partial_series(p: LauricellaParams,
@@ -675,7 +672,6 @@ def fa_partial_series(p: LauricellaParams,
     weights, err, done = _outer_terms(p)
     gauss, gauss_errs, _rows, gauss_done = _last_axis_sum(
         p, np.ones(weights.size))
-    total = float((weights * gauss).sum())
-    err += float((np.abs(weights) * gauss_errs).sum())
-    rhs = EvalResult(total, err, weights.size, done and gauss_done, "series")
-    return lhs, rhs
+    return lhs, EvalResult.of(float((weights * gauss).sum()), weights.size,
+                              "series", done and gauss_done, truncation=err,
+                              inner=(np.abs(weights) * gauss_errs).sum())

@@ -156,8 +156,8 @@ def mb_eval(spec: PfqSpec, z: float, contour: ContourSpec | None = None,
             tol: float = 1e-6) -> EvalResult:
     """Contour evaluation at a negative real argument.
 
-    All shift multipliers must be 1.  The error estimate combines the
-    step-halving difference with the integrand magnitude at the strip ends;
+    All shift multipliers must be 1.  The estimate adds the step-halving
+    difference and the integrand magnitude at the strip ends (``dropped``);
     the strip is doubled (up to four times) while the tail test fails.
     Without ``contour`` the strip is ``default_contour(spec, tol)``.
     The integrand is evaluated on the upper half of the strip only and
@@ -192,5 +192,6 @@ def mb_eval(spec: PfqSpec, z: float, contour: ContourSpec | None = None,
 
     fine = float(np.sum(phi).real) * (h / 2.0) / (2.0 * math.pi)
     coarse = float(np.sum(phi[::2]).real) * h / (2.0 * math.pi)
-    err = abs(fine - coarse) + tail_mag
-    return EvalResult(fine, err, phi.size, err <= tol, "mellin_barnes")
+    return EvalResult.of(fine, phi.size, "mellin_barnes", False,
+                         discretisation=abs(fine - coarse),
+                         dropped=tail_mag).within(tol)

@@ -21,9 +21,9 @@ one pass (the first pass), each level is still handed over on its own.
 The full-grid integrals take each axis from ``grid_axis`` (the unit grid,
 scaled to (0, top), or the half line cut before an end).  The type A and D
 forms sum over one or two axes with ``grid_product``: blocks of rows, live
-windows, and the one-node POINT_AXIS as the rows at r = 1.  The error of
-``_refine_grid`` adds the parts of the level returned, its rounding floor
-among them, to its level difference.
+windows, and the one-node POINT_AXIS as the rows at r = 1.  The estimate of
+``_refine_grid`` is its level difference and the parts of the level
+returned, its rounding floor among them.
 """
 
 from __future__ import annotations
@@ -93,8 +93,8 @@ class QuadResult:
     converged: bool
 
     def result(self) -> EvalResult:  # of method "quadrature"
-        return EvalResult(self.value, self.abs_err_est, self.nodes_used,
-                          self.converged, "quadrature")
+        return EvalResult.of(self.value, self.nodes_used, "quadrature",
+                             self.converged, discretisation=self.abs_err_est)
 
 
 @dataclass(frozen=True)
@@ -253,7 +253,7 @@ def grid_product(axes, xs, factor):
     (512 rows of 1200; F2 spans 24-32% of the columns with the exp kernel,
     84-100% with the confluent one), so a block of several rows takes
     every column past half of them.  Returns ((coarse sum, sum), nodes,
-    (sum of w |f|, sum of |w| times the errors))."""
+    (sum of w |f|, {"inner": sum of |w| times the errors}))."""
     (t0, w0, c0), (t1, w1, c1) = ([POINT_AXIS, *axes])[-2:]
     x0, x1 = (0.0, *xs)[-2:]
     j0, j1 = _live_span((w1 != 0.0) | (c1 != 0.0))
@@ -280,7 +280,7 @@ def grid_product(axes, xs, factor):
                     float(a0[blk] @ (m if exact else np.abs(m)) @ a1))
         if not exact:
             err += float(a0[blk][lo:hi] @ errs @ a1[j0:j1])
-    return (cs, s), t0.size * t1.size, (modulus, err)
+    return (cs, s), t0.size * t1.size, (modulus, {"inner": err})
 
 
 def _check_finite(contrib: np.ndarray, where: np.ndarray) -> None:
@@ -308,7 +308,7 @@ def _running(op, blk: np.ndarray) -> None:
 
 
 def _refine(estimate, tol: float, least: int, last: int, rel: bool = False):
-    """The level-doubling loop shared by every integral.
+    """The level-doubling loop of every integral, after ``check_tol``.
 
     ``estimate(level)`` returns ((previous, estimate), nodes used) for the
     levels least, least + 1, ..., last: the level's estimate and the
@@ -319,6 +319,7 @@ def _refine(estimate, tol: float, least: int, last: int, rel: bool = False):
     Returns (estimate, err, nodes, converged): the last level's estimate
     and error and the nodes of all levels.
     """
+    check_tol(tol)
     nodes = 0
     for level in range(least, last + 1):
         (prev, est), n = estimate(level)
@@ -354,14 +355,13 @@ def _refine_nested(contrib, tol: float):
     return _refine(estimate, tol, MIN_LEVEL, MAX_LEVEL)
 
 
-def _refine_grid(grid_sum, tol: float, rel: bool = False):
-    """``_refine`` of the full-grid sums over GRID_LEVELS, as floats, after
-    ``results.check_tol``.  ``grid_sum(level)`` returns ((coarse sum, sum),
-    nodes, (sum of w |f|, other error)), the coarse sum the previous
-    level's over the same samples.  The error adds the last level's 2 eps
-    sum w |f| (a two-stage sum errs by up to that: 1000 type A draws at
-    b = d = 0 against mpmath) and other error, which move no stop."""
-    check_tol(tol)
+def _refine_grid(grid_sum, tol: float, rel: bool = False) -> EvalResult:
+    """``_refine`` of the full-grid sums over GRID_LEVELS, a float result.
+    ``grid_sum(level)`` returns ((coarse sum, sum), nodes, (sum of w |f|,
+    parts)), the coarse sum the previous level's over the same samples.
+    The estimate adds the level difference and the last level's 2 eps sum
+    w |f| (``rounding``: a two-stage sum errs by up to that, 1000 type A
+    draws at b = d = 0 against mpmath) and parts, which move no stop."""
     parts = []
 
     def estimate(level):
@@ -370,8 +370,10 @@ def _refine_grid(grid_sum, tol: float, rel: bool = False):
         return sums, nodes
 
     value, err, nodes, ok = _refine(estimate, tol, *GRID_LEVELS, rel)
-    modulus, other = parts[-1]
-    return float(value), float(err) + 2 * _EPS * modulus + other, nodes, ok
+    modulus, own = parts[-1]
+    return EvalResult.of(float(value), nodes, "euler_integral", ok,
+                         discretisation=err, rounding=2 * _EPS * modulus,
+                         **own)
 
 
 def _integrate_levels(new_nodes, f, tol: float) -> QuadResult:

@@ -1,4 +1,21 @@
-"""Shared result container and exception types."""
+"""Shared result container and exception types.
+
+An estimate is a sum of named parts, each bounding one source of error:
+``discretisation`` (a rule's distance to the rule one step coarser),
+``truncation`` (a series' tail past its last term, with the coefficient
+errors where the engine sums the two, ``hyp._pfq_sum``), ``coefficients``
+(coefficient errors kept apart), ``rounding`` (a quadrature sum's floor,
+from its sum of w |f|), ``inner`` (an inner factor on the nodes, or an
+inner sum), ``dropped`` (what a cut range of integration leaves out) and
+``normalisation`` (|value| times a prefactor's relative error).  Only this
+module builds or combines one.  ``EvalResult.of`` adds the parts in the
+order given, so they sum to the estimate bit for bit, and its flag is the
+route's stop.  A composite forms its estimate from those it takes and
+carries the parts by the same rule, to rounding: ``scaled`` and
+``proportional`` map each part as the estimate, ``plus`` appends parts,
+``combine`` adds its pieces' parts by name; ``within`` sets the flag from
+the estimate.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +24,9 @@ import contextvars
 import functools
 import math
 from dataclasses import dataclass, field
+
+PART_NAMES = ("discretisation", "truncation", "coefficients", "rounding",
+              "inner", "dropped", "normalisation")
 
 
 class DomainError(ValueError):
@@ -43,9 +63,10 @@ class NonFiniteSampleError(DomainError):
 class EvalResult:
     """Value of a function evaluation plus accuracy diagnostics.
 
-    ``abs_err_est`` is an absolute error estimate; ``terms_or_nodes`` counts
-    series terms or quadrature nodes depending on ``method``.  A converged
-    result out of double range cannot be built: it is a DomainError.
+    ``abs_err_est`` is an absolute error estimate, the sum of ``parts``
+    ((name, bound) pairs, out of equality and ``repr``); ``terms_or_nodes``
+    counts series terms or quadrature nodes depending on ``method``.  A
+    converged result out of double range is a DomainError.
     """
 
     value: float | complex
@@ -53,19 +74,65 @@ class EvalResult:
     terms_or_nodes: int
     converged: bool
     method: str
+    parts: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         if self.converged:
             refuse_non_finite(f"{self.method} value and estimate",
                               abs(self.value), self.abs_err_est)
 
-    def scaled(self, c: float) -> "EvalResult":
-        """This result times a prefactor c: value * c, error * |c|.
+    @classmethod
+    def of(cls, value, nodes: int, method: str, stopped: bool,
+           **parts: float) -> "EvalResult":
+        """The one constructor: the parts, added in order, and the stop."""
+        named = tuple((name, float(bound)) for name, bound in parts.items())
+        est = functools.reduce(lambda e, p: e + p[1], named, 0.0)
+        return cls(value, est, nodes, stopped, method, named)
 
-        The node count, the convergence flag and the method are kept.
-        """
-        return EvalResult(self.value * c, self.abs_err_est * abs(c),
-                          self.terms_or_nodes, self.converged, self.method)
+    def plus(self, **parts: float) -> "EvalResult":
+        """This result with ``parts`` added to its estimate, in order."""
+        named = tuple((name, float(bound)) for name, bound in parts.items())
+        est = functools.reduce(lambda e, p: e + p[1], named, self.abs_err_est)
+        return EvalResult(self.value, est, self.terms_or_nodes,
+                          self.converged, self.method, self.parts + named)
+
+    def within(self, tol: float) -> "EvalResult":
+        """This result, converged where its estimate is at most ``tol``."""
+        return EvalResult(self.value, self.abs_err_est, self.terms_or_nodes,
+                          self.abs_err_est <= tol, self.method, self.parts)
+
+    def _carried(self, value, bound) -> "EvalResult":
+        """``value``, with the estimate and each part mapped by ``bound``."""
+        return EvalResult(value, bound(self.abs_err_est), self.terms_or_nodes,
+                          self.converged, self.method,
+                          tuple((name, bound(b)) for name, b in self.parts))
+
+    def scaled(self, c: float) -> "EvalResult":
+        """This result times a prefactor c: value * c, error * |c|."""
+        return self._carried(self.value * c, lambda e: e * abs(c))
+
+    def proportional(self, value: float, power: float = 1.0) -> "EvalResult":
+        """A value proportional to self.value ** (1/power), the error carried
+        through that power, |value| err / (power |self.value|); at a value 0
+        the error is inf, and a converged one (underflowed) a DomainError."""
+        if self.converged and not self.value:
+            raise DomainError(f"{self.method} factor underflows to 0")
+        v = abs(self.value)
+        return self._carried(value, lambda e: abs(value) * e / (power * v)
+                             if v else math.inf)
+
+    @staticmethod
+    def combine(pairs, nodes: int) -> "EvalResult":
+        """The sum of coef * piece over (coef, piece) pairs, in order: errors
+        add in modulus, parts by name; converged if every piece did."""
+        parts = {}
+        for c, g in pairs:
+            for name, bound in g.parts:
+                parts[name] = parts.get(name, 0.0) + abs(c) * bound
+        return EvalResult(sum(c * g.value for c, g in pairs),
+                          sum(abs(c) * g.abs_err_est for c, g in pairs), nodes,
+                          all(g.converged for _c, g in pairs), "series",
+                          tuple(parts.items()))
 
 
 @dataclass

@@ -5,12 +5,15 @@ are asserted with the stated bounds.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+import exthyp
 import oracles
 from exthyp.appell import (
     AppellParams,
@@ -63,6 +66,9 @@ from exthyp.lauricella import (
 from exthyp.mellin import ContourSpec, default_contour, mb_eval
 from exthyp.quadrature import integrate_halfline, integrate_unit_batch, integrate_unit2
 from exthyp.conformance import exit_code, run_conformance
+
+# the package this test imported, for the CLI's subprocess
+SRC = Path(exthyp.__file__).parent
 
 KUM = kummer_kernel(1.0, 2.0)
 R0 = RegPair()
@@ -426,7 +432,8 @@ def test_criterion_12_determinism(tmp_path):
         r = subprocess.run(
             [sys.executable, "-m", "exthyp.cli", "conformance", "--suite",
              "all", "--grid", "small", "--report", str(path)],
-            capture_output=True, text=True)
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
         assert r.returncode == 0
         outs.append((path.read_bytes(), r.stdout))
     assert outs[0][0] == outs[1][0]

@@ -90,7 +90,10 @@ DISCREPANCY_IDS = [
 
 def _cli(*argv, config=None):
     cmd = [sys.executable, "-m", "exthyp.cli", *argv]
-    return subprocess.run(cmd, capture_output=True, text=True)
+    # the package this test imported, without PYTHONPATH or an install
+    src = pathlib.Path(cli.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
 
 def test_catalog_matches_static_list():

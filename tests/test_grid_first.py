@@ -20,8 +20,9 @@ import numpy as np
 import pytest
 
 from exthyp import ineq, lauricella, quadrature
-from exthyp.appell import AppellParams, f2_integral
-from exthyp.extbeta import RegPair
+from exthyp.appell import AppellParams, f2_integral, f2_single_integral
+from exthyp.extbeta import BetaArgs, RegPair, ext_beta, ext_gamma
+from exthyp.hyp import ext_2f1, frac_deriv
 from exthyp.ineq import (
     bump,
     exp_decay,
@@ -153,19 +154,22 @@ def _check_runs(spy, stops):
     for grid_sum, tol, rel, levels, out in spy.runs:
         # one grid per level from the first that may stop
         assert levels == list(range(least, levels[-1] + 1))
-        value, err, nodes, ok = out
-        assert type(value) is float and type(err) is float
+        value, nodes, ok = out.value, out.terms_or_nodes, out.converged
+        assert type(value) is float and type(out.abs_err_est) is float
         want, stop = _one_grid_per_level(grid_sum, tol, rel)
         assert want[0].hex() == value.hex()
         assert want[3] == ok and stop == levels[-1]
         # the level before the first that may stop has no grid of its own
         assert nodes == want[2] - grid_sum(least - 1)[1]
-        (coarse, fine), _, (modulus, other) = grid_sum(stop)
+        (coarse, fine), _, (modulus, own) = grid_sum(stop)
         assert coarse > 0.0 and fine > 0.0
-        assert modulus == fine and other >= 0.0
-        diff = err - 2 * _EPS * modulus - other
-        assert abs(diff - want[1]) <= _ROUNDING_EPS * _EPS * fine, \
-            (err, want[1], fine)
+        assert modulus == fine and all(b >= 0.0 for b in own.values())
+        # the level difference, the floor and the level's own parts
+        parts = dict(out.parts)
+        assert parts == {"discretisation": parts["discretisation"],
+                         "rounding": 2 * _EPS * modulus, **own}
+        assert abs(parts["discretisation"] - want[1]) \
+            <= _ROUNDING_EPS * _EPS * fine, (parts, want[1], fine)
         stops.append((levels[-1], ok, rel))
 
 
@@ -241,12 +245,40 @@ def _public_users():
             ("hilbert_equivalent", lambda tol: hilbert_equivalent(hp, f, tol))]
 
 
+def _nested_users():
+    """(name, call(tol)): the nested refinements' entry points that take a
+    tolerance, and both routes of ext_pfq."""
+    reg, fd = RegPair(0.1, 0.1), LauricellaParams(
+        0.8, (0.9, 1.2), (2.5,), (0.15, 0.2), RegPair(0.1, 0.1))
+    f2 = AppellParams(1.0, 0.5, 0.6, 1.9, 2.0, reg)
+    return [
+        ("ext_beta", lambda tol: ext_beta(EXP_KERNEL, BetaArgs(2, 3), reg,
+                                          tol)),
+        ("ext_gamma", lambda tol: ext_gamma(EXP_KERNEL, 1.5, 0.1, tol)),
+        ("integrate_unit2", lambda tol: quadrature.integrate_unit2(
+            lambda t, tc: t * tc, tol)),
+        ("integrate_halfline", lambda tol: quadrature.integrate_halfline(
+            lambda t: np.exp(-t), tol)),
+        ("2F1 Euler route", lambda tol: ext_2f1(
+            EXP_KERNEL, 0.5, 0.6, 1.7, -0.5, reg, tol)),
+        ("2F1 series route", lambda tol: ext_2f1(
+            EXP_KERNEL, 0.5, 0.6, 1.7, 0.3, reg, tol)),
+        ("fd_integral", lambda tol: lauricella.fd_integral(fd, tol)),
+        ("f2_single_integral", lambda tol: f2_single_integral(
+            f2, 0.2, 0.3, tol)),
+        ("frac_deriv", lambda tol: frac_deriv(
+            EXP_KERNEL, -0.7, reg, lambda t: np.exp(-t), 0.8, tol))]
+
+
 @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
 def test_grid_refinements_refuse_a_bad_tolerance_before_any_level(tol):
     # the CLI's rule, in the engine: at tol -1 the type D Laplace form
     # refined for 8.8 s over 7e6 nodes, and at inf it and the type A single
-    # integral returned 0.0 from 0 nodes, converged
-    for name, call in _public_users():
+    # integral returned 0.0 from 0 nodes, converged.  The nested
+    # refinements refuse in the same loop (an integral that forms its first
+    # pass before the loop, after that pass): at tol nan ext_beta ran 49,561
+    # nodes unconverged, and at inf it and the 2F1 Euler route converged
+    for name, call in _public_users() + _nested_users():
         t0 = time.perf_counter()
         with pytest.raises(DomainError, match="tolerance"):
             call(tol)

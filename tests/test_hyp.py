@@ -1014,6 +1014,24 @@ def test_scaled_carries_a_prefactor():
     assert r.scaled(-3.0) == EvalResult(-6.0, 1.5, 7, False, "series")
 
 
+def test_parts_are_carried_but_stay_out_of_equality_and_repr():
+    r = EvalResult.of(2.0, 7, "series", True, truncation=0.25,
+                      coefficients=0.125)
+    bare = EvalResult(2.0, 0.375, 7, True, "series")
+    assert r == bare and hash(r) == hash(bare) and repr(r) == repr(bare)
+    assert r.parts == (("truncation", 0.25), ("coefficients", 0.125))
+    assert r.scaled(-4.0).parts == (("truncation", 1.0),
+                                    ("coefficients", 0.5))
+    assert r.plus(normalisation=0.5).parts[-1] == ("normalisation", 0.5)
+    assert r.plus(normalisation=0.5).abs_err_est == 0.875
+    pair = EvalResult.combine([(2.0, r), (-1.0, r.scaled(2.0))], 7)
+    assert (pair.value, pair.abs_err_est) == (0.0, 1.5)
+    assert pair.parts == (("truncation", 1.0), ("coefficients", 0.5))
+    half = r.proportional(1.0, 2.0)  # |1| err / (2 |2|)
+    assert half.abs_err_est == 0.375 / 4 and half.converged
+    assert r.within(0.375).converged and not r.within(0.25).converged
+
+
 def _functions(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     return {node.name: node for node in ast.walk(tree)

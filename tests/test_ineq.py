@@ -277,10 +277,10 @@ def _bilinear_lhs_every_row(hp, f, g, tol=1e-8):
                 hp, x, logwx + f.log_values(x), y, cx)
             total = float(np.exp(ly + log_rows).sum())
             return ((float(np.exp(ly + crows) @ cy), total), x.size * y.size,
-                    (total, 0.0))
+                    (total, {}))
 
-    lhs, _, _, ok = quadrature._refine_grid(grid_sum, tol, rel=True)
-    return lhs * f.amplitude * g.amplitude, ok
+    lhs = quadrature._refine_grid(grid_sum, tol, rel=True)
+    return lhs.value * f.amplitude * g.amplitude, lhs.converged
 
 
 @pytest.mark.parametrize("g", ["bump:1,2", "bump:0,0.5", "power_cut:0.5,2",
@@ -364,3 +364,36 @@ def test_hilbert_params_need_finite_exponents():
     # s1 = inf warned in _kernel_log_rows and failed only deep in the grid
     with pytest.raises(DomainError):
         HilbertParams(2.0, 2.0, math.inf, 0.0, 1.0, 1.0, 0.25, 0.25)
+
+
+# down to 1e-40, where unit nodes times X underflow to 0 (x^0 is 1 there)
+_SCALES = [10.0 ** e for e in range(-40, 41, 5)]
+
+
+@pytest.mark.parametrize("family", ["power_cut:0", "power_cut:0.5", "bump:0"])
+def test_equivalent_form_is_scale_free_on_a_finite_support(family):
+    # both sides scale as X^kappa on a support (0, X]; before, with power_cut
+    # sigma = 0, lhs/rhs read 0.7453 at X = 1e-20 and 1.0421 at X = 1e-30
+    # (holds=False, converged=True), against 0.8365775991065 on [1e-5, 1e10]
+    hp = midpoint_params(1.8, 2.2, 0.6, 0.6, 1.0, 1.5, 0.2, 0.2)
+    tag, a = family.split(":")
+    make = {"power_cut": lambda x: power_cut(float(a), x),
+            "bump": lambda x: bump(float(a) * x, x)}[tag]
+    unit = hilbert_equivalent(hp, make(1.0))
+    for x in _SCALES:
+        form = hilbert_equivalent(hp, make(x))
+        assert form.converged and form.holds, x
+        assert abs(form.lhs / form.rhs - unit.lhs / unit.rhs) <= 1e-10, x
+
+
+def test_equivalent_left_side_scales_as_the_kernel_degree():
+    # lhs(f) = s^kappa lhs(f(s .)) for f on (0, s], kappa = ((1 - lam (s1 +
+    # s2)) q' + vexp + 1) / q', on a bump whose support leaves 0
+    hp = midpoint_params(1.8, 2.2, 0.6, 0.6, 1.0, 1.5, 0.2, 0.2)
+    qp, pp = hp.qprime, hp.pprime
+    vexp = (qp / pp) * (hp.s1 + hp.s2 - 1.0) + qp * (hp.A1 - hp.A2)
+    kappa = ((1.0 - hp.lam * (hp.s1 + hp.s2)) * qp + vexp + 1.0) / qp
+    unit = hilbert_equivalent(hp, bump(1.0, 2.0)).lhs
+    for x in _SCALES:
+        lhs = hilbert_equivalent(hp, bump(x, 2.0 * x)).lhs
+        assert abs(lhs / (x ** kappa * unit) - 1.0) <= 1e-12, x

@@ -573,13 +573,14 @@ def _fa_full_grid(p, tol):
                         modulus += float(moduli[0][blk] @ m @ moduli[1])
             if moduli is None:
                 modulus = abs(s)
-        return (cs, s), t.size ** p.r, (modulus, 0.0)
+        return (cs, s), t.size ** p.r, (modulus, {"inner": 0.0})
 
     # the refinement adds the floor 2 eps modulus of the last level
-    totals, err, nodes, ok = quadrature._refine_grid(grid_sum, tol / norm)
+    grid = quadrature._refine_grid(grid_sum, tol / norm)
+    totals, err = grid.value, grid.abs_err_est
     value = norm * totals
-    return EvalResult(value, norm * err + abs(value) * norm_err, nodes, ok,
-                      "euler_integral")
+    return EvalResult(value, norm * err + abs(value) * norm_err,
+                      grid.terms_or_nodes, grid.converged, "euler_integral")
 
 
 @pytest.mark.parametrize("kernel", [EXP_KERNEL, kummer_kernel(1.3, 2.1),

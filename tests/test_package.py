@@ -2,10 +2,15 @@
 series cap stay constants, the product grids are built in quadrature alone,
 no function has a relaxed-validation mode, every record refuses a
 non-finite number through one helper, mpmath stays a test dependency, the
-span recorder of the traced benchmark still binds, and the evaluator memo
-stays scoped to one conformance pass."""
+span recorder of the traced benchmark still binds, the evaluator memo
+stays scoped to one conformance pass, and every result is built in results
+as a sum of named parts."""
 
 import ast
+import functools
+import itertools
+import math
+import operator
 import os
 import re
 import subprocess
@@ -15,7 +20,9 @@ from pathlib import Path
 import numpy as np
 
 import exthyp
+from exthyp.conformance import run_conformance
 from exthyp.quadrature import GRID_LEVELS, halfline_grid, unit_grid
+from exthyp.results import PART_NAMES, EvalResult
 
 SRC = Path(exthyp.__file__).parent
 REPO = SRC.parent.parent
@@ -47,11 +54,13 @@ REMOVED = {
 # functools caches replaced,
 # the unit grid's own sorting permutation (grid_order serves both grids),
 # the stacked form of the nested rule (every level now takes the one step),
-# the twin of check_beta_domain, and the type A grid's own live windows and
-# rounding floor (quadrature.grid_product and _refine_grid hold them)
+# the twin of check_beta_domain, the type A grid's own live windows and
+# rounding floor (quadrature.grid_product and _refine_grid hold them), and
+# the composites that results.EvalResult now holds
 REMOVED_FROM = {
     "hyp.py": {"shared_coefficients", "_shared_blocks", "contextvars",
-               "contextlib", "_RETIRE_SHARE", "_max_abs"},
+               "contextlib", "_RETIRE_SHARE", "_max_abs", "_combine"},
+    "ineq.py": {"_proportional"},
     "quadrature.py": {"_unit_cache", "_half_cache", "_unit_order_cache",
                       "unit_grid_order", "_nested", "_nested_step",
                       "_power_block", "_block_rows", "itertools",
@@ -461,3 +470,53 @@ def test_library_reads_no_environment_variable():
                 name, n.lineno)
             assert not (isinstance(n, ast.Name)
                         and n.id in ("environ", "getenv")), (name, n.lineno)
+
+
+def test_results_are_built_only_in_results():
+    # one constructor (EvalResult.of) and the composites beside it: no
+    # other module builds a result or sums an estimate of its own
+    for name, tree in _trees():
+        calls = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Call)
+                 and isinstance(n.func, ast.Name) and n.func.id == "EvalResult"]
+        assert name == "results.py" or not calls, (name, calls)
+
+
+def test_every_estimate_is_the_sum_of_its_named_parts(monkeypatch):
+    # over the first eval-mix cycle (calls and references) and a small
+    # conformance pass: every part is named in results.PART_NAMES and is
+    # >= 0 where the result converged; a result of ``of`` is its parts'
+    # sum, in order, bit for bit, and a composite's within 4 ulps
+    built, made = [], set()
+    post_init, of = EvalResult.__post_init__, EvalResult.of.__func__
+
+    def recorded(self):
+        post_init(self)
+        built.append(self)
+
+    def constructed(cls, *args, **parts):
+        out = of(cls, *args, **parts)
+        made.add(id(out))
+        return out
+
+    monkeypatch.setattr(EvalResult, "__post_init__", recorded)
+    monkeypatch.setattr(EvalResult, "of", classmethod(constructed))
+    if str(REPO) not in sys.path:
+        sys.path.insert(0, str(REPO))
+    from perfbench import workloads
+    for op in itertools.islice(workloads.eval_ops(1), workloads.EVAL_CYCLE):
+        op.reference(op.run().method)
+    run_conformance("all", "small", 1e-8)
+    assert len(made) > 100
+    for r in built:
+        names = [n for n, _b in r.parts]
+        assert set(names) <= set(PART_NAMES) and len(set(names)) == \
+            len(names), r.parts
+        if r.converged:
+            assert all(b >= 0.0 for _n, b in r.parts), r.parts
+        total = functools.reduce(operator.add, (b for _n, b in r.parts), 0.0)
+        est = r.abs_err_est
+        if id(r) in made or not math.isfinite(est):
+            assert total == est or (math.isnan(total) and math.isnan(est)), \
+                (r, r.parts)
+        else:
+            assert abs(total - est) <= 4 * math.ulp(est), (r, r.parts)

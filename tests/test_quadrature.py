@@ -703,6 +703,9 @@ def test_nested_first_has_the_step_forms_bits(case, monkeypatch):
     # the refinement at each level in turn returns that level's estimate
     # and its difference from the one before
     sums = np.array(_LEVEL_SUMS[case])
+    # tol -1 never stops the loop: the engine's own check of a user's tol
+    # is lifted for these synthetic level sums
+    monkeypatch.setattr(quadrature, "check_tol", lambda tol: None)
     with np.errstate(all="ignore"):
         for rows in (sums, sums[:, 0], sums[:, 1]):
             want = _step_nested(rows)
