@@ -119,8 +119,7 @@ def _eval_func(args) -> EvalResult:
             c = _floats(args.contour)
             if len(c) > 3:
                 raise DomainError("--contour takes at most c0,T,h")
-            return mb_eval(spec, args.z, ContourSpec(*c) if c else None,
-                           max(tol, 1e-8))
+            return mb_eval(spec, args.z, ContourSpec(*c) if c else None, tol)
         return ext_pfq(spec, args.z, tol, method)
     if func == "f1":
         if len(params) != 4:
@@ -294,7 +293,7 @@ def build_parser() -> _Parser:
     methods = dict.fromkeys(m for ms in _METHODS.values() for m in ms)
     common.add_argument("--method", default="auto", choices=list(methods))
     common.add_argument("--contour", default="",
-                        help="mellin contour as c0,T,h")
+                        help="mellin contour c0,T,h (first steps h, h/2)")
 
     pe = sub.add_parser("eval", parents=[common],
                         help="single evaluation as JSON")

@@ -216,7 +216,7 @@ def _frac_deriv_sides(pt, variant, tol):
 
 def _mellin_sides(pt, variant, tol):
     """The contour against the 2F1 dispatcher, or the pFq series."""
-    got = mb_eval(_spec(pt), pt["z"], tol=max(tol, 1e-8))
+    got = mb_eval(_spec(pt), pt["z"], tol=tol)
     if len(pt["upper"]) == 2:
         return got, ext_2f1(_kern(pt), *pt["upper"], *pt["lower"], pt["z"],
                             _regp(pt), tol)

@@ -349,23 +349,26 @@ def _axis_nodes(level: int, top: float):
 
 def _weighted_norm(h: TestFunction, exponent: float,
                    power: float) -> tuple[float, bool]:
-    """(int x^exponent f(x)^power dx)^(1/power), refined to a relative
-    1e-11, with finiteness checks, and whether its refinement converged."""
+    """(int x^exponent f(x)^power dx)^(1/power), refined at unit support to
+    a relative 1e-11, with finiteness checks, and whether it converged."""
     if h.amplitude == 0.0:
         return 0.0, True
     if exponent + h.norm_exponent_at_zero(power) <= -1.0:
         raise DomainError("weighted norm diverges at the origin")
     top = h.support_top()
+    s = 1.0 if math.isinf(top) else top
 
     def grid_sum(level):
         with np.errstate(all="ignore"):
-            x, logw, cx = _axis_nodes(level, top)
-            v = np.exp(logw + exponent * np.log(x) + power * h.log_values(x))
+            x, logw, cx = _axis_nodes(level, top / s)
+            v = np.exp(logw + exponent * np.log(x)
+                       + power * h.log_values(s * x))
             total = float(v.sum())
             return (float(v @ cx), total), x.size, (total, {})
 
     norm = _refine_grid(grid_sum, 1e-11, rel=True)
-    return abs(h.amplitude) * norm.value ** (1.0 / power), norm.converged
+    return (abs(h.amplitude) * s ** ((exponent + 1.0) / power)
+            * norm.value ** (1.0 / power), norm.converged)
 
 
 def _kernel_log_rows(hp: HilbertParams, x: np.ndarray, lx: np.ndarray,
@@ -434,9 +437,12 @@ def hilbert_bilinear(hp: HilbertParams, f: TestFunction, g: TestFunction,
     """The bilinear form of the inequality on a test pair.
 
     The left side is computed by iterated double-exponential quadrature over
-    the supports; the right side is the closed constant times the weighted
-    norms of f and g.
+    the supports; the right side, formed first (a refusal of the constant
+    names it), is the closed constant times the weighted norms of f and g.
     """
+    const, rhs_f, ok_f = _rhs_factors(hp, f)
+    wg = (hp.q / hp.pprime) * (1.0 - hp.s1 - hp.s2) + hp.q * (hp.A2 - hp.A1)
+    norm_g, ok_g = _weighted_norm(g, wg, hp.q)
     lhs, ok = 0.0, True
     if f.amplitude != 0.0 and g.amplitude != 0.0:
         def grid_sum(level):
@@ -456,12 +462,9 @@ def hilbert_bilinear(hp: HilbertParams, f: TestFunction, g: TestFunction,
             return (coarse, total), x.size * y.size, (total, {})
 
         grid = _refine_grid(grid_sum, tol, rel=True)
+        if grid.value == 0.0:  # of a positive integrand: an underflow
+            raise DomainError("Hardy-Hilbert left side underflows to 0")
         lhs, ok = grid.value * (f.amplitude * g.amplitude), grid.converged
-
-    const, rhs_f, ok_f = _rhs_factors(hp, f)
-    pp = hp.pprime
-    wg = (hp.q / pp) * (1.0 - hp.s1 - hp.s2) + hp.q * (hp.A2 - hp.A1)
-    norm_g, ok_g = _weighted_norm(g, wg, hp.q)
     return _form(const, lhs, rhs_f * norm_g, ok and ok_f and ok_g)
 
 

@@ -10,12 +10,12 @@ Unit-interval integrands receive the node t together with its complement
 1-t computed directly from the transform, so powers of (1-t) keep full
 precision arbitrarily close to the endpoint.
 
-One loop, ``_refine``, runs every refinement, one level per step: each
-level hands it its estimate and the previous level's, and their difference
-is the error.  A nested refinement keeps a running total, so its first
-step forms levels 0 to the first that may stop; a full grid carries the
-previous level's weights on the same nodes, so one set of samples gives
-both estimates.  Where the nested sums of several levels are formed in
+One loop, ``_refine``, runs every refinement, one level per step: each level
+hands it its estimate and the previous level's, and their difference is the
+error.  A nested refinement (``mellin.mb_eval``'s too) keeps a running total,
+so its first step forms levels 0 to the first that may stop; a full grid
+carries the previous level's weights on the same nodes, so one set of samples
+gives both estimates.  Where the nested sums of several levels are formed in
 one pass (the first pass), each level is still handed over on its own.
 
 The full-grid integrals take each axis from ``grid_axis`` (the unit grid,

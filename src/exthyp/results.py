@@ -5,16 +5,15 @@ An estimate is a sum of named parts, each bounding one source of error:
 ``truncation`` (a series' tail past its last term, with the coefficient
 errors where the engine sums the two, ``hyp._pfq_sum``), ``coefficients``
 (coefficient errors kept apart), ``rounding`` (a quadrature sum's floor,
-from its sum of w |f|), ``inner`` (an inner factor on the nodes, or an
-inner sum), ``dropped`` (what a cut range of integration leaves out) and
-``normalisation`` (|value| times a prefactor's relative error).  Only this
-module builds or combines one.  ``EvalResult.of`` adds the parts in the
-order given, so they sum to the estimate bit for bit, and its flag is the
-route's stop.  A composite forms its estimate from those it takes and
-carries the parts by the same rule, to rounding: ``scaled`` and
-``proportional`` map each part as the estimate, ``plus`` appends parts,
-``combine`` adds its pieces' parts by name; ``within`` sets the flag from
-the estimate.
+from its sum of w |f|, or of w times a bound per node), ``inner`` (an inner
+factor on the nodes, or an inner sum), ``dropped`` (what a cut range of
+integration leaves out) and ``normalisation`` (|value| times a prefactor's
+relative error).  Only this module builds or combines one.
+``EvalResult.of`` adds the parts in the order given, so they sum to the
+estimate bit for bit, and its flag is the route's stop.  A composite forms
+its estimate from those it takes and carries the parts by the same rule, to
+rounding: ``scaled`` and ``proportional`` map each part as the estimate,
+``plus`` appends parts, ``combine`` adds its pieces' parts by name.
 """
 
 from __future__ import annotations
@@ -77,7 +76,8 @@ class EvalResult:
     parts: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
-        if self.converged:
+        if self.converged and not (math.isfinite(abs(self.value))
+                                   and math.isfinite(self.abs_err_est)):
             refuse_non_finite(f"{self.method} value and estimate",
                               abs(self.value), self.abs_err_est)
 
@@ -95,11 +95,6 @@ class EvalResult:
         est = functools.reduce(lambda e, p: e + p[1], named, self.abs_err_est)
         return EvalResult(self.value, est, self.terms_or_nodes,
                           self.converged, self.method, self.parts + named)
-
-    def within(self, tol: float) -> "EvalResult":
-        """This result, converged where its estimate is at most ``tol``."""
-        return EvalResult(self.value, self.abs_err_est, self.terms_or_nodes,
-                          self.abs_err_est <= tol, self.method, self.parts)
 
     def _carried(self, value, bound) -> "EvalResult":
         """``value``, with the estimate and each part mapped by ``bound``."""

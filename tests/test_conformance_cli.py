@@ -213,6 +213,25 @@ def test_report_csv_schema():
     assert row[-1] in ("pass", "fail", "skipped-domain")
 
 
+def test_mellin_suite_refines_the_contour_at_the_tol_asked(monkeypatch,
+                                                          capsys):
+    # each contour side runs at the suite's tol and converges there (the
+    # runner clamped it to 1e-8, where the fixed step still converged)
+    seen = []
+    evaluate = conformance.mb_eval
+
+    def spy(spec, z, contour=None, tol=1e-6):
+        got = evaluate(spec, z, contour, tol)
+        seen.append((tol, got.converged))
+        return got
+
+    monkeypatch.setattr(conformance, "mb_eval", spy)
+    assert cli.main(["conformance", "--suite", "mellin", "--tol",
+                     "1e-13"]) == 0
+    capsys.readouterr()
+    assert seen == [(1e-13, True)] * 5
+
+
 def test_determinism_two_runs_byte_identical():
     assert (report_csv(run_conformance("all", "small", 1e-8))
             == report_csv(run_conformance("all", "small", 1e-8)))

@@ -358,7 +358,9 @@ def test_complex_many_exponentiates_only_the_live_span(monkeypatch):
     spec = pfq_spec(EXP_KERNEL, (0.8, 1.1), (2.4,), reg)
     (a, _k, width), = spec.pairs()
     contour = default_contour(spec, 1e-8)
-    n = int(round(contour.half_height / contour.step))
+    # the first call's grid: the step / 2 multiples up to 10.2, the rule's
+    # 10.1 taken up to whole level-0 steps of 4 * step
+    n = 4 * math.ceil(round(contour.half_height / contour.step) / 4)
     alphas = a - (contour.abscissa
                   + 1j * (np.arange(2 * n + 1) * (contour.step / 2.0)))
     exponentiated = []
@@ -372,7 +374,7 @@ def test_complex_many_exponentiates_only_the_live_span(monkeypatch):
     monkeypatch.setattr(np, "exp", spy)
     got = ext_beta_complex_many(EXP_KERNEL, alphas, width, reg, 1e-11)
     monkeypatch.undo()
-    assert (alphas.size, got[2]) == (405, 775)
+    assert (alphas.size, got[2]) == (409, 775)
     assert sum(exponentiated) <= 0.3 * alphas.size * got[2]
     _assert_same_complex_many(
         got, _complex_many_reference(EXP_KERNEL, alphas, width, reg, 1e-11))

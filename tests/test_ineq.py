@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from exthyp import ineq, quadrature
+from exthyp import cli, ineq, quadrature
 from exthyp.conformance import _hp_from_point, build_catalog, run_conformance
 from exthyp.extbeta import RegPair
 from exthyp.ineq import (
@@ -397,3 +397,34 @@ def test_equivalent_left_side_scales_as_the_kernel_degree():
     for x in _SCALES:
         lhs = hilbert_equivalent(hp, bump(x, 2.0 * x)).lhs
         assert abs(lhs / (x ** kappa * unit) - 1.0) <= 1e-12, x
+
+
+def test_weighted_norm_is_refined_at_unit_support():
+    # the norm of f on (0, X] is X^((e + 1) / p) times that of f(X .):
+    # refined on (0, X] itself, its stop was absolute for a small integral,
+    # so bump(X, 2X) read lhs/rhs 0.36834471 at X <= 1e-10 against
+    # 0.36833902, and at X = 1e-50 the nodes underflowed to 0 (rhs nan)
+    hp = midpoint_params(1.8, 2.2, 0.6, 0.6, 1.0, 1.5, 0.2, 0.2)
+    unit = hilbert_equivalent(hp, bump(1.0, 2.0))
+    for x in [10.0 ** e for e in range(-20, 31, 5)]:
+        form = hilbert_equivalent(hp, bump(x, 2.0 * x))
+        assert form.converged, x
+        assert abs(form.lhs / form.rhs - unit.lhs / unit.rhs) <= 1e-14, x
+    form = hilbert_equivalent(hp, power_cut(0.0, 1e-50))
+    assert form.converged and math.isfinite(form.rhs) and form.holds
+
+
+@pytest.mark.parametrize("f", [power_cut(0.5, 1e300), power_cut(0.5, 1e-300)])
+def test_underflowed_left_side_is_a_domain_error(f):
+    # f and g are nonzero, so a left side of exactly 0 underflowed: with the
+    # norm refined at unit support, power_cut(0.5, 1e300) gave lhs 0.0 with
+    # converged=True; the CLI exits 2 on it
+    hp = midpoint_params(1.8, 2.2, 0.6, 0.6, 1.0, 1.5, 0.2, 0.2)
+    with pytest.raises(DomainError, match="underflows"):
+        hilbert_bilinear(hp, f, exp_decay(1.0))
+    args = ["hilbert", "--p", "1.8", "--q", "2.2", "--s1", "0.6", "--s2",
+            "0.6", "--a1", "1.0", "--a2", "1.5", "--A1", str(hp.A1), "--A2",
+            str(hp.A2), "--pt", "0.2", "--qt", "0.2",
+            f"--f=power_cut:{f.params[0]!r},{f.params[1]!r}", "--g",
+            "exp_decay:1"]
+    assert cli.main(args) == 2

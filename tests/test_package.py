@@ -55,8 +55,10 @@ REMOVED = {
 # the unit grid's own sorting permutation (grid_order serves both grids),
 # the stacked form of the nested rule (every level now takes the one step),
 # the twin of check_beta_domain, the type A grid's own live windows and
-# rounding floor (quadrature.grid_product and _refine_grid hold them), and
-# the composites that results.EvalResult now holds
+# rounding floor (quadrature.grid_product and _refine_grid hold them), the
+# composites that results.EvalResult now holds, and the contour's own
+# fixed-step strip and the flag it set from its estimate (the strip refines
+# through quadrature._refine_nested)
 REMOVED_FROM = {
     "hyp.py": {"shared_coefficients", "_shared_blocks", "contextvars",
                "contextlib", "_RETIRE_SHARE", "_max_abs", "_combine"},
@@ -69,6 +71,8 @@ REMOVED_FROM = {
     "lauricella.py": {"_live_span", "_EPS"},
     "corefn.py": {"_kummer_tables", "_KummerTables", "_kummer_amplitude",
                   "_kummer_log_amplitude", "_kummer_pos"},
+    "mellin.py": {"_strip_values"},
+    "results.py": {"within"},
 }
 
 
@@ -173,6 +177,26 @@ def test_refine_has_one_path():
     assert len(branches) == 1
     assert branches[0] in list(ast.walk(loops[0]))
     assert isinstance(branches[0].body[-1], ast.Return)
+
+
+def test_contour_refines_through_the_nested_loop():
+    # mb_eval hands its strip to quadrature._refine_nested, and no mellin
+    # function sums the strip twice: the one sum of its values is the level
+    # sum handed to the loop, and the one other sum in the module is that
+    # of the first grid's rounding bounds
+    tree = dict(_trees())["mellin.py"]
+    mb_eval, = (n for n in ast.walk(tree)
+                if isinstance(n, ast.FunctionDef) and n.name == "mb_eval")
+    calls = [n for n in ast.walk(mb_eval) if isinstance(n, ast.Call)
+             and _called(n) == "_refine_nested"]
+    assert len(calls) == 1
+    contrib, = (n for n in ast.walk(mb_eval) if isinstance(n, ast.FunctionDef)
+                and n.name == calls[0].args[0].id)
+    sums = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute) and n.func.attr == "sum"]
+    assert sorted(ast.unparse(n.func.value) for n in sums) == ["bounds", "v"]
+    assert [n in list(ast.walk(contrib)) for n in sums
+            if ast.unparse(n.func.value) == "v"] == [True]
 
 
 # the functions whose argument is a refinement level (or, for unit_new_nodes
@@ -338,9 +362,10 @@ RECORDS = {
     "mellin.py": {"ContourSpec"}, "results.py": {"EvalResult"},
 }
 # Where a finiteness test may still stand outside the helper: a scalar
-# argument's one check per entry point, and the checks of an output
+# argument's one check per entry point, and the checks of an output (a
+# converged EvalResult tests its numbers before it builds the message)
 FINITE_CHECKS = {
-    ("results.py", "refuse_non_finite"),
+    ("results.py", "refuse_non_finite"), ("results.py", "__post_init__"),
     ("hyp.py", "pfq_series"), ("hyp.py", "euler_step_integral"),
     ("hyp.py", "frac_deriv"), ("lauricella.py", "_fd_series"),
     ("lauricella.py", "_fa_series"), ("results.py", "check_tol"),
