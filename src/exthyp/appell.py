@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extbeta import RegPair, _kernel_integral
+from .extbeta import RegPair, _beta_norm, _kernel_integral
 from .hyp import (
     _CoeffLadder,
     _shift_sums,
@@ -171,8 +171,8 @@ def f2_single_integral(p: AppellParams, x: float, y: float,
     def factor(t):
         return pfq_series_vector(inner, y / (1.0 - x * t), ladder=ladder)
 
-    return _kernel_integral(kern, reg, powexp, tol, ((p.beta1, p.gamma1),),
-                            factor)
+    return _kernel_integral(kern, reg, powexp, tol,
+                            _beta_norm(((p.beta1, p.gamma1),)), factor)
 
 
 _F2_TRANSFORMS = ("x", "y", "xy", "xy_general")

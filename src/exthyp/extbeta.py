@@ -228,21 +228,22 @@ def _beta_norm(pairs: tuple, sign: float = 1.0) -> tuple[float, float]:
 
 
 def _kernel_integral(k: KernelSpec, reg: RegPair, powexp, tol: float,
-                     betas=(), factor=None,
+                     norm=(1.0, 0.0), factor=None,
                      method: str = "euler_integral") -> EvalResult:
     """The Euler integral over (0, 1) of exp(powexp) Theta(-b/t - d/(1-t))
-    g(t), times the ``_beta_norm`` of the (a, c) pairs ``betas`` (or 1).
+    g(t), times the prefactor norm = (c, its relative error), such as a
+    ``_beta_norm``.
 
     ``powexp(t, tc, lt, ltc)`` returns the exponent on a level's new nodes t
     and complements tc = 1-t, with lt, ltc = log t, log tc.  ``factor(t)``
     returns (g(t), its errors per node, or one for all), for an inner series
-    or closed form; g = 1 without it.  The refinement stops at the absolute
-    ``tol`` on the scaled value.  A norm out of range raises ``DomainError``
-    before any node, and a non-finite sample ``NonFiniteSampleError`` once
-    the refinement asks for its level.  The parts: the norm times the last
-    level difference, the largest factor error (``inner``) and the floor eps
-    times the last level's sum of w |f| (``rounding``), and the norm's own
-    error; the last two join after the refinement and move no stop.
+    or closed form; g = 1 without it.  The refinement stops on the value, c
+    times the integral (``quadrature._refine``).  A non-finite sample raises
+    ``NonFiniteSampleError`` once the refinement asks for its level.  The
+    parts, in the value's units: c times the last level difference, the
+    nested sums at the last level of |w f| times the factor's errors
+    (``inner``) and of eps |w f g| (``rounding``), and |value| times the
+    relative error; all but the first move no stop.
 
     The weighted samples w exp(powexp) Theta of levels 0..FIRST_PASS_LEVEL
     are formed in one pass over their nodes laid end to end (level -1);
@@ -252,9 +253,6 @@ def _kernel_integral(k: KernelSpec, reg: RegPair, powexp, tol: float,
     and each level's sum is handed over when it is asked for.  Each later
     level is weighed on its own when the refinement asks for it.
     """
-    norm, norm_err = _beta_norm(betas)
-    factor_err = 0.0
-
     def samples(level):
         t, tc, w = unit_new_nodes(level)
         lt, ltc = _unit_logs(level)
@@ -263,45 +261,46 @@ def _kernel_integral(k: KernelSpec, reg: RegPair, powexp, tol: float,
                                           *unit_kernel(k, reg, level))
 
     def weighed(vals, t):
-        nonlocal factor_err
+        """(samples times the factor, sum of |samples| times its errors)"""
         _check_finite(vals, t)
         if factor is None:
-            return vals
+            return vals, 0.0
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             fv, ferr = factor(t)
-            factor_err = max(factor_err, float(np.max(ferr)))
+            spread = float((np.abs(vals) * ferr).sum())
             vals = vals * fv
         _check_finite(vals, t)
-        return vals
+        return vals, spread
 
     first = samples(-1)
     spans = _first_pass_spans()
     head = slice(0, spans[MIN_LEVEL].stop)
-    vals = weighed(first[head], unit_new_nodes(-1)[0][head])
+    vals, spread = weighed(first[head], unit_new_nodes(-1)[0][head])
     sums = [vals[span].sum() for span in spans[:MIN_LEVEL + 1]]
-    # the sum of |w f| over the nodes of the levels read, and the last one
+    # the sums of |w f g| and |w f| err over the levels read, and the last
     modulus, last = np.abs(vals).sum(), MIN_LEVEL
 
     def contrib(level):
-        nonlocal modulus, last
+        nonlocal modulus, spread, last
         t = unit_new_nodes(level)[0]
         if level <= MIN_LEVEL:
             return sums[level], t.size
-        if level <= FIRST_PASS_LEVEL:
-            vals = weighed(first[spans[level]], t)
-        else:
-            vals = weighed(samples(level), t)
-        modulus, last = modulus + np.abs(vals).sum(), level
+        vals, s = weighed(first[spans[level]] if level <= FIRST_PASS_LEVEL
+                          else samples(level), t)
+        modulus, spread, last = modulus + np.abs(vals).sum(), spread + s, level
         return vals.sum(), t.size
 
-    totals, err, nodes, converged = _refine_nested(contrib, tol / norm)
+    c, rel_err = norm
+    total, err, nodes, converged = _refine_nested(contrib, tol, c)
+    value = float(total) * c
     # the rounding floor: eps times the nested trapezoid sum of w |f| at the
     # last level, the recursive-summation bound of the quadrature sum
     # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2)
-    got = EvalResult.of(float(totals), nodes, method, converged,
-                        discretisation=err, inner=factor_err, rounding=_EPS
-                        * math.ldexp(modulus, -last)).scaled(norm)
-    return got.plus(normalisation=abs(got.value) * norm_err)
+    return EvalResult.of(value, nodes, method, converged,
+                         discretisation=err * c,
+                         inner=math.ldexp(spread, -last) * c,
+                         rounding=_EPS * math.ldexp(modulus, -last) * c,
+                         normalisation=abs(value) * rel_err)
 
 
 def ext_beta(k: KernelSpec, args: BetaArgs, reg: RegPair = RegPair(),

@@ -32,11 +32,12 @@ from .corefn import (
 )
 from .extbeta import (
     RegPair,
+    _beta_norm,
     _kernel_integral,
     ext_beta_shifted_batch_arrays,
 )
 from .kernel import EXP_VARIANT, KernelSpec
-from .quadrature import _read_only, _running
+from .quadrature import _EPS, _read_only, _running
 from .results import (DomainError, EvalResult, KernelMismatchError,
                       check_tol, memoized, refuse_non_finite)
 
@@ -376,10 +377,14 @@ def _geometric_tail(last, q, total, scale=1.0):
     return tail, tail <= SERIES_SMALL * size
 
 
-def _one_f0_vector(alpha: float, k1: int, w: np.ndarray) -> np.ndarray:
+def _one_f0_vector(alpha: float, k1: int, w: np.ndarray, w_rel: float):
     """Closed forms of the innermost 1F0-type factor: a terminating head,
     or a head of shift 0 (exp) or 1 ((1 - w)^-alpha), the only others
-    ``PfqSpec.validate`` lets through."""
+    ``PfqSpec.validate`` lets through.  Returns (g, a bound per node on its
+    rounding) for w of relative error ``w_rel``: eps for exp itself, plus
+    its exponent's absolute error, w_rel |w|, or 2 eps |alpha log1p(-w)|
+    (the log and the product) + w_rel |alpha w / (1 - w)|.  A terminating
+    head, a polynomial, reports 0."""
     if _is_nonpositive_int(alpha) and k1 >= 1:
         n = int(round(-alpha))
         if n // k1 > 170:  # m! leaves double range from m = 171 on
@@ -387,10 +392,14 @@ def _one_f0_vector(alpha: float, k1: int, w: np.ndarray) -> np.ndarray:
         s = np.zeros_like(w)
         for m in range(n // k1 + 1):
             s += pochhammer(alpha, k1 * m) * w ** m / math.factorial(m)
-        return s
+        return s, 0.0
     if k1 == 0:
-        return np.exp(w)
-    return np.exp(-alpha * np.log1p(-w))
+        g = np.exp(w)
+        return g, (_EPS + w_rel * np.abs(w)) * g
+    e = -alpha * np.log1p(-w)
+    g = np.exp(e)
+    return g, (_EPS * (1.0 + 2.0 * np.abs(e))
+               + w_rel * abs(alpha) * np.abs(w / (1.0 - w))) * g
 
 
 def euler_step_integral(spec: PfqSpec, z: float,
@@ -436,18 +445,19 @@ def euler_step_integral(spec: PfqSpec, z: float,
         def powexp(t, tc, lt, ltc):
             return (a_p - 1.0) * lt + (b_q - a_p - 1.0) * ltc
 
-        if inner_closed:  # 0F0 = exp, or 1F0
-            def factor(t):
-                w = z * t ** k_p
-                return (np.exp(w) if inner.p == 0
-                        else _one_f0_vector(*inner.upper[0], w)), 0.0
+        if inner_closed:  # 1F0, or 0F0 = exp: a head of shift 0
+            head = inner.upper[0] if inner.p else (0.0, 0)
+
+            def factor(t):  # z t^k_p errs by at most (k_p + 2) eps
+                return _one_f0_vector(*head, z * t ** k_p, (k_p + 2) * _EPS)
         else:
             ladder = _CoeffLadder(inner)
 
             def factor(t):
                 return pfq_series_vector(inner, z * t ** k_p, ladder=ladder)
 
-    return _kernel_integral(k, reg, powexp, tol, ((a_p, b_q),), factor)
+    return _kernel_integral(k, reg, powexp, tol, _beta_norm(((a_p, b_q),)),
+                            factor)
 
 
 @memoized
@@ -725,5 +735,5 @@ def frac_deriv(kernel: KernelSpec, mu: float, reg: RegPair, f, z: float,
                           f"out of double range at z = {z:.6g}")
     return _kernel_integral(
         kernel, reg, lambda t, tc, lt, ltc: (lam - 1.0) * ltc, tol,
-        factor=lambda t: (np.asarray(f(z * t), dtype=float), 0.0),
-        method="quadrature").scaled(power / gamma)
+        (power / gamma, 0.0),
+        lambda t: (np.asarray(f(z * t), dtype=float), 0.0), "quadrature")

@@ -366,7 +366,7 @@ def _weighted_norm(h: TestFunction, exponent: float,
             total = float(v.sum())
             return (float(v @ cx), total), x.size, (total, {})
 
-    norm = _refine_grid(grid_sum, 1e-11, rel=True)
+    norm = _refine_grid(grid_sum, 1e-11)
     return (abs(h.amplitude) * s ** ((exponent + 1.0) / power)
             * norm.value ** (1.0 / power), norm.converged)
 
@@ -461,7 +461,7 @@ def hilbert_bilinear(hp: HilbertParams, f: TestFunction, g: TestFunction,
                 coarse = float(np.exp(ly + log_rows) @ cy)
             return (coarse, total), x.size * y.size, (total, {})
 
-        grid = _refine_grid(grid_sum, tol, rel=True)
+        grid = _refine_grid(grid_sum, tol)
         if grid.value == 0.0:  # of a positive integrand: an underflow
             raise DomainError("Hardy-Hilbert left side underflows to 0")
         lhs, ok = grid.value * (f.amplitude * g.amplitude), grid.converged
@@ -498,7 +498,7 @@ def hilbert_equivalent(hp: HilbertParams, f: TestFunction,
                 coarse = float(np.exp(ly + qp * crows) @ cy)
             return (coarse, inner_tot), x.size * y.size, (inner_tot, {})
 
-        grid = _refine_grid(grid_sum, tol, rel=True)
+        grid = _refine_grid(grid_sum, tol)
         lhs = f.amplitude * s ** kappa * grid.value ** (1.0 / qp)
         ok = grid.converged
 

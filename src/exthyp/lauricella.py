@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -221,7 +222,8 @@ def _fd_integral(p: LauricellaParams, tol: float) -> EvalResult:
                 out = out - b * np.log1p(-x * t)
         return out
 
-    return _kernel_integral(kern, reg, powexp, tol, ((p.alpha, gamma),))
+    return _kernel_integral(kern, reg, powexp, tol,
+                            _beta_norm(((p.alpha, gamma),)))
 
 
 def fd_eval(p: LauricellaParams, tol: float = 1e-10,
@@ -312,16 +314,17 @@ def interval_product_integral(tp: IntervalProductParams,
             out = out + lam * np.log(fj * (tp.a_lo + span * t) + gj)
         return out
 
-    try:  # a float power or quotient out of double range raises
+    try:  # a float power out of double range raises (or underflows)
         pref = span ** (tp.alpha + tp.beta - 1.0)
-        lhs_tol = tol / pref
+        if pref < sys.float_info.min:  # no normal double: refused at once
+            raise OverflowError
         const = pref * beta_classical(tp.alpha, tp.beta)
         for fj, gj, lam in tp.factors:
             const *= (tp.a_lo * fj + gj) ** lam
-    except (OverflowError, ZeroDivisionError):
+    except OverflowError:
         raise DomainError("prefactor out of double range") from None
-    lhs = _kernel_integral(kern, scaled, powexp, lhs_tol,
-                           method="quadrature").scaled(pref)
+    lhs = _kernel_integral(kern, scaled, powexp, tol, (pref, 0.0),
+                           method="quadrature")
 
     xs = tuple(-span * fj / (tp.a_lo * fj + gj) for fj, gj, _ in tp.factors)
     lams = tuple(-lam for _f, _g, lam in tp.factors)
@@ -585,8 +588,8 @@ def _fa_integral(p: LauricellaParams, tol: float, variant: str) -> EvalResult:
     reg, kern = p.reg, p.kernel
     if variant not in ("proof", "printed"):
         raise DomainError(f"unknown variant {variant!r}")
-    norm, norm_err = _beta_norm(tuple(zip(p.betas, p.gammas)),
-                                1.0 if variant == "proof" else -1.0)
+    norm = _beta_norm(tuple(zip(p.betas, p.gammas)),
+                      1.0 if variant == "proof" else -1.0)
 
     def factor(w):
         np.negative(w, out=w)
@@ -605,8 +608,7 @@ def _fa_integral(p: LauricellaParams, tol: float, variant: str) -> EvalResult:
             return grid_product([(t, w * f, c * f) for f in factors], p.xs,
                                 factor)
 
-    grid = _refine_grid(grid_sum, tol / norm).scaled(norm)
-    return grid.plus(normalisation=abs(grid.value) * norm_err)
+    return _refine_grid(grid_sum, tol, norm)
 
 
 def fa_single_integral(
@@ -655,7 +657,7 @@ def fa_single_integral(
                 [(t, w * e, c * e)], (1.0,), factor)
         return sums, nodes, (modulus, {**parts, "dropped": dropped})
 
-    return fa_series(p, tol), _refine_grid(grid_sum, tol / norm).scaled(norm)
+    return fa_series(p, tol), _refine_grid(grid_sum, tol, (norm, 0.0))
 
 
 def fa_partial_series(p: LauricellaParams,

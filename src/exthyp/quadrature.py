@@ -12,18 +12,20 @@ precision arbitrarily close to the endpoint.
 
 One loop, ``_refine``, runs every refinement, one level per step: each level
 hands it its estimate and the previous level's, and their difference is the
-error.  A nested refinement (``mellin.mb_eval``'s too) keeps a running total,
-so its first step forms levels 0 to the first that may stop; a full grid
-carries the previous level's weights on the same nodes, so one set of samples
-gives both estimates.  Where the nested sums of several levels are formed in
-one pass (the first pass), each level is still handed over on its own.
+error.  It stops on tol (1 + |value|), in the units of the value returned,
+the estimate times the integral's prefactor.  A nested refinement
+(``mellin.mb_eval``'s too) keeps a running total, so its first step forms
+levels 0 to the first that may stop; a full grid carries the previous
+level's weights on the same nodes, so one set of samples gives both
+estimates.  Where the nested sums of several levels are formed in one pass
+(the first pass), each level is still handed over on its own.
 
 The full-grid integrals take each axis from ``grid_axis`` (the unit grid,
 scaled to (0, top), or the half line cut before an end).  The type A and D
 forms sum over one or two axes with ``grid_product``: blocks of rows, live
 windows, and the one-node POINT_AXIS as the rows at r = 1.  The estimate of
 ``_refine_grid`` is its level difference and the parts of the level
-returned, its rounding floor among them.
+returned, its rounding floor among them, in the value's units.
 """
 
 from __future__ import annotations
@@ -307,38 +309,39 @@ def _running(op, blk: np.ndarray) -> None:
             op(blk[i - 1], blk[i], out=blk[i])
 
 
-def _refine(estimate, tol: float, least: int, last: int, rel: bool = False):
+def _refine(estimate, tol: float, least: int, last: int, norm: float = 1.0):
     """The level-doubling loop of every integral, after ``check_tol``.
 
     ``estimate(level)`` returns ((previous, estimate), nodes used) for the
     levels least, least + 1, ..., last: the level's estimate and the
     previous level's, each a scalar or an array (real or complex).  The
     error is |estimate - previous|, elementwise; a non-finite one neither
-    warns nor stops the loop.  The loop stops at the first level whose
-    largest error is <= tol, or <= tol * (1 + |estimate|) with ``rel``.
-    Returns (estimate, err, nodes, converged): the last level's estimate
-    and error and the nodes of all levels.
+    warns nor stops the loop.  The value is the estimate times the positive
+    prefactor norm, and the loop stops at the first level where norm err
+    <= tol (1 + norm |estimate|) for every member.  Returns (estimate, err,
+    nodes, converged): the last level's estimate and error, unscaled, and
+    the nodes of all levels.
     """
     check_tol(tol)
     nodes = 0
     for level in range(least, last + 1):
         (prev, est), n = estimate(level)
         nodes += n
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             err = abs(est - prev)
-            within = err <= (tol * (1.0 + abs(est)) if rel else tol)
+            within = norm * err <= tol * (1.0 + norm * abs(est))
         if within.all() if isinstance(within, np.ndarray) else within:
             return est, err, nodes, True
     return est, err, nodes, False
 
 
-def _refine_nested(contrib, tol: float):
+def _refine_nested(contrib, tol: float, norm: float = 1.0):
     """``_refine`` of the nested trapezoid estimates over levels 0 to
     MAX_LEVEL, by one rule: level L's estimate is half level L-1's plus
     2^-L times its sum (level 0: the sum), where ``contrib(level)`` returns
-    (sum of w*f over the level's new nodes, their count).  The first step
-    asks ``contrib`` for levels 0..MIN_LEVEL in order, each later step for
-    its own level.
+    (sum of w*f over the level's new nodes, their count), for a value
+    ``norm`` times the estimate.  The first step asks ``contrib`` for
+    levels 0..MIN_LEVEL in order, each later step for its own level.
     """
     total = None
 
@@ -352,16 +355,18 @@ def _refine_nested(contrib, tol: float):
             nodes += n
         return (prev, total), nodes
 
-    return _refine(estimate, tol, MIN_LEVEL, MAX_LEVEL)
+    return _refine(estimate, tol, MIN_LEVEL, MAX_LEVEL, norm)
 
 
-def _refine_grid(grid_sum, tol: float, rel: bool = False) -> EvalResult:
-    """``_refine`` of the full-grid sums over GRID_LEVELS, a float result.
-    ``grid_sum(level)`` returns ((coarse sum, sum), nodes, (sum of w |f|,
-    parts)), the coarse sum the previous level's over the same samples.
-    The estimate adds the level difference and the last level's 2 eps sum
-    w |f| (``rounding``: a two-stage sum errs by up to that, 1000 type A
-    draws at b = d = 0 against mpmath) and parts, which move no stop."""
+def _refine_grid(grid_sum, tol: float, norm=(1.0, 0.0)) -> EvalResult:
+    """``_refine`` of the full-grid sums over GRID_LEVELS for the float value
+    c times the sum, norm = (c, its relative error).  ``grid_sum(level)``
+    returns ((coarse sum, sum), nodes, (sum of w |f|, parts)), the coarse sum
+    the previous level's over the same samples.  The estimate adds, times c,
+    the level difference and the last level's 2 eps sum w |f| (``rounding``:
+    a two-stage sum errs by up to that, 1000 type A draws at b = d = 0
+    against mpmath) and parts, which move no stop, then |value| times the
+    relative error."""
     parts = []
 
     def estimate(level):
@@ -369,11 +374,15 @@ def _refine_grid(grid_sum, tol: float, rel: bool = False) -> EvalResult:
         parts.append(part)
         return sums, nodes
 
-    value, err, nodes, ok = _refine(estimate, tol, *GRID_LEVELS, rel)
+    c, rel_err = norm
+    total, err, nodes, ok = _refine(estimate, tol, *GRID_LEVELS, c)
     modulus, own = parts[-1]
-    return EvalResult.of(float(value), nodes, "euler_integral", ok,
-                         discretisation=err, rounding=2 * _EPS * modulus,
-                         **own)
+    value = float(total) * c
+    return EvalResult.of(value, nodes, "euler_integral", ok,
+                         discretisation=err * c,
+                         rounding=2 * _EPS * modulus * c,
+                         **{name: b * c for name, b in own.items()},
+                         normalisation=abs(value) * rel_err)
 
 
 def _integrate_levels(new_nodes, f, tol: float) -> QuadResult:

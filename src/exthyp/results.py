@@ -10,10 +10,12 @@ factor on the nodes, or an inner sum), ``dropped`` (what a cut range of
 integration leaves out) and ``normalisation`` (|value| times a prefactor's
 relative error).  Only this module builds or combines one.
 ``EvalResult.of`` adds the parts in the order given, so they sum to the
-estimate bit for bit, and its flag is the route's stop.  A composite forms
-its estimate from those it takes and carries the parts by the same rule, to
-rounding: ``scaled`` and ``proportional`` map each part as the estimate,
-``plus`` appends parts, ``combine`` adds its pieces' parts by name.
+estimate bit for bit, and its flag is the route's stop.  A quadrature
+builds its result in the units of its value, its prefactor applied once
+(``quadrature._refine``).  A composite forms its estimate from those it
+takes and carries the parts by the same rule, to rounding: ``scaled`` and
+``proportional`` map each part as the estimate, ``combine`` adds its
+pieces' parts by name.
 """
 
 from __future__ import annotations
@@ -88,13 +90,6 @@ class EvalResult:
         named = tuple((name, float(bound)) for name, bound in parts.items())
         est = functools.reduce(lambda e, p: e + p[1], named, 0.0)
         return cls(value, est, nodes, stopped, method, named)
-
-    def plus(self, **parts: float) -> "EvalResult":
-        """This result with ``parts`` added to its estimate, in order."""
-        named = tuple((name, float(bound)) for name, bound in parts.items())
-        est = functools.reduce(lambda e, p: e + p[1], named, self.abs_err_est)
-        return EvalResult(self.value, est, self.terms_or_nodes,
-                          self.converged, self.method, self.parts + named)
 
     def _carried(self, value, bound) -> "EvalResult":
         """``value``, with the estimate and each part mapped by ``bound``."""

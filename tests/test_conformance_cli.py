@@ -479,6 +479,21 @@ def test_cli_eval_non_convergence_exit_3():
     assert json.loads(r.stdout)["converged"] is False
 
 
+@pytest.mark.parametrize("argv", [
+    ("--params", "6.34,2.07,3.21", "--z", "0.99991047"),
+    ("--params", "7.93,4.33,5.34", "--z", "0.99987621", "--b", "0.1",
+     "--d", "0.2")], ids=["b=d=0", "b=0.1,d=0.2"])
+def test_cli_eval_near_z_1_converges_on_the_value_scale(argv):
+    # |F| = 4.0e20 and 1.5e8: the Euler step stops at tol (1 + |F|), in 775
+    # nodes each; an absolute stop ran both to the node cap (49,561),
+    # unconverged, though each value was already within 2e-13 relative
+    r = _cli("eval", "--func", "2f1", *argv)
+    assert r.returncode == 0
+    out = json.loads(r.stdout)
+    assert out["converged"] is True and out["method"] == "euler_integral"
+    assert out["abs_err_est"] <= 1e-10 * (1.0 + abs(out["value"]))
+
+
 def test_cli_eval_cancelling_2f2_series_is_not_converged():
     # its terms cancel about e**40-fold: the estimate (0.020) is far above
     # tol (1 + |value|), so the series does not call itself converged

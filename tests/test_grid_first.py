@@ -9,7 +9,8 @@ the level before the first that may stop; its error, less the floor and
 the other error of the level returned, is that refinement's error up to
 the rounding of the two sums of the level before, a few eps times the sum
 of w |f| (the integrands drawn here are positive, so that is the sum
-itself).
+itself).  Both are in the units of the value, the prefactor handed to the
+refinement times the sum.
 """
 
 import math
@@ -99,20 +100,21 @@ def _users(seed):
 
 class _Spy:
     """Stands in for ``_refine_grid`` in lauricella and ineq, and keeps
-    every refinement's grid sum, tolerance, form, levels asked and result."""
+    every refinement's grid sum, tolerance, prefactor, levels asked and
+    result."""
 
     def __init__(self):
         self.runs = []
 
-    def __call__(self, grid_sum, tol, rel=False):
+    def __call__(self, grid_sum, tol, norm=(1.0, 0.0)):
         levels = []
 
         def counted(level):
             levels.append(level)
             return grid_sum(level)
 
-        out = quadrature._refine_grid(counted, tol, rel)
-        self.runs.append((grid_sum, tol, rel, levels, out))
+        out = quadrature._refine_grid(counted, tol, norm)
+        self.runs.append((grid_sum, tol, norm, levels, out))
         return out
 
 
@@ -123,11 +125,11 @@ def _spied(monkeypatch):
     return spy
 
 
-def _one_grid_per_level(grid_sum, tol, rel):
+def _one_grid_per_level(grid_sum, tol, c):
     """Reference: the refinement with one grid of its own per level, from
     the level before the first that may stop, each level's error its sum's
-    difference from the level before's; returns its result and the last
-    level it formed."""
+    difference from the level before's, judged on the value c times the
+    sum; returns its result and the last level it formed."""
     least, last = quadrature.GRID_LEVELS
     prev, err, nodes = None, math.inf, 0
     for level in range(least - 1, last + 1):
@@ -135,8 +137,7 @@ def _one_grid_per_level(grid_sum, tol, rel):
         nodes += n
         if prev is not None:
             err = abs(est - prev)
-        bound = tol * (1.0 + abs(est)) if rel else tol
-        if level >= least and err <= bound:
+        if level >= least and c * err <= tol * (1.0 + c * abs(est)):
             return (est, err, nodes, True), level
         prev = est
     return (est, err, nodes, False), last
@@ -151,26 +152,29 @@ _ROUNDING_EPS = 8
 def _check_runs(spy, stops):
     least, _last = quadrature.GRID_LEVELS
     assert spy.runs
-    for grid_sum, tol, rel, levels, out in spy.runs:
+    for grid_sum, tol, (c, rel_err), levels, out in spy.runs:
         # one grid per level from the first that may stop
         assert levels == list(range(least, levels[-1] + 1))
         value, nodes, ok = out.value, out.terms_or_nodes, out.converged
         assert type(value) is float and type(out.abs_err_est) is float
-        want, stop = _one_grid_per_level(grid_sum, tol, rel)
-        assert want[0].hex() == value.hex()
+        want, stop = _one_grid_per_level(grid_sum, tol, c)
+        assert (want[0] * c).hex() == value.hex()
         assert want[3] == ok and stop == levels[-1]
         # the level before the first that may stop has no grid of its own
         assert nodes == want[2] - grid_sum(least - 1)[1]
         (coarse, fine), _, (modulus, own) = grid_sum(stop)
         assert coarse > 0.0 and fine > 0.0
         assert modulus == fine and all(b >= 0.0 for b in own.values())
-        # the level difference, the floor and the level's own parts
+        # the level difference, the floor, the level's own parts and the
+        # prefactor's error, in the value's units
         parts = dict(out.parts)
         assert parts == {"discretisation": parts["discretisation"],
-                         "rounding": 2 * _EPS * modulus, **own}
-        assert abs(parts["discretisation"] - want[1]) \
-            <= _ROUNDING_EPS * _EPS * fine, (parts, want[1], fine)
-        stops.append((levels[-1], ok, rel))
+                         "rounding": 2 * _EPS * modulus * c,
+                         **{name: b * c for name, b in own.items()},
+                         "normalisation": abs(value) * rel_err}
+        assert abs(parts["discretisation"] - want[1] * c) \
+            <= _ROUNDING_EPS * _EPS * fine * c, (parts, want[1], fine)
+        stops.append((levels[-1], ok, c))
 
 
 @pytest.mark.parametrize("seed", [3, 11])
@@ -187,9 +191,11 @@ def test_first_estimate_matches_the_two_call_refinement(monkeypatch, seed):
                 else:
                     assert type(res.lhs) is float, name
                 _check_runs(spy, stops)
-    levels = {lv for lv, ok, rel in stops if ok}
+    levels = {lv for lv, ok, c in stops if ok}
     assert min(levels) == 4 and max(levels) >= 5
-    assert any(rel for *_, rel in stops) and not all(rel for *_, rel in stops)
+    # the type A forms hand their prefactor to the refinement, the others
+    # refine a sum of prefactor 1
+    assert any(c != 1.0 for *_, c in stops) and 1.0 in {c for *_, c in stops}
 
 
 @pytest.mark.parametrize("last", [4, 5])
@@ -213,7 +219,7 @@ def test_first_estimate_of_an_unconverged_refinement(monkeypatch, last):
 
 
 def test_weighted_norm_first_estimate(monkeypatch):
-    # the norm refines alone to a relative 1e-11; the bump's needs level 7
+    # the norm refines alone to 1e-11 (1 + |norm|); the bump's needs level 7
     stops = []
     for h, exponent, power in ((exp_decay(1.0), 0.3, 2.0),
                                (bump(1.0, 2.0), -0.2, 1.8),
@@ -223,7 +229,7 @@ def test_weighted_norm_first_estimate(monkeypatch):
             value, ok = ineq._weighted_norm(h, exponent, power)
             assert type(value) is float and ok
             _check_runs(spy, stops)
-    assert all(rel for *_, rel in stops)
+    assert all(c == 1.0 for *_, c in stops)
     assert max(lv for lv, *_ in stops) >= 7
 
 

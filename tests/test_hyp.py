@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import math
+import random
 import warnings
 from pathlib import Path
 
@@ -148,9 +149,9 @@ def test_euler_step_closed_inner_factor_matches_the_series(a1, ks,
     seen = []
     closed = hyp._one_f0_vector
 
-    def spy(alpha, k1, w):
+    def spy(alpha, k1, w, w_rel):
         seen.append((alpha, k1))
-        return closed(alpha, k1, w)
+        return closed(alpha, k1, w, w_rel)
 
     monkeypatch.setattr(hyp, "_one_f0_vector", spy)
     spec = pfq_spec(EXP_KERNEL, (a1, 1.3), (2.6,), RegPair(0.2, 0.3), ks=ks)
@@ -544,6 +545,23 @@ def test_1f1_euler_step_at_large_negative_arguments_against_mpmath():
         # plus the reference's own rounding to a double
         assert abs(got.value - want) <= (got.abs_err_est
                                          + 2.0 ** -53 * abs(want)), (z, got)
+
+
+def test_2f1_near_z_1_converges_within_its_estimate_of_mpmath():
+    # 100 seeded Gauss functions at b = d = 0 with 1 - z in [1e-6, 1e-1],
+    # where |F| reaches 4e20: the Euler step stops at tol (1 + |F|) and its
+    # estimate covers the closed inner factor's rounding, which grows as
+    # |a| eps |w| / |1 - w| at the nodes t -> 1.  On the absolute scale 39
+    # ran to the node cap, unconverged
+    rng = random.Random(7)
+    for _ in range(100):
+        a, c = rng.uniform(0.1, 8.0), rng.uniform(0.2, 8.0)
+        b = rng.uniform(0.05, c - 0.05)
+        z = 1.0 - 10.0 ** rng.uniform(-6.0, -1.0)
+        got = ext_2f1(EXP_KERNEL, a, b, c, z, RegPair(), 1e-10)
+        with mpmath.workdps(30):
+            err = abs(mpmath.mpf(got.value) - mpmath.hyp2f1(a, b, c, z))
+        assert got.converged and err <= got.abs_err_est, (a, b, c, z, got)
 
 
 def test_pfq_series_converges_only_within_tol_of_its_value():
@@ -1022,8 +1040,10 @@ def test_parts_are_carried_but_stay_out_of_equality_and_repr():
     assert r.parts == (("truncation", 0.25), ("coefficients", 0.125))
     assert r.scaled(-4.0).parts == (("truncation", 1.0),
                                     ("coefficients", 0.5))
-    assert r.plus(normalisation=0.5).parts[-1] == ("normalisation", 0.5)
-    assert r.plus(normalisation=0.5).abs_err_est == 0.875
+    normed = EvalResult.of(2.0, 7, "series", True, truncation=0.25,
+                           coefficients=0.125, normalisation=0.5)
+    assert normed.parts[-1] == ("normalisation", 0.5)
+    assert normed.abs_err_est == 0.875
     pair = EvalResult.combine([(2.0, r), (-1.0, r.scaled(2.0))], 7)
     assert (pair.value, pair.abs_err_est) == (0.0, 1.5)
     assert pair.parts == (("truncation", 1.0), ("coefficients", 0.5))

@@ -279,7 +279,7 @@ def _bilinear_lhs_every_row(hp, f, g, tol=1e-8):
             return ((float(np.exp(ly + crows) @ cy), total), x.size * y.size,
                     (total, {}))
 
-    lhs = quadrature._refine_grid(grid_sum, tol, rel=True)
+    lhs = quadrature._refine_grid(grid_sum, tol)
     return lhs.value * f.amplitude * g.amplitude, lhs.converged
 
 

@@ -541,7 +541,6 @@ def test_type_a_auto_dispatch_table(r, size):
 def _fa_full_grid(p, tol):
     """The type A product grid as formed before it skipped the rows of
     zero axis-0 weight: the factor on every row of each block."""
-    norm, norm_err = _beta_norm(tuple(zip(p.betas, p.gammas)))
 
     def grid_sum(level):
         g = quadrature.unit_grid(level)
@@ -575,12 +574,10 @@ def _fa_full_grid(p, tol):
                 modulus = abs(s)
         return (cs, s), t.size ** p.r, (modulus, {"inner": 0.0})
 
-    # the refinement adds the floor 2 eps modulus of the last level
-    grid = quadrature._refine_grid(grid_sum, tol / norm)
-    totals, err = grid.value, grid.abs_err_est
-    value = norm * totals
-    return EvalResult(value, norm * err + abs(value) * norm_err,
-                      grid.terms_or_nodes, grid.converged, "euler_integral")
+    # the refinement adds the floor 2 eps modulus of the last level, and
+    # judges and reports in the units of the prefactor times the sum
+    return quadrature._refine_grid(
+        grid_sum, tol, _beta_norm(tuple(zip(p.betas, p.gammas))))
 
 
 @pytest.mark.parametrize("kernel", [EXP_KERNEL, kummer_kernel(1.3, 2.1),

@@ -56,9 +56,11 @@ REMOVED = {
 # the stacked form of the nested rule (every level now takes the one step),
 # the twin of check_beta_domain, the type A grid's own live windows and
 # rounding floor (quadrature.grid_product and _refine_grid hold them), the
-# composites that results.EvalResult now holds, and the contour's own
+# composites that results.EvalResult now holds, the contour's own
 # fixed-step strip and the flag it set from its estimate (the strip refines
-# through quadrature._refine_nested)
+# through quadrature._refine_nested), and the appending of a prefactor's
+# error to a refinement's result (each refinement builds its result in the
+# value's units, its prefactor handed over once)
 REMOVED_FROM = {
     "hyp.py": {"shared_coefficients", "_shared_blocks", "contextvars",
                "contextlib", "_RETIRE_SHARE", "_max_abs", "_combine"},
@@ -72,7 +74,7 @@ REMOVED_FROM = {
     "corefn.py": {"_kummer_tables", "_KummerTables", "_kummer_amplitude",
                   "_kummer_log_amplitude", "_kummer_pos"},
     "mellin.py": {"_strip_values"},
-    "results.py": {"within"},
+    "results.py": {"within", "plus"},
 }
 
 
@@ -165,11 +167,14 @@ def test_no_function_takes_a_refinement_or_series_flag():
 
 
 def test_refine_has_one_path():
-    # one loop over the levels, whose one branch is the stop test
+    # one loop over the levels, whose one branch is the stop test, and one
+    # stop expression, in the units of the value norm times the estimate
     tree = dict(_trees())["quadrature.py"]
     refine, = (n for n in ast.walk(tree)
                if isinstance(n, ast.FunctionDef) and n.name == "_refine")
-    assert _params(refine) == {"estimate", "tol", "least", "last", "rel"}
+    assert _params(refine) == {"estimate", "tol", "least", "last", "norm"}
+    assert len([n for n in ast.walk(refine)
+                if isinstance(n, ast.Compare)]) == 1
     loops = [n for n in ast.walk(refine)
              if isinstance(n, (ast.For, ast.While, ast.comprehension))]
     assert len(loops) == 1 and isinstance(loops[0], ast.For)
@@ -177,6 +182,54 @@ def test_refine_has_one_path():
     assert len(branches) == 1
     assert branches[0] in list(ast.walk(loops[0]))
     assert isinstance(branches[0].body[-1], ast.Return)
+
+
+# the refinements and the position of their tol argument
+_REFINERS = {"_refine": 1, "_refine_nested": 1, "_refine_grid": 1,
+             "_kernel_integral": 3}
+
+
+def test_each_prefactor_goes_to_the_refinement_once():
+    # the refinement stops in the units of the value it returns, its
+    # prefactor handed over as norm: no caller divides its tol by a
+    # prefactor, directly or through a name, or scales or extends the
+    # result afterwards
+    for name, tree in _trees():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            quotients, refined = set(), set()
+            for n in ast.walk(fn):
+                if isinstance(n, ast.Assign):
+                    targets = {t.id for t in n.targets
+                               if isinstance(t, ast.Name)}
+                    if (isinstance(n.value, ast.BinOp)
+                            and isinstance(n.value.op, ast.Div)):
+                        quotients |= targets
+                    if (isinstance(n.value, ast.Call)
+                            and _called(n.value) in _REFINERS):
+                        refined |= targets
+            for n in ast.walk(fn):
+                if not isinstance(n, ast.Call):
+                    continue
+                at = _REFINERS.get(_called(n))
+                if at is not None:
+                    tols = [k.value for k in n.keywords if k.arg == "tol"]
+                    tols += n.args[at:at + 1]
+                    for tol in tols:
+                        assert not (isinstance(tol, ast.BinOp)
+                                    and isinstance(tol.op, ast.Div)), (
+                            name, n.lineno)
+                        assert not (isinstance(tol, ast.Name)
+                                    and tol.id in quotients), (name, n.lineno)
+                f = n.func
+                if isinstance(f, ast.Attribute) and f.attr in ("scaled",
+                                                               "plus"):
+                    on = f.value
+                    assert not (isinstance(on, ast.Call)
+                                and _called(on) in _REFINERS), (name, n.lineno)
+                    assert not (isinstance(on, ast.Name)
+                                and on.id in refined), (name, n.lineno)
 
 
 def test_contour_refines_through_the_nested_loop():

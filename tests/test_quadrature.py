@@ -142,7 +142,7 @@ def _loop_batch_reference(f0, count, tol, kstep):
         totals = h * s if totals is None else 0.5 * totals + h * s
         if level >= 1:
             errs = np.abs(totals - prev)
-        if level >= 3 and errs.max() <= tol:
+        if level >= 3 and (errs <= tol * (1.0 + np.abs(totals))).all():
             converged = True
             break
         prev = totals.copy()
@@ -262,40 +262,51 @@ def test_batch_first_estimate_bit_identical_to_one_level_at_a_time(kstep,
     assert stops[3] > FIRST_PASS_LEVEL
 
 
-def _loop_kernel_reference(k, reg, powexp, tol, factor):
+def _loop_kernel_reference(k, reg, powexp, tol, factor, norm):
     """Reference for _kernel_integral (lognorm 0): one level at a time, the
-    samples formed on the level's nodes, times the factor, then checked.
-    The estimate adds eps times the last level's nested sum of |w f|, whose
-    levels 0..MIN_LEVEL are summed as one array."""
+    samples formed on the level's nodes, times the factor, then checked,
+    and judged on the value c times the integral, for norm = (c, relative
+    error).  The estimate adds c times eps times the last level's nested
+    sum of |w f| and c times its nested sum of |w f| times the factor's
+    errors, whose levels 0..MIN_LEVEL are summed as one array, and |value|
+    times the relative error."""
+    c, rel_err = norm
     total = prev = None
-    err, nodes, factor_err, head, moduli = math.inf, 0, 0.0, [], 0.0
+    err, nodes, head, moduli, spreads = math.inf, 0, [], 0.0, 0.0
     for level in range(MAX_LEVEL + 1):
         t, tc, w = unit_new_nodes(level)
         lt, ltc = extbeta._unit_logs(level)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             vals = w * extbeta.safe_theta_product(
                 k, powexp(t, tc, lt, ltc), *extbeta.unit_kernel(k, reg, level))
+            spread = np.zeros_like(vals)
             if factor is not None:
                 fv, ferr = factor(t)
-                factor_err = max(factor_err, float(np.max(ferr)))
+                spread = np.abs(vals) * ferr
                 vals = vals * fv
         assert np.isfinite(vals).all()
         nodes += t.size
         h = 2.0 ** -level if level else 1.0
         total = h * vals.sum() if total is None else 0.5 * total + h * vals.sum()
         if level < MIN_LEVEL:
-            head.append(vals)
+            head.append((vals, spread))
         elif level == MIN_LEVEL:
-            moduli = np.abs(np.concatenate(head + [vals])).sum()
+            moduli = np.abs(np.concatenate([v for v, _ in head] + [vals])).sum()
+            spreads = np.concatenate([s for _, s in head] + [spread]).sum()
         else:
             moduli += np.abs(vals).sum()
-        floor = np.finfo(float).eps * math.ldexp(moduli, -level)
+            spreads += spread.sum()
         if prev is not None:
             err = abs(total - prev)
-        if level >= MIN_LEVEL and err <= tol:
-            return total, err + factor_err + floor, nodes, True
+        ok = c * err <= tol * (1.0 + c * abs(total))
+        if level >= MIN_LEVEL and ok or level == MAX_LEVEL:
+            break
         prev = total
-    return total, err + factor_err + floor, nodes, False
+    value = float(total) * c
+    est = (0.0 + err * c + math.ldexp(spreads, -level) * c
+           + np.finfo(float).eps * math.ldexp(moduli, -level) * c
+           + abs(value) * rel_err)
+    return value, est, nodes, ok
 
 
 _INNER = pfq_spec(EXP_KERNEL, (0.7, 1.2), (2.1,), RegPair(0.1, 0.1))
@@ -306,7 +317,7 @@ def _inner_factor(t):
 
 
 def _closed_factor(t):
-    return _one_f0_vector(0.7, 1, 0.6 * t), 0.0
+    return _one_f0_vector(0.7, 1, 0.6 * t, 3 * np.finfo(float).eps)
 
 
 @pytest.mark.parametrize("factor", [None, _inner_factor, _closed_factor],
@@ -323,13 +334,13 @@ def test_kernel_integral_first_estimate_bit_identical_to_one_level_at_a_time(
     def powexp(t, tc, lt, ltc):
         return -0.4 * lt + 0.7 * ltc
 
-    stops = []
-    for tol in (1e-2, 1e-6, 1e-10, 1e-14):
-        got = _kernel_integral(k, reg, powexp, tol, (), factor)
-        value, err, nodes, ok = _loop_kernel_reference(k, reg, powexp, tol,
-                                                       factor)
+    stops, norm = [], (0.37, 1e-15)
+    for tol in (1e-2, 1e-6, 1e-10, 1e-15):
+        got = _kernel_integral(k, reg, powexp, tol, norm, factor)
+        value, est, nodes, ok = _loop_kernel_reference(k, reg, powexp, tol,
+                                                       factor, norm)
         assert _same_bits(got.value, value)
-        assert got.abs_err_est == float(err)
+        assert got.abs_err_est == float(est)
         assert (got.terms_or_nodes, got.converged) == (nodes, ok)
         stops.append(_stop_level(nodes))
     assert stops[:3] == [MIN_LEVEL, 4, FIRST_PASS_LEVEL]
@@ -504,11 +515,12 @@ def test_cumulative_grids_integrate():
     assert abs(float(h.weights @ np.exp(-h.nodes)) - 1.0) < 1e-12
 
 
-def _one_level_reference(estimate, tol, first, least, last, rel=False):
+def _one_level_reference(estimate, tol, first, least, last, norm=1.0):
     """Reference: the refinement as one loop over the levels first..last,
     each level's estimate formed on its own by ``estimate(level)`` ->
     (estimate, nodes); the error is |estimate - previous| from the second
-    level on (inf before), and the stop test runs from ``least``."""
+    level on (inf before), and the stop test, on the value norm times the
+    estimate, runs from ``least``."""
     prev, err, nodes = None, math.inf, 0
     for level in range(first, last + 1):
         est, n = estimate(level)
@@ -516,8 +528,8 @@ def _one_level_reference(estimate, tol, first, least, last, rel=False):
         if prev is not None:
             with np.errstate(invalid="ignore"):
                 err = abs(est - prev)
-        bound = tol * (1.0 + abs(est)) if rel else tol
-        if level >= least and np.all(err <= bound):
+        if level >= least and np.all(norm * err <= tol * (1.0 + norm
+                                                           * abs(est))):
             return est, err, nodes, True
         prev = est
     return est, err, nodes, False
@@ -552,11 +564,12 @@ def test_refine_first_level_requests_no_lower_level():
     value, err, nodes, ok = _refine(est, 1e-9, 3, 6)
     assert asked == [3, 4]
     assert ok and value == 2.0 and err == 0.0 and nodes == 20
-    # a single level is judged on its own pair
+    # a single level is judged on its own pair: |change| 1 against
+    # tol (1 + 2)
     est, asked = _scripted({2: 3.0, 3: 2.0})
-    assert _refine(est, 1.0, 3, 3) == (2.0, 1.0, 10, True)
+    assert _refine(est, 0.5, 3, 3) == (2.0, 1.0, 10, True)
     est, asked = _scripted({2: 3.0, 3: 2.0})
-    assert _refine(est, 0.5, 3, 3) == (2.0, 1.0, 10, False)
+    assert _refine(est, 0.25, 3, 3) == (2.0, 1.0, 10, False)
     assert asked == [3]
 
 
@@ -564,11 +577,19 @@ def test_refine_rel_bound_scales_with_estimate():
     levels = {0: 2000.0, 1: 1000.0, 2: 1000.0 + 1e-7, 3: 1000.0}
     # |change| = 1e-7 > tol = 1e-9, but <= tol * (1 + 1000)
     est, asked = _scripted(levels)
-    assert not _refine(est, 1e-9, 2, 3)[3]
-    est, asked = _scripted(levels)
-    value, err, _, ok = _refine(est, 1e-9, 2, 3, rel=True)
+    value, err, _, ok = _refine(est, 1e-9, 2, 3)
     assert ok and asked == [2] and value == 1000.0 + 1e-7
     assert err == abs((1000.0 + 1e-7) - 1000.0)
+    # the stop is in the units of the value, norm times the estimate: an
+    # estimate near 1 that moves by 3e-9 stops at tol 1e-9 for the value
+    # 1e-3 times it, and not for the value 1 or 1e3 times it; the
+    # estimate and error come back unscaled
+    levels = {1: 1.0, 2: 1.0 + 3e-9, 3: 1.0}
+    for norm, stops in ((1e-3, True), (1.0, False), (1e3, False)):
+        est, asked = _scripted(levels)
+        value, err, _, ok = _refine(est, 1e-9, 2, 2, norm)
+        assert ok is stops and value == 1.0 + 3e-9
+        assert err == abs((1.0 + 3e-9) - 1.0)
 
 
 def test_refine_array_estimate_keeps_per_member_errors():
@@ -610,21 +631,24 @@ def test_refine_non_finite_error_neither_warns_nor_stops():
 _SCRIPTS = {
     # stops at level 4, the first from MIN_LEVEL within tol
     "scalar": ({0: 1.0, 1: 0.5, 2: 0.5, 3: 0.9, 4: 0.9 + 1e-12, 5: 0.9},
-               1e-9, NESTED, False),
+               1e-9, NESTED, 1.0),
     # stops at level 2 on the relative bound only
     "relative": ({0: 2000.0, 1: 1000.0, 2: 1000.0 + 1e-7, 3: 1000.0},
-                 1e-9, (0, 2, 3), True),
+                 1e-9, (0, 2, 3), 1.0),
+    # stops at level 2 for the value 1e-3 times the estimate only
+    "scaled": ({0: 2.0, 1: 1.0, 2: 1.0 + 3e-9, 3: 1.0}, 1e-9, (0, 2, 3),
+               1e-3),
     # member 2 settles only at level 4
     "array": ({0: np.array([1.0, 2.0, 3.0]), 1: np.array([1.5, 2.5, 3.5]),
                2: np.array([1.5, 2.5, 3.25]),
                3: np.array([1.5, 2.5 + 1e-13, 3.0]),
                4: np.array([1.5, 2.5, 3.0 + 1e-12]),
-               5: np.array([0.0, 0.0, 0.0])}, 1e-10, NESTED, False),
+               5: np.array([0.0, 0.0, 0.0])}, 1e-10, NESTED, 1.0),
     # never within tol: returns the last level
     "unconverged": ({k: (-1.0) ** k for k in range(6)}, 1e-9,
-                    (0, MIN_LEVEL, 5), False),
+                    (0, MIN_LEVEL, 5), 1.0),
     # a first level past 0
-    "late-start": ({2: 3.0, 3: 2.0, 4: 2.0, 5: 1.0}, 1e-9, (2, 4, 6), False),
+    "late-start": ({2: 3.0, 3: 2.0, 4: 2.0, 5: 1.0}, 1e-9, (2, 4, 6), 1.0),
 }
 
 
@@ -636,9 +660,9 @@ def test_refine_stacked_first_estimate_judges_like_one_level_at_a_time(
     # the first level that may stop, as the batch forms its first pass:
     # each is handed to _refine when asked for, with the level before, and
     # the estimate, error, nodes and verdict are the one-level loop's
-    levels, tol, (first, least, last), rel = _SCRIPTS[script]
+    levels, tol, (first, least, last), norm = _SCRIPTS[script]
     want = _one_level_reference(lambda lv: (levels[lv], 7), tol, first,
-                                least, last, rel)
+                                least, last, norm)
     stack, handed = {}, []
 
     def stacked(level):
@@ -651,7 +675,7 @@ def test_refine_stacked_first_estimate_judges_like_one_level_at_a_time(
         handed.append(level)
         return (stack[level - 1], stack[level]), n
 
-    got = _refine(stacked, tol, least, last, rel)
+    got = _refine(stacked, tol, least, last, norm)
     assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
     assert got[2:] == want[2:]
     assert handed == list(range(least, handed[-1] + 1))
