@@ -35,7 +35,7 @@ from .appell import (
     lemma1_expand,
 )
 from .corefn import gammaln_real
-from .extbeta import RegPair
+from .extbeta import RegPair, _exp_norm
 from .hyp import (
     cauchy_derivative,
     derivative,
@@ -203,7 +203,9 @@ def _frac_deriv_sides(pt, variant, tol):
     k, r = _kern(pt), _regp(pt)
     lhs = ext_pfq(pfq_spec(k, (a1, a2), (b1,), r, ks=(1, k2)), c * z ** k2,
                   tol)
-    quot = math.exp(gammaln_real(b1) - gammaln_real(a2))
+    lg = gammaln_real(b1), gammaln_real(a2)
+    quot = _exp_norm(lg[0] - lg[1], lg, "Gamma(b1) / Gamma(a2)",
+                     f"(a2, b1) = ({a2}, {b1})")[0]
 
     def f(t):
         with np.errstate(over="ignore", under="ignore"):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel as kernelmod
-from .corefn import _EXP_ZERO_CUT, log_inv_beta
+from .corefn import _EXP_ZERO_CUT, gammaln_real
 from .kernel import EXP_VARIANT, KernelSpec
 from .quadrature import (
     FIRST_PASS_LEVEL,
@@ -206,33 +206,37 @@ def safe_theta_product(k: KernelSpec, powexp: np.ndarray, arg: np.ndarray,
         return out
 
 
-def _exp_norm(lognorm: float) -> float:
-    """exp(lognorm), or a DomainError where it is no normal double."""
+def _exp_norm(lognorm: float, terms, what: str,
+              at) -> tuple[float, float]:
+    """The one door of a prefactor formed in logs: (exp(lognorm), a bound
+    on its relative error, 8 eps times the sum of 1 + |term| over the terms
+    of lognorm); out of the normal double range, a DomainError naming the
+    prefactor ``what`` and its arguments ``at``."""
     if not (math.log(sys.float_info.min) < lognorm
             < math.log(sys.float_info.max)):
-        raise DomainError(f"normalisation exp({lognorm:.6g}) out of range")
-    return math.exp(lognorm)
+        raise DomainError(f"prefactor {what} = exp({lognorm:.6g}) out of "
+                          f"double range at {at}")
+    return math.exp(lognorm), 8 * _EPS * sum(1.0 + abs(t) for t in terms)
 
 
 def _beta_norm(pairs: tuple, sign: float = 1.0) -> tuple[float, float]:
-    """(exp(sign * the sum of log 1/B(a, c - a) over the pairs (a, c)), a
-    bound on its relative error): the Euler integrals' normalisation, out
-    of range a DomainError (``_exp_norm``).  gammaln_real errs by up to
-    5.5 eps (1 + |log Gamma(x)|) (8000 draws on (0, 170] against 40-digit
-    mpmath; the 1 covers its zeros at 1 and 2), so the bound is 8 eps times
-    that sum over x = a, c, c - a: it grows with the parameters."""
-    norm = _exp_norm(sign * sum(log_inv_beta(a, c) for a, c in pairs))
-    size = sum(1.0 + abs(math.lgamma(x)) for a, c in pairs
-               for x in (a, c, c - a))
-    return norm, 8 * _EPS * size
+    """``_exp_norm`` of sign times the sum over the pairs (a, c) of log
+    1/B(a, c - a), the Euler integrals' normalisation.  gammaln_real errs
+    by up to 5.5 eps (1 + |log Gamma(x)|) (8000 draws on (0, 170] against
+    40-digit mpmath; the 1 covers its zeros at 1 and 2), so the terms are
+    log Gamma(x) over x = a, c, c - a: the bound grows with them."""
+    return _exp_norm(sign * sum(gammaln_real(c) - gammaln_real(a)
+                                - gammaln_real(c - a) for a, c in pairs),
+                     [math.lgamma(x) for a, c in pairs for x in (a, c, c - a)],
+                     "beta normalisation over (a, c)", pairs)
 
 
 def _kernel_integral(k: KernelSpec, reg: RegPair, powexp, tol: float,
                      norm=(1.0, 0.0), factor=None,
                      method: str = "euler_integral") -> EvalResult:
     """The Euler integral over (0, 1) of exp(powexp) Theta(-b/t - d/(1-t))
-    g(t), times the prefactor norm = (c, its relative error), such as a
-    ``_beta_norm``.
+    g(t), times the prefactor norm = (c, its relative error), from
+    ``_exp_norm``.
 
     ``powexp(t, tc, lt, ltc)`` returns the exponent on a level's new nodes t
     and complements tc = 1-t, with lt, ltc = log t, log tc.  ``factor(t)``

@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +32,7 @@ from .corefn import (
 from .extbeta import (
     RegPair,
     _beta_norm,
+    _exp_norm,
     _kernel_integral,
     ext_beta_shifted_batch_arrays,
 )
@@ -609,14 +609,15 @@ def euler_transform(kernel: KernelSpec, a1: float, a2: float, b1: float,
         raise DomainError("transform needs z < 1")
     omz = 1.0 - z
     if variant == "proof":
-        pref = math.exp(z * reg.d / omz - z * reg.b)
+        lognorm = z * reg.d / omz - z * reg.b
         new_reg = RegPair(reg.d / omz, omz * reg.b)
     elif variant == "printed":
-        pref = math.exp(-omz * reg.b - z * reg.d)
+        lognorm = -omz * reg.b - z * reg.d
         new_reg = RegPair(reg.b / omz, omz * reg.d)
     else:
         raise DomainError(f"unknown variant {variant!r}")
-    pref *= omz ** (b1 - a2 - a1)
+    pref = _exp_norm(lognorm, (lognorm,), "transform exponential",
+                     f"z = {z:.6g}, {reg}")[0] * omz ** (b1 - a2 - a1)
     return ext_2f1(kernel, b1 - a1, b1 - a2, b1, z, new_reg, tol).scaled(pref)
 
 
@@ -706,8 +707,9 @@ def summation_thm(kernel: KernelSpec, a1: float, a2: float, b1: float,
     """
     spec = PfqSpec(((a1, 1), (a2, 2)), (b1,), reg, kernel)
     lhs = euler_step_integral(spec, 1.0, tol)
-    quot = math.exp(gammaln_real(b1) + gammaln_real(b1 - a2 - a1)
-                    - gammaln_real(b1 - a2) - gammaln_real(b1 - a1))
+    lg = [gammaln_real(x) for x in (b1, b1 - a2 - a1, b1 - a2, b1 - a1)]
+    quot = _exp_norm(lg[0] + lg[1] - lg[2] - lg[3], lg, "Gamma quotient",
+                     f"(a1, a2, b1) = {(a1, a2, b1)}")[0]
     return lhs, ext_2f1(kernel, a1, a2, b1 - a1, -1.0, reg, tol).scaled(quot)
 
 
@@ -718,22 +720,16 @@ def frac_deriv(kernel: KernelSpec, mu: float, reg: RegPair, f, z: float,
     Computed on the unit interval after the substitution t = z v; only the
     negative-order branch is implemented (positive orders would require
     differentiating through the quadrature).  The prefactor z**lambda /
-    Gamma(lambda), lambda = -mu, is refused with ``DomainError`` before any
-    node where z**lambda is no normal double or Gamma(lambda) overflows.
+    Gamma(lambda), lambda = -mu, is formed in logs (``_exp_norm``).
     """
     if mu >= 0.0:
         raise DomainError("only the mu < 0 branch is implemented")
     if z <= 0.0:
         raise DomainError("needs z > 0")
     lam = -mu
-    try:
-        power, gamma = z ** lam, math.exp(gammaln_real(lam))
-    except OverflowError:
-        power = gamma = math.inf
-    if not (sys.float_info.min <= power < math.inf and gamma < math.inf):
-        raise DomainError(f"prefactor z**{lam:.6g} / Gamma({lam:.6g}) "
-                          f"out of double range at z = {z:.6g}")
+    power, gamma = lam * math.log(z), gammaln_real(lam)
+    norm = _exp_norm(power - gamma, (power, gamma),
+                     f"z**{lam:.6g} / Gamma({lam:.6g})", f"z = {z:.6g}")
     return _kernel_integral(
-        kernel, reg, lambda t, tc, lt, ltc: (lam - 1.0) * ltc, tol,
-        (power / gamma, 0.0),
+        kernel, reg, lambda t, tc, lt, ltc: (lam - 1.0) * ltc, tol, norm,
         lambda t: (np.asarray(f(z * t), dtype=float), 0.0), "quadrature")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corefn import beta_classical
-from .extbeta import RegPair
+from .extbeta import RegPair, _exp_norm
 from .hyp import ext_2f1
 from .kernel import EXP_KERNEL
 from .quadrature import _refine_grid, grid_axis, integrate_halfline
@@ -111,6 +111,9 @@ def lemma2_identity(which: str, a: float, b_par: float, c: float,
         raise DomainError("needs positive scale parameters")
     reg = RegPair(ptilde, qtilde)  # the offsets follow its rule
     scale = gamma if which == "a" else alpha
+    pref = (_exp_norm(ptilde + qtilde, (ptilde, qtilde), "exp(p~ + q~)",
+                      f"(p~, q~) = {(ptilde, qtilde)}")[0] * scale ** -b_par
+            * beta_classical(b_par, c + a - b_par))
 
     def f(x):
         with np.errstate(over="ignore", under="ignore"):
@@ -123,8 +126,6 @@ def lemma2_identity(which: str, a: float, b_par: float, c: float,
             return np.exp(e)
 
     lhs = integrate_halfline(f, tol * 1e-2).result()
-    pref = (math.exp(ptilde + qtilde) * scale ** -b_par
-            * beta_classical(b_par, c + a - b_par))
     if which == "a":
         fval = ext_2f1(EXP_KERNEL, a, b_par, c + a, (gamma - alpha) / gamma,
                        reg, tol)
@@ -168,9 +169,10 @@ def weight_F(hp: HilbertParams, x: float, tol: float = 1e-10) -> EvalResult:
     if not x > 0.0:
         raise DomainError("needs x > 0")
     qp = hp.qprime
+    e = _exp_norm((hp.ptilde + hp.qtilde) / qp, (hp.ptilde, hp.qtilde),
+                  "exp((p~ + q~) / q')", hp)[0]
     norm = weight_norm_f(hp, hp.ptilde, hp.qtilde, tol)
-    v = (math.exp((hp.ptilde + hp.qtilde) / qp) * norm.value
-         * x ** ((1.0 - hp.s1 - hp.s2) / qp - hp.A2))
+    v = e * norm.value * x ** ((1.0 - hp.s1 - hp.s2) / qp - hp.A2)
     return norm.proportional(v)
 
 
@@ -179,9 +181,10 @@ def weight_G(hp: HilbertParams, y: float, tol: float = 1e-10) -> EvalResult:
     if not y > 0.0:
         raise DomainError("needs y > 0")
     pp = hp.pprime
+    e = _exp_norm((hp.ptilde + hp.qtilde) / pp, (hp.ptilde, hp.qtilde),
+                  "exp((p~ + q~) / p')", hp)[0]
     norm = weight_norm_g(hp, hp.ptilde, hp.qtilde, tol)
-    v = (math.exp((hp.ptilde + hp.qtilde) / pp) * norm.value
-         * y ** ((1.0 - hp.s1 - hp.s2) / pp - hp.A1))
+    v = e * norm.value * y ** ((1.0 - hp.s1 - hp.s2) / pp - hp.A1)
     return norm.proportional(v)
 
 
@@ -426,10 +429,11 @@ def _rhs_factors(hp: HilbertParams,
     constant and the norm converged)."""
     qp = hp.qprime
     const, const_ok = _hilbert_constant(hp)
+    e = _exp_norm(2.0 * (hp.ptilde + hp.qtilde), (hp.ptilde, hp.qtilde),
+                  "exp(2 (p~ + q~))", hp)[0]
     wf = (hp.p / qp) * (1.0 - hp.s1 - hp.s2) + hp.p * (hp.A1 - hp.A2)
-    pref = math.exp(2.0 * (hp.ptilde + hp.qtilde)) * const
     norm, ok = _weighted_norm(f, wf, hp.p)
-    return const, pref * norm, const_ok and ok
+    return const, e * const * norm, const_ok and ok
 
 
 def hilbert_bilinear(hp: HilbertParams, f: TestFunction, g: TestFunction,

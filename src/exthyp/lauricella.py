@@ -25,21 +25,18 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corefn import beta_classical, gammaln_real, log_inv_beta
+from .corefn import beta_classical, gammaln_real
 from . import hyp
 from .extbeta import (
-    BetaArgs,
     RegPair,
     _beta_norm,
     _exp_norm,
     _kernel_integral,
     check_beta_domain,
-    ext_beta,
     safe_theta_product,
     unit_grid_kernel,
 )
@@ -242,10 +239,10 @@ def fd_summation_unit(p: LauricellaParams,
     width = gamma - p.alpha - sum(p.betas)  # fd_integral checks its range
     unit = LauricellaParams(p.alpha, p.betas, p.gammas, (1.0,) * p.r,
                             p.reg, p.kernel)
-    lhs = fd_integral(unit, tol)
-    quot = math.exp(log_inv_beta(p.alpha, gamma))
-    bb = ext_beta(p.kernel, BetaArgs(p.alpha, width), p.reg, tol=tol * 1e-2)
-    return lhs, bb.scaled(quot)
+    return fd_integral(unit, tol), _kernel_integral(
+        p.kernel, p.reg,
+        lambda t, tc, lt, ltc: (p.alpha - 1.0) * lt + (width - 1.0) * ltc,
+        tol * 1e-2, _beta_norm(((p.alpha, gamma),)), method="quadrature")
 
 
 def fd_equal_arguments(p: LauricellaParams,
@@ -314,16 +311,13 @@ def interval_product_integral(tp: IntervalProductParams,
             out = out + lam * np.log(fj * (tp.a_lo + span * t) + gj)
         return out
 
-    try:  # a float power out of double range raises (or underflows)
-        pref = span ** (tp.alpha + tp.beta - 1.0)
-        if pref < sys.float_info.min:  # no normal double: refused at once
-            raise OverflowError
-        const = pref * beta_classical(tp.alpha, tp.beta)
-        for fj, gj, lam in tp.factors:
-            const *= (tp.a_lo * fj + gj) ** lam
-    except OverflowError:
-        raise DomainError("prefactor out of double range") from None
-    lhs = _kernel_integral(kern, scaled, powexp, tol, (pref, 0.0),
+    logs = [(tp.alpha + tp.beta - 1.0) * math.log(span)] + [
+        lam * math.log(tp.a_lo * fj + gj) for fj, gj, lam in tp.factors]
+    norm = _exp_norm(logs[0], logs[:1], "span**(alpha + beta - 1)",
+                     f"span = {span:.6g}")
+    const = beta_classical(tp.alpha, tp.beta) * _exp_norm(
+        sum(logs), logs, "span and factor powers", tp)[0]
+    lhs = _kernel_integral(kern, scaled, powexp, tol, norm,
                            method="quadrature")
 
     xs = tuple(-span * fj / (tp.a_lo * fj + gj) for fj, gj, _ in tp.factors)
@@ -354,9 +348,9 @@ def _halfline_ends(kern: KernelSpec, majorant, budget: float, cut: float):
 
     ``majorant`` = (powers, rates) bounds the integrand by prod_j
     t^powers[j] e^(-rates[j] t) when the kernel maps (-inf, 0] into [0, 1]
-    (``KernelSpec.unit_range``): the beta ratios then lie in [0, 1] and the
-    Pochhammer ratios of ``validate_fd`` and ``validate_fa`` are at most 1,
-    so a confluent factor at w is at most e^|w|.  Axis j ends at the first
+    (``KernelSpec.unit_range``): under ``validate_fd`` and ``validate_fa`` a
+    confluent factor at w is then a mean of e^(w s) under a measure of mass
+    at most 1 on [0, 1], so at most e^max(w, 0).  Axis j ends at the first
     node of the first level that may stop where the weighted majorant's sum
     from there, times the other axes' full sums, is at most budget / r;
     fixed there, each level's coarse sum is the level before's own.  No
@@ -406,13 +400,16 @@ def fd_laplace_product(p: LauricellaParams,
     # outer weight t^(beta_j - 1) not integrable at 0
     if not all(b > 0.0 for b in p.betas):
         raise DomainError("Laplace product needs beta_j > 0")
+    lg = [gammaln_real(b) for b in p.betas]
+    pref = _exp_norm(sum(lg), lg, "prod_j Gamma(beta_j)",
+                     f"beta = {p.betas}")[0]
     inner = pfq_spec(p.kernel, (p.alpha,), (p.gammas[0],), p.reg)
     shared = _CoeffLadder(inner)
     # past the cut the e^-t weight is 0; stopping where the argument sum
     # reaches 700 also keeps the confluent factor finite (no 0 * inf)
     cut = min(750.0 / (1.0 - max(p.xs)), 700.0 / max(sum(p.xs), 1e-300))
     # the integrand is at most prod_j t^(beta_j - 1) e^-((1 - x_j) t), as
-    # |Phi(w)| <= e^|w| (``_halfline_ends``)
+    # |Phi(w)| <= e^max(w, 0) (``_halfline_ends``)
     ends, majorant = _halfline_ends(
         p.kernel, ([b - 1.0 for b in p.betas], [1.0 - x for x in p.xs]),
         _CUT_SHARE * tol, cut)
@@ -432,20 +429,19 @@ def fd_laplace_product(p: LauricellaParams,
                 p.xs, factor)
         return sums, nodes, (modulus, {**parts, "dropped": dropped})
 
-    lhs = _refine_grid(grid_sum, tol)
-    pref = math.exp(sum(gammaln_real(b) for b in p.betas))
-    return lhs, fd_series(p, tol).scaled(pref)
+    return _refine_grid(grid_sum, tol), fd_series(p, tol).scaled(pref)
 
 
 def multinomial_exponential_identity(xs, terms: int = 24) -> tuple[float, float]:
     """Constant-coefficient collapse of the multinomial series to exp(sum):
     the product of the axes' x^m / m!, summed over total degrees below
     ``terms``."""
+    rhs = _exp_norm(sum(xs), xs, "exp(sum_j x_j)", f"x = {xs}")[0]
     total, m = np.ones(1), np.arange(1, terms)
     for x in xs:
         axis = np.cumprod(np.concatenate(([1.0], x / m)))
         total = np.convolve(total, axis)[:terms]
-    return float(total.sum()), math.exp(sum(xs))
+    return float(total.sum()), rhs
 
 
 @memoized
@@ -625,18 +621,20 @@ def fa_single_integral(
         raise DomainError("needs sum_j |x_j| < 1")
     if not upper > 0.0:
         raise DomainError(f"needs upper > 0, got {upper}")
+    lg = gammaln_real(p.alpha)
+    norm = _exp_norm(-lg, (lg,), "normalisation 1/Gamma(alpha)",
+                     f"alpha = {p.alpha:.6g}")
     inners = [pfq_spec(p.kernel, (b,), (g,), p.reg)
               for b, g in zip(p.betas, p.gammas)]
     shared = [_CoeffLadder(spec) for spec in inners]
-    # as in fd_laplace_product: the cut keeps each confluent factor finite
-    cut = min(750.0 / (1.0 - sum(max(x, 0.0) for x in p.xs)),
-              700.0 / max(max(abs(x) for x in p.xs), 1e-300))
-    norm = _exp_norm(-gammaln_real(p.alpha))
-    # the integrand is at most t^(alpha - 1) e^-((1 - sum_j |x_j|) t), as
-    # each |Phi_j(x_j t)| <= e^(|x_j| t); a finite upper limit is not cut
+    # the cut keeps each confluent factor finite (as in fd_laplace_product);
+    # the integrand is at most t^(alpha - 1) e^-(room t), as |Phi_j(x_j t)|
+    # <= e^(max(x_j, 0) t); a finite upper limit is not cut
+    room = 1.0 - sum(max(x, 0.0) for x in p.xs)
+    cut = min(750.0 / room, 700.0 / max(max(abs(x) for x in p.xs), 1e-300))
     ends, majorant = _halfline_ends(
-        p.kernel, ([p.alpha - 1.0], [1.0 - sum(abs(x) for x in p.xs)]),
-        _CUT_SHARE * tol / norm, cut) if math.isinf(upper) else ([upper], None)
+        p.kernel, ([p.alpha - 1.0], [room]), _CUT_SHARE * tol / norm[0],
+        cut) if math.isinf(upper) else ([upper], None)
 
     def factor(w):
         # prod_j Phi_j and its error prod_j (|Phi_j| + e_j) - prod_j |Phi_j|
@@ -657,7 +655,7 @@ def fa_single_integral(
                 [(t, w * e, c * e)], (1.0,), factor)
         return sums, nodes, (modulus, {**parts, "dropped": dropped})
 
-    return fa_series(p, tol), _refine_grid(grid_sum, tol, (norm, 0.0))
+    return fa_series(p, tol), _refine_grid(grid_sum, tol, norm)
 
 
 def fa_partial_series(p: LauricellaParams,

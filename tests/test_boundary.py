@@ -238,6 +238,15 @@ def _refusal(id, call, message):
     _refusal("euler-transform-kernel", lambda: X.euler_transform(
         X.kummer_kernel(1.5, 2.5), 0.8, 1.1, 2.4, 0.3),
         "stated for the exponential kernel"),
+    # the prefactor's exp overflowed (OverflowError), and in the printed
+    # variant underflowed to a silent value 0
+    _refusal("euler-transform-prefactor", lambda: X.euler_transform(
+        X.EXP_KERNEL, 1.0, 1.0, 3.0, 0.999, X.RegPair(0.0, 1e3)),
+        "prefactor transform exponential = exp(999000) out of double range"),
+    _refusal("euler-transform-printed-prefactor", lambda: X.euler_transform(
+        X.EXP_KERNEL, 1.0, 1.0, 3.0, 0.0, X.RegPair(800.0, 0.0),
+        variant="printed"),
+        "prefactor transform exponential = exp(-800) out of double range"),
     _refusal("euler-transform-z", lambda: X.euler_transform(
         X.EXP_KERNEL, 0.8, 1.1, 2.4, 1.5), "transform needs z < 1"),
     _refusal("euler-transform-variant", lambda: X.euler_transform(
@@ -322,6 +331,13 @@ def _refusal(id, call, message):
     _refusal("fd-laplace-beta", lambda: X.fd_laplace_product(
         dataclasses.replace(_FD2, betas=(-1.0, 0.5))),
         "Laplace product needs beta_j > 0"),
+    # the grid warned (inf times 0) and exp(sum log Gamma) overflowed
+    _refusal("fd-laplace-gamma-product", lambda: X.fd_laplace_product(
+        X.LauricellaParams(0.9, (180.0,), (200.0,), (0.2,))),
+        "prefactor prod_j Gamma(beta_j) = exp(753.055) out of double range"),
+    _refusal("multinomial-exponential", lambda:
+             lauricella.multinomial_exponential_identity((800.0,)),
+             "prefactor exp(sum_j x_j) = exp(800) out of double range"),
     _refusal("fa-integral-r", lambda: X.fa_integral(_FA3),
              "iterated integral implemented for r <= 2"),
     _refusal("fa-integral-x", lambda: X.fa_integral(dataclasses.replace(
@@ -355,6 +371,9 @@ def _refusal(id, call, message):
     _refusal("lemma2-scales", lambda: X.lemma2_identity(
         "a", 0.5, 0.8, 0.9, -1.0, 1.0, 0.1, 0.1),
         "needs positive scale parameters"),
+    _refusal("lemma2-prefactor", lambda: X.lemma2_identity(
+        "a", 1.0, 0.7, 1.2, 0.8, 1.0, 400.0, 400.0),
+        "prefactor exp(p~ + q~) = exp(800) out of double range"),
     _refusal("test-function-syntax", lambda: ineq.parse_test_function(
         "exp_decay"), "bad test-function syntax 'exp_decay'"),
     _refusal("test-function-number", lambda: ineq.parse_test_function(

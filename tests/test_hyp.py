@@ -424,17 +424,32 @@ def test_frac_deriv_constant_closed_form():
 
 
 @pytest.mark.parametrize("mu, z", [(-200.0, 0.5), (-0.5, math.inf),
-                                   (-30.0, 1e-12), (-160.0, 100.0)])
+                                   (-30.0, 1e-12), (-160.0, 1e5)])
 def test_frac_deriv_prefactor_out_of_range_raises_before_any_node(
         monkeypatch, mu, z):
-    # Gamma(200) overflows, z**0.5 at z = inf is inf, 1e-12**30 underflows
-    # and 100**160 overflows
+    # the quotient z**lambda / Gamma(lambda) is about e^-997, e^inf, e^-900
+    # and e^1192
     def no_nodes(*args, **kwargs):
         raise AssertionError("quadrature ran")
 
     monkeypatch.setattr(quadrature, "_refine", no_nodes)
     with pytest.raises(DomainError, match="out of double range"):
         frac_deriv(EXP_KERNEL, mu, RegPair(0.1, 0.1), np.exp, z)
+
+
+def test_frac_deriv_quotient_in_range_lies_within_its_estimate():
+    # z**150 overflows on its own, which refused the call; the quotient
+    # z**150 / Gamma(150), about e^390, is formed in logs
+    got = frac_deriv(EXP_KERNEL, -150.0, RegPair(0.1, 0.1),
+                     lambda x: np.ones_like(x), 1e3)
+    with mpmath.workdps(30):
+        lam, z, b = mpmath.mpf(150), mpmath.mpf(1000), mpmath.mpf("0.1")
+        want = z ** lam / mpmath.gamma(lam) * mpmath.quad(
+            lambda t: (1 - t) ** (lam - 1) * mpmath.exp(-b / t - b / (1 - t)),
+            [0, 0.01, 0.05, 0.2, 1])
+    assert got.converged
+    assert abs(got.value - float(want)) <= got.abs_err_est
+    assert dict(got.parts)["normalisation"] > 0.0
 
 
 def test_frac_deriv_riemann_liouville_power():

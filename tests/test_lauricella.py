@@ -162,6 +162,21 @@ def test_fd_unit_argument_summation():
     assert abs(lhs.value - rhs.value) <= 1e-10 * (1 + abs(lhs.value))
 
 
+def test_fd_unit_summation_at_large_parameters_lies_within_its_estimate():
+    # B(300, 399.5) ~ 6.3e-209: the beta integral stopped on the absolute
+    # scale and came back as 4.85e-209 +- 4.8e-209, then times 1/B it read
+    # 1.0276 with converged=True; 1/B now goes to the refinement as norm
+    p = PD(300.0, [0.5], 700.0, [1.0])
+    with mpmath.workdps(30):
+        want = float(mpmath.gamma(700) * mpmath.gamma(399.5)
+                     / (mpmath.gamma(400) * mpmath.gamma(699.5)))
+    lhs, rhs = fd_summation_unit(p, 1e-8)
+    for side in (lhs, rhs):
+        assert side.converged
+        assert abs(side.value - want) <= side.abs_err_est, side
+    assert dict(rhs.parts)["normalisation"] > 0.0
+
+
 def test_interval_product_unit_interval():
     tp = IntervalProductParams(0.0, 1.0, 1.1, 0.9,
                                ((-0.3, 1.0, -0.7), (-0.5, 1.0, -1.2)),
@@ -919,6 +934,14 @@ def test_out_of_range_normalisations_raise_before_quadrature(monkeypatch):
     with pytest.raises(DomainError, match="normalisation"):
         lauricella.fa_single_integral(LauricellaParams(
             180.0, (1.1, 0.7), (2.4, 2.1), (0.2, 0.3)), 1e-8)
+    # Gamma(180) ~ exp(753) for the Laplace product, refused before its
+    # grid's first axis
+    monkeypatch.setattr(lauricella, "grid_axis", no_quadrature)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="prod_j Gamma"):
+            fd_laplace_product(LauricellaParams(0.9, (180.0,), (200.0,),
+                                                (0.2,)))
 
 
 @pytest.mark.parametrize("alpha, xs", [

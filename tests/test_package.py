@@ -58,9 +58,10 @@ REMOVED = {
 # rounding floor (quadrature.grid_product and _refine_grid hold them), the
 # composites that results.EvalResult now holds, the contour's own
 # fixed-step strip and the flag it set from its estimate (the strip refines
-# through quadrature._refine_nested), and the appending of a prefactor's
+# through quadrature._refine_nested), the appending of a prefactor's
 # error to a refinement's result (each refinement builds its result in the
-# value's units, its prefactor handed over once)
+# value's units, its prefactor handed over once), and the log of 1/B that
+# only the Euler normalisation read (extbeta._beta_norm forms it in place)
 REMOVED_FROM = {
     "hyp.py": {"shared_coefficients", "_shared_blocks", "contextvars",
                "contextlib", "_RETIRE_SHARE", "_max_abs", "_combine"},
@@ -72,7 +73,7 @@ REMOVED_FROM = {
     "extbeta.py": {"_log_cache", "check_beta_domain_complex"},
     "lauricella.py": {"_live_span", "_EPS"},
     "corefn.py": {"_kummer_tables", "_KummerTables", "_kummer_amplitude",
-                  "_kummer_log_amplitude", "_kummer_pos"},
+                  "_kummer_log_amplitude", "_kummer_pos", "log_inv_beta"},
     "mellin.py": {"_strip_values"},
     "results.py": {"within", "plus"},
 }
@@ -184,9 +185,10 @@ def test_refine_has_one_path():
     assert isinstance(branches[0].body[-1], ast.Return)
 
 
-# the refinements and the position of their tol argument
+# the refinements and the position of their tol argument; ext_beta and
+# ext_gamma return a refinement's result as it is
 _REFINERS = {"_refine": 1, "_refine_nested": 1, "_refine_grid": 1,
-             "_kernel_integral": 3}
+             "_kernel_integral": 3, "ext_beta": 3, "ext_gamma": 3}
 
 
 def test_each_prefactor_goes_to_the_refinement_once():
@@ -230,6 +232,39 @@ def test_each_prefactor_goes_to_the_refinement_once():
                                 and _called(on) in _REFINERS), (name, n.lineno)
                     assert not (isinstance(on, ast.Name)
                                 and on.id in refined), (name, n.lineno)
+
+
+def _is_math_exp(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "exp"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "math")
+
+
+def _catches_overflow(node) -> bool:
+    return (isinstance(node, ast.ExceptHandler)
+            and "OverflowError" in ast.unparse(node.type or ast.Tuple([])))
+
+
+def test_every_prefactor_goes_through_the_one_door():
+    # each prefactor is formed in logs and exponentiated, range-checked and
+    # bounded by extbeta._exp_norm: math.exp is called there and in the
+    # classical beta alone, no OverflowError is caught elsewhere, and no
+    # refinement is handed a prefactor with a literal relative error
+    exps, catches = set(), set()
+    for name, tree in _trees():
+        exps |= {(name, w) for w in _enclosing_functions(tree, _is_math_exp)}
+        catches |= {(name, w)
+                    for w in _enclosing_functions(tree, _catches_overflow)}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call) and _called(n) in _REFINERS:
+                for arg in n.args + [k.value for k in n.keywords]:
+                    assert not (isinstance(arg, ast.Tuple) and any(
+                        isinstance(e, ast.Constant) for e in arg.elts)), (
+                        name, n.lineno)
+    assert exps == {("extbeta.py", "_exp_norm"),
+                    ("corefn.py", "beta_classical")}
+    assert catches <= {("corefn.py", "beta_classical")}
 
 
 def test_contour_refines_through_the_nested_loop():
@@ -420,7 +455,7 @@ RECORDS = {
 FINITE_CHECKS = {
     ("results.py", "refuse_non_finite"), ("results.py", "__post_init__"),
     ("hyp.py", "pfq_series"), ("hyp.py", "euler_step_integral"),
-    ("hyp.py", "frac_deriv"), ("lauricella.py", "_fd_series"),
+    ("lauricella.py", "_fd_series"),
     ("lauricella.py", "_fa_series"), ("results.py", "check_tol"),
 }
 
@@ -472,29 +507,32 @@ def test_finiteness_is_tested_only_by_the_helper_and_listed_checks():
             assert (name, where) in FINITE_CHECKS, (name, where, line)
 
 
-def _enclosing_calls(tree, callee: str):
-    """The innermost enclosing function of each call of ``callee``."""
+def _enclosing_functions(tree, wanted):
+    """The innermost enclosing function of each node for which ``wanted``
+    holds."""
     def walk(node, where):
         for child in ast.iter_child_nodes(node):
             inner = child.name if isinstance(child, ast.FunctionDef) else where
-            if isinstance(child, ast.Call) and _called(child) == callee:
+            if wanted(child):
                 yield where
             yield from walk(child, inner)
     return list(walk(tree, None))
+
+
+def _enclosing_calls(tree, callee: str):
+    """The innermost enclosing function of each call of ``callee``."""
+    return _enclosing_functions(tree, lambda n: isinstance(n, ast.Call)
+                                and _called(n) == callee)
 
 
 def _series_small_compares(tree):
     """The innermost enclosing function of each comparison that involves
     ``SERIES_SMALL``."""
-    def walk(node, where):
-        for child in ast.iter_child_nodes(node):
-            inner = child.name if isinstance(child, ast.FunctionDef) else where
-            if isinstance(child, ast.Compare) and any(
-                    getattr(n, "id", getattr(n, "attr", None))
-                    == "SERIES_SMALL" for n in ast.walk(child)):
-                yield where
-            yield from walk(child, inner)
-    return list(walk(tree, None))
+    def involves(n):
+        return isinstance(n, ast.Compare) and any(
+            getattr(x, "id", getattr(x, "attr", None)) == "SERIES_SMALL"
+            for x in ast.walk(n))
+    return _enclosing_functions(tree, involves)
 
 
 def test_one_series_stopping_rule():
